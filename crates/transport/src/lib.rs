@@ -39,6 +39,7 @@ pub mod repflow;
 pub mod rtt;
 pub mod subflow;
 pub mod tcp;
+pub mod testing;
 
 pub use cc::{Bbr, CongestionControl, CongestionController, Cubic, EcnResponder, Reno};
 pub use config::TransportConfig;

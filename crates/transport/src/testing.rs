@@ -1,0 +1,184 @@
+//! The loopback harness the crate's sender tests (and `tests/conformance.rs`)
+//! drive: one sender agent and the shared [`TransportReceiver`] wired back to
+//! back through [`AgentCtx`], with no network in between.
+//!
+//! A *round* is one ideal round trip: everything the sender emitted is
+//! delivered 100 µs later (minus what the drop predicate removes, with the
+//! ECN-mark predicate's choices marked CE), the resulting ACKs reach the
+//! sender another 100 µs later, then every due timer fires; an idle pipe
+//! jumps the clock to the next timer deadline. Everything the sender does is
+//! recorded — packets, armed timers, fluid-handoff requests, signals — so a
+//! test can compare two senders event for event.
+
+use crate::receiver::TransportReceiver;
+use netsim::fluid::FluidHandoff;
+use netsim::{
+    Agent, AgentCtx, AgentEvent, Ecn, FlowId, Packet, Signal, SimDuration, SimRng, SimTime,
+};
+
+/// One-way delay of the ideal network.
+const HOP: SimDuration = SimDuration::from_micros(100);
+
+/// A sender and a receiver on an ideal network. All state is public: tests
+/// inspect it and inject packets or events between rounds.
+pub struct Loopback<A> {
+    /// The sender under test.
+    pub tx: A,
+    /// Its receiver.
+    pub rx: TransportReceiver,
+    /// The flow both agents are registered under.
+    pub flow: FlowId,
+    /// RNG handed to both agents (packet scatter draws source ports from it).
+    pub rng: SimRng,
+    /// Armed timers that have not fired yet, `(deadline, token)`.
+    pub timers: Vec<(SimTime, u64)>,
+    /// Every signal either agent emitted, in order.
+    pub signals: Vec<Signal>,
+    /// Current time.
+    pub now: SimTime,
+    /// Sender packets awaiting delivery to the receiver.
+    pub to_rx: Vec<Packet>,
+    /// ACKs awaiting delivery to the sender.
+    pub to_tx: Vec<Packet>,
+    /// The hybrid engine's elephant threshold shown to the sender on every
+    /// activation (`None`, the default, is the packet engine).
+    pub fluid_threshold: Option<u64>,
+    /// Every packet the sender emitted, with its emission time.
+    pub sent: Vec<(SimTime, Packet)>,
+    /// Every timer the sender armed, `(deadline, token)`, in arming order.
+    pub armed: Vec<(SimTime, u64)>,
+    /// Every fluid handoff the sender requested, with the request time.
+    pub handoffs: Vec<(SimTime, FluidHandoff)>,
+}
+
+impl<A: Agent> Loopback<A> {
+    /// Wire `tx` to a fresh receiver for `flow` at t = 1 ms.
+    pub fn new(flow: FlowId, tx: A) -> Self {
+        Loopback {
+            tx,
+            rx: TransportReceiver::new(flow),
+            flow,
+            rng: SimRng::new(5),
+            timers: Vec::new(),
+            signals: Vec::new(),
+            now: SimTime::from_millis(1),
+            to_rx: Vec::new(),
+            to_tx: Vec::new(),
+            fluid_threshold: None,
+            sent: Vec::new(),
+            armed: Vec::new(),
+            handoffs: Vec::new(),
+        }
+    }
+
+    /// Has the sender signalled `FlowCompleted`?
+    pub fn is_completed(&self) -> bool {
+        self.signals
+            .iter()
+            .any(|s| matches!(s, Signal::FlowCompleted { .. }))
+    }
+
+    /// Hand one event to the sender at the current time, recording what it
+    /// does and queueing its packets for the receiver.
+    pub fn deliver(&mut self, event: AgentEvent) {
+        let mut out = Vec::new();
+        let armed_from = self.timers.len();
+        let mut ctx = AgentCtx::new(
+            self.now,
+            self.flow,
+            &mut self.rng,
+            &mut out,
+            &mut self.timers,
+            &mut self.signals,
+        );
+        ctx.set_fluid_threshold(self.fluid_threshold);
+        self.tx.handle(&mut ctx, event);
+        if let Some(handoff) = ctx.take_fluid_handoff() {
+            self.handoffs.push((self.now, handoff));
+        }
+        self.armed.extend_from_slice(&self.timers[armed_from..]);
+        self.sent.extend(out.iter().map(|p| (self.now, p.clone())));
+        self.to_rx.extend(out);
+    }
+
+    /// Start the sender.
+    pub fn start(&mut self) {
+        self.deliver(AgentEvent::Start);
+    }
+
+    /// One round trip, dropping the sender packets `drop` selects.
+    pub fn round(&mut self, drop: impl FnMut(&Packet) -> bool) {
+        self.round_with(drop, |_| false);
+    }
+
+    /// One round trip: sender packets `drop` selects vanish, ECN-capable ones
+    /// `mark` selects arrive marked Congestion Experienced.
+    pub fn round_with(
+        &mut self,
+        mut drop: impl FnMut(&Packet) -> bool,
+        mut mark: impl FnMut(&Packet) -> bool,
+    ) {
+        self.now += HOP;
+        let mut acks = Vec::new();
+        for mut pkt in std::mem::take(&mut self.to_rx) {
+            if drop(&pkt) {
+                continue;
+            }
+            if mark(&pkt) && pkt.ecn == Ecn::Capable {
+                pkt.ecn = Ecn::CongestionExperienced;
+            }
+            let mut ctx = AgentCtx::new(
+                self.now,
+                self.flow,
+                &mut self.rng,
+                &mut acks,
+                &mut self.timers,
+                &mut self.signals,
+            );
+            self.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
+        }
+        self.to_tx.extend(acks);
+        self.now += HOP;
+        for pkt in std::mem::take(&mut self.to_tx) {
+            self.deliver(AgentEvent::Packet(pkt));
+        }
+        let now = self.now;
+        let due: Vec<u64> = self
+            .timers
+            .iter()
+            .filter(|(at, _)| *at <= now)
+            .map(|&(_, token)| token)
+            .collect();
+        self.timers.retain(|(at, _)| *at > now);
+        for token in due {
+            self.deliver(AgentEvent::Timer(token));
+        }
+        if self.to_rx.is_empty() && self.to_tx.is_empty() && !self.is_completed() {
+            if let Some(&(at, _)) = self.timers.iter().min_by_key(|(at, _)| *at) {
+                self.now = at;
+            }
+        }
+    }
+
+    /// Start the sender and run rounds until it completes or `max_rounds`
+    /// have passed.
+    pub fn run(&mut self, max_rounds: usize, drop: impl FnMut(&Packet) -> bool) {
+        self.run_with(max_rounds, drop, |_| false);
+    }
+
+    /// [`Loopback::run`] with an ECN-mark predicate as well.
+    pub fn run_with(
+        &mut self,
+        max_rounds: usize,
+        mut drop: impl FnMut(&Packet) -> bool,
+        mut mark: impl FnMut(&Packet) -> bool,
+    ) {
+        self.start();
+        for _ in 0..max_rounds {
+            if self.is_completed() {
+                break;
+            }
+            self.round_with(&mut drop, &mut mark);
+        }
+    }
+}
