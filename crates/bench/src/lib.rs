@@ -92,43 +92,6 @@ impl HarnessOptions {
     pub fn figure1_config(&self, protocol: Protocol) -> ExperimentConfig {
         ExperimentConfig::figure1(protocol, self.seed, self.full, self.flows_per_host)
     }
-
-    /// Resolve a protocol name (`tcp`, `dctcp`, `d2tcp`, `mptcp`, `mptcp-4`,
-    /// `packet-scatter`, `mmptcp`, `mmptcp-4`) into a [`Protocol`].
-    pub fn resolve_protocol(name: &str) -> Option<Protocol> {
-        let name = name.trim().to_lowercase();
-        if name == "tcp" {
-            return Some(Protocol::Tcp);
-        }
-        if name == "dctcp" {
-            return Some(Protocol::Dctcp);
-        }
-        if name == "d2tcp" {
-            return Some(Protocol::D2tcp);
-        }
-        if name == "packet-scatter" || name == "ps" {
-            return Some(Protocol::PacketScatter);
-        }
-        if name == "repflow" {
-            return Some(Protocol::repflow());
-        }
-        if name == "repsyn" {
-            return Some(Protocol::repsyn());
-        }
-        if let Some(rest) = name.strip_prefix("mmptcp") {
-            let subflows = rest.trim_start_matches('-').parse().unwrap_or(8);
-            return Some(Protocol::Mmptcp {
-                subflows,
-                switch: SwitchStrategy::default(),
-                dupack: None,
-            });
-        }
-        if let Some(rest) = name.strip_prefix("mptcp") {
-            let subflows = rest.trim_start_matches('-').parse().unwrap_or(8);
-            return Some(Protocol::Mptcp { subflows });
-        }
-        None
-    }
 }
 
 /// Run a set of labelled experiments, up to `threads` at a time, preserving
@@ -216,32 +179,6 @@ mod tests {
     fn unknown_arguments_are_ignored() {
         let o = HarnessOptions::parse(["--wat".to_string()]);
         assert_eq!(o, HarnessOptions::default());
-    }
-
-    #[test]
-    fn protocol_resolution() {
-        assert_eq!(HarnessOptions::resolve_protocol("tcp"), Some(Protocol::Tcp));
-        assert_eq!(
-            HarnessOptions::resolve_protocol("mptcp-4"),
-            Some(Protocol::Mptcp { subflows: 4 })
-        );
-        assert!(matches!(
-            HarnessOptions::resolve_protocol("mmptcp"),
-            Some(Protocol::Mmptcp { subflows: 8, .. })
-        ));
-        assert_eq!(
-            HarnessOptions::resolve_protocol("ps"),
-            Some(Protocol::PacketScatter)
-        );
-        assert_eq!(
-            HarnessOptions::resolve_protocol("repflow"),
-            Some(Protocol::repflow())
-        );
-        assert_eq!(
-            HarnessOptions::resolve_protocol("repsyn"),
-            Some(Protocol::repsyn())
-        );
-        assert_eq!(HarnessOptions::resolve_protocol("quic"), None);
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod rng;
 pub mod signal;
 pub mod sim;
 pub mod time;
-pub mod trace;
 
 pub use agent::{Agent, AgentCtx, AgentEvent};
 pub use event::{BinaryHeapQueue, Event, EventQueue};
@@ -78,7 +77,6 @@ pub use signal::Signal;
 pub use sim::{SimCounters, Simulator};
 pub use switch::{PathPolicy, Switch, SwitchLayer, SwitchStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{LinkSnapshot, QueueMonitor, QueueSample};
 
 pub mod switch;
 

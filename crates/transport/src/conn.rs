@@ -1,0 +1,413 @@
+//! The connection core every sender in this crate is built on.
+//!
+//! The transports the paper compares differ in two things only — how many
+//! subflows a connection has and when it opens them, and how data is mapped
+//! onto them — and RepFlow adds a completion rule. Everything else is the
+//! same for all of them and lives here, once: the connection-level data
+//! sequence space, the cumulative data ACK, completion and its signals
+//! (`FlowStarted` / `FlowCompleted` / `FlowProgress` / `RedundantBytes`),
+//! routing of packets and timer tokens to the [`Subflow`] they belong to,
+//! and the handoff of an elephant's remainder to the fluid fast path.
+//!
+//! A transport is a [`Policy`]: a small, statically dispatched set of hooks
+//! the core calls at fixed points. On an ACK the order is
+//!
+//! 1. `data_acked` advances to the packet's connection-level ACK,
+//! 2. [`Policy::before_ack`] (D²TCP refreshes its deadline-imminence exponent),
+//! 3. [`Policy::lia`] computes the coupled-increase input for the subflow,
+//! 4. [`Subflow::on_packet`] runs loss detection and congestion control,
+//! 5. [`Policy::after_subflow_event`] (MPTCP joins, MMPTCP adapts its
+//!    dup-ACK threshold and switches phase, RepSYN caps the losing replica),
+//! 6. [`Policy::pump`] maps new data onto subflows with window space,
+//! 7. completion is checked ([`Policy::on_finish`] runs before the signals),
+//! 8. the fluid handoff is considered over [`Policy::fluid_subflows`].
+//!
+//! Steps 6–8 are skipped once the flow is complete or in fluid mode. A timer
+//! runs [`Subflow::on_timer`], then steps 5 and 6.
+
+use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
+use netsim::fluid::{pacing_rate_bps, FluidHandoff};
+use netsim::{Agent, AgentCtx, AgentEvent, FlowId, PacketKind, Signal, SimDuration, SimTime};
+use std::ops::{Deref, DerefMut};
+
+/// The most subflows one connection may have. Subflow indices travel in a
+/// `u8` packet field and in the top bits of timer tokens, and every subflow
+/// is allocated when the connection is created, so the count is bounded
+/// before anything is built.
+const MAX_SUBFLOWS: usize = 64;
+
+/// A connection's subflows, indexed by [`Subflow::index`]. A single-path
+/// connection keeps its one subflow inline: a `Vec` of one costs an
+/// allocation per flow and a cache miss per ACK, which the benchmark's
+/// 189 000-connection `mice_storm_tcp` workload measured as 5 % of wall time
+/// and 10 % of set-up.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // the large variant is the common one
+pub(crate) enum Subflows {
+    One(Subflow),
+    Many(Vec<Subflow>),
+}
+
+impl Deref for Subflows {
+    type Target = [Subflow];
+
+    fn deref(&self) -> &[Subflow] {
+        match self {
+            Subflows::One(subflow) => std::slice::from_ref(subflow),
+            Subflows::Many(subflows) => subflows,
+        }
+    }
+}
+
+impl DerefMut for Subflows {
+    fn deref_mut(&mut self) -> &mut [Subflow] {
+        match self {
+            Subflows::One(subflow) => std::slice::from_mut(subflow),
+            Subflows::Many(subflows) => subflows,
+        }
+    }
+}
+
+/// The connection-level state shared by every transport. Policies read and
+/// steer it through their hooks.
+#[derive(Debug)]
+pub struct ConnState {
+    pub(crate) flow: FlowId,
+    /// Bytes to transfer; `None` is an unbounded background flow.
+    pub(crate) total: Option<u64>,
+    /// Every subflow the connection will ever use; which of them are
+    /// started, and when, is policy.
+    pub(crate) subflows: Subflows,
+    /// Next connection-level byte to map onto a subflow.
+    pub(crate) next_data_seq: u64,
+    /// Connection-level cumulative data ACK.
+    pub(crate) data_acked: u64,
+    pub(crate) completed: bool,
+    /// True once the remainder of the flow has been handed to the fluid fast
+    /// path: the connection stops mapping new data and waits for
+    /// [`AgentEvent::FluidComplete`] (in-flight packets still drain normally).
+    pub(crate) fluid_mode: bool,
+}
+
+impl ConnState {
+    /// Length of the next segment to map: one MSS, or the flow's tail; 0 once
+    /// every byte has been mapped.
+    pub(crate) fn next_segment_len(&self) -> u64 {
+        let remaining = match self.total {
+            Some(total) => total.saturating_sub(self.next_data_seq),
+            None => u64::MAX,
+        };
+        u64::from(self.subflows[0].config().mss).min(remaining)
+    }
+
+    /// Map the next `len` bytes of the stream onto subflow `idx` and send them.
+    pub(crate) fn send_next(&mut self, ctx: &mut AgentCtx<'_>, idx: usize, len: u64) {
+        self.subflows[idx].send_segment(ctx, self.next_data_seq, len as u32);
+        self.next_data_seq += len;
+    }
+}
+
+/// Round-robin scheduling over `subflows`: the first established subflow at
+/// or after `cursor` with `len` bytes of window space. Advances the cursor
+/// past the pick.
+pub(crate) fn round_robin(subflows: &[Subflow], cursor: &mut usize, len: u64) -> Option<usize> {
+    let n = subflows.len();
+    (0..n)
+        .map(|off| (*cursor + off) % n)
+        .find(|&idx| subflows[idx].is_established() && subflows[idx].window_space() >= len)
+        .inspect(|&idx| *cursor = (idx + 1) % n)
+}
+
+/// What distinguishes one transport from another. The defaults describe a
+/// connection that opens subflow 0 at `Start`, couples nothing, reacts to
+/// nothing and never goes fluid; only [`Policy::pump`] has no default.
+pub trait Policy: Send {
+    /// The transport's label in [`Agent::describe`].
+    const NAME: &'static str;
+
+    /// `Start`: open the subflows that exist from the first instant.
+    fn start(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        conn.subflows[0].start(ctx);
+    }
+
+    /// An ACK is about to reach its subflow.
+    fn before_ack(&mut self, _conn: &mut ConnState, _now: SimTime) {}
+
+    /// The coupled-increase parameters for an ACK on subflow `idx`; `None`
+    /// is uncoupled Reno-style increase.
+    fn lia(&self, _conn: &ConnState, _idx: usize) -> Option<LiaParams> {
+        None
+    }
+
+    /// Subflow `idx` has just processed an ACK or a timer.
+    fn after_subflow_event(
+        &mut self,
+        _conn: &mut ConnState,
+        _ctx: &mut AgentCtx<'_>,
+        _idx: usize,
+        _update: SubflowUpdate,
+    ) {
+    }
+
+    /// Map as much new data as the subflows' windows allow.
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>);
+
+    /// The subflows whose rates a fluid handoff would sum, or none while
+    /// the connection must stay packet-exact.
+    fn fluid_subflows<'a>(&self, _subflows: &'a [Subflow]) -> &'a [Subflow] {
+        &[]
+    }
+
+    /// The flow has just completed (`conn.completed`), or the run is ending
+    /// with it unfinished.
+    fn on_finish(&mut self, _conn: &mut ConnState, _now: SimTime) {}
+}
+
+/// A sender: the shared connection core steered by transport policy `P`.
+#[derive(Debug)]
+pub struct Connection<P> {
+    pub(crate) conn: ConnState,
+    pub(crate) policy: P,
+}
+
+impl<P: Policy> Connection<P> {
+    /// A connection of `count` subflows built by `subflow(index)`.
+    pub(crate) fn with_subflows(
+        flow: FlowId,
+        total: Option<u64>,
+        count: usize,
+        mut subflow: impl FnMut(usize) -> Subflow,
+        policy: P,
+    ) -> Self {
+        assert!(count >= 1, "a connection needs at least one subflow");
+        assert!(count <= MAX_SUBFLOWS, "unreasonable subflow count");
+        let subflows = match count {
+            1 => Subflows::One(subflow(0)),
+            _ => Subflows::Many((0..count).map(subflow).collect()),
+        };
+        Connection {
+            conn: ConnState {
+                flow,
+                total,
+                subflows,
+                next_data_seq: 0,
+                data_acked: 0,
+                completed: false,
+                fluid_mode: false,
+            },
+            policy,
+        }
+    }
+
+    /// Connection-level bytes acknowledged so far.
+    pub fn acked_bytes(&self) -> u64 {
+        self.conn.data_acked
+    }
+
+    /// Has the whole transfer been acknowledged?
+    pub fn is_completed(&self) -> bool {
+        self.conn.completed
+    }
+
+    /// Whether the remainder of the flow has been handed to the fluid engine.
+    pub fn is_fluid_mode(&self) -> bool {
+        self.conn.fluid_mode
+    }
+
+    /// Every subflow of the connection, started or not.
+    pub fn subflows(&self) -> &[Subflow] {
+        &self.conn.subflows
+    }
+
+    /// Subflow 0: the only subflow of a single-path transport, MPTCP's
+    /// initial subflow, MMPTCP's packet-scatter flow.
+    pub fn subflow(&self) -> &Subflow {
+        &self.conn.subflows[0]
+    }
+
+    /// Total retransmission timeouts across all subflows.
+    pub fn total_rtos(&self) -> u64 {
+        self.subflows().iter().map(|s| s.counters().rto_count).sum()
+    }
+
+    /// Total data bytes handed to the network across all subflows,
+    /// including retransmissions and replica copies.
+    pub fn total_bytes_sent(&self) -> u64 {
+        let sent = |s: &Subflow| s.counters().data_bytes_sent;
+        self.subflows().iter().map(sent).sum()
+    }
+
+    /// Mark the flow complete and say so: `total` bytes delivered, of which
+    /// `fluid_bytes` by the fluid engine.
+    fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) {
+        self.conn.completed = true;
+        self.policy.on_finish(&mut self.conn, ctx.now());
+        ctx.signal(Signal::FlowCompleted {
+            flow: self.conn.flow,
+            at: ctx.now(),
+            bytes: total,
+        });
+        self.signal_redundant_bytes(ctx, self.total_bytes_sent() + fluid_bytes, total);
+    }
+
+    /// Emit [`Signal::RedundantBytes`] when the sender has put more data
+    /// bytes on the wire than the application needed (`needed` = flow size
+    /// at completion, bytes acknowledged at finalize). Zero excess emits
+    /// nothing. One rule for every transport, so the metric compares
+    /// replication against plain retransmission on equal terms.
+    fn signal_redundant_bytes(&self, ctx: &mut AgentCtx<'_>, sent: u64, needed: u64) {
+        let excess = sent.saturating_sub(needed);
+        if excess > 0 {
+            ctx.signal(Signal::RedundantBytes {
+                flow: self.conn.flow,
+                at: ctx.now(),
+                bytes: excess,
+            });
+        }
+    }
+
+    /// Hand the remainder of the flow to the fluid fast path if the hybrid
+    /// engine is on, the flow is a bounded elephant with more than the
+    /// threshold left, and at least one eligible subflow has an RTT sample
+    /// and has settled out of slow start (so the pacing cap approximates
+    /// congestion avoidance). The cap is the sum of the eligible subflows'
+    /// rates, so an MPTCP connection's aggregate is respected.
+    fn maybe_fluid_handoff(&mut self, ctx: &mut AgentCtx<'_>) {
+        let Some(threshold) = ctx.fluid_threshold() else {
+            return;
+        };
+        let Some(total) = self.conn.total else {
+            return; // unbounded background flows stay packet-level
+        };
+        let remaining = total.saturating_sub(self.conn.next_data_seq);
+        if remaining <= threshold {
+            return;
+        }
+        let eligible = self.policy.fluid_subflows(&self.conn.subflows);
+        let Some(first) = eligible.first() else {
+            return;
+        };
+        let mut rate_cap_bps = 0u64;
+        let mut base_rtt: Option<SimDuration> = None;
+        let mut out_of_slow_start = false;
+        for sf in eligible.iter().filter(|s| s.is_established()) {
+            let Some(srtt) = sf.srtt() else { continue };
+            out_of_slow_start |= !sf.in_slow_start();
+            // BBR exports an explicit model-based pacing rate; loss-based
+            // controllers fall back to the classic cwnd/srtt estimate.
+            rate_cap_bps = rate_cap_bps.saturating_add(
+                sf.cc_pacing_rate_bps()
+                    .unwrap_or_else(|| pacing_rate_bps(sf.cwnd(), srtt)),
+            );
+            // Cap growth must run at the base (propagation) RTT, not the
+            // smoothed RTT: srtt is queue-inflated at handoff time, and a
+            // frozen inflated value would slow additive increase forever
+            // (packet mode self-corrects via ack clocking; fluid can't).
+            let base = sf.min_rtt().unwrap_or(srtt);
+            base_rtt = Some(base_rtt.map_or(base, |cur| cur.min(base)));
+        }
+        let Some(srtt) = base_rtt else {
+            return;
+        };
+        if !out_of_slow_start {
+            return;
+        }
+        let cfg = first.config();
+        ctx.request_fluid_handoff(FluidHandoff {
+            template: first.fluid_template(self.conn.next_data_seq, cfg.mss, ctx.now()),
+            remaining,
+            base_bytes: self.conn.next_data_seq,
+            rate_cap_bps,
+            srtt,
+            mss: cfg.mss,
+            cc: cfg.cc.fluid(),
+        });
+        self.conn.fluid_mode = true;
+    }
+}
+
+impl<P: Policy> Agent for Connection<P> {
+    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+        let conn = &mut self.conn;
+        match event {
+            AgentEvent::Start => {
+                ctx.signal(Signal::FlowStarted {
+                    flow: conn.flow,
+                    at: ctx.now(),
+                    bytes: conn.total.unwrap_or(u64::MAX),
+                });
+                self.policy.start(conn, ctx);
+            }
+            AgentEvent::Packet(pkt) => {
+                if !matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
+                    return;
+                }
+                conn.data_acked = conn.data_acked.max(pkt.data_ack);
+                self.policy.before_ack(conn, ctx.now());
+                let idx = usize::from(pkt.subflow);
+                let lia = self.policy.lia(conn, idx);
+                let update = match conn.subflows.get_mut(idx) {
+                    Some(sf) => sf.on_packet(ctx, &pkt, lia),
+                    None => SubflowUpdate::default(),
+                };
+                self.policy.after_subflow_event(conn, ctx, idx, update);
+                if conn.fluid_mode || conn.completed {
+                    return;
+                }
+                self.policy.pump(conn, ctx);
+                match conn.total {
+                    Some(total) if conn.data_acked >= total => self.complete(ctx, total, 0),
+                    _ => self.maybe_fluid_handoff(ctx),
+                }
+            }
+            AgentEvent::Timer(token) => {
+                let (idx, gen) = Subflow::decode_timer_token(token);
+                let idx = usize::from(idx);
+                let update = match conn.subflows.get_mut(idx) {
+                    Some(sf) => sf.on_timer(ctx, gen),
+                    None => SubflowUpdate::default(),
+                };
+                self.policy.after_subflow_event(conn, ctx, idx, update);
+                if !conn.fluid_mode && !conn.completed {
+                    self.policy.pump(conn, ctx);
+                }
+            }
+            AgentEvent::FluidComplete { bytes } => {
+                if !conn.completed {
+                    for sf in conn.subflows.iter_mut() {
+                        sf.abort();
+                    }
+                    let total = conn.total.unwrap_or(conn.next_data_seq + bytes);
+                    self.complete(ctx, total, bytes);
+                }
+            }
+            AgentEvent::Finalize => {
+                if !conn.completed && !conn.fluid_mode {
+                    self.policy.on_finish(conn, ctx.now());
+                    ctx.signal(Signal::FlowProgress {
+                        flow: conn.flow,
+                        at: ctx.now(),
+                        bytes: conn.data_acked,
+                    });
+                    // The price of replication and retransmission must be
+                    // visible even (especially) for flows the run's time cap
+                    // caught unfinished.
+                    if conn.total.is_some() {
+                        let acked = conn.data_acked;
+                        self.signal_redundant_bytes(ctx, self.total_bytes_sent(), acked);
+                    }
+                }
+            }
+        }
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{}-sender({}, {} subflows, {:?} bytes)",
+            P::NAME,
+            self.conn.flow,
+            self.conn.subflows.len(),
+            self.conn.total
+        )
+    }
+}

@@ -19,10 +19,10 @@
 //! MPTCP phase (high throughput) — "a battle that both can win".
 
 use crate::config::TransportConfig;
+use crate::conn::{round_robin, ConnState, Connection, Policy};
 use crate::mptcp::compute_lia;
-use crate::subflow::{LiaParams, Subflow};
-use netsim::fluid::{pacing_rate_bps, FluidHandoff};
-use netsim::{Addr, Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, Signal, SimTime};
+use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
+use netsim::{Addr, AgentCtx, FlowId, Signal, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// When MMPTCP leaves the packet-scatter phase.
@@ -200,28 +200,127 @@ pub enum MmptcpPhase {
     Mptcp,
 }
 
-/// The MMPTCP sender.
+/// MMPTCP as a connection policy. Subflow 0 is the packet-scatter flow,
+/// started with the connection; subflows 1..=N are the MPTCP-phase subflows,
+/// started at the phase switch.
 #[derive(Debug)]
-pub struct MmptcpSender {
+pub struct ScatterThenMultipath {
     cfg: MmptcpConfig,
-    flow: FlowId,
-    total: Option<u64>,
-    /// Subflow 0: the packet-scatter flow.
-    scatter: Subflow,
-    /// Subflows 1..=N, created when the phase switches.
-    subflows: Vec<Subflow>,
     phase: MmptcpPhase,
-    next_data_seq: u64,
-    data_acked: u64,
     rr_cursor: usize,
     switched_at: Option<SimTime>,
     spurious_seen: u64,
-    completed: bool,
-    /// True once the remainder of the flow has been handed to the fluid fast
-    /// path. Only possible in the MPTCP phase — the packet-scatter protection
-    /// phase always stays packet-exact.
-    fluid_mode: bool,
 }
+
+impl ScatterThenMultipath {
+    fn maybe_adapt_dupack(&mut self, scatter: &mut Subflow) {
+        if let Some((step, max)) = self.cfg.dupack.adaptation() {
+            let spurious = scatter.counters().spurious_retransmits;
+            if spurious > self.spurious_seen {
+                let bump = ((spurious - self.spurious_seen) as u32).saturating_mul(step);
+                let new = (scatter.dupack_threshold() + bump).min(max);
+                scatter.set_dupack_threshold(new);
+                self.spurious_seen = spurious;
+            }
+        }
+    }
+
+    fn should_switch(&self, conn: &ConnState, congestion_event: bool) -> bool {
+        if self.phase != MmptcpPhase::PacketScatter || self.cfg.num_subflows == 0 {
+            return false;
+        }
+        match self.cfg.switch {
+            SwitchStrategy::Never => false,
+            SwitchStrategy::DataVolume(bytes) => conn.next_data_seq >= bytes,
+            SwitchStrategy::CongestionEvent => congestion_event,
+        }
+    }
+
+    fn switch_to_mptcp(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        self.phase = MmptcpPhase::Mptcp;
+        self.switched_at = Some(ctx.now());
+        ctx.signal(Signal::PhaseSwitched {
+            flow: conn.flow,
+            at: ctx.now(),
+            bytes_sent: conn.next_data_seq,
+        });
+        // Pin a flight-recorder sample of every subflow at the exact switch
+        // instant, so traced cwnd series show the PS→MPTCP handoff even if
+        // the decimating ring would otherwise skip this activation.
+        conn.subflows[0].trace_sample(ctx);
+        for sf in &mut conn.subflows[1..] {
+            sf.start(ctx);
+            sf.trace_sample(ctx);
+        }
+    }
+}
+
+impl Policy for ScatterThenMultipath {
+    const NAME: &'static str = "mmptcp";
+
+    fn lia(&self, conn: &ConnState, idx: usize) -> Option<LiaParams> {
+        (self.cfg.coupled && self.phase == MmptcpPhase::Mptcp && idx > 0)
+            .then(|| compute_lia(&conn.subflows[1..]))
+    }
+
+    fn after_subflow_event(
+        &mut self,
+        conn: &mut ConnState,
+        ctx: &mut AgentCtx<'_>,
+        idx: usize,
+        update: SubflowUpdate,
+    ) {
+        if idx == 0 {
+            self.maybe_adapt_dupack(&mut conn.subflows[0]);
+        }
+        if self.should_switch(conn, update.congestion_event) {
+            self.switch_to_mptcp(conn, ctx);
+        }
+    }
+
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        loop {
+            let len = conn.next_segment_len();
+            if len == 0 {
+                break;
+            }
+            match self.phase {
+                MmptcpPhase::PacketScatter => {
+                    if conn.subflows[0].window_space() < len {
+                        break;
+                    }
+                    conn.send_next(ctx, 0, len);
+                    // The data-volume trigger is checked as data is handed to
+                    // the network, matching the paper's description.
+                    if self.should_switch(conn, false) {
+                        self.switch_to_mptcp(conn, ctx);
+                    }
+                }
+                // No new data is mapped onto the scatter flow after the switch.
+                MmptcpPhase::Mptcp => {
+                    let Some(idx) = round_robin(&conn.subflows[1..], &mut self.rr_cursor, len)
+                    else {
+                        break;
+                    };
+                    conn.send_next(ctx, idx + 1, len);
+                }
+            }
+        }
+    }
+
+    /// The MPTCP subflows, and **only in the MPTCP phase**: the paper's
+    /// packet-scatter protection phase stays packet-exact so the short-flow
+    /// dynamics the paper studies are never approximated.
+    fn fluid_subflows<'a>(&self, subflows: &'a [Subflow]) -> &'a [Subflow] {
+        match self.phase {
+            MmptcpPhase::PacketScatter => &[],
+            MmptcpPhase::Mptcp => &subflows[1..],
+        }
+    }
+}
+
+/// The MMPTCP sender.
+pub type MmptcpSender = Connection<ScatterThenMultipath>;
 
 impl MmptcpSender {
     /// Create an MMPTCP sender. The packet-scatter flow uses per-packet random
@@ -236,533 +335,73 @@ impl MmptcpSender {
         dst_port: u16,
         total: Option<u64>,
     ) -> Self {
-        let mut scatter = Subflow::new(
-            cfg.transport,
-            0,
-            true,
-            src,
-            dst,
-            base_src_port,
-            dst_port,
-            flow,
-        );
-        scatter.set_dupack_threshold(cfg.dupack.initial_threshold());
-        scatter.set_undo_on_spurious(cfg.reorder_undo);
-        let subflows = (0..cfg.num_subflows)
-            .map(|i| {
-                Subflow::new(
-                    cfg.transport,
-                    (i + 1) as u8,
-                    false,
-                    src,
-                    dst,
-                    base_src_port.wrapping_add((i + 1) as u16),
-                    dst_port,
-                    flow,
-                )
-            })
-            .collect();
-        MmptcpSender {
+        let subflow = |i: usize| {
+            let src_port = base_src_port.wrapping_add(i as u16);
+            let mut sf = Subflow::new(
+                cfg.transport,
+                i as u8,
+                i == 0,
+                src,
+                dst,
+                src_port,
+                dst_port,
+                flow,
+            );
+            if i == 0 {
+                sf.set_dupack_threshold(cfg.dupack.initial_threshold());
+                sf.set_undo_on_spurious(cfg.reorder_undo);
+            }
+            sf
+        };
+        let policy = ScatterThenMultipath {
             cfg,
-            flow,
-            total,
-            scatter,
-            subflows,
             phase: MmptcpPhase::PacketScatter,
-            next_data_seq: 0,
-            data_acked: 0,
             rr_cursor: 0,
             switched_at: None,
             spurious_seen: 0,
-            completed: false,
-            fluid_mode: false,
-        }
-    }
-
-    /// A packet-scatter-only sender (never switches to MPTCP).
-    pub fn packet_scatter(
-        flow: FlowId,
-        src: Addr,
-        dst: Addr,
-        base_src_port: u16,
-        dst_port: u16,
-        total: Option<u64>,
-    ) -> Self {
-        MmptcpSender::new(
-            MmptcpConfig::packet_scatter_only(),
-            flow,
-            src,
-            dst,
-            base_src_port,
-            dst_port,
-            total,
-        )
+        };
+        let count = cfg.num_subflows.saturating_add(1);
+        Connection::with_subflows(flow, total, count, subflow, policy)
     }
 
     /// Current phase.
     pub fn phase(&self) -> MmptcpPhase {
-        self.phase
-    }
-
-    /// Connection-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.data_acked
-    }
-
-    /// Has the whole transfer been acknowledged?
-    pub fn is_completed(&self) -> bool {
-        self.completed
+        self.policy.phase
     }
 
     /// When the phase switch happened (if it has).
     pub fn switched_at(&self) -> Option<SimTime> {
-        self.switched_at
+        self.policy.switched_at
     }
 
     /// The packet-scatter subflow.
     pub fn scatter_subflow(&self) -> &Subflow {
-        &self.scatter
+        self.subflow()
     }
 
     /// The MPTCP-phase subflows.
     pub fn mptcp_subflows(&self) -> &[Subflow] {
-        &self.subflows
-    }
-
-    /// Total retransmission timeouts across the PS flow and all subflows.
-    pub fn total_rtos(&self) -> u64 {
-        self.scatter.counters().rto_count
-            + self
-                .subflows
-                .iter()
-                .map(|s| s.counters().rto_count)
-                .sum::<u64>()
-    }
-
-    /// Total data bytes handed to the network across the PS flow and all
-    /// subflows, including retransmissions.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.scatter.counters().data_bytes_sent
-            + self
-                .subflows
-                .iter()
-                .map(|s| s.counters().data_bytes_sent)
-                .sum::<u64>()
-    }
-
-    fn remaining(&self) -> u64 {
-        match self.total {
-            Some(t) => t.saturating_sub(self.next_data_seq),
-            None => u64::MAX,
-        }
-    }
-
-    fn lia(&self) -> Option<LiaParams> {
-        if self.cfg.coupled && self.phase == MmptcpPhase::Mptcp {
-            Some(compute_lia(&self.subflows))
-        } else {
-            None
-        }
-    }
-
-    fn maybe_adapt_dupack(&mut self) {
-        if let Some((step, max)) = self.cfg.dupack.adaptation() {
-            let spurious = self.scatter.counters().spurious_retransmits;
-            if spurious > self.spurious_seen {
-                let bump = ((spurious - self.spurious_seen) as u32).saturating_mul(step);
-                let new = (self.scatter.dupack_threshold() + bump).min(max);
-                self.scatter.set_dupack_threshold(new);
-                self.spurious_seen = spurious;
-            }
-        }
-    }
-
-    fn should_switch(&self, congestion_event: bool) -> bool {
-        if self.phase != MmptcpPhase::PacketScatter || self.cfg.num_subflows == 0 {
-            return false;
-        }
-        match self.cfg.switch {
-            SwitchStrategy::Never => false,
-            SwitchStrategy::DataVolume(bytes) => self.next_data_seq >= bytes,
-            SwitchStrategy::CongestionEvent => congestion_event,
-        }
-    }
-
-    fn switch_to_mptcp(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.phase = MmptcpPhase::Mptcp;
-        self.switched_at = Some(ctx.now());
-        ctx.signal(Signal::PhaseSwitched {
-            flow: self.flow,
-            at: ctx.now(),
-            bytes_sent: self.next_data_seq,
-        });
-        // Pin a flight-recorder sample of every subflow at the exact switch
-        // instant, so traced cwnd series show the PS→MPTCP handoff even if
-        // the decimating ring would otherwise skip this activation.
-        self.scatter.trace_sample(ctx);
-        for sf in &mut self.subflows {
-            sf.start(ctx);
-            sf.trace_sample(ctx);
-        }
-    }
-
-    fn pump(&mut self, ctx: &mut AgentCtx<'_>) {
-        loop {
-            let remaining = self.remaining();
-            if remaining == 0 {
-                break;
-            }
-            let len = (self.cfg.transport.mss as u64).min(remaining);
-            match self.phase {
-                MmptcpPhase::PacketScatter => {
-                    if self.scatter.window_space() < len {
-                        break;
-                    }
-                    self.scatter
-                        .send_segment(ctx, self.next_data_seq, len as u32);
-                    self.next_data_seq += len;
-                    // The data-volume trigger is checked as data is handed to
-                    // the network, matching the paper's description.
-                    if self.should_switch(false) {
-                        self.switch_to_mptcp(ctx);
-                    }
-                }
-                MmptcpPhase::Mptcp => {
-                    let n = self.subflows.len();
-                    if n == 0 {
-                        break;
-                    }
-                    let mut assigned = false;
-                    for off in 0..n {
-                        let idx = (self.rr_cursor + off) % n;
-                        let sf = &mut self.subflows[idx];
-                        if sf.is_established() && sf.window_space() >= len {
-                            sf.send_segment(ctx, self.next_data_seq, len as u32);
-                            self.next_data_seq += len;
-                            self.rr_cursor = (idx + 1) % n;
-                            assigned = true;
-                            break;
-                        }
-                    }
-                    if !assigned {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_completion(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.completed {
-            return;
-        }
-        if let Some(total) = self.total {
-            if self.data_acked >= total {
-                self.completed = true;
-                ctx.signal(Signal::FlowCompleted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: total,
-                });
-                crate::signal_redundant_bytes(ctx, self.flow, self.total_bytes_sent(), total);
-            }
-        }
-    }
-
-    fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
-        self.data_acked = self.data_acked.max(pkt.data_ack);
-        let lia = self.lia();
-        let congestion = if pkt.subflow == 0 {
-            let upd = self.scatter.on_packet(ctx, pkt, None);
-            self.maybe_adapt_dupack();
-            upd.congestion_event
-        } else {
-            let idx = pkt.subflow as usize - 1;
-            if idx < self.subflows.len() {
-                self.subflows[idx].on_packet(ctx, pkt, lia).congestion_event
-            } else {
-                false
-            }
-        };
-        if self.should_switch(congestion) {
-            self.switch_to_mptcp(ctx);
-        }
-        if !self.fluid_mode {
-            self.pump(ctx);
-            self.check_completion(ctx);
-            self.maybe_fluid_handoff(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        let (idx, gen) = Subflow::decode_timer_token(token);
-        let congestion = if idx == 0 {
-            self.scatter.on_timer(ctx, gen).congestion_event
-        } else {
-            let i = idx as usize - 1;
-            if i < self.subflows.len() {
-                self.subflows[i].on_timer(ctx, gen).congestion_event
-            } else {
-                false
-            }
-        };
-        if self.should_switch(congestion) {
-            self.switch_to_mptcp(ctx);
-        }
-        if !self.fluid_mode {
-            self.pump(ctx);
-        }
-    }
-
-    /// Whether the remainder of the flow has been handed to the fluid engine.
-    pub fn is_fluid_mode(&self) -> bool {
-        self.fluid_mode
-    }
-
-    /// Hand the remainder to the fluid fast path — but **only in the MPTCP
-    /// phase** (after the PS→MPTCP switch). The paper's packet-scatter
-    /// protection phase stays packet-exact so the short-flow dynamics the
-    /// paper studies are never approximated. The pacing cap sums the MPTCP
-    /// subflows' cwnd/srtt rates.
-    fn maybe_fluid_handoff(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.fluid_mode || self.completed || self.phase != MmptcpPhase::Mptcp {
-            return;
-        }
-        let Some(threshold) = ctx.fluid_threshold() else {
-            return;
-        };
-        let Some(total) = self.total else {
-            return; // unbounded background flows stay packet-level
-        };
-        let remaining = total.saturating_sub(self.next_data_seq);
-        if remaining <= threshold {
-            return;
-        }
-        let mut rate_cap_bps = 0u64;
-        let mut best_srtt: Option<netsim::SimDuration> = None;
-        let mut out_of_slow_start = false;
-        for sf in self.subflows.iter().filter(|s| s.is_established()) {
-            let Some(srtt) = sf.srtt() else { continue };
-            out_of_slow_start |= !sf.in_slow_start();
-            rate_cap_bps = rate_cap_bps.saturating_add(
-                sf.cc_pacing_rate_bps()
-                    .unwrap_or_else(|| pacing_rate_bps(sf.cwnd(), srtt)),
-            );
-            // Cap growth runs at the base (propagation) RTT: srtt is
-            // queue-inflated at handoff time, and a frozen inflated value
-            // would slow additive increase forever.
-            let base = sf.min_rtt().unwrap_or(srtt);
-            best_srtt = Some(match best_srtt {
-                Some(cur) if cur <= base => cur,
-                _ => base,
-            });
-        }
-        let Some(srtt) = best_srtt else {
-            return;
-        };
-        if !out_of_slow_start {
-            return;
-        }
-        let mss = self.cfg.transport.mss;
-        let template = self.subflows[0].fluid_template(self.next_data_seq, mss, ctx.now());
-        ctx.request_fluid_handoff(FluidHandoff {
-            template,
-            remaining,
-            base_bytes: self.next_data_seq,
-            rate_cap_bps,
-            srtt,
-            mss,
-            cc: self.cfg.transport.cc.fluid(),
-        });
-        self.fluid_mode = true;
-    }
-}
-
-impl Agent for MmptcpSender {
-    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-        match event {
-            AgentEvent::Start => {
-                ctx.signal(Signal::FlowStarted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: self.total.unwrap_or(u64::MAX),
-                });
-                self.scatter.start(ctx);
-            }
-            AgentEvent::Packet(pkt) => {
-                if matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
-                    self.on_packet(ctx, &pkt);
-                }
-            }
-            AgentEvent::Timer(token) => self.on_timer(ctx, token),
-            AgentEvent::FluidComplete { bytes } => {
-                if !self.completed {
-                    self.completed = true;
-                    self.scatter.abort();
-                    for sf in &mut self.subflows {
-                        sf.abort();
-                    }
-                    let total = self.total.unwrap_or(self.next_data_seq + bytes);
-                    ctx.signal(Signal::FlowCompleted {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: total,
-                    });
-                    crate::signal_redundant_bytes(
-                        ctx,
-                        self.flow,
-                        self.total_bytes_sent() + bytes,
-                        total,
-                    );
-                }
-            }
-            AgentEvent::Finalize => {
-                if !self.completed && !self.fluid_mode {
-                    ctx.signal(Signal::FlowProgress {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: self.data_acked,
-                    });
-                    if self.total.is_some() {
-                        crate::signal_redundant_bytes(
-                            ctx,
-                            self.flow,
-                            self.total_bytes_sent(),
-                            self.data_acked,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "mmptcp-sender({}, phase {:?}, {} subflows, {:?} bytes)",
-            self.flow,
-            self.phase,
-            self.subflows.len(),
-            self.total
-        )
+        &self.subflows()[1..]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::TransportReceiver;
-    use netsim::{SimDuration, SimRng};
+    use crate::testing::Loopback;
+    use netsim::{Packet, PacketKind};
 
-    struct Loop {
-        tx: MmptcpSender,
-        rx: TransportReceiver,
-        rng: SimRng,
-        timers: Vec<(SimTime, u64)>,
-        signals: Vec<Signal>,
-        now: SimTime,
-        to_rx: Vec<Packet>,
-        to_tx: Vec<Packet>,
-    }
-
-    impl Loop {
-        fn new(cfg: MmptcpConfig, total: u64) -> Self {
-            let flow = FlowId(1);
-            Loop {
-                tx: MmptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total)),
-                rx: TransportReceiver::new(flow),
-                rng: SimRng::new(5),
-                timers: Vec::new(),
-                signals: Vec::new(),
-                now: SimTime::from_millis(1),
-                to_rx: Vec::new(),
-                to_tx: Vec::new(),
-            }
-        }
-
-        fn run(&mut self, max_rounds: usize, mut drop: impl FnMut(&Packet) -> bool) {
-            // Start.
-            {
-                let mut out = Vec::new();
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut out,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.tx.handle(&mut ctx, AgentEvent::Start);
-                self.to_rx.extend(out);
-            }
-            for _ in 0..max_rounds {
-                if self.tx.is_completed() {
-                    break;
-                }
-                self.now += SimDuration::from_micros(100);
-                let mut acks = Vec::new();
-                for pkt in std::mem::take(&mut self.to_rx) {
-                    if drop(&pkt) {
-                        continue;
-                    }
-                    let mut ctx = AgentCtx::new(
-                        self.now,
-                        FlowId(1),
-                        &mut self.rng,
-                        &mut acks,
-                        &mut self.timers,
-                        &mut self.signals,
-                    );
-                    self.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
-                }
-                self.to_tx.extend(acks);
-                self.now += SimDuration::from_micros(100);
-                let mut out = Vec::new();
-                for pkt in std::mem::take(&mut self.to_tx) {
-                    let mut ctx = AgentCtx::new(
-                        self.now,
-                        FlowId(1),
-                        &mut self.rng,
-                        &mut out,
-                        &mut self.timers,
-                        &mut self.signals,
-                    );
-                    self.tx.handle(&mut ctx, AgentEvent::Packet(pkt));
-                }
-                self.to_rx.extend(out);
-                let due: Vec<(SimTime, u64)> = self
-                    .timers
-                    .iter()
-                    .copied()
-                    .filter(|(t, _)| *t <= self.now)
-                    .collect();
-                self.timers.retain(|(t, _)| *t > self.now);
-                for (_, token) in due {
-                    let mut out = Vec::new();
-                    let mut ctx = AgentCtx::new(
-                        self.now,
-                        FlowId(1),
-                        &mut self.rng,
-                        &mut out,
-                        &mut self.timers,
-                        &mut self.signals,
-                    );
-                    self.tx.handle(&mut ctx, AgentEvent::Timer(token));
-                    self.to_rx.extend(out);
-                }
-                if self.to_rx.is_empty() && self.to_tx.is_empty() && !self.tx.is_completed() {
-                    if let Some(&(t, _)) = self.timers.iter().min_by_key(|(t, _)| *t) {
-                        self.now = t;
-                    }
-                }
-            }
-        }
+    fn new_loop(cfg: MmptcpConfig, total: u64) -> Loopback<MmptcpSender> {
+        let flow = FlowId(1);
+        let tx = MmptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total));
+        Loopback::new(flow, tx)
     }
 
     #[test]
     fn short_flow_completes_in_packet_scatter_phase() {
         // 70 KB (the paper's short flow) with the default 210 KB switch
         // threshold never leaves the PS phase.
-        let mut l = Loop::new(MmptcpConfig::default(), 70_000);
+        let mut l = new_loop(MmptcpConfig::default(), 70_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
         assert_eq!(l.tx.phase(), MmptcpPhase::PacketScatter);
@@ -781,7 +420,7 @@ mod tests {
             num_subflows: 4,
             ..MmptcpConfig::default()
         };
-        let mut l = Loop::new(cfg, 500_000);
+        let mut l = new_loop(cfg, 500_000);
         l.run(5_000, |_| false);
         assert!(l.tx.is_completed());
         assert_eq!(l.tx.phase(), MmptcpPhase::Mptcp);
@@ -809,7 +448,7 @@ mod tests {
             dupack: DupAckPolicy::Fixed(3),
             ..MmptcpConfig::default()
         };
-        let mut l = Loop::new(cfg, 300_000);
+        let mut l = new_loop(cfg, 300_000);
         // Drop one early data packet (the first copy of scatter seq 0).
         let mut dropped = false;
         l.run(5_000, |p: &Packet| {
@@ -826,7 +465,7 @@ mod tests {
 
     #[test]
     fn never_strategy_stays_in_scatter_mode() {
-        let mut l = Loop::new(MmptcpConfig::packet_scatter_only(), 400_000);
+        let mut l = new_loop(MmptcpConfig::packet_scatter_only(), 400_000);
         l.run(5_000, |_| false);
         assert!(l.tx.is_completed());
         assert_eq!(l.tx.phase(), MmptcpPhase::PacketScatter);
@@ -870,6 +509,18 @@ mod tests {
         assert_eq!(tx.scatter_subflow().dupack_threshold(), 12);
     }
 
+    /// 256 MPTCP-phase subflows used to wrap the `u8` subflow index back to
+    /// the scatter flow's 0; the connection core bounds the count instead.
+    #[test]
+    #[should_panic(expected = "unreasonable subflow count")]
+    fn more_than_64_subflows_are_refused() {
+        let cfg = MmptcpConfig {
+            num_subflows: 65,
+            ..MmptcpConfig::default()
+        };
+        MmptcpSender::new(cfg, FlowId(1), Addr(0), Addr(1), 50_000, 80, Some(1));
+    }
+
     #[test]
     fn topology_adaptive_policy_combines_both_mechanisms() {
         let p = DupAckPolicy::topology_adaptive(4);
@@ -904,104 +555,30 @@ mod tests {
             switch: SwitchStrategy::Never,
             ..MmptcpConfig::default()
         };
-        let mut l = Loop::new(cfg, 140_000);
-        // Delay (reorder) one early packet: divert the first data packet and
-        // deliver it two rounds later by re-injecting it into `to_rx`.
+        let mut l = new_loop(cfg, 140_000);
+        // Reorder, don't lose: from round 3 on, the first data packet of a
+        // round (past seq 0) is diverted and delivered behind everything
+        // else — four rounds late the first time, at the end of its own
+        // round from then on.
         let mut held: Option<Packet> = None;
-        let mut round = 0usize;
         let initial_threshold = l.tx.scatter_subflow().dupack_threshold();
-        // Custom loop: we need reordering, not loss, so run manually.
-        {
-            let mut out = Vec::new();
-            let mut ctx = AgentCtx::new(
-                l.now,
-                FlowId(1),
-                &mut l.rng,
-                &mut out,
-                &mut l.timers,
-                &mut l.signals,
-            );
-            l.tx.handle(&mut ctx, AgentEvent::Start);
-            l.to_rx.extend(out);
-        }
-        for _ in 0..4_000 {
+        l.start();
+        for round in 1..=4_000 {
             if l.tx.is_completed() {
                 break;
             }
-            round += 1;
-            l.now += SimDuration::from_micros(100);
-            let mut acks = Vec::new();
-            let incoming = std::mem::take(&mut l.to_rx);
-            for pkt in incoming {
-                if held.is_none() && round > 2 && pkt.kind == PacketKind::Data && pkt.seq > 0 {
-                    held = Some(pkt);
-                    continue;
-                }
-                let mut ctx = AgentCtx::new(
-                    l.now,
-                    FlowId(1),
-                    &mut l.rng,
-                    &mut acks,
-                    &mut l.timers,
-                    &mut l.signals,
-                );
-                l.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
+            if round > 2 && held.is_none() {
+                let first_data = |p: &Packet| p.kind == PacketKind::Data && p.seq > 0;
+                held = l
+                    .to_rx
+                    .iter()
+                    .position(first_data)
+                    .map(|i| l.to_rx.remove(i));
             }
-            // Release the held packet three rounds after capturing it.
             if round > 6 {
-                if let Some(pkt) = held.take() {
-                    held = None;
-                    let mut ctx = AgentCtx::new(
-                        l.now,
-                        FlowId(1),
-                        &mut l.rng,
-                        &mut acks,
-                        &mut l.timers,
-                        &mut l.signals,
-                    );
-                    l.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
-                }
+                l.to_rx.extend(held.take());
             }
-            l.to_tx.extend(acks);
-            l.now += SimDuration::from_micros(100);
-            let mut out = Vec::new();
-            for pkt in std::mem::take(&mut l.to_tx) {
-                let mut ctx = AgentCtx::new(
-                    l.now,
-                    FlowId(1),
-                    &mut l.rng,
-                    &mut out,
-                    &mut l.timers,
-                    &mut l.signals,
-                );
-                l.tx.handle(&mut ctx, AgentEvent::Packet(pkt));
-            }
-            l.to_rx.extend(out);
-            let due: Vec<(SimTime, u64)> = l
-                .timers
-                .iter()
-                .copied()
-                .filter(|(t, _)| *t <= l.now)
-                .collect();
-            l.timers.retain(|(t, _)| *t > l.now);
-            for (_, token) in due {
-                let mut out = Vec::new();
-                let mut ctx = AgentCtx::new(
-                    l.now,
-                    FlowId(1),
-                    &mut l.rng,
-                    &mut out,
-                    &mut l.timers,
-                    &mut l.signals,
-                );
-                l.tx.handle(&mut ctx, AgentEvent::Timer(token));
-                l.to_rx.extend(out);
-            }
-            if l.to_rx.is_empty() && l.to_tx.is_empty() && !l.tx.is_completed() {
-                if let Some(&(t, _)) = l.timers.iter().min_by_key(|(t, _)| *t) {
-                    l.now = t;
-                }
-            }
+            l.round(|_| false);
         }
         assert!(l.tx.is_completed());
         if l.tx.scatter_subflow().counters().spurious_retransmits > 0 {
@@ -1023,7 +600,7 @@ mod tests {
             80,
             Some(1),
         );
-        assert!(with.cfg.reorder_undo);
+        assert!(with.policy.cfg.reorder_undo);
         let without_cfg = MmptcpConfig {
             reorder_undo: false,
             ..MmptcpConfig::default()
@@ -1037,12 +614,12 @@ mod tests {
             80,
             Some(1),
         );
-        assert!(!without.cfg.reorder_undo);
+        assert!(!without.policy.cfg.reorder_undo);
     }
 
     #[test]
     fn completed_flow_reports_bytes_once() {
-        let mut l = Loop::new(MmptcpConfig::default(), 10_000);
+        let mut l = new_loop(MmptcpConfig::default(), 10_000);
         l.run(1_000, |_| false);
         let completions = l
             .signals

@@ -14,9 +14,9 @@
 //! flow completion times as the number of subflows grows (Figure 1(a)/(b)).
 
 use crate::config::TransportConfig;
+use crate::conn::{round_robin, ConnState, Connection, Policy};
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
-use netsim::fluid::{pacing_rate_bps, FluidHandoff};
-use netsim::{Addr, Agent, AgentCtx, AgentEvent, FlowId, PacketKind, Signal, SimTime};
+use netsim::{Addr, AgentCtx, FlowId};
 use serde::{Deserialize, Serialize};
 
 /// How the connection-level scheduler assigns data to subflows.
@@ -101,24 +101,88 @@ pub fn compute_lia(subflows: &[Subflow]) -> LiaParams {
     }
 }
 
-/// A Multi-Path TCP sender.
+/// MPTCP as a connection policy: which subflows open when, LIA coupling, and
+/// the data-to-subflow scheduler.
 #[derive(Debug)]
-pub struct MptcpSender {
+pub struct Multipath {
     cfg: MptcpConfig,
-    flow: FlowId,
-    total: Option<u64>,
-    subflows: Vec<Subflow>,
-    next_data_seq: u64,
-    data_acked: u64,
     rr_cursor: usize,
-    started_at: Option<SimTime>,
     /// True once the additional (MP_JOIN) subflows have been started.
     joined: bool,
-    completed: bool,
-    /// True once the remainder of the flow has been handed to the fluid fast
-    /// path; the scheduler stops pumping and waits for `FluidComplete`.
-    fluid_mode: bool,
 }
+
+impl Multipath {
+    /// Pick the next subflow to receive a chunk, honouring the scheduler.
+    fn pick_subflow(&mut self, subflows: &[Subflow], len: u64) -> Option<usize> {
+        match self.cfg.scheduler {
+            MptcpScheduler::RoundRobin => round_robin(subflows, &mut self.rr_cursor, len),
+            MptcpScheduler::LowestRtt => subflows
+                .iter()
+                .enumerate()
+                .filter(|(_, sf)| sf.is_established() && sf.window_space() >= len)
+                .min_by_key(|(_, sf)| sf.srtt().map(|d| d.as_nanos()).unwrap_or(u64::MAX))
+                .map(|(i, _)| i),
+        }
+    }
+}
+
+impl Policy for Multipath {
+    const NAME: &'static str = "mptcp";
+
+    fn start(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        // RFC 6824 semantics: MP_CAPABLE on the initial subflow first;
+        // MP_JOINs follow once it is established.
+        self.joined = !self.cfg.join_after_initial;
+        let initial = if self.joined { conn.subflows.len() } else { 1 };
+        for sf in &mut conn.subflows[..initial] {
+            sf.start(ctx);
+        }
+    }
+
+    fn lia(&self, conn: &ConnState, _idx: usize) -> Option<LiaParams> {
+        self.cfg.coupled.then(|| compute_lia(&conn.subflows))
+    }
+
+    fn after_subflow_event(
+        &mut self,
+        conn: &mut ConnState,
+        ctx: &mut AgentCtx<'_>,
+        _idx: usize,
+        _update: SubflowUpdate,
+    ) {
+        if !self.joined && conn.subflows[0].is_established() {
+            self.joined = true;
+            for sf in &mut conn.subflows[1..] {
+                sf.start(ctx);
+            }
+        }
+    }
+
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        loop {
+            let len = conn.next_segment_len();
+            if len == 0 {
+                break;
+            }
+            let Some(idx) = self.pick_subflow(&conn.subflows, len) else {
+                break;
+            };
+            conn.send_next(ctx, idx, len);
+        }
+    }
+
+    /// Every subflow, once all have joined.
+    fn fluid_subflows<'a>(&self, subflows: &'a [Subflow]) -> &'a [Subflow] {
+        if self.joined {
+            subflows
+        } else {
+            &[]
+        }
+    }
+}
+
+/// A Multi-Path TCP sender.
+pub type MptcpSender = Connection<Multipath>;
 
 impl MptcpSender {
     /// Create an MPTCP sender. Subflow source ports are `base_src_port`,
@@ -134,435 +198,43 @@ impl MptcpSender {
         dst_port: u16,
         total: Option<u64>,
     ) -> Self {
-        assert!(cfg.num_subflows >= 1, "MPTCP needs at least one subflow");
-        assert!(cfg.num_subflows <= 64, "unreasonable subflow count");
-        let subflows = (0..cfg.num_subflows)
-            .map(|i| {
-                Subflow::new(
-                    cfg.transport,
-                    i as u8,
-                    false,
-                    src,
-                    dst,
-                    base_src_port.wrapping_add(i as u16),
-                    dst_port,
-                    flow,
-                )
-            })
-            .collect();
-        MptcpSender {
+        let subflow = |i: usize| {
+            let src_port = base_src_port.wrapping_add(i as u16);
+            Subflow::new(
+                cfg.transport,
+                i as u8,
+                false,
+                src,
+                dst,
+                src_port,
+                dst_port,
+                flow,
+            )
+        };
+        let policy = Multipath {
             cfg,
-            flow,
-            total,
-            subflows,
-            next_data_seq: 0,
-            data_acked: 0,
             rr_cursor: 0,
-            started_at: None,
             joined: false,
-            completed: false,
-            fluid_mode: false,
-        }
-    }
-
-    /// Connection-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.data_acked
-    }
-
-    /// Has the whole transfer been acknowledged?
-    pub fn is_completed(&self) -> bool {
-        self.completed
-    }
-
-    /// The subflows (for inspection in tests / metrics).
-    pub fn subflows(&self) -> &[Subflow] {
-        &self.subflows
-    }
-
-    /// Total retransmission timeouts across all subflows.
-    pub fn total_rtos(&self) -> u64 {
-        self.subflows.iter().map(|s| s.counters().rto_count).sum()
-    }
-
-    /// Total data bytes handed to the network across all subflows,
-    /// including retransmissions.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.subflows
-            .iter()
-            .map(|s| s.counters().data_bytes_sent)
-            .sum()
-    }
-
-    fn remaining(&self) -> u64 {
-        match self.total {
-            Some(t) => t.saturating_sub(self.next_data_seq),
-            None => u64::MAX,
-        }
-    }
-
-    fn lia(&self) -> Option<LiaParams> {
-        if self.cfg.coupled {
-            Some(compute_lia(&self.subflows))
-        } else {
-            None
-        }
-    }
-
-    /// Pick the next subflow to receive a chunk, honouring the scheduler.
-    fn pick_subflow(&mut self, len: u64) -> Option<usize> {
-        let n = self.subflows.len();
-        match self.cfg.scheduler {
-            MptcpScheduler::RoundRobin => {
-                for off in 0..n {
-                    let idx = (self.rr_cursor + off) % n;
-                    let sf = &self.subflows[idx];
-                    if sf.is_established() && sf.window_space() >= len {
-                        self.rr_cursor = (idx + 1) % n;
-                        return Some(idx);
-                    }
-                }
-                None
-            }
-            MptcpScheduler::LowestRtt => self
-                .subflows
-                .iter()
-                .enumerate()
-                .filter(|(_, sf)| sf.is_established() && sf.window_space() >= len)
-                .min_by(|(_, a), (_, b)| {
-                    let ra = a.srtt().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
-                    let rb = b.srtt().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
-                    ra.cmp(&rb)
-                })
-                .map(|(i, _)| i),
-        }
-    }
-
-    fn pump(&mut self, ctx: &mut AgentCtx<'_>) {
-        loop {
-            let remaining = self.remaining();
-            if remaining == 0 {
-                break;
-            }
-            let len = (self.cfg.transport.mss as u64).min(remaining);
-            let Some(idx) = self.pick_subflow(len) else {
-                break;
-            };
-            self.subflows[idx].send_segment(ctx, self.next_data_seq, len as u32);
-            self.next_data_seq += len;
-        }
-    }
-
-    fn check_completion(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.completed {
-            return;
-        }
-        if let Some(total) = self.total {
-            if self.data_acked >= total {
-                self.completed = true;
-                ctx.signal(Signal::FlowCompleted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: total,
-                });
-                crate::signal_redundant_bytes(ctx, self.flow, self.total_bytes_sent(), total);
-            }
-        }
-    }
-
-    /// Dispatch a packet to its subflow. Returns the subflow update.
-    fn route_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: &netsim::Packet) -> SubflowUpdate {
-        let lia = self.lia();
-        let idx = pkt.subflow as usize;
-        if idx >= self.subflows.len() {
-            return SubflowUpdate::default();
-        }
-        self.subflows[idx].on_packet(ctx, pkt, lia)
-    }
-
-    /// Whether the remainder of the flow has been handed to the fluid engine.
-    pub fn is_fluid_mode(&self) -> bool {
-        self.fluid_mode
-    }
-
-    /// Hand the remainder to the fluid fast path once all subflows have
-    /// joined, at least one has left slow start with an RTT sample, and more
-    /// than the elephant threshold is left. The pacing cap is the sum of the
-    /// per-subflow cwnd/srtt rates, so the aggregate MPTCP rate is respected.
-    fn maybe_fluid_handoff(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.fluid_mode || self.completed || !self.joined {
-            return;
-        }
-        let Some(threshold) = ctx.fluid_threshold() else {
-            return;
         };
-        let Some(total) = self.total else {
-            return; // unbounded background flows stay packet-level
-        };
-        let remaining = total.saturating_sub(self.next_data_seq);
-        if remaining <= threshold {
-            return;
-        }
-        let mut rate_cap_bps = 0u64;
-        let mut best_srtt: Option<netsim::SimDuration> = None;
-        let mut out_of_slow_start = false;
-        for sf in self.subflows.iter().filter(|s| s.is_established()) {
-            let Some(srtt) = sf.srtt() else { continue };
-            out_of_slow_start |= !sf.in_slow_start();
-            rate_cap_bps = rate_cap_bps.saturating_add(
-                sf.cc_pacing_rate_bps()
-                    .unwrap_or_else(|| pacing_rate_bps(sf.cwnd(), srtt)),
-            );
-            // Cap growth runs at the base (propagation) RTT: srtt is
-            // queue-inflated at handoff time, and a frozen inflated value
-            // would slow additive increase forever.
-            let base = sf.min_rtt().unwrap_or(srtt);
-            best_srtt = Some(match best_srtt {
-                Some(cur) if cur <= base => cur,
-                _ => base,
-            });
-        }
-        let Some(srtt) = best_srtt else {
-            return;
-        };
-        if !out_of_slow_start {
-            return;
-        }
-        let mss = self.cfg.transport.mss;
-        let template = self.subflows[0].fluid_template(self.next_data_seq, mss, ctx.now());
-        ctx.request_fluid_handoff(FluidHandoff {
-            template,
-            remaining,
-            base_bytes: self.next_data_seq,
-            rate_cap_bps,
-            srtt,
-            mss,
-            cc: self.cfg.transport.cc.fluid(),
-        });
-        self.fluid_mode = true;
-    }
-}
-
-impl Agent for MptcpSender {
-    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-        match event {
-            AgentEvent::Start => {
-                self.started_at = Some(ctx.now());
-                ctx.signal(Signal::FlowStarted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: self.total.unwrap_or(u64::MAX),
-                });
-                if self.cfg.join_after_initial {
-                    // RFC 6824 semantics: MP_CAPABLE on the initial subflow
-                    // first; MP_JOINs follow once it is established.
-                    self.subflows[0].start(ctx);
-                } else {
-                    for sf in &mut self.subflows {
-                        sf.start(ctx);
-                    }
-                    self.joined = true;
-                }
-            }
-            AgentEvent::Packet(pkt) => {
-                if matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
-                    self.data_acked = self.data_acked.max(pkt.data_ack);
-                    self.route_packet(ctx, &pkt);
-                    if !self.joined && self.subflows[0].is_established() {
-                        self.joined = true;
-                        for sf in self.subflows.iter_mut().skip(1) {
-                            sf.start(ctx);
-                        }
-                    }
-                    if !self.fluid_mode {
-                        self.pump(ctx);
-                        self.check_completion(ctx);
-                        self.maybe_fluid_handoff(ctx);
-                    }
-                }
-            }
-            AgentEvent::Timer(token) => {
-                let (idx, gen) = Subflow::decode_timer_token(token);
-                if (idx as usize) < self.subflows.len() {
-                    self.subflows[idx as usize].on_timer(ctx, gen);
-                }
-                if !self.fluid_mode {
-                    self.pump(ctx);
-                }
-            }
-            AgentEvent::FluidComplete { bytes } => {
-                if !self.completed {
-                    self.completed = true;
-                    for sf in &mut self.subflows {
-                        sf.abort();
-                    }
-                    let total = self.total.unwrap_or(self.next_data_seq + bytes);
-                    ctx.signal(Signal::FlowCompleted {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: total,
-                    });
-                    crate::signal_redundant_bytes(
-                        ctx,
-                        self.flow,
-                        self.total_bytes_sent() + bytes,
-                        total,
-                    );
-                }
-            }
-            AgentEvent::Finalize => {
-                if !self.completed && !self.fluid_mode {
-                    ctx.signal(Signal::FlowProgress {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: self.data_acked,
-                    });
-                    if self.total.is_some() {
-                        crate::signal_redundant_bytes(
-                            ctx,
-                            self.flow,
-                            self.total_bytes_sent(),
-                            self.data_acked,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "mptcp-sender({}, {} subflows, {:?} bytes)",
-            self.flow,
-            self.subflows.len(),
-            self.total
-        )
+        Connection::with_subflows(flow, total, cfg.num_subflows, subflow, policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::TransportReceiver;
-    use netsim::{Packet, SimDuration, SimRng};
+    use crate::testing::Loopback;
+    use netsim::{Packet, PacketKind};
 
-    /// Ideal-network harness: every packet sent is delivered next "round".
-    struct Loop {
-        tx: MptcpSender,
-        rx: TransportReceiver,
-        rng: SimRng,
-        timers: Vec<(SimTime, u64)>,
-        signals: Vec<Signal>,
-        now: SimTime,
-        to_rx: Vec<Packet>,
-        to_tx: Vec<Packet>,
-    }
-
-    impl Loop {
-        fn new(cfg: MptcpConfig, total: u64) -> Self {
-            let flow = FlowId(1);
-            Loop {
-                tx: MptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total)),
-                rx: TransportReceiver::new(flow),
-                rng: SimRng::new(5),
-                timers: Vec::new(),
-                signals: Vec::new(),
-                now: SimTime::from_millis(1),
-                to_rx: Vec::new(),
-                to_tx: Vec::new(),
-            }
-        }
-
-        fn start(&mut self) {
-            let mut out = Vec::new();
-            let mut ctx = AgentCtx::new(
-                self.now,
-                FlowId(1),
-                &mut self.rng,
-                &mut out,
-                &mut self.timers,
-                &mut self.signals,
-            );
-            self.tx.handle(&mut ctx, AgentEvent::Start);
-            self.to_rx.extend(out);
-        }
-
-        /// One round trip: deliver sender packets (optionally dropping by
-        /// predicate), collect ACKs, deliver them back.
-        fn round(&mut self, mut drop: impl FnMut(&Packet) -> bool) {
-            self.now += SimDuration::from_micros(100);
-            let mut acks = Vec::new();
-            for pkt in std::mem::take(&mut self.to_rx) {
-                if drop(&pkt) {
-                    continue;
-                }
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut acks,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
-            }
-            self.to_tx.extend(acks);
-            self.now += SimDuration::from_micros(100);
-            let mut out = Vec::new();
-            for pkt in std::mem::take(&mut self.to_tx) {
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut out,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.tx.handle(&mut ctx, AgentEvent::Packet(pkt));
-            }
-            self.to_rx.extend(out);
-            // Fire due timers.
-            let due: Vec<(SimTime, u64)> = self
-                .timers
-                .iter()
-                .copied()
-                .filter(|(t, _)| *t <= self.now)
-                .collect();
-            self.timers.retain(|(t, _)| *t > self.now);
-            for (_, token) in due {
-                let mut out = Vec::new();
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut out,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.tx.handle(&mut ctx, AgentEvent::Timer(token));
-                self.to_rx.extend(out);
-            }
-            if self.to_rx.is_empty() && self.to_tx.is_empty() && !self.tx.is_completed() {
-                if let Some(&(t, _)) = self.timers.iter().min_by_key(|(t, _)| *t) {
-                    self.now = t;
-                }
-            }
-        }
-
-        fn run(&mut self, max_rounds: usize, mut drop: impl FnMut(&Packet) -> bool) {
-            self.start();
-            for _ in 0..max_rounds {
-                if self.tx.is_completed() {
-                    break;
-                }
-                self.round(&mut drop);
-            }
-        }
+    fn new_loop(cfg: MptcpConfig, total: u64) -> Loopback<MptcpSender> {
+        let flow = FlowId(1);
+        let tx = MptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total));
+        Loopback::new(flow, tx)
     }
 
     #[test]
     fn all_subflows_carry_data() {
-        let mut l = Loop::new(MptcpConfig::with_subflows(4), 400_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(4), 400_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
         for sf in l.tx.subflows() {
@@ -592,8 +264,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "unreasonable subflow count")]
+    fn more_than_64_subflows_are_refused() {
+        let cfg = MptcpConfig::with_subflows(65);
+        MptcpSender::new(cfg, FlowId(1), Addr(0), Addr(1), 50_000, 80, Some(1));
+    }
+
+    #[test]
     fn single_subflow_mptcp_behaves_like_tcp() {
-        let mut l = Loop::new(MptcpConfig::with_subflows(1), 70_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(1), 70_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
         assert_eq!(l.tx.total_rtos(), 0);
@@ -603,7 +282,7 @@ mod tests {
     fn loss_on_one_subflow_is_recovered_by_that_subflow() {
         // Drop every data packet of subflow 2 once (the first copy).
         let mut dropped = std::collections::HashSet::new();
-        let mut l = Loop::new(MptcpConfig::with_subflows(4), 200_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(4), 200_000);
         l.run(20_000, |p: &Packet| {
             if p.kind == PacketKind::Data && p.subflow == 2 && !dropped.contains(&p.seq) {
                 dropped.insert(p.seq);
@@ -626,7 +305,7 @@ mod tests {
 
     #[test]
     fn additional_subflows_join_after_initial_handshake() {
-        let mut l = Loop::new(MptcpConfig::with_subflows(8), 70_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(8), 70_000);
         l.start();
         // Only the initial subflow's SYN is on the wire at connection start.
         let syns: Vec<u8> = l
@@ -660,7 +339,7 @@ mod tests {
             join_after_initial: false,
             ..MptcpConfig::with_subflows(4)
         };
-        let mut l = Loop::new(cfg, 70_000);
+        let mut l = new_loop(cfg, 70_000);
         l.start();
         let syns = l.to_rx.iter().filter(|p| p.kind == PacketKind::Syn).count();
         assert_eq!(syns, 4);
@@ -678,7 +357,7 @@ mod tests {
         // With RFC 6824 join semantics a lost MP_CAPABLE SYN cannot be masked
         // by the other subflows: nothing moves until the retransmitted SYN
         // succeeds one initial-RTO later.
-        let mut l = Loop::new(MptcpConfig::with_subflows(8), 10_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(8), 10_000);
         let mut dropped = false;
         l.run(2, |p: &Packet| {
             if !dropped && p.kind == PacketKind::Syn {
@@ -712,7 +391,7 @@ mod tests {
         // For n identical subflows, RFC 6356 gives alpha = 1/n of the total
         // increase spread over them: alpha = tot * (c/r^2) / (n*c/r)^2
         //   = tot * c / (n^2 c^2 / r^2 * r^2)   with tot = n*c  =>  1/n.
-        let mut l = Loop::new(MptcpConfig::with_subflows(4), 400_000);
+        let mut l = new_loop(MptcpConfig::with_subflows(4), 400_000);
         l.run(200, |_| false);
         let p = compute_lia(l.tx.subflows());
         let cwnds: Vec<f64> = l.tx.subflows().iter().map(|s| s.cwnd()).collect();
@@ -733,7 +412,7 @@ mod tests {
             scheduler: MptcpScheduler::LowestRtt,
             ..MptcpConfig::with_subflows(3)
         };
-        let mut l = Loop::new(cfg, 100_000);
+        let mut l = new_loop(cfg, 100_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
     }
@@ -744,7 +423,7 @@ mod tests {
             coupled: false,
             ..MptcpConfig::with_subflows(4)
         };
-        let mut l = Loop::new(cfg, 150_000);
+        let mut l = new_loop(cfg, 150_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
     }

@@ -36,8 +36,9 @@
 //! instant — `scenarios trace battle-matrix --flow <id>` plots it.
 
 use crate::config::TransportConfig;
-use crate::subflow::Subflow;
-use netsim::{Addr, Agent, AgentCtx, AgentEvent, FlowId, PacketKind, Signal};
+use crate::conn::{ConnState, Connection, Policy};
+use crate::subflow::{Subflow, SubflowUpdate};
+use netsim::{Addr, AgentCtx, FlowId, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Source-port stride between replica connections. A large odd offset keeps
@@ -81,31 +82,83 @@ impl RepFlowConfig {
     }
 }
 
-/// One replica connection: an independent single-path TCP sender plus its
-/// private cursor into the shared application byte stream.
+/// RepFlow as a connection policy: every subflow is a replica — an
+/// independent single-path TCP connection walking the whole application
+/// byte stream with a cursor of its own (the connection's shared data-sequence
+/// cursor goes unused) — and completion silences the loser.
 #[derive(Debug)]
-struct Replica {
-    subflow: Subflow,
-    /// Next connection-level byte this replica will map.
-    cursor: u64,
-    /// Exclusive upper bound of the bytes this replica may carry (the full
+pub struct Replicated {
+    cfg: RepFlowConfig,
+    /// Per replica: the next connection-level byte it will map.
+    cursor: [u64; 2],
+    /// Per replica: exclusive upper bound of the bytes it may carry (the full
     /// flow, or one initial window for a RepSYN secondary).
-    limit: u64,
+    limit: [u64; 2],
+    /// Index of the first replica to establish (RepSYN's winner).
+    primary: Option<usize>,
+}
+
+impl Policy for Replicated {
+    const NAME: &'static str = "repflow";
+
+    /// Both SYNs race from the first instant.
+    fn start(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        for sf in conn.subflows.iter_mut() {
+            sf.start(ctx);
+        }
+    }
+
+    fn after_subflow_event(
+        &mut self,
+        _conn: &mut ConnState,
+        _ctx: &mut AgentCtx<'_>,
+        winner: usize,
+        update: SubflowUpdate,
+    ) {
+        if !update.became_established || self.primary.is_some() {
+            return;
+        }
+        self.primary = Some(winner);
+        if self.cfg.syn_only {
+            // RepSYN: the race is decided at the handshake. The winner takes
+            // the whole flow; the other replica is capped at one initial
+            // window (it may already be carrying that much — the cap can
+            // only shrink a limit, never extend one).
+            let first_window = self.cfg.transport.initial_cwnd_bytes() as u64;
+            let loser = 1 - winner;
+            self.limit[loser] = self.limit[loser].min(first_window.max(self.cursor[loser]));
+        }
+    }
+
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        let mss = self.cfg.transport.mss as u64;
+        for (i, sf) in conn.subflows.iter_mut().enumerate() {
+            loop {
+                let len = mss.min(self.limit[i].saturating_sub(self.cursor[i]));
+                if len == 0 || !sf.is_established() || sf.window_space() < len {
+                    break;
+                }
+                sf.send_segment(ctx, self.cursor[i], len as u32);
+                self.cursor[i] += len;
+            }
+        }
+    }
+
+    /// First full delivery wins: silence the losing replica so it stops
+    /// retransmitting bytes nobody needs (the real protocol closes the
+    /// slower connection).
+    fn on_finish(&mut self, conn: &mut ConnState, _now: SimTime) {
+        if conn.completed {
+            for sf in conn.subflows.iter_mut() {
+                sf.abort();
+            }
+        }
+    }
 }
 
 /// A RepFlow sender: mice race two replica connections, elephants and
 /// unbounded flows degrade to a single plain-TCP connection.
-#[derive(Debug)]
-pub struct RepFlowSender {
-    cfg: RepFlowConfig,
-    flow: FlowId,
-    total: Option<u64>,
-    replicas: Vec<Replica>,
-    /// Index of the first replica to establish (RepSYN's winner).
-    primary: Option<usize>,
-    data_acked: u64,
-    completed: bool,
-}
+pub type RepFlowSender = Connection<Replicated>;
 
 impl RepFlowSender {
     /// Create a sender. `path_count` is the number of ECMP-disjoint paths
@@ -127,325 +180,59 @@ impl RepFlowSender {
         let replicate =
             path_count >= 2 && total.is_some_and(|t| t <= cfg.replication_threshold && t > 0);
         let copies = if replicate { 2 } else { 1 };
-        let limit = total.unwrap_or(u64::MAX);
-        let replicas = (0..copies)
-            .map(|i| Replica {
-                subflow: Subflow::new(
-                    cfg.transport,
-                    i as u8,
-                    false,
-                    src,
-                    dst,
-                    base_src_port.wrapping_add(i as u16 * REPLICA_PORT_STRIDE),
-                    dst_port,
-                    flow,
-                ),
-                cursor: 0,
-                limit,
-            })
-            .collect();
-        RepFlowSender {
+        let subflow = |i: usize| {
+            let src_port = base_src_port.wrapping_add(i as u16 * REPLICA_PORT_STRIDE);
+            Subflow::new(
+                cfg.transport,
+                i as u8,
+                false,
+                src,
+                dst,
+                src_port,
+                dst_port,
+                flow,
+            )
+        };
+        let policy = Replicated {
             cfg,
-            flow,
-            total,
-            replicas,
+            cursor: [0; 2],
+            limit: [total.unwrap_or(u64::MAX); 2],
             primary: None,
-            data_acked: 0,
-            completed: false,
-        }
-    }
-
-    /// Connection-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.data_acked
-    }
-
-    /// Has the whole transfer been acknowledged (by either replica)?
-    pub fn is_completed(&self) -> bool {
-        self.completed
+        };
+        Connection::with_subflows(flow, total, copies, subflow, policy)
     }
 
     /// Is this flow being carried by two replica connections?
     pub fn is_replicated(&self) -> bool {
-        self.replicas.len() > 1
+        self.subflows().len() > 1
     }
 
     /// The replica subflows (for tests and metrics).
-    pub fn replicas(&self) -> Vec<&Subflow> {
-        self.replicas.iter().map(|r| &r.subflow).collect()
-    }
-
-    /// Total data bytes handed to the network across every replica,
-    /// including retransmissions.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.subflow.counters().data_bytes_sent)
-            .sum()
+    pub fn replicas(&self) -> &[Subflow] {
+        self.subflows()
     }
 
     /// The winner of the handshake race, once one replica has established.
     pub fn primary(&self) -> Option<usize> {
-        self.primary
-    }
-
-    fn on_established(&mut self, winner: usize) {
-        if self.primary.is_some() {
-            return;
-        }
-        self.primary = Some(winner);
-        if self.cfg.syn_only {
-            // RepSYN: the race is decided at the handshake. The winner takes
-            // the whole flow; every other replica is capped at one initial
-            // window (it may already be carrying that much — the cap can
-            // only shrink a limit, never extend one).
-            let first_window = self.cfg.transport.initial_cwnd_bytes() as u64;
-            for (i, r) in self.replicas.iter_mut().enumerate() {
-                if i != winner {
-                    r.limit = r.limit.min(first_window.max(r.cursor));
-                }
-            }
-        }
-    }
-
-    fn pump(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.completed {
-            return;
-        }
-        let mss = self.cfg.transport.mss as u64;
-        for r in &mut self.replicas {
-            loop {
-                let remaining = r.limit.saturating_sub(r.cursor);
-                if remaining == 0 {
-                    break;
-                }
-                let len = mss.min(remaining);
-                if !r.subflow.is_established() || r.subflow.window_space() < len {
-                    break;
-                }
-                r.subflow.send_segment(ctx, r.cursor, len as u32);
-                r.cursor += len;
-            }
-        }
-    }
-
-    fn check_completion(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.completed {
-            return;
-        }
-        let Some(total) = self.total else {
-            return;
-        };
-        if self.data_acked >= total {
-            self.completed = true;
-            ctx.signal(Signal::FlowCompleted {
-                flow: self.flow,
-                at: ctx.now(),
-                bytes: total,
-            });
-            // First full delivery wins: silence the losing replica so it
-            // stops retransmitting bytes nobody needs (the real protocol
-            // closes the slower connection).
-            for r in &mut self.replicas {
-                r.subflow.abort();
-            }
-            crate::signal_redundant_bytes(ctx, self.flow, self.total_bytes_sent(), total);
-        }
-    }
-}
-
-impl Agent for RepFlowSender {
-    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-        match event {
-            AgentEvent::Start => {
-                ctx.signal(Signal::FlowStarted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: self.total.unwrap_or(u64::MAX),
-                });
-                // Both SYNs race from the first instant.
-                for r in &mut self.replicas {
-                    r.subflow.start(ctx);
-                }
-            }
-            AgentEvent::Packet(pkt) => {
-                if matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
-                    self.data_acked = self.data_acked.max(pkt.data_ack);
-                    let idx = pkt.subflow as usize;
-                    if idx < self.replicas.len() {
-                        let upd = self.replicas[idx].subflow.on_packet(ctx, &pkt, None);
-                        if upd.became_established {
-                            self.on_established(idx);
-                        }
-                    }
-                    self.pump(ctx);
-                    self.check_completion(ctx);
-                }
-            }
-            AgentEvent::Timer(token) => {
-                let (idx, gen) = Subflow::decode_timer_token(token);
-                if (idx as usize) < self.replicas.len() {
-                    self.replicas[idx as usize].subflow.on_timer(ctx, gen);
-                }
-                self.pump(ctx);
-            }
-            // RepFlow replicates mice below the elephant threshold, so it
-            // never requests a fluid handoff and this event cannot arrive.
-            AgentEvent::FluidComplete { .. } => {}
-            AgentEvent::Finalize => {
-                if !self.completed {
-                    ctx.signal(Signal::FlowProgress {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: self.data_acked,
-                    });
-                    // The replication price must be visible even (especially)
-                    // for flows the run's time cap caught mid-race.
-                    if self.total.is_some() {
-                        crate::signal_redundant_bytes(
-                            ctx,
-                            self.flow,
-                            self.total_bytes_sent(),
-                            self.data_acked,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "repflow-sender({}, {} replicas{}, {:?} bytes)",
-            self.flow,
-            self.replicas.len(),
-            if self.cfg.syn_only { ", syn-only" } else { "" },
-            self.total
-        )
+        self.policy.primary
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::TransportReceiver;
-    use netsim::{Packet, SimDuration, SimRng, SimTime};
+    use crate::testing::Loopback;
+    use netsim::{Agent, AgentEvent, Packet, PacketKind, Signal, SimDuration};
 
-    /// Ideal-network round harness (same shape as the MPTCP/MMPTCP test
-    /// loops): sender packets delivered next half-round, ACKs the one after.
-    struct Loop {
-        tx: RepFlowSender,
-        rx: TransportReceiver,
-        rng: SimRng,
-        timers: Vec<(SimTime, u64)>,
-        signals: Vec<Signal>,
-        now: SimTime,
-        to_rx: Vec<Packet>,
-        to_tx: Vec<Packet>,
-    }
-
-    impl Loop {
-        fn new(cfg: RepFlowConfig, total: u64, paths: usize) -> Self {
-            let flow = FlowId(1);
-            Loop {
-                tx: RepFlowSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total), paths),
-                rx: TransportReceiver::new(flow),
-                rng: SimRng::new(5),
-                timers: Vec::new(),
-                signals: Vec::new(),
-                now: SimTime::from_millis(1),
-                to_rx: Vec::new(),
-                to_tx: Vec::new(),
-            }
-        }
-
-        fn start(&mut self) {
-            let mut out = Vec::new();
-            let mut ctx = AgentCtx::new(
-                self.now,
-                FlowId(1),
-                &mut self.rng,
-                &mut out,
-                &mut self.timers,
-                &mut self.signals,
-            );
-            self.tx.handle(&mut ctx, AgentEvent::Start);
-            self.to_rx.extend(out);
-        }
-
-        fn round(&mut self, drop: &mut impl FnMut(&Packet) -> bool) {
-            self.now += SimDuration::from_micros(100);
-            let mut acks = Vec::new();
-            for pkt in std::mem::take(&mut self.to_rx) {
-                if drop(&pkt) {
-                    continue;
-                }
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut acks,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.rx.handle(&mut ctx, AgentEvent::Packet(pkt));
-            }
-            self.to_tx.extend(acks);
-            self.now += SimDuration::from_micros(100);
-            let mut out = Vec::new();
-            for pkt in std::mem::take(&mut self.to_tx) {
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut out,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.tx.handle(&mut ctx, AgentEvent::Packet(pkt));
-            }
-            self.to_rx.extend(out);
-            let due: Vec<(SimTime, u64)> = self
-                .timers
-                .iter()
-                .copied()
-                .filter(|(t, _)| *t <= self.now)
-                .collect();
-            self.timers.retain(|(t, _)| *t > self.now);
-            for (_, token) in due {
-                let mut out = Vec::new();
-                let mut ctx = AgentCtx::new(
-                    self.now,
-                    FlowId(1),
-                    &mut self.rng,
-                    &mut out,
-                    &mut self.timers,
-                    &mut self.signals,
-                );
-                self.tx.handle(&mut ctx, AgentEvent::Timer(token));
-                self.to_rx.extend(out);
-            }
-            if self.to_rx.is_empty() && self.to_tx.is_empty() && !self.tx.is_completed() {
-                if let Some(&(t, _)) = self.timers.iter().min_by_key(|(t, _)| *t) {
-                    self.now = t;
-                }
-            }
-        }
-
-        fn run(&mut self, max_rounds: usize, mut drop: impl FnMut(&Packet) -> bool) {
-            self.start();
-            for _ in 0..max_rounds {
-                if self.tx.is_completed() {
-                    break;
-                }
-                self.round(&mut drop);
-            }
-        }
+    fn new_loop(cfg: RepFlowConfig, total: u64, paths: usize) -> Loopback<RepFlowSender> {
+        let flow = FlowId(1);
+        let tx = RepFlowSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total), paths);
+        Loopback::new(flow, tx)
     }
 
     #[test]
     fn mice_are_replicated_over_two_connections() {
-        let mut l = Loop::new(RepFlowConfig::default(), 70_000, 4);
+        let mut l = new_loop(RepFlowConfig::default(), 70_000, 4);
         assert!(l.tx.is_replicated());
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
@@ -453,7 +240,7 @@ mod tests {
         // Both replicas carried data, on distinct source ports.
         let replicas = l.tx.replicas();
         assert_eq!(replicas.len(), 2);
-        for sf in &replicas {
+        for sf in replicas {
             assert!(sf.counters().data_bytes_sent > 0);
         }
         assert_ne!(replicas[0].src_port(), replicas[1].src_port());
@@ -474,7 +261,7 @@ mod tests {
     fn completes_at_first_full_delivery_despite_a_dead_replica() {
         // Replica 1's data never arrives: the flow must still complete via
         // replica 0, and the dead copy must not keep retransmitting after.
-        let mut l = Loop::new(RepFlowConfig::default(), 70_000, 4);
+        let mut l = new_loop(RepFlowConfig::default(), 70_000, 4);
         l.run(4_000, |p: &Packet| {
             p.kind == PacketKind::Data && p.subflow == 1
         });
@@ -508,20 +295,20 @@ mod tests {
         // Exactly-threshold flows are mice (size <= threshold), matching the
         // report layer's mice classification — no flow may be counted in the
         // mice tail yet denied replication.
-        let l = Loop::new(RepFlowConfig::default(), 100_000, 4);
+        let l = new_loop(RepFlowConfig::default(), 100_000, 4);
         assert!(l.tx.is_replicated());
-        let l = Loop::new(RepFlowConfig::default(), 100_001, 4);
+        let l = new_loop(RepFlowConfig::default(), 100_001, 4);
         assert!(!l.tx.is_replicated());
     }
 
     #[test]
     fn elephants_are_not_replicated() {
-        let l = Loop::new(RepFlowConfig::default(), 500_000, 4);
+        let l = new_loop(RepFlowConfig::default(), 500_000, 4);
         assert!(
             !l.tx.is_replicated(),
             "500 KB is above the 100 KB threshold"
         );
-        let mut l = Loop::new(RepFlowConfig::default(), 500_000, 4);
+        let mut l = new_loop(RepFlowConfig::default(), 500_000, 4);
         l.run(5_000, |_| false);
         assert!(l.tx.is_completed());
         // Exactly the flow's bytes were sent (no losses in this harness).
@@ -530,7 +317,7 @@ mod tests {
 
     #[test]
     fn single_path_pairs_fall_back_to_one_connection() {
-        let l = Loop::new(RepFlowConfig::default(), 70_000, 1);
+        let l = new_loop(RepFlowConfig::default(), 70_000, 1);
         assert!(
             !l.tx.is_replicated(),
             "replication over one path is pure overhead"
@@ -554,7 +341,7 @@ mod tests {
 
     #[test]
     fn repsyn_caps_the_loser_at_one_initial_window() {
-        let mut l = Loop::new(RepFlowConfig::repsyn(), 70_000, 4);
+        let mut l = new_loop(RepFlowConfig::repsyn(), 70_000, 4);
         assert!(l.tx.is_replicated());
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
@@ -575,7 +362,7 @@ mod tests {
         // Plain TCP pays a full initial RTO (1 s) for a lost SYN; RepSYN's
         // second SYN wins the race instead.
         let mut dropped = false;
-        let mut l = Loop::new(RepFlowConfig::repsyn(), 70_000, 4);
+        let mut l = new_loop(RepFlowConfig::repsyn(), 70_000, 4);
         l.run(2_000, |p: &Packet| {
             if !dropped && p.kind == PacketKind::Syn && p.subflow == 0 {
                 dropped = true;
@@ -598,7 +385,7 @@ mod tests {
         // Drop every 7th data packet of replica 0 only: replica 1's clean
         // copy completes the flow without waiting for recovery on replica 0.
         let mut count = 0usize;
-        let mut l = Loop::new(RepFlowConfig::default(), 70_000, 4);
+        let mut l = new_loop(RepFlowConfig::default(), 70_000, 4);
         l.run(4_000, |p: &Packet| {
             if p.kind == PacketKind::Data && p.subflow == 0 {
                 count += 1;

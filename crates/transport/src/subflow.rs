@@ -189,6 +189,11 @@ impl Subflow {
 
     // --- accessors -------------------------------------------------------
 
+    /// The transport parameters this subflow was created with.
+    pub fn config(&self) -> &TransportConfig {
+        &self.cfg
+    }
+
     /// Has the handshake completed?
     pub fn is_established(&self) -> bool {
         self.phase == Phase::Established

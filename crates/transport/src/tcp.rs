@@ -1,31 +1,47 @@
-//! Single-path TCP sender (NewReno flavour) and its DCTCP variant.
+//! Single-path TCP (NewReno flavour), its DCTCP variant, and D²TCP.
 //!
-//! This is the baseline transport of the paper's comparison: a single subflow
-//! whose connection-level data sequence equals its subflow sequence. With
-//! `TransportConfig::dctcp()` and ECN-marking switches it behaves as DCTCP.
+//! [`TcpSender`] is the baseline transport of the paper's comparison: a
+//! single subflow whose connection-level data sequence equals its subflow
+//! sequence. With `TransportConfig::dctcp()` and ECN-marking switches it
+//! behaves as DCTCP. [`D2tcpSender`] is the same connection with a deadline
+//! steering how hard it backs off.
 
 use crate::config::TransportConfig;
+use crate::conn::{ConnState, Connection, Policy};
 use crate::subflow::Subflow;
-use netsim::fluid::{pacing_rate_bps, FluidHandoff};
-use netsim::{Addr, Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, Signal, SimTime};
+use netsim::{Addr, AgentCtx, FlowId, SimDuration, SimTime};
+
+/// Pump the whole stream into the connection's only subflow.
+fn pump_single_path(conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+    loop {
+        let len = conn.next_segment_len();
+        if len == 0 || conn.subflows[0].window_space() < len {
+            break;
+        }
+        conn.send_next(ctx, 0, len);
+    }
+}
+
+/// Plain single-path TCP: every hook at its default, and the one subflow is
+/// what a fluid handoff measures.
+#[derive(Debug)]
+pub struct SinglePath;
+
+impl Policy for SinglePath {
+    const NAME: &'static str = "tcp";
+
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        pump_single_path(conn, ctx);
+    }
+
+    fn fluid_subflows<'a>(&self, subflows: &'a [Subflow]) -> &'a [Subflow] {
+        subflows
+    }
+}
 
 /// A single-path TCP sender transferring `total` bytes (or running forever
 /// when `total` is `None`, for background flows).
-#[derive(Debug)]
-pub struct TcpSender {
-    cfg: TransportConfig,
-    flow: FlowId,
-    total: Option<u64>,
-    subflow: Subflow,
-    next_data_seq: u64,
-    data_acked: u64,
-    started_at: Option<SimTime>,
-    completed: bool,
-    /// True once the remainder of the flow has been handed to the fluid fast
-    /// path: the sender stops pumping new data and waits for
-    /// [`AgentEvent::FluidComplete`] (in-flight packets still drain normally).
-    fluid_mode: bool,
-}
+pub type TcpSender = Connection<SinglePath>;
 
 impl TcpSender {
     /// Create a sender from `src` to `dst` transferring `total` bytes
@@ -41,249 +57,137 @@ impl TcpSender {
         dst_port: u16,
         total: Option<u64>,
     ) -> Self {
-        let subflow = Subflow::new(cfg, 0, false, src, dst, src_port, dst_port, flow);
-        TcpSender {
-            cfg,
-            flow,
-            total,
-            subflow,
-            next_data_seq: 0,
-            data_acked: 0,
-            started_at: None,
-            completed: false,
-            fluid_mode: false,
-        }
+        let subflow = |_| Subflow::new(cfg, 0, false, src, dst, src_port, dst_port, flow);
+        Connection::with_subflows(flow, total, 1, subflow, SinglePath)
+    }
+}
+
+/// Bounds on the deadline-imminence factor, as in the D²TCP paper.
+const MIN_IMMINENCE: f64 = 0.5;
+const MAX_IMMINENCE: f64 = 2.0;
+
+/// D²TCP, Deadline-aware Data Center TCP (Vamanan et al., SIGCOMM 2012): one
+/// of the deadline-aware single-path protocols the paper's introduction
+/// contrasts MMPTCP against. It is DCTCP (ECN marking at the switches, an
+/// EWMA `α` of the marked fraction at the sender) whose window reduction is
+/// gamma-corrected by a *deadline imminence* factor `d = Tc / D`, where `Tc`
+/// is the time the flow still needs at its current rate and `D` the time left
+/// until its deadline: `cwnd ← cwnd · (1 − α^d / 2)`. Far-from-deadline flows
+/// (`d < 1`) back off **more** than DCTCP would, near-deadline flows
+/// (`d > 1`) back off **less**; flows without a deadline use `d = 1` and are
+/// exactly DCTCP. Deadline-aware transports need application-layer deadline
+/// information and ECN support in the network — precisely what MMPTCP avoids
+/// — and, being single-path, cannot exploit the FatTree's path diversity.
+///
+/// As a [`Policy`] that is one hook: before every ACK the exponent of the
+/// subflow's `EcnResponder` is recomputed from the deadline. The per-ACK ECN
+/// feedback this depends on is not modelled by the fluid fast path, so a
+/// D²TCP connection never hands off.
+#[derive(Debug)]
+pub struct Deadline {
+    /// Deadline relative to the flow's start, if the application gave one.
+    relative: Option<SimDuration>,
+    /// The absolute deadline, known once the flow has started.
+    absolute: Option<SimTime>,
+    missed: bool,
+}
+
+impl Policy for Deadline {
+    const NAME: &'static str = "d2tcp";
+
+    fn start(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        self.absolute = self.relative.map(|d| ctx.now() + d);
+        conn.subflows[0].start(ctx);
     }
 
-    /// Convenience constructor for a DCTCP sender (ECN-reacting TCP).
+    /// Recompute the deadline-imminence factor `d = Tc / D` on every ACK, so
+    /// it tracks both the rate the flow is achieving and the time it has left.
+    fn before_ack(&mut self, conn: &mut ConnState, now: SimTime) {
+        let subflow = &mut conn.subflows[0];
+        let (Some(deadline), Some(total)) = (self.absolute, conn.total) else {
+            subflow.set_dctcp_penalty_exponent(1.0);
+            return;
+        };
+        let remaining_bytes = total.saturating_sub(conn.data_acked) as f64;
+        if remaining_bytes <= 0.0 {
+            return;
+        }
+        // Time needed at the current rate: cwnd bytes per RTT.
+        let rtt = subflow
+            .srtt()
+            .map(|d| d.as_secs_f64())
+            .unwrap_or(200e-6)
+            .max(1e-6);
+        let rate = subflow.cwnd().max(subflow.config().mss as f64) / rtt;
+        let needed = remaining_bytes / rate;
+        // A deadline already blown makes the flow maximally aggressive (the
+        // D²TCP paper caps d so such flows do not starve everyone else).
+        let d = if deadline > now {
+            (needed / (deadline - now).as_secs_f64()).clamp(MIN_IMMINENCE, MAX_IMMINENCE)
+        } else {
+            MAX_IMMINENCE
+        };
+        // D²TCP's exponent is d for the *penalty* α^d: imminent flows (d > 1)
+        // see α^d < α, i.e. a smaller reduction.
+        subflow.set_dctcp_penalty_exponent(d);
+    }
+
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        pump_single_path(conn, ctx);
+    }
+
+    fn on_finish(&mut self, conn: &mut ConnState, now: SimTime) {
+        if let Some(deadline) = self.absolute {
+            self.missed |= !conn.completed || now > deadline;
+        }
+    }
+}
+
+/// A deadline-aware DCTCP sender.
+pub type D2tcpSender = Connection<Deadline>;
+
+impl D2tcpSender {
+    /// Create a D²TCP sender transferring `total` bytes with an optional
+    /// relative `deadline` (measured from the flow's start time). ECN is
+    /// always negotiated; a sender without a deadline degenerates to DCTCP.
     #[allow(clippy::too_many_arguments)]
-    pub fn new_dctcp(
+    pub fn new(
+        cfg: TransportConfig,
         flow: FlowId,
         src: Addr,
         dst: Addr,
         src_port: u16,
         dst_port: u16,
         total: Option<u64>,
+        deadline: Option<SimDuration>,
     ) -> Self {
-        TcpSender::new(
-            TransportConfig::dctcp(),
-            flow,
-            src,
-            dst,
-            src_port,
-            dst_port,
-            total,
-        )
-    }
-
-    /// Connection-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.data_acked
-    }
-
-    /// Has the whole transfer been acknowledged?
-    pub fn is_completed(&self) -> bool {
-        self.completed
-    }
-
-    /// The underlying subflow (for tests and ablations).
-    pub fn subflow(&self) -> &Subflow {
-        &self.subflow
-    }
-
-    /// Whether the remainder of the flow has been handed to the fluid engine.
-    pub fn is_fluid_mode(&self) -> bool {
-        self.fluid_mode
-    }
-
-    fn remaining(&self) -> u64 {
-        match self.total {
-            Some(t) => t.saturating_sub(self.next_data_seq),
-            None => u64::MAX,
-        }
-    }
-
-    fn pump(&mut self, ctx: &mut AgentCtx<'_>) {
-        loop {
-            let remaining = self.remaining();
-            if remaining == 0 {
-                break;
-            }
-            let len = (self.cfg.mss as u64).min(remaining) as u32;
-            if self.subflow.window_space() < len as u64 {
-                break;
-            }
-            self.subflow.send_segment(ctx, self.next_data_seq, len);
-            self.next_data_seq += len as u64;
-        }
-    }
-
-    /// Hand the remainder of the flow to the fluid fast path if the hybrid
-    /// engine is on, the flow is a bounded elephant with more than the
-    /// threshold left, and the subflow has settled out of slow start (so the
-    /// pacing cap derived from cwnd/srtt approximates congestion avoidance).
-    fn maybe_fluid_handoff(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.fluid_mode || self.completed {
-            return;
-        }
-        let Some(threshold) = ctx.fluid_threshold() else {
-            return;
+        let cfg = TransportConfig { ecn: true, ..cfg };
+        let subflow = |_| Subflow::new(cfg, 0, false, src, dst, src_port, dst_port, flow);
+        let policy = Deadline {
+            relative: deadline,
+            absolute: None,
+            missed: false,
         };
-        let Some(total) = self.total else {
-            return; // unbounded background flows stay packet-level
-        };
-        let remaining = total.saturating_sub(self.next_data_seq);
-        if remaining <= threshold {
-            return;
-        }
-        if !self.subflow.is_established() || self.subflow.in_slow_start() {
-            return;
-        }
-        let Some(srtt) = self.subflow.srtt() else {
-            return;
-        };
-        // BBR exports an explicit model-based pacing rate; loss-based
-        // controllers fall back to the classic cwnd/srtt estimate.
-        let rate_cap_bps = self
-            .subflow
-            .cc_pacing_rate_bps()
-            .unwrap_or_else(|| pacing_rate_bps(self.subflow.cwnd(), srtt));
-        let template = self
-            .subflow
-            .fluid_template(self.next_data_seq, self.cfg.mss, ctx.now());
-        ctx.request_fluid_handoff(FluidHandoff {
-            template,
-            remaining,
-            base_bytes: self.next_data_seq,
-            rate_cap_bps,
-            // Cap growth must run at the base (propagation) RTT, not the
-            // smoothed RTT: srtt is queue-inflated at handoff time, and a
-            // frozen inflated value would slow additive increase forever
-            // (packet mode self-corrects via ack clocking; fluid can't).
-            srtt: self.subflow.min_rtt().unwrap_or(srtt),
-            mss: self.cfg.mss,
-            cc: self.cfg.cc.fluid(),
-        });
-        self.fluid_mode = true;
+        Connection::with_subflows(flow, total, 1, subflow, policy)
     }
 
-    fn check_completion(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.completed {
-            return;
-        }
-        if let Some(total) = self.total {
-            if self.data_acked >= total {
-                self.completed = true;
-                ctx.signal(Signal::FlowCompleted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: total,
-                });
-                crate::signal_redundant_bytes(
-                    ctx,
-                    self.flow,
-                    self.subflow.counters().data_bytes_sent,
-                    total,
-                );
-            }
-        }
+    /// Did the transfer finish after its deadline (or not at all)?
+    pub fn missed_deadline(&self) -> bool {
+        self.policy.missed
     }
-}
-
-impl Agent for TcpSender {
-    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-        match event {
-            AgentEvent::Start => {
-                self.started_at = Some(ctx.now());
-                ctx.signal(Signal::FlowStarted {
-                    flow: self.flow,
-                    at: ctx.now(),
-                    bytes: self.total.unwrap_or(u64::MAX),
-                });
-                self.subflow.start(ctx);
-            }
-            AgentEvent::Packet(pkt) => {
-                if matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
-                    self.data_acked = self.data_acked.max(pkt.data_ack);
-                    self.subflow.on_packet(ctx, &pkt, None);
-                    if !self.fluid_mode {
-                        self.pump(ctx);
-                        self.check_completion(ctx);
-                        self.maybe_fluid_handoff(ctx);
-                    }
-                }
-            }
-            AgentEvent::Timer(token) => {
-                let (_, gen) = Subflow::decode_timer_token(token);
-                self.subflow.on_timer(ctx, gen);
-                if !self.fluid_mode {
-                    self.pump(ctx);
-                }
-            }
-            AgentEvent::FluidComplete { bytes } => {
-                if !self.completed {
-                    self.completed = true;
-                    self.subflow.abort();
-                    let total = self.total.unwrap_or(self.next_data_seq + bytes);
-                    ctx.signal(Signal::FlowCompleted {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: total,
-                    });
-                    crate::signal_redundant_bytes(
-                        ctx,
-                        self.flow,
-                        self.subflow.counters().data_bytes_sent + bytes,
-                        total,
-                    );
-                }
-            }
-            AgentEvent::Finalize => {
-                if !self.completed && !self.fluid_mode {
-                    ctx.signal(Signal::FlowProgress {
-                        flow: self.flow,
-                        at: ctx.now(),
-                        bytes: self.data_acked,
-                    });
-                    if self.total.is_some() {
-                        crate::signal_redundant_bytes(
-                            ctx,
-                            self.flow,
-                            self.subflow.counters().data_bytes_sent,
-                            self.data_acked,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("tcp-sender({}, {:?} bytes)", self.flow, self.total)
-    }
-}
-
-/// Construct the matching receiver for any sender in this crate.
-pub fn receiver_for(flow: FlowId) -> crate::receiver::TransportReceiver {
-    crate::receiver::TransportReceiver::new(flow)
-}
-
-/// A packet filter helper used by tests: true if `p` is a data segment.
-pub fn is_data(p: &Packet) -> bool {
-    p.kind == PacketKind::Data
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::TransportReceiver;
-    use netsim::{SimDuration, SimRng};
+    use crate::testing::Loopback;
+    use netsim::{Agent, AgentEvent, Signal, SimRng};
 
-    /// Drive a sender and receiver "back to back" (zero-latency ideal network)
-    /// until the sender finishes or `max_rounds` is hit. Returns the signals.
+    /// Drive a sender and receiver back to back until the sender finishes,
+    /// dropping every `loss_every`-th packet it emits. Returns the signals.
     fn run_back_to_back(total: u64, loss_every: Option<usize>) -> (TcpSender, Vec<Signal>) {
         let flow = FlowId(1);
-        let mut tx = TcpSender::new(
+        let tx = TcpSender::new(
             TransportConfig::default(),
             flow,
             Addr(0),
@@ -292,70 +196,13 @@ mod tests {
             80,
             Some(total),
         );
-        let mut rx = TransportReceiver::new(flow);
-        let mut rng = SimRng::new(3);
-        let mut signals = Vec::new();
-        let mut timers: Vec<(SimTime, u64)> = Vec::new();
-        let mut now = SimTime::from_millis(1);
-        let mut in_flight: Vec<Packet> = Vec::new();
-        let mut to_sender: Vec<Packet> = Vec::new();
+        let mut l = Loopback::new(flow, tx);
         let mut sent_count = 0usize;
-
-        // Start.
-        {
-            let mut out = Vec::new();
-            let mut tctx = AgentCtx::new(now, flow, &mut rng, &mut out, &mut timers, &mut signals);
-            tx.handle(&mut tctx, AgentEvent::Start);
-            in_flight.extend(out);
-        }
-
-        for _round in 0..10_000 {
-            if tx.is_completed() {
-                break;
-            }
-            now += SimDuration::from_micros(50);
-            // Deliver sender->receiver packets (possibly dropping some).
-            let mut rx_out = Vec::new();
-            for pkt in in_flight.drain(..) {
-                sent_count += 1;
-                if let Some(k) = loss_every {
-                    if sent_count.is_multiple_of(k) {
-                        continue; // drop
-                    }
-                }
-                let mut rctx =
-                    AgentCtx::new(now, flow, &mut rng, &mut rx_out, &mut timers, &mut signals);
-                rx.handle(&mut rctx, AgentEvent::Packet(pkt));
-            }
-            to_sender.extend(rx_out);
-            now += SimDuration::from_micros(50);
-            // Deliver receiver->sender packets.
-            let mut tx_out = Vec::new();
-            for pkt in to_sender.drain(..) {
-                let mut tctx =
-                    AgentCtx::new(now, flow, &mut rng, &mut tx_out, &mut timers, &mut signals);
-                tx.handle(&mut tctx, AgentEvent::Packet(pkt));
-            }
-            in_flight.extend(tx_out);
-            // Fire any due timers.
-            let due: Vec<(SimTime, u64)> =
-                timers.iter().copied().filter(|(t, _)| *t <= now).collect();
-            timers.retain(|(t, _)| *t > now);
-            for (_, token) in due {
-                let mut tx_out = Vec::new();
-                let mut tctx =
-                    AgentCtx::new(now, flow, &mut rng, &mut tx_out, &mut timers, &mut signals);
-                tx.handle(&mut tctx, AgentEvent::Timer(token));
-                in_flight.extend(tx_out);
-            }
-            // If nothing is moving, advance to the next timer deadline.
-            if in_flight.is_empty() && to_sender.is_empty() && !tx.is_completed() {
-                if let Some(&(t, _)) = timers.iter().min_by_key(|(t, _)| *t) {
-                    now = t;
-                }
-            }
-        }
-        (tx, signals)
+        l.run(10_000, |_| {
+            sent_count += 1;
+            loss_every.is_some_and(|k| sent_count.is_multiple_of(k))
+        });
+        (l.tx, l.signals)
     }
 
     #[test]

@@ -27,11 +27,9 @@ impl Agent for Boxed {
 
 struct Case {
     name: String,
-    /// Flow size in bytes.
-    total: u64,
     /// Hybrid-engine elephant threshold shown to the sender, if any.
     fluid_threshold: Option<u64>,
-    build: Box<dyn Fn(u64) -> Box<dyn Agent>>,
+    build: Box<dyn Fn() -> Box<dyn Agent>>,
 }
 
 const FLOW: FlowId = FlowId(1);
@@ -40,17 +38,16 @@ const DST: Addr = Addr(1);
 const SPORT: u16 = 50_000;
 const DPORT: u16 = 80;
 
-fn case(name: &str, total: u64, build: impl Fn(u64) -> Box<dyn Agent> + 'static) -> Case {
+fn case(name: &str, build: impl Fn() -> Box<dyn Agent> + 'static) -> Case {
     Case {
         name: name.to_string(),
-        total,
         fluid_threshold: None,
         build: Box::new(build),
     }
 }
 
-fn tcp(cfg: TransportConfig) -> impl Fn(u64) -> Box<dyn Agent> {
-    move |total| {
+fn tcp(cfg: TransportConfig, total: u64) -> impl Fn() -> Box<dyn Agent> {
+    move || {
         Box::new(TcpSender::new(
             cfg,
             FLOW,
@@ -63,8 +60,8 @@ fn tcp(cfg: TransportConfig) -> impl Fn(u64) -> Box<dyn Agent> {
     }
 }
 
-fn d2tcp(deadline: Option<SimDuration>) -> impl Fn(u64) -> Box<dyn Agent> {
-    move |total| {
+fn d2tcp(deadline: Option<SimDuration>, total: u64) -> impl Fn() -> Box<dyn Agent> {
+    move || {
         Box::new(D2tcpSender::new(
             TransportConfig::default(),
             FLOW,
@@ -78,8 +75,8 @@ fn d2tcp(deadline: Option<SimDuration>) -> impl Fn(u64) -> Box<dyn Agent> {
     }
 }
 
-fn mptcp(cfg: MptcpConfig) -> impl Fn(u64) -> Box<dyn Agent> {
-    move |total| {
+fn mptcp(cfg: MptcpConfig, total: u64) -> impl Fn() -> Box<dyn Agent> {
+    move || {
         Box::new(MptcpSender::new(
             cfg,
             FLOW,
@@ -92,8 +89,8 @@ fn mptcp(cfg: MptcpConfig) -> impl Fn(u64) -> Box<dyn Agent> {
     }
 }
 
-fn mmptcp(cfg: MmptcpConfig) -> impl Fn(u64) -> Box<dyn Agent> {
-    move |total| {
+fn mmptcp(cfg: MmptcpConfig, total: u64) -> impl Fn() -> Box<dyn Agent> {
+    move || {
         Box::new(MmptcpSender::new(
             cfg,
             FLOW,
@@ -106,8 +103,8 @@ fn mmptcp(cfg: MmptcpConfig) -> impl Fn(u64) -> Box<dyn Agent> {
     }
 }
 
-fn repflow(cfg: RepFlowConfig) -> impl Fn(u64) -> Box<dyn Agent> {
-    move |total| {
+fn repflow(cfg: RepFlowConfig, total: u64) -> impl Fn() -> Box<dyn Agent> {
+    move || {
         Box::new(RepFlowSender::new(
             cfg,
             FLOW,
@@ -123,13 +120,12 @@ fn repflow(cfg: RepFlowConfig) -> impl Fn(u64) -> Box<dyn Agent> {
 
 fn cases() -> Vec<Case> {
     let mut cases = vec![
-        case("tcp", 300_000, tcp(TransportConfig::default())),
-        case("dctcp", 300_000, tcp(TransportConfig::dctcp())),
-        case("d2tcp", 300_000, d2tcp(None)),
+        case("tcp", tcp(TransportConfig::default(), 300_000)),
+        case("dctcp", tcp(TransportConfig::dctcp(), 300_000)),
+        case("d2tcp", d2tcp(None, 300_000)),
         case(
             "d2tcp-deadline",
-            300_000,
-            d2tcp(Some(SimDuration::from_millis(3))),
+            d2tcp(Some(SimDuration::from_millis(3)), 300_000),
         ),
     ];
     for n in [1, 4, 8] {
@@ -142,54 +138,45 @@ fn cases() -> Vec<Case> {
                         join_after_initial,
                         ..MptcpConfig::with_subflows(n)
                     };
-                    let name = format!(
-                        "mptcp-{n}/{scheduler:?}/{}/{}",
-                        if coupled { "coupled" } else { "uncoupled" },
-                        if join_after_initial {
-                            "join"
-                        } else {
-                            "simultaneous"
-                        },
-                    );
-                    cases.push(case(&name, 400_000, mptcp(cfg)));
+                    let coupling = if coupled { "coupled" } else { "uncoupled" };
+                    let join = if join_after_initial {
+                        "join"
+                    } else {
+                        "simultaneous"
+                    };
+                    let name = format!("mptcp-{n}/{scheduler:?}/{coupling}/{join}");
+                    cases.push(case(&name, mptcp(cfg, 400_000)));
                 }
             }
         }
     }
+    let mmptcp4 = |switch| MmptcpConfig {
+        switch,
+        num_subflows: 4,
+        ..MmptcpConfig::default()
+    };
     for (label, switch) in [
         ("data-volume", SwitchStrategy::DataVolume(100_000)),
         ("congestion-event", SwitchStrategy::CongestionEvent),
         ("never", SwitchStrategy::Never),
     ] {
-        let cfg = MmptcpConfig {
-            switch,
-            num_subflows: 4,
-            ..MmptcpConfig::default()
-        };
-        cases.push(case(&format!("mmptcp/{label}"), 400_000, mmptcp(cfg)));
+        let name = format!("mmptcp/{label}");
+        cases.push(case(&name, mmptcp(mmptcp4(switch), 400_000)));
     }
-    cases.push(case("repflow", 70_000, repflow(RepFlowConfig::default())));
-    cases.push(case("repsyn", 70_000, repflow(RepFlowConfig::repsyn())));
-    cases.push(case(
-        "repflow-elephant",
-        300_000,
-        repflow(RepFlowConfig::default()),
-    ));
+    let (rep, syn) = (RepFlowConfig::default(), RepFlowConfig::repsyn());
+    cases.push(case("repflow", repflow(rep, 70_000)));
+    cases.push(case("repsyn", repflow(syn, 70_000)));
+    cases.push(case("repflow-elephant", repflow(rep, 300_000)));
     // The hybrid engine's view: a 2 MB flow above a 100 KB elephant threshold.
     let fluid = [
-        case("tcp+fluid", 2_000_000, tcp(TransportConfig::default())),
+        case("tcp+fluid", tcp(TransportConfig::default(), 2_000_000)),
         case(
             "mptcp-4+fluid",
-            2_000_000,
-            mptcp(MptcpConfig::with_subflows(4)),
+            mptcp(MptcpConfig::with_subflows(4), 2_000_000),
         ),
         case(
             "mmptcp+fluid",
-            2_000_000,
-            mmptcp(MmptcpConfig {
-                num_subflows: 4,
-                ..MmptcpConfig::default()
-            }),
+            mmptcp(mmptcp4(SwitchStrategy::default()), 2_000_000),
         ),
     ];
     cases.extend(fluid.into_iter().map(|c| Case {
@@ -219,7 +206,7 @@ impl Digest {
 /// Drive one case to the end and digest the recording. With `lossy`, every
 /// 13th packet the sender emits (SYNs included) is dropped.
 fn digest(case: &Case, lossy: bool) -> u64 {
-    let mut l = Loopback::new(FLOW, Boxed((case.build)(case.total)));
+    let mut l = Loopback::new(FLOW, Boxed((case.build)()));
     l.fluid_threshold = case.fluid_threshold;
     let mut emitted = 0u64;
     let mut drop = |_: &Packet| {
@@ -263,168 +250,63 @@ fn digest(case: &Case, lossy: bool) -> u64 {
     d.0
 }
 
-/// `(case, lossless digest, lossy digest)`, recorded at commit e4924ed.
-const EXPECTED: &[(&str, u64, u64)] = &[
-    ("tcp", 0x62a5ae10e96936c4, 0xe4dc054aef8741e5),
-    ("dctcp", 0xbe936200e620fd75, 0x70c02b48f91502c0),
-    ("d2tcp", 0xbe936200e620fd75, 0x70c02b48f91502c0),
-    ("d2tcp-deadline", 0xd01d04bc82680903, 0xb708a60fe512ee87),
-    (
-        "mptcp-1/RoundRobin/coupled/join",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/RoundRobin/coupled/simultaneous",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/RoundRobin/uncoupled/join",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/RoundRobin/uncoupled/simultaneous",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/LowestRtt/coupled/join",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/LowestRtt/coupled/simultaneous",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/LowestRtt/uncoupled/join",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-1/LowestRtt/uncoupled/simultaneous",
-        0x575dc337377a82d9,
-        0x4d23d4d992d8ea99,
-    ),
-    (
-        "mptcp-4/RoundRobin/coupled/join",
-        0x0630e0415c89d601,
-        0xc1f301caa5b3ee40,
-    ),
-    (
-        "mptcp-4/RoundRobin/coupled/simultaneous",
-        0x1cd365559e18c79c,
-        0x1da1c4713a8556d2,
-    ),
-    (
-        "mptcp-4/RoundRobin/uncoupled/join",
-        0x0630e0415c89d601,
-        0x2b2d78bf029af91e,
-    ),
-    (
-        "mptcp-4/RoundRobin/uncoupled/simultaneous",
-        0x1cd365559e18c79c,
-        0x0e0ee60519dff445,
-    ),
-    (
-        "mptcp-4/LowestRtt/coupled/join",
-        0x0630e0415c89d601,
-        0xc1f301caa5b3ee40,
-    ),
-    (
-        "mptcp-4/LowestRtt/coupled/simultaneous",
-        0x1cd365559e18c79c,
-        0x1da1c4713a8556d2,
-    ),
-    (
-        "mptcp-4/LowestRtt/uncoupled/join",
-        0x0630e0415c89d601,
-        0x2b2d78bf029af91e,
-    ),
-    (
-        "mptcp-4/LowestRtt/uncoupled/simultaneous",
-        0x1cd365559e18c79c,
-        0x0e0ee60519dff445,
-    ),
-    (
-        "mptcp-8/RoundRobin/coupled/join",
-        0x1ade1de2df45eb68,
-        0x6a507814bd06ebb4,
-    ),
-    (
-        "mptcp-8/RoundRobin/coupled/simultaneous",
-        0x90c79c95814437b8,
-        0x0df56fe7e60481a0,
-    ),
-    (
-        "mptcp-8/RoundRobin/uncoupled/join",
-        0x1ade1de2df45eb68,
-        0x6a507814bd06ebb4,
-    ),
-    (
-        "mptcp-8/RoundRobin/uncoupled/simultaneous",
-        0x90c79c95814437b8,
-        0x0df56fe7e60481a0,
-    ),
-    (
-        "mptcp-8/LowestRtt/coupled/join",
-        0x1ade1de2df45eb68,
-        0x6a507814bd06ebb4,
-    ),
-    (
-        "mptcp-8/LowestRtt/coupled/simultaneous",
-        0x90c79c95814437b8,
-        0x0df56fe7e60481a0,
-    ),
-    (
-        "mptcp-8/LowestRtt/uncoupled/join",
-        0x1ade1de2df45eb68,
-        0x6a507814bd06ebb4,
-    ),
-    (
-        "mptcp-8/LowestRtt/uncoupled/simultaneous",
-        0x90c79c95814437b8,
-        0x0df56fe7e60481a0,
-    ),
-    ("mmptcp/data-volume", 0x6516410cef7c2fdf, 0x5dd75afd89849a72),
-    (
-        "mmptcp/congestion-event",
-        0x06bcf6131d97ae2e,
-        0x0b8907ba426e89ca,
-    ),
-    ("mmptcp/never", 0x06bcf6131d97ae2e, 0xd34b4a02455b4375),
-    ("repflow", 0xaed110b9e72d1a28, 0x55f9bdcb9a78b71c),
-    ("repsyn", 0xfe34b8df265f839d, 0x8e3887fb7ee7bb19),
-    ("repflow-elephant", 0x62a5ae10e96936c4, 0xe4dc054aef8741e5),
-    ("tcp+fluid", 0xea6d133f96f780b1, 0x3ba2436d4ebb57f8),
-    ("mptcp-4+fluid", 0x9792f2be423d7c59, 0x96b4baf8878637e6),
-    ("mmptcp+fluid", 0x93d81952ab1e4519, 0x359e19fe9f9588c0),
-];
+/// `case lossless-digest lossy-digest`, recorded at commit e4924ed.
+const EXPECTED: &str = "\
+tcp 62a5ae10e96936c4 e4dc054aef8741e5
+dctcp be936200e620fd75 70c02b48f91502c0
+d2tcp be936200e620fd75 70c02b48f91502c0
+d2tcp-deadline d01d04bc82680903 b708a60fe512ee87
+mptcp-1/RoundRobin/coupled/join 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/RoundRobin/coupled/simultaneous 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/RoundRobin/uncoupled/join 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/RoundRobin/uncoupled/simultaneous 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/LowestRtt/coupled/join 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/LowestRtt/coupled/simultaneous 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/LowestRtt/uncoupled/join 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-1/LowestRtt/uncoupled/simultaneous 575dc337377a82d9 4d23d4d992d8ea99
+mptcp-4/RoundRobin/coupled/join 0630e0415c89d601 c1f301caa5b3ee40
+mptcp-4/RoundRobin/coupled/simultaneous 1cd365559e18c79c 1da1c4713a8556d2
+mptcp-4/RoundRobin/uncoupled/join 0630e0415c89d601 2b2d78bf029af91e
+mptcp-4/RoundRobin/uncoupled/simultaneous 1cd365559e18c79c 0e0ee60519dff445
+mptcp-4/LowestRtt/coupled/join 0630e0415c89d601 c1f301caa5b3ee40
+mptcp-4/LowestRtt/coupled/simultaneous 1cd365559e18c79c 1da1c4713a8556d2
+mptcp-4/LowestRtt/uncoupled/join 0630e0415c89d601 2b2d78bf029af91e
+mptcp-4/LowestRtt/uncoupled/simultaneous 1cd365559e18c79c 0e0ee60519dff445
+mptcp-8/RoundRobin/coupled/join 1ade1de2df45eb68 6a507814bd06ebb4
+mptcp-8/RoundRobin/coupled/simultaneous 90c79c95814437b8 0df56fe7e60481a0
+mptcp-8/RoundRobin/uncoupled/join 1ade1de2df45eb68 6a507814bd06ebb4
+mptcp-8/RoundRobin/uncoupled/simultaneous 90c79c95814437b8 0df56fe7e60481a0
+mptcp-8/LowestRtt/coupled/join 1ade1de2df45eb68 6a507814bd06ebb4
+mptcp-8/LowestRtt/coupled/simultaneous 90c79c95814437b8 0df56fe7e60481a0
+mptcp-8/LowestRtt/uncoupled/join 1ade1de2df45eb68 6a507814bd06ebb4
+mptcp-8/LowestRtt/uncoupled/simultaneous 90c79c95814437b8 0df56fe7e60481a0
+mmptcp/data-volume 6516410cef7c2fdf 5dd75afd89849a72
+mmptcp/congestion-event 06bcf6131d97ae2e 0b8907ba426e89ca
+mmptcp/never 06bcf6131d97ae2e d34b4a02455b4375
+repflow aed110b9e72d1a28 55f9bdcb9a78b71c
+repsyn fe34b8df265f839d 8e3887fb7ee7bb19
+repflow-elephant 62a5ae10e96936c4 e4dc054aef8741e5
+tcp+fluid ea6d133f96f780b1 3ba2436d4ebb57f8
+mptcp-4+fluid 9792f2be423d7c59 96b4baf8878637e6
+mmptcp+fluid 93d81952ab1e4519 359e19fe9f9588c0
+";
 
 #[test]
 fn every_sender_variant_behaves_exactly_as_recorded() {
-    let cases = cases();
     let mut table = String::new();
-    let mut mismatches = Vec::new();
-    for case in &cases {
-        let got = (digest(case, false), digest(case, true));
-        writeln!(
-            table,
-            "    (\"{}\", {:#018x}, {:#018x}),",
-            case.name, got.0, got.1
-        )
-        .expect("writing to a String cannot fail");
-        match EXPECTED.iter().find(|(name, ..)| *name == case.name) {
-            Some(&(_, lossless, lossy)) if (lossless, lossy) == got => {}
-            _ => mismatches.push(case.name.clone()),
-        }
+    for case in cases() {
+        let (lossless, lossy) = (digest(&case, false), digest(&case, true));
+        writeln!(table, "{} {lossless:016x} {lossy:016x}", case.name)
+            .expect("writing to a String cannot fail");
     }
+    let changed: Vec<&str> = table
+        .lines()
+        .zip(EXPECTED.lines())
+        .filter(|(now, then)| now != then)
+        .map(|(now, _)| now)
+        .collect();
     assert!(
-        mismatches.is_empty(),
-        "sender behaviour changed for {mismatches:?}; the digests are now:\n{table}"
+        table == EXPECTED,
+        "sender behaviour changed for {changed:#?}; the digests are now:\n{table}"
     );
-    assert_eq!(EXPECTED.len(), cases.len(), "one row per case");
 }

@@ -15,8 +15,8 @@
 
 use mmptcp::prelude::*;
 use mmptcp::scenario::{catalog, Fidelity};
-use netsim::{Agent as _, Packet};
-use netsim::{AgentCtx, AgentEvent, PathPolicy, SimRng};
+use netsim::{Packet, PathPolicy};
+use transport::testing::Loopback;
 use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 
 /// Conservation across the catalog: the first fast config of every scenario,
@@ -53,9 +53,9 @@ fn conservation_laws_hold_across_the_catalog() {
     }
 }
 
-/// Minimal deterministic transport harness: drives one sender against the
-/// shared receiver over an ideal network and records every packet the sender
-/// emits, in order, with its emission time.
+/// Drive one MMPTCP sender against the shared receiver over the ideal
+/// loopback network, which records every packet the sender emits, in order,
+/// with its emission time.
 struct RecordedRun {
     sent: Vec<(SimTime, Packet)>,
     switch_signal: Option<SimTime>,
@@ -63,58 +63,15 @@ struct RecordedRun {
 
 fn drive_mmptcp(cfg: MmptcpConfig, total: u64, rounds: usize) -> RecordedRun {
     let flow = netsim::FlowId(1);
-    let mut tx = MmptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total));
-    let mut rx = transport::TransportReceiver::new(flow);
-    let mut rng = SimRng::new(5);
-    let mut timers: Vec<(SimTime, u64)> = Vec::new();
-    let mut signals: Vec<netsim::Signal> = Vec::new();
-    let mut now = SimTime::from_millis(1);
-    let mut to_rx: Vec<Packet> = Vec::new();
-    let mut to_tx: Vec<Packet> = Vec::new();
-    let mut sent: Vec<(SimTime, Packet)> = Vec::new();
-
-    {
-        let mut out = Vec::new();
-        let mut ctx = AgentCtx::new(now, flow, &mut rng, &mut out, &mut timers, &mut signals);
-        tx.handle(&mut ctx, AgentEvent::Start);
-        sent.extend(out.iter().map(|p| (now, p.clone())));
-        to_rx.extend(out);
-    }
-    for _ in 0..rounds {
-        if tx.is_completed() {
-            break;
-        }
-        now += SimDuration::from_micros(100);
-        let mut acks = Vec::new();
-        for pkt in std::mem::take(&mut to_rx) {
-            let mut ctx = AgentCtx::new(now, flow, &mut rng, &mut acks, &mut timers, &mut signals);
-            rx.handle(&mut ctx, AgentEvent::Packet(pkt));
-        }
-        to_tx.extend(acks);
-        now += SimDuration::from_micros(100);
-        let mut out = Vec::new();
-        for pkt in std::mem::take(&mut to_tx) {
-            let mut ctx = AgentCtx::new(now, flow, &mut rng, &mut out, &mut timers, &mut signals);
-            tx.handle(&mut ctx, AgentEvent::Packet(pkt));
-        }
-        sent.extend(out.iter().map(|p| (now, p.clone())));
-        to_rx.extend(out);
-        let due: Vec<(SimTime, u64)> = timers.iter().copied().filter(|(t, _)| *t <= now).collect();
-        timers.retain(|(t, _)| *t > now);
-        for (_, token) in due {
-            let mut out = Vec::new();
-            let mut ctx = AgentCtx::new(now, flow, &mut rng, &mut out, &mut timers, &mut signals);
-            tx.handle(&mut ctx, AgentEvent::Timer(token));
-            sent.extend(out.iter().map(|p| (now, p.clone())));
-            to_rx.extend(out);
-        }
-    }
-    let switch_signal = signals.iter().find_map(|s| match s {
+    let tx = MmptcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(total));
+    let mut l = Loopback::new(flow, tx);
+    l.run(rounds, |_| false);
+    let switch_signal = l.signals.iter().find_map(|s| match s {
         netsim::Signal::PhaseSwitched { at, .. } => Some(*at),
         _ => None,
     });
     RecordedRun {
-        sent,
+        sent: l.sent,
         switch_signal,
     }
 }
