@@ -13,15 +13,14 @@
 //! * **queue_heat** — a traced `hotspot` run's per-link queue-depth series
 //!   as a time × link heat map.
 //!
-//! The golden snapshots are canonical JSON rendered by `metrics::report`
-//! (fixed key order, one field per line), so the extractor here is a tiny
-//! line-oriented scan, not a JSON parser — consistent with the offline
-//! workspace's no-dependency rule.
+//! The golden snapshots are read back with `ScenarioReport::from_json`, the
+//! canonical reader next to the writer that rendered them.
 //!
 //! Usage: `figures [--out DIR]` (default `target/figures`). Render with
 //! `gnuplot <name>.gp`; every script writes `<name>.png` next to its data.
 
 use metrics::trace::{FlowSelect, TraceConfig, TraceEventKind, TraceSettings};
+use metrics::ScenarioReport;
 use mmptcp::scenario::{find, Fidelity};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -34,38 +33,31 @@ fn default_out_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/figures")
 }
 
-// --- canonical-golden extraction ----------------------------------------
-
-/// Split a canonical `ScenarioReport` JSON document into per-run chunks:
-/// `(label, chunk text up to the next run)`.
-fn run_chunks(json: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let parts: Vec<&str> = json.split("\"label\": \"").collect();
-    for part in &parts[1..] {
-        let Some(label_end) = part.find('"') else {
-            continue;
-        };
-        // `part` came from splitting on the label delimiter, so everything
-        // after the label's closing quote is this run's chunk.
-        let label = part[..label_end].to_string();
-        out.push((label, part[label_end..].to_string()));
+/// Read a committed golden snapshot, or say why its figure is skipped.
+fn golden(name: &str) -> Option<ScenarioReport> {
+    let path = golden_dir().join(format!("{name}.json"));
+    let report = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| ScenarioReport::from_json(&text));
+    match report {
+        Ok(report) => Some(report),
+        Err(e) => {
+            eprintln!("skipping the {name} figure: {}: {e}", path.display());
+            None
+        }
     }
-    out
 }
 
-/// Extract `"<field>": <number>` from the `"<object>": { ... }` block of a
-/// run chunk (canonical rendering: one field per line, fixed order).
-fn field_f64(chunk: &str, object: &str, field: &str) -> Option<f64> {
-    let obj_key = format!("\"{object}\": {{");
-    let start = chunk.find(&obj_key)? + obj_key.len();
-    let block = &chunk[start..chunk[start..].find('}').map(|e| start + e)?];
-    let field_key = format!("\"{field}\": ");
-    let fstart = block.find(&field_key)? + field_key.len();
-    let rest = &block[fstart..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The subflow count of a `fig1a` run label (`mptcp-<n>`).
+fn subflow_count(label: &str) -> Option<u32> {
+    label.strip_prefix("mptcp-")?.parse().ok()
+}
+
+/// Protocol and Poisson mean inter-arrival of a `load-sweep` run label
+/// (`<protocol> @ <ms> ms`).
+fn load_point(label: &str) -> Option<(&str, u64)> {
+    let (proto, rest) = label.split_once(" @ ")?;
+    Some((proto, rest.strip_suffix(" ms")?.parse().ok()?))
 }
 
 // --- figure writers ------------------------------------------------------
@@ -79,21 +71,16 @@ fn write(out_dir: &Path, name: &str, contents: String) -> std::io::Result<()> {
 
 /// Figure 1(a) from the committed golden: FCT vs subflow count.
 fn fig1a(out_dir: &Path) -> std::io::Result<bool> {
-    let Ok(json) = std::fs::read_to_string(golden_dir().join("fig1a.json")) else {
-        eprintln!("skipping fig1a figure: tests/golden/fig1a.json missing");
+    let Some(report) = golden("fig1a") else {
         return Ok(false);
     };
     let mut dat = String::from("# subflows  mean_ms  p99_ms   (from tests/golden/fig1a.json)\n");
-    for (label, chunk) in run_chunks(&json) {
-        let Some(n) = label
-            .strip_prefix("mptcp-")
-            .and_then(|s| s.parse::<u32>().ok())
-        else {
+    for run in &report.runs {
+        let Some(n) = subflow_count(&run.label) else {
             continue;
         };
-        let mean = field_f64(&chunk, "short_fct", "mean_ms").unwrap_or(f64::NAN);
-        let p99 = field_f64(&chunk, "short_fct", "p99_ms").unwrap_or(f64::NAN);
-        dat.push_str(&format!("{n} {mean} {p99}\n"));
+        let fct = run.short_fct;
+        dat.push_str(&format!("{n} {} {}\n", fct.mean_ms, fct.p99_ms));
     }
     write(out_dir, "fig1a_fct_vs_subflows.dat", dat)?;
     write(
@@ -115,8 +102,7 @@ fn fig1a(out_dir: &Path) -> std::io::Result<bool> {
 /// FCT-vs-load curves from the load-sweep golden: one column per protocol,
 /// x = Poisson mean inter-arrival (smaller = heavier load).
 fn fct_vs_load(out_dir: &Path) -> std::io::Result<bool> {
-    let Ok(json) = std::fs::read_to_string(golden_dir().join("load-sweep.json")) else {
-        eprintln!("skipping fct_vs_load figure: tests/golden/load-sweep.json missing");
+    let Some(report) = golden("load-sweep") else {
         return Ok(false);
     };
     // Labels look like "tcp @ 40 ms": collect protocols and loads in first-
@@ -124,14 +110,11 @@ fn fct_vs_load(out_dir: &Path) -> std::io::Result<bool> {
     let mut protocols: Vec<String> = Vec::new();
     let mut loads: Vec<u64> = Vec::new();
     let mut cells: Vec<(String, u64, f64)> = Vec::new();
-    for (label, chunk) in run_chunks(&json) {
-        let Some((proto, rest)) = label.split_once(" @ ") else {
+    for run in &report.runs {
+        let Some((proto, ms)) = load_point(&run.label) else {
             continue;
         };
-        let Some(ms) = rest.strip_suffix(" ms").and_then(|s| s.parse::<u64>().ok()) else {
-            continue;
-        };
-        let p99 = field_f64(&chunk, "short_fct", "p99_ms").unwrap_or(f64::NAN);
+        let p99 = run.short_fct.p99_ms;
         if !protocols.iter().any(|p| p == proto) {
             protocols.push(proto.to_string());
         }
@@ -368,51 +351,19 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = concat!(
-        "{\n  \"scenario\": \"load-sweep\",\n  \"fidelity\": \"fast\",\n  \"runs\": [\n",
-        "    {\n      \"label\": \"tcp @ 40 ms\",\n      \"short_fct\": {\n",
-        "      \"count\": 12,\n      \"mean_ms\": 3.5,\n      \"p50_ms\": 2.5,\n",
-        "      \"p95_ms\": 8,\n      \"p99_ms\": 9.75,\n      \"max_ms\": 11\n      },\n",
-        "      \"rtos\": 2\n    },\n",
-        "    {\n      \"label\": \"mmptcp-8 @ 40 ms\",\n      \"short_fct\": {\n",
-        "      \"count\": 12,\n      \"mean_ms\": 1.25,\n      \"p50_ms\": 1,\n",
-        "      \"p95_ms\": 2,\n      \"p99_ms\": 2.5,\n      \"max_ms\": 3\n      }\n    }\n",
-        "  ]\n}\n",
-    );
-
-    #[test]
-    fn run_chunks_split_on_labels() {
-        let chunks = run_chunks(SAMPLE);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].0, "tcp @ 40 ms");
-        assert_eq!(chunks[1].0, "mmptcp-8 @ 40 ms");
-        assert!(chunks[0].1.contains("short_fct"));
-        assert!(!chunks[0].1.contains("mmptcp-8"));
-    }
-
-    #[test]
-    fn field_extraction_reads_nested_scalars() {
-        let chunks = run_chunks(SAMPLE);
-        assert_eq!(field_f64(&chunks[0].1, "short_fct", "p99_ms"), Some(9.75));
-        assert_eq!(field_f64(&chunks[0].1, "short_fct", "mean_ms"), Some(3.5));
-        assert_eq!(field_f64(&chunks[1].1, "short_fct", "p99_ms"), Some(2.5));
-        assert_eq!(field_f64(&chunks[0].1, "missing", "p99_ms"), None);
-        assert_eq!(field_f64(&chunks[0].1, "short_fct", "nope"), None);
-    }
-
+    /// The golden-fed figures skip runs whose label they cannot parse; the
+    /// committed goldens must leave them nothing to skip.
     #[test]
     fn extractor_handles_the_committed_goldens() {
-        // The real golden files must be extractable (they are the canonical
-        // rendering this parser is written against).
-        let json = std::fs::read_to_string(golden_dir().join("fig1a.json")).expect("golden");
-        let chunks = run_chunks(&json);
-        assert!(!chunks.is_empty());
-        for (label, chunk) in &chunks {
-            assert!(label.starts_with("mptcp-"), "{label}");
-            assert!(
-                field_f64(chunk, "short_fct", "p99_ms").is_some(),
-                "{label} lacks p99"
-            );
+        let fig1a = golden("fig1a").expect("fig1a golden");
+        assert!(!fig1a.runs.is_empty());
+        for run in &fig1a.runs {
+            assert!(subflow_count(&run.label).is_some(), "{}", run.label);
+        }
+        let loads = golden("load-sweep").expect("load-sweep golden");
+        assert!(!loads.runs.is_empty());
+        for run in &loads.runs {
+            assert!(load_point(&run.label).is_some(), "{}", run.label);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The scenario runner: list, run, and regression-check the canonical
 //! experiment catalog (`mmptcp::scenario`).
 //!
-//! This binary replaces the per-figure harness binaries (`fig1a`, `fig1bc`,
-//! `load_sweep`, `incast_sweep`, `hotspot`, `coexistence`) with one
-//! registry-driven entry point, and is the substrate of the CI `golden` job:
+//! The one way to run an experiment: every figure, sweep and ablation is a
+//! catalog entry reached through this registry-driven entry point, which is
+//! also the substrate of the CI `golden` job:
 //! every scenario's fast variant renders a canonical JSON metrics document
 //! that is compared byte-for-byte against the snapshot in `tests/golden/`.
 //!
@@ -12,8 +12,8 @@
 //! ```text
 //! scenarios list
 //! scenarios run <name>... [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N] [--json]
-//! scenarios check [<name>...] [--threads N]       # a.k.a. `scenarios --check`
-//! scenarios bless [<name>...] [--threads N]       # a.k.a. `scenarios --bless`
+//! scenarios check [<name>...] [--threads N]
+//! scenarios bless [<name>...] [--threads N]
 //! scenarios conserve [<name>...] [--seeds N] [--all-configs] [--engine packet|hybrid] [--threads N]
 //! scenarios trace <name>... [--flow ID] [--links] [--full | --paper] [--seed N] [--threads N]
 //! ```
@@ -57,10 +57,9 @@
 //! Golden metrics are unaffected: tracing rides alongside the normal run
 //! and the `TraceConfig::Off` default never records anything.
 
-use bench::{summary_headers, summary_row};
 use metrics::{report, Table};
 use mmptcp::scenario::{catalog, find, Fidelity, Scenario};
-use mmptcp::{Engine, ExperimentConfig};
+use mmptcp::{Engine, ExperimentConfig, ExperimentResults};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use transport::CongestionControl;
@@ -105,8 +104,8 @@ fn usage() -> ! {
         "usage: scenarios <list|run|check|bless|conserve|trace> [<name>...] [--full | --paper] \
          [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--all-configs] \
          [--threads N] [--json] [--flow ID] [--links]\n\
-         flags --check / --bless select the corresponding command directly; check/bless \
-         always run the pinned fast fidelity and reject --full/--paper/--seed/--engine/--cc;\n\
+         check/bless always run the pinned fast fidelity and reject \
+         --full/--paper/--seed/--engine/--cc;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
          config (--all-configs: every config) and checks the conservation laws, optionally \
          under an --engine override;\n\
@@ -145,8 +144,6 @@ fn parse_args() -> Options {
             "bless" if command.is_none() => command = Some(Command::Bless),
             "conserve" if command.is_none() => command = Some(Command::Conserve),
             "trace" if command.is_none() => command = Some(Command::Trace),
-            "--check" => command = Some(Command::Check),
-            "--bless" => command = Some(Command::Bless),
             "--all-configs" => opts.all_configs = true,
             "--links" => opts.links = true,
             "--flow" => {
@@ -225,13 +222,10 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Resolve requested names (or the default set) into scenarios.
-fn select(names: &[String], default_golden_only: bool) -> Vec<&'static Scenario> {
+/// Resolve requested names (default: the whole catalog) into scenarios.
+fn select(names: &[String]) -> Vec<&'static Scenario> {
     if names.is_empty() {
-        return catalog()
-            .iter()
-            .filter(|s| !default_golden_only || s.golden)
-            .collect();
+        return catalog().iter().collect();
     }
     names
         .iter()
@@ -245,13 +239,9 @@ fn select(names: &[String], default_golden_only: bool) -> Vec<&'static Scenario>
 }
 
 fn cmd_list() -> ExitCode {
-    let mut table = Table::new("Scenario catalog", &["name", "golden", "description"]);
+    let mut table = Table::new("Scenario catalog", &["name", "description"]);
     for s in catalog() {
-        table.add_row(vec![
-            s.name.to_string(),
-            if s.golden { "yes" } else { "no" }.to_string(),
-            s.description.to_string(),
-        ]);
+        table.add_row(vec![s.name.to_string(), s.description.to_string()]);
     }
     println!("{}", table.render());
     println!(
@@ -263,9 +253,44 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The headers matching [`summary_row`].
+fn summary_headers() -> Vec<&'static str> {
+    vec![
+        "run",
+        "short flows",
+        "mean FCT (ms)",
+        "std FCT (ms)",
+        "p99 FCT (ms)",
+        "max FCT (ms)",
+        "flows w/ RTO",
+        "long goodput (Gbps)",
+        "core loss",
+        "agg loss",
+        "mean util",
+    ]
+}
+
+/// The comparison-table row `run` prints for one experiment.
+fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
+    let s = r.summary();
+    vec![
+        label.to_string(),
+        s.short_flows.to_string(),
+        metrics::f2(s.short_fct_mean_ms),
+        metrics::f2(s.short_fct_std_ms),
+        metrics::f2(s.short_fct_p99_ms),
+        metrics::f2(s.short_fct_max_ms),
+        s.short_flows_with_rto.to_string(),
+        metrics::f2(s.long_goodput_gbps),
+        metrics::pct(s.core_loss),
+        metrics::pct(s.aggregation_loss),
+        metrics::pct(s.overall_utilisation),
+    ]
+}
+
 fn cmd_run(opts: &Options) -> ExitCode {
     let fidelity = opts.fidelity;
-    for s in select(&opts.names, false) {
+    for s in select(&opts.names) {
         let run = if opts.seed.is_none() && opts.engine.is_none() && opts.cc.is_none() {
             s.run(fidelity, opts.threads)
         } else {
@@ -312,7 +337,7 @@ fn golden_path(s: &Scenario) -> PathBuf {
 fn cmd_bless(opts: &Options) -> ExitCode {
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for s in select(&opts.names, true) {
+    for s in select(&opts.names) {
         let run = s.run(Fidelity::Fast, opts.threads);
         let path = golden_path(s);
         std::fs::write(&path, run.report.to_json()).expect("write golden snapshot");
@@ -326,7 +351,7 @@ fn cmd_check(opts: &Options) -> ExitCode {
     let mut drifted = Vec::new();
     let mut missing = Vec::new();
     let diffs = diff_dir();
-    for s in select(&opts.names, true) {
+    for s in select(&opts.names) {
         let path = golden_path(s);
         let Ok(expected) = std::fs::read_to_string(&path) else {
             eprintln!("MISSING  {} (no {})", s.name, path.display());
@@ -379,7 +404,7 @@ fn cmd_check(opts: &Options) -> ExitCode {
 /// run. Exits non-zero (listing every violation) if any law is broken.
 fn cmd_conserve(opts: &Options) -> ExitCode {
     let mut configs: Vec<(String, ExperimentConfig)> = Vec::new();
-    for s in select(&opts.names, false) {
+    for s in select(&opts.names) {
         let expanded = s.configs(Fidelity::Fast);
         let chosen: Vec<_> = if opts.all_configs {
             expanded
@@ -465,7 +490,7 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         ..metrics::TraceSettings::default()
     };
     let mut empty = Vec::new();
-    for s in select(&opts.names, false) {
+    for s in select(&opts.names) {
         let mut configs = s.configs(opts.fidelity);
         for (_, cfg) in configs.iter_mut() {
             cfg.trace = metrics::TraceConfig::On(settings);
@@ -530,5 +555,32 @@ fn main() -> ExitCode {
         Command::Bless => cmd_bless(&opts),
         Command::Conserve => cmd_conserve(&opts),
         Command::Trace => cmd_trace(&opts),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_row_matches_headers() {
+        use mmptcp::prelude::*;
+        let one_flow = ExperimentConfig {
+            topology: TopologySpec::Parallel(ParallelPathConfig::default()),
+            workload: WorkloadSpec::Custom(vec![FlowSpec {
+                id: 0,
+                src: Addr(0),
+                dst: Addr(1),
+                size: Some(20_000),
+                start: SimTime::from_millis(1),
+                class: FlowClass::Short,
+                deadline: None,
+            }]),
+            protocol: Protocol::Tcp,
+            ..ExperimentConfig::default()
+        };
+        let row = summary_row("one flow", &mmptcp::run(one_flow));
+        assert_eq!(row.len(), summary_headers().len());
+        assert_eq!(row[..2], ["one flow", "1"]);
     }
 }

@@ -8,13 +8,13 @@
 //!   counts and MMPTCP phase-switch times;
 //! * [`netstats`] — per-layer (edge / aggregation / core) loss rates, link and
 //!   tier utilisation, long-flow goodput;
-//! * [`stats`] — summaries, percentiles and histograms;
+//! * [`stats`] — summaries and percentiles;
 //! * [`report`] — canonical, deterministic JSON metrics documents (the
 //!   golden-snapshot contract of the scenario registry);
 //! * [`trace`] — the flight recorder: ring-buffered per-flow cwnd/RTT and
 //!   per-link queue/utilisation time series with a CSV/JSON export, behind
 //!   a zero-cost [`trace::TraceConfig::Off`] default;
-//! * [`table`] — the plain-text tables the benchmark harnesses print.
+//! * [`table`] — the plain-text tables the `scenarios` CLI and the examples print.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,6 +31,6 @@ pub use netstats::{
     loss_report, overall_utilisation, tier_utilisation, LayerLoss, LossReport, UtilisationReport,
 };
 pub use report::{FctDoc, RunReport, ScenarioReport, TierCounts};
-pub use stats::{percentile, percentile_sorted, Histogram, Summary};
-pub use table::{f2, f4, pct, Table};
+pub use stats::{percentile, percentile_sorted, Summary};
+pub use table::{f2, pct, Table};
 pub use trace::{FlowSelect, TraceConfig, TraceSettings, TraceSink};

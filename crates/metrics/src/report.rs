@@ -11,6 +11,10 @@
 //!
 //! The local `serde` crate is a no-op shim (offline build), so the writer is
 //! hand-rolled: a tiny escaping/formatting layer instead of a serializer.
+//! [`ScenarioReport::from_json`] is its inverse — the one reader of these
+//! documents (figure rendering, golden-witness tests), strict enough that
+//! `from_json(text).to_json() == text` holds for exactly the canonical
+//! renderings.
 
 use crate::stats::Summary;
 
@@ -49,6 +53,87 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Invert [`json_escape`].
+fn json_unescape(s: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('"') => out.push('"'),
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let hex: String = chars.by_ref().take(4).collect();
+                let c = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                out.push(c.ok_or_else(|| format!("bad escape \\u{hex}"))?);
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+    }
+    Ok(out)
+}
+
+/// Line cursor over a canonical document (one key or bracket per line).
+struct Reader<'a> {
+    lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
+}
+
+impl<'a> Reader<'a> {
+    /// The next line without indentation and trailing comma, or `""` at the
+    /// end of the document.
+    fn peek(&mut self) -> &'a str {
+        let line = self.lines.peek().map_or("", |&(_, l)| l.trim_start());
+        line.strip_suffix(',').unwrap_or(line)
+    }
+
+    /// Consume the next line: its 1-based number and what [`Self::peek`] saw.
+    fn take(&mut self) -> (usize, &'a str) {
+        let found = self.peek();
+        (self.lines.next().map_or(0, |(i, _)| i + 1), found)
+    }
+
+    /// Consume one line, which must be `token` (a bracket or an opening key).
+    fn expect(&mut self, token: &str) -> Result<(), String> {
+        let (at, found) = self.take();
+        if found == token {
+            Ok(())
+        } else {
+            Err(format!("line {at}: expected `{token}`, found `{found}`"))
+        }
+    }
+
+    /// Consume `"key": <value>` and parse the value.
+    fn field<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
+        let (at, found) = self.take();
+        found
+            .strip_prefix(&format!("\"{key}\": "))
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("line {at}: expected a `{key}` value, found `{found}`"))
+    }
+
+    /// A float field; `null` (the rendering of non-finite values) reads as NaN.
+    fn float(&mut self, key: &str) -> Result<f64, String> {
+        if self.peek() == format!("\"{key}\": null") {
+            self.take();
+            return Ok(f64::NAN);
+        }
+        self.field(key)
+    }
+
+    /// A string field.
+    fn string(&mut self, key: &str) -> Result<String, String> {
+        let quoted: String = self.field(key)?;
+        let inner = quoted.strip_prefix('"').and_then(|q| q.strip_suffix('"'));
+        json_unescape(inner.ok_or_else(|| format!("`{key}` is not a string: {quoted}"))?)
+    }
+}
+
 /// FCT summary (milliseconds) of one flow class within one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FctDoc {
@@ -77,6 +162,20 @@ impl FctDoc {
             p99_ms: s.p99,
             max_ms: s.max,
         }
+    }
+
+    fn read_json(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        r.expect(&format!("\"{key}\": {{"))?;
+        let doc = FctDoc {
+            count: r.field("count")?,
+            mean_ms: r.float("mean_ms")?,
+            p50_ms: r.float("p50_ms")?,
+            p95_ms: r.float("p95_ms")?,
+            p99_ms: r.float("p99_ms")?,
+            max_ms: r.float("max_ms")?,
+        };
+        r.expect("}")?;
+        Ok(doc)
     }
 
     fn write_json(&self, out: &mut String, indent: &str) {
@@ -109,6 +208,22 @@ impl TierCounts {
     /// Sum over every tier.
     pub fn total(&self) -> u64 {
         self.edge + self.aggregation + self.core + self.host
+    }
+
+    fn read_json(r: &mut Reader<'_>, key: &str) -> Result<Self, String> {
+        r.expect(&format!("\"{key}\": {{"))?;
+        let counts = TierCounts {
+            edge: r.field("edge")?,
+            aggregation: r.field("aggregation")?,
+            core: r.field("core")?,
+            host: r.field("host")?,
+        };
+        let total: u64 = r.field("total")?;
+        if total != counts.total() {
+            return Err(format!("`{key}` total {total} is not the sum of its tiers"));
+        }
+        r.expect("}")?;
+        Ok(counts)
     }
 
     fn write_json(&self, out: &mut String, indent: &str) {
@@ -158,6 +273,26 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.expect("{")?;
+        let run = RunReport {
+            label: r.string("label")?,
+            short_fct: FctDoc::read_json(r, "short_fct")?,
+            mice_fct: FctDoc::read_json(r, "mice_fct")?,
+            all_short_completed: r.field("all_short_completed")?,
+            short_flows_with_rto: r.field("short_flows_with_rto")?,
+            rtos: r.field("rtos")?,
+            long_goodput_gbps: r.float("long_goodput_gbps")?,
+            drops: TierCounts::read_json(r, "drops")?,
+            ecn_marks: TierCounts::read_json(r, "ecn_marks")?,
+            phase_switches: r.field("phase_switches")?,
+            redundant_bytes: r.field("redundant_bytes")?,
+            core_utilisation: r.float("core_utilisation")?,
+        };
+        r.expect("}")?;
+        Ok(run)
+    }
+
     fn write_json(&self, out: &mut String) {
         let i = "      "; // nested under "runs": [ { ...
         out.push_str(&format!(
@@ -223,6 +358,30 @@ impl ScenarioReport {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+
+    /// Read a canonical document back. Accepts the key order and
+    /// one-key-per-line layout [`ScenarioReport::to_json`] renders and
+    /// nothing else; a document is canonical (not hand-edited) exactly when
+    /// `from_json(text)?.to_json() == text`.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let mut r = Reader {
+            lines: text.lines().enumerate().peekable(),
+        };
+        r.expect("{")?;
+        let mut report = ScenarioReport {
+            scenario: r.string("scenario")?,
+            fidelity: r.string("fidelity")?,
+            runs: Vec::new(),
+        };
+        r.expect("\"runs\": [")?;
+        while r.peek() == "{" {
+            report.runs.push(RunReport::read_json(&mut r)?);
+        }
+        r.expect("]")?;
+        r.expect("}")?;
+        r.expect("")?;
+        Ok(report)
     }
 }
 
@@ -335,6 +494,32 @@ mod tests {
         assert!(a.contains("\"total\": 4"));
         assert!(a.contains("\"mice_fct\""));
         assert!(a.contains("\"redundant_bytes\": 70000"));
+    }
+
+    #[test]
+    fn reader_inverts_the_writer_and_rejects_non_canonical_documents() {
+        let mut report = sample_report();
+        report.runs[0].label = "a \"quoted\\\" label,\n\u{1}".into();
+        report.runs[0].core_utilisation = f64::NAN;
+        report.runs.push(RunReport::default());
+        let text = report.to_json();
+        let back = ScenarioReport::from_json(&text).expect("canonical document");
+        assert_eq!(back.to_json(), text);
+        assert_eq!(back.runs[0].label, report.runs[0].label);
+        assert_eq!(back.runs[0].short_fct.mean_ms, 3.1476);
+        assert_eq!(back.runs[0].drops, report.runs[0].drops);
+        let empty = ScenarioReport::default();
+        assert_eq!(ScenarioReport::from_json(&empty.to_json()), Ok(empty));
+
+        // A hand-edited tier count no longer sums to its total; a reordered or
+        // dropped key is refused where it is met, with the line number.
+        let edited = text.replace("\"edge\": 3,", "\"edge\": 4,");
+        let err = ScenarioReport::from_json(&edited).unwrap_err();
+        assert!(err.contains("`drops` total 4"), "{err}");
+        let dropped = text.replace("      \"rtos\": 2,\n", "");
+        let err = ScenarioReport::from_json(&dropped).unwrap_err();
+        assert!(err.starts_with("line 25: expected a `rtos` value"), "{err}");
+        assert!(ScenarioReport::from_json(&text[..text.len() - 2]).is_err());
     }
 
     #[test]

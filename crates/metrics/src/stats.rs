@@ -1,5 +1,5 @@
 //! Small, dependency-free descriptive statistics used throughout the
-//! measurement pipeline (means, standard deviations, percentiles, histograms).
+//! measurement pipeline (means, standard deviations, percentiles).
 
 use serde::{Deserialize, Serialize};
 
@@ -75,55 +75,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     percentile_sorted(&sorted, p)
 }
 
-/// A fixed-bin histogram (used for completion-time distributions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Left edge of the first bin.
-    pub start: f64,
-    /// Width of each bin.
-    pub bin_width: f64,
-    /// Counts per bin; the final bin is an overflow bin.
-    pub counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` regular bins of `bin_width` starting at
-    /// `start`, plus an implicit overflow bin.
-    pub fn new(start: f64, bin_width: f64, bins: usize) -> Self {
-        assert!(bin_width > 0.0 && bins > 0);
-        Histogram {
-            start,
-            bin_width,
-            counts: vec![0; bins + 1],
-        }
-    }
-
-    /// Add a sample.
-    pub fn add(&mut self, value: f64) {
-        let idx = if value < self.start {
-            0
-        } else {
-            (((value - self.start) / self.bin_width) as usize).min(self.counts.len() - 1)
-        };
-        self.counts[idx] += 1;
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of samples at or below the right edge of bin `idx`.
-    pub fn cumulative_fraction(&self, idx: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.counts[..=idx.min(self.counts.len() - 1)].iter().sum();
-        cum as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,19 +147,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_of_empty_panics() {
         percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn histogram_binning_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5); // bins [0,10), [10,20) ... [40,50) + overflow
-        for v in [1.0, 5.0, 15.0, 45.0, 1000.0] {
-            h.add(v);
-        }
-        assert_eq!(h.counts[0], 2);
-        assert_eq!(h.counts[1], 1);
-        assert_eq!(h.counts[4], 1);
-        assert_eq!(*h.counts.last().unwrap(), 1, "overflow bin");
-        assert_eq!(h.total(), 5);
-        assert!((h.cumulative_fraction(1) - 0.6).abs() < 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-//! Plain-text tables for the benchmark harnesses.
+//! Plain-text tables for the `scenarios` CLI and the examples.
 //!
 //! Every figure/table regenerator prints its results through this module so
 //! EXPERIMENTS.md and the bench output share one, easily-diffable format.
@@ -69,28 +69,11 @@ impl Table {
         }
         out
     }
-
-    /// Render as comma-separated values (for plotting scripts).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with 2 decimal places (convenience for table cells).
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
-}
-
-/// Format a float with 4 decimal places.
-pub fn f4(x: f64) -> String {
-    format!("{x:.4}")
 }
 
 /// Format a fraction as a percentage with 3 decimals.
@@ -119,13 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_output() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.add_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn mismatched_row_width_panics() {
         let mut t = Table::new("x", &["a", "b"]);
@@ -135,7 +111,6 @@ mod tests {
     #[test]
     fn number_formatting() {
         assert_eq!(f2(1.23456), "1.23");
-        assert_eq!(f4(1.23456), "1.2346");
         assert_eq!(pct(0.01234), "1.234%");
     }
 }

@@ -58,7 +58,7 @@ pub use topology;
 pub use transport;
 pub use workload;
 
-/// Convenient glob import for examples and benches.
+/// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
     pub use crate::driver::{Driver, ExperimentSweep};

@@ -76,8 +76,8 @@ pub struct ExperimentResults {
     pub trace: Option<metrics::TraceSink>,
 }
 
-/// A compact, serialisable summary of a run (used by the bench harnesses to
-/// print tables and record EXPERIMENTS.md entries).
+/// A compact, serialisable summary of a run (what `scenarios run` and the
+/// examples tabulate).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Run name.
@@ -319,11 +319,6 @@ impl ExperimentResults {
             core_utilisation: self.core_utilisation.mean,
             overall_utilisation: self.overall_utilisation,
         }
-    }
-
-    /// Classify a workload flow spec by class using the stored spec list.
-    pub fn class_of(&self, flow: FlowId) -> Option<FlowClass> {
-        self.flows.iter().find(|f| f.id == flow.0).map(|f| f.class)
     }
 
     /// Deadline accounting over flows that carry a deadline in the workload:

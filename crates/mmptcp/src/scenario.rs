@@ -23,8 +23,8 @@ use crate::results::ExperimentResults;
 use metrics::report::{FctDoc, RunReport, ScenarioReport, TierCounts};
 use netsim::{PathPolicy, SimDuration, SimTime};
 use topology::{FatTreeConfig, LinkFailureSpec};
-use transport::CongestionControl;
-use workload::{ArrivalProcess, FlowSizeModel, PaperWorkloadConfig, TrafficMatrix};
+use transport::{CongestionControl, DupAckPolicy, SwitchStrategy};
+use workload::{ArrivalProcess, DeadlineModel, FlowSizeModel, PaperWorkloadConfig, TrafficMatrix};
 
 /// The scale a scenario expands to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,6 @@ impl Fidelity {
 /// use mmptcp::scenario::{find, Fidelity};
 ///
 /// let scenario = find("fig1a").expect("fig1a is in the catalog");
-/// assert!(scenario.golden, "fig1a is part of the pinned golden subset");
 /// // Expansion is deterministic: the same fidelity always yields the same
 /// // labelled configuration list (the golden-snapshot contract).
 /// let configs = scenario.configs(Fidelity::Fast);
@@ -74,9 +73,6 @@ pub struct Scenario {
     pub name: &'static str,
     /// One-line description shown by `scenarios list`.
     pub description: &'static str,
-    /// Whether the scenario's fast variant is part of the pinned golden
-    /// subset checked in CI.
-    pub golden: bool,
     build: fn(Fidelity) -> Vec<(String, ExperimentConfig)>,
 }
 
@@ -148,78 +144,86 @@ fn run_report(label: &str, r: &ExperimentResults) -> RunReport {
 
 /// The full scenario catalog, in stable display order.
 pub fn catalog() -> &'static [Scenario] {
-    static CATALOG: [Scenario; 12] = [
+    static CATALOG: [Scenario; 16] = [
         Scenario {
             name: "fig1a",
             description: "Figure 1(a): MPTCP short-flow FCT vs subflow count (1..9)",
-            golden: true,
             build: fig1a,
         },
         Scenario {
             name: "fig1bc",
             description: "Figures 1(b)/(c): per-flow FCT, MPTCP-8 vs MMPTCP-8",
-            golden: true,
             build: fig1bc,
         },
         Scenario {
             name: "load-sweep",
             description: "Short-flow FCT vs offered load (Poisson inter-arrival sweep)",
-            golden: true,
             build: load_sweep,
         },
         Scenario {
             name: "incast",
             description: "TCP-incast fan-in sweep: N synchronised senders per receiver",
-            golden: true,
             build: incast,
         },
         Scenario {
             name: "web-search",
             description: "Empirical web-search flow-size CDF (DCTCP paper) workload",
-            golden: true,
             build: web_search,
         },
         Scenario {
             name: "data-mining",
             description: "Empirical data-mining flow-size CDF (VL2 paper) workload",
-            golden: true,
             build: data_mining,
         },
         Scenario {
             name: "hotspot",
             description: "Permutation vs hotspot traffic matrix (25% of flows on 4 hot hosts)",
-            golden: true,
             build: hotspot,
         },
         Scenario {
             name: "link-failure",
             description: "Aggregation-to-core uplink failures: 0 / 12.5% / 25% failed",
-            golden: true,
             build: link_failure,
         },
         Scenario {
             name: "coexistence",
             description: "MMPTCP short flows sharing the fabric with TCP/MPTCP long flows",
-            golden: true,
             build: coexistence,
         },
         Scenario {
             name: "battle-matrix",
             description: "Every transport (incl. RepFlow/RepSYN, DiffFlow routing) x empirical workload x load",
-            golden: true,
             build: battle_matrix,
         },
         Scenario {
             name: "cc-battle",
             description: "Congestion-controller duel: Reno vs CUBIC vs BBR vs DCTCP on the Figure-1 cell",
-            golden: true,
             build: cc_battle,
         },
         Scenario {
             name: "mega-load-sweep",
             description: "Hybrid-engine stress: 100k+ bounded data-mining flows, cap-limited burst",
-            golden: true,
             build: mega_load_sweep,
+        },
+        Scenario {
+            name: "switching",
+            description: "MMPTCP phase-switching trigger: data volume vs congestion event vs never",
+            build: switching,
+        },
+        Scenario {
+            name: "dupack",
+            description: "Scatter-phase duplicate-ACK threshold: fixed 3 / topology-aware / adaptive / both",
+            build: dupack,
+        },
+        Scenario {
+            name: "multihomed",
+            description: "Single-homed vs dual-homed FatTree access layer, MMPTCP-8 and MPTCP-8",
+            build: multihomed,
+        },
+        Scenario {
+            name: "deadlines",
+            description: "Deadline-bound short flows: deadline-aware D2TCP vs deadline-blind transports",
+            build: deadlines,
         },
     ];
     &CATALOG
@@ -234,7 +238,7 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 
 /// The figure-faithful base the replaced harness binaries used by default:
 /// `ExperimentConfig::figure1` at benchmark scale, seed 1, 10 flows per
-/// short-flow host (`HarnessOptions::default()`).
+/// short-flow host.
 fn full_base(protocol: Protocol) -> ExperimentConfig {
     ExperimentConfig::figure1(protocol, 1, false, 10)
 }
@@ -594,8 +598,7 @@ fn battle_matrix(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
 /// TCP with Reno, CUBIC and BBR, DCTCP (the ECN responder layered on Reno),
 /// and MMPTCP-8 under Reno vs BBR. The fast variant is golden-pinned, so the
 /// per-ack arithmetic of every controller (and the DCTCP-on-trait layering)
-/// is frozen as an explicit, reviewable snapshot; it is also the only fast
-/// golden that exercises `Protocol::Dctcp` at all.
+/// is frozen as an explicit, reviewable snapshot.
 fn cc_battle(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
     let cells: &[(&str, Protocol, CongestionControl)] = &[
         ("tcp-reno", Protocol::Tcp, CongestionControl::Reno),
@@ -659,6 +662,146 @@ fn mega_load_sweep(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
             (format!("mmptcp-8 hybrid | {} flows", n * hosts), cfg)
         })
         .collect()
+}
+
+/// MMPTCP-8 with an explicit phase-switching trigger and scatter-phase
+/// duplicate-ACK policy (`None` = the runner's topology-adaptive default).
+fn mmptcp8(switch: SwitchStrategy, dupack: Option<DupAckPolicy>) -> Protocol {
+    Protocol::Mmptcp {
+        subflows: 8,
+        switch,
+        dupack,
+    }
+}
+
+/// Paper §2 "Phase Switching": switching after a fixed data volume (a sweep
+/// of thresholds) against switching at the first congestion event and never
+/// switching (the packet-scatter-only ablation). Short-flow FCT should not
+/// regress while the threshold exceeds the 70 KB short-flow size, and
+/// long-flow goodput should not depend on it (the MPTCP subflows ramp up
+/// within a few RTTs of the switch).
+fn switching(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
+    let thresholds_kb: &[u64] = match fidelity {
+        Fidelity::Fast => &[70, 1_000],
+        _ => &[70, 140, 210, 500, 1_000],
+    };
+    let mut cells: Vec<(String, Protocol)> = thresholds_kb
+        .iter()
+        .map(|&kb| {
+            let switch = SwitchStrategy::DataVolume(kb * 1_000);
+            (format!("data-volume {kb} KB"), mmptcp8(switch, None))
+        })
+        .collect();
+    cells.push((
+        "congestion-event".to_string(),
+        mmptcp8(SwitchStrategy::CongestionEvent, None),
+    ));
+    cells.push(("never (PS only)".to_string(), Protocol::PacketScatter));
+    cells
+        .into_iter()
+        .map(|(label, p)| (label, base(fidelity, p)))
+        .collect()
+}
+
+/// Paper §2 "Packet Scatter Phase": the scatter-phase duplicate-ACK
+/// threshold. The standard threshold of 3 misreads scatter reordering as
+/// loss; the paper proposes deriving it from the topology's path count, or
+/// adapting it RR-TCP-style; the runner's default combines both.
+fn dupack(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
+    // Inter-pod equal-cost path count of the FatTree under test: (k/2)^2.
+    let paths = match fidelity {
+        Fidelity::Paper => 16,
+        _ => 4,
+    };
+    [
+        ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
+        (
+            "topology-aware only",
+            Some(DupAckPolicy::TopologyAware { paths, factor: 1.0 }),
+        ),
+        (
+            "adaptive (RR-TCP style)",
+            Some(DupAckPolicy::Adaptive {
+                initial: 3,
+                step: 4,
+                max: 64,
+            }),
+        ),
+        ("topology-adaptive (default)", None),
+    ]
+    .into_iter()
+    .map(|(label, policy)| {
+        let protocol = mmptcp8(SwitchStrategy::default(), policy);
+        (label.to_string(), base(fidelity, protocol))
+    })
+    .collect()
+}
+
+/// Paper §3 roadmap: multi-homed topologies ("the more parallel paths at the
+/// access layer, the higher the burst tolerance"). The Figure-1 workload on
+/// the standard FatTree and on the same FatTree with every host attached to
+/// two edge switches.
+fn multihomed(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
+    let mut out = Vec::new();
+    for p in [Protocol::mmptcp_default(), Protocol::mptcp8()] {
+        let single = base(fidelity, p);
+        let mut dual = single.clone();
+        if let TopologySpec::FatTree(ft) = single.topology {
+            dual.topology = TopologySpec::MultiHomedFatTree(ft);
+        }
+        out.push((format!("{} / single-homed", p.name()), single));
+        out.push((format!("{} / dual-homed", p.name()), dual));
+    }
+    out
+}
+
+/// The paper's introduction: short flows "commonly come with strict
+/// deadlines ... even a single RTO may result in flow deadline violation".
+/// Every short flow gets a deadline; D²TCP uses it, everything else —
+/// MMPTCP included — does not. The report carries FCTs, RTOs and marks per
+/// cell; `examples/deadline_flows.rs` prints the miss-rate table.
+fn deadlines(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
+    let slack = |slack: f64, floor_ms: u64| DeadlineModel::Slack {
+        slack,
+        reference_gbps: 1.0,
+        floor: SimDuration::from_millis(floor_ms),
+    };
+    let loose = (
+        "loose (fixed 100 ms)",
+        DeadlineModel::Fixed(SimDuration::from_millis(100)),
+    );
+    let (protocols, models): (&[Protocol], Vec<(&str, DeadlineModel)>) = match fidelity {
+        // On the 16-host fabric the larger grids' 10 ms floor sits so far
+        // above every FCT that D²TCP's imminence factor clamps to its lower
+        // bound under the tight and the loose model alike; a 2x slack with a
+        // 1 ms floor puts the mice inside the range where it moves.
+        Fidelity::Fast => (
+            &[Protocol::Dctcp, Protocol::D2tcp, Protocol::mmptcp_default()],
+            vec![("tight (2x, 1 ms floor)", slack(2.0, 1)), loose],
+        ),
+        _ => (
+            &[
+                Protocol::Tcp,
+                Protocol::Dctcp,
+                Protocol::D2tcp,
+                Protocol::mptcp8(),
+                Protocol::mmptcp_default(),
+            ],
+            vec![
+                ("tight (5x, 10 ms floor)", slack(5.0, 10)),
+                ("moderate (20x, 25 ms floor)", slack(20.0, 25)),
+                loose,
+            ],
+        ),
+    };
+    let mut out = Vec::new();
+    for (model_name, model) in models {
+        for &p in protocols {
+            let cfg = with_paper_workload(base(fidelity, p), |w| w.deadlines = model);
+            out.push((format!("{} | {model_name}", p.name()), cfg));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -805,6 +948,154 @@ mod tests {
         assert_eq!(coex[1].1.long_protocol, Some(Protocol::mptcp8()));
         assert_eq!(coex[3].1.protocol, Protocol::mptcp8());
         assert_eq!(coex[3].1.long_protocol, Some(Protocol::Tcp));
+    }
+
+    /// Differential guards for the last four folded binaries
+    /// (`switching_sweep`, `dupack_ablation`, `multihomed`, `deadlines`):
+    /// Full is each binary's default grid, Paper its `--full` grid — cell for
+    /// cell `ExperimentConfig::figure1` with one knob turned.
+    #[test]
+    fn design_knob_expansions_match_the_replaced_binaries() {
+        for fidelity in [Fidelity::Full, Fidelity::Paper] {
+            let paper = fidelity == Fidelity::Paper;
+            let fig1 = |p: Protocol| ExperimentConfig::figure1(p, 1, paper, 10);
+            let grid = |name: &str| find(name).unwrap().configs(fidelity);
+
+            let mut switching: Vec<(String, ExperimentConfig)> = [70u64, 140, 210, 500, 1_000]
+                .iter()
+                .map(|kb| {
+                    let switch = SwitchStrategy::DataVolume(kb * 1_000);
+                    (format!("data-volume {kb} KB"), fig1(mmptcp8(switch, None)))
+                })
+                .collect();
+            switching.push((
+                "congestion-event".into(),
+                fig1(mmptcp8(SwitchStrategy::CongestionEvent, None)),
+            ));
+            switching.push(("never (PS only)".into(), fig1(Protocol::PacketScatter)));
+            assert_eq!(grid("switching"), switching);
+
+            let paths = if paper { 16 } else { 4 };
+            let policies = [
+                ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
+                (
+                    "topology-aware only",
+                    Some(DupAckPolicy::TopologyAware { paths, factor: 1.0 }),
+                ),
+                (
+                    "adaptive (RR-TCP style)",
+                    Some(DupAckPolicy::Adaptive {
+                        initial: 3,
+                        step: 4,
+                        max: 64,
+                    }),
+                ),
+                ("topology-adaptive (default)", None),
+            ];
+            let dupack: Vec<(String, ExperimentConfig)> = policies
+                .iter()
+                .map(|&(l, d)| (l.to_string(), fig1(mmptcp8(SwitchStrategy::default(), d))))
+                .collect();
+            assert_eq!(grid("dupack"), dupack);
+
+            let ft = if paper {
+                FatTreeConfig::paper()
+            } else {
+                FatTreeConfig::benchmark()
+            };
+            let mut multihomed = Vec::new();
+            for (name, p) in [
+                ("mmptcp-8", Protocol::mmptcp_default()),
+                ("mptcp-8", Protocol::mptcp8()),
+            ] {
+                multihomed.push((format!("{name} / single-homed"), fig1(p)));
+                assert_eq!(fig1(p).topology, TopologySpec::FatTree(ft));
+                let mut dual = fig1(p);
+                dual.topology = TopologySpec::MultiHomedFatTree(ft);
+                multihomed.push((format!("{name} / dual-homed"), dual));
+            }
+            assert_eq!(grid("multihomed"), multihomed);
+
+            let slack = |slack, floor_ms| DeadlineModel::Slack {
+                slack,
+                reference_gbps: 1.0,
+                floor: SimDuration::from_millis(floor_ms),
+            };
+            let mut deadlines = Vec::new();
+            for (model_name, model) in [
+                ("tight (5x, 10 ms floor)", slack(5.0, 10)),
+                ("moderate (20x, 25 ms floor)", slack(20.0, 25)),
+                (
+                    "loose (fixed 100 ms)",
+                    DeadlineModel::Fixed(SimDuration::from_millis(100)),
+                ),
+            ] {
+                for (name, p) in [
+                    ("tcp", Protocol::Tcp),
+                    ("dctcp", Protocol::Dctcp),
+                    ("d2tcp", Protocol::D2tcp),
+                    ("mptcp-8", Protocol::mptcp8()),
+                    ("mmptcp-8", Protocol::mmptcp_default()),
+                ] {
+                    let cfg = with_paper_workload(fig1(p), |w| w.deadlines = model);
+                    deadlines.push((format!("{name} | {model_name}"), cfg));
+                }
+            }
+            assert_eq!(grid("deadlines"), deadlines);
+        }
+    }
+
+    /// The fast arms of the design-knob scenarios are small subsets of those
+    /// grids on the 16-host base: every cell is `fast_base` with the same
+    /// one knob turned, the path count is the small FatTree's 4, and the two
+    /// deadline models are ones D²TCP can tell apart at this scale.
+    #[test]
+    fn design_knob_fast_arms_are_subsets_on_the_fast_base() {
+        for (name, cells) in [
+            ("switching", 4),
+            ("dupack", 4),
+            ("multihomed", 4),
+            ("deadlines", 6),
+        ] {
+            let fast = find(name).unwrap().configs(Fidelity::Fast);
+            assert_eq!(fast.len(), cells, "{name}");
+            for (label, cfg) in fast {
+                let mut plain = fast_base(cfg.protocol);
+                if name == "multihomed" && label.ends_with("dual-homed") {
+                    plain.topology = TopologySpec::MultiHomedFatTree(FatTreeConfig::small());
+                }
+                let plain = with_paper_workload(plain, |w| {
+                    if let WorkloadSpec::Paper(p) = &cfg.workload {
+                        w.deadlines = p.deadlines;
+                    }
+                });
+                assert_eq!(cfg, plain, "{name}/{label}");
+            }
+        }
+        let dupack = find("dupack").unwrap().configs(Fidelity::Fast);
+        assert!(dupack.iter().any(|(_, c)| matches!(
+            c.protocol,
+            Protocol::Mmptcp {
+                dupack: Some(DupAckPolicy::TopologyAware { paths: 4, .. }),
+                ..
+            }
+        )));
+        let models: Vec<DeadlineModel> = find("deadlines")
+            .unwrap()
+            .configs(Fidelity::Fast)
+            .iter()
+            .map(|(_, c)| match &c.workload {
+                WorkloadSpec::Paper(p) => p.deadlines,
+                other => panic!("unexpected workload {other:?}"),
+            })
+            .collect();
+        let tight = DeadlineModel::Slack {
+            slack: 2.0,
+            reference_gbps: 1.0,
+            floor: SimDuration::from_millis(1),
+        };
+        let loose = DeadlineModel::Fixed(SimDuration::from_millis(100));
+        assert_eq!(models, [tight, tight, tight, loose, loose, loose]);
     }
 
     /// Registry-driven execution equals running the same configs by hand:

@@ -7,8 +7,9 @@
 //! is migrated into the wheel as it turns. The insertion sequence number
 //! breaks ties between simultaneous events so processing is FIFO and every
 //! run is bit-for-bit reproducible — the pop order is *identical* to the
-//! plain binary-heap calendar it replaced ([`BinaryHeapQueue`], kept as a
-//! reference for differential tests and benchmarks).
+//! plain binary-heap calendar it replaced (kept, under `cfg(test)`, as the
+//! reference of this module's differential test; `benchmark/`'s
+//! `netsim.event.ns_per_op.*` kernels time the wheel).
 //!
 //! Why a wheel: the hot loop of every experiment is `schedule`/`pop` at
 //! hundreds of thousands of pending events (one per packet on the wire plus
@@ -288,58 +289,34 @@ impl EventQueue {
     }
 }
 
-/// The original binary-heap calendar, kept as the reference implementation:
-/// differential tests assert the wheel pops in exactly this order, and the
-/// `engine` bench compares the two at depth.
-#[derive(Debug, Default)]
-pub struct BinaryHeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-}
-
-impl BinaryHeapQueue {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue::default()
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| (s.at, s.event))
-    }
-
-    /// Time of the earliest scheduled event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Number of events currently pending.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    /// The plain binary-heap calendar the wheel replaced: the reference the
+    /// differential test holds the wheel's pop order to.
+    #[derive(Default)]
+    struct BinaryHeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+    }
+
+    impl BinaryHeapQueue {
+        fn schedule(&mut self, at: SimTime, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled { at, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.heap.pop().map(|s| (s.at, s.event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|s| s.at)
+        }
+    }
 
     fn stop_at(q: &mut EventQueue, ms: u64) {
         q.schedule(SimTime::from_millis(ms), Event::Stop);
@@ -451,7 +428,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut rng = SimRng::new(seed);
             let mut wheel = EventQueue::new();
-            let mut heap = BinaryHeapQueue::new();
+            let mut heap = BinaryHeapQueue::default();
             let mut now = 0u64;
             let mut next_flow = 0u64;
             for _round in 0..400 {
@@ -471,7 +448,7 @@ mod tests {
                     heap.schedule(at, ev);
                 }
                 assert_eq!(wheel.peek_time(), heap.peek_time());
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.len(), heap.heap.len());
                 // Drain a few.
                 for _ in 0..rng.range(0usize..6) {
                     let a = wheel.pop();

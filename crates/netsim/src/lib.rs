@@ -64,7 +64,7 @@ pub mod sim;
 pub mod time;
 
 pub use agent::{Agent, AgentCtx, AgentEvent};
-pub use event::{BinaryHeapQueue, Event, EventQueue};
+pub use event::{Event, EventQueue};
 pub use fluid::{FluidCc, FluidCompletion, FluidEngine, FluidHandoff};
 pub use ids::{Addr, FlowId, LinkId, NodeId};
 pub use link::{Link, LinkConfig, LinkStats, LinkTelemetry};

@@ -113,11 +113,6 @@ impl Network {
         &self.nodes[id.index()]
     }
 
-    /// Mutably borrow a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
     /// Borrow a link.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
@@ -142,12 +137,6 @@ impl Network {
     /// All nodes.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
-    }
-
-    /// Mutable access to the parallel node and link arrays at once. The
-    /// simulator needs this to hand a node's output to a link without cloning.
-    pub fn split_mut(&mut self) -> (&mut [Node], &mut [Link]) {
-        (&mut self.nodes, &mut self.links)
     }
 
     /// Convenience for builders: mutably borrow a switch, panicking with a

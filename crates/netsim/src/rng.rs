@@ -119,11 +119,6 @@ impl SimRng {
         result
     }
 
-    /// A raw 32-bit draw.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform u64 in `[0, bound)` by Lemire-style rejection (unbiased).
     fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);

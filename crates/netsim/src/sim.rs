@@ -139,12 +139,6 @@ impl Simulator {
         &mut self.network
     }
 
-    /// The simulator's RNG (for workload generation that wants to share the
-    /// experiment seed).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Engine counters.
     pub fn counters(&self) -> SimCounters {
         self.counters
@@ -167,11 +161,6 @@ impl Simulator {
     /// byte-identical to a build without telemetry.
     pub fn set_flow_tracing(&mut self, on: bool) {
         self.trace_flows = on;
-    }
-
-    /// Whether flow tracing is currently enabled.
-    pub fn flow_tracing(&self) -> bool {
-        self.trace_flows
     }
 
     /// Install `agent` for `flow` on host `host`.

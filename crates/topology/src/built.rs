@@ -112,11 +112,6 @@ impl BuiltTopology {
         self.path_model.path_count(a, b)
     }
 
-    /// Tier of a link.
-    pub fn link_tier(&self, link: LinkId) -> LinkTier {
-        self.link_tiers[link.index()]
-    }
-
     /// All links of a given tier.
     pub fn links_of_tier(&self, tier: LinkTier) -> Vec<LinkId> {
         self.link_tiers

@@ -204,11 +204,6 @@ impl Subflow {
         self.cc.cwnd()
     }
 
-    /// Stable label of the congestion controller driving this subflow.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// The controller's explicit pacing rate (BBR), if it exports one.
     /// `None` means pace from `cwnd / srtt` as always.
     pub fn cc_pacing_rate_bps(&self) -> Option<u64> {

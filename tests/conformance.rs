@@ -14,10 +14,31 @@
 //!   multi-path machinery must cost nothing when there are no paths to use.
 
 use mmptcp::prelude::*;
-use mmptcp::scenario::{catalog, Fidelity};
+use mmptcp::scenario::{catalog, find, Fidelity};
 use netsim::{Packet, PathPolicy};
 use transport::testing::Loopback;
 use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
+
+/// Fast cells no scenario's first config reaches, swept next to the first
+/// configs by both conservation tests: a fabric degraded by build-time link
+/// failures, the dual-homed access layer and D²TCP with deadlines to meet.
+fn extra_conservation_cells() -> Vec<(String, ExperimentConfig)> {
+    [
+        ("link-failure", "mmptcp-8 / failed 250/1000"),
+        ("multihomed", "mmptcp-8 / dual-homed"),
+        ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
+    ]
+    .into_iter()
+    .map(|(scenario, label)| {
+        let configs = find(scenario)
+            .expect("catalog scenario")
+            .configs(Fidelity::Fast);
+        let cell = configs.into_iter().find(|(l, _)| l == label);
+        let (_, cfg) = cell.unwrap_or_else(|| panic!("{scenario} has no `{label}` cell"));
+        (format!("{scenario} / {label}"), cfg)
+    })
+    .collect()
+}
 
 /// Conservation across the catalog: the first fast config of every scenario,
 /// two distinct seeds each (seeds never repeat across scenarios, so the
@@ -25,7 +46,7 @@ use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 /// job extends this to 16 seeds per scenario at release speed).
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
-    let mut configs = Vec::new();
+    let mut configs = extra_conservation_cells();
     for (i, s) in catalog().iter().enumerate() {
         let mut expanded = s.configs(Fidelity::Fast);
         assert!(!expanded.is_empty());
@@ -173,45 +194,19 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// One battle-matrix run extracted from the golden document.
-struct GoldenRun {
-    label: String,
-    mice_p99_ms: f64,
-    long_goodput_gbps: f64,
+/// The bytes of a committed golden snapshot.
+fn golden_text(scenario: &str) -> String {
+    let path = format!(
+        "{}/../../tests/golden/{scenario}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Parse the canonical battle-matrix golden snapshot (fixed key order, one
-/// key per line) into per-run records.
-fn parse_battle_matrix_golden() -> Vec<GoldenRun> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/battle-matrix.json"
-    );
-    let doc = std::fs::read_to_string(path).expect("battle-matrix golden must exist");
-    let field = |chunk: &str, key: &str, skip: usize| -> f64 {
-        chunk
-            .match_indices(&format!("\"{key}\": "))
-            .nth(skip)
-            .map(|(i, m)| {
-                let rest = &chunk[i + m.len()..];
-                let end = rest.find([',', '\n']).unwrap_or(rest.len());
-                rest[..end].parse::<f64>().unwrap_or(f64::NAN)
-            })
-            .unwrap_or(f64::NAN)
-    };
-    doc.split("\"label\": \"")
-        .skip(1)
-        .map(|chunk| {
-            let label = chunk[..chunk.find('"').unwrap()].to_string();
-            GoldenRun {
-                label,
-                // Key order is canonical: short_fct's p99 first, mice_fct's
-                // second.
-                mice_p99_ms: field(chunk, "p99_ms", 1),
-                long_goodput_gbps: field(chunk, "long_goodput_gbps", 0),
-            }
-        })
-        .collect()
+/// A committed golden snapshot, read back through the canonical reader.
+fn golden(scenario: &str) -> metrics::ScenarioReport {
+    metrics::ScenarioReport::from_json(&golden_text(scenario))
+        .unwrap_or_else(|e| panic!("{scenario} golden: {e}"))
 }
 
 /// The battleground's headline, as pinned by the golden snapshot (which the
@@ -220,7 +215,7 @@ fn parse_battle_matrix_golden() -> Vec<GoldenRun> {
 /// aggregate long-flow goodput within 5% of MPTCP across the matrix.
 #[test]
 fn battle_matrix_golden_witnesses_the_headline_claims() {
-    let runs = parse_battle_matrix_golden();
+    let runs = golden("battle-matrix").runs;
     assert_eq!(
         runs.len(),
         40,
@@ -233,7 +228,7 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
             .map(|(_, rest)| rest.to_string())
             .expect("label format: variant | workload @ load L seed=S")
     };
-    let by_variant = |variant: &str| -> Vec<&GoldenRun> {
+    let by_variant = |variant: &str| -> Vec<&metrics::RunReport> {
         runs.iter()
             .filter(|r| r.label.split(" | ").next() == Some(variant))
             .collect()
@@ -251,15 +246,15 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
             .find(|r| cell_of(&r.label) == cell)
             .unwrap_or_else(|| panic!("no repflow run for cell {cell}"));
         assert!(
-            r.mice_p99_ms < t.mice_p99_ms,
+            r.mice_fct.p99_ms < t.mice_fct.p99_ms,
             "repflow mice p99 {} must beat tcp {} in cell {cell}",
-            r.mice_p99_ms,
-            t.mice_p99_ms
+            r.mice_fct.p99_ms,
+            t.mice_fct.p99_ms
         );
     }
 
     // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix.
-    let sum = |v: &[&GoldenRun]| -> f64 { v.iter().map(|r| r.long_goodput_gbps).sum() };
+    let sum = |v: &[&metrics::RunReport]| -> f64 { v.iter().map(|r| r.long_goodput_gbps).sum() };
     let mmptcp = sum(&by_variant("mmptcp-8"));
     let mptcp = sum(&by_variant("mptcp-8"));
     assert!(mptcp > 0.0);
@@ -294,52 +289,11 @@ fn explicit_reno_reproduces_the_fig1bc_golden_byte_for_byte() {
         .collect();
     let results = Driver::new().run_labelled(configs);
     let report = mmptcp::scenario::report("fig1bc", Fidelity::Fast, &results);
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/fig1bc.json"
-    ))
-    .expect("fig1bc golden must exist");
     assert_eq!(
         report.to_json(),
-        golden,
+        golden_text("fig1bc"),
         "trait-based Reno must reproduce the pre-refactor golden bytes"
     );
-}
-
-/// One cc-battle run extracted from the golden document.
-struct CcBattleRun {
-    label: String,
-    long_goodput_gbps: f64,
-    ecn_marks_total: f64,
-}
-
-/// Parse the canonical cc-battle golden snapshot (fixed key order, one key
-/// per line; the first `"total"` per run is drops, the second ECN marks).
-fn parse_cc_battle_golden() -> Vec<CcBattleRun> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/cc-battle.json"
-    );
-    let doc = std::fs::read_to_string(path).expect("cc-battle golden must exist");
-    let field = |chunk: &str, key: &str, skip: usize| -> f64 {
-        chunk
-            .match_indices(&format!("\"{key}\": "))
-            .nth(skip)
-            .map(|(i, m)| {
-                let rest = &chunk[i + m.len()..];
-                let end = rest.find([',', '\n']).unwrap_or(rest.len());
-                rest[..end].parse::<f64>().unwrap_or(f64::NAN)
-            })
-            .unwrap_or(f64::NAN)
-    };
-    doc.split("\"label\": \"")
-        .skip(1)
-        .map(|chunk| CcBattleRun {
-            label: chunk[..chunk.find('"').unwrap()].to_string(),
-            long_goodput_gbps: field(chunk, "long_goodput_gbps", 0),
-            ecn_marks_total: field(chunk, "total", 1),
-        })
-        .collect()
 }
 
 /// The controller duel's headline, as pinned by the cc-battle golden (kept
@@ -352,9 +306,9 @@ fn parse_cc_battle_golden() -> Vec<CcBattleRun> {
 /// frozen snapshot captures).
 #[test]
 fn cc_battle_golden_witnesses_the_controller_claims() {
-    let runs = parse_cc_battle_golden();
+    let runs = golden("cc-battle").runs;
     assert_eq!(runs.len(), 6, "6 controller cells");
-    let run = |name: &str| -> &CcBattleRun {
+    let run = |name: &str| -> &metrics::RunReport {
         runs.iter()
             .find(|r| r.label == name)
             .unwrap_or_else(|| panic!("missing cc-battle cell {name}"))
@@ -375,15 +329,82 @@ fn cc_battle_golden_witnesses_the_controller_claims() {
     );
 
     assert!(
-        run("dctcp").ecn_marks_total > 0.0,
+        run("dctcp").ecn_marks.total() > 0,
         "the DCTCP cell must actually exercise the ECN responder"
     );
     for loss_based in ["tcp-reno", "tcp-cubic", "tcp-bbr"] {
         assert_eq!(
-            run(loss_based).ecn_marks_total,
-            0.0,
+            run(loss_based).ecn_marks.total(),
+            0,
             "{loss_based} must not see ECN marks (no responder installed)"
         );
+    }
+}
+
+/// The paper's own knobs, as pinned by the `deadlines` and `switching`
+/// goldens: the deadline model reaches D²TCP's window arithmetic and nothing
+/// else's (DCTCP ignores it, so its two cells are the same run), and the
+/// phase switch happens under every data-volume threshold and never under
+/// the packet-scatter-only ablation.
+#[test]
+fn design_knob_goldens_witness_deadlines_and_phase_switching() {
+    let deadlines = golden("deadlines").runs;
+    let cell = |protocol: &str, model: &str| -> metrics::RunReport {
+        let prefix = format!("{protocol} | {model} ");
+        let found = deadlines.iter().find(|r| r.label.starts_with(&prefix));
+        let run = found.unwrap_or_else(|| panic!("no `{prefix}` cell"));
+        metrics::RunReport {
+            label: String::new(),
+            ..run.clone()
+        }
+    };
+    assert_ne!(
+        cell("d2tcp", "tight"),
+        cell("d2tcp", "loose"),
+        "the fast deadline models must separate D2TCP's behaviour"
+    );
+    assert_eq!(cell("dctcp", "tight"), cell("dctcp", "loose"));
+    assert!(cell("d2tcp", "tight").ecn_marks.total() > 0);
+
+    let switching = golden("switching").runs;
+    let data_volume: Vec<_> = switching
+        .iter()
+        .filter(|r| r.label.starts_with("data-volume "))
+        .collect();
+    assert_eq!(data_volume.len(), 2);
+    for run in data_volume {
+        assert!(run.phase_switches > 0, "{}: nothing switched", run.label);
+    }
+    let never = switching.iter().find(|r| r.label == "never (PS only)");
+    assert_eq!(never.expect("PS-only cell").phase_switches, 0);
+}
+
+/// The catalog and `tests/golden/` name the same scenarios, and every
+/// snapshot is a canonical rendering: reading it back and re-rendering it
+/// reproduces the file byte for byte, so a hand-edited golden fails here
+/// without a simulation being run.
+#[test]
+fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("tests/golden exists")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort_unstable();
+    let mut expected: Vec<String> = catalog()
+        .iter()
+        .map(|s| format!("{}.json", s.name))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(files, expected);
+    for s in catalog() {
+        let report = golden(s.name);
+        assert_eq!(report.scenario, s.name);
+        assert_eq!(report.fidelity, Fidelity::Fast.label());
+        let labels: Vec<String> = s.configs(Fidelity::Fast).into_iter().map(|c| c.0).collect();
+        let pinned: Vec<&str> = report.runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(pinned, labels, "{}: run labels", s.name);
+        assert_eq!(report.to_json(), golden_text(s.name), "{}", s.name);
     }
 }
 
@@ -667,7 +688,7 @@ fn hybrid_engine_is_byte_identical_when_no_flow_goes_fluid() {
 
 /// Conservation across the catalog under the hybrid engine: every
 /// scenario's first fast config re-run with `Engine::hybrid_default()`
-/// (plus the link-failure scenario's degraded-fabric config, so build-time
+/// (plus the extra cells — the degraded fabric among them, so build-time
 /// failures and fluid handoff are exercised together). The packet law is
 /// untouched by fluid bytes and the fluid ledger stays within the bounded
 /// workload.
@@ -681,21 +702,11 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         cfg.seed = 101 + i as u64;
         configs.push((format!("{} / {label} hybrid", s.name), cfg));
     }
-    // The degraded-fabric config of the link-failure scenario (its first
-    // config is the 0-failures baseline).
-    let failure = catalog()
-        .iter()
-        .find(|s| s.name == "link-failure")
-        .expect("link-failure scenario exists");
-    let (label, mut cfg) = failure
-        .configs(Fidelity::Fast)
-        .into_iter()
-        .last()
-        .expect("link-failure expands");
-    assert!(label.contains("250/1000"), "expected the degraded config");
-    cfg.engine = Engine::hybrid_default();
-    cfg.seed = 251;
-    configs.push((format!("link-failure / {label} hybrid"), cfg));
+    for (i, (label, mut cfg)) in extra_conservation_cells().into_iter().enumerate() {
+        cfg.engine = Engine::hybrid_default();
+        cfg.seed = 251 + i as u64;
+        configs.push((format!("{label} hybrid"), cfg));
+    }
 
     let results = Driver::new().run_labelled(configs);
     for (label, r) in &results {

@@ -77,7 +77,7 @@ fn mmptcp_tail_is_no_worse_than_mptcp_tail() {
     // deviations are dominated by a handful of 1 s initial-RTO outliers and a
     // strict ordering assertion would be noise-driven. The full-contrast shape
     // check lives in `figure1_shape_at_benchmark_scale` below (run with
-    // `cargo test --release -- --ignored`) and in the `fig1bc` harness.
+    // `cargo test --release -- --ignored`) and in the `fig1bc` scenario.
     assert!(
         mmptcp_std <= 3.0 * (mptcp_std + 100.0),
         "MMPTCP FCT spread ({mmptcp_std:.1} ms summed) is implausibly larger than MPTCP's ({mptcp_std:.1} ms summed)"
