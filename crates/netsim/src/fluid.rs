@@ -37,18 +37,28 @@
 //!
 //! ## Determinism (rule #7)
 //!
-//! All engine state lives in `BTreeMap`/`BTreeSet` keyed by `FlowId` /
-//! `LinkId`, every epoch recomputation iterates in key order, and no wall
-//! clock or unkeyed hash map is consulted anywhere — epoch recomputation
-//! order is a pure function of the seed-determined event sequence, so
-//! hybrid runs are bit-for-bit reproducible like packet runs.
+//! Every epoch recomputation iterates flows in `FlowId` order and links in
+//! `LinkId` order (or in a flow's path order), and no wall clock or hash
+//! order is consulted anywhere. Flows live in an ordered map; per-link state
+//! lives in an array indexed by `LinkId::index()` — link ids are dense — with
+//! a sorted list of the links in use standing in for key-order iteration.
+//! Arrival order never leaks into a result: epoch recomputation is a pure
+//! function of the seed-determined event sequence, so hybrid runs are
+//! bit-for-bit reproducible like packet runs.
+//!
+//! The per-link array and the water-filling scratch are owned by the engine
+//! and reused from epoch to epoch. Epochs are frequent — most are triggered
+//! by packet drops, not by the refresh interval, thousands per run of a few
+//! dozen elephants — so a steady-state epoch allocates only the list of flow
+//! references it hands to `water_fill`. The array is sized from the network
+//! at the first `accept`: a packet-only simulator allocates nothing.
 
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::signal::Signal;
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Shares must be recomputed at least this often while fluid flows are
 /// active: rate caps grow additively (congestion avoidance) and the packet
@@ -185,21 +195,45 @@ struct LinkLoad {
     ewma_bps: f64,
 }
 
+/// Per-link engine state: one slot per link of the network, indexed by
+/// `LinkId::index()`.
+#[derive(Debug, Clone, Default)]
+struct LinkSlot {
+    /// Fluid flows crossing the link. Rebuilt each epoch (paths only change
+    /// at epochs); `accept` adds the new flow's links in between.
+    users: u32,
+    /// A packet-mode drop happened here since the last epoch.
+    dropped: bool,
+    /// Packet-traffic sampler. `None` while no fluid flow crosses the link,
+    /// so a link that leaves the used set and returns starts from scratch.
+    load: Option<LinkLoad>,
+    /// Water-filling: fluid capacity not yet handed to a frozen flow.
+    remaining: f64,
+    /// Water-filling: flows crossing the link whose share is still open.
+    active_on: u32,
+    /// Sum of the rates allocated on the link: the reservation to install.
+    link_sum: f64,
+}
+
 /// The fluid-flow rate solver. Owned by the simulator; all mutation happens
 /// through the epoch entry points so state stays consistent with the event
 /// calendar.
 #[derive(Debug, Default)]
 pub struct FluidEngine {
     flows: BTreeMap<FlowId, FluidFlow>,
-    /// Packet-traffic samplers for links currently used by fluid flows.
-    loads: BTreeMap<LinkId, LinkLoad>,
-    /// Links fluid flows currently cross (rebuilt each epoch; paths only
-    /// change at epochs, so it is accurate in between).
-    users: BTreeMap<LinkId, u32>,
-    /// Links with a packet-mode drop since the last epoch.
-    dropped: BTreeSet<LinkId>,
-    /// Links that currently carry a non-zero installed reservation.
-    reserved: BTreeSet<LinkId>,
+    /// Per-link state, grown to the network's link count on `accept`/`epoch`.
+    links: Vec<LinkSlot>,
+    /// The links with `users > 0`: in `LinkId` order after an epoch, with
+    /// the links `accept` newly touched appended until the next one.
+    used: Vec<LinkId>,
+    /// Scratch: the previous epoch's `used`.
+    prev_used: Vec<LinkId>,
+    /// Scratch: the path being re-walked.
+    path_buf: Vec<LinkId>,
+    /// Scratch: water-filling's unfrozen flows (see [`water_fill`]).
+    active: Vec<(u32, f64)>,
+    /// Scratch: the allocated rate of each flow, by position in `flows`.
+    alloc: Vec<f64>,
     delivered_bytes: u64,
 }
 
@@ -232,18 +266,27 @@ impl FluidEngine {
 
     /// Does any fluid flow currently cross `link`?
     pub fn uses_link(&self, link: LinkId) -> bool {
-        self.users.contains_key(&link)
+        self.links.get(link.index()).is_some_and(|s| s.users > 0)
     }
 
     /// Record a packet-mode drop on `link`. Returns `true` (and marks the
     /// link for Reno-style cap halving at the next epoch) if a fluid flow
     /// shares it — the caller then schedules an immediate epoch.
     pub fn note_drop(&mut self, link: LinkId) -> bool {
-        if self.uses_link(link) {
-            self.dropped.insert(link);
-            true
-        } else {
-            false
+        match self.links.get_mut(link.index()) {
+            Some(slot) if slot.users > 0 => {
+                slot.dropped = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Give every link of `network` a slot. Paths are only ever walked after
+    /// this, so every `LinkId` on a path indexes `links`.
+    fn size_links(&mut self, network: &Network) {
+        if self.links.len() < network.link_count() {
+            self.links.resize(network.link_count(), LinkSlot::default());
         }
     }
 
@@ -251,8 +294,10 @@ impl FluidEngine {
     /// the current topology and start fluid accounting at `now`. The caller
     /// must schedule an epoch at `now` so the new flow gets a rate.
     pub fn accept(&mut self, now: SimTime, node: NodeId, handoff: FluidHandoff, network: &Network) {
+        self.size_links(network);
         let flow = handoff.template.flow;
-        let path = walk_path(network, node, &handoff.template);
+        let mut path = Vec::new();
+        walk_path(network, node, &handoff.template, &mut path);
         let srtt = handoff.srtt;
         let f = FluidFlow {
             node,
@@ -274,9 +319,7 @@ impl FluidEngine {
             cc_wmax_bps: (handoff.rate_cap_bps as f64).max(1.0),
             cc_epoch_s: 0.0,
         };
-        for l in &f.path {
-            *self.users.entry(*l).or_insert(0) += 1;
-        }
+        add_users(&mut self.links, &mut self.used, &f.path);
         self.flows.insert(flow, f);
     }
 
@@ -286,12 +329,13 @@ impl FluidEngine {
     /// shares and install the matching link reservations.
     pub fn epoch(&mut self, now: SimTime, network: &mut Network) -> EpochOutcome {
         let mut out = EpochOutcome::default();
+        self.size_links(network);
 
         // 1. Advance everyone to `now` under the rates set at the previous
         //    epoch, and adjust the pacing caps: halve on paths that saw a
         //    packet drop (Reno), otherwise grow by one MSS per RTT
         //    (congestion avoidance).
-        let dropped = std::mem::take(&mut self.dropped);
+        let links = &self.links;
         let mut delivered_delta = 0u64;
         for f in self.flows.values_mut() {
             let dt = now.duration_since(f.last_advance);
@@ -303,7 +347,7 @@ impl FluidEngine {
                     f.delivered += bytes;
                     delivered_delta += bytes;
                 }
-                let hit = f.path.iter().any(|l| dropped.contains(l));
+                let hit = f.path.iter().any(|l| links[l.index()].dropped);
                 match f.cc {
                     FluidCc::Reno => {
                         if hit {
@@ -348,46 +392,55 @@ impl FluidEngine {
         }
         self.delivered_bytes += delivered_delta;
 
-        // 2. Completions: fluid remainder fully delivered.
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.delivered >= f.remaining)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in done {
-            let f = self.flows.remove(&id).expect("listed");
-            out.completions.push(FluidCompletion {
-                node: f.node,
-                flow: id,
-                bytes: f.remaining,
-            });
-        }
+        // 2. Completions: fluid remainder fully delivered (`retain` visits
+        //    in `FlowId` order).
+        self.flows.retain(|&flow, f| {
+            let done = f.delivered >= f.remaining;
+            if done {
+                out.completions.push(FluidCompletion {
+                    node: f.node,
+                    flow,
+                    bytes: f.remaining,
+                });
+            }
+            !done
+        });
 
         // 3. Re-walk every path: link failures (or repairs) re-route flows
         //    exactly like the stateless re-pin the packet engine performs.
-        //    Epochs are rare, so the walk cost is negligible.
         for f in self.flows.values_mut() {
-            let path = walk_path(network, f.node, &f.template);
-            if !path.is_empty() {
-                f.path = path;
+            walk_path(network, f.node, &f.template, &mut self.path_buf);
+            if !self.path_buf.is_empty() {
+                std::mem::swap(&mut f.path, &mut self.path_buf);
             }
         }
 
-        // 4. Rebuild link membership and refresh the packet-traffic EWMAs
-        //    for links in use.
-        self.users.clear();
+        // 4. Rebuild link membership — the drop marks are spent — and
+        //    refresh the packet-traffic EWMAs for links in use. A link that
+        //    left the used set forgets its EWMA and loses its reservation.
+        std::mem::swap(&mut self.used, &mut self.prev_used);
+        self.used.clear();
+        for &link in &self.prev_used {
+            let slot = &mut self.links[link.index()];
+            slot.users = 0;
+            slot.dropped = false;
+        }
         for f in self.flows.values() {
-            for l in &f.path {
-                *self.users.entry(*l).or_insert(0) += 1;
+            add_users(&mut self.links, &mut self.used, &f.path);
+        }
+        self.used.sort_unstable();
+        for &link in &self.prev_used {
+            let slot = &mut self.links[link.index()];
+            if slot.users == 0 {
+                slot.load = None;
+                network.link_mut(link).set_fluid_reservation(0);
             }
         }
-        self.loads.retain(|l, _| self.users.contains_key(l));
-        let mut caps: BTreeMap<LinkId, f64> = BTreeMap::new();
-        for (&link, _) in self.users.iter() {
+        for &link in &self.used {
             let stats = network.link(link).stats();
             let rate = network.link(link).config.rate_bps as f64;
-            let load = self.loads.entry(link).or_insert(LinkLoad {
+            let slot = &mut self.links[link.index()];
+            let load = slot.load.get_or_insert(LinkLoad {
                 last_tx_bytes: stats.tx_bytes,
                 last_sample: now,
                 ewma_bps: 0.0,
@@ -400,42 +453,30 @@ impl FluidEngine {
                 load.last_tx_bytes = stats.tx_bytes;
                 load.last_sample = now;
             }
-            let cap = (rate - load.ewma_bps).max(rate * RESERVE_HEADROOM);
-            caps.insert(link, cap);
+            slot.remaining = (rate - load.ewma_bps).max(rate * RESERVE_HEADROOM);
+            slot.active_on = slot.users;
+            slot.link_sum = 0.0;
         }
 
-        // 5. Max-min fair shares with per-flow caps (progressive filling),
-        //    iterated strictly in key order for determinism.
-        let alloc = water_fill(&self.flows, &caps);
-        for (id, rate) in &alloc {
-            if let Some(f) = self.flows.get_mut(id) {
-                f.rate_bps = (*rate).max(1.0) as u64;
-            }
-        }
+        // 5. Max-min fair shares with per-flow caps (progressive filling)
+        //    over flow positions in `FlowId` order.
+        let order: Vec<&FluidFlow> = self.flows.values().collect();
+        water_fill(&order, &mut self.links, &mut self.active, &mut self.alloc);
 
         // 6. Install reservations: packet traffic on a shared link now
-        //    serialises at `rate - reservation`. Links no longer shared get
-        //    their reservation cleared.
-        let mut reserved_now: BTreeSet<LinkId> = BTreeSet::new();
-        let mut link_sum: BTreeMap<LinkId, f64> = BTreeMap::new();
-        for (id, f) in self.flows.iter() {
-            let rate = alloc.get(id).copied().unwrap_or(0.0);
+        //    serialises at `rate - reservation`.
+        for (f, &rate) in self.flows.values_mut().zip(&self.alloc) {
+            f.rate_bps = rate.max(1.0) as u64;
             for l in &f.path {
-                *link_sum.entry(*l).or_insert(0.0) += rate;
+                self.links[l.index()].link_sum += rate;
             }
         }
-        for (&link, &sum) in link_sum.iter() {
+        for &link in &self.used {
             let rate = network.link(link).config.rate_bps as f64;
+            let sum = self.links[link.index()].link_sum;
             let reservation = sum.min(rate * (1.0 - RESERVE_HEADROOM)) as u64;
             network.link_mut(link).set_fluid_reservation(reservation);
-            if reservation > 0 {
-                reserved_now.insert(link);
-            }
         }
-        for &link in self.reserved.difference(&reserved_now) {
-            network.link_mut(link).set_fluid_reservation(0);
-        }
-        self.reserved = reserved_now;
 
         // 7. Next epoch: earliest projected completion, bounded by the
         //    refresh interval. Keeping an epoch scheduled while flows are
@@ -483,19 +524,31 @@ impl FluidEngine {
     }
 }
 
+/// Count one more fluid flow on every link of `path`, listing in `used` the
+/// links this takes from zero users.
+fn add_users(links: &mut [LinkSlot], used: &mut Vec<LinkId>, path: &[LinkId]) {
+    for &link in path {
+        let slot = &mut links[link.index()];
+        if slot.users == 0 {
+            used.push(link);
+        }
+        slot.users += 1;
+    }
+}
+
 /// Walk the stable path a data packet with `template`'s headers takes from
-/// host `src` to its destination under the current routing state. Empty on
-/// any routing anomaly (the flow then runs cap-limited, unconstrained by
-/// links — it cannot happen on the well-formed topologies the builders
-/// produce, where groups are never empty).
-fn walk_path(network: &Network, src: NodeId, template: &Packet) -> Vec<LinkId> {
+/// host `src` to its destination under the current routing state into
+/// `path`. Left empty on any routing anomaly (the flow then runs
+/// cap-limited, unconstrained by links — it cannot happen on the well-formed
+/// topologies the builders produce, where groups are never empty).
+fn walk_path(network: &Network, src: NodeId, template: &Packet, path: &mut Vec<LinkId>) {
+    path.clear();
     let Some(host) = network.node(src).as_host() else {
-        return Vec::new();
+        return;
     };
     let Some(mut link) = host.select_uplink(template) else {
-        return Vec::new();
+        return;
     };
-    let mut path = Vec::new();
     // Hop bound well above any fabric diameter we build; trips cycles.
     for _ in 0..32 {
         path.push(link);
@@ -503,79 +556,64 @@ fn walk_path(network: &Network, src: NodeId, template: &Packet) -> Vec<LinkId> {
         match network.node(to).as_switch() {
             Some(sw) => match sw.route_stable(template) {
                 Some(next) => link = next,
-                None => return Vec::new(),
+                None => break,
             },
-            None => return path, // reached a host
+            None => return, // reached a host
         }
     }
-    Vec::new()
+    path.clear();
 }
 
-/// Progressive water-filling: max-min fair shares over `caps` with each
-/// flow additionally bounded by its pacing cap. Deterministic: all
-/// iteration is in `BTreeMap` key order and each round freezes at least one
-/// flow, so the loop runs at most `flows.len()` rounds.
+/// Progressive water-filling: max-min fair shares over the links' fluid
+/// capacity with each flow additionally bounded by its pacing cap, written
+/// to `alloc` by flow position. On entry every link on a path holds its
+/// capacity in `remaining` and the number of flows crossing it in
+/// `active_on`. Deterministic: flows are visited in position order and links
+/// in path order, and each round freezes at least one flow, so the loop runs
+/// at most `flows.len()` rounds. `active` holds the unfrozen positions, each
+/// with its limit for the current round.
 fn water_fill(
-    flows: &BTreeMap<FlowId, FluidFlow>,
-    caps: &BTreeMap<LinkId, f64>,
-) -> BTreeMap<FlowId, f64> {
-    let mut alloc: BTreeMap<FlowId, f64> = BTreeMap::new();
-    let mut remaining: BTreeMap<LinkId, f64> = caps.clone();
-    let mut active_on: BTreeMap<LinkId, u32> = BTreeMap::new();
-    let mut active: BTreeSet<FlowId> = BTreeSet::new();
-    for (id, f) in flows.iter() {
-        active.insert(*id);
-        for l in &f.path {
-            if caps.contains_key(l) {
-                *active_on.entry(*l).or_insert(0) += 1;
-            }
-        }
-    }
-    // Each active flow's current limit: its cap, or the fair share of its
-    // tightest link.
-    fn limit_of(
-        f: &FluidFlow,
-        remaining: &BTreeMap<LinkId, f64>,
-        active_on: &BTreeMap<LinkId, u32>,
-    ) -> f64 {
-        let mut lim = f.cap_bps;
-        for l in &f.path {
-            if let (Some(cap), Some(&n)) = (remaining.get(l), active_on.get(l)) {
-                if n > 0 {
-                    lim = lim.min(cap / n as f64);
-                }
-            }
-        }
-        lim.max(0.0)
-    }
+    flows: &[&FluidFlow],
+    links: &mut [LinkSlot],
+    active: &mut Vec<(u32, f64)>,
+    alloc: &mut Vec<f64>,
+) {
+    alloc.clear();
+    alloc.resize(flows.len(), 0.0);
+    active.clear();
+    active.extend((0..flows.len() as u32).map(|pos| (pos, 0.0)));
     while !active.is_empty() {
-        let level = active
-            .iter()
-            .map(|id| limit_of(&flows[id], &remaining, &active_on))
-            .fold(f64::INFINITY, f64::min);
-        let frozen: Vec<(FlowId, f64)> = active
-            .iter()
-            .filter_map(|id| {
-                let lim = limit_of(&flows[id], &remaining, &active_on);
-                (lim <= level * (1.0 + 1e-9) + 1e-6).then_some((*id, lim))
-            })
-            .collect();
-        debug_assert!(!frozen.is_empty());
-        for (id, share) in frozen {
-            let f = &flows[&id];
-            alloc.insert(id, share);
-            active.remove(&id);
+        // Each active flow's current limit: its cap, or the fair share of
+        // its tightest link.
+        let mut level = f64::INFINITY;
+        for (pos, limit) in active.iter_mut() {
+            let f = flows[*pos as usize];
+            let mut lim = f.cap_bps;
             for l in &f.path {
-                if let Some(cap) = remaining.get_mut(l) {
-                    *cap = (*cap - share).max(0.0);
-                }
-                if let Some(n) = active_on.get_mut(l) {
-                    *n = n.saturating_sub(1);
+                let slot = &links[l.index()];
+                if slot.active_on > 0 {
+                    lim = lim.min(slot.remaining / slot.active_on as f64);
                 }
             }
+            *limit = lim.max(0.0);
+            level = level.min(*limit);
         }
+        let cutoff = level * (1.0 + 1e-9) + 1e-6;
+        let before = active.len();
+        active.retain(|&(pos, share)| {
+            let frozen = share <= cutoff;
+            if frozen {
+                alloc[pos as usize] = share;
+                for l in &flows[pos as usize].path {
+                    let slot = &mut links[l.index()];
+                    slot.remaining = (slot.remaining - share).max(0.0);
+                    slot.active_on = slot.active_on.saturating_sub(1);
+                }
+            }
+            !frozen
+        });
+        debug_assert!(active.len() < before);
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -583,30 +621,48 @@ mod tests {
     use super::*;
     use crate::ids::Addr;
     use crate::link::LinkConfig;
+    use crate::rng::SimRng;
     use crate::switch::SwitchLayer;
+    use std::collections::BTreeSet;
+
+    /// Attach one more host to `sw` with a 1 Gbps duplex link and route its
+    /// address down it.
+    fn attach_host(net: &mut Network, sw: NodeId) -> NodeId {
+        let host = net.add_host();
+        let (_up, down) = net.add_duplex_link(host, sw, LinkConfig::default());
+        let addr = net.host_addr(host);
+        let sw_ref = net.switch_mut(sw);
+        let group = sw_ref.add_group(vec![down]);
+        sw_ref.set_route(addr, group);
+        host
+    }
+
+    /// `hosts` hosts around one switch, each on a 1 Gbps duplex link; the
+    /// switch has room to route one more host attached later.
+    fn star_network(hosts: usize) -> (Network, Vec<NodeId>, NodeId) {
+        let mut net = Network::new();
+        let sw = net.add_switch(SwitchLayer::Edge, hosts + 1);
+        let hosts = (0..hosts).map(|_| attach_host(&mut net, sw)).collect();
+        (net, hosts, sw)
+    }
 
     /// host0 --1Gbps--> sw --1Gbps--> host1, plus the reverse direction.
     fn line_network() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new();
-        let h0 = net.add_host();
-        let h1 = net.add_host();
-        let sw = net.add_switch(SwitchLayer::Edge, 2);
-        let cfg = LinkConfig::default();
-        let (_h0_up, h0_down) = net.add_duplex_link(h0, sw, cfg);
-        let (_h1_up, h1_down) = net.add_duplex_link(h1, sw, cfg);
-        let sw_ref = net.switch_mut(sw);
-        let g0 = sw_ref.add_group(vec![h0_down]);
-        let g1 = sw_ref.add_group(vec![h1_down]);
-        sw_ref.set_route(Addr(0), g0);
-        sw_ref.set_route(Addr(1), g1);
-        (net, h0, h1)
+        let (net, hosts, _sw) = star_network(2);
+        (net, hosts[0], hosts[1])
     }
 
-    fn handoff(flow: u64, src_port: u16, remaining: u64, cap_bps: u64) -> FluidHandoff {
+    fn handoff_between(
+        flow: u64,
+        (src, dst): (u32, u32),
+        src_port: u16,
+        remaining: u64,
+        cap_bps: u64,
+    ) -> FluidHandoff {
         FluidHandoff {
             template: Packet::data(
-                Addr(0),
-                Addr(1),
+                Addr(src),
+                Addr(dst),
                 src_port,
                 80,
                 FlowId(flow),
@@ -623,6 +679,10 @@ mod tests {
             mss: 1400,
             cc: FluidCc::Reno,
         }
+    }
+
+    fn handoff(flow: u64, src_port: u16, remaining: u64, cap_bps: u64) -> FluidHandoff {
+        handoff_between(flow, (0, 1), src_port, remaining, cap_bps)
     }
 
     #[test]
@@ -774,5 +834,281 @@ mod tests {
             }
             _ => panic!("expected FlowProgress"),
         }
+    }
+
+    /// The keyed water-filling the engine used before its per-link state
+    /// became dense arrays, kept verbatim as the reference the dense
+    /// [`water_fill`] must match bit for bit.
+    fn water_fill_reference(
+        flows: &BTreeMap<FlowId, FluidFlow>,
+        caps: &BTreeMap<LinkId, f64>,
+    ) -> BTreeMap<FlowId, f64> {
+        let mut alloc: BTreeMap<FlowId, f64> = BTreeMap::new();
+        let mut remaining: BTreeMap<LinkId, f64> = caps.clone();
+        let mut active_on: BTreeMap<LinkId, u32> = BTreeMap::new();
+        let mut active: BTreeSet<FlowId> = BTreeSet::new();
+        for (id, f) in flows.iter() {
+            active.insert(*id);
+            for l in &f.path {
+                if caps.contains_key(l) {
+                    *active_on.entry(*l).or_insert(0) += 1;
+                }
+            }
+        }
+        fn limit_of(
+            f: &FluidFlow,
+            remaining: &BTreeMap<LinkId, f64>,
+            active_on: &BTreeMap<LinkId, u32>,
+        ) -> f64 {
+            let mut lim = f.cap_bps;
+            for l in &f.path {
+                if let (Some(cap), Some(&n)) = (remaining.get(l), active_on.get(l)) {
+                    if n > 0 {
+                        lim = lim.min(cap / n as f64);
+                    }
+                }
+            }
+            lim.max(0.0)
+        }
+        while !active.is_empty() {
+            let level = active
+                .iter()
+                .map(|id| limit_of(&flows[id], &remaining, &active_on))
+                .fold(f64::INFINITY, f64::min);
+            let frozen: Vec<(FlowId, f64)> = active
+                .iter()
+                .filter_map(|id| {
+                    let lim = limit_of(&flows[id], &remaining, &active_on);
+                    (lim <= level * (1.0 + 1e-9) + 1e-6).then_some((*id, lim))
+                })
+                .collect();
+            assert!(!frozen.is_empty());
+            for (id, share) in frozen {
+                let f = &flows[&id];
+                alloc.insert(id, share);
+                active.remove(&id);
+                for l in &f.path {
+                    if let Some(cap) = remaining.get_mut(l) {
+                        *cap = (*cap - share).max(0.0);
+                    }
+                    if let Some(n) = active_on.get_mut(l) {
+                        *n = n.saturating_sub(1);
+                    }
+                }
+            }
+        }
+        alloc
+    }
+
+    /// A resident flow as far as water-filling can tell: a path and a cap.
+    fn fluid_flow(path: Vec<LinkId>, cap_bps: f64) -> FluidFlow {
+        let h = handoff(0, 50_000, 1, 1);
+        FluidFlow {
+            node: NodeId(0),
+            template: h.template,
+            path,
+            remaining: h.remaining,
+            delivered: 0,
+            base_bytes: h.base_bytes,
+            cap_bps,
+            rate_bps: 0,
+            srtt: h.srtt,
+            mss: h.mss,
+            last_advance: SimTime::ZERO,
+            cc: h.cc,
+            cc_wmax_bps: cap_bps,
+            cc_epoch_s: 0.0,
+        }
+    }
+
+    #[test]
+    fn dense_water_fill_matches_the_keyed_reference_bit_for_bit() {
+        let mut rng = SimRng::new(0xF1_01D);
+        let (mut active, mut alloc) = (Vec::new(), Vec::new());
+        for case in 0..300 {
+            let n_links = rng.range(8..=300u32);
+            let link_cap: Vec<f64> = (0..n_links)
+                .map(|_| match rng.range(0..10u32) {
+                    0 => 0.0,
+                    1..=3 => 1e9,
+                    4 => 1e10,
+                    _ => rng.unit() * 4e10,
+                })
+                .collect();
+            let mut flows = BTreeMap::new();
+            let mut next_id = 0u64;
+            for _ in 0..rng.range(1..=200u32) {
+                next_id += rng.range(1..=1000u64);
+                // One flow in twenty has no path (a routing anomaly).
+                let hops = if rng.chance(0.05) {
+                    0
+                } else {
+                    rng.range(1..=6u32)
+                };
+                let path = (0..hops).map(|_| LinkId(rng.range(0..n_links))).collect();
+                let cap_bps = match rng.range(0..4u32) {
+                    0 => 1e6 + rng.unit() * 1e8, // cap-limited
+                    1 => 1e11,                   // link-limited
+                    _ => rng.unit() * 2e10,
+                };
+                flows.insert(FlowId(next_id), fluid_flow(path, cap_bps));
+            }
+
+            // What step 4 of `epoch` prepares: capacity and membership of
+            // every link on a path.
+            let mut caps = BTreeMap::new();
+            let mut links = vec![LinkSlot::default(); n_links as usize];
+            for l in flows.values().flat_map(|f| &f.path) {
+                caps.insert(*l, link_cap[l.index()]);
+                links[l.index()].remaining = link_cap[l.index()];
+                links[l.index()].active_on += 1;
+            }
+
+            let expected = water_fill_reference(&flows, &caps);
+            let order: Vec<&FluidFlow> = flows.values().collect();
+            water_fill(&order, &mut links, &mut active, &mut alloc);
+            let got: Vec<u64> = alloc.iter().map(|r| r.to_bits()).collect();
+            let want: Vec<u64> = expected.values().map(|r| r.to_bits()).collect();
+            assert_eq!(
+                got,
+                want,
+                "case {case}: {} flows over {n_links} links",
+                flows.len()
+            );
+        }
+    }
+
+    #[test]
+    fn accept_order_never_reaches_a_result() {
+        // (src, dst) host pairs: three flows converge on host 3, the rest
+        // cross them; every third flow is cap-limited.
+        let pairs = [(0, 3), (1, 3), (2, 3), (0, 1), (3, 0), (2, 1), (1, 0)];
+        let t0 = SimTime::from_millis(1);
+        let run = |reversed: bool| {
+            let (mut net, hosts, _sw) = star_network(4);
+            let mut eng = FluidEngine::new();
+            let mut arrivals: Vec<usize> = (0..pairs.len()).collect();
+            if reversed {
+                arrivals.reverse();
+            }
+            for i in arrivals {
+                let (src, dst) = pairs[i];
+                let cap = if i % 3 == 0 {
+                    150_000_000
+                } else {
+                    100_000_000_000
+                };
+                let h = handoff_between(10 + i as u64, (src, dst), 50_000, 400_000, cap);
+                eng.accept(t0, hosts[src as usize], h, &net);
+            }
+            // Arrival epoch, a drop on host 3's downlink, then three more
+            // epochs wherever the engine asks for them.
+            let mut trace = Vec::new();
+            let mut now = t0;
+            for step in 0..5 {
+                if step == 1 {
+                    let downlink = eng.flows[&FlowId(10)].path[1];
+                    assert!(eng.note_drop(downlink));
+                    now += SimDuration::from_micros(10);
+                }
+                let out = eng.epoch(now, &mut net);
+                let rates: Vec<_> = (0..pairs.len() as u64)
+                    .map(|i| eng.flow_rate_bps(FlowId(10 + i)))
+                    .collect();
+                let reservations: Vec<_> =
+                    net.links().iter().map(|l| l.fluid_reservation()).collect();
+                trace.push((rates, reservations, out.completions, out.next_epoch));
+                match out.next_epoch {
+                    Some(next) => now = next,
+                    None => break,
+                }
+            }
+            trace
+        };
+        let forward = run(false);
+        assert!(forward.iter().any(|(_, _, done, _)| !done.is_empty()));
+        assert_eq!(forward, run(true));
+    }
+
+    /// Put `packets` full-size packets on `link` back to back from `now`.
+    fn transmit(net: &mut Network, link: LinkId, mut now: SimTime, packets: u32) {
+        for _ in 0..packets {
+            let packet = handoff(99, 50_000, 0, 1).template;
+            let tx = net.link_mut(link).offer(now, packet).unwrap().unwrap();
+            now = tx.transmit_done_at;
+            net.link_mut(link)
+                .on_transmit_complete(now, &mut Vec::new());
+        }
+    }
+
+    #[test]
+    fn a_link_that_leaves_and_returns_restarts_its_packet_load_ewma() {
+        let (mut net, h0, _h1) = line_network();
+        let mut eng = FluidEngine::new();
+        let t0 = SimTime::from_millis(1);
+        eng.accept(t0, h0, handoff(1, 50_000, 150_000, 100_000_000_000), &net);
+        eng.epoch(t0, &mut net);
+        assert_eq!(eng.flow_rate_bps(FlowId(1)), Some(1_000_000_000));
+        // Packet traffic on the flow's first link shrinks its fluid share.
+        let link = eng.flows[&FlowId(1)].path[0];
+        transmit(&mut net, link, t0, 50);
+        let t1 = t0 + SimDuration::from_millis(1);
+        eng.epoch(t1, &mut net);
+        let squeezed = eng.flow_rate_bps(FlowId(1)).unwrap();
+        assert!(squeezed < 800_000_000, "EWMA in effect: {squeezed}");
+        // The flow finishes: the link leaves the used set...
+        let t2 = t1 + SimDuration::from_millis(1);
+        assert_eq!(eng.epoch(t2, &mut net).completions.len(), 1);
+        assert!(!eng.uses_link(link));
+        // ...and when a new flow brings it back, the old load is forgotten
+        // rather than decayed: the newcomer sees the whole link.
+        eng.accept(t2, h0, handoff(2, 50_000, 150_000, 100_000_000_000), &net);
+        eng.epoch(t2, &mut net);
+        assert_eq!(eng.flow_rate_bps(FlowId(2)), Some(1_000_000_000));
+    }
+
+    #[test]
+    fn links_outside_the_sized_range_are_not_shared_and_new_links_get_slots() {
+        // An engine that never accepted a flow has sized nothing.
+        let mut idle = FluidEngine::new();
+        assert!(!idle.uses_link(LinkId(0)));
+        assert!(!idle.note_drop(LinkId(0)));
+
+        let (mut net, hosts, sw) = star_network(2);
+        let mut eng = FluidEngine::new();
+        let t0 = SimTime::from_millis(1);
+        eng.accept(
+            t0,
+            hosts[0],
+            handoff(1, 50_000, 10_000_000, 400_000_000),
+            &net,
+        );
+        eng.epoch(t0, &mut net);
+        let beyond = LinkId(net.link_count() as u32);
+        assert!(!eng.uses_link(beyond));
+        assert!(!eng.note_drop(beyond));
+
+        // The network grows after the first `accept`. A handoff towards the
+        // new host crosses links the engine has no slot for yet...
+        let h2 = attach_host(&mut net, sw);
+        assert_eq!(net.host_addr(h2), Addr(2));
+        let h = handoff_between(2, (0, 2), 50_000, 10_000_000, 400_000_000);
+        eng.accept(t0, hosts[0], h, &net);
+        assert!(
+            eng.uses_link(LinkId(beyond.0 + 1)),
+            "the switch's new downlink"
+        );
+        // ...and so does a resident flow re-routed onto a link added later.
+        let old_downlink = eng.flows[&FlowId(1)].path[1];
+        let detour = net.add_link(sw, hosts[1], LinkConfig::default());
+        let sw_ref = net.switch_mut(sw);
+        let group = sw_ref.add_group(vec![detour]);
+        sw_ref.set_route(Addr(1), group);
+        eng.epoch(t0, &mut net);
+        assert_eq!(eng.flows[&FlowId(1)].path[1], detour);
+        assert!(eng.note_drop(detour));
+        assert!(net.link(detour).fluid_reservation() > 0);
+        assert!(!eng.uses_link(old_downlink));
+        assert_eq!(net.link(old_downlink).fluid_reservation(), 0);
     }
 }
