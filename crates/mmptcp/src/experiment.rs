@@ -1,6 +1,7 @@
-//! The experiment runner: build the topology, generate the workload, install
-//! one sender/receiver agent pair per flow, run the event loop to completion
-//! and collect every measurement the paper reports.
+//! The experiment runner: build the topology, generate the workload, run the
+//! event loop to completion — installing each flow's sender/receiver agent
+//! pair just before the flow starts — and collect every measurement the paper
+//! reports.
 
 use crate::config::{ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
 use crate::results::{ConservationAudit, ExperimentResults};
@@ -148,22 +149,28 @@ fn ensure_ecn_marking(config: &mut ExperimentConfig) {
 }
 
 /// Generate the workload for a topology.
-fn generate_workload(spec: &WorkloadSpec, hosts: &[Addr], rng: &mut SimRng) -> Workload {
+fn generate_workload(spec: WorkloadSpec, hosts: &[Addr], rng: &mut SimRng) -> Workload {
     match spec {
-        WorkloadSpec::Paper(cfg) => paper_workload(hosts, cfg, rng),
+        WorkloadSpec::Paper(cfg) => paper_workload(hosts, &cfg, rng),
         WorkloadSpec::Incast {
             fan_in,
             bytes,
             start,
-        } => incast_workload(hosts, *fan_in, *bytes, *start),
-        WorkloadSpec::Custom(flows) => Workload {
-            flows: flows.clone(),
-        },
+        } => incast_workload(hosts, fan_in, bytes, start),
+        WorkloadSpec::Custom(flows) => Workload { flows },
     }
 }
 
 /// Run one experiment to completion.
-pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
+pub fn run(config: ExperimentConfig) -> ExperimentResults {
+    run_observed(config, |_| {})
+}
+
+/// [`run`], showing `observe` the simulator after every tick of the loop.
+fn run_observed(
+    mut config: ExperimentConfig,
+    mut observe: impl FnMut(&Simulator),
+) -> ExperimentResults {
     ensure_ecn_marking(&mut config);
     let mut topo = config.topology.build();
     // The path policy is a fabric property: install it on every switch before
@@ -178,28 +185,15 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
     // Workload generation uses a forked RNG stream so changing the workload
     // never perturbs packet-level randomness and vice versa.
     let mut wl_rng = SimRng::new(config.seed).fork(0xBEEF);
-    let workload = generate_workload(&config.workload, &host_addrs, &mut wl_rng);
+    let workload = generate_workload(config.workload, &host_addrs, &mut wl_rng);
     assert!(!workload.flows.is_empty(), "workload generated no flows");
 
     let name = format!("{} on {}", config.protocol.name(), topo.name);
 
-    // The simulator takes ownership of the network; keep the metadata parts of
-    // the topology for metrics afterwards.
-    let BuiltTopology {
-        network,
-        name: topo_name,
-        hosts,
-        link_tiers,
-        path_model,
-    } = topo;
-    let meta = BuiltTopology {
-        network: netsim::Network::new(), // placeholder; real network lives in the simulator
-        name: topo_name,
-        hosts: hosts.clone(),
-        link_tiers: link_tiers.clone(),
-        path_model: path_model.clone(),
-    };
-
+    // The simulator takes ownership of the network; `topo` keeps the metadata
+    // (host table, path model, link tiers) and gets the network back for the
+    // tier-based metrics afterwards.
+    let network = std::mem::replace(&mut topo.network, netsim::Network::new());
     let mut sim = Simulator::new(network, config.seed);
     // Hybrid engine: arm the fluid fast path. Transports see the threshold on
     // every activation and hand off elephant remainders; `Engine::Packet`
@@ -218,10 +212,12 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
         }
     };
 
-    // Install agents and schedule starts.
+    // Every start goes on the calendar now, in workload order: the calendar's
+    // `(time, seq)` order is part of the run's identity.
     let mut short_ids = HashSet::new();
     let mut long_ids = HashSet::new();
-    let mut bounded_ids = HashSet::new();
+    // The bounded flows that have not completed yet.
+    let mut open_bounded = HashSet::new();
     for spec in &workload.flows {
         let flow = FlowId(spec.id);
         match spec.class {
@@ -229,28 +225,23 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
             FlowClass::Long => long_ids.insert(flow),
         };
         if spec.size.is_some() {
-            bounded_ids.insert(flow);
+            open_bounded.insert(flow);
         }
-        let protocol = match spec.class {
-            FlowClass::Long => config.long_protocol.unwrap_or(config.protocol),
-            FlowClass::Short => config.protocol,
-        };
-        // Rebuild a BuiltTopology view for path counting (uses only metadata).
-        let sender = build_sender(protocol, config.transport, &meta, spec);
-        let receiver: Box<dyn Agent> = Box::new(TransportReceiver::new(flow));
-        let src_node = hosts[spec.src.index()];
-        let dst_node = hosts[spec.dst.index()];
-        sim.register_agent(src_node, flow, sender);
-        sim.register_agent(dst_node, flow, receiver);
-        sim.schedule_flow_start(spec.start, src_node, flow);
+        sim.schedule_flow_start(spec.start, topo.host(spec.src), flow);
     }
+    // The agents are not built now. A flow's sender and receiver are installed
+    // just before the tick that contains its start, and the sender retires
+    // itself once the flow is done, so the resident state follows the flows
+    // alive, not the flows offered.
+    let mut by_start: Vec<&FlowSpec> = workload.flows.iter().collect();
+    by_start.sort_by_key(|spec| spec.start);
+    let mut to_install = by_start.into_iter().peekable();
 
     // Run until every bounded flow completes (or the cap is hit), draining
     // signals incrementally so memory stays flat. Link tracing tightens the
     // tick to the telemetry cadence; otherwise it is the progress interval.
     let mut metrics = FlowMetrics::new();
     let cap = SimTime::ZERO + config.max_sim_time;
-    let mut completed: HashSet<FlowId> = HashSet::new();
     let tick = match &trace_sink {
         Some(sink) if sink.links_enabled() => config.progress_interval.min(sink.sample_every()),
         _ => config.progress_interval,
@@ -262,11 +253,22 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
     }
     loop {
         let next = (sim.now() + tick).min(cap);
+        while let Some(spec) = to_install.next_if(|spec| spec.start <= next) {
+            let flow = FlowId(spec.id);
+            let protocol = match spec.class {
+                FlowClass::Long => config.long_protocol.unwrap_or(config.protocol),
+                FlowClass::Short => config.protocol,
+            };
+            let sender = build_sender(protocol, config.transport, &topo, spec);
+            let receiver: Box<dyn Agent> = Box::new(TransportReceiver::new(flow));
+            sim.register_agent(topo.host(spec.src), flow, sender);
+            sim.register_agent(topo.host(spec.dst), flow, receiver);
+        }
         sim.run_until(next);
         let signals = sim.drain_signals();
         for s in &signals {
             if let netsim::Signal::FlowCompleted { flow, .. } = s {
-                completed.insert(*flow);
+                open_bounded.remove(flow);
             }
         }
         metrics.ingest(signals.iter());
@@ -280,15 +282,12 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
                 sink.sample_links(now, sim.network());
             }
         }
-        let all_done = bounded_ids.iter().all(|f| completed.contains(f));
-        if all_done || sim.now() >= cap || sim.pending_events() == 0 {
+        observe(&sim);
+        if open_bounded.is_empty() || sim.now() >= cap || sim.pending_events() == 0 {
             break;
         }
     }
-    let all_short_completed = short_ids
-        .iter()
-        .filter(|f| bounded_ids.contains(f))
-        .all(|f| completed.contains(f));
+    let all_short_completed = !open_bounded.iter().any(|f| short_ids.contains(f));
 
     // Final measurements from long-running flows and receivers.
     sim.finalize();
@@ -303,9 +302,10 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
     let in_flight_at_end = sim.in_flight_packets() as u64;
     let fluid_delivered_bytes = sim.fluid_delivered_bytes();
 
-    // Re-assemble a BuiltTopology around the simulator's network for the
-    // tier-based utilisation metrics.
-    let network = std::mem::replace(sim.network_mut(), netsim::Network::new());
+    // The network goes back into `topo` for the tier-based utilisation
+    // metrics.
+    topo.network = std::mem::replace(sim.network_mut(), netsim::Network::new());
+    let network = &topo.network;
     let backlog_at_end: u64 = network.links().iter().map(|l| l.backlog() as u64).sum();
     let no_route: u64 = network
         .nodes()
@@ -319,16 +319,9 @@ pub fn run(mut config: ExperimentConfig) -> ExperimentResults {
         no_route,
         fluid_delivered_bytes,
     };
-    let loss = loss_report(&network);
-    let overall = overall_utilisation(&network, elapsed);
-    let full_topo = BuiltTopology {
-        network,
-        name: meta.name.clone(),
-        hosts,
-        link_tiers,
-        path_model,
-    };
-    let core_utilisation = tier_utilisation(&full_topo, LinkTier::AggregationCore, elapsed);
+    let loss = loss_report(network);
+    let overall = overall_utilisation(network, elapsed);
+    let core_utilisation = tier_utilisation(&topo, LinkTier::AggregationCore, elapsed);
 
     ExperimentResults {
         name,
@@ -429,6 +422,56 @@ mod tests {
         // Long flows made progress.
         assert!(r.long_goodput_bps() > 0.0);
         assert!(r.overall_utilisation > 0.0);
+    }
+
+    /// Resident agents follow the flows alive, not the flows offered: each
+    /// flow's pair is installed in the tick of its start, the sender leaves
+    /// when the flow is done, and a finished flow keeps one receiver.
+    #[test]
+    fn agents_are_resident_only_while_their_flow_is_alive() {
+        const FLOWS: u64 = 4_000;
+        const GAP_US: u64 = 200;
+        // Senders alive at the end of a tick: flows start 200 us apart and
+        // take about that long, plus whatever the tick's last start left open.
+        const MAX_LIVE_SENDERS: usize = 4;
+        let mut config = one_flow_config(Protocol::Tcp);
+        config.workload = WorkloadSpec::Custom(
+            (0..FLOWS)
+                .map(|id| FlowSpec {
+                    id,
+                    src: Addr(0),
+                    dst: Addr(1),
+                    size: Some(10_000),
+                    start: SimTime::from_micros(id * GAP_US),
+                    class: FlowClass::Short,
+                    deadline: None,
+                })
+                .collect(),
+        );
+        config.progress_interval = netsim::SimDuration::from_millis(1);
+
+        let resident = |sim: &Simulator| -> usize {
+            let net = sim.network();
+            let hosts = net.hosts().iter().filter_map(|&h| net.node(h).as_host());
+            hosts.map(|h| h.agent_count()).sum()
+        };
+        let mut ticks = 0;
+        let mut last = 0;
+        let r = run_observed(config, |sim| {
+            let elapsed_us = (sim.now() - SimTime::ZERO).as_micros();
+            let started = (elapsed_us / GAP_US + 1).min(FLOWS) as usize;
+            let agents = resident(sim);
+            assert!(
+                (started..=started + MAX_LIVE_SENDERS).contains(&agents),
+                "{agents} agents resident with {started} of {FLOWS} flows started"
+            );
+            ticks += 1;
+            last = agents;
+        });
+        assert!(r.all_short_completed);
+        assert_eq!(r.loss.total_dropped(), 0);
+        assert!(ticks > 500, "the run must span many ticks, not {ticks}");
+        assert_eq!(last, FLOWS as usize, "one receiver per finished flow");
     }
 
     #[test]

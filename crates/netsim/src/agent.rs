@@ -48,6 +48,7 @@ pub struct AgentCtx<'a> {
     trace: bool,
     fluid_threshold: Option<u64>,
     fluid_handoff: Option<FluidHandoff>,
+    retire: bool,
 }
 
 impl<'a> AgentCtx<'a> {
@@ -70,6 +71,7 @@ impl<'a> AgentCtx<'a> {
             trace: false,
             fluid_threshold: None,
             fluid_handoff: None,
+            retire: false,
         }
     }
 
@@ -103,6 +105,22 @@ impl<'a> AgentCtx<'a> {
     /// the simulator after the agent returns.
     pub fn take_fluid_handoff(&mut self) -> Option<FluidHandoff> {
         self.fluid_handoff.take()
+    }
+
+    /// Declare this agent finished for good: it will never again send a
+    /// packet, arm a timer or emit a signal, whatever event reaches it. The
+    /// simulator removes the agent from its host after the activation, so
+    /// timers it armed earlier and packets still in flight towards it find no
+    /// agent and are dropped on arrival. An agent that must keep answering
+    /// (a receiver ACKing late duplicates) must not retire.
+    pub fn retire(&mut self) {
+        self.retire = true;
+    }
+
+    /// Whether the agent retired during this activation. Read by the
+    /// simulator after the agent returns.
+    pub fn retired(&self) -> bool {
+        self.retire
     }
 
     /// Enable (or disable) flight-recorder tracing for this activation. Set
@@ -144,7 +162,9 @@ impl<'a> AgentCtx<'a> {
     /// Timers cannot be cancelled; agents are expected to ignore stale
     /// firings (e.g. by comparing the token against a generation counter),
     /// which is both simpler and closer to how retransmission timers are
-    /// usually implemented in simulators.
+    /// usually implemented in simulators. A timer that outlives its agent
+    /// ([`AgentCtx::retire`]) fires into an empty slot and is discarded,
+    /// which is the routine end of every finished sender's last timers.
     pub fn set_timer(&mut self, at: SimTime, token: u64) {
         self.timers.push((at, token));
     }

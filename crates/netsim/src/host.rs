@@ -18,9 +18,10 @@ use std::collections::HashMap;
 pub struct HostStats {
     /// Packets delivered to a local agent.
     pub delivered: u64,
-    /// Packets that arrived with no matching agent (counted, not fatal:
-    /// e.g. late retransmissions arriving after an experiment tears a flow
-    /// down).
+    /// Packets that arrived with no matching agent. Routine, not an error:
+    /// a sender retires as soon as its flow is complete and its subflows are
+    /// quiet, so the ACK of every spurious retransmission still in flight at
+    /// that moment lands here.
     pub unmatched: u64,
     /// Packets that arrived addressed to a different host (indicates a
     /// routing bug; surfaced through statistics and asserted on in tests).
@@ -81,7 +82,10 @@ impl Host {
         self.agents.insert(flow, agent)
     }
 
-    /// Remove the agent registered under `flow`.
+    /// Remove the agent registered under `flow`. The simulator calls this
+    /// when the agent retires ([`AgentCtx::retire`]); later packets and timers
+    /// for the flow take the no-such-agent arms of [`Host::deliver`] and
+    /// [`Host::dispatch`].
     pub fn remove_agent(&mut self, flow: FlowId) -> Option<Box<dyn Agent>> {
         self.agents.remove(&flow)
     }

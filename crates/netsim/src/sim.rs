@@ -356,7 +356,9 @@ impl Simulator {
     }
 
     /// Run `f` with the host and a fresh agent context, then flush whatever
-    /// the agent produced (outgoing packets, timers) into the engine.
+    /// the agent produced (outgoing packets, timers) into the engine. An agent
+    /// that retired during the activation is removed from the host; what it
+    /// produced in that last activation is still flushed.
     fn with_agent_ctx<F>(&mut self, node: NodeId, flow: FlowId, f: F)
     where
         F: FnOnce(&mut crate::host::Host, &mut AgentCtx<'_>),
@@ -380,6 +382,9 @@ impl Simulator {
             ctx.set_fluid_threshold(self.fluid_threshold);
             f(host, &mut ctx);
             handoff = ctx.take_fluid_handoff();
+            if ctx.retired() {
+                host.remove_agent(flow);
+            }
         }
         for packet in out.drain(..) {
             self.send_from_host(node, packet);
@@ -737,6 +742,37 @@ mod tests {
         let signals = sim.drain_signals();
         assert_eq!(signals.len(), 1);
         assert!(matches!(signals[0], Signal::FlowProgress { bytes: 42, .. }));
+    }
+
+    #[test]
+    fn a_retiring_agent_is_removed_after_its_last_activation_is_flushed() {
+        /// Arms a timer, signals and retires, all in its first activation;
+        /// would signal again if anything reached it afterwards.
+        struct OneShot;
+        impl Agent for OneShot {
+            fn handle(&mut self, ctx: &mut AgentCtx<'_>, _event: AgentEvent) {
+                ctx.set_timer_after(SimDuration::from_millis(1), 0);
+                ctx.signal(Signal::FlowProgress {
+                    flow: ctx.flow(),
+                    at: ctx.now(),
+                    bytes: 0,
+                });
+                ctx.retire();
+            }
+        }
+        let (net, h0, _h1) = two_host_network();
+        let mut sim = Simulator::new(net, 1);
+        let flow = FlowId(4);
+        sim.register_agent(h0, flow, Box::new(OneShot));
+        sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
+        assert!(sim.step(), "the start");
+        let host = |sim: &Simulator| sim.network().node(h0).as_host().unwrap().agent_count();
+        assert_eq!(host(&sim), 0, "retired agents leave their host");
+        assert_eq!(sim.pending_events(), 1, "its last timer is still armed");
+        sim.run();
+        sim.finalize();
+        assert_eq!(sim.counters().events_processed, 2, "the timer fired");
+        assert_eq!(sim.drain_signals().len(), 1, "into nothing");
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!
 //! Steps 6–8 are skipped once the flow is complete or in fluid mode. A timer
 //! runs [`Subflow::on_timer`], then steps 5 and 6.
+//!
+//! A connection lives until its flow is complete *and* every subflow is
+//! quiescent ([`Subflow::is_quiescent`]); the activation that gets it there
+//! ends with [`AgentCtx::retire`] and the simulator drops the agent.
 
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
 use netsim::fluid::{pacing_rate_bps, FluidHandoff};
@@ -324,10 +328,9 @@ impl<P: Policy> Connection<P> {
         });
         self.conn.fluid_mode = true;
     }
-}
 
-impl<P: Policy> Agent for Connection<P> {
-    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+    /// One event through the hook order in the module docs.
+    fn on_event(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
         let conn = &mut self.conn;
         match event {
             AgentEvent::Start => {
@@ -398,6 +401,18 @@ impl<P: Policy> Agent for Connection<P> {
                     }
                 }
             }
+        }
+    }
+}
+
+impl<P: Policy> Agent for Connection<P> {
+    fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+        self.on_event(ctx, event);
+        // A complete flow maps no new data and every hook that could open a
+        // subflow has already run; once the subflows are quiet too, no event
+        // can make this connection send, arm a timer or signal again.
+        if self.conn.completed && self.conn.subflows.iter().all(Subflow::is_quiescent) {
+            ctx.retire();
         }
     }
 

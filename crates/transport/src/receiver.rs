@@ -7,7 +7,7 @@
 //! transmit timestamps back to the sender.
 
 use netsim::{Agent, AgentCtx, AgentEvent, Ecn, FlowId, Packet, PacketKind, Signal};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Reassembly state for one direction of one subflow.
 #[derive(Debug, Default, Clone)]
@@ -35,6 +35,23 @@ pub struct ReceiverCounters {
 /// return the number of *new* bytes it contributed. Advances `rcv_nxt` over
 /// any now-contiguous buffered ranges.
 fn insert_range(rcv_nxt: &mut u64, ooo: &mut BTreeMap<u64, u64>, seq: u64, len: u64) -> u64 {
+    // The next expected segment with nothing buffered: the general path would
+    // insert the range and pop it straight back. A flow that only ever
+    // arrives in order therefore never allocates a tree node.
+    if seq == *rcv_nxt && ooo.is_empty() {
+        *rcv_nxt += len;
+        return len;
+    }
+    insert_range_general(rcv_nxt, ooo, seq, len)
+}
+
+/// [`insert_range`] for any range: duplicates, overlaps, holes.
+fn insert_range_general(
+    rcv_nxt: &mut u64,
+    ooo: &mut BTreeMap<u64, u64>,
+    seq: u64,
+    len: u64,
+) -> u64 {
     if len == 0 {
         return 0;
     }
@@ -101,7 +118,9 @@ pub const PROGRESS_REPORT_STRIDE: u64 = 1_000_000;
 #[derive(Debug)]
 pub struct TransportReceiver {
     flow: FlowId,
-    subflows: HashMap<u8, SubflowRecv>,
+    /// Per-subflow reassembly state, indexed by subflow index and grown on
+    /// a subflow's first data packet (indices are a `u8`: at most 256 slots).
+    subflows: Vec<SubflowRecv>,
     data_rcv_nxt: u64,
     data_ooo: BTreeMap<u64, u64>,
     counters: ReceiverCounters,
@@ -113,7 +132,7 @@ impl TransportReceiver {
     pub fn new(flow: FlowId) -> Self {
         TransportReceiver {
             flow,
-            subflows: HashMap::new(),
+            subflows: Vec::new(),
             data_rcv_nxt: 0,
             data_ooo: BTreeMap::new(),
             counters: ReceiverCounters::default(),
@@ -132,8 +151,6 @@ impl TransportReceiver {
     }
 
     fn handle_syn(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
-        // Ensure subflow state exists.
-        self.subflows.entry(pkt.subflow).or_default();
         let mut synack = pkt.reply_template();
         synack.kind = PacketKind::SynAck;
         synack.sent_at = pkt.sent_at; // echo for the sender's RTT sample
@@ -143,7 +160,11 @@ impl TransportReceiver {
 
     fn handle_data(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
         self.counters.data_packets += 1;
-        let sf = self.subflows.entry(pkt.subflow).or_default();
+        let index = usize::from(pkt.subflow);
+        if index >= self.subflows.len() {
+            self.subflows.resize_with(index + 1, SubflowRecv::default);
+        }
+        let sf = &mut self.subflows[index];
         let len = pkt.payload as u64;
 
         let was_expected = pkt.seq == sf.rcv_nxt;
@@ -300,6 +321,34 @@ mod tests {
         assert_eq!(rcv_nxt, 0);
         insert_range(&mut rcv_nxt, &mut ooo, 0, 50);
         assert_eq!(rcv_nxt, 250);
+    }
+
+    /// The in-order fast path against the general path, on streams that mix
+    /// in-order, out-of-order, overlapping, duplicate and empty segments.
+    #[test]
+    fn insert_range_fast_path_matches_the_general_path() {
+        let mut rng = SimRng::new(0xfa57);
+        for _ in 0..300 {
+            let (mut fast_nxt, mut fast_ooo) = (0u64, BTreeMap::new());
+            let (mut slow_nxt, mut slow_ooo) = (0u64, BTreeMap::new());
+            // How far the stream strays from `rcv_nxt`: 0 is a purely
+            // in-order (with duplicates) stream that must never buffer.
+            let spread = rng.range(0..4u64) * 1_500;
+            for _ in 0..200 {
+                let len = [0, 1, 700, 1_400][rng.range(0..4usize)];
+                let seq = match rng.range(0..4u32) {
+                    0 | 1 => fast_nxt,
+                    2 => fast_nxt.saturating_sub(rng.range(0..=2_000u64)),
+                    _ => fast_nxt + rng.range(0..=spread),
+                };
+                let fast = insert_range(&mut fast_nxt, &mut fast_ooo, seq, len);
+                let slow = insert_range_general(&mut slow_nxt, &mut slow_ooo, seq, len);
+                assert_eq!(fast, slow, "new bytes of [{seq}, +{len})");
+                assert_eq!(fast_nxt, slow_nxt, "rcv_nxt after [{seq}, +{len})");
+                assert_eq!(fast_ooo, slow_ooo, "ooo after [{seq}, +{len})");
+                assert!(spread > 0 || fast_ooo.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -242,6 +242,14 @@ impl Subflow {
         self.mappings.is_empty() && self.outstanding() == 0
     }
 
+    /// True when nothing can make the subflow act on its own again: no
+    /// unacknowledged data (so no ACK can trigger a retransmission) and no
+    /// retransmission deadline armed (so every timer still in the calendar is
+    /// stale). Only a new `start` or `send_segment` wakes it.
+    pub fn is_quiescent(&self) -> bool {
+        self.is_drained() && self.rto_deadline.is_none()
+    }
+
     /// How many more bytes the congestion window allows in flight right now.
     pub fn window_space(&self) -> u64 {
         if self.phase != Phase::Established {

@@ -8,7 +8,9 @@
 //! sender another 100 µs later, then every due timer fires; an idle pipe
 //! jumps the clock to the next timer deadline. Everything the sender does is
 //! recorded — packets, armed timers, fluid-handoff requests, signals — so a
-//! test can compare two senders event for event.
+//! test can compare two senders event for event. The harness never drops a
+//! sender that retires: it notes when that happened and keeps feeding it, so
+//! a test can check that retiring was safe.
 
 use crate::receiver::TransportReceiver;
 use netsim::fluid::FluidHandoff;
@@ -49,6 +51,12 @@ pub struct Loopback<A> {
     pub armed: Vec<(SimTime, u64)>,
     /// Every fluid handoff the sender requested, with the request time.
     pub handoffs: Vec<(SimTime, FluidHandoff)>,
+    /// Whether the sender has called [`AgentCtx::retire`].
+    pub retired: bool,
+    /// Packets, timers, handoffs and signals the sender produced in
+    /// activations after the one in which it retired. A simulator would have
+    /// dropped the agent by then, so anything but 0 is behaviour lost.
+    pub produced_after_retiring: usize,
 }
 
 impl<A: Agent> Loopback<A> {
@@ -68,6 +76,8 @@ impl<A: Agent> Loopback<A> {
             sent: Vec::new(),
             armed: Vec::new(),
             handoffs: Vec::new(),
+            retired: false,
+            produced_after_retiring: 0,
         }
     }
 
@@ -83,6 +93,7 @@ impl<A: Agent> Loopback<A> {
     pub fn deliver(&mut self, event: AgentEvent) {
         let mut out = Vec::new();
         let armed_from = self.timers.len();
+        let (signals_from, handoffs_from) = (self.signals.len(), self.handoffs.len());
         let mut ctx = AgentCtx::new(
             self.now,
             self.flow,
@@ -93,9 +104,17 @@ impl<A: Agent> Loopback<A> {
         );
         ctx.set_fluid_threshold(self.fluid_threshold);
         self.tx.handle(&mut ctx, event);
+        let retires = ctx.retired();
         if let Some(handoff) = ctx.take_fluid_handoff() {
             self.handoffs.push((self.now, handoff));
         }
+        if self.retired {
+            self.produced_after_retiring += out.len()
+                + (self.timers.len() - armed_from)
+                + (self.signals.len() - signals_from)
+                + (self.handoffs.len() - handoffs_from);
+        }
+        self.retired |= retires;
         self.armed.extend_from_slice(&self.timers[armed_from..]);
         self.sent.extend(out.iter().map(|p| (self.now, p.clone())));
         self.to_rx.extend(out);
