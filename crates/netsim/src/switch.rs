@@ -178,12 +178,18 @@ impl Switch {
         self.table[idx] = group;
     }
 
+    /// The equal-cost next hops towards `dst`, in member order (empty if
+    /// unreachable). Which group index holds them is not observable.
+    pub fn next_hops(&self, dst: Addr) -> &[LinkId] {
+        match self.table.get(dst.index()) {
+            Some(&g) if g != NO_ROUTE => &self.groups[g as usize],
+            _ => &[],
+        }
+    }
+
     /// Number of equal-cost next hops towards `dst` (0 if unreachable).
     pub fn path_count(&self, dst: Addr) -> usize {
-        match self.table.get(dst.index()) {
-            Some(&g) if g != NO_ROUTE => self.groups[g as usize].len(),
-            _ => 0,
-        }
+        self.next_hops(dst).len()
     }
 
     /// Choose the output link for `packet` according to the switch's
