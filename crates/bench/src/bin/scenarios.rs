@@ -272,19 +272,19 @@ fn summary_headers() -> Vec<&'static str> {
 
 /// The comparison-table row `run` prints for one experiment.
 fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
-    let s = r.summary();
+    let s = r.short_fct_summary();
     vec![
         label.to_string(),
-        s.short_flows.to_string(),
-        metrics::f2(s.short_fct_mean_ms),
-        metrics::f2(s.short_fct_std_ms),
-        metrics::f2(s.short_fct_p99_ms),
-        metrics::f2(s.short_fct_max_ms),
-        s.short_flows_with_rto.to_string(),
-        metrics::f2(s.long_goodput_gbps),
-        metrics::pct(s.core_loss),
-        metrics::pct(s.aggregation_loss),
-        metrics::pct(s.overall_utilisation),
+        s.count.to_string(),
+        metrics::f2(s.mean),
+        metrics::f2(s.std_dev),
+        metrics::f2(s.p99),
+        metrics::f2(s.max),
+        r.short_flows_with_rto().to_string(),
+        metrics::f2(r.long_goodput_bps() / 1e9),
+        metrics::pct(r.loss.core.loss_rate()),
+        metrics::pct(r.loss.aggregation.loss_rate()),
+        metrics::pct(r.overall_utilisation),
     ]
 }
 

@@ -171,7 +171,7 @@ impl TopologySpec {
     pub fn build(&self) -> topology::BuiltTopology {
         match self {
             TopologySpec::FatTree(c) => topology::fattree::build(*c),
-            TopologySpec::MultiHomedFatTree(c) => topology::multihomed::build(*c),
+            TopologySpec::MultiHomedFatTree(c) => topology::fattree::build_dual_homed(*c),
             TopologySpec::Vl2(c) => topology::vl2::build(*c),
             TopologySpec::Dumbbell(c) => topology::dumbbell::build(*c),
             TopologySpec::Parallel(c) => topology::parallel::build(*c),

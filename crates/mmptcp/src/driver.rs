@@ -1,4 +1,4 @@
-//! The parallel experiment driver: fan a sweep of [`ExperimentConfig`]s
+//! The parallel experiment driver: fan a grid of [`ExperimentConfig`]s
 //! across worker threads and merge the results deterministically.
 //!
 //! Every figure in the paper is an aggregate over many runs — seeds ×
@@ -15,9 +15,8 @@
 //! rayon `par_iter().map().collect()` so swapping the substrate later is
 //! mechanical.
 
-use crate::config::{ExperimentConfig, Protocol, WorkloadSpec};
+use crate::config::ExperimentConfig;
 use crate::results::ExperimentResults;
-use netsim::SimDuration;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -57,42 +56,18 @@ impl Driver {
 
     /// Run every configuration and return the results in input order.
     pub fn run(&self, configs: Vec<ExperimentConfig>) -> Vec<ExperimentResults> {
-        self.run_map(configs, |_, r| r)
-    }
-
-    /// Run every labelled configuration, preserving labels and order.
-    pub fn run_labelled(
-        &self,
-        configs: Vec<(String, ExperimentConfig)>,
-    ) -> Vec<(String, ExperimentResults)> {
-        let (labels, configs): (Vec<_>, Vec<_>) = configs.into_iter().unzip();
-        let results = self.run(configs);
-        labels.into_iter().zip(results).collect()
-    }
-
-    /// Run every configuration, post-processing each result on the worker
-    /// thread with `f` (e.g. summarising so full per-flow metrics never cross
-    /// threads). Results come back in input order.
-    pub fn run_map<T, F>(&self, configs: Vec<ExperimentConfig>, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, ExperimentResults) -> T + Sync,
-    {
         let n = configs.len();
         if n == 0 {
             return Vec::new();
         }
         let workers = self.threads.min(n);
         if workers == 1 {
-            return configs
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| f(i, crate::run(c)))
-                .collect();
+            return configs.into_iter().map(crate::run).collect();
         }
 
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<ExperimentResults>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -104,7 +79,7 @@ impl Driver {
                     // between workers except the index counter and the
                     // result slots.
                     let result = crate::run(configs[idx].clone());
-                    *slots[idx].lock().expect("result slot poisoned") = Some(f(idx, result));
+                    *slots[idx].lock().expect("result slot poisoned") = Some(result);
                 });
             }
         });
@@ -118,112 +93,22 @@ impl Driver {
             })
             .collect()
     }
-}
 
-/// A declarative sweep: the cartesian product of protocols × loads × seeds
-/// over one base configuration, expanded in a deterministic order
-/// (protocol-major, then load, then seed).
-#[derive(Debug, Clone)]
-pub struct ExperimentSweep {
-    base: ExperimentConfig,
-    protocols: Vec<Protocol>,
-    seeds: Vec<u64>,
-    /// Mean inter-arrival overrides applied to Poisson paper workloads;
-    /// empty means "keep the base workload's load".
-    loads: Vec<SimDuration>,
-}
-
-impl ExperimentSweep {
-    /// Sweep over one base configuration.
-    pub fn new(base: ExperimentConfig) -> Self {
-        ExperimentSweep {
-            base,
-            protocols: Vec::new(),
-            seeds: Vec::new(),
-            loads: Vec::new(),
-        }
-    }
-
-    /// Add protocols to the sweep (default: the base configuration's).
-    pub fn protocols(mut self, protocols: impl IntoIterator<Item = Protocol>) -> Self {
-        self.protocols.extend(protocols);
-        self
-    }
-
-    /// Add seeds to the sweep (default: the base configuration's).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds.extend(seeds);
-        self
-    }
-
-    /// Add offered-load points, expressed as the mean inter-arrival time of
-    /// the Poisson short-flow arrival process (smaller = heavier).
-    pub fn loads(mut self, loads: impl IntoIterator<Item = SimDuration>) -> Self {
-        self.loads.extend(loads);
-        self
-    }
-
-    /// Expand into labelled configurations, protocol-major then load then
-    /// seed, so merged results line up with the nested-loop order a serial
-    /// harness would produce.
-    ///
-    /// Load points only apply to [`WorkloadSpec::Paper`] workloads (they
-    /// rewrite the Poisson inter-arrival time); for any other workload they
-    /// are ignored rather than expanded into duplicate runs with misleading
-    /// labels.
-    pub fn configs(&self) -> Vec<(String, ExperimentConfig)> {
-        let protocols = if self.protocols.is_empty() {
-            vec![self.base.protocol]
-        } else {
-            self.protocols.clone()
-        };
-        let seeds = if self.seeds.is_empty() {
-            vec![self.base.seed]
-        } else {
-            self.seeds.clone()
-        };
-        let load_points: Vec<Option<SimDuration>> =
-            if self.loads.is_empty() || !matches!(self.base.workload, WorkloadSpec::Paper(_)) {
-                vec![None]
-            } else {
-                self.loads.iter().copied().map(Some).collect()
-            };
-        let mut out = Vec::with_capacity(protocols.len() * seeds.len() * load_points.len());
-        for protocol in &protocols {
-            for &load in &load_points {
-                for &seed in &seeds {
-                    let mut config = self.base.clone();
-                    config.protocol = *protocol;
-                    config.seed = seed;
-                    let label = match load {
-                        Some(ia) => {
-                            let WorkloadSpec::Paper(p) = &mut config.workload else {
-                                unreachable!("load points are gated on Paper workloads above");
-                            };
-                            p.arrivals = workload::ArrivalProcess::Poisson {
-                                mean_interarrival: ia,
-                            };
-                            format!("{} ia={}us seed={}", protocol.name(), ia.as_micros(), seed)
-                        }
-                        None => format!("{} seed={}", protocol.name(), seed),
-                    };
-                    out.push((label, config));
-                }
-            }
-        }
-        out
-    }
-
-    /// Expand and run the sweep on `driver`.
-    pub fn run(&self, driver: &Driver) -> Vec<(String, ExperimentResults)> {
-        driver.run_labelled(self.configs())
+    /// Run every labelled configuration, preserving labels and order.
+    pub fn run_labelled(
+        &self,
+        configs: Vec<(String, ExperimentConfig)>,
+    ) -> Vec<(String, ExperimentResults)> {
+        let (labels, configs): (Vec<_>, Vec<_>) = configs.into_iter().unzip();
+        let results = self.run(configs);
+        labels.into_iter().zip(results).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TopologySpec;
+    use crate::config::{Protocol, TopologySpec, WorkloadSpec};
     use netsim::{Addr, SimTime};
     use topology::ParallelPathConfig;
     use workload::{FlowClass, FlowSpec};
@@ -266,69 +151,6 @@ mod tests {
             assert_eq!(a.short_fcts_ms(), b.short_fcts_ms());
             assert_eq!(a.counters, b.counters);
             assert_eq!(a.loss, b.loss);
-        }
-    }
-
-    #[test]
-    fn run_map_postprocesses_on_workers() {
-        let configs: Vec<ExperimentConfig> = (1..=4).map(tiny).collect();
-        let means =
-            Driver::with_threads(2).run_map(configs, |i, r| (i, r.short_fct_summary().mean));
-        assert_eq!(means.len(), 4);
-        for (i, (idx, mean)) in means.iter().enumerate() {
-            assert_eq!(i, *idx);
-            assert!(*mean > 0.0);
-        }
-    }
-
-    #[test]
-    fn sweep_expansion_is_protocol_major_and_deterministic() {
-        let sweep = ExperimentSweep::new(tiny(1))
-            .protocols([Protocol::Tcp, Protocol::mptcp8()])
-            .seeds([1, 2, 3]);
-        let configs = sweep.configs();
-        assert_eq!(configs.len(), 6);
-        assert_eq!(configs[0].0, "tcp seed=1");
-        assert_eq!(configs[2].0, "tcp seed=3");
-        assert_eq!(configs[3].0, "mptcp-8 seed=1");
-        assert_eq!(sweep.configs(), configs, "expansion must be deterministic");
-    }
-
-    #[test]
-    fn sweep_load_points_are_ignored_for_non_paper_workloads() {
-        // A Custom workload has no arrival process to rewrite: load points
-        // must not fan out into duplicate runs with misleading labels.
-        let sweep = ExperimentSweep::new(tiny(1))
-            .loads([SimDuration::from_millis(10), SimDuration::from_millis(20)]);
-        let configs = sweep.configs();
-        assert_eq!(configs.len(), 1);
-        assert_eq!(configs[0].0, "tcp seed=1");
-    }
-
-    #[test]
-    fn sweep_load_points_rewrite_paper_workloads() {
-        let base = ExperimentConfig {
-            seed: 5,
-            ..ExperimentConfig::default()
-        };
-        let sweep = ExperimentSweep::new(base)
-            .loads([SimDuration::from_millis(10), SimDuration::from_millis(20)]);
-        let configs = sweep.configs();
-        assert_eq!(configs.len(), 2);
-        for ((label, config), expect_us) in configs.iter().zip([10_000u64, 20_000]) {
-            assert!(
-                label.contains(&format!("ia={expect_us}us")),
-                "label {label}"
-            );
-            match &config.workload {
-                WorkloadSpec::Paper(p) => match p.arrivals {
-                    workload::ArrivalProcess::Poisson { mean_interarrival } => {
-                        assert_eq!(mean_interarrival.as_micros(), expect_us);
-                    }
-                    _ => panic!("expected Poisson arrivals"),
-                },
-                _ => panic!("expected paper workload"),
-            }
         }
     }
 }

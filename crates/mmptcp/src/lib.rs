@@ -46,9 +46,9 @@ pub mod results;
 pub mod scenario;
 
 pub use config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
-pub use driver::{Driver, ExperimentSweep};
+pub use driver::Driver;
 pub use experiment::run;
-pub use results::{ExperimentResults, RunSummary};
+pub use results::ExperimentResults;
 pub use scenario::{Fidelity, Scenario, ScenarioRun};
 
 // Re-export the sub-crates so downstream users need a single dependency.
@@ -61,9 +61,9 @@ pub use workload;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
-    pub use crate::driver::{Driver, ExperimentSweep};
+    pub use crate::driver::Driver;
     pub use crate::experiment::run;
-    pub use crate::results::{ExperimentResults, RunSummary};
+    pub use crate::results::ExperimentResults;
     pub use crate::scenario::{Fidelity, Scenario, ScenarioRun};
     pub use metrics::{FlowSelect, Summary, Table, TraceConfig, TraceSettings, TraceSink};
     pub use netsim::{Addr, FlowId, SimDuration, SimTime};

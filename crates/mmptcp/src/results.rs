@@ -76,66 +76,11 @@ pub struct ExperimentResults {
     pub trace: Option<metrics::TraceSink>,
 }
 
-/// A compact, serialisable summary of a run (what `scenarios run` and the
-/// examples tabulate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSummary {
-    /// Run name.
-    pub name: String,
-    /// Number of short flows that completed.
-    pub short_flows: usize,
-    /// Mean short-flow completion time (ms).
-    pub short_fct_mean_ms: f64,
-    /// Standard deviation of short-flow completion time (ms).
-    pub short_fct_std_ms: f64,
-    /// 99th percentile of short-flow completion time (ms).
-    pub short_fct_p99_ms: f64,
-    /// Largest short-flow completion time (ms).
-    pub short_fct_max_ms: f64,
-    /// Number of short flows that suffered at least one RTO.
-    pub short_flows_with_rto: usize,
-    /// Aggregate goodput of the long flows (Gbps).
-    pub long_goodput_gbps: f64,
-    /// Loss rate at the core layer.
-    pub core_loss: f64,
-    /// Loss rate at the aggregation layer.
-    pub aggregation_loss: f64,
-    /// Loss rate at the edge layer.
-    pub edge_loss: f64,
-    /// Mean utilisation of aggregation↔core links.
-    pub core_utilisation: f64,
-    /// Mean utilisation over all links.
-    pub overall_utilisation: f64,
-}
-
 impl ExperimentResults {
-    /// Is this flow a short flow?
-    pub fn is_short(&self, flow: FlowId) -> bool {
-        self.short_ids.contains(&flow)
-    }
-
-    /// Is this flow a long flow?
-    pub fn is_long(&self, flow: FlowId) -> bool {
-        self.long_ids.contains(&flow)
-    }
-
     /// Completion times (ms) of short flows, ordered by flow id — the series
     /// plotted in Figures 1(b) and 1(c).
     pub fn short_fcts_ms(&self) -> Vec<f64> {
         self.metrics.fcts_ms(|f| self.short_ids.contains(&f))
-    }
-
-    /// Per-flow (flow id, FCT ms) pairs for the scatter plots.
-    pub fn short_fct_series(&self) -> Vec<(u64, f64)> {
-        let mut v: Vec<(u64, f64)> = self
-            .metrics
-            .sorted_records()
-            .into_iter()
-            .filter(|(id, _)| self.short_ids.contains(id))
-            .filter_map(|(id, r)| r.fct().map(|d| (id.0, d.as_millis_f64())))
-            .collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
     }
 
     /// Summary (ms) of short-flow completion times.
@@ -291,36 +236,6 @@ impl ExperimentResults {
             .count()
     }
 
-    /// Number of spurious retransmissions across short flows.
-    pub fn short_spurious_retransmits(&self) -> u64 {
-        self.metrics
-            .sorted_records()
-            .iter()
-            .filter(|(id, _)| self.short_ids.contains(id))
-            .map(|(_, r)| r.spurious_retransmits as u64)
-            .sum()
-    }
-
-    /// Build the compact summary.
-    pub fn summary(&self) -> RunSummary {
-        let s = self.short_fct_summary();
-        RunSummary {
-            name: self.name.clone(),
-            short_flows: s.count,
-            short_fct_mean_ms: s.mean,
-            short_fct_std_ms: s.std_dev,
-            short_fct_p99_ms: s.p99,
-            short_fct_max_ms: s.max,
-            short_flows_with_rto: self.short_flows_with_rto(),
-            long_goodput_gbps: self.long_goodput_bps() / 1e9,
-            core_loss: self.loss.core.loss_rate(),
-            aggregation_loss: self.loss.aggregation.loss_rate(),
-            edge_loss: self.loss.edge.loss_rate(),
-            core_utilisation: self.core_utilisation.mean,
-            overall_utilisation: self.overall_utilisation,
-        }
-    }
-
     /// Deadline accounting over flows that carry a deadline in the workload:
     /// `(missed, total_with_deadline)`. A flow misses its deadline when it
     /// either finished later than `start + deadline` or never finished at all.
@@ -420,32 +335,19 @@ mod tests {
     #[test]
     fn summary_aggregates_short_flows_only() {
         let r = fake_results();
-        let s = r.summary();
-        assert_eq!(s.short_flows, 2);
-        assert!((s.short_fct_mean_ms - 200.0).abs() < 1e-9);
-        assert_eq!(s.short_flows_with_rto, 1);
+        let s = r.short_fct_summary();
+        assert_eq!(s.count, 2);
+        assert!((s.mean - 200.0).abs() < 1e-9);
+        assert_eq!(r.short_flows_with_rto(), 1);
         // 125 MB over 1 s = 1 Gbps of long-flow goodput.
-        assert!((s.long_goodput_gbps - 1.0).abs() < 1e-6);
+        assert!((r.long_goodput_bps() / 1e9 - 1.0).abs() < 1e-6);
+        assert_eq!(r.phase_switches(), 0);
     }
 
     #[test]
     fn fct_series_is_ordered_by_flow_id() {
-        let r = fake_results();
-        let series = r.short_fct_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, 1);
-        assert_eq!(series[1].0, 2);
-        assert!((series[0].1 - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn classification_helpers() {
-        let r = fake_results();
-        assert!(r.is_short(FlowId(1)));
-        assert!(r.is_long(FlowId(0)));
-        assert!(!r.is_short(FlowId(0)));
-        assert_eq!(r.phase_switches(), 0);
-        assert_eq!(r.short_spurious_retransmits(), 0);
+        // Flow 1 then flow 2; the long flow 0 is not in the series.
+        assert_eq!(fake_results().short_fcts_ms(), [100.0, 300.0]);
     }
 
     #[test]

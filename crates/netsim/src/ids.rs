@@ -26,8 +26,8 @@ pub struct LinkId(pub u32);
 pub struct FlowId(pub u64);
 
 /// Network-layer address of a host. In this simulator addresses are dense
-/// host indices; topology builders may additionally expose a structured
-/// (pod, edge, host) view of the same value (FatTree addressing).
+/// host indices; the FatTree builder hands them out in (pod, edge, host)
+/// order, which is what its path-count model decodes (FatTree addressing).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

@@ -22,20 +22,15 @@ pub enum LinkTier {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PathModel {
     /// FatTree addressing: path count depends on whether the endpoints share
-    /// an edge switch, a pod, or neither.
+    /// an edge switch, a pod, or neither, times the number of edge switches
+    /// each host can enter the fabric through.
     FatTree {
         /// FatTree arity (number of pods).
         k: usize,
-        /// Hosts attached to each edge switch.
+        /// Hosts whose primary attachment is a given edge switch.
         hosts_per_edge: usize,
-    },
-    /// Dual-homed FatTree: hosts attach to two edge switches, doubling the
-    /// edge-disjoint path count for inter-pod traffic.
-    MultiHomedFatTree {
-        /// FatTree arity.
-        k: usize,
-        /// Hosts attached to each edge switch.
-        hosts_per_edge: usize,
+        /// Edge switches each host attaches to (2 for the dual-homed tree).
+        homes: usize,
     },
     /// Every distinct pair of hosts has the same number of paths.
     Constant(usize),
@@ -49,33 +44,22 @@ impl PathModel {
         }
         match self {
             PathModel::Constant(n) => (*n).max(1),
-            PathModel::FatTree { k, hosts_per_edge } => {
+            PathModel::FatTree {
+                k,
+                hosts_per_edge,
+                homes,
+            } => {
+                // Primary edge switches of the endpoints; `half` of them per pod.
                 let half = k / 2;
-                let per_pod = half * hosts_per_edge;
-                let (pa, pb) = (a.index() / per_pod, b.index() / per_pod);
                 let (ea, eb) = (a.index() / hosts_per_edge, b.index() / hosts_per_edge);
-                if ea == eb {
+                let single_homed = if ea == eb {
                     1
-                } else if pa == pb {
+                } else if ea / half == eb / half {
                     half
                 } else {
                     half * half
-                }
-            }
-            PathModel::MultiHomedFatTree { k, hosts_per_edge } => {
-                let base = PathModel::FatTree {
-                    k: *k,
-                    hosts_per_edge: *hosts_per_edge,
                 };
-                // Each endpoint can enter the fabric through either of its two
-                // edge switches, doubling the usable path diversity except for
-                // the degenerate same-edge case.
-                let single = base.path_count(a, b);
-                if single == 1 {
-                    2
-                } else {
-                    2 * single
-                }
+                homes * single_homed
             }
         }
     }
@@ -123,6 +107,21 @@ impl BuiltTopology {
     }
 }
 
+/// Test helper: every switch has a next hop towards every host.
+#[cfg(test)]
+pub(crate) fn assert_fully_routable(t: &BuiltTopology) {
+    for sw in t.network.nodes().iter().filter_map(|n| n.as_switch()) {
+        for h in 0..t.host_count() {
+            assert!(
+                sw.path_count(Addr(h as u32)) >= 1,
+                "{}: switch {:?} has no route to host {h}",
+                t.name,
+                sw.id
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +140,7 @@ mod tests {
         let m = PathModel::FatTree {
             k: 4,
             hosts_per_edge: 2,
+            homes: 1,
         };
         // Same edge switch.
         assert_eq!(m.path_count(Addr(0), Addr(1)), 1);
@@ -156,6 +156,7 @@ mod tests {
         let m = PathModel::FatTree {
             k: 8,
             hosts_per_edge: 16,
+            homes: 1,
         };
         assert_eq!(m.path_count(Addr(0), Addr(15)), 1); // same edge
         assert_eq!(m.path_count(Addr(0), Addr(16)), 4); // same pod
@@ -164,9 +165,10 @@ mod tests {
 
     #[test]
     fn multihomed_doubles_paths() {
-        let m = PathModel::MultiHomedFatTree {
+        let m = PathModel::FatTree {
             k: 4,
             hosts_per_edge: 2,
+            homes: 2,
         };
         assert_eq!(m.path_count(Addr(0), Addr(1)), 2);
         assert_eq!(m.path_count(Addr(0), Addr(4)), 8);

@@ -5,7 +5,8 @@
 //! textbook expectations before letting the protocols loose on a FatTree.
 
 use crate::built::{BuiltTopology, LinkTier, PathModel};
-use netsim::{Addr, LinkConfig, Network, QueueConfig, SimDuration, SwitchLayer};
+use crate::fabric::{self, Fabric};
+use netsim::{QueueConfig, SimDuration, SwitchLayer};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a dumbbell build.
@@ -42,78 +43,35 @@ impl Default for DumbbellConfig {
 pub fn build(config: DumbbellConfig) -> BuiltTopology {
     assert!(config.hosts_per_side >= 1);
     let n = config.hosts_per_side;
-    let num_hosts = 2 * n;
+    let access = fabric::link(config.access_rate_bps, config.access_delay, config.queue);
+    let bottleneck = fabric::link(
+        config.bottleneck_rate_bps,
+        config.bottleneck_delay,
+        config.queue,
+    );
 
-    let access = LinkConfig {
-        rate_bps: config.access_rate_bps,
-        delay: config.access_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-    let bottleneck = LinkConfig {
-        rate_bps: config.bottleneck_rate_bps,
-        delay: config.bottleneck_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
+    let mut f = Fabric::new(2 * n);
+    let sides = f.switches(SwitchLayer::Edge, 2);
+    let downlinks: Vec<_> = (0..2 * n)
+        .map(|h| f.attach(h, sides[h / n], access))
+        .collect();
+    let (lr, rl) = f.cable(sides[0], sides[1], bottleneck, LinkTier::Other);
 
-    let mut net = Network::new();
-    let mut tiers = Vec::new();
-
-    let hosts: Vec<_> = (0..num_hosts).map(|_| net.add_host()).collect();
-    let left = net.add_switch(SwitchLayer::Edge, num_hosts);
-    let right = net.add_switch(SwitchLayer::Edge, num_hosts);
-
-    let mut downlinks = Vec::with_capacity(num_hosts);
-    for (i, &h) in hosts.iter().enumerate() {
-        let sw = if i < n { left } else { right };
-        let (_up, down) = net.add_duplex_link(h, sw, access);
-        tiers.push(LinkTier::HostEdge);
-        tiers.push(LinkTier::HostEdge);
-        downlinks.push(down);
-    }
-    let (lr, rl) = net.add_duplex_link(left, right, bottleneck);
-    tiers.push(LinkTier::Other);
-    tiers.push(LinkTier::Other);
-
-    // Routing.
-    {
-        let sw = net.switch_mut(left);
-        let cross = sw.add_group(vec![lr]);
-        for h in 0..num_hosts {
-            if h < n {
-                let g = sw.add_group(vec![downlinks[h]]);
-                sw.set_route(Addr(h as u32), g);
-            } else {
-                sw.set_route(Addr(h as u32), cross);
-            }
-        }
-    }
-    {
-        let sw = net.switch_mut(right);
-        let cross = sw.add_group(vec![rl]);
-        for h in 0..num_hosts {
-            if h >= n {
-                let g = sw.add_group(vec![downlinks[h]]);
-                sw.set_route(Addr(h as u32), g);
-            } else {
-                sw.set_route(Addr(h as u32), cross);
-            }
-        }
+    // Each side sends its own hosts down and the others across.
+    for (side, cross) in [lr, rl].into_iter().enumerate() {
+        let own = side * n..(side + 1) * n;
+        let own = fabric::one_each(own.clone(), &downlinks[own]);
+        f.route(sides[side], &[cross], own);
     }
 
-    BuiltTopology {
-        network: net,
-        name: format!("dumbbell({n}x{n})"),
-        hosts,
-        link_tiers: tiers,
-        path_model: PathModel::Constant(1),
-    }
+    f.finish(format!("dumbbell({n}x{n})"), PathModel::Constant(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::built::assert_fully_routable;
+    use netsim::Addr;
 
     #[test]
     fn structure() {
@@ -132,12 +90,6 @@ mod tests {
             hosts_per_side: 3,
             ..DumbbellConfig::default()
         });
-        for node in t.network.nodes() {
-            if let Some(sw) = node.as_switch() {
-                for h in 0..t.host_count() {
-                    assert!(sw.path_count(Addr(h as u32)) >= 1);
-                }
-            }
-        }
+        assert_fully_routable(&t);
     }
 }

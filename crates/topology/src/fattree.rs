@@ -20,7 +20,8 @@
 //! uplinks by 5-tuple hash, then down a deterministic path to the destination.
 
 use crate::built::{BuiltTopology, LinkTier, PathModel};
-use netsim::{Addr, LinkConfig, Network, NodeId, QueueConfig, SimDuration, SimRng, SwitchLayer};
+use crate::fabric::{self, Fabric};
+use netsim::{QueueConfig, SimDuration, SimRng, SwitchLayer};
 use serde::{Deserialize, Serialize};
 
 /// Deterministic link-failure injection applied after the routing tables are
@@ -137,11 +138,6 @@ impl FatTreeConfig {
         self.hosts_per_pod() * self.k
     }
 
-    /// Total number of switches (edge + aggregation + core).
-    pub fn total_switches(&self) -> usize {
-        self.k * self.k + (self.k / 2) * (self.k / 2)
-    }
-
     fn validate(&self) {
         assert!(
             self.k >= 2 && self.k.is_multiple_of(2),
@@ -149,160 +145,123 @@ impl FatTreeConfig {
         );
         assert!(self.oversubscription >= 1, "over-subscription must be >= 1");
     }
-
-    /// Enable DCTCP-style ECN marking with threshold `k_packets` on every port.
-    pub fn with_ecn_threshold(mut self, k_packets: usize) -> Self {
-        self.queue.ecn_threshold_packets = Some(k_packets);
-        self
-    }
 }
 
 /// Build a FatTree.
 pub fn build(config: FatTreeConfig) -> BuiltTopology {
+    build_homed(config, 1)
+}
+
+/// Build a dual-homed FatTree: the same fabric as [`build`], but every host
+/// also attaches to the *next* edge switch of its pod (wrapping around), so
+/// even the access layer offers path diversity for packet scatter to exploit.
+/// The paper's roadmap: *"We also plan to design multi-homed network
+/// topologies as these are well-suited to MMPTCP. The more parallel paths at
+/// the access layer, the higher the burst tolerance."*
+pub fn build_dual_homed(config: FatTreeConfig) -> BuiltTopology {
+    build_homed(config, 2)
+}
+
+/// The FatTree with every host attached to `homes` consecutive edge switches
+/// of its pod.
+fn build_homed(config: FatTreeConfig, homes: usize) -> BuiltTopology {
     config.validate();
     let k = config.k;
     let half = k / 2;
+    assert!(
+        homes <= half,
+        "dual-homing needs at least two edge switches per pod"
+    );
     let hosts_per_edge = config.hosts_per_edge();
+    let hosts_per_pod = config.hosts_per_pod();
     let num_hosts = config.total_hosts();
+    let host_link = fabric::link(config.host_rate_bps, config.link_delay, config.queue);
+    let fabric_link = fabric::link(config.fabric_rate_bps, config.link_delay, config.queue);
 
-    let host_link = LinkConfig {
-        rate_bps: config.host_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-    let fabric_link = LinkConfig {
-        rate_bps: config.fabric_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-
-    let mut net = Network::new();
-    let mut tiers: Vec<LinkTier> = Vec::new();
-
-    // Hosts, in (pod, edge, slot) order so addresses are structured.
-    let mut hosts = Vec::with_capacity(num_hosts);
-    for _ in 0..num_hosts {
-        hosts.push(net.add_host());
+    // Hosts are in (pod, edge, slot) order so addresses are structured.
+    // Switch `i` of a pod-level tier is switch `i % half` of pod `i / half`.
+    let mut f = Fabric::new(num_hosts);
+    let (mut edges, mut aggs) = (Vec::new(), Vec::new());
+    for _ in 0..k {
+        edges.extend(f.switches(SwitchLayer::Edge, half));
+        aggs.extend(f.switches(SwitchLayer::Aggregation, half));
     }
+    let cores = f.switches(SwitchLayer::Core, half * half);
+    // The `j`-th home of a host whose primary edge switch is `edge`.
+    let home = |edge: usize, j: usize| edge - edge % half + (edge + j) % half;
 
-    // Switches.
-    let mut edges = vec![Vec::with_capacity(half); k]; // [pod][edge]
-    let mut aggs = vec![Vec::with_capacity(half); k]; // [pod][agg]
-    for pod in 0..k {
-        for _ in 0..half {
-            edges[pod].push(net.add_switch(SwitchLayer::Edge, num_hosts));
-        }
-        for _ in 0..half {
-            aggs[pod].push(net.add_switch(SwitchLayer::Aggregation, num_hosts));
-        }
-    }
-    let cores: Vec<NodeId> = (0..half * half)
-        .map(|_| net.add_switch(SwitchLayer::Core, num_hosts))
-        .collect();
-
-    // host <-> edge links. Record the edge->host downlink for routing.
-    let mut host_downlink = vec![None; num_hosts];
-    for (h, &host_node) in hosts.iter().enumerate() {
-        let pod = h / config.hosts_per_pod();
-        let edge_in_pod = (h % config.hosts_per_pod()) / hosts_per_edge;
-        let edge_node = edges[pod][edge_in_pod];
-        let (_up, down) = net.add_duplex_link(host_node, edge_node, host_link);
-        tiers.push(LinkTier::HostEdge);
-        tiers.push(LinkTier::HostEdge);
-        host_downlink[h] = Some(down);
-    }
-
-    // edge <-> aggregation links (within each pod, complete bipartite).
-    // edge_up[pod][e] = links from edge e to each agg; agg_down[pod][a][e] = link agg a -> edge e.
-    let mut edge_up = vec![vec![Vec::with_capacity(half); half]; k];
-    let mut agg_down = vec![vec![vec![None; half]; half]; k];
-    for pod in 0..k {
-        for e in 0..half {
-            for a in 0..half {
-                let (up, down) = net.add_duplex_link(edges[pod][e], aggs[pod][a], fabric_link);
-                tiers.push(LinkTier::EdgeAggregation);
-                tiers.push(LinkTier::EdgeAggregation);
-                edge_up[pod][e].push(up);
-                agg_down[pod][a][e] = Some(down);
-            }
+    // host <-> edge: `host_down[j][h]` is the link from host `h`'s `j`-th home
+    // down to it.
+    let mut host_down = vec![Vec::with_capacity(num_hosts); homes];
+    for h in 0..num_hosts {
+        for (j, down) in host_down.iter_mut().enumerate() {
+            down.push(f.attach(h, edges[home(h / hosts_per_edge, j)], host_link));
         }
     }
 
-    // aggregation <-> core links. Aggregation j of each pod connects to cores
-    // j*half .. (j+1)*half.
-    let mut agg_up = vec![vec![Vec::with_capacity(half); half]; k];
-    let mut core_down = vec![vec![None; k]; half * half]; // [core][pod] -> link core -> agg
-    for pod in 0..k {
-        for a in 0..half {
-            for i in 0..half {
-                let core_idx = a * half + i;
-                let (up, down) = net.add_duplex_link(aggs[pod][a], cores[core_idx], fabric_link);
-                tiers.push(LinkTier::AggregationCore);
-                tiers.push(LinkTier::AggregationCore);
-                agg_up[pod][a].push(up);
-                core_down[core_idx][pod] = Some(down);
-            }
+    // edge <-> aggregation, complete bipartite within each pod: cable
+    // `edge * half + a` joins `edge` to aggregation switch `a` of its pod.
+    let (mut edge_up, mut edge_down) = (Vec::new(), Vec::new());
+    for (e, &edge) in edges.iter().enumerate() {
+        for &agg in &aggs[e - e % half..][..half] {
+            let (up, down) = f.cable(edge, agg, fabric_link, LinkTier::EdgeAggregation);
+            edge_up.push(up);
+            edge_down.push(down);
         }
     }
 
-    debug_assert_eq!(tiers.len(), net.link_count());
-
-    // --- Routing tables -------------------------------------------------
-
-    // Edge switches: directly attached hosts go down their access link;
-    // everything else goes up via ECMP over all aggregation uplinks.
-    for pod in 0..k {
-        for e in 0..half {
-            let sw = net.switch_mut(edges[pod][e]);
-            let up_group = sw.add_group(edge_up[pod][e].clone());
-            let first_host = pod * (half * hosts_per_edge) + e * hosts_per_edge;
-            for h in 0..num_hosts {
-                if h >= first_host && h < first_host + hosts_per_edge {
-                    let g = sw.add_group(vec![host_downlink[h].unwrap()]);
-                    sw.set_route(Addr(h as u32), g);
-                } else {
-                    sw.set_route(Addr(h as u32), up_group);
-                }
-            }
+    // aggregation <-> core: aggregation switch `a` of every pod connects to
+    // cores `a * half .. (a + 1) * half`, over cable `agg * half + i`.
+    let (mut agg_up, mut agg_down) = (Vec::new(), Vec::new());
+    for (a, &agg) in aggs.iter().enumerate() {
+        for &core in &cores[a % half * half..][..half] {
+            let (up, down) = f.cable(agg, core, fabric_link, LinkTier::AggregationCore);
+            agg_up.push(up);
+            agg_down.push(down);
         }
     }
 
-    // Aggregation switches: hosts in the same pod go down to the edge switch
-    // that serves them; hosts in other pods go up via ECMP over core uplinks.
-    for pod in 0..k {
-        for a in 0..half {
-            let sw = net.switch_mut(aggs[pod][a]);
-            let up_group = sw.add_group(agg_up[pod][a].clone());
-            let mut down_groups = Vec::with_capacity(half);
-            for e in 0..half {
-                down_groups.push(sw.add_group(vec![agg_down[pod][a][e].unwrap()]));
-            }
-            let pod_first = pod * config.hosts_per_pod();
-            for h in 0..num_hosts {
-                if h >= pod_first && h < pod_first + config.hosts_per_pod() {
-                    let e = (h - pod_first) / hosts_per_edge;
-                    sw.set_route(Addr(h as u32), down_groups[e]);
-                } else {
-                    sw.set_route(Addr(h as u32), up_group);
-                }
-            }
-        }
+    // Edge switches: attached hosts go down their access link; everything
+    // else goes up via ECMP over all aggregation uplinks.
+    let under = |edge: usize| edge * hosts_per_edge..(edge + 1) * hosts_per_edge;
+    for (e, &edge) in edges.iter().enumerate() {
+        let attached = host_down.iter().enumerate().flat_map(|(j, down)| {
+            // The hosts whose `j`-th home this switch is (`home` run backwards).
+            let hosts = under(home(e, half - j));
+            fabric::one_each(hosts.clone(), &down[hosts])
+        });
+        f.route(edge, &edge_up[e * half..][..half], attached);
     }
 
-    // Core switches: every host is reached through the aggregation switch of
-    // its pod that this core is wired to.
-    for (c, &core_node) in cores.iter().enumerate() {
-        let sw = net.switch_mut(core_node);
-        let mut pod_groups = Vec::with_capacity(k);
-        for pod in 0..k {
-            pod_groups.push(sw.add_group(vec![core_down[c][pod].unwrap()]));
-        }
-        for h in 0..num_hosts {
-            let pod = h / config.hosts_per_pod();
-            sw.set_route(Addr(h as u32), pod_groups[pod]);
-        }
+    // Aggregation switches: hosts in the same pod go down to (any of) the
+    // edge switches that serve them; hosts in other pods go up via ECMP over
+    // the core uplinks.
+    for (a, &agg) in aggs.iter().enumerate() {
+        let first = a - a % half; // the pod's first edge switch
+        let to_homes: Vec<Vec<_>> = (first..first + half)
+            .map(|primary| {
+                (0..homes)
+                    .map(|j| edge_down[home(primary, j) * half + a % half])
+                    .collect()
+            })
+            .collect();
+        let local = (first..)
+            .zip(&to_homes)
+            .map(|(e, links)| (under(e), &links[..]));
+        f.route(agg, &agg_up[a * half..][..half], local);
+    }
+
+    // Core switches: every pod is reached through the aggregation switch of
+    // it that this core is wired to.
+    for (c, &core) in cores.iter().enumerate() {
+        let pods = (0..k).map(|pod| {
+            let agg = pod * half + c / half;
+            (
+                pod * hosts_per_pod..(pod + 1) * hosts_per_pod,
+                std::slice::from_ref(&agg_down[agg * half + c % half]),
+            )
+        });
+        f.route(core, &[], pods);
     }
 
     // Link-failure injection: withdraw a deterministic subset of the
@@ -311,38 +270,38 @@ pub fn build(config: FatTreeConfig) -> BuiltTopology {
     let mut failed_uplinks = 0usize;
     if config.failures.is_active() {
         let mut failure_rng = SimRng::new(0xFA11_0000 ^ config.failures.seed);
-        for pod in 0..k {
-            for a in 0..half {
-                for &up in &agg_up[pod][a] {
-                    if failure_rng.range(0..1000u32) < config.failures.agg_core_uplink_millis {
-                        failed_uplinks += net.switch_mut(aggs[pod][a]).remove_link(up);
-                    }
-                }
+        for (i, &up) in agg_up.iter().enumerate() {
+            if failure_rng.range(0..1000u32) < config.failures.agg_core_uplink_millis {
+                failed_uplinks += f.switch_mut(aggs[i / half]).remove_link(up);
             }
         }
     }
 
     let mut name = format!(
-        "fattree(k={}, {}:1, {} hosts)",
-        k, config.oversubscription, num_hosts
+        "{}fattree(k={}, {}:1, {} hosts)",
+        if homes > 1 { "multihomed-" } else { "" },
+        k,
+        config.oversubscription,
+        num_hosts
     );
     if failed_uplinks > 0 {
         name = format!("{name} -{failed_uplinks} core uplinks");
     }
-
-    BuiltTopology {
-        network: net,
+    f.finish(
         name,
-        hosts,
-        link_tiers: tiers,
-        path_model: PathModel::FatTree { k, hosts_per_edge },
-    }
+        PathModel::FatTree {
+            k,
+            hosts_per_edge,
+            homes,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::Node;
+    use crate::built::assert_fully_routable;
+    use netsim::Addr;
 
     #[test]
     fn counts_match_theory_k4() {
@@ -350,8 +309,8 @@ mod tests {
         assert_eq!(cfg.total_hosts(), 16);
         let t = build(cfg);
         assert_eq!(t.host_count(), 16);
-        // 16 edge+agg (k*k) + 4 core.
-        assert_eq!(t.network.node_count(), 16 + cfg.total_switches());
+        // 16 hosts + 16 edge+agg (k*k) + 4 core.
+        assert_eq!(t.network.node_count(), 16 + 16 + 4);
         // Links: 16 host links + 4 pods * 2*2 edge-agg + 4 pods * 2*2 agg-core,
         // each duplex = 2 unidirectional.
         assert_eq!(t.network.link_count(), 2 * (16 + 16 + 16));
@@ -369,18 +328,7 @@ mod tests {
 
     #[test]
     fn every_switch_routes_every_host() {
-        let t = build(FatTreeConfig::small());
-        for node in t.network.nodes() {
-            if let Node::Switch(sw) = node {
-                for h in 0..t.host_count() {
-                    assert!(
-                        sw.path_count(Addr(h as u32)) >= 1,
-                        "switch {:?} has no route to host {h}",
-                        sw.id
-                    );
-                }
-            }
-        }
+        assert_fully_routable(&build(FatTreeConfig::small()));
     }
 
     #[test]
@@ -409,14 +357,7 @@ mod tests {
                 .sum()
         };
         assert!(up_members(&t) < up_members(&healthy));
-        // Every switch still routes every host.
-        for node in t.network.nodes() {
-            if let Node::Switch(sw) = node {
-                for h in 0..t.host_count() {
-                    assert!(sw.path_count(Addr(h as u32)) >= 1);
-                }
-            }
-        }
+        assert_fully_routable(&t);
     }
 
     #[test]
@@ -510,7 +451,8 @@ mod tests {
 
     #[test]
     fn ecn_threshold_is_applied() {
-        let cfg = FatTreeConfig::small().with_ecn_threshold(20);
+        let mut cfg = FatTreeConfig::small();
+        cfg.queue.ecn_threshold_packets = Some(20);
         let t = build(cfg);
         assert_eq!(
             t.network
@@ -520,5 +462,68 @@ mod tests {
                 .ecn_threshold_packets,
             Some(20)
         );
+    }
+
+    #[test]
+    fn hosts_have_two_uplinks() {
+        let t = build_dual_homed(FatTreeConfig::small());
+        for &h in &t.hosts {
+            let host = t.network.node(h).as_host().unwrap();
+            assert_eq!(host.uplinks.len(), 2, "host {h:?} should be dual-homed");
+        }
+    }
+
+    #[test]
+    fn everything_is_routable() {
+        assert_fully_routable(&build_dual_homed(FatTreeConfig::small()));
+    }
+
+    #[test]
+    fn aggregation_offers_two_downlinks_per_local_host() {
+        let t = build_dual_homed(FatTreeConfig::small());
+        let aggs = t.network.switches_at(SwitchLayer::Aggregation);
+        let sw = t.network.node(aggs[0]).as_switch().unwrap();
+        // Host 0 is in pod 0, reachable via two edges.
+        assert_eq!(sw.path_count(Addr(0)), 2);
+    }
+
+    #[test]
+    fn path_model_doubles_diversity() {
+        let t = build_dual_homed(FatTreeConfig::small());
+        assert_eq!(t.path_count(Addr(0), Addr(8)), 8); // vs 4 single-homed
+    }
+
+    #[test]
+    fn dual_homed_tree_honours_link_failures() {
+        let cfg = FatTreeConfig {
+            failures: LinkFailureSpec::agg_core(400, 7),
+            ..FatTreeConfig::small()
+        };
+        let (single, dual) = (build(cfg), build_dual_homed(cfg));
+        // Same seed, same fabric above the access layer: the same uplinks go.
+        let suffix = single.name.split_once(") ").expect("failures show").1;
+        assert!(suffix.ends_with("core uplinks"), "{}", single.name);
+        assert_eq!(
+            dual.name,
+            format!("multihomed-fattree(k=4, 1:1, 16 hosts) {suffix}")
+        );
+        let up_members = |topo: &BuiltTopology| -> Vec<usize> {
+            let aggs = topo.network.switches_at(SwitchLayer::Aggregation);
+            aggs.iter()
+                .map(|&id| topo.network.node(id).as_switch().unwrap().groups()[0].len())
+                .collect()
+        };
+        assert_eq!(up_members(&dual), up_members(&single));
+        assert!(up_members(&dual).iter().sum::<usize>() < 8 * 2);
+        assert_fully_routable(&dual);
+    }
+
+    #[test]
+    #[should_panic(expected = "FatTree k must be even and >= 2")]
+    fn dual_homed_tree_rejects_odd_k() {
+        build_dual_homed(FatTreeConfig {
+            k: 5,
+            ..FatTreeConfig::default()
+        });
     }
 }

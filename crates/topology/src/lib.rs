@@ -3,33 +3,30 @@
 //! Builders for the network fabrics used by the MMPTCP reproduction:
 //!
 //! * [`fattree`] — k-ary FatTree with configurable over-subscription (the
-//!   paper's 512-server, 4:1 topology is [`fattree::FatTreeConfig::paper`]);
-//! * [`multihomed`] — dual-homed FatTree (the roadmap's burst-tolerance
-//!   extension);
+//!   paper's 512-server, 4:1 topology is [`fattree::FatTreeConfig::paper`]),
+//!   single-homed ([`fattree::build`]) or with every host attached to two
+//!   edge switches ([`fattree::build_dual_homed`], the roadmap's
+//!   burst-tolerance extension) — one builder, one wiring;
 //! * [`vl2`] — simplified VL2-style Clos;
 //! * [`dumbbell`] — classic transport-validation topology;
 //! * [`parallel`] — two endpoints joined by `p` equal-cost paths.
 //!
 //! Every builder returns a [`BuiltTopology`]: the [`netsim::Network`] graph
 //! plus the metadata transports and metrics need (host list, link tiers and a
-//! [`PathModel`] for MMPTCP's topology-aware duplicate-ACK threshold).
+//! [`PathModel`] for MMPTCP's topology-aware duplicate-ACK threshold). They
+//! all assemble it through the crate-private `fabric` helper, which is also
+//! where what fixes a fabric's identity is written down.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The routing-table builders index hosts/pods/edges with the same k-arithmetic
-// the FatTree/VL2 papers use; iterator-chained rewrites of those loops obscure
-// the correspondence without changing the generated code.
-#![allow(clippy::needless_range_loop)]
 
-pub mod addressing;
 pub mod built;
 pub mod dumbbell;
+mod fabric;
 pub mod fattree;
-pub mod multihomed;
 pub mod parallel;
 pub mod vl2;
 
-pub use addressing::{FatTreeAddress, FatTreeAddressing};
 pub use built::{BuiltTopology, LinkTier, PathModel};
 pub use dumbbell::DumbbellConfig;
 pub use fattree::{FatTreeConfig, LinkFailureSpec};

@@ -7,7 +7,8 @@
 //! micro-benchmarks.
 
 use crate::built::{BuiltTopology, LinkTier, PathModel};
-use netsim::{Addr, LinkConfig, Network, QueueConfig, SimDuration, SwitchLayer};
+use crate::fabric::{self, Fabric};
+use netsim::{QueueConfig, SimDuration, SwitchLayer};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for a parallel-path build.
@@ -46,107 +47,49 @@ pub fn build(config: ParallelPathConfig) -> BuiltTopology {
     assert!(config.paths >= 1, "need at least one path");
     assert!(config.host_pairs >= 1, "need at least one host pair");
     let n = config.host_pairs;
-    let num_hosts = 2 * n;
+    let access = fabric::link(config.access_rate_bps, config.link_delay, config.queue);
+    let core = fabric::link(config.path_rate_bps, config.link_delay, config.queue);
 
-    let access = LinkConfig {
-        rate_bps: config.access_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-    let core = LinkConfig {
-        rate_bps: config.path_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-
-    let mut net = Network::new();
-    let mut tiers = Vec::new();
-
-    let hosts: Vec<_> = (0..num_hosts).map(|_| net.add_host()).collect();
-    let left = net.add_switch(SwitchLayer::Edge, num_hosts);
-    let right = net.add_switch(SwitchLayer::Edge, num_hosts);
-    let middles: Vec<_> = (0..config.paths)
-        .map(|_| net.add_switch(SwitchLayer::Core, num_hosts))
+    let mut f = Fabric::new(2 * n);
+    let sides = f.switches(SwitchLayer::Edge, 2);
+    let middles = f.switches(SwitchLayer::Core, config.paths);
+    let downlinks: Vec<_> = (0..2 * n)
+        .map(|h| f.attach(h, sides[h / n], access))
         .collect();
 
-    let mut downlinks = Vec::with_capacity(num_hosts);
-    for (i, &h) in hosts.iter().enumerate() {
-        let sw = if i < n { left } else { right };
-        let (_up, down) = net.add_duplex_link(h, sw, access);
-        tiers.push(LinkTier::HostEdge);
-        tiers.push(LinkTier::HostEdge);
-        downlinks.push(down);
-    }
-
-    let mut left_up = Vec::new();
-    let mut right_up = Vec::new();
-    let mut mid_to_left = Vec::new();
-    let mut mid_to_right = Vec::new();
+    // `side_up[s]` are side s's links to every middle switch, `mid_down[m]`
+    // middle switch m's links to the left and to the right side.
+    let mut side_up = [Vec::new(), Vec::new()];
+    let mut mid_down = Vec::with_capacity(config.paths);
     for &m in &middles {
-        let (lu, ld) = net.add_duplex_link(left, m, core);
-        let (ru, rd) = net.add_duplex_link(right, m, core);
-        tiers.extend([
-            LinkTier::AggregationCore,
-            LinkTier::AggregationCore,
-            LinkTier::AggregationCore,
-            LinkTier::AggregationCore,
-        ]);
-        left_up.push(lu);
-        right_up.push(ru);
-        mid_to_left.push(ld);
-        mid_to_right.push(rd);
+        let (lu, ld) = f.cable(sides[0], m, core, LinkTier::AggregationCore);
+        let (ru, rd) = f.cable(sides[1], m, core, LinkTier::AggregationCore);
+        side_up[0].push(lu);
+        side_up[1].push(ru);
+        mid_down.push([ld, rd]);
     }
 
     // Routing: edges send local hosts down, remote hosts up across all paths;
     // middle switches know which side each host is on.
-    {
-        let sw = net.switch_mut(left);
-        let up = sw.add_group(left_up.clone());
-        for h in 0..num_hosts {
-            if h < n {
-                let g = sw.add_group(vec![downlinks[h]]);
-                sw.set_route(Addr(h as u32), g);
-            } else {
-                sw.set_route(Addr(h as u32), up);
-            }
-        }
+    for (side, up) in side_up.iter().enumerate() {
+        let own = side * n..(side + 1) * n;
+        let own = fabric::one_each(own.clone(), &downlinks[own]);
+        f.route(sides[side], up, own);
     }
-    {
-        let sw = net.switch_mut(right);
-        let up = sw.add_group(right_up.clone());
-        for h in 0..num_hosts {
-            if h >= n {
-                let g = sw.add_group(vec![downlinks[h]]);
-                sw.set_route(Addr(h as u32), g);
-            } else {
-                sw.set_route(Addr(h as u32), up);
-            }
-        }
-    }
-    for (i, &m) in middles.iter().enumerate() {
-        let sw = net.switch_mut(m);
-        let to_left = sw.add_group(vec![mid_to_left[i]]);
-        let to_right = sw.add_group(vec![mid_to_right[i]]);
-        for h in 0..num_hosts {
-            let g = if h < n { to_left } else { to_right };
-            sw.set_route(Addr(h as u32), g);
-        }
+    for (&m, down) in middles.iter().zip(&mid_down) {
+        f.route(m, &[], [(0..n, &down[..1]), (n..2 * n, &down[1..])]);
     }
 
-    BuiltTopology {
-        network: net,
-        name: format!("parallel({} pairs, {} paths)", n, config.paths),
-        hosts,
-        link_tiers: tiers,
-        path_model: PathModel::Constant(config.paths),
-    }
+    f.finish(
+        format!("parallel({} pairs, {} paths)", n, config.paths),
+        PathModel::Constant(config.paths),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::Addr;
 
     #[test]
     fn structure() {

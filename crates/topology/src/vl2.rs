@@ -9,7 +9,8 @@
 //! ECMP (standing in for VL2's valiant load balancing).
 
 use crate::built::{BuiltTopology, LinkTier, PathModel};
-use netsim::{Addr, LinkConfig, Network, QueueConfig, SimDuration, SwitchLayer};
+use crate::fabric::{self, Fabric};
+use netsim::{QueueConfig, SimDuration, SwitchLayer};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a VL2-style build.
@@ -63,174 +64,92 @@ pub fn build(config: Vl2Config) -> BuiltTopology {
     );
     assert!(config.num_tors >= 1 && config.hosts_per_tor >= 1);
     assert!(config.num_intermediates >= 1);
+    let host_link = fabric::link(config.host_rate_bps, config.link_delay, config.queue);
+    let fabric_link = fabric::link(config.fabric_rate_bps, config.link_delay, config.queue);
 
-    let num_hosts = config.total_hosts();
-    let host_link = LinkConfig {
-        rate_bps: config.host_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-    let fabric_link = LinkConfig {
-        rate_bps: config.fabric_rate_bps,
-        delay: config.link_delay,
-        queue: config.queue,
-        ..LinkConfig::default()
-    };
-
-    let mut net = Network::new();
-    let mut tiers = Vec::new();
-
-    let hosts: Vec<_> = (0..num_hosts).map(|_| net.add_host()).collect();
-    let tors: Vec<_> = (0..config.num_tors)
-        .map(|_| net.add_switch(SwitchLayer::Edge, num_hosts))
-        .collect();
-    let aggs: Vec<_> = (0..config.num_aggs)
-        .map(|_| net.add_switch(SwitchLayer::Aggregation, num_hosts))
-        .collect();
-    let ints: Vec<_> = (0..config.num_intermediates)
-        .map(|_| net.add_switch(SwitchLayer::Core, num_hosts))
-        .collect();
+    let mut f = Fabric::new(config.total_hosts());
+    let tors = f.switches(SwitchLayer::Edge, config.num_tors);
+    let aggs = f.switches(SwitchLayer::Aggregation, config.num_aggs);
+    let ints = f.switches(SwitchLayer::Core, config.num_intermediates);
 
     // Hosts to ToRs.
-    let mut host_down = vec![None; num_hosts];
-    for (h, &host) in hosts.iter().enumerate() {
-        let tor = tors[h / config.hosts_per_tor];
-        let (_up, down) = net.add_duplex_link(host, tor, host_link);
-        tiers.push(LinkTier::HostEdge);
-        tiers.push(LinkTier::HostEdge);
-        host_down[h] = Some(down);
-    }
+    let host_down: Vec<_> = (0..config.total_hosts())
+        .map(|h| f.attach(h, tors[h / config.hosts_per_tor], host_link))
+        .collect();
 
-    // Each ToR connects to two aggregation switches.
-    let tor_aggs =
-        |t: usize| -> [usize; 2] { [(2 * t) % config.num_aggs, (2 * t + 1) % config.num_aggs] };
+    // Each ToR connects to two (distinct, as `num_aggs >= 2`) aggregation
+    // switches. `agg_down[a][t]` is the link a -> t, if there is one.
+    let tor_aggs = |t: usize| [(2 * t) % config.num_aggs, (2 * t + 1) % config.num_aggs];
     let mut tor_up = vec![Vec::new(); config.num_tors];
-    let mut agg_down = vec![vec![None; config.num_tors]; config.num_aggs];
-    for t in 0..config.num_tors {
+    let mut agg_down = vec![vec![Vec::new(); config.num_tors]; config.num_aggs];
+    for (t, &tor) in tors.iter().enumerate() {
         for a in tor_aggs(t) {
-            if agg_down[a][t].is_some() {
-                // num_aggs == 2 makes both choices identical; skip duplicates.
-                continue;
-            }
-            let (up, down) = net.add_duplex_link(tors[t], aggs[a], fabric_link);
-            tiers.push(LinkTier::EdgeAggregation);
-            tiers.push(LinkTier::EdgeAggregation);
+            let (up, down) = f.cable(tor, aggs[a], fabric_link, LinkTier::EdgeAggregation);
             tor_up[t].push(up);
-            agg_down[a][t] = Some(down);
+            agg_down[a][t].push(down);
         }
     }
 
     // Aggregation and intermediate switches form a complete bipartite graph.
+    // `int_down[i][t]` are the links from intermediate i towards ToR t: one
+    // per aggregation switch serving t, in aggregation order.
     let mut agg_up = vec![Vec::new(); config.num_aggs];
-    let mut int_down = vec![vec![None; config.num_aggs]; config.num_intermediates];
-    for a in 0..config.num_aggs {
-        for i in 0..config.num_intermediates {
-            let (up, down) = net.add_duplex_link(aggs[a], ints[i], fabric_link);
-            tiers.push(LinkTier::AggregationCore);
-            tiers.push(LinkTier::AggregationCore);
+    let mut int_down = vec![vec![Vec::new(); config.num_tors]; config.num_intermediates];
+    for (a, &agg) in aggs.iter().enumerate() {
+        for (i, &int) in ints.iter().enumerate() {
+            let (up, down) = f.cable(agg, int, fabric_link, LinkTier::AggregationCore);
             agg_up[a].push(up);
-            int_down[i][a] = Some(down);
-        }
-    }
-
-    debug_assert_eq!(tiers.len(), net.link_count());
-
-    let host_tor = |h: usize| h / config.hosts_per_tor;
-
-    // ToR routing.
-    for t in 0..config.num_tors {
-        let sw = net.switch_mut(tors[t]);
-        let up = sw.add_group(tor_up[t].clone());
-        for h in 0..num_hosts {
-            if host_tor(h) == t {
-                let g = sw.add_group(vec![host_down[h].unwrap()]);
-                sw.set_route(Addr(h as u32), g);
-            } else {
-                sw.set_route(Addr(h as u32), up);
+            for t in (0..config.num_tors).filter(|&t| tor_aggs(t).contains(&a)) {
+                int_down[i][t].push(down);
             }
         }
     }
 
-    // Aggregation routing: hosts under a directly connected ToR go down;
-    // everything else goes up over all intermediates.
-    for a in 0..config.num_aggs {
-        let sw = net.switch_mut(aggs[a]);
-        let up = sw.add_group(agg_up[a].clone());
-        let mut down_groups = vec![None; config.num_tors];
-        for t in 0..config.num_tors {
-            if let Some(link) = agg_down[a][t] {
-                down_groups[t] = Some(sw.add_group(vec![link]));
-            }
-        }
-        for h in 0..num_hosts {
-            let t = host_tor(h);
-            match down_groups[t] {
-                Some(g) => sw.set_route(Addr(h as u32), g),
-                None => sw.set_route(Addr(h as u32), up),
-            }
-        }
+    // ToRs send attached hosts down and the rest up; aggregation switches
+    // send hosts under a directly connected ToR down and the rest up over all
+    // intermediates; intermediates go down to either aggregation switch that
+    // serves the destination's ToR.
+    let under = |t: usize| t * config.hosts_per_tor..(t + 1) * config.hosts_per_tor;
+    for (t, &tor) in tors.iter().enumerate() {
+        let attached = fabric::one_each(under(t), &host_down[under(t)]);
+        f.route(tor, &tor_up[t], attached);
     }
-
-    // Intermediate routing: go down to either aggregation switch that serves
-    // the destination's ToR.
-    for i in 0..config.num_intermediates {
-        // Pre-compute groups keyed by ToR.
-        let mut groups = vec![None; config.num_tors];
-        {
-            let sw = net.switch_mut(ints[i]);
-            for t in 0..config.num_tors {
-                let links: Vec<_> = tor_aggs(t)
-                    .into_iter()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .into_iter()
-                    .map(|a| int_down[i][a].unwrap())
-                    .collect();
-                groups[t] = Some(sw.add_group(links));
-            }
-            for h in 0..num_hosts {
-                sw.set_route(Addr(h as u32), groups[host_tor(h)].unwrap());
-            }
-        }
+    for (a, &agg) in aggs.iter().enumerate() {
+        let served = agg_down[a]
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| !l.is_empty());
+        f.route(agg, &agg_up[a], served.map(|(t, l)| (under(t), &l[..])));
+    }
+    for (i, &int) in ints.iter().enumerate() {
+        let all = int_down[i].iter().enumerate();
+        f.route(int, &[], all.map(|(t, l)| (under(t), &l[..])));
     }
 
     // Path count between hosts on different ToRs: 2 uplinks × intermediates ×
     // (up to) 2 downlinks; we expose the dominant factor used for dup-ACK
     // tuning rather than the exact combinatorial count.
     let paths = 2 * config.num_intermediates;
-
-    BuiltTopology {
-        network: net,
-        name: format!(
+    f.finish(
+        format!(
             "vl2({} tors x {} hosts, {} aggs, {} ints)",
             config.num_tors, config.hosts_per_tor, config.num_aggs, config.num_intermediates
         ),
-        hosts,
-        link_tiers: tiers,
-        path_model: PathModel::Constant(paths),
-    }
+        PathModel::Constant(paths),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::built::assert_fully_routable;
 
     #[test]
     fn structure_and_routability() {
         let cfg = Vl2Config::default();
         let t = build(cfg);
         assert_eq!(t.host_count(), 64);
-        for node in t.network.nodes() {
-            if let Some(sw) = node.as_switch() {
-                for h in 0..t.host_count() {
-                    assert!(
-                        sw.path_count(Addr(h as u32)) >= 1,
-                        "switch {:?} cannot reach host {h}",
-                        sw.id
-                    );
-                }
-            }
-        }
+        assert_fully_routable(&t);
     }
 
     #[test]
@@ -253,13 +172,6 @@ mod tests {
         };
         let t = build(cfg);
         assert_eq!(t.host_count(), 8);
-        // Still fully routable.
-        for node in t.network.nodes() {
-            if let Some(sw) = node.as_switch() {
-                for h in 0..t.host_count() {
-                    assert!(sw.path_count(Addr(h as u32)) >= 1);
-                }
-            }
-        }
+        assert_fully_routable(&t);
     }
 }

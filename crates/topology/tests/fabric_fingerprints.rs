@@ -15,7 +15,7 @@
 use netsim::{Addr, Node, SimDuration};
 use std::fmt::{Debug, Write};
 use topology::{
-    dumbbell, fattree, multihomed, parallel, vl2, BuiltTopology, DumbbellConfig, FatTreeConfig,
+    dumbbell, fattree, parallel, vl2, BuiltTopology, DumbbellConfig, FatTreeConfig,
     LinkFailureSpec, ParallelPathConfig, Vl2Config,
 };
 
@@ -102,12 +102,12 @@ fn rows() -> Vec<(String, BuiltTopology)> {
     for (k, oversubscription) in [(4, 1), (4, 4), (6, 1), (8, 1)] {
         rows.push((
             format!("dual-homed/k{k}/{oversubscription}:1"),
-            multihomed::build(fat(k, oversubscription)),
+            fattree::build_dual_homed(fat(k, oversubscription)),
         ));
     }
     rows.push((
         "dual-homed/k4/2:1/tuned-links".into(),
-        multihomed::build(tuned),
+        fattree::build_dual_homed(tuned),
     ));
     rows.push(("vl2/default".into(), vl2::build(Vl2Config::default())));
     for num_aggs in [2, 3] {

@@ -39,9 +39,11 @@ fn permutation_matrix_is_a_derangement() {
     }
 }
 
-/// FatTree construction invariants hold for every legal (k, oversubscription).
+/// FatTree construction invariants hold for every legal (k, oversubscription),
+/// single- and dual-homed.
 #[test]
 fn fattree_structure_invariants() {
+    use topology::fattree::{build, build_dual_homed};
     for k in [4usize, 6, 8] {
         for oversub in 1usize..=4 {
             let cfg = FatTreeConfig {
@@ -49,24 +51,37 @@ fn fattree_structure_invariants() {
                 oversubscription: oversub,
                 ..FatTreeConfig::default()
             };
-            let topo = topology::fattree::build(cfg);
-            // Host count formula.
-            assert_eq!(topo.host_count(), oversub * k * k * k / 4);
-            // Link tier list covers every link.
-            assert_eq!(topo.link_tiers.len(), topo.network.link_count());
-            // Every switch can reach every host.
-            for node in topo.network.nodes() {
-                if let Some(sw) = node.as_switch() {
-                    for h in 0..topo.host_count() {
-                        assert!(sw.path_count(Addr(h as u32)) >= 1);
+            let single = build(cfg);
+            for (topo, homes) in [(&single, 1), (&build_dual_homed(cfg), 2)] {
+                // Host count formula.
+                assert_eq!(topo.host_count(), oversub * k * k * k / 4);
+                // Link tier list covers every link.
+                assert_eq!(topo.link_tiers.len(), topo.network.link_count());
+                // Every host has one uplink per edge switch it attaches to.
+                for &h in &topo.hosts {
+                    let host = topo.network.node(h).as_host().unwrap();
+                    assert_eq!(host.uplinks.len(), homes);
+                }
+                // Every switch can reach every host.
+                for node in topo.network.nodes() {
+                    if let Some(sw) = node.as_switch() {
+                        for h in 0..topo.host_count() {
+                            assert!(sw.path_count(Addr(h as u32)) >= 1);
+                        }
                     }
                 }
+                // Path-count model is monotone in topological distance, and
+                // every extra home multiplies the single-homed count.
+                let last = Addr((topo.host_count() - 1) as u32);
+                assert!(topo.path_count(Addr(0), Addr(1)) <= topo.path_count(Addr(0), last));
+                assert_eq!(topo.path_count(Addr(0), last), homes * (k / 2) * (k / 2));
+                for b in 1..topo.host_count() as u32 {
+                    assert_eq!(
+                        topo.path_count(Addr(0), Addr(b)),
+                        homes * single.path_count(Addr(0), Addr(b))
+                    );
+                }
             }
-            // Path-count model is monotone in topological distance.
-            let same_edge = topo.path_count(Addr(0), Addr(1));
-            let inter_pod = topo.path_count(Addr(0), Addr((topo.host_count() - 1) as u32));
-            assert!(same_edge <= inter_pod);
-            assert_eq!(inter_pod, (k / 2) * (k / 2));
         }
     }
 }
