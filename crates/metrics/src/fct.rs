@@ -31,7 +31,7 @@ pub struct FlowRecord {
 
 impl FlowRecord {
     /// Flow completion time, if the flow both started and completed.
-    pub fn fct(&self) -> Option<SimDuration> {
+    fn fct(&self) -> Option<SimDuration> {
         match (self.started, self.completed) {
             (Some(s), Some(c)) => Some(c - s),
             _ => None,
@@ -114,8 +114,9 @@ impl FlowMetrics {
 
     /// Aggregate goodput (bits per second) of the selected flows over the
     /// window `[start, end]`, computed from progress-report deltas inside the
-    /// window. Unlike [`FlowMetrics::goodput_bps`] this is insensitive to how
-    /// long the run lasted after `end`.
+    /// window, so it is insensitive to how long the run lasted after `end`.
+    /// Over a whole run (`start` = 0, `end` = the last report) that is every
+    /// byte the flow records hold.
     pub fn goodput_bps_windowed<F: Fn(FlowId) -> bool>(
         &self,
         filter: F,
@@ -146,14 +147,6 @@ impl FlowMetrics {
     /// Number of flows seen.
     pub fn flow_count(&self) -> usize {
         self.records.len()
-    }
-
-    /// Number of flows that completed.
-    pub fn completed_count(&self) -> usize {
-        self.records
-            .values()
-            .filter(|r| r.completed.is_some())
-            .count()
     }
 
     /// All (flow, record) pairs, sorted by flow id for deterministic output.
@@ -206,27 +199,6 @@ impl FlowMetrics {
             .map(|(_, r)| r.redundant_bytes)
             .sum()
     }
-
-    /// Aggregate goodput (bytes per second) of the selected flows over the
-    /// window `[start, end]`, using completed bytes and progress reports.
-    pub fn goodput_bps<F: Fn(FlowId) -> bool>(
-        &self,
-        filter: F,
-        start: SimTime,
-        end: SimTime,
-    ) -> f64 {
-        let elapsed = (end - start).as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        let bytes: u64 = self
-            .records
-            .iter()
-            .filter(|(id, _)| filter(**id))
-            .map(|(_, r)| r.bytes)
-            .sum();
-        bytes as f64 * 8.0 / elapsed
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +227,6 @@ mod tests {
         let rec = m.record(FlowId(1)).unwrap();
         assert_eq!(rec.fct(), Some(SimDuration::from_millis(116)));
         assert_eq!(rec.bytes, 70_000);
-        assert_eq!(m.completed_count(), 1);
     }
 
     #[test]
@@ -279,7 +250,7 @@ mod tests {
         }]);
         assert_eq!(m.fcts_ms(|_| true).len(), 0);
         assert_eq!(m.flow_count(), 1);
-        assert_eq!(m.completed_count(), 0);
+        assert_eq!(m.record(FlowId(3)).unwrap().completed, None);
     }
 
     #[test]
@@ -370,7 +341,7 @@ mod tests {
             bytes: 250_000_000,
         }]);
         // 250 MB over 2 s = 1 Gbps.
-        let bps = m.goodput_bps(|_| true, SimTime::ZERO, SimTime::from_secs(2));
+        let bps = m.goodput_bps_windowed(|_| true, SimTime::ZERO, SimTime::from_secs(2));
         assert!((bps - 1e9).abs() < 1e6);
     }
 

@@ -26,11 +26,11 @@ pub mod stats;
 pub mod table;
 pub mod trace;
 
-pub use fct::{FlowMetrics, FlowRecord};
+pub use fct::FlowMetrics;
 pub use netstats::{
-    loss_report, overall_utilisation, tier_utilisation, LayerLoss, LossReport, UtilisationReport,
+    loss_report, overall_utilisation, tier_utilisation, LossReport, UtilisationReport,
 };
-pub use report::{FctDoc, RunReport, ScenarioReport, TierCounts};
-pub use stats::{percentile, percentile_sorted, Summary};
+pub use report::{RunReport, ScenarioReport};
+pub use stats::{percentile, Summary};
 pub use table::{f2, pct, Table};
 pub use trace::{FlowSelect, TraceConfig, TraceSettings, TraceSink};

@@ -56,15 +56,6 @@ impl LossReport {
     pub fn total_marked(&self) -> u64 {
         self.edge.marked + self.aggregation.marked + self.core.marked + self.host.marked
     }
-
-    /// The layer entry for a switch layer.
-    pub fn layer(&self, layer: SwitchLayer) -> LayerLoss {
-        match layer {
-            SwitchLayer::Edge => self.edge,
-            SwitchLayer::Aggregation => self.aggregation,
-            SwitchLayer::Core => self.core,
-        }
-    }
 }
 
 /// Compute per-layer loss by attributing each link's queue drops to the layer

@@ -25,7 +25,7 @@ const FLOAT_DECIMALS: i32 = 4;
 /// round-trip `Display` is deterministic; rounding first collapses sub-1e-4
 /// noise so cross-platform libm (ln in the Poisson sampler, etc.) cannot
 /// flip a digit. Non-finite values render as `null`.
-pub fn json_f64(x: f64) -> String {
+fn json_f64(x: f64) -> String {
     if !x.is_finite() {
         return "null".to_string();
     }

@@ -51,7 +51,7 @@ impl Summary {
 
 /// Percentile (nearest-rank with linear interpolation) of an already-sorted
 /// slice. `p` is in `[0, 100]`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     if sorted.len() == 1 {

@@ -30,9 +30,9 @@
 //! 4. The sink (carried inside `ExperimentResults`, so the parallel driver
 //!    merges traces in config order exactly like results) renders
 //!    [`TraceSink::flows_csv`] / [`TraceSink::links_csv`] /
-//!    [`TraceSink::events_csv`] plus a schema-documenting
-//!    [`TraceSink::manifest_json`], and [`TraceSink::write_dir`] writes the
-//!    four files under `target/traces/…`.
+//!    [`TraceSink::events_csv`], and [`TraceSink::write_dir`] writes the
+//!    three files plus a schema-documenting `manifest.json` under
+//!    `target/traces/…`.
 //!
 //! Determinism: the engine is single-threaded and seeded, signal order is
 //! event order, and all series are keyed through `BTreeMap`s — so the same
@@ -89,34 +89,6 @@ pub enum TraceConfig {
     Off,
     /// Record a flight-recorder trace with these settings.
     On(TraceSettings),
-}
-
-impl TraceConfig {
-    /// A convenience `On` with default settings (all flows, no links).
-    pub fn flows() -> Self {
-        TraceConfig::On(TraceSettings::default())
-    }
-
-    /// A convenience `On` recording flow *and* link series.
-    pub fn full() -> Self {
-        TraceConfig::On(TraceSettings {
-            links: true,
-            ..TraceSettings::default()
-        })
-    }
-
-    /// Is tracing enabled at all?
-    pub fn is_on(&self) -> bool {
-        matches!(self, TraceConfig::On(_))
-    }
-
-    /// The settings, when tracing is on.
-    pub fn settings(&self) -> Option<&TraceSettings> {
-        match self {
-            TraceConfig::Off => None,
-            TraceConfig::On(s) => Some(s),
-        }
-    }
 }
 
 /// One point of a subflow's congestion time series.
@@ -270,7 +242,7 @@ impl<T> RingSeries<T> {
     }
 
     /// Total samples offered (including decimated ones).
-    pub fn offered(&self) -> u64 {
+    pub(crate) fn offered(&self) -> u64 {
         self.offered
     }
 
@@ -314,11 +286,6 @@ impl TraceSink {
             prev_links: Vec::new(),
             last_link_sample: None,
         }
-    }
-
-    /// The settings this sink records under.
-    pub fn settings(&self) -> &TraceSettings {
-        &self.settings
     }
 
     /// Whether per-link sampling is requested.
@@ -565,7 +532,7 @@ impl TraceSink {
     /// retained samples, decimation strides, dropped events). Hand-rolled
     /// like every canonical document in this workspace (the local `serde`
     /// is a no-op shim).
-    pub fn manifest_json(&self, label: &str) -> String {
+    fn manifest_json(&self, label: &str) -> String {
         use crate::report::json_escape;
         let flows_offered: u64 = self.flows.values().map(|s| s.offered()).sum();
         let links_offered: u64 = self.links.values().map(|s| s.offered()).sum();
@@ -798,7 +765,7 @@ mod tests {
 
     #[test]
     fn link_sampling_produces_window_deltas() {
-        use netsim::prelude::*;
+        use netsim::{Addr, FlowId, LinkConfig, Packet, SwitchLayer};
         let mut net = Network::new();
         let h0 = net.add_host();
         let sw = net.add_switch(SwitchLayer::Edge, 1);
@@ -902,10 +869,6 @@ mod tests {
     #[test]
     fn off_config_is_the_default_and_reports_no_settings() {
         assert_eq!(TraceConfig::default(), TraceConfig::Off);
-        assert!(!TraceConfig::Off.is_on());
-        assert!(TraceConfig::Off.settings().is_none());
-        assert!(TraceConfig::flows().is_on());
-        assert!(TraceConfig::full().settings().unwrap().links);
-        assert!(!TraceConfig::flows().settings().unwrap().links);
+        assert!(!TraceSettings::default().links, "link series are opt-in");
     }
 }

@@ -4,6 +4,7 @@ use metrics::trace::TraceConfig;
 use netsim::{PathPolicy, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use topology::{DumbbellConfig, FatTreeConfig, ParallelPathConfig, Vl2Config};
+use transport::conn::MAX_SUBFLOWS;
 use transport::{DupAckPolicy, SwitchStrategy, TransportConfig};
 use workload::{FlowSpec, PaperWorkloadConfig};
 
@@ -304,11 +305,63 @@ impl ExperimentConfig {
             ..ExperimentConfig::default()
         }
     }
+
+    /// Reject a configuration [`crate::run`] cannot execute, so it fails
+    /// before a topology is built rather than in a worker at the first flow
+    /// start. One rule so far: a connection holds at most [`MAX_SUBFLOWS`]
+    /// subflows, and MMPTCP's packet-scatter flow is one of them.
+    pub fn validate(&self) -> Result<(), String> {
+        for protocol in std::iter::once(&self.protocol).chain(&self.long_protocol) {
+            let (name, subflows, needed) = match *protocol {
+                Protocol::Mptcp { subflows } => ("MPTCP", subflows, subflows),
+                Protocol::Mmptcp { subflows, .. } => {
+                    ("MMPTCP", subflows, subflows.saturating_add(1))
+                }
+                _ => continue,
+            };
+            if needed > MAX_SUBFLOWS {
+                return Err(format!(
+                    "{name} with {subflows} subflows needs {needed} per connection; \
+                     the limit is {MAX_SUBFLOWS}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_bounds_subflows_per_connection() {
+        let with = |protocol| ExperimentConfig::small_test(protocol, 1);
+        let mmptcp = |subflows| Protocol::Mmptcp {
+            subflows,
+            switch: SwitchStrategy::default(),
+            dupack: None,
+        };
+        assert_eq!(with(Protocol::Mptcp { subflows: 64 }).validate(), Ok(()));
+        assert_eq!(with(mmptcp(63)).validate(), Ok(()));
+        // The packet-scatter flow is the 65th subflow.
+        let err = with(mmptcp(64)).validate().unwrap_err();
+        assert!(
+            err.contains("MMPTCP") && err.contains("limit is 64"),
+            "{err}"
+        );
+        let err = with(Protocol::Mptcp { subflows: 65 })
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("MPTCP with 65"), "{err}");
+        // Long flows' protocol is bound by the same rule, and `run` refuses
+        // with the same message before it builds anything.
+        let mut config = with(Protocol::Tcp);
+        config.long_protocol = Some(mmptcp(64));
+        let err = config.validate().unwrap_err();
+        let panic = std::panic::catch_unwind(|| crate::run(config)).unwrap_err();
+        assert!(panic.downcast_ref::<String>().unwrap().ends_with(&err));
+    }
 
     #[test]
     fn protocol_names() {

@@ -49,11 +49,6 @@ impl Driver {
         }
     }
 
-    /// Number of worker threads this driver will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run every configuration and return the results in input order.
     pub fn run(&self, configs: Vec<ExperimentConfig>) -> Vec<ExperimentResults> {
         let n = configs.len();

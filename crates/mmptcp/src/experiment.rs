@@ -171,6 +171,9 @@ fn run_observed(
     mut config: ExperimentConfig,
     mut observe: impl FnMut(&Simulator),
 ) -> ExperimentResults {
+    if let Err(e) = config.validate() {
+        panic!("invalid experiment configuration: {e}");
+    }
     ensure_ecn_marking(&mut config);
     let mut topo = config.topology.build();
     // The path policy is a fabric property: install it on every switch before
@@ -450,17 +453,18 @@ mod tests {
         );
         config.progress_interval = netsim::SimDuration::from_millis(1);
 
-        let resident = |sim: &Simulator| -> usize {
+        fn hosts(sim: &Simulator) -> impl Iterator<Item = &netsim::host::Host> {
             let net = sim.network();
-            let hosts = net.hosts().iter().filter_map(|&h| net.node(h).as_host());
-            hosts.map(|h| h.agent_count()).sum()
-        };
+            net.hosts().iter().filter_map(|&h| net.node(h).as_host())
+        }
         let mut ticks = 0;
         let mut last = 0;
         let r = run_observed(config, |sim| {
             let elapsed_us = (sim.now() - SimTime::ZERO).as_micros();
             let started = (elapsed_us / GAP_US + 1).min(FLOWS) as usize;
-            let agents = resident(sim);
+            let agents: usize = hosts(sim).map(|h| h.agent_count()).sum();
+            // No host was ever handed a packet addressed to another.
+            assert!(hosts(sim).all(|h| h.stats().misrouted == 0));
             assert!(
                 (started..=started + MAX_LIVE_SENDERS).contains(&agents),
                 "{agents} agents resident with {started} of {FLOWS} flows started"

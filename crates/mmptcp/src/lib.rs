@@ -49,7 +49,7 @@ pub use config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec}
 pub use driver::Driver;
 pub use experiment::run;
 pub use results::ExperimentResults;
-pub use scenario::{Fidelity, Scenario, ScenarioRun};
+pub use scenario::{Fidelity, ScenarioRun};
 
 // Re-export the sub-crates so downstream users need a single dependency.
 pub use metrics;
@@ -62,15 +62,12 @@ pub use workload;
 pub mod prelude {
     pub use crate::config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
     pub use crate::driver::Driver;
-    pub use crate::experiment::run;
     pub use crate::results::ExperimentResults;
-    pub use crate::scenario::{Fidelity, Scenario, ScenarioRun};
-    pub use metrics::{FlowSelect, Summary, Table, TraceConfig, TraceSettings, TraceSink};
+    pub use crate::scenario::Fidelity;
+    pub use metrics::{FlowSelect, Summary, Table, TraceConfig, TraceSettings};
     pub use netsim::{Addr, FlowId, SimDuration, SimTime};
-    pub use topology::{
-        DumbbellConfig, FatTreeConfig, LinkFailureSpec, ParallelPathConfig, Vl2Config,
-    };
-    pub use transport::{DupAckPolicy, MmptcpPhase, SwitchStrategy, TransportConfig};
+    pub use topology::{DumbbellConfig, FatTreeConfig, LinkFailureSpec, ParallelPathConfig};
+    pub use transport::{DupAckPolicy, SwitchStrategy, TransportConfig};
     pub use workload::{
         ArrivalProcess, DeadlineModel, FlowClass, FlowSizeModel, FlowSpec, PaperWorkloadConfig,
         TrafficMatrix,

@@ -12,7 +12,7 @@ use crate::config::Protocol;
 /// of at most this many bytes are "mice" — the population RepFlow replicates
 /// and DiffFlow scatters, and the one whose tail latency the short-flow
 /// transports compete on.
-pub const MICE_THRESHOLD_BYTES: u64 = 100_000;
+const MICE_THRESHOLD_BYTES: u64 = 100_000;
 
 /// End-of-run engine state needed to close the packet conservation law —
 /// packets that were accepted by a queue but had not yet been delivered,
@@ -93,7 +93,7 @@ impl ExperimentResults {
     /// workloads the overall short-flow percentiles are dominated by
     /// multi-megabyte transfers; this is the tail the mice-focused
     /// transports compete on.
-    pub fn mice_fct_summary(&self) -> Summary {
+    pub(crate) fn mice_fct_summary(&self) -> Summary {
         let mice: HashSet<FlowId> = self
             .flows
             .iter()
@@ -205,26 +205,19 @@ impl ExperimentResults {
 
     /// Aggregate goodput of long flows in bits/second.
     ///
-    /// When a goodput horizon is configured the measurement window is
-    /// `[0, min(horizon, elapsed)]` and uses the receivers' progress-report
-    /// time series, so runs that lasted different amounts of simulated time
-    /// remain comparable. Without a horizon the whole run is used.
+    /// Measured from the receivers' progress-report time series over
+    /// `[0, min(horizon, elapsed)]` when a goodput horizon is configured, so
+    /// runs that lasted different amounts of simulated time remain
+    /// comparable, and over the whole run otherwise.
     pub fn long_goodput_bps(&self) -> f64 {
-        let end = match self.goodput_horizon {
-            Some(h) => netsim::SimTime::ZERO + h.min(self.elapsed),
-            None => netsim::SimTime::ZERO + self.elapsed,
-        };
-        match self.goodput_horizon {
-            Some(_) => self.metrics.goodput_bps_windowed(
-                |f| self.long_ids.contains(&f),
-                netsim::SimTime::ZERO,
-                end,
-            ),
-            None => {
-                self.metrics
-                    .goodput_bps(|f| self.long_ids.contains(&f), netsim::SimTime::ZERO, end)
-            }
-        }
+        let end = self
+            .goodput_horizon
+            .map_or(self.elapsed, |h| h.min(self.elapsed));
+        self.metrics.goodput_bps_windowed(
+            |f| self.long_ids.contains(&f),
+            netsim::SimTime::ZERO,
+            netsim::SimTime::ZERO + end,
+        )
     }
 
     /// Number of flows that switched phase (MMPTCP only).

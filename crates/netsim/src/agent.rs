@@ -126,7 +126,7 @@ impl<'a> AgentCtx<'a> {
     /// Enable (or disable) flight-recorder tracing for this activation. Set
     /// by the simulator from its experiment-wide tracing flag; agents should
     /// only *read* it via [`AgentCtx::trace_enabled`].
-    pub fn set_trace_enabled(&mut self, on: bool) {
+    pub(crate) fn set_trace_enabled(&mut self, on: bool) {
         self.trace = on;
     }
 
@@ -169,21 +169,9 @@ impl<'a> AgentCtx<'a> {
         self.timers.push((at, token));
     }
 
-    /// Arm a timer `delay` from now.
-    pub fn set_timer_after(&mut self, delay: crate::time::SimDuration, token: u64) {
-        let at = self.now + delay;
-        self.set_timer(at, token);
-    }
-
     /// Emit a measurement signal towards the experiment harness.
     pub fn signal(&mut self, signal: Signal) {
         self.signals.push(signal);
-    }
-
-    /// Number of packets queued for sending so far in this activation
-    /// (useful for pacing logic and tests).
-    pub fn pending_sends(&self) -> usize {
-        self.out.len()
     }
 }
 
@@ -228,7 +216,7 @@ mod tests {
                         });
                     }
                 }
-                AgentEvent::Start => ctx.set_timer_after(SimDuration::from_millis(1), 7),
+                AgentEvent::Start => ctx.set_timer(ctx.now() + SimDuration::from_millis(1), 7),
                 AgentEvent::Timer(_) | AgentEvent::Finalize | AgentEvent::FluidComplete { .. } => {}
             }
         }
@@ -270,7 +258,6 @@ mod tests {
             SimTime::ZERO,
         );
         agent.handle(&mut ctx, AgentEvent::Packet(pkt));
-        assert_eq!(ctx.pending_sends(), 1);
 
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].src, Addr(1));

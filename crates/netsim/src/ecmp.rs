@@ -12,7 +12,7 @@ use crate::packet::Packet;
 /// A 64-bit mixing function (SplitMix64 finaliser). Good avalanche behaviour,
 /// deterministic, and dependency-free.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -25,7 +25,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// specific) hash functions/seeds, so a flow that collides on one switch does
 /// not necessarily collide everywhere.
 #[inline]
-pub fn flow_hash(packet: &Packet, salt: u64) -> u64 {
+fn flow_hash(packet: &Packet, salt: u64) -> u64 {
     let a = ((packet.src.0 as u64) << 32) | packet.dst.0 as u64;
     let b = ((packet.src_port as u64) << 16) | packet.dst_port as u64;
     mix64(a ^ mix64(b ^ salt))
@@ -51,7 +51,7 @@ pub fn select(packet: &Packet, salt: u64, n: usize) -> usize {
 /// scattering); deterministic given the forwarding history, unlike drawing
 /// from an RNG.
 #[inline]
-pub fn select_scatter(packet: &Packet, salt: u64, nonce: u64, n: usize) -> usize {
+pub(crate) fn select_scatter(packet: &Packet, salt: u64, nonce: u64, n: usize) -> usize {
     assert!(n > 0, "ECMP selection over an empty next-hop set");
     if n == 1 {
         return 0;
@@ -67,7 +67,7 @@ pub fn select_scatter(packet: &Packet, salt: u64, nonce: u64, n: usize) -> usize
 /// (stateless `hash % n` re-pins on group-size change — no flow entry can go
 /// stale and keep pointing at a removed link).
 #[inline]
-pub fn select_pinned(packet: &Packet, salt: u64, n: usize) -> usize {
+pub(crate) fn select_pinned(packet: &Packet, salt: u64, n: usize) -> usize {
     assert!(n > 0, "ECMP selection over an empty next-hop set");
     if n == 1 {
         return 0;

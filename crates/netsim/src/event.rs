@@ -68,8 +68,6 @@ pub enum Event {
     /// handoffs/departures, packet drops on shared links, topology changes
     /// and the fluid refresh interval.
     FluidEpoch,
-    /// The experiment harness asked to stop the simulation at this time.
-    Stop,
 }
 
 /// An event plus its scheduled time and FIFO tie-break sequence number.
@@ -131,8 +129,8 @@ pub struct EventQueue {
     wheel_len: usize,
     /// Events at or beyond the wheel horizon.
     overflow: BinaryHeap<Scheduled>,
-    /// Next FIFO tie-break sequence number; doubles as the total ever
-    /// scheduled (`len`/`scheduled_total` are derived, never mirrored).
+    /// Next FIFO tie-break sequence number (`len` is derived, never
+    /// mirrored).
     next_seq: u64,
 }
 
@@ -208,11 +206,10 @@ impl EventQueue {
     /// Remove and return the earliest event if its time is at or before
     /// `until`; otherwise leave it pending and return `None`.
     ///
-    /// This is the engine's windowed-run primitive: unlike
-    /// `peek_time`-then-`pop`, it locates the next event only once (the wheel
-    /// may turn to reach it, which is harmless — ordering depends only on
-    /// event times, not on the cursor position).
-    pub fn pop_at_or_before(&mut self, until: SimTime) -> Option<(SimTime, Event)> {
+    /// This is the engine's windowed-run primitive: it locates the next event
+    /// only once (the wheel may turn to reach it, which is harmless —
+    /// ordering depends only on event times, not on the cursor position).
+    pub(crate) fn pop_at_or_before(&mut self, until: SimTime) -> Option<(SimTime, Event)> {
         loop {
             if let Some(s) = self.current.peek() {
                 if s.at > until {
@@ -255,24 +252,6 @@ impl EventQueue {
         }
     }
 
-    /// Time of the earliest scheduled event, if any. Does not advance the
-    /// wheel.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.current.peek() {
-            return Some(s.at);
-        }
-        if self.wheel_len > 0 {
-            for i in 1..=NUM_SLOTS {
-                let bucket = &self.slots[(self.cursor + i) & (NUM_SLOTS - 1)];
-                if let Some(min) = bucket.iter().map(|s| s.at).min() {
-                    return Some(min);
-                }
-            }
-            unreachable!("wheel_len > 0 but all slots empty");
-        }
-        self.overflow.peek().map(|s| s.at)
-    }
-
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
         self.current.len() + self.wheel_len + self.overflow.len()
@@ -281,11 +260,6 @@ impl EventQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (for engine statistics).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -312,14 +286,10 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, Event)> {
             self.heap.pop().map(|s| (s.at, s.event))
         }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|s| s.at)
-        }
     }
 
-    fn stop_at(q: &mut EventQueue, ms: u64) {
-        q.schedule(SimTime::from_millis(ms), Event::Stop);
+    fn epoch_at(q: &mut EventQueue, ms: u64) {
+        q.schedule(SimTime::from_millis(ms), Event::FluidEpoch);
     }
 
     fn flow_start(flow: u64) -> Event {
@@ -332,9 +302,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        stop_at(&mut q, 30);
-        stop_at(&mut q, 10);
-        stop_at(&mut q, 20);
+        epoch_at(&mut q, 30);
+        epoch_at(&mut q, 10);
+        epoch_at(&mut q, 20);
         let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.as_millis())).collect();
         assert_eq!(times, vec![10, 20, 30]);
     }
@@ -359,22 +329,22 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        stop_at(&mut q, 7);
-        stop_at(&mut q, 3);
+        epoch_at(&mut q, 7);
+        epoch_at(&mut q, 3);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        assert_eq!(q.scheduled_total(), 2);
+        // A bounded pop short of the earliest event is a peek: it says the
+        // next event is later and removes nothing.
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(2)), None);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn far_future_events_cross_the_horizon() {
         let mut q = EventQueue::new();
         // Beyond the ~8.4 ms wheel span: lands in overflow.
-        stop_at(&mut q, 1_000);
-        stop_at(&mut q, 500);
-        stop_at(&mut q, 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        epoch_at(&mut q, 1_000);
+        epoch_at(&mut q, 500);
+        epoch_at(&mut q, 2);
         let times: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.as_millis())).collect();
         assert_eq!(times, vec![2, 500, 1_000]);
         assert!(q.is_empty());
@@ -405,16 +375,17 @@ mod tests {
     #[test]
     fn bounded_pop_leaves_out_of_window_events_pending() {
         let mut q = EventQueue::new();
-        stop_at(&mut q, 10);
-        stop_at(&mut q, 500); // overflow tier
-                              // Window before the first event: nothing pops, nothing is lost.
+        epoch_at(&mut q, 10);
+        epoch_at(&mut q, 500); // overflow tier
+
+        // Window before the first event: nothing pops, nothing is lost.
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(5)), None);
         assert_eq!(q.len(), 2);
         // Window covering the first event only.
         let (t, _) = q.pop_at_or_before(SimTime::from_millis(10)).unwrap();
         assert_eq!(t, SimTime::from_millis(10));
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(499)), None);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(500)));
+        assert_eq!(q.len(), 1);
         // An unbounded pop still retrieves it.
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_millis(500));
@@ -447,7 +418,6 @@ mod tests {
                     wheel.schedule(at, ev);
                     heap.schedule(at, ev);
                 }
-                assert_eq!(wheel.peek_time(), heap.peek_time());
                 assert_eq!(wheel.len(), heap.heap.len());
                 // Drain a few.
                 for _ in 0..rng.range(0usize..6) {
@@ -474,9 +444,9 @@ mod tests {
     #[test]
     fn len_tracks_across_tiers() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), Event::Stop); // current
-        q.schedule(SimTime::from_micros(100), Event::Stop); // wheel
-        q.schedule(SimTime::from_secs(1), Event::Stop); // overflow
+        q.schedule(SimTime::from_nanos(10), Event::FluidEpoch); // current
+        q.schedule(SimTime::from_micros(100), Event::FluidEpoch); // wheel
+        q.schedule(SimTime::from_secs(1), Event::FluidEpoch); // overflow
         assert_eq!(q.len(), 3);
         q.pop();
         assert_eq!(q.len(), 2);
@@ -484,6 +454,5 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 3);
     }
 }

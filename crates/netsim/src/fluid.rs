@@ -31,7 +31,7 @@
 //! packet-level bytes it recently carried (floored at 10 % of the rate so
 //! fluid flows always make progress). In the other direction, the sum of
 //! fluid rates allocated on a link is installed as a *reservation*
-//! ([`crate::link::Link::set_fluid_reservation`]) that shrinks the
+//! (`Link::set_fluid_reservation`) that shrinks the
 //! serialisation rate packet-mode traffic sees, so the two worlds contend
 //! for the same capacity rather than both seeing the full link.
 //!
@@ -255,24 +255,26 @@ impl FluidEngine {
 
     /// Total bytes delivered analytically across all fluid flows so far —
     /// the new term of the experiment-level conservation ledger.
-    pub fn delivered_bytes(&self) -> u64 {
+    pub(crate) fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
     }
 
     /// The currently allocated rate of a fluid flow, if it is one.
-    pub fn flow_rate_bps(&self, flow: FlowId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn flow_rate_bps(&self, flow: FlowId) -> Option<u64> {
         self.flows.get(&flow).map(|f| f.rate_bps)
     }
 
     /// Does any fluid flow currently cross `link`?
-    pub fn uses_link(&self, link: LinkId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn uses_link(&self, link: LinkId) -> bool {
         self.links.get(link.index()).is_some_and(|s| s.users > 0)
     }
 
     /// Record a packet-mode drop on `link`. Returns `true` (and marks the
     /// link for Reno-style cap halving at the next epoch) if a fluid flow
     /// shares it — the caller then schedules an immediate epoch.
-    pub fn note_drop(&mut self, link: LinkId) -> bool {
+    pub(crate) fn note_drop(&mut self, link: LinkId) -> bool {
         match self.links.get_mut(link.index()) {
             Some(slot) if slot.users > 0 => {
                 slot.dropped = true;
@@ -630,7 +632,7 @@ mod tests {
     fn attach_host(net: &mut Network, sw: NodeId) -> NodeId {
         let host = net.add_host();
         let (_up, down) = net.add_duplex_link(host, sw, LinkConfig::default());
-        let addr = net.host_addr(host);
+        let addr = net.node(host).as_host().expect("just added").addr;
         let sw_ref = net.switch_mut(sw);
         let group = sw_ref.add_group(vec![down]);
         sw_ref.set_route(addr, group);
@@ -1091,7 +1093,7 @@ mod tests {
         // The network grows after the first `accept`. A handoff towards the
         // new host crosses links the engine has no slot for yet...
         let h2 = attach_host(&mut net, sw);
-        assert_eq!(net.host_addr(h2), Addr(2));
+        assert_eq!(net.hosts()[2], h2);
         let h = handoff_between(2, (0, 2), 50_000, 10_000_000, 400_000_000);
         eng.accept(t0, hosts[0], h, &net);
         assert!(

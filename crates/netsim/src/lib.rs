@@ -20,7 +20,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use netsim::prelude::*;
+//! use netsim::{Addr, LinkConfig, Network, Simulator, SwitchLayer};
 //!
 //! // Two hosts connected through one edge switch.
 //! let mut net = Network::new();
@@ -64,33 +64,17 @@ pub mod sim;
 pub mod time;
 
 pub use agent::{Agent, AgentCtx, AgentEvent};
-pub use event::{Event, EventQueue};
-pub use fluid::{FluidCc, FluidCompletion, FluidEngine, FluidHandoff};
+pub use fluid::FluidCc;
 pub use ids::{Addr, FlowId, LinkId, NodeId};
-pub use link::{Link, LinkConfig, LinkStats, LinkTelemetry};
+pub use link::{Link, LinkConfig, LinkTelemetry};
 pub use network::Network;
 pub use node::Node;
-pub use packet::{Ecn, Packet, PacketArena, PacketKind, PacketRef, DEFAULT_MSS, HEADER_BYTES};
-pub use queue::{DropTailQueue, EnqueueOutcome, QueueConfig, QueueStats};
+pub use packet::{Ecn, Packet, PacketArena, PacketKind, DEFAULT_MSS};
+pub use queue::QueueConfig;
 pub use rng::SimRng;
 pub use signal::Signal;
 pub use sim::{SimCounters, Simulator};
-pub use switch::{PathPolicy, Switch, SwitchLayer, SwitchStats};
+pub use switch::{PathPolicy, Switch, SwitchLayer};
 pub use time::{SimDuration, SimTime};
 
 pub mod switch;
-
-/// Convenience re-exports for downstream crates and examples.
-pub mod prelude {
-    pub use crate::agent::{Agent, AgentCtx, AgentEvent};
-    pub use crate::ids::{Addr, FlowId, LinkId, NodeId};
-    pub use crate::link::LinkConfig;
-    pub use crate::network::Network;
-    pub use crate::packet::{Ecn, Packet, PacketKind, DEFAULT_MSS, HEADER_BYTES};
-    pub use crate::queue::QueueConfig;
-    pub use crate::rng::SimRng;
-    pub use crate::signal::Signal;
-    pub use crate::sim::Simulator;
-    pub use crate::switch::{PathPolicy, SwitchLayer};
-    pub use crate::time::{SimDuration, SimTime};
-}

@@ -19,6 +19,13 @@
 //! schedule. (The one degenerate exception — observations landing at exactly
 //! a later burst packet's serialisation-start instant — is documented on the
 //! private `Link::prune_committed`.)
+//!
+//! The ledger stays. A scratch copy defaulting `drain_batch` to 1 (sizing
+//! ISSUE 19; two alternating pairs per `benchmark/` workload against its
+//! parent, so *unverified, direction consistent* under `benchmark/README.md`'s
+//! ten-pair rule) moved `wall_s` by 0 % on `fig1_mmptcp`, +3 % on
+//! `battle_sweep`, +5 % on `mice_storm_tcp` and +9 % on `elephants_hybrid`:
+//! batching is worth keeping, and the ledger is what makes it invisible.
 
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
@@ -157,12 +164,13 @@ impl Link {
     /// minus the reservation (floored at 10 % of the rate so packet-mode
     /// control traffic always makes progress). In-progress transmissions
     /// keep the timings computed when they started.
-    pub fn set_fluid_reservation(&mut self, bps: u64) {
+    pub(crate) fn set_fluid_reservation(&mut self, bps: u64) {
         self.fluid_reserved_bps = bps;
     }
 
     /// The currently installed fluid reservation in bits per second.
-    pub fn fluid_reservation(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fluid_reservation(&self) -> u64 {
         self.fluid_reserved_bps
     }
 
@@ -220,9 +228,9 @@ impl Link {
         packet: Packet,
     ) -> Result<Option<StartedTransmission>, EnqueueOutcome> {
         self.prune_committed(now);
-        let outcome =
-            self.queue
-                .enqueue_with_extra(packet, self.committed.len(), self.committed_bytes);
+        let outcome = self
+            .queue
+            .enqueue(packet, self.committed.len(), self.committed_bytes);
         match outcome {
             EnqueueOutcome::Dropped => Err(EnqueueOutcome::Dropped),
             EnqueueOutcome::Queued | EnqueueOutcome::QueuedMarked => {
@@ -308,7 +316,7 @@ impl Link {
 
     /// Current queue depth in packets at time `now`, excluding packets whose
     /// serialisation has begun.
-    pub fn queue_len_at(&self, now: SimTime) -> usize {
+    fn queue_len_at(&self, now: SimTime) -> usize {
         let pending = self
             .committed
             .iter()
@@ -317,18 +325,12 @@ impl Link {
         self.queue.len() + pending
     }
 
-    /// Current queue depth in packets (excluding the packet on the wire, but
-    /// including batch-committed packets that have not started serialising).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len() + self.committed.len()
-    }
-
     /// Packets accepted into the queue whose transmission has not been
-    /// committed to the wire yet. Unlike [`Link::queue_len`], committed-burst
-    /// packets are excluded: those already have `Delivery` events scheduled
-    /// (they live in the engine's packet arena), so this is exactly the
-    /// "enqueued but not yet in flight" term of the engine's packet
-    /// conservation law.
+    /// committed to the wire yet. Unlike the depth that drop and ECN
+    /// decisions see, committed-burst packets are excluded: those already
+    /// have `Delivery` events scheduled (they live in the engine's packet
+    /// arena), so this is exactly the "enqueued but not yet in flight" term
+    /// of the engine's packet conservation law.
     pub fn backlog(&self) -> usize {
         self.queue.len()
     }
@@ -366,11 +368,6 @@ impl Link {
             return 0.0;
         }
         (self.stats.busy_ns as f64 / elapsed.as_nanos() as f64).min(1.0)
-    }
-
-    /// Is the transmitter currently busy?
-    pub fn is_transmitting(&self) -> bool {
-        self.transmitting
     }
 }
 
@@ -422,8 +419,8 @@ mod tests {
             tx.delivered_at,
             now + SimDuration::from_micros(12) + SimDuration::from_micros(10)
         );
-        assert!(link.is_transmitting());
-        assert_eq!(link.queue_len(), 0);
+        assert!(link.transmitting);
+        assert_eq!(link.backlog(), 0);
     }
 
     #[test]
@@ -434,7 +431,7 @@ mod tests {
         assert!(first.is_some());
         // Transmitter busy: next packet only queues.
         assert!(link.offer(now, pkt(1)).unwrap().is_none());
-        assert_eq!(link.queue_len(), 1);
+        assert_eq!(link.backlog(), 1);
         // When the first transmission completes, the queued packet starts.
         let done = first.unwrap().transmit_done_at;
         let second = complete(&mut link, done);
@@ -463,7 +460,7 @@ mod tests {
         let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), cfg());
         let tx = link.offer(SimTime::ZERO, pkt(0)).unwrap().unwrap();
         assert!(complete(&mut link, tx.transmit_done_at).is_empty());
-        assert!(!link.is_transmitting());
+        assert!(!link.transmitting);
     }
 
     #[test]
@@ -506,7 +503,7 @@ mod tests {
             );
             assert_eq!(tx.delivered_at, tx.transmit_done_at + link.config.delay);
         }
-        assert!(link.is_transmitting());
+        assert!(link.transmitting);
         assert_eq!(link.queue_stats().dropped, 0);
     }
 

@@ -50,7 +50,7 @@ impl Network {
     }
 
     /// Add a unidirectional link from `from` to `to`.
-    pub fn add_link(&mut self, from: NodeId, to: NodeId, config: LinkConfig) -> LinkId {
+    pub(crate) fn add_link(&mut self, from: NodeId, to: NodeId, config: LinkConfig) -> LinkId {
         assert!(from.index() < self.nodes.len(), "unknown 'from' node");
         assert!(to.index() < self.nodes.len(), "unknown 'to' node");
         let id = LinkId(self.links.len() as u32);
@@ -95,19 +95,6 @@ impl Network {
         &self.hosts
     }
 
-    /// The node id of the host with address `addr`.
-    pub fn host_node(&self, addr: Addr) -> NodeId {
-        self.hosts[addr.index()]
-    }
-
-    /// The address of the host at node `id`. Panics if `id` is not a host.
-    pub fn host_addr(&self, id: NodeId) -> Addr {
-        self.nodes[id.index()]
-            .as_host()
-            .expect("node is not a host")
-            .addr
-    }
-
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
@@ -148,20 +135,10 @@ impl Network {
     }
 
     /// Convenience: mutably borrow a host, panicking if the node is not one.
-    pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
+    pub(crate) fn host_mut(&mut self, id: NodeId) -> &mut Host {
         self.nodes[id.index()]
             .as_host_mut()
             .expect("node is not a host")
-    }
-
-    /// Outgoing links of a node (linear scan; intended for topology
-    /// construction and tests, not the forwarding fast path).
-    pub fn outgoing_links(&self, id: NodeId) -> Vec<LinkId> {
-        self.links
-            .iter()
-            .filter(|l| l.from == id)
-            .map(|l| l.id)
-            .collect()
     }
 
     /// Mutable iterator over every switch, e.g. for installing a fabric-wide
@@ -197,19 +174,19 @@ mod tests {
         assert_eq!(net.node_count(), 3);
         assert_eq!(net.link_count(), 4);
         assert_eq!(net.host_count(), 2);
-        assert_eq!(net.host_addr(h0), Addr(0));
-        assert_eq!(net.host_addr(h1), Addr(1));
-        assert_eq!(net.host_node(Addr(1)), h1);
+        assert_eq!(net.hosts(), [h0, h1]);
         assert_eq!(net.switches_at(SwitchLayer::Edge), vec![sw]);
         assert_eq!(net.switches_at(SwitchLayer::Core), Vec::<NodeId>::new());
 
         // Hosts learned their uplinks automatically.
         let host0 = net.node(h0).as_host().unwrap();
+        assert_eq!(host0.addr, Addr(0));
+        assert_eq!(net.node(h1).as_host().unwrap().addr, Addr(1));
         assert_eq!(host0.uplinks.len(), 1);
         assert_eq!(net.link(host0.uplinks[0]).to, sw);
 
         // Switch has two outgoing (downlink) links.
-        assert_eq!(net.outgoing_links(sw).len(), 2);
+        assert_eq!(net.links().iter().filter(|l| l.from == sw).count(), 2);
     }
 
     #[test]

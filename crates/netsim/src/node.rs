@@ -31,7 +31,7 @@ impl Node {
     }
 
     /// Mutably borrow as a host, if it is one.
-    pub fn as_host_mut(&mut self) -> Option<&mut Host> {
+    pub(crate) fn as_host_mut(&mut self) -> Option<&mut Host> {
         match self {
             Node::Host(h) => Some(h),
             Node::Switch(_) => None,
@@ -47,7 +47,7 @@ impl Node {
     }
 
     /// Mutably borrow as a switch, if it is one.
-    pub fn as_switch_mut(&mut self) -> Option<&mut Switch> {
+    pub(crate) fn as_switch_mut(&mut self) -> Option<&mut Switch> {
         match self {
             Node::Switch(s) => Some(s),
             Node::Host(_) => None,
@@ -60,7 +60,7 @@ impl Node {
     }
 
     /// Is this node a switch?
-    pub fn is_switch(&self) -> bool {
+    pub(crate) fn is_switch(&self) -> bool {
         matches!(self, Node::Switch(_))
     }
 }

@@ -101,21 +101,6 @@ impl Packet {
         HEADER_BYTES + self.payload
     }
 
-    /// Is this a pure control packet (no payload)?
-    pub fn is_control(&self) -> bool {
-        self.payload == 0
-    }
-
-    /// The ECMP 5-tuple hashed by switches, as an ordered array.
-    pub fn ecmp_tuple(&self) -> [u64; 4] {
-        [
-            self.src.0 as u64,
-            self.dst.0 as u64,
-            ((self.src_port as u64) << 16) | self.dst_port as u64,
-            0, // protocol field placeholder; constant so it never skews the hash
-        ]
-    }
-
     /// Builder-style constructor for a data segment.
     #[allow(clippy::too_many_arguments)]
     pub fn data(
@@ -227,11 +212,6 @@ struct Slot {
 }
 
 impl PacketArena {
-    /// Create an empty arena.
-    pub fn new() -> Self {
-        PacketArena::default()
-    }
-
     /// Create an arena with room for `capacity` packets before growing.
     pub fn with_capacity(capacity: usize) -> Self {
         PacketArena {
@@ -286,7 +266,8 @@ impl PacketArena {
     }
 
     /// Read-only access to the packet behind `handle`, if it is still live.
-    pub fn get(&self, handle: PacketRef) -> Option<&Packet> {
+    #[cfg(test)]
+    fn get(&self, handle: PacketRef) -> Option<&Packet> {
         let slot = self.slots.get(handle.index as usize)?;
         if slot.generation != handle.generation {
             return None;
@@ -302,11 +283,6 @@ impl PacketArena {
     /// Whether the arena holds no packets.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total slots ever allocated (high-water mark of in-flight packets).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -333,7 +309,6 @@ mod tests {
     fn wire_size_includes_header() {
         let p = sample();
         assert_eq!(p.wire_bytes(), 1400 + HEADER_BYTES);
-        assert!(!p.is_control());
         let a = Packet::ack(
             Addr(2),
             Addr(1),
@@ -346,15 +321,6 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(a.wire_bytes(), HEADER_BYTES);
-        assert!(a.is_control());
-    }
-
-    #[test]
-    fn ecmp_tuple_depends_on_ports() {
-        let p = sample();
-        let mut q = sample();
-        q.src_port = 50_001;
-        assert_ne!(p.ecmp_tuple(), q.ecmp_tuple());
     }
 
     #[test]
@@ -375,7 +341,7 @@ mod tests {
 
     #[test]
     fn arena_roundtrips_and_recycles_slots() {
-        let mut arena = PacketArena::new();
+        let mut arena = PacketArena::default();
         let a = arena.insert(sample());
         let mut second = sample();
         second.seq = 9_999;
@@ -387,7 +353,7 @@ mod tests {
         assert_eq!(arena.len(), 1);
         // The freed slot is reused with a new generation.
         let c = arena.insert(sample());
-        assert_eq!(arena.capacity(), 2);
+        assert_eq!(arena.slots.len(), 2);
         assert_ne!(b, c);
         assert!(arena.get(b).is_none(), "stale handle must not resolve");
         assert!(arena.get(c).is_some());
@@ -399,7 +365,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale PacketRef")]
     fn arena_panics_on_stale_take() {
-        let mut arena = PacketArena::new();
+        let mut arena = PacketArena::default();
         let a = arena.insert(sample());
         arena.take(a);
         arena.insert(sample()); // reuses the slot, bumping the generation

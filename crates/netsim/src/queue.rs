@@ -60,7 +60,7 @@ pub enum EnqueueOutcome {
 
 /// A bounded drop-tail FIFO of packets.
 #[derive(Debug, Clone)]
-pub struct DropTailQueue {
+pub(crate) struct DropTailQueue {
     config: QueueConfig,
     packets: VecDeque<Packet>,
     bytes: u64,
@@ -69,7 +69,7 @@ pub struct DropTailQueue {
 
 impl DropTailQueue {
     /// Create a queue with the given configuration.
-    pub fn new(config: QueueConfig) -> Self {
+    pub(crate) fn new(config: QueueConfig) -> Self {
         DropTailQueue {
             config,
             packets: VecDeque::new(),
@@ -80,17 +80,14 @@ impl DropTailQueue {
 
     /// Offer a packet to the queue. On success the packet is stored (and
     /// possibly ECN-marked); on failure it is dropped and counted.
-    pub fn enqueue(&mut self, packet: Packet) -> EnqueueOutcome {
-        self.enqueue_with_extra(packet, 0, 0)
-    }
-
-    /// Offer a packet while `extra_packets`/`extra_bytes` of occupancy are
-    /// conceptually still in the queue but stored elsewhere — used by the
-    /// link's batched drain, whose committed-but-not-yet-serialising packets
-    /// must keep counting towards drop and ECN decisions so batching does
-    /// not change them (up to the exact-instant tie convention documented on
-    /// the link's committed ledger).
-    pub fn enqueue_with_extra(
+    ///
+    /// `extra_packets`/`extra_bytes` of occupancy are conceptually still in
+    /// the queue but stored elsewhere: the link's batched drain commits
+    /// packets before they start serialising, and those must keep counting
+    /// towards drop and ECN decisions so batching does not change them (up
+    /// to the exact-instant tie convention documented on the link's
+    /// committed ledger).
+    pub(crate) fn enqueue(
         &mut self,
         mut packet: Packet,
         extra_packets: usize,
@@ -133,35 +130,20 @@ impl DropTailQueue {
     }
 
     /// Remove the packet at the head of the queue.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    pub(crate) fn dequeue(&mut self) -> Option<Packet> {
         let p = self.packets.pop_front()?;
         self.bytes -= p.wire_bytes() as u64;
         Some(p)
     }
 
     /// Number of packets currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.packets.len()
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Bytes currently queued (wire bytes).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// The queue's counters.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
-    }
-
-    /// The queue's configuration.
-    pub fn config(&self) -> QueueConfig {
-        self.config
     }
 }
 
@@ -198,7 +180,7 @@ mod tests {
         for i in 0..5 {
             let mut p = pkt(100);
             p.seq = i;
-            q.enqueue(p);
+            q.enqueue(p, 0, 0);
         }
         for i in 0..5 {
             assert_eq!(q.dequeue().unwrap().seq, i);
@@ -212,9 +194,9 @@ mod tests {
             limit_packets: 2,
             ..QueueConfig::default()
         });
-        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Dropped);
+        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Dropped);
         assert_eq!(q.stats().dropped, 1);
         assert_eq!(q.stats().enqueued, 2);
         assert_eq!(q.len(), 2);
@@ -227,9 +209,9 @@ mod tests {
             limit_bytes: Some(2_000),
             ecn_threshold_packets: None,
         });
-        assert_eq!(q.enqueue(pkt(1400)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(1400), 0, 0), EnqueueOutcome::Queued);
         // The second 1400B packet would exceed 2000 wire bytes.
-        assert_eq!(q.enqueue(pkt(1400)), EnqueueOutcome::Dropped);
+        assert_eq!(q.enqueue(pkt(1400), 0, 0), EnqueueOutcome::Dropped);
         assert_eq!(
             q.stats().dropped_bytes,
             1400 + crate::packet::HEADER_BYTES as u64
@@ -239,14 +221,14 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_wire_bytes() {
         let mut q = DropTailQueue::new(QueueConfig::default());
-        q.enqueue(pkt(1000));
-        q.enqueue(pkt(500));
+        q.enqueue(pkt(1000), 0, 0);
+        q.enqueue(pkt(500), 0, 0);
         assert_eq!(
-            q.bytes(),
+            q.bytes,
             (1000 + 500 + 2 * crate::packet::HEADER_BYTES) as u64
         );
         q.dequeue();
-        assert_eq!(q.bytes(), (500 + crate::packet::HEADER_BYTES) as u64);
+        assert_eq!(q.bytes, (500 + crate::packet::HEADER_BYTES) as u64);
     }
 
     #[test]
@@ -256,12 +238,12 @@ mod tests {
             limit_bytes: None,
             ecn_threshold_packets: Some(2),
         });
-        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::Queued);
         // Queue depth is now 2 == K, so this one gets marked.
-        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::QueuedMarked);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::QueuedMarked);
         // Non-capable packets are never marked.
-        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
         assert_eq!(q.stats().ecn_marked, 1);
         // The marked packet carries CE when dequeued.
         q.dequeue();
@@ -273,7 +255,7 @@ mod tests {
     fn max_depth_is_tracked() {
         let mut q = DropTailQueue::new(QueueConfig::default());
         for _ in 0..7 {
-            q.enqueue(pkt(10));
+            q.enqueue(pkt(10), 0, 0);
         }
         q.dequeue();
         q.dequeue();

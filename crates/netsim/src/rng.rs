@@ -17,7 +17,6 @@
 #[derive(Debug, Clone)]
 pub struct SimRng {
     state: [u64; 4],
-    seed: u64,
 }
 
 /// SplitMix64 step, used to expand a 64-bit seed into xoshiro state.
@@ -39,12 +38,7 @@ impl SimRng {
             splitmix64(&mut s),
             splitmix64(&mut s),
         ];
-        SimRng { state, seed }
-    }
-
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        SimRng { state }
     }
 
     /// Derive an independent child generator. Useful for giving workload

@@ -137,21 +137,6 @@ impl Signal {
             | Signal::CwndSample { flow, .. } => *flow,
         }
     }
-
-    /// The simulated time at which the signal was emitted.
-    pub fn at(&self) -> SimTime {
-        match self {
-            Signal::FlowStarted { at, .. }
-            | Signal::FlowCompleted { at, .. }
-            | Signal::RetransmissionTimeout { at, .. }
-            | Signal::FastRetransmit { at, .. }
-            | Signal::PhaseSwitched { at, .. }
-            | Signal::FlowProgress { at, .. }
-            | Signal::SpuriousRetransmit { at, .. }
-            | Signal::RedundantBytes { at, .. }
-            | Signal::CwndSample { at, .. } => *at,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +198,6 @@ mod tests {
         ];
         for (i, s) in signals.iter().enumerate() {
             assert_eq!(s.flow(), FlowId(i as u64 + 1));
-            assert_eq!(s.at(), SimTime::from_millis(i as u64 + 1));
         }
     }
 }

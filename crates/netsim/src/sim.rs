@@ -44,7 +44,6 @@ pub struct Simulator {
     rng: SimRng,
     signals: Vec<Signal>,
     counters: SimCounters,
-    stopped: bool,
     /// When true, every agent activation sees `AgentCtx::trace_enabled()` and
     /// transports emit `Signal::CwndSample` telemetry. Off by default.
     trace_flows: bool,
@@ -77,7 +76,6 @@ impl Simulator {
             rng: SimRng::new(seed),
             signals: Vec::new(),
             counters: SimCounters::default(),
-            stopped: false,
             trace_flows: false,
             scratch_out: Vec::with_capacity(64),
             scratch_timers: Vec::with_capacity(16),
@@ -144,11 +142,6 @@ impl Simulator {
         self.counters
     }
 
-    /// Signals emitted so far (without draining them).
-    pub fn signals(&self) -> &[Signal] {
-        &self.signals
-    }
-
     /// Remove and return all signals emitted so far.
     pub fn drain_signals(&mut self) -> Vec<Signal> {
         std::mem::take(&mut self.signals)
@@ -174,12 +167,6 @@ impl Simulator {
             .schedule(at, Event::FlowStart { node: host, flow });
     }
 
-    /// Schedule the simulation to stop at `at` (events after `at` remain in
-    /// the calendar but will not be processed by [`Simulator::run`]).
-    pub fn schedule_stop(&mut self, at: SimTime) {
-        self.queue.schedule(at, Event::Stop);
-    }
-
     /// Number of events waiting in the calendar.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -190,23 +177,8 @@ impl Simulator {
         self.arena.len()
     }
 
-    /// Whether a `Stop` event has been processed.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// Process a single event. Returns `false` when the calendar is empty or a
-    /// stop event was processed.
-    pub fn step(&mut self) -> bool {
-        let Some((at, event)) = self.queue.pop() else {
-            return false;
-        };
-        self.process(at, event)
-    }
-
-    /// Advance the clock to `at` and dispatch one popped event. Returns
-    /// `false` if it was a stop event.
-    fn process(&mut self, at: SimTime, event: Event) -> bool {
+    /// Advance the clock to `at` and dispatch one popped event.
+    fn process(&mut self, at: SimTime, event: Event) {
         debug_assert!(at >= self.now, "event scheduled in the past");
         self.now = at;
         self.counters.events_processed += 1;
@@ -220,40 +192,24 @@ impl Simulator {
                 self.dispatch_agent(node, flow, AgentEvent::Start);
             }
             Event::FluidEpoch => self.handle_fluid_epoch(),
-            Event::Stop => {
-                self.stopped = true;
-                return false;
-            }
         }
-        true
-    }
-
-    /// Run until the calendar is empty or a stop event fires.
-    pub fn run(&mut self) {
-        while self.step() {}
     }
 
     /// Run until simulated time reaches `until` (inclusive of events at
-    /// exactly `until`), the calendar empties, or a stop event fires.
+    /// exactly `until`) or the calendar empties.
     ///
-    /// Unless a stop event fired, the clock is always left at `until` —
-    /// including when the calendar empties mid-window or was empty to begin
-    /// with — so back-to-back `run_until` calls advance time monotonically
-    /// and interval-based harness logic (progress sampling, load injection)
-    /// can rely on `now()` afterwards.
+    /// The clock is always left at `until` — including when the calendar
+    /// empties mid-window or was empty to begin with — so back-to-back
+    /// `run_until` calls advance time monotonically and interval-based
+    /// harness logic (progress sampling, load injection) can rely on `now()`
+    /// afterwards.
     pub fn run_until(&mut self, until: SimTime) {
-        while !self.stopped {
-            // Bounded pop: locates the next event once (no peek-then-pop
-            // double scan of the wheel) and leaves it pending if it lies
-            // beyond the window.
-            let Some((at, event)) = self.queue.pop_at_or_before(until) else {
-                break;
-            };
-            if !self.process(at, event) {
-                break;
-            }
+        // Bounded pop: locates the next event once and leaves it pending if
+        // it lies beyond the window.
+        while let Some((at, event)) = self.queue.pop_at_or_before(until) {
+            self.process(at, event);
         }
-        if !self.stopped && self.now < until {
+        if self.now < until {
             self.now = until;
         }
     }
@@ -289,12 +245,6 @@ impl Simulator {
                 self.dispatch_agent(host, flow, AgentEvent::Finalize);
             }
         }
-    }
-
-    /// Inject a packet directly at a host's NIC, as if an agent had sent it.
-    /// Primarily for tests and hand-crafted scenarios.
-    pub fn inject_from_host(&mut self, host: NodeId, packet: Packet) {
-        self.send_from_host(host, packet);
     }
 
     // --- event handlers -------------------------------------------------
@@ -596,6 +546,13 @@ mod tests {
         (net, h0, h1)
     }
 
+    /// Drain the calendar, leaving the clock at the last event.
+    fn run(sim: &mut Simulator) {
+        while let Some((at, event)) = sim.queue.pop() {
+            sim.process(at, event);
+        }
+    }
+
     fn run_transfer(segments: u32) -> (Simulator, Vec<Signal>) {
         let (net, h0, h1) = two_host_network();
         let mut sim = Simulator::new(net, 7);
@@ -614,7 +571,7 @@ mod tests {
         );
         sim.register_agent(h1, flow, Box::new(AckEverything));
         sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-        sim.run();
+        run(&mut sim);
         let signals = sim.drain_signals();
         (sim, signals)
     }
@@ -697,31 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_event_halts_the_run() {
-        let (net, h0, h1) = two_host_network();
-        let mut sim = Simulator::new(net, 7);
-        let flow = FlowId(1);
-        sim.register_agent(
-            h0,
-            flow,
-            Box::new(StopAndWaitSender {
-                src: Addr(0),
-                dst: Addr(1),
-                flow,
-                segments_left: 100_000,
-                seq: 0,
-                payload: 1400,
-            }),
-        );
-        sim.register_agent(h1, flow, Box::new(AckEverything));
-        sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-        sim.schedule_stop(SimTime::from_millis(5));
-        sim.run();
-        assert!(sim.is_stopped());
-        assert_eq!(sim.now(), SimTime::from_millis(5));
-    }
-
-    #[test]
     fn finalize_reaches_agents() {
         struct FinalizeProbe;
         impl Agent for FinalizeProbe {
@@ -751,7 +683,7 @@ mod tests {
         struct OneShot;
         impl Agent for OneShot {
             fn handle(&mut self, ctx: &mut AgentCtx<'_>, _event: AgentEvent) {
-                ctx.set_timer_after(SimDuration::from_millis(1), 0);
+                ctx.set_timer(ctx.now() + SimDuration::from_millis(1), 0);
                 ctx.signal(Signal::FlowProgress {
                     flow: ctx.flow(),
                     at: ctx.now(),
@@ -765,11 +697,11 @@ mod tests {
         let flow = FlowId(4);
         sim.register_agent(h0, flow, Box::new(OneShot));
         sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-        assert!(sim.step(), "the start");
+        sim.run_until(SimTime::from_millis(1));
         let host = |sim: &Simulator| sim.network().node(h0).as_host().unwrap().agent_count();
         assert_eq!(host(&sim), 0, "retired agents leave their host");
         assert_eq!(sim.pending_events(), 1, "its last timer is still armed");
-        sim.run();
+        run(&mut sim);
         sim.finalize();
         assert_eq!(sim.counters().events_processed, 2, "the timer fired");
         assert_eq!(sim.drain_signals().len(), 1, "into nothing");
@@ -808,16 +740,6 @@ mod tests {
         // ... but never backwards.
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(sim.now(), SimTime::from_millis(80));
-    }
-
-    #[test]
-    fn run_until_leaves_clock_at_stop_time_when_stopped() {
-        let (net, _h0, _h1) = two_host_network();
-        let mut sim = Simulator::new(net, 7);
-        sim.schedule_stop(SimTime::from_millis(3));
-        sim.run_until(SimTime::from_millis(50));
-        assert!(sim.is_stopped());
-        assert_eq!(sim.now(), SimTime::from_millis(3));
     }
 
     /// A sender that blasts `count` segments in one activation, forcing queue
@@ -906,7 +828,7 @@ mod tests {
         );
         sim.register_agent(h1, flow, Box::new(ArrivalRecorder));
         sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-        sim.run();
+        run(&mut sim);
         let signals = sim.drain_signals();
         (sim.counters(), signals)
     }
@@ -1014,7 +936,7 @@ mod tests {
             10,
             SimTime::ZERO,
         );
-        sim.inject_from_host(h0, pkt);
+        sim.send_from_host(h0, pkt);
         assert_eq!(sim.counters().unsendable, 1);
     }
 }

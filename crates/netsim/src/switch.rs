@@ -148,11 +148,6 @@ impl Switch {
         }
     }
 
-    /// The multi-path member selection policy.
-    pub fn path_policy(&self) -> PathPolicy {
-        self.policy
-    }
-
     /// Install a multi-path member selection policy.
     pub fn set_path_policy(&mut self, policy: PathPolicy) {
         self.policy = policy;
@@ -242,7 +237,7 @@ impl Switch {
     /// path by construction; its fluid stand-in is the flow-hash member,
     /// which spreads a *population* of fluid flows across the group the way
     /// scatter spreads packets.
-    pub fn route_stable(&self, packet: &Packet) -> Option<LinkId> {
+    pub(crate) fn route_stable(&self, packet: &Packet) -> Option<LinkId> {
         let group = match self.table.get(packet.dst.index()) {
             Some(&g) if g != NO_ROUTE => &self.groups[g as usize],
             _ => return None,
@@ -466,7 +461,7 @@ mod tests {
     #[test]
     fn default_policy_is_flow_hash() {
         let sw = Switch::new(NodeId(1), SwitchLayer::Core, 1, 0);
-        assert_eq!(sw.path_policy(), PathPolicy::FlowHash);
+        assert_eq!(sw.policy, PathPolicy::FlowHash);
         assert_eq!(PathPolicy::FlowHash.label(), "ecmp");
         assert_eq!(PathPolicy::PerPacketScatter.label(), "scatter");
         assert_eq!(PathPolicy::diffflow_default().label(), "diffflow");

@@ -43,7 +43,7 @@ pub(crate) struct Fabric {
 
 impl Fabric {
     /// A fabric of `num_hosts` hosts (addresses `0..num_hosts`) and nothing else.
-    pub fn new(num_hosts: usize) -> Self {
+    pub(crate) fn new(num_hosts: usize) -> Self {
         let mut net = Network::new();
         for _ in 0..num_hosts {
             net.add_host();
@@ -55,14 +55,14 @@ impl Fabric {
     }
 
     /// Add `n` switches at `layer`.
-    pub fn switches(&mut self, layer: SwitchLayer, n: usize) -> Vec<NodeId> {
+    pub(crate) fn switches(&mut self, layer: SwitchLayer, n: usize) -> Vec<NodeId> {
         let hosts = self.net.host_count();
         (0..n).map(|_| self.net.add_switch(layer, hosts)).collect()
     }
 
     /// Join `a` and `b` with a duplex link of tier `tier`; returns
     /// `(a_to_b, b_to_a)`.
-    pub fn cable(
+    pub(crate) fn cable(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -75,7 +75,7 @@ impl Fabric {
 
     /// Join host `h` to `switch` with an access link; returns the link from
     /// the switch down to the host.
-    pub fn attach(&mut self, h: usize, switch: NodeId, link: LinkConfig) -> LinkId {
+    pub(crate) fn attach(&mut self, h: usize, switch: NodeId, link: LinkConfig) -> LinkId {
         self.cable(self.net.hosts()[h], switch, link, LinkTier::HostEdge)
             .1
     }
@@ -85,7 +85,7 @@ impl Fabric {
     /// of `down` — a run of hosts and the ordered next hops they sit behind —
     /// goes down instead. Without an up-group the blocks must cover every
     /// host.
-    pub fn route<'a>(
+    pub(crate) fn route<'a>(
         &mut self,
         switch: NodeId,
         up: &'a [LinkId],
@@ -103,12 +103,12 @@ impl Fabric {
     }
 
     /// Mutably borrow a switch (failure injection edits groups after routing).
-    pub fn switch_mut(&mut self, switch: NodeId) -> &mut Switch {
+    pub(crate) fn switch_mut(&mut self, switch: NodeId) -> &mut Switch {
         self.net.switch_mut(switch)
     }
 
     /// The finished topology.
-    pub fn finish(self, name: String, path_model: PathModel) -> BuiltTopology {
+    pub(crate) fn finish(self, name: String, path_model: PathModel) -> BuiltTopology {
         debug_assert_eq!(self.tiers.len(), self.net.link_count());
         BuiltTopology {
             hosts: self.net.hosts().to_vec(),

@@ -124,7 +124,7 @@ impl FatTreeConfig {
     }
 
     /// Hosts attached to each edge switch.
-    pub fn hosts_per_edge(&self) -> usize {
+    pub(crate) fn hosts_per_edge(&self) -> usize {
         self.oversubscription * self.k / 2
     }
 

@@ -13,7 +13,7 @@
 //!
 //! Every builder returns a [`BuiltTopology`]: the [`netsim::Network`] graph
 //! plus the metadata transports and metrics need (host list, link tiers and a
-//! [`PathModel`] for MMPTCP's topology-aware duplicate-ACK threshold). They
+//! [`built::PathModel`] for MMPTCP's topology-aware duplicate-ACK threshold). They
 //! all assemble it through the crate-private `fabric` helper, which is also
 //! where what fixes a fabric's identity is written down.
 
@@ -27,7 +27,7 @@ pub mod fattree;
 pub mod parallel;
 pub mod vl2;
 
-pub use built::{BuiltTopology, LinkTier, PathModel};
+pub use built::{BuiltTopology, LinkTier};
 pub use dumbbell::DumbbellConfig;
 pub use fattree::{FatTreeConfig, LinkFailureSpec};
 pub use parallel::ParallelPathConfig;

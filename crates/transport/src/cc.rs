@@ -11,18 +11,18 @@
 //!
 //! Shipped controllers:
 //!
-//! * [`Reno`] — the NewReno/RFC 5681 state machine extracted from the
+//! * `Reno` — the NewReno/RFC 5681 state machine extracted from the
 //!   pre-refactor `Subflow`, byte-identical to it (including RFC 6356
 //!   linked-increase coupling when the connection supplies
 //!   [`LiaParams`]). The default.
-//! * [`Cubic`] — RFC 8312 cubic window growth with a delay-based hybrid
+//! * `Cubic` — RFC 8312 cubic window growth with a delay-based hybrid
 //!   slow start (HyStart-style exit when round-trip delay inflates).
-//! * [`Bbr`] — model-based control: a windowed max filter over per-ACK
+//! * `Bbr` — model-based control: a windowed max filter over per-ACK
 //!   delivery-rate samples and the minimum RTT tracked by
 //!   [`RttEstimator`] estimate the path's bottleneck bandwidth and
 //!   propagation delay; startup/drain/probe-bandwidth states steer cwnd
 //!   toward `gain × BDP` and export an explicit pacing rate.
-//! * [`EcnResponder`] — DCTCP's α-EWMA over the marked-byte fraction,
+//! * `EcnResponder` — DCTCP's α-EWMA over the marked-byte fraction,
 //!   re-expressed as a layer *on top of* any controller: it accumulates
 //!   marks per round trip and at each round end hands the controller a
 //!   penalty via [`CongestionController::on_ecn`]. D²TCP is the same
@@ -89,7 +89,7 @@ impl CongestionControl {
     /// The fluid fast path's cap-dynamics approximation of this controller
     /// (see [`netsim::fluid`]): which growth/backoff rule a handed-off
     /// elephant's pacing cap follows between epochs.
-    pub fn fluid(&self) -> FluidCc {
+    pub(crate) fn fluid(&self) -> FluidCc {
         match self {
             CongestionControl::Reno => FluidCc::Reno,
             CongestionControl::Cubic => FluidCc::Cubic,
@@ -161,11 +161,6 @@ pub trait CongestionController: std::fmt::Debug + Send {
     /// Always finite.
     fn ssthresh(&self) -> f64;
 
-    /// Force the slow-start threshold — an instrumentation/test hook (e.g.
-    /// to pin a subflow into congestion avoidance); not part of the normal
-    /// event-driven flow.
-    fn set_ssthresh(&mut self, ssthresh: f64);
-
     /// Whether the controller considers itself still in its startup regime
     /// (`cwnd < ssthresh` for loss-based controllers, the `Startup` state
     /// for BBR). The fluid fast path refuses handoffs during startup.
@@ -184,7 +179,7 @@ pub trait CongestionController: std::fmt::Debug + Send {
 /// congestion response extracted verbatim from the pre-refactor `Subflow`,
 /// kept byte-identical so every golden snapshot pins it.
 #[derive(Debug)]
-pub struct Reno {
+pub(crate) struct Reno {
     mss: f64,
     initial_cwnd: f64,
     cwnd: f64,
@@ -195,7 +190,7 @@ pub struct Reno {
 
 impl Reno {
     /// Build from the transport configuration.
-    pub fn new(cfg: &TransportConfig) -> Self {
+    pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Reno {
             mss: cfg.mss as f64,
             initial_cwnd: cfg.initial_cwnd_bytes(),
@@ -291,10 +286,6 @@ impl CongestionController for Reno {
         self.ssthresh
     }
 
-    fn set_ssthresh(&mut self, ssthresh: f64) {
-        self.ssthresh = ssthresh;
-    }
-
     fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
@@ -320,7 +311,7 @@ const CUBIC_BETA: f64 = 0.7;
 /// the round-trip floor (the HyStart delay signal) — on fabrics whose queues
 /// mark delay long before they drop, this leaves slow start without a loss.
 #[derive(Debug)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     mss: f64,
     initial_cwnd: f64,
     cwnd: f64,
@@ -340,7 +331,7 @@ pub struct Cubic {
 
 impl Cubic {
     /// Build from the transport configuration.
-    pub fn new(cfg: &TransportConfig) -> Self {
+    pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Cubic {
             mss: cfg.mss as f64,
             initial_cwnd: cfg.initial_cwnd_bytes(),
@@ -491,10 +482,6 @@ impl CongestionController for Cubic {
         self.ssthresh
     }
 
-    fn set_ssthresh(&mut self, ssthresh: f64) {
-        self.ssthresh = ssthresh;
-    }
-
     fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
@@ -512,7 +499,7 @@ impl CongestionController for Cubic {
 /// a later round still) is the classic windowed-minmax structure: when the
 /// best sample ages out, the runners-up are already in place.
 #[derive(Debug, Clone, Copy)]
-pub struct WindowedMaxFilter {
+struct WindowedMaxFilter {
     /// (sample value, round it was taken in), best first.
     slots: [(f64, u64); 3],
     /// Window length in rounds.
@@ -521,7 +508,7 @@ pub struct WindowedMaxFilter {
 
 impl WindowedMaxFilter {
     /// An empty filter over a `window`-round horizon.
-    pub fn new(window: u64) -> Self {
+    fn new(window: u64) -> Self {
         WindowedMaxFilter {
             slots: [(0.0, 0); 3],
             window,
@@ -530,7 +517,7 @@ impl WindowedMaxFilter {
 
     /// Incorporate one sample taken during `round` (the windowed running-max
     /// update of Linux's `lib/minmax.c`, with rounds as the clock).
-    pub fn update(&mut self, sample: f64, round: u64) {
+    fn update(&mut self, sample: f64, round: u64) {
         let s = &mut self.slots;
         // A new overall max, or nothing left in the window: restart.
         if sample >= s[0].0 || round.saturating_sub(s[2].1) > self.window {
@@ -564,7 +551,7 @@ impl WindowedMaxFilter {
     }
 
     /// The current windowed maximum (0 before any sample).
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         self.slots[0].0
     }
 }
@@ -597,7 +584,7 @@ const BBR_BW_WINDOW_ROUNDS: u64 = 10;
 /// ECN apply only a conservative 0.7 backoff so the model, not the loss
 /// signal, dominates steady state.
 #[derive(Debug)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     mss: f64,
     initial_cwnd: f64,
     cwnd: f64,
@@ -619,7 +606,7 @@ pub struct Bbr {
 
 impl Bbr {
     /// Build from the transport configuration.
-    pub fn new(cfg: &TransportConfig) -> Self {
+    pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Bbr {
             mss: cfg.mss as f64,
             initial_cwnd: cfg.initial_cwnd_bytes(),
@@ -634,11 +621,6 @@ impl Bbr {
             prior_cwnd: 0.0,
             prior_ssthresh: 0.0,
         }
-    }
-
-    /// The current bottleneck-bandwidth estimate in bits per second.
-    pub fn btl_bw_bps(&self) -> f64 {
-        self.bw_filter.get()
     }
 
     fn pacing_gain(&self) -> f64 {
@@ -784,10 +766,6 @@ impl CongestionController for Bbr {
         self.ssthresh
     }
 
-    fn set_ssthresh(&mut self, ssthresh: f64) {
-        self.ssthresh = ssthresh;
-    }
-
     fn in_slow_start(&self) -> bool {
         self.state == BbrState::Startup
     }
@@ -812,7 +790,7 @@ impl CongestionController for Bbr {
 /// `α^d` through [`CongestionController::on_ecn`]. `d = 1` is plain DCTCP;
 /// D²TCP's deadline-aware gamma correction sets `d = Tc/D` per ACK.
 #[derive(Debug, Clone, Copy)]
-pub struct EcnResponder {
+pub(crate) struct EcnResponder {
     g: f64,
     alpha: f64,
     penalty_exponent: f64,
@@ -823,7 +801,7 @@ pub struct EcnResponder {
 impl EcnResponder {
     /// A responder with EWMA gain `g` (DCTCP's default is 1/16) and a unit
     /// penalty exponent (plain DCTCP).
-    pub fn new(g: f64) -> Self {
+    pub(crate) fn new(g: f64) -> Self {
         EcnResponder {
             g,
             alpha: 0.0,
@@ -834,24 +812,26 @@ impl EcnResponder {
     }
 
     /// The running marked-fraction estimate α.
-    pub fn alpha(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn alpha(&self) -> f64 {
         self.alpha
     }
 
     /// The current penalty exponent `d`.
-    pub fn penalty_exponent(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn penalty_exponent(&self) -> f64 {
         self.penalty_exponent
     }
 
     /// Set D²TCP's deadline-imminence exponent `d` (clamped to a sane range;
     /// 1.0 reproduces plain DCTCP). Values below 1 make the flow hold its
     /// window near a deadline; values above 1 make it yield.
-    pub fn set_penalty_exponent(&mut self, d: f64) {
+    pub(crate) fn set_penalty_exponent(&mut self, d: f64) {
         self.penalty_exponent = d.clamp(0.25, 4.0);
     }
 
     /// Account one advancing ACK's bytes (and whether they were marked).
-    pub fn on_ack(&mut self, newly_acked: u64, marked: bool) {
+    pub(crate) fn on_ack(&mut self, newly_acked: u64, marked: bool) {
         self.total_bytes += newly_acked;
         if marked {
             self.marked_bytes += newly_acked;
@@ -860,7 +840,7 @@ impl EcnResponder {
 
     /// A round trip ended: fold the round's marked fraction into α and, if
     /// anything was marked, apply the (gamma-corrected) penalty to `cc`.
-    pub fn on_round_end(&mut self, cc: &mut dyn CongestionController) {
+    pub(crate) fn on_round_end(&mut self, cc: &mut dyn CongestionController) {
         if self.total_bytes > 0 {
             let frac = self.marked_bytes as f64 / self.total_bytes as f64;
             self.alpha = (1.0 - self.g) * self.alpha + self.g * frac;
@@ -937,7 +917,7 @@ mod tests {
         let mut cubic = Cubic::new(&cfg());
         let rtt = rtt_with(100);
         cubic.on_established(SimTime::ZERO, &rtt);
-        cubic.set_ssthresh(cubic.cwnd()); // force congestion avoidance
+        cubic.ssthresh = cubic.cwnd(); // force congestion avoidance
         cubic.on_loss(0);
         let w_max = cubic.w_max;
         assert!(w_max > 0.0);
@@ -959,7 +939,7 @@ mod tests {
         let mut cubic = Cubic::new(&cfg());
         let rtt = rtt_with(100);
         cubic.on_established(SimTime::ZERO, &rtt);
-        cubic.set_ssthresh(cubic.cwnd() / 2.0);
+        cubic.ssthresh = cubic.cwnd() / 2.0;
         let before = cubic.cwnd();
         cubic.on_ack(1400, SimTime::from_millis(1), &rtt, None);
         assert!(cubic.cwnd() > before, "CA must make progress");
@@ -1022,7 +1002,7 @@ mod tests {
         // The model exports a pacing rate once the filter has samples.
         let pace = bbr.pacing_rate_bps().expect("pacing rate after samples");
         assert!(pace > 0);
-        assert!(bbr.btl_bw_bps() > 0.0);
+        assert!(bbr.bw_filter.get() > 0.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Default for TransportConfig {
 
 impl TransportConfig {
     /// Initial congestion window in bytes.
-    pub fn initial_cwnd_bytes(&self) -> f64 {
+    pub(crate) fn initial_cwnd_bytes(&self) -> f64 {
         (self.initial_cwnd_segments * self.mss) as f64
     }
 

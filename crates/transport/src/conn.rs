@@ -15,7 +15,7 @@
 //! 1. `data_acked` advances to the packet's connection-level ACK,
 //! 2. [`Policy::before_ack`] (D²TCP refreshes its deadline-imminence exponent),
 //! 3. [`Policy::lia`] computes the coupled-increase input for the subflow,
-//! 4. [`Subflow::on_packet`] runs loss detection and congestion control,
+//! 4. `Subflow::on_packet` runs loss detection and congestion control,
 //! 5. [`Policy::after_subflow_event`] (MPTCP joins, MMPTCP adapts its
 //!    dup-ACK threshold and switches phase, RepSYN caps the losing replica),
 //! 6. [`Policy::pump`] maps new data onto subflows with window space,
@@ -23,10 +23,10 @@
 //! 8. the fluid handoff is considered over [`Policy::fluid_subflows`].
 //!
 //! Steps 6–8 are skipped once the flow is complete or in fluid mode. A timer
-//! runs [`Subflow::on_timer`], then steps 5 and 6.
+//! runs `Subflow::on_timer`, then steps 5 and 6.
 //!
 //! A connection lives until its flow is complete *and* every subflow is
-//! quiescent ([`Subflow::is_quiescent`]); the activation that gets it there
+//! quiescent (`Subflow::is_quiescent`); the activation that gets it there
 //! ends with [`AgentCtx::retire`] and the simulator drops the agent.
 
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
@@ -38,7 +38,7 @@ use std::ops::{Deref, DerefMut};
 /// `u8` packet field and in the top bits of timer tokens, and every subflow
 /// is allocated when the connection is created, so the count is bounded
 /// before anything is built.
-const MAX_SUBFLOWS: usize = 64;
+pub const MAX_SUBFLOWS: usize = 64;
 
 /// A connection's subflows, indexed by [`Subflow::index`]. A single-path
 /// connection keeps its one subflow inline: a `Vec` of one costs an
@@ -162,9 +162,8 @@ pub trait Policy: Send {
         &[]
     }
 
-    /// The flow has just completed (`conn.completed`), or the run is ending
-    /// with it unfinished.
-    fn on_finish(&mut self, _conn: &mut ConnState, _now: SimTime) {}
+    /// The flow has just completed.
+    fn on_finish(&mut self, _conn: &mut ConnState) {}
 }
 
 /// A sender: the shared connection core steered by transport policy `P`.
@@ -203,11 +202,6 @@ impl<P: Policy> Connection<P> {
         }
     }
 
-    /// Connection-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.conn.data_acked
-    }
-
     /// Has the whole transfer been acknowledged?
     pub fn is_completed(&self) -> bool {
         self.conn.completed
@@ -219,19 +213,14 @@ impl<P: Policy> Connection<P> {
     }
 
     /// Every subflow of the connection, started or not.
-    pub fn subflows(&self) -> &[Subflow] {
+    pub(crate) fn subflows(&self) -> &[Subflow] {
         &self.conn.subflows
     }
 
     /// Subflow 0: the only subflow of a single-path transport, MPTCP's
     /// initial subflow, MMPTCP's packet-scatter flow.
-    pub fn subflow(&self) -> &Subflow {
+    pub(crate) fn subflow(&self) -> &Subflow {
         &self.conn.subflows[0]
-    }
-
-    /// Total retransmission timeouts across all subflows.
-    pub fn total_rtos(&self) -> u64 {
-        self.subflows().iter().map(|s| s.counters().rto_count).sum()
     }
 
     /// Total data bytes handed to the network across all subflows,
@@ -245,7 +234,7 @@ impl<P: Policy> Connection<P> {
     /// `fluid_bytes` by the fluid engine.
     fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) {
         self.conn.completed = true;
-        self.policy.on_finish(&mut self.conn, ctx.now());
+        self.policy.on_finish(&mut self.conn);
         ctx.signal(Signal::FlowCompleted {
             flow: self.conn.flow,
             at: ctx.now(),
@@ -386,7 +375,6 @@ impl<P: Policy> Connection<P> {
             }
             AgentEvent::Finalize => {
                 if !conn.completed && !conn.fluid_mode {
-                    self.policy.on_finish(conn, ctx.now());
                     ctx.signal(Signal::FlowProgress {
                         flow: conn.flow,
                         at: ctx.now(),

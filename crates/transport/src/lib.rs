@@ -50,13 +50,11 @@ pub mod subflow;
 pub mod tcp;
 pub mod testing;
 
-pub use cc::{Bbr, CongestionControl, CongestionController, Cubic, EcnResponder, Reno};
+pub use cc::CongestionControl;
 pub use config::TransportConfig;
-pub use conn::{Connection, Policy};
 pub use mmptcp::{DupAckPolicy, MmptcpConfig, MmptcpPhase, MmptcpSender, SwitchStrategy};
-pub use mptcp::{compute_lia, MptcpConfig, MptcpScheduler, MptcpSender};
-pub use receiver::{ReceiverCounters, TransportReceiver, PROGRESS_REPORT_STRIDE};
+pub use mptcp::{MptcpConfig, MptcpScheduler, MptcpSender};
+pub use receiver::TransportReceiver;
 pub use repflow::{RepFlowConfig, RepFlowSender};
 pub use rtt::RttEstimator;
-pub use subflow::{LiaParams, Subflow, SubflowCounters, SubflowUpdate};
 pub use tcp::{D2tcpSender, TcpSender};

@@ -180,15 +180,6 @@ impl MmptcpConfig {
             ..MmptcpConfig::default()
         }
     }
-
-    /// Configure the topology-aware duplicate-ACK threshold from a path count.
-    pub fn with_paths(mut self, paths: usize) -> Self {
-        self.dupack = DupAckPolicy::TopologyAware {
-            paths: paths as u32,
-            factor: 1.0,
-        };
-        self
-    }
 }
 
 /// Which phase the connection is in.
@@ -378,11 +369,6 @@ impl MmptcpSender {
     pub fn scatter_subflow(&self) -> &Subflow {
         self.subflow()
     }
-
-    /// The MPTCP-phase subflows.
-    pub fn mptcp_subflows(&self) -> &[Subflow] {
-        &self.subflows()[1..]
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +394,7 @@ mod tests {
         assert!(l.tx.switched_at().is_none());
         // All data travelled on the scatter flow.
         assert!(l.tx.scatter_subflow().counters().data_bytes_sent >= 70_000);
-        for sf in l.tx.mptcp_subflows() {
+        for sf in &l.tx.subflows()[1..] {
             assert_eq!(sf.counters().data_bytes_sent, 0);
         }
     }
@@ -430,11 +416,10 @@ mod tests {
             .iter()
             .any(|s| matches!(s, Signal::PhaseSwitched { .. })));
         // MPTCP subflows carried the bulk of the data after the switch.
-        let mptcp_bytes: u64 =
-            l.tx.mptcp_subflows()
-                .iter()
-                .map(|s| s.counters().data_bytes_sent)
-                .sum();
+        let mptcp_bytes: u64 = l.tx.subflows()[1..]
+            .iter()
+            .map(|s| s.counters().data_bytes_sent)
+            .sum();
         assert!(mptcp_bytes > 0);
         // The PS flow stopped taking new data around the threshold.
         assert!(l.tx.scatter_subflow().counters().data_bytes_sent <= 150_000);
@@ -504,7 +489,13 @@ mod tests {
 
     #[test]
     fn topology_aware_threshold_is_installed_on_the_scatter_flow() {
-        let cfg = MmptcpConfig::default().with_paths(12);
+        let cfg = MmptcpConfig {
+            dupack: DupAckPolicy::TopologyAware {
+                paths: 12,
+                factor: 1.0,
+            },
+            ..MmptcpConfig::default()
+        };
         let tx = MmptcpSender::new(cfg, FlowId(1), Addr(0), Addr(1), 50_000, 80, Some(1));
         assert_eq!(tx.scatter_subflow().dupack_threshold(), 12);
     }

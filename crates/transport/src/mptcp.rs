@@ -79,7 +79,7 @@ impl MptcpConfig {
 ///
 /// Subflows without an RTT sample yet are ignored; if nothing qualifies the
 /// result falls back to `alpha = 1` (plain Reno behaviour).
-pub fn compute_lia(subflows: &[Subflow]) -> LiaParams {
+pub(crate) fn compute_lia(subflows: &[Subflow]) -> LiaParams {
     let mut total_cwnd = 0.0_f64;
     let mut max_term = 0.0_f64;
     let mut sum_term = 0.0_f64;
@@ -244,7 +244,7 @@ mod tests {
                 sf.index
             );
         }
-        assert_eq!(l.tx.acked_bytes(), 400_000);
+        assert_eq!(l.tx.conn.data_acked, 400_000);
     }
 
     #[test]
@@ -275,7 +275,7 @@ mod tests {
         let mut l = new_loop(MptcpConfig::with_subflows(1), 70_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.total_rtos(), 0);
+        assert_eq!(l.tx.subflow().counters().rto_count, 0);
     }
 
     #[test]

@@ -18,19 +18,6 @@ struct SubflowRecv {
     ooo: BTreeMap<u64, u64>,
 }
 
-/// Statistics maintained by the receiver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReceiverCounters {
-    /// Data packets received (including duplicates).
-    pub data_packets: u64,
-    /// Duplicate data packets received.
-    pub duplicate_packets: u64,
-    /// Data packets that arrived out of order at connection level.
-    pub out_of_order_packets: u64,
-    /// Distinct connection-level bytes received.
-    pub distinct_bytes: u64,
-}
-
 /// Insert `[seq, seq+len)` into a cumulative-plus-out-of-order tracker and
 /// return the number of *new* bytes it contributed. Advances `rcv_nxt` over
 /// any now-contiguous buffered ranges.
@@ -123,7 +110,6 @@ pub struct TransportReceiver {
     subflows: Vec<SubflowRecv>,
     data_rcv_nxt: u64,
     data_ooo: BTreeMap<u64, u64>,
-    counters: ReceiverCounters,
     last_progress_report: u64,
 }
 
@@ -135,7 +121,6 @@ impl TransportReceiver {
             subflows: Vec::new(),
             data_rcv_nxt: 0,
             data_ooo: BTreeMap::new(),
-            counters: ReceiverCounters::default(),
             last_progress_report: 0,
         }
     }
@@ -143,11 +128,6 @@ impl TransportReceiver {
     /// Connection-level bytes received contiguously so far.
     pub fn contiguous_bytes(&self) -> u64 {
         self.data_rcv_nxt
-    }
-
-    /// Receiver counters.
-    pub fn counters(&self) -> ReceiverCounters {
-        self.counters
     }
 
     fn handle_syn(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
@@ -159,7 +139,6 @@ impl TransportReceiver {
     }
 
     fn handle_data(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
-        self.counters.data_packets += 1;
         let index = usize::from(pkt.subflow);
         if index >= self.subflows.len() {
             self.subflows.resize_with(index + 1, SubflowRecv::default);
@@ -167,26 +146,19 @@ impl TransportReceiver {
         let sf = &mut self.subflows[index];
         let len = pkt.payload as u64;
 
-        let was_expected = pkt.seq == sf.rcv_nxt;
         let duplicate = pkt.seq + len <= sf.rcv_nxt;
-        if duplicate {
-            self.counters.duplicate_packets += 1;
-        } else if !was_expected {
-            self.counters.out_of_order_packets += 1;
-        }
 
         // Subflow-level reassembly (drives the cumulative subflow ACK).
         insert_range(&mut sf.rcv_nxt, &mut sf.ooo, pkt.seq, len);
         let subflow_ack = sf.rcv_nxt;
 
         // Connection-level reassembly (drives the data ACK).
-        let new_bytes = insert_range(
+        insert_range(
             &mut self.data_rcv_nxt,
             &mut self.data_ooo,
             pkt.data_seq,
             len,
         );
-        self.counters.distinct_bytes += new_bytes;
 
         // Acknowledge.
         let mut ack = Packet::ack(
@@ -375,7 +347,6 @@ mod tests {
         assert_eq!(a2[0].ack, 2800);
         assert_eq!(a2[0].data_ack, 2800);
         assert_eq!(rx.contiguous_bytes(), 2800);
-        assert_eq!(rx.counters().out_of_order_packets, 0);
     }
 
     #[test]
@@ -391,7 +362,6 @@ mod tests {
         let a = h.deliver(&mut rx, data(0, 1400, 1400, 1400));
         assert_eq!(a[0].ack, 4200);
         assert_eq!(a[0].data_ack, 4200);
-        assert_eq!(rx.counters().out_of_order_packets, 1);
     }
 
     #[test]
@@ -401,7 +371,6 @@ mod tests {
         h.deliver(&mut rx, data(0, 0, 0, 1400));
         let a = h.deliver(&mut rx, data(0, 0, 0, 1400));
         assert!(a[0].dup_hint);
-        assert_eq!(rx.counters().duplicate_packets, 1);
         assert_eq!(rx.contiguous_bytes(), 1400);
     }
 

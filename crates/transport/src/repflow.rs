@@ -38,7 +38,7 @@
 use crate::config::TransportConfig;
 use crate::conn::{ConnState, Connection, Policy};
 use crate::subflow::{Subflow, SubflowUpdate};
-use netsim::{Addr, AgentCtx, FlowId, SimTime};
+use netsim::{Addr, AgentCtx, FlowId};
 use serde::{Deserialize, Serialize};
 
 /// Source-port stride between replica connections. A large odd offset keeps
@@ -147,11 +147,9 @@ impl Policy for Replicated {
     /// First full delivery wins: silence the losing replica so it stops
     /// retransmitting bytes nobody needs (the real protocol closes the
     /// slower connection).
-    fn on_finish(&mut self, conn: &mut ConnState, _now: SimTime) {
-        if conn.completed {
-            for sf in conn.subflows.iter_mut() {
-                sf.abort();
-            }
+    fn on_finish(&mut self, conn: &mut ConnState) {
+        for sf in conn.subflows.iter_mut() {
+            sf.abort();
         }
     }
 }
@@ -201,28 +199,13 @@ impl RepFlowSender {
         };
         Connection::with_subflows(flow, total, copies, subflow, policy)
     }
-
-    /// Is this flow being carried by two replica connections?
-    pub fn is_replicated(&self) -> bool {
-        self.subflows().len() > 1
-    }
-
-    /// The replica subflows (for tests and metrics).
-    pub fn replicas(&self) -> &[Subflow] {
-        self.subflows()
-    }
-
-    /// The winner of the handshake race, once one replica has established.
-    pub fn primary(&self) -> Option<usize> {
-        self.policy.primary
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::Loopback;
-    use netsim::{Agent, AgentEvent, Packet, PacketKind, Signal, SimDuration};
+    use netsim::{Agent, AgentEvent, Packet, PacketKind, Signal, SimDuration, SimTime};
 
     fn new_loop(cfg: RepFlowConfig, total: u64, paths: usize) -> Loopback<RepFlowSender> {
         let flow = FlowId(1);
@@ -233,12 +216,12 @@ mod tests {
     #[test]
     fn mice_are_replicated_over_two_connections() {
         let mut l = new_loop(RepFlowConfig::default(), 70_000, 4);
-        assert!(l.tx.is_replicated());
+        assert_eq!(l.tx.subflows().len(), 2);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.acked_bytes(), 70_000);
+        assert_eq!(l.tx.conn.data_acked, 70_000);
         // Both replicas carried data, on distinct source ports.
-        let replicas = l.tx.replicas();
+        let replicas = l.tx.subflows();
         assert_eq!(replicas.len(), 2);
         for sf in replicas {
             assert!(sf.counters().data_bytes_sent > 0);
@@ -296,16 +279,17 @@ mod tests {
         // report layer's mice classification — no flow may be counted in the
         // mice tail yet denied replication.
         let l = new_loop(RepFlowConfig::default(), 100_000, 4);
-        assert!(l.tx.is_replicated());
+        assert_eq!(l.tx.subflows().len(), 2);
         let l = new_loop(RepFlowConfig::default(), 100_001, 4);
-        assert!(!l.tx.is_replicated());
+        assert_eq!(l.tx.subflows().len(), 1);
     }
 
     #[test]
     fn elephants_are_not_replicated() {
         let l = new_loop(RepFlowConfig::default(), 500_000, 4);
-        assert!(
-            !l.tx.is_replicated(),
+        assert_eq!(
+            l.tx.subflows().len(),
+            1,
             "500 KB is above the 100 KB threshold"
         );
         let mut l = new_loop(RepFlowConfig::default(), 500_000, 4);
@@ -318,8 +302,9 @@ mod tests {
     #[test]
     fn single_path_pairs_fall_back_to_one_connection() {
         let l = new_loop(RepFlowConfig::default(), 70_000, 1);
-        assert!(
-            !l.tx.is_replicated(),
+        assert_eq!(
+            l.tx.subflows().len(),
+            1,
             "replication over one path is pure overhead"
         );
     }
@@ -336,25 +321,28 @@ mod tests {
             None,
             8,
         );
-        assert!(!tx.is_replicated());
+        assert_eq!(tx.subflows().len(), 1);
     }
 
     #[test]
     fn repsyn_caps_the_loser_at_one_initial_window() {
         let mut l = new_loop(RepFlowConfig::repsyn(), 70_000, 4);
-        assert!(l.tx.is_replicated());
+        assert_eq!(l.tx.subflows().len(), 2);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
-        let winner = l.tx.primary().expect("a replica must have established");
+        let winner =
+            l.tx.policy
+                .primary
+                .expect("a replica must have established");
         let loser = 1 - winner;
         let first_window = TransportConfig::default().initial_cwnd_bytes() as u64;
-        let sent = l.tx.replicas()[loser].counters().data_bytes_sent;
+        let sent = l.tx.subflows()[loser].counters().data_bytes_sent;
         assert!(
             sent <= first_window,
             "loser sent {sent} > one initial window {first_window}"
         );
         // The winner carried the whole flow.
-        assert!(l.tx.replicas()[winner].counters().data_bytes_sent >= 70_000);
+        assert!(l.tx.subflows()[winner].counters().data_bytes_sent >= 70_000);
     }
 
     #[test]
@@ -372,7 +360,7 @@ mod tests {
             }
         });
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.primary(), Some(1), "replica 1 must win the race");
+        assert_eq!(l.tx.policy.primary, Some(1), "replica 1 must win the race");
         let elapsed = l.now - SimTime::from_millis(1);
         assert!(
             elapsed < SimDuration::from_millis(900),
@@ -395,7 +383,7 @@ mod tests {
             }
         });
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.acked_bytes(), 70_000);
+        assert_eq!(l.tx.conn.data_acked, 70_000);
     }
 
     #[test]

@@ -61,24 +61,24 @@ impl RttEstimator {
     }
 
     /// The smoothed RTT, if at least one sample has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 
     /// The minimum RTT ever sampled — the propagation-delay estimate, free
     /// of the queueing delay that inflates [`Self::srtt`] under load.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
+    pub(crate) fn min_rtt(&self) -> Option<SimDuration> {
         self.min_rtt
     }
 
     /// The most recent raw RTT sample, unsmoothed. BBR-style controllers use
     /// this as the denominator of per-ACK delivery-rate samples.
-    pub fn latest_rtt(&self) -> Option<SimDuration> {
+    pub(crate) fn latest_rtt(&self) -> Option<SimDuration> {
         self.latest_rtt
     }
 
     /// The current retransmission timeout, including backoff.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         let base = match self.srtt {
             None => self.initial_rto,
             Some(srtt) => {
@@ -91,13 +91,8 @@ impl RttEstimator {
     }
 
     /// Double the RTO (called when a retransmission timeout fires).
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
-    }
-
-    /// Current backoff exponent.
-    pub fn backoff_count(&self) -> u32 {
-        self.backoff
     }
 }
 
@@ -164,7 +159,7 @@ mod tests {
         assert_eq!(e.rto(), SimDuration::from_secs(60), "capped at max");
         // A fresh sample resets backoff.
         e.on_sample(SimDuration::from_millis(1));
-        assert_eq!(e.backoff_count(), 0);
+        assert_eq!(e.backoff, 0);
         assert_eq!(e.rto(), SimDuration::from_millis(200));
     }
 }

@@ -66,7 +66,7 @@ enum Phase {
 
 /// Per-subflow counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubflowCounters {
+pub(crate) struct SubflowCounters {
     /// Retransmission timeouts that fired.
     pub rto_count: u64,
     /// Fast retransmissions triggered.
@@ -84,10 +84,10 @@ pub struct SubflowCounters {
 pub struct Subflow {
     cfg: TransportConfig,
     /// Subflow index within the connection.
-    pub index: u8,
+    pub(crate) index: u8,
     /// When true, every outgoing data packet gets a freshly randomised source
     /// port so ECMP sprays packets over all available paths (MMPTCP PS phase).
-    pub scatter: bool,
+    pub(crate) scatter: bool,
     src: Addr,
     dst: Addr,
     src_port: u16,
@@ -140,7 +140,7 @@ pub struct Subflow {
 impl Subflow {
     /// Create a subflow in the `Closed` state.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         cfg: TransportConfig,
         index: u8,
         scatter: bool,
@@ -190,55 +190,43 @@ impl Subflow {
     // --- accessors -------------------------------------------------------
 
     /// The transport parameters this subflow was created with.
-    pub fn config(&self) -> &TransportConfig {
+    pub(crate) fn config(&self) -> &TransportConfig {
         &self.cfg
     }
 
     /// Has the handshake completed?
-    pub fn is_established(&self) -> bool {
+    pub(crate) fn is_established(&self) -> bool {
         self.phase == Phase::Established
     }
 
     /// Congestion window in bytes.
-    pub fn cwnd(&self) -> f64 {
+    pub(crate) fn cwnd(&self) -> f64 {
         self.cc.cwnd()
     }
 
     /// The controller's explicit pacing rate (BBR), if it exports one.
     /// `None` means pace from `cwnd / srtt` as always.
-    pub fn cc_pacing_rate_bps(&self) -> Option<u64> {
+    pub(crate) fn cc_pacing_rate_bps(&self) -> Option<u64> {
         self.cc.pacing_rate_bps()
     }
 
-    /// Force the controller's slow-start threshold — an instrumentation/test
-    /// hook (e.g. to pin a subflow into congestion avoidance), not part of
-    /// the normal event-driven flow.
-    pub fn set_ssthresh(&mut self, ssthresh: f64) {
-        self.cc.set_ssthresh(ssthresh);
-    }
-
     /// Smoothed RTT, if measured.
-    pub fn srtt(&self) -> Option<netsim::SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<netsim::SimDuration> {
         self.rtt.srtt()
     }
 
     /// Minimum RTT ever sampled (propagation-delay estimate), if measured.
-    pub fn min_rtt(&self) -> Option<netsim::SimDuration> {
+    pub(crate) fn min_rtt(&self) -> Option<netsim::SimDuration> {
         self.rtt.min_rtt()
     }
 
     /// Bytes in flight at subflow level.
-    pub fn outstanding(&self) -> u64 {
+    pub(crate) fn outstanding(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
-    /// Subflow-level bytes acknowledged so far.
-    pub fn acked_bytes(&self) -> u64 {
-        self.snd_una
-    }
-
     /// True when the subflow holds no unacknowledged data.
-    pub fn is_drained(&self) -> bool {
+    fn is_drained(&self) -> bool {
         self.mappings.is_empty() && self.outstanding() == 0
     }
 
@@ -246,12 +234,12 @@ impl Subflow {
     /// unacknowledged data (so no ACK can trigger a retransmission) and no
     /// retransmission deadline armed (so every timer still in the calendar is
     /// stale). Only a new `start` or `send_segment` wakes it.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.is_drained() && self.rto_deadline.is_none()
     }
 
     /// How many more bytes the congestion window allows in flight right now.
-    pub fn window_space(&self) -> u64 {
+    pub(crate) fn window_space(&self) -> u64 {
         if self.phase != Phase::Established {
             return 0;
         }
@@ -265,33 +253,29 @@ impl Subflow {
     }
 
     /// The current duplicate-ACK threshold.
-    pub fn dupack_threshold(&self) -> u32 {
+    pub(crate) fn dupack_threshold(&self) -> u32 {
         self.dupack_threshold
     }
 
     /// Override the duplicate-ACK threshold (used by MMPTCP's topology-aware
     /// and adaptive reordering policies).
-    pub fn set_dupack_threshold(&mut self, threshold: u32) {
+    pub(crate) fn set_dupack_threshold(&mut self, threshold: u32) {
         self.dupack_threshold = threshold.max(1);
     }
 
     /// Enable or disable the RR-TCP-style undo of spurious fast retransmits.
-    pub fn set_undo_on_spurious(&mut self, enabled: bool) {
+    pub(crate) fn set_undo_on_spurious(&mut self, enabled: bool) {
         self.undo_on_spurious = enabled;
     }
 
-    /// Whether the subflow is currently in (fast or timeout) recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.in_recovery
-    }
-
     /// Per-subflow counters.
-    pub fn counters(&self) -> SubflowCounters {
+    pub(crate) fn counters(&self) -> SubflowCounters {
         self.counters
     }
 
     /// The DCTCP marked-fraction estimate (0 when ECN is off).
-    pub fn dctcp_alpha(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dctcp_alpha(&self) -> f64 {
         self.ecn.map(|e| e.alpha()).unwrap_or(0.0)
     }
 
@@ -299,20 +283,22 @@ impl Subflow {
     /// 1.0 reproduces plain DCTCP). Values below 1 make the flow hold its
     /// window near a deadline; values above 1 make it yield. A no-op when
     /// ECN is off (there is no responder to correct).
-    pub fn set_dctcp_penalty_exponent(&mut self, d: f64) {
+    pub(crate) fn set_dctcp_penalty_exponent(&mut self, d: f64) {
         if let Some(e) = &mut self.ecn {
             e.set_penalty_exponent(d);
         }
     }
 
     /// The current D²TCP deadline-imminence exponent (1.0 when ECN is off).
-    pub fn dctcp_penalty_exponent(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dctcp_penalty_exponent(&self) -> f64 {
         self.ecn.map(|e| e.penalty_exponent()).unwrap_or(1.0)
     }
 
     /// The source port this subflow is pinned to (ignored per-packet when
     /// `scatter` is on).
-    pub fn src_port(&self) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn src_port(&self) -> u16 {
         self.src_port
     }
 
@@ -329,7 +315,7 @@ impl Subflow {
     /// path pins one route), flow, subflow index and ECN capability as a real
     /// segment at `data_seq`, but never transmitted. The fluid engine walks
     /// the routing tables with it to discover which links the flow occupies.
-    pub fn fluid_template(&self, data_seq: u64, payload: u32, now: SimTime) -> Packet {
+    pub(crate) fn fluid_template(&self, data_seq: u64, payload: u32, now: SimTime) -> Packet {
         let mut pkt = Packet::data(
             self.src,
             self.dst,
@@ -355,7 +341,7 @@ impl Subflow {
     /// ([`Subflow::on_packet`] / [`Subflow::on_timer`]); connections may
     /// also call it directly to pin a sample at a significant instant (the
     /// MMPTCP phase switch does).
-    pub fn trace_sample(&self, ctx: &mut AgentCtx<'_>) {
+    pub(crate) fn trace_sample(&self, ctx: &mut AgentCtx<'_>) {
         if !ctx.trace_enabled() {
             return;
         }
@@ -373,7 +359,7 @@ impl Subflow {
     // --- lifecycle --------------------------------------------------------
 
     /// Begin the handshake: send a SYN and arm the retransmission timer.
-    pub fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+    pub(crate) fn start(&mut self, ctx: &mut AgentCtx<'_>) {
         assert_eq!(self.phase, Phase::Closed, "subflow already started");
         self.phase = Phase::SynSent;
         self.send_syn(ctx);
@@ -414,7 +400,7 @@ impl Subflow {
     /// has completed through the other one — without an abort the laggard
     /// would keep retransmitting (and firing RTO signals) for data nobody
     /// needs any more.
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         self.mappings.clear();
         self.snd_una = self.snd_nxt;
         self.in_recovery = false;
@@ -427,12 +413,12 @@ impl Subflow {
     /// Encode this subflow's timer token (subflow index in the top bits,
     /// generation below), so one agent can multiplex many subflows over the
     /// single timer token namespace.
-    pub fn timer_token(index: u8, gen: u64) -> u64 {
+    fn timer_token(index: u8, gen: u64) -> u64 {
         ((index as u64) << 48) | (gen & 0xFFFF_FFFF_FFFF)
     }
 
     /// Decode a timer token into (subflow index, generation).
-    pub fn decode_timer_token(token: u64) -> (u8, u64) {
+    pub(crate) fn decode_timer_token(token: u64) -> (u8, u64) {
         ((token >> 48) as u8, token & 0xFFFF_FFFF_FFFF)
     }
 
@@ -450,7 +436,7 @@ impl Subflow {
 
     /// Handle a timer firing for this subflow. `gen` is the generation part of
     /// the token; stale timers are ignored.
-    pub fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, gen: u64) -> SubflowUpdate {
+    pub(crate) fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, gen: u64) -> SubflowUpdate {
         let mut update = SubflowUpdate::default();
         if gen != self.timer_gen || self.rto_deadline.is_none() {
             return update; // stale or cancelled
@@ -508,7 +494,7 @@ impl Subflow {
     /// Send one data segment carrying connection-level bytes
     /// `[data_seq, data_seq + len)`. The caller is responsible for respecting
     /// [`Subflow::window_space`].
-    pub fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, data_seq: u64, len: u32) {
+    pub(crate) fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, data_seq: u64, len: u32) {
         debug_assert!(
             self.phase == Phase::Established,
             "cannot send before handshake"
@@ -579,7 +565,7 @@ impl Subflow {
     ///
     /// `lia` carries the coupled-congestion-control parameters when the
     /// connection uses MPTCP's linked increase; `None` means plain Reno.
-    pub fn on_packet(
+    pub(crate) fn on_packet(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         pkt: &Packet,
@@ -762,16 +748,23 @@ mod tests {
     }
 
     fn subflow(scatter: bool) -> Subflow {
-        Subflow::new(
-            TransportConfig::default(),
-            0,
-            scatter,
-            Addr(0),
-            Addr(1),
-            50_000,
-            80,
-            FlowId(1),
-        )
+        subflow_with(TransportConfig::default(), scatter)
+    }
+
+    /// In congestion avoidance from the first ACK: the slow-start threshold
+    /// is half the initial window.
+    fn subflow_in_congestion_avoidance() -> Subflow {
+        let cfg = TransportConfig::default();
+        let initial_ssthresh = cfg.initial_cwnd_bytes() as u64 / 2;
+        let cfg = TransportConfig {
+            initial_ssthresh,
+            ..cfg
+        };
+        subflow_with(cfg, false)
+    }
+
+    fn subflow_with(cfg: TransportConfig, scatter: bool) -> Subflow {
+        Subflow::new(cfg, 0, scatter, Addr(0), Addr(1), 50_000, 80, FlowId(1))
     }
 
     /// Establish the subflow by simulating a SYN / SYN-ACK exchange.
@@ -843,10 +836,8 @@ mod tests {
     #[test]
     fn congestion_avoidance_grows_slowly() {
         let mut h = Harness::new();
-        let mut sf = subflow(false);
+        let mut sf = subflow_in_congestion_avoidance();
         establish(&mut h, &mut sf);
-        // Force congestion avoidance by setting ssthresh below cwnd.
-        sf.set_ssthresh(sf.cwnd() / 2.0);
         let before = sf.cwnd();
         h.with(|ctx| sf.send_segment(ctx, 0, MSS));
         let sent = h.now;
@@ -875,7 +866,7 @@ mod tests {
         // The retransmission is the segment starting at subflow seq 0.
         let retx = h.out.iter().find(|p| p.kind == PacketKind::Data).unwrap();
         assert_eq!(retx.seq, 0);
-        assert!(sf.in_recovery());
+        assert!(sf.in_recovery);
         assert!(h
             .signals
             .iter()
@@ -899,7 +890,7 @@ mod tests {
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
         assert_eq!(sf.counters().fast_retransmits, 0);
-        assert!(!sf.in_recovery());
+        assert!(!sf.in_recovery);
     }
 
     #[test]
@@ -958,26 +949,25 @@ mod tests {
             let ack = ack_for(&sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert!(sf.in_recovery());
+        assert!(sf.in_recovery);
         h.out.clear();
         // Partial ACK up to 2*MSS (segment 0 repaired, hole at segment 2).
         let ack = ack_for(&sf, 2 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(sf.in_recovery(), "partial ACK keeps us in recovery");
+        assert!(sf.in_recovery, "partial ACK keeps us in recovery");
         assert_eq!(h.out.len(), 1);
         assert_eq!(h.out[0].seq, 2 * MSS as u64);
         // Full ACK ends recovery.
         let ack = ack_for(&sf, 6 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.in_recovery());
+        assert!(!sf.in_recovery);
     }
 
     #[test]
     fn lia_increase_is_capped_by_uncoupled_increase() {
         let mut h = Harness::new();
-        let mut sf = subflow(false);
+        let mut sf = subflow_in_congestion_avoidance();
         establish(&mut h, &mut sf);
-        sf.set_ssthresh(sf.cwnd() / 2.0); // congestion avoidance
         let before = sf.cwnd();
         h.with(|ctx| sf.send_segment(ctx, 0, MSS));
         let lia = LiaParams {
@@ -1028,16 +1018,7 @@ mod tests {
     #[test]
     fn dctcp_reduces_window_proportionally_to_marks() {
         let mut h = Harness::new();
-        let mut sf = Subflow::new(
-            TransportConfig::dctcp(),
-            0,
-            false,
-            Addr(0),
-            Addr(1),
-            50_000,
-            80,
-            FlowId(1),
-        );
+        let mut sf = subflow_with(TransportConfig::dctcp(), false);
         establish(&mut h, &mut sf);
         let before = sf.cwnd();
         // Send a window, ack it all with ECN echo set.
@@ -1108,13 +1089,13 @@ mod tests {
             let ack = ack_for(sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert!(sf.in_recovery());
+        assert!(sf.in_recovery);
         assert_eq!(sf.counters().fast_retransmits, 1);
         // The delayed original (and everything else) arrives: full ACK exits
         // recovery with the reduced window.
         let ack = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.in_recovery());
+        assert!(!sf.in_recovery);
         // More data goes out, then the retransmitted copy reaches the receiver,
         // which reports it as a duplicate.
         h.with(|ctx| sf.send_segment(ctx, 6 * MSS as u64, MSS));

@@ -89,7 +89,6 @@ pub struct Deadline {
     relative: Option<SimDuration>,
     /// The absolute deadline, known once the flow has started.
     absolute: Option<SimTime>,
-    missed: bool,
 }
 
 impl Policy for Deadline {
@@ -135,12 +134,6 @@ impl Policy for Deadline {
     fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
         pump_single_path(conn, ctx);
     }
-
-    fn on_finish(&mut self, conn: &mut ConnState, now: SimTime) {
-        if let Some(deadline) = self.absolute {
-            self.missed |= !conn.completed || now > deadline;
-        }
-    }
 }
 
 /// A deadline-aware DCTCP sender.
@@ -166,14 +159,8 @@ impl D2tcpSender {
         let policy = Deadline {
             relative: deadline,
             absolute: None,
-            missed: false,
         };
         Connection::with_subflows(flow, total, 1, subflow, policy)
-    }
-
-    /// Did the transfer finish after its deadline (or not at all)?
-    pub fn missed_deadline(&self) -> bool {
-        self.policy.missed
     }
 }
 
@@ -209,7 +196,7 @@ mod tests {
     fn lossless_transfer_completes() {
         let (tx, signals) = run_back_to_back(70_000, None);
         assert!(tx.is_completed());
-        assert_eq!(tx.acked_bytes(), 70_000);
+        assert_eq!(tx.conn.data_acked, 70_000);
         assert!(signals
             .iter()
             .any(|s| matches!(s, Signal::FlowCompleted { bytes: 70_000, .. })));
@@ -220,7 +207,7 @@ mod tests {
     fn lossy_transfer_still_completes_via_retransmission() {
         let (tx, signals) = run_back_to_back(140_000, Some(23));
         assert!(tx.is_completed(), "transfer must recover from losses");
-        assert_eq!(tx.acked_bytes(), 140_000);
+        assert_eq!(tx.conn.data_acked, 140_000);
         // Some recovery mechanism fired.
         let recovered =
             tx.subflow().counters().fast_retransmits + tx.subflow().counters().rto_count;
@@ -234,7 +221,7 @@ mod tests {
     fn last_segment_may_be_short() {
         let (tx, _) = run_back_to_back(3_000, None);
         assert!(tx.is_completed());
-        assert_eq!(tx.acked_bytes(), 3_000);
+        assert_eq!(tx.conn.data_acked, 3_000);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl<A: Agent> Loopback<A> {
     }
 
     /// [`Loopback::run`] with an ECN-mark predicate as well.
-    pub fn run_with(
+    pub(crate) fn run_with(
         &mut self,
         max_rounds: usize,
         mut drop: impl FnMut(&Packet) -> bool,

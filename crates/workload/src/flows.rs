@@ -368,7 +368,7 @@ pub struct Workload {
 
 impl Workload {
     /// Flows of a given class.
-    pub fn of_class(&self, class: FlowClass) -> impl Iterator<Item = &FlowSpec> {
+    fn of_class(&self, class: FlowClass) -> impl Iterator<Item = &FlowSpec> {
         self.flows.iter().filter(move |f| f.class == class)
     }
 
@@ -380,15 +380,6 @@ impl Workload {
     /// Number of long flows.
     pub fn long_count(&self) -> usize {
         self.of_class(FlowClass::Long).count()
-    }
-
-    /// The latest start time in the workload.
-    pub fn last_start(&self) -> SimTime {
-        self.flows
-            .iter()
-            .map(|f| f.start)
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -684,7 +675,7 @@ mod tests {
         let first_dst = w.flows[0].dst;
         assert!(w.flows[..8].iter().all(|f| f.dst == first_dst));
         assert!(w.flows[..8].iter().all(|f| f.src != f.dst));
-        assert_eq!(w.last_start(), SimTime::from_millis(5));
+        assert!(w.flows.iter().all(|f| f.start == SimTime::from_millis(5)));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod flows;
 pub mod matrix;
 
 pub use flows::{
-    incast_workload, paper_workload, ArrivalProcess, DeadlineModel, EmpiricalCdf, FlowClass,
-    FlowSizeModel, FlowSpec, PaperWorkloadConfig, Workload, DATA_MINING, WEB_SEARCH,
+    incast_workload, paper_workload, ArrivalProcess, DeadlineModel, FlowClass, FlowSizeModel,
+    FlowSpec, PaperWorkloadConfig, Workload, DATA_MINING, WEB_SEARCH,
 };
 pub use matrix::{assign_destinations, TrafficMatrix};

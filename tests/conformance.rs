@@ -62,15 +62,20 @@ fn conservation_laws_hold_across_the_catalog() {
         configs.len() >= 16,
         "the sweep must span at least 16 seeded runs"
     );
-    let results = Driver::new().run_labelled(configs);
+    assert_conserves(Driver::new().run_labelled(configs));
+}
+
+/// Every run conserves packets and bytes, injected something (so the audit
+/// is meaningful) and never asked a host without an uplink to send.
+fn assert_conserves(results: Vec<(String, ExperimentResults)>) {
     for (label, r) in &results {
         r.check_conservation()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-        // The audit itself must be meaningful: something was injected.
         assert!(
             r.counters.delivered_to_hosts > 0,
             "{label}: no packets delivered?"
         );
+        assert_eq!(r.counters.unsendable, 0, "{label}: a host had no uplink");
     }
 }
 
@@ -708,15 +713,7 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         configs.push((format!("{label} hybrid"), cfg));
     }
 
-    let results = Driver::new().run_labelled(configs);
-    for (label, r) in &results {
-        r.check_conservation()
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(
-            r.counters.delivered_to_hosts > 0,
-            "{label}: no packets delivered?"
-        );
-    }
+    assert_conserves(Driver::new().run_labelled(configs));
 }
 
 /// Mid-run link failure while flows are in fluid mode: the epoch triggered

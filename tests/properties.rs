@@ -360,6 +360,55 @@ fn windowed_goodput_monotone_in_delivered_bytes() {
         }
         let g = metrics.goodput_bps_windowed(|_| true, SimTime::ZERO, end);
         assert!(g >= 0.0);
+
+        // Over the whole stream the window measures exactly the bytes the
+        // flow records hold — the whole-run goodput, so results need no
+        // second formula — whatever mix of reports a flow leaves behind:
+        // receiver and sender progress at the same instant in either order
+        // (the sender a few segments behind; the fluid engine reports
+        // through the same signal), and a completion followed by the
+        // receiver's closing report.
+        let mut metrics = metrics::FlowMetrics::new();
+        let mut end = SimTime::ZERO;
+        for flow in 0..params.range(1u64..5) {
+            let progress = |at, bytes| netsim::Signal::FlowProgress {
+                flow: NFlowId(flow),
+                at,
+                bytes,
+            };
+            let (mut at, mut delivered) = (SimTime::ZERO, 0u64);
+            for _ in 0..params.range(1usize..20) {
+                at += SimDuration::from_micros(params.range(1u64..5_000));
+                delivered += params.range(1u64..1_000_000);
+                let lag = params.range(0u64..=delivered.min(14_000));
+                match params.range(0u32..3) {
+                    0 => metrics.ingest(&[progress(at, delivered)]),
+                    1 => metrics.ingest(&[progress(at, delivered), progress(at, delivered - lag)]),
+                    _ => metrics.ingest(&[progress(at, delivered - lag), progress(at, delivered)]),
+                }
+            }
+            if params.chance(0.5) {
+                at += SimDuration::from_micros(params.range(1u64..5_000));
+                metrics.ingest(&[netsim::Signal::FlowCompleted {
+                    flow: NFlowId(flow),
+                    at,
+                    bytes: delivered,
+                }]);
+                if params.chance(0.5) {
+                    at += SimDuration::from_micros(params.range(0u64..5_000));
+                    metrics.ingest(&[progress(at, delivered)]);
+                }
+            }
+            end = end.max(at);
+        }
+        let even = |f: NFlowId| f.0.is_multiple_of(2);
+        let recorded = metrics.sorted_records().into_iter();
+        let bytes: u64 = recorded.filter(|r| even(r.0)).map(|r| r.1.bytes).sum();
+        assert_eq!(
+            metrics.goodput_bps_windowed(even, SimTime::ZERO, end),
+            bytes as f64 * 8.0 / (end - SimTime::ZERO).as_secs_f64(),
+            "case {case}"
+        );
     }
 }
 
