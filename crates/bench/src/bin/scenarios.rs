@@ -487,7 +487,6 @@ fn cmd_trace(opts: &Options) -> ExitCode {
             Some(id) => metrics::FlowSelect::One(id),
         },
         links: opts.links,
-        ..metrics::TraceSettings::default()
     };
     let mut empty = Vec::new();
     for s in select(&opts.names) {

@@ -22,7 +22,7 @@
 //!    state-changing activation and the experiment loop feeds the signal
 //!    stream to a per-run [`TraceSink`]; when link tracing is requested the
 //!    loop additionally snapshots every link's [`netsim::LinkTelemetry`]
-//!    at [`TraceSettings::sample_every`] cadence.
+//!    at the [`TraceSink::sample_every`] cadence.
 //! 3. Each series lives in a [`RingSeries`]: a bounded, decimating recorder.
 //!    When a series fills its capacity it drops every second retained point
 //!    and doubles its acceptance stride, so arbitrarily long runs keep a
@@ -45,39 +45,30 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Which flows the recorder keeps series for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlowSelect {
     /// Record every flow.
+    #[default]
     All,
     /// Record only the flow with this id (workload `FlowSpec::id`).
     One(u64),
 }
 
-/// What to record and how densely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Cadence of the per-link telemetry sampler. Also the lower bound the
+/// experiment loop uses for its tick while link tracing is on.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_micros(500);
+
+/// Capacity of each ring series (per subflow / per link). When a series
+/// fills up it is thinned in place; see [`RingSeries`].
+const RING_CAPACITY: usize = 2048;
+
+/// What to record: by default every flow and no link.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceSettings {
-    /// Cadence of the per-link telemetry sampler (ignored unless `links`).
-    /// Also the lower bound the experiment loop uses for its tick while link
-    /// tracing is on.
-    pub sample_every: SimDuration,
     /// Flow filter for cwnd series and flow events.
     pub flows: FlowSelect,
     /// Record per-link series (queue depth, window deltas, utilisation).
     pub links: bool,
-    /// Capacity of each ring series (per subflow / per link). When a series
-    /// fills up it is thinned in place; see [`RingSeries`].
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceSettings {
-    fn default() -> Self {
-        TraceSettings {
-            sample_every: SimDuration::from_micros(500),
-            flows: FlowSelect::All,
-            links: false,
-            ring_capacity: 2048,
-        }
-    }
 }
 
 /// Per-experiment trace switch. `Off` (the default) records nothing and
@@ -295,7 +286,7 @@ impl TraceSink {
 
     /// The link-sampling cadence.
     pub fn sample_every(&self) -> SimDuration {
-        self.settings.sample_every
+        SAMPLE_EVERY
     }
 
     fn wants_flow(&self, flow: u64) -> bool {
@@ -328,10 +319,9 @@ impl TraceSink {
                     outstanding,
                     cc,
                 } if self.wants_flow(flow.0) => {
-                    let cap = self.settings.ring_capacity;
                     self.flows
                         .entry((flow.0, *subflow))
-                        .or_insert_with(|| RingSeries::new(cap))
+                        .or_insert_with(|| RingSeries::new(RING_CAPACITY))
                         .push(FlowPoint {
                             at: *at,
                             cwnd: *cwnd,
@@ -393,7 +383,6 @@ impl TraceSink {
             .last_link_sample
             .map(|prev| (now - prev).as_nanos())
             .unwrap_or(0);
-        let cap = self.settings.ring_capacity;
         let mut fresh = Vec::with_capacity(network.links().len());
         for (i, link) in network.links().iter().enumerate() {
             let t = link.telemetry(now);
@@ -401,7 +390,7 @@ impl TraceSink {
             let busy_delta = t.busy_ns - prev.busy_ns;
             self.links
                 .entry(i)
-                .or_insert_with(|| RingSeries::new(cap))
+                .or_insert_with(|| RingSeries::new(RING_CAPACITY))
                 .push(LinkPoint {
                     at: now,
                     depth_packets: t.queue_depth_packets,
@@ -562,8 +551,8 @@ impl TraceSink {
                 "}}\n",
             ),
             label = json_escape(label),
-            every = self.settings.sample_every.as_nanos(),
-            cap = self.settings.ring_capacity,
+            every = SAMPLE_EVERY.as_nanos(),
+            cap = RING_CAPACITY,
             fseries = self.flows.len(),
             fkept = self.flow_sample_count(),
             foff = flows_offered,

@@ -308,11 +308,21 @@ impl ExperimentConfig {
 
     /// Reject a configuration [`crate::run`] cannot execute, so it fails
     /// before a topology is built rather than in a worker at the first flow
-    /// start. One rule so far: a connection holds at most [`MAX_SUBFLOWS`]
-    /// subflows, and MMPTCP's packet-scatter flow is one of them.
+    /// start (or never: a zero progress interval does not advance the run
+    /// loop). A connection holds between one and [`MAX_SUBFLOWS`] subflows,
+    /// and MMPTCP's packet-scatter flow is one of them.
     pub fn validate(&self) -> Result<(), String> {
+        if self.progress_interval.is_zero() {
+            return Err("progress_interval must be positive".into());
+        }
+        if matches!(&self.workload, WorkloadSpec::Custom(flows) if flows.is_empty()) {
+            return Err("custom workload has no flows".into());
+        }
         for protocol in std::iter::once(&self.protocol).chain(&self.long_protocol) {
             let (name, subflows, needed) = match *protocol {
+                Protocol::Mptcp { subflows: 0 } => {
+                    return Err("MPTCP needs at least one subflow".into());
+                }
                 Protocol::Mptcp { subflows } => ("MPTCP", subflows, subflows),
                 Protocol::Mmptcp { subflows, .. } => {
                     ("MMPTCP", subflows, subflows.saturating_add(1))
@@ -334,6 +344,8 @@ impl ExperimentConfig {
 mod tests {
     use super::*;
 
+    /// Every rule of `validate`, one row each; `run` refuses with the same
+    /// message before it builds anything.
     #[test]
     fn validate_bounds_subflows_per_connection() {
         let with = |protocol| ExperimentConfig::small_test(protocol, 1);
@@ -342,25 +354,34 @@ mod tests {
             switch: SwitchStrategy::default(),
             dupack: None,
         };
-        assert_eq!(with(Protocol::Mptcp { subflows: 64 }).validate(), Ok(()));
+        let mptcp = |subflows| Protocol::Mptcp { subflows };
+        let long = |protocol| {
+            let mut config = with(Protocol::Tcp);
+            config.long_protocol = Some(protocol);
+            config
+        };
+        let (mut zero_tick, mut no_flows) = (with(Protocol::Tcp), with(Protocol::Tcp));
+        zero_tick.progress_interval = SimDuration::ZERO;
+        no_flows.workload = WorkloadSpec::Custom(Vec::new());
+        assert_eq!(with(mptcp(64)).validate(), Ok(()));
+        assert_eq!(with(mptcp(1)).validate(), Ok(()));
         assert_eq!(with(mmptcp(63)).validate(), Ok(()));
-        // The packet-scatter flow is the 65th subflow.
-        let err = with(mmptcp(64)).validate().unwrap_err();
-        assert!(
-            err.contains("MMPTCP") && err.contains("limit is 64"),
-            "{err}"
-        );
-        let err = with(Protocol::Mptcp { subflows: 65 })
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("MPTCP with 65"), "{err}");
-        // Long flows' protocol is bound by the same rule, and `run` refuses
-        // with the same message before it builds anything.
-        let mut config = with(Protocol::Tcp);
-        config.long_protocol = Some(mmptcp(64));
-        let err = config.validate().unwrap_err();
-        let panic = std::panic::catch_unwind(|| crate::run(config)).unwrap_err();
-        assert!(panic.downcast_ref::<String>().unwrap().ends_with(&err));
+        let rejected = [
+            // The packet-scatter flow is the 65th subflow.
+            (with(mmptcp(64)), "MMPTCP with 64 subflows needs 65"),
+            (with(mptcp(65)), "MPTCP with 65"),
+            (long(mmptcp(64)), "limit is 64"),
+            (with(mptcp(0)), "at least one subflow"),
+            (long(mptcp(0)), "at least one subflow"),
+            (zero_tick, "progress_interval must be positive"),
+            (no_flows, "custom workload has no flows"),
+        ];
+        for (config, expected) in rejected {
+            let err = config.validate().expect_err(expected);
+            assert!(err.contains(expected), "{err}");
+            let panic = std::panic::catch_unwind(|| crate::run(config)).unwrap_err();
+            assert!(panic.downcast_ref::<String>().unwrap().ends_with(&err));
+        }
     }
 
     #[test]

@@ -64,8 +64,7 @@ fn build_sender(
         Protocol::Mptcp { subflows } => {
             let cfg = MptcpConfig {
                 transport,
-                num_subflows: subflows.max(1),
-                ..MptcpConfig::default()
+                num_subflows: subflows,
             };
             Box::new(MptcpSender::new(
                 cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
@@ -105,7 +104,8 @@ fn build_sender(
             dupack,
         } => {
             // §2 proposes both a topology-derived threshold and an RR-TCP-style
-            // adaptive one; the default combines them (see DESIGN.md).
+            // adaptive one; the default combines them (see
+            // `DupAckPolicy::TopologyAdaptive`).
             let dupack = dupack.unwrap_or_else(|| {
                 DupAckPolicy::topology_adaptive(topo.path_count(spec.src, spec.dst) as u32)
             });

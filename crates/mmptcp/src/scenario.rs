@@ -717,7 +717,7 @@ fn dupack(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
         ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
         (
             "topology-aware only",
-            Some(DupAckPolicy::TopologyAware { paths, factor: 1.0 }),
+            Some(DupAckPolicy::TopologyAware { paths }),
         ),
         (
             "adaptive (RR-TCP style)",
@@ -980,7 +980,7 @@ mod tests {
                 ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
                 (
                     "topology-aware only",
-                    Some(DupAckPolicy::TopologyAware { paths, factor: 1.0 }),
+                    Some(DupAckPolicy::TopologyAware { paths }),
                 ),
                 (
                     "adaptive (RR-TCP style)",
@@ -1266,6 +1266,133 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(first_flows, 50);
+    }
+
+    /// Config fields that show fewer than two values across the catalog, and
+    /// why each is a field all the same. Anything not listed here must take
+    /// two values in some scenario, or it is a constant (ARCHITECTURE.md
+    /// "Options").
+    const SINGLE_VALUED: &[(&str, &str)] = &[
+        ("ExperimentConfig::trace", "set by `scenarios trace`"),
+        ("TraceSettings::flows", "set by `scenarios trace --flow`"),
+        ("TraceSettings::links", "set by `scenarios trace --links`"),
+        ("TransportConfig::mss", "frozen by benchmark/src"),
+        ("TransportConfig::min_rto", "frozen by benchmark/src"),
+        ("TransportConfig::initial_rto", "frozen by benchmark/src"),
+        ("TransportConfig::max_rto", "frozen by benchmark/src"),
+        (
+            "ExperimentConfig::progress_interval",
+            "frozen by benchmark/src",
+        ),
+        ("TransportConfig::ecn", "set by `run` for DCTCP and D²TCP"),
+        ("FatTreeConfig::queue", "set by `run` for DCTCP and D²TCP"),
+        ("TransportConfig::initial_ssthresh", "test reference"),
+        ("FatTreeConfig::host_rate_bps", "physical input"),
+        ("FatTreeConfig::fabric_rate_bps", "physical input"),
+        ("FatTreeConfig::link_delay", "physical input"),
+        ("PaperWorkloadConfig::long_start", "physical input"),
+    ];
+
+    /// Destructure `$value` exhaustively (a new field does not compile until
+    /// it is listed) and record each field's value under `Type::field`.
+    macro_rules! note_fields {
+        ($seen:ident, $ty:ident { $($field:ident),* } = $value:expr) => {
+            let $ty { $($field),* } = $value;
+            $($seen
+                .entry(concat!(stringify!($ty), "::", stringify!($field)))
+                .or_default()
+                .insert(format!("{:?}", $field));)*
+        };
+    }
+
+    /// The rule for options, executable: a config field exists because two
+    /// catalog scenarios give it different values, or `SINGLE_VALUED` says
+    /// why not.
+    #[test]
+    fn every_config_field_takes_two_values_somewhere_in_the_catalog() {
+        use metrics::{TraceConfig, TraceSettings};
+        use std::collections::{BTreeMap, BTreeSet};
+        use transport::TransportConfig;
+
+        let mut seen: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+        let configs = catalog().iter().flat_map(|s| {
+            [Fidelity::Fast, Fidelity::Full, Fidelity::Paper]
+                .into_iter()
+                .flat_map(|f| s.configs(f))
+        });
+        for (_, config) in configs {
+            note_fields!(
+                seen,
+                ExperimentConfig {
+                    topology,
+                    workload,
+                    protocol,
+                    long_protocol,
+                    transport,
+                    path_policy,
+                    seed,
+                    max_sim_time,
+                    progress_interval,
+                    trace,
+                    engine,
+                    goodput_horizon
+                } = &config
+            );
+            note_fields!(
+                seen,
+                TransportConfig {
+                    mss,
+                    initial_ssthresh,
+                    min_rto,
+                    initial_rto,
+                    max_rto,
+                    ecn,
+                    cc
+                } = transport
+            );
+            if let TopologySpec::FatTree(tree) | TopologySpec::MultiHomedFatTree(tree) = topology {
+                note_fields!(
+                    seen,
+                    FatTreeConfig {
+                        k,
+                        oversubscription,
+                        host_rate_bps,
+                        fabric_rate_bps,
+                        link_delay,
+                        queue,
+                        failures
+                    } = tree
+                );
+            }
+            if let WorkloadSpec::Paper(paper) = workload {
+                note_fields!(
+                    seen,
+                    PaperWorkloadConfig {
+                        long_host_millis,
+                        short_size,
+                        flows_per_short_host,
+                        arrivals,
+                        matrix,
+                        long_start,
+                        short_start,
+                        deadlines
+                    } = paper
+                );
+            }
+            if let TraceConfig::On(settings) = trace {
+                note_fields!(seen, TraceSettings { flows, links } = settings);
+            }
+        }
+        let mut wrong = Vec::new();
+        for (field, values) in &seen {
+            let excused = SINGLE_VALUED.iter().find(|(f, _)| f == field);
+            match (values.len() >= 2, excused) {
+                (true, None) | (false, Some(_)) => {}
+                (false, None) => wrong.push(format!("{field} only ever is {values:?}")),
+                (true, Some((_, why))) => wrong.push(format!("{field} varies, yet: {why}")),
+            }
+        }
+        assert!(wrong.is_empty(), "constants, not options: {wrong:#?}");
     }
 
     #[test]

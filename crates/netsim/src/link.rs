@@ -118,7 +118,6 @@ pub struct Link {
     /// occupancy — and their transmission is not yet added to [`LinkStats`] —
     /// until their start time passes.
     committed: VecDeque<(SimTime, u64, u64)>,
-    committed_bytes: u64,
     /// Bits per second currently reserved for fluid-mode flows crossing
     /// this link (see [`crate::fluid`]). Packet serialisation runs at the
     /// configured rate minus this reservation, so packet- and fluid-mode
@@ -153,7 +152,6 @@ impl Link {
             queue: DropTailQueue::new(config.queue),
             transmitting: false,
             committed: VecDeque::new(),
-            committed_bytes: 0,
             fluid_reserved_bps: 0,
             stats: LinkStats::default(),
         }
@@ -205,7 +203,6 @@ impl Link {
                 break;
             }
             self.committed.pop_front();
-            self.committed_bytes -= bytes;
             self.count_transmission(bytes, tx_ns);
         }
     }
@@ -228,9 +225,7 @@ impl Link {
         packet: Packet,
     ) -> Result<Option<StartedTransmission>, EnqueueOutcome> {
         self.prune_committed(now);
-        let outcome = self
-            .queue
-            .enqueue(packet, self.committed.len(), self.committed_bytes);
+        let outcome = self.queue.enqueue(packet, self.committed.len());
         match outcome {
             EnqueueOutcome::Dropped => Err(EnqueueOutcome::Dropped),
             EnqueueOutcome::Queued | EnqueueOutcome::QueuedMarked => {
@@ -268,7 +263,6 @@ impl Link {
                 // queue slot (for drop/ECN/depth accounting) and its
                 // transmission is not counted until then.
                 self.committed.push_back((start_at, wire, tx_ns));
-                self.committed_bytes += wire;
             } else {
                 self.count_transmission(wire, tx_ns);
             }

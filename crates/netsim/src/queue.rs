@@ -1,8 +1,8 @@
 //! Output-port packet queues.
 //!
-//! Switch and host ports use a drop-tail FIFO bounded in packets and
-//! (optionally) bytes, matching the shared-buffer commodity switches assumed
-//! by the paper. An optional marking threshold implements DCTCP-style ECN.
+//! Switch and host ports use a drop-tail FIFO bounded in packets, matching
+//! the shared-buffer commodity switches assumed by the paper. An optional
+//! marking threshold implements DCTCP-style ECN.
 
 use crate::packet::{Ecn, Packet};
 use serde::{Deserialize, Serialize};
@@ -14,8 +14,6 @@ pub struct QueueConfig {
     /// Maximum number of packets the queue will hold (the packet on the wire
     /// is not counted). 100 packets is the classic ns-3 data-centre default.
     pub limit_packets: usize,
-    /// Optional byte limit; whichever limit is hit first causes a drop.
-    pub limit_bytes: Option<u64>,
     /// Optional ECN marking threshold in packets (DCTCP's `K`). When the
     /// instantaneous queue length is at or above this value, ECN-capable
     /// packets are marked instead of dropped.
@@ -26,7 +24,6 @@ impl Default for QueueConfig {
     fn default() -> Self {
         QueueConfig {
             limit_packets: 100,
-            limit_bytes: None,
             ecn_threshold_packets: None,
         }
     }
@@ -63,7 +60,6 @@ pub enum EnqueueOutcome {
 pub(crate) struct DropTailQueue {
     config: QueueConfig,
     packets: VecDeque<Packet>,
-    bytes: u64,
     stats: QueueStats,
 }
 
@@ -73,7 +69,6 @@ impl DropTailQueue {
         DropTailQueue {
             config,
             packets: VecDeque::new(),
-            bytes: 0,
             stats: QueueStats::default(),
         }
     }
@@ -81,29 +76,16 @@ impl DropTailQueue {
     /// Offer a packet to the queue. On success the packet is stored (and
     /// possibly ECN-marked); on failure it is dropped and counted.
     ///
-    /// `extra_packets`/`extra_bytes` of occupancy are conceptually still in
-    /// the queue but stored elsewhere: the link's batched drain commits
-    /// packets before they start serialising, and those must keep counting
-    /// towards drop and ECN decisions so batching does not change them (up
-    /// to the exact-instant tie convention documented on the link's
-    /// committed ledger).
-    pub(crate) fn enqueue(
-        &mut self,
-        mut packet: Packet,
-        extra_packets: usize,
-        extra_bytes: u64,
-    ) -> EnqueueOutcome {
-        let wire = packet.wire_bytes() as u64;
+    /// `extra_packets` of occupancy are conceptually still in the queue but
+    /// stored elsewhere: the link's batched drain commits packets before they
+    /// start serialising, and those must keep counting towards drop and ECN
+    /// decisions so batching does not change them (up to the exact-instant
+    /// tie convention documented on the link's committed ledger).
+    pub(crate) fn enqueue(&mut self, mut packet: Packet, extra_packets: usize) -> EnqueueOutcome {
         let depth = self.packets.len() + extra_packets;
-        let over_packets = depth >= self.config.limit_packets;
-        let over_bytes = self
-            .config
-            .limit_bytes
-            .map(|lim| self.bytes + extra_bytes + wire > lim)
-            .unwrap_or(false);
-        if over_packets || over_bytes {
+        if depth >= self.config.limit_packets {
             self.stats.dropped += 1;
-            self.stats.dropped_bytes += wire;
+            self.stats.dropped_bytes += packet.wire_bytes() as u64;
             return EnqueueOutcome::Dropped;
         }
 
@@ -116,7 +98,6 @@ impl DropTailQueue {
             }
         }
 
-        self.bytes += wire;
         self.packets.push_back(packet);
         self.stats.enqueued += 1;
         if depth + 1 > self.stats.max_depth_packets {
@@ -131,9 +112,7 @@ impl DropTailQueue {
 
     /// Remove the packet at the head of the queue.
     pub(crate) fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.packets.pop_front()?;
-        self.bytes -= p.wire_bytes() as u64;
-        Some(p)
+        self.packets.pop_front()
     }
 
     /// Number of packets currently queued.
@@ -180,7 +159,7 @@ mod tests {
         for i in 0..5 {
             let mut p = pkt(100);
             p.seq = i;
-            q.enqueue(p, 0, 0);
+            q.enqueue(p, 0);
         }
         for i in 0..5 {
             assert_eq!(q.dequeue().unwrap().seq, i);
@@ -194,56 +173,30 @@ mod tests {
             limit_packets: 2,
             ..QueueConfig::default()
         });
-        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Dropped);
+        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Dropped);
         assert_eq!(q.stats().dropped, 1);
-        assert_eq!(q.stats().enqueued, 2);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn drops_when_byte_limit_hit() {
-        let mut q = DropTailQueue::new(QueueConfig {
-            limit_packets: 100,
-            limit_bytes: Some(2_000),
-            ecn_threshold_packets: None,
-        });
-        assert_eq!(q.enqueue(pkt(1400), 0, 0), EnqueueOutcome::Queued);
-        // The second 1400B packet would exceed 2000 wire bytes.
-        assert_eq!(q.enqueue(pkt(1400), 0, 0), EnqueueOutcome::Dropped);
         assert_eq!(
             q.stats().dropped_bytes,
-            1400 + crate::packet::HEADER_BYTES as u64
+            100 + crate::packet::HEADER_BYTES as u64
         );
-    }
-
-    #[test]
-    fn byte_accounting_tracks_wire_bytes() {
-        let mut q = DropTailQueue::new(QueueConfig::default());
-        q.enqueue(pkt(1000), 0, 0);
-        q.enqueue(pkt(500), 0, 0);
-        assert_eq!(
-            q.bytes,
-            (1000 + 500 + 2 * crate::packet::HEADER_BYTES) as u64
-        );
-        q.dequeue();
-        assert_eq!(q.bytes, (500 + crate::packet::HEADER_BYTES) as u64);
+        assert_eq!(q.stats().enqueued, 2);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn ecn_marks_capable_packets_above_threshold() {
         let mut q = DropTailQueue::new(QueueConfig {
             limit_packets: 10,
-            limit_bytes: None,
             ecn_threshold_packets: Some(2),
         });
-        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::Queued);
         // Queue depth is now 2 == K, so this one gets marked.
-        assert_eq!(q.enqueue(ecn_pkt(100), 0, 0), EnqueueOutcome::QueuedMarked);
+        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::QueuedMarked);
         // Non-capable packets are never marked.
-        assert_eq!(q.enqueue(pkt(100), 0, 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
         assert_eq!(q.stats().ecn_marked, 1);
         // The marked packet carries CE when dequeued.
         q.dequeue();
@@ -255,7 +208,7 @@ mod tests {
     fn max_depth_is_tracked() {
         let mut q = DropTailQueue::new(QueueConfig::default());
         for _ in 0..7 {
-            q.enqueue(pkt(10), 0, 0);
+            q.enqueue(pkt(10), 0);
         }
         q.dequeue();
         q.dequeue();

@@ -87,11 +87,7 @@ impl Default for FatTreeConfig {
             host_rate_bps: 1_000_000_000,
             fabric_rate_bps: 1_000_000_000,
             link_delay: SimDuration::from_micros(5),
-            queue: QueueConfig {
-                limit_packets: 100,
-                limit_bytes: None,
-                ecn_threshold_packets: None,
-            },
+            queue: QueueConfig::default(),
             failures: LinkFailureSpec::default(),
         }
     }
@@ -112,9 +108,9 @@ impl FatTreeConfig {
         FatTreeConfig::default()
     }
 
-    /// A medium 128-host FatTree (k=8, 4:1 over-subscribed at a reduced
-    /// host count per edge) used as the default benchmark scale: k=4 pods
-    /// structure of the paper (same 4:1 contention) at laptop-friendly size.
+    /// A medium 64-host FatTree (k=4, 4:1 over-subscribed) used as the
+    /// default benchmark scale: the paper's 4:1 contention at laptop-friendly
+    /// size.
     pub fn benchmark() -> Self {
         FatTreeConfig {
             k: 4,

@@ -791,19 +791,19 @@ impl CongestionController for Bbr {
 /// D²TCP's deadline-aware gamma correction sets `d = Tc/D` per ACK.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EcnResponder {
-    g: f64,
     alpha: f64,
     penalty_exponent: f64,
     marked_bytes: u64,
     total_bytes: u64,
 }
 
+/// DCTCP's EWMA gain `g` for the marked-fraction estimate.
+const DCTCP_G: f64 = 1.0 / 16.0;
+
 impl EcnResponder {
-    /// A responder with EWMA gain `g` (DCTCP's default is 1/16) and a unit
-    /// penalty exponent (plain DCTCP).
-    pub(crate) fn new(g: f64) -> Self {
+    /// A responder with a unit penalty exponent (plain DCTCP).
+    pub(crate) fn new() -> Self {
         EcnResponder {
-            g,
             alpha: 0.0,
             penalty_exponent: 1.0,
             marked_bytes: 0,
@@ -843,7 +843,7 @@ impl EcnResponder {
     pub(crate) fn on_round_end(&mut self, cc: &mut dyn CongestionController) {
         if self.total_bytes > 0 {
             let frac = self.marked_bytes as f64 / self.total_bytes as f64;
-            self.alpha = (1.0 - self.g) * self.alpha + self.g * frac;
+            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * frac;
             if self.marked_bytes > 0 {
                 // DCTCP reduces by alpha/2; D²TCP gamma-corrects the
                 // penalty with the deadline-imminence exponent.
@@ -1025,7 +1025,7 @@ mod tests {
 
     #[test]
     fn ecn_responder_reproduces_dctcp_alpha() {
-        let mut r = EcnResponder::new(1.0 / 16.0);
+        let mut r = EcnResponder::new();
         let mut cc = Reno::new(&cfg());
         let rtt = rtt_with(100);
         cc.on_established(SimTime::ZERO, &rtt);

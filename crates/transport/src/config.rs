@@ -10,13 +10,9 @@ use serde::{Deserialize, Serialize};
 pub struct TransportConfig {
     /// Maximum segment size in bytes.
     pub mss: u32,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd_segments: u32,
     /// Initial slow-start threshold, in bytes (effectively "infinite" by
     /// default so connections start in slow start).
     pub initial_ssthresh: u64,
-    /// Number of duplicate ACKs that triggers a fast retransmission.
-    pub dupack_threshold: u32,
     /// Lower bound on the retransmission timeout. 200 ms is the classic
     /// data-centre-unfriendly default that produces the paper's RTO tail.
     pub min_rto: SimDuration,
@@ -28,11 +24,6 @@ pub struct TransportConfig {
     pub max_rto: SimDuration,
     /// Whether this connection negotiates ECN and reacts DCTCP-style.
     pub ecn: bool,
-    /// DCTCP's EWMA gain `g` for the marked-fraction estimate.
-    pub dctcp_g: f64,
-    /// Receive buffer advertised by the peer, in bytes. Effectively infinite
-    /// by default (the paper's workloads are not receive-window limited).
-    pub receive_window: u64,
     /// Which congestion controller every subflow runs (the CC axis of an
     /// experiment). Defaults to Reno, the paper's baseline.
     pub cc: CongestionControl,
@@ -42,24 +33,23 @@ impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             mss: DEFAULT_MSS,
-            initial_cwnd_segments: 10,
             initial_ssthresh: u64::MAX / 2,
-            dupack_threshold: 3,
             min_rto: SimDuration::from_millis(200),
             initial_rto: SimDuration::from_secs(1),
             max_rto: SimDuration::from_secs(60),
             ecn: false,
-            dctcp_g: 1.0 / 16.0,
-            receive_window: u64::MAX / 2,
             cc: CongestionControl::Reno,
         }
     }
 }
 
+/// Initial congestion window, in segments (RFC 6928).
+const INITIAL_CWND_SEGMENTS: u32 = 10;
+
 impl TransportConfig {
     /// Initial congestion window in bytes.
     pub(crate) fn initial_cwnd_bytes(&self) -> f64 {
-        (self.initial_cwnd_segments * self.mss) as f64
+        (INITIAL_CWND_SEGMENTS * self.mss) as f64
     }
 
     /// A configuration suitable for DCTCP experiments: ECN on, shallow

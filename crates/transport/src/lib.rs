@@ -53,7 +53,7 @@ pub mod testing;
 pub use cc::CongestionControl;
 pub use config::TransportConfig;
 pub use mmptcp::{DupAckPolicy, MmptcpConfig, MmptcpPhase, MmptcpSender, SwitchStrategy};
-pub use mptcp::{MptcpConfig, MptcpScheduler, MptcpSender};
+pub use mptcp::{MptcpConfig, MptcpSender};
 pub use receiver::TransportReceiver;
 pub use repflow::{RepFlowConfig, RepFlowSender};
 pub use rtt::RttEstimator;

@@ -56,12 +56,10 @@ pub enum DupAckPolicy {
     Fixed(u32),
     /// Derive the threshold from the number of equal-cost paths between the
     /// endpoints (obtained from FatTree addressing or a VL2-style directory):
-    /// `threshold = max(3, ceil(factor * paths))`.
+    /// `threshold = max(3, paths)`.
     TopologyAware {
         /// Number of equal-cost paths between source and destination.
         paths: u32,
-        /// Scaling factor applied to the path count.
-        factor: f64,
     },
     /// RR-TCP-style adaptation: start at `initial` and raise the threshold by
     /// `step` every time a spurious retransmission is detected, up to `max`.
@@ -74,7 +72,7 @@ pub enum DupAckPolicy {
         max: u32,
     },
     /// Both mechanisms of §2 combined: the initial threshold is derived from
-    /// the topology's path count (`max(3, ceil(factor * paths))`) and is then
+    /// the topology's path count (`max(3, paths)`) and is then
     /// raised RR-TCP-style by `step` per detected spurious retransmission, up
     /// to `max`. This is the default the experiment runner installs, because
     /// at low path counts the queue-occupancy *difference* between paths (not
@@ -82,8 +80,6 @@ pub enum DupAckPolicy {
     TopologyAdaptive {
         /// Number of equal-cost paths between source and destination.
         paths: u32,
-        /// Scaling factor applied to the path count for the initial threshold.
-        factor: f64,
         /// Increment per detected spurious retransmission.
         step: u32,
         /// Upper bound on the adapted threshold.
@@ -93,10 +89,7 @@ pub enum DupAckPolicy {
 
 impl Default for DupAckPolicy {
     fn default() -> Self {
-        DupAckPolicy::TopologyAware {
-            paths: 16,
-            factor: 1.0,
-        }
+        DupAckPolicy::TopologyAware { paths: 16 }
     }
 }
 
@@ -105,10 +98,8 @@ impl DupAckPolicy {
     pub fn initial_threshold(&self) -> u32 {
         match *self {
             DupAckPolicy::Fixed(t) => t.max(1),
-            DupAckPolicy::TopologyAware { paths, factor }
-            | DupAckPolicy::TopologyAdaptive { paths, factor, .. } => {
-                ((paths as f64 * factor).ceil() as u32).max(3)
-            }
+            DupAckPolicy::TopologyAware { paths }
+            | DupAckPolicy::TopologyAdaptive { paths, .. } => paths.max(3),
             DupAckPolicy::Adaptive { initial, .. } => initial.max(1),
         }
     }
@@ -130,7 +121,6 @@ impl DupAckPolicy {
         let paths = paths.max(1);
         DupAckPolicy::TopologyAdaptive {
             paths,
-            factor: 1.0,
             step: paths.max(3),
             max: (8 * paths).max(24),
         }
@@ -460,19 +450,11 @@ mod tests {
     fn dupack_policy_thresholds() {
         assert_eq!(DupAckPolicy::Fixed(3).initial_threshold(), 3);
         assert_eq!(
-            DupAckPolicy::TopologyAware {
-                paths: 16,
-                factor: 1.0
-            }
-            .initial_threshold(),
+            DupAckPolicy::TopologyAware { paths: 16 }.initial_threshold(),
             16
         );
         assert_eq!(
-            DupAckPolicy::TopologyAware {
-                paths: 2,
-                factor: 0.5
-            }
-            .initial_threshold(),
+            DupAckPolicy::TopologyAware { paths: 2 }.initial_threshold(),
             3,
             "never below the TCP default of 3"
         );
@@ -490,10 +472,7 @@ mod tests {
     #[test]
     fn topology_aware_threshold_is_installed_on_the_scatter_flow() {
         let cfg = MmptcpConfig {
-            dupack: DupAckPolicy::TopologyAware {
-                paths: 12,
-                factor: 1.0,
-            },
+            dupack: DupAckPolicy::TopologyAware { paths: 12 },
             ..MmptcpConfig::default()
         };
         let tx = MmptcpSender::new(cfg, FlowId(1), Addr(0), Addr(1), 50_000, 80, Some(1));
@@ -522,14 +501,7 @@ mod tests {
         assert_eq!(q.adaptation(), Some((16, 128)));
         // Non-adaptive policies report no adaptation.
         assert_eq!(DupAckPolicy::Fixed(3).adaptation(), None);
-        assert_eq!(
-            DupAckPolicy::TopologyAware {
-                paths: 4,
-                factor: 1.0
-            }
-            .adaptation(),
-            None
-        );
+        assert_eq!(DupAckPolicy::TopologyAware { paths: 4 }.adaptation(), None);
     }
 
     #[test]
@@ -539,7 +511,6 @@ mod tests {
         let cfg = MmptcpConfig {
             dupack: DupAckPolicy::TopologyAdaptive {
                 paths: 1,
-                factor: 1.0,
                 step: 5,
                 max: 40,
             },

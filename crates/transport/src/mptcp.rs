@@ -19,36 +19,17 @@ use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
 use netsim::{Addr, AgentCtx, FlowId};
 use serde::{Deserialize, Serialize};
 
-/// How the connection-level scheduler assigns data to subflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum MptcpScheduler {
-    /// Round-robin over subflows with window space (the behaviour of the
-    /// authors' ns-3 model for homogeneous data-centre paths).
-    #[default]
-    RoundRobin,
-    /// Prefer the established subflow with the lowest smoothed RTT.
-    LowestRtt,
-}
-
-/// MPTCP-specific configuration.
+/// MPTCP-specific configuration. What the paper's ns-3 model fixes is fixed
+/// here too: LIA coupling, round-robin scheduling over subflows with window
+/// space, and RFC 6824's join order (only the initial subflow performs the
+/// opening handshake; the others need the token from its MP_CAPABLE exchange
+/// and join once it is established, so a lost initial SYN stalls them all).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MptcpConfig {
     /// Per-subflow TCP parameters.
     pub transport: TransportConfig,
     /// Number of subflows to open.
     pub num_subflows: usize,
-    /// Whether to couple the subflows' congestion avoidance (LIA). Turning it
-    /// off gives "uncoupled" MPTCP, an ablation the literature often reports.
-    pub coupled: bool,
-    /// Data-to-subflow scheduling policy.
-    pub scheduler: MptcpScheduler,
-    /// When true (the default, and what RFC 6824 mandates) only the initial
-    /// subflow performs the opening handshake; the additional subflows join
-    /// once it is established (MP_JOIN needs the token from the MP_CAPABLE
-    /// exchange). When false all subflows send their SYN simultaneously — an
-    /// idealisation some simulators use, which masks initial-SYN losses and
-    /// therefore flatters MPTCP's short-flow tail.
-    pub join_after_initial: bool,
 }
 
 impl Default for MptcpConfig {
@@ -56,9 +37,6 @@ impl Default for MptcpConfig {
         MptcpConfig {
             transport: TransportConfig::default(),
             num_subflows: 8,
-            coupled: true,
-            scheduler: MptcpScheduler::RoundRobin,
-            join_after_initial: true,
         }
     }
 }
@@ -102,45 +80,20 @@ pub(crate) fn compute_lia(subflows: &[Subflow]) -> LiaParams {
 }
 
 /// MPTCP as a connection policy: which subflows open when, LIA coupling, and
-/// the data-to-subflow scheduler.
+/// the round-robin data-to-subflow scheduler. `Policy::start`'s default is
+/// the MP_CAPABLE handshake on the initial subflow.
 #[derive(Debug)]
 pub struct Multipath {
-    cfg: MptcpConfig,
     rr_cursor: usize,
     /// True once the additional (MP_JOIN) subflows have been started.
     joined: bool,
 }
 
-impl Multipath {
-    /// Pick the next subflow to receive a chunk, honouring the scheduler.
-    fn pick_subflow(&mut self, subflows: &[Subflow], len: u64) -> Option<usize> {
-        match self.cfg.scheduler {
-            MptcpScheduler::RoundRobin => round_robin(subflows, &mut self.rr_cursor, len),
-            MptcpScheduler::LowestRtt => subflows
-                .iter()
-                .enumerate()
-                .filter(|(_, sf)| sf.is_established() && sf.window_space() >= len)
-                .min_by_key(|(_, sf)| sf.srtt().map(|d| d.as_nanos()).unwrap_or(u64::MAX))
-                .map(|(i, _)| i),
-        }
-    }
-}
-
 impl Policy for Multipath {
     const NAME: &'static str = "mptcp";
 
-    fn start(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        // RFC 6824 semantics: MP_CAPABLE on the initial subflow first;
-        // MP_JOINs follow once it is established.
-        self.joined = !self.cfg.join_after_initial;
-        let initial = if self.joined { conn.subflows.len() } else { 1 };
-        for sf in &mut conn.subflows[..initial] {
-            sf.start(ctx);
-        }
-    }
-
     fn lia(&self, conn: &ConnState, _idx: usize) -> Option<LiaParams> {
-        self.cfg.coupled.then(|| compute_lia(&conn.subflows))
+        Some(compute_lia(&conn.subflows))
     }
 
     fn after_subflow_event(
@@ -164,7 +117,7 @@ impl Policy for Multipath {
             if len == 0 {
                 break;
             }
-            let Some(idx) = self.pick_subflow(&conn.subflows, len) else {
+            let Some(idx) = round_robin(&conn.subflows, &mut self.rr_cursor, len) else {
                 break;
             };
             conn.send_next(ctx, idx, len);
@@ -212,7 +165,6 @@ impl MptcpSender {
             )
         };
         let policy = Multipath {
-            cfg,
             rr_cursor: 0,
             joined: false,
         };
@@ -334,25 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_start_is_available_as_an_idealisation() {
-        let cfg = MptcpConfig {
-            join_after_initial: false,
-            ..MptcpConfig::with_subflows(4)
-        };
-        let mut l = new_loop(cfg, 70_000);
-        l.start();
-        let syns = l.to_rx.iter().filter(|p| p.kind == PacketKind::Syn).count();
-        assert_eq!(syns, 4);
-        for _ in 0..2_000 {
-            if l.tx.is_completed() {
-                break;
-            }
-            l.round(|_| false);
-        }
-        assert!(l.tx.is_completed());
-    }
-
-    #[test]
     fn lost_initial_syn_stalls_the_whole_connection() {
         // With RFC 6824 join semantics a lost MP_CAPABLE SYN cannot be masked
         // by the other subflows: nothing moves until the retransmitted SYN
@@ -404,27 +337,5 @@ mod tests {
                 p.alpha
             );
         }
-    }
-
-    #[test]
-    fn lowest_rtt_scheduler_completes() {
-        let cfg = MptcpConfig {
-            scheduler: MptcpScheduler::LowestRtt,
-            ..MptcpConfig::with_subflows(3)
-        };
-        let mut l = new_loop(cfg, 100_000);
-        l.run(2_000, |_| false);
-        assert!(l.tx.is_completed());
-    }
-
-    #[test]
-    fn uncoupled_variant_completes() {
-        let cfg = MptcpConfig {
-            coupled: false,
-            ..MptcpConfig::with_subflows(4)
-        };
-        let mut l = new_loop(cfg, 150_000);
-        l.run(2_000, |_| false);
-        assert!(l.tx.is_completed());
     }
 }

@@ -79,6 +79,10 @@ pub(crate) struct SubflowCounters {
     pub data_bytes_sent: u64,
 }
 
+/// Duplicate ACKs that trigger a fast retransmission, until a policy raises
+/// the subflow's threshold (MMPTCP's packet-scatter phase).
+const DUPACK_THRESHOLD: u32 = 3;
+
 /// A single-path TCP sender engine.
 #[derive(Debug)]
 pub struct Subflow {
@@ -152,13 +156,9 @@ impl Subflow {
     ) -> Self {
         let rtt = RttEstimator::new(cfg.min_rto, cfg.initial_rto, cfg.max_rto);
         let cc = cfg.cc.build(&cfg);
-        let ecn = if cfg.ecn {
-            Some(EcnResponder::new(cfg.dctcp_g))
-        } else {
-            None
-        };
+        let ecn = cfg.ecn.then(EcnResponder::new);
         Subflow {
-            dupack_threshold: cfg.dupack_threshold,
+            dupack_threshold: DUPACK_THRESHOLD,
             cfg,
             index,
             scatter,

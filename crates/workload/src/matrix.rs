@@ -3,8 +3,9 @@
 //! The paper schedules all flows "based on a permutation traffic matrix":
 //! every sending host is paired with exactly one receiving host and no host
 //! receives from more than one sender. The roadmap additionally mentions
-//! hotspot scenarios; incast and random matrices round out the usual
-//! data-centre evaluation suite.
+//! hotspot scenarios; random and stride matrices round out the usual
+//! data-centre evaluation suite (incast is a workload of its own,
+//! [`crate::flows::incast_workload`]).
 
 use netsim::{Addr, SimRng};
 use serde::{Deserialize, Serialize};
@@ -27,11 +28,6 @@ pub enum TrafficMatrix {
         /// Fraction (0..=1 scaled by 1000, i.e. 250 = 25 %) of senders whose
         /// destination is a hot host; the rest follow a permutation.
         hot_fraction_millis: u32,
-    },
-    /// `fan_in` senders all target one receiver (TCP incast).
-    Incast {
-        /// Number of concurrent senders per receiver.
-        fan_in: usize,
     },
 }
 
@@ -97,22 +93,6 @@ pub fn assign_destinations(
                     }
                 })
                 .collect()
-        }
-        TrafficMatrix::Incast { fan_in } => {
-            let fan_in = fan_in.max(1);
-            let n = candidates.len();
-            let mut out = Vec::with_capacity(senders.len());
-            for (i, &s) in senders.iter().enumerate() {
-                let group = i / fan_in;
-                // Receivers are taken from the end of the candidate list so
-                // the first groups of senders never collide with them.
-                let mut dst = candidates[n - 1 - (group % n)];
-                if dst == s {
-                    dst = candidates[n - 1 - ((group + 1) % n)];
-                }
-                out.push((s, dst));
-            }
-            out
         }
     }
 }
@@ -215,19 +195,6 @@ mod tests {
             hot_count > 50,
             "expected most flows to hit the hot hosts, got {hot_count}"
         );
-        for (s, d) in pairs {
-            assert_ne!(s, d);
-        }
-    }
-
-    #[test]
-    fn incast_groups_share_a_receiver() {
-        let mut rng = SimRng::new(5);
-        let h = hosts(33);
-        let pairs = assign_destinations(TrafficMatrix::Incast { fan_in: 8 }, &h, &h, &mut rng);
-        // The first 8 senders share one destination.
-        let first_dst = pairs[0].1;
-        assert!(pairs[..8].iter().all(|(_, d)| *d == first_dst));
         for (s, d) in pairs {
             assert_ne!(s, d);
         }

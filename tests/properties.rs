@@ -258,8 +258,7 @@ fn dupack_policies_are_sane() {
     for case in 0..CASES {
         let mut params = case_rng(7, case);
         let paths = params.range(1u32..256);
-        let factor = 0.1 + params.unit() * 3.9;
-        let aware = DupAckPolicy::TopologyAware { paths, factor };
+        let aware = DupAckPolicy::TopologyAware { paths };
         assert!(aware.initial_threshold() >= 3);
         let combined = DupAckPolicy::topology_adaptive(paths);
         assert!(combined.initial_threshold() >= 3);
