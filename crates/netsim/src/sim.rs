@@ -434,9 +434,17 @@ impl Simulator {
 
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [active, level0, level1, level2, overflow] = self.queue.tier_lens();
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("pending_events", &self.queue.len())
+            .field(
+                "pending_events",
+                &format_args!(
+                    "{} (active {active}, level0 {level0}, level1 {level1}, \
+                     level2 {level2}, overflow {overflow})",
+                    self.queue.len()
+                ),
+            )
             .field("counters", &self.counters)
             .field("nodes", &self.network.node_count())
             .field("links", &self.network.link_count())
@@ -651,6 +659,22 @@ mod tests {
         sim.run_until(SimTime::from_millis(2));
         assert_eq!(sim.now(), SimTime::from_millis(2));
         assert!(sim.pending_events() > 0, "transfer should still be running");
+    }
+
+    #[test]
+    fn debug_splits_pending_events_by_calendar_tier() {
+        let (net, h0, _) = two_host_network();
+        let mut sim = Simulator::new(net, 7);
+        for (i, at) in [(1, SimTime::from_millis(1)), (2, SimTime::from_secs(30))] {
+            sim.schedule_flow_start(at, h0, FlowId(i));
+        }
+        let tiers = sim.queue.tier_lens();
+        assert_eq!(tiers.iter().sum::<usize>(), sim.pending_events());
+        assert!(
+            format!("{sim:?}")
+                .contains("pending_events: 2 (active 0, level0 0, level1 1, level2 0, overflow 1)"),
+            "{sim:?}"
+        );
     }
 
     #[test]

@@ -186,11 +186,24 @@ impl SimDuration {
     /// model; exposing it here keeps tests and analytic checks consistent.
     pub fn transmission(bytes: u64, rate_bps: u64) -> SimDuration {
         assert!(rate_bps > 0, "link rate must be positive");
-        // bits * 1e9 / rate, computed in u128 to avoid overflow for large payloads.
-        let bits = (bytes as u128) * 8;
-        let ns = bits * 1_000_000_000u128 / rate_bps as u128;
-        SimDuration(ns as u64)
+        // bits * 1e9 / rate. The product fits a `u64` below 2.3 GB — every
+        // packet — which spares the per-packet path a `u128` division (a
+        // library call); larger payloads take the wide path.
+        let ns = match bytes.checked_mul(BIT_NS_PER_BYTE) {
+            Some(bit_ns) => bit_ns / rate_bps,
+            None => transmission_wide(bytes, rate_bps),
+        };
+        SimDuration(ns)
     }
+}
+
+/// Nanoseconds to serialise one byte at 1 bit/s.
+const BIT_NS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
+/// [`SimDuration::transmission`] for payloads whose bit-nanosecond product
+/// overflows a `u64`.
+fn transmission_wide(bytes: u64, rate_bps: u64) -> u64 {
+    (bytes as u128 * BIT_NS_PER_BYTE as u128 / rate_bps as u128) as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -320,6 +333,28 @@ mod tests {
         // 1 byte at 8 bps = 1 second.
         let d = SimDuration::transmission(1, 8);
         assert_eq!(d.as_secs_f64(), 1.0);
+    }
+
+    #[test]
+    fn transmission_paths_agree() {
+        // The rates the topology builders use (1 and 10 Gbps) and two odd
+        // ones, over packet sizes and both sides of the `u64` boundary.
+        let boundary = u64::MAX / BIT_NS_PER_BYTE;
+        let sizes = (0..=9_000)
+            .step_by(7)
+            .chain([40, 64, 1_460, 1_500, 9_000])
+            .chain(boundary - 2..=boundary + 2);
+        for bytes in sizes {
+            for rate_bps in [8, 1_000_000_000, 10_000_000_000, 40_000_000_001] {
+                assert_eq!(
+                    SimDuration::transmission(bytes, rate_bps).as_nanos(),
+                    transmission_wide(bytes, rate_bps),
+                    "{bytes} B at {rate_bps} bps"
+                );
+            }
+        }
+        assert!(boundary.checked_mul(BIT_NS_PER_BYTE).is_some());
+        assert!((boundary + 1).checked_mul(BIT_NS_PER_BYTE).is_none());
     }
 
     #[test]
