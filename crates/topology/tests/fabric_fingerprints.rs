@@ -9,13 +9,13 @@
 //! *numbering* inside a switch is not observable and is not digested.
 //!
 //! A link's configuration is digested value by value (rate, delay, packet
-//! limit, ECN threshold, drain batch), not through `LinkConfig`'s `Debug`
-//! text, so deleting a field no builder sets does not re-word every row. The
-//! digests were recorded for that rendering at commit d377ae8, whose builders
-//! produce the fabrics first pinned at 9a207a1 (before they were ported onto
-//! one shared fabric helper); a refactor of the builders must not change any.
+//! limit, ECN threshold), not through `LinkConfig`'s `Debug` text, so deleting
+//! a field no builder sets does not re-word every row. The digests were
+//! recorded for that rendering at commit cc03229, whose builders produce the
+//! fabrics first pinned at 9a207a1 (before they were ported onto one shared
+//! fabric helper); a refactor of the builders must not change any.
 
-use netsim::{Addr, Node, SimDuration};
+use netsim::{Addr, LinkConfig, Node, SimDuration};
 use std::fmt::{Debug, Write};
 use topology::{
     dumbbell, fattree, parallel, vl2, BuiltTopology, DumbbellConfig, FatTreeConfig,
@@ -62,7 +62,9 @@ fn fingerprint(t: &BuiltTopology) -> u64 {
         assert!(!queue.contains("limit_bytes: Some"), "{}: {queue}", t.name);
         let queue = (c.queue.limit_packets, c.queue.ecn_threshold_packets);
         let ends = (link.id, link.from, link.to);
-        d.add(&(ends, c.rate_bps, c.delay, queue, c.drain_batch));
+        // Nor is the drain batch, so no builder may move it off the default.
+        assert_eq!(c.drain_batch, LinkConfig::default().drain_batch);
+        d.add(&(ends, c.rate_bps, c.delay, queue));
     }
     for a in dsts() {
         d.add(&dsts().map(|b| t.path_count(a, b)).collect::<Vec<_>>());
@@ -154,29 +156,29 @@ fn rows() -> Vec<(String, BuiltTopology)> {
     rows
 }
 
-/// `row digest`, recorded at commit d377ae8 (see the module doc).
+/// `row digest`, recorded at commit cc03229 (see the module doc).
 const EXPECTED: &str = "\
-fattree/k4/1:1 a0ba1673657a1179
-fattree/k4/4:1 0618c6fa3713ffa3
-fattree/k6/1:1 24c2033edc51a9dd
-fattree/k6/4:1 f7996921b6103c2e
-fattree/k8/1:1 eb36db5e081dd478
-fattree/k8/4:1 381d9f6dc88a5a9b
-fattree/k4/1:1/agg_core(250,7) f72dc81854ed3797
-fattree/k8/4:1/agg_core(250,7) 2b62d010137fb871
-fattree/k4/2:1/tuned-links 740e8093072d1a15
-dual-homed/k4/1:1 2e4e37e6321cd5d0
-dual-homed/k4/4:1 ec6c28a8586ffcba
-dual-homed/k6/1:1 53baee92235bf97c
-dual-homed/k8/1:1 3026c3aa9896369d
-dual-homed/k4/2:1/tuned-links 5013e3780e8563ba
-vl2/default 4c0f1f5f5000d71a
-vl2/2-aggs c1a9d06e3412d8f2
-vl2/3-aggs 6ce6a1946caaa49e
-dumbbell/2x2 3f17891eba2c0368
-dumbbell/3x3 ff2345d9c250b7a2
-parallel/1-paths 70d735f89009154f
-parallel/4-paths 3a098f8cdd6c15d3
+fattree/k4/1:1 d50bb1e32b0b529f
+fattree/k4/4:1 ceca0f00525d67a7
+fattree/k6/1:1 dbef921a61354e7b
+fattree/k6/4:1 2a2a2d23e5ae9060
+fattree/k8/1:1 a8b95483a2c5a8c0
+fattree/k8/4:1 c29c965bf0365061
+fattree/k4/1:1/agg_core(250,7) 39905c2372a5a8f5
+fattree/k8/4:1/agg_core(250,7) ecad89bebcb45477
+fattree/k4/2:1/tuned-links 4df7b83a6d8fad0d
+dual-homed/k4/1:1 343296fafe365ee0
+dual-homed/k4/4:1 3224ca41fd776d56
+dual-homed/k6/1:1 02e43f1604334a28
+dual-homed/k8/1:1 a8f9f2aa656bc5a7
+dual-homed/k4/2:1/tuned-links 7a7e602b32e5ad0a
+vl2/default 9e1f8ee8e1b1094e
+vl2/2-aggs 4f3deb16ff7f14ae
+vl2/3-aggs 8869d9e30eb07906
+dumbbell/2x2 81eb24a0aec66d62
+dumbbell/3x3 0382648d8a8ff094
+parallel/1-paths 649f86e09a72ebcb
+parallel/4-paths 5234ba401e7a5ac9
 ";
 
 #[test]
