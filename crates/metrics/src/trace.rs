@@ -372,9 +372,7 @@ impl TraceSink {
     }
 
     /// Snapshot every link at time `now`. Counter fields of the recorded
-    /// point are deltas since the previous snapshot; the caller (the
-    /// experiment loop) settles each link's batched-drain ledger first so
-    /// the counters reflect exactly the transmissions started by `now`.
+    /// point are deltas since the previous snapshot.
     pub fn sample_links(&mut self, now: SimTime, network: &Network) {
         if !self.settings.links {
             return;
@@ -385,7 +383,7 @@ impl TraceSink {
             .unwrap_or(0);
         let mut fresh = Vec::with_capacity(network.links().len());
         for (i, link) in network.links().iter().enumerate() {
-            let t = link.telemetry(now);
+            let t = link.telemetry();
             let prev = self.prev_links.get(i).copied().unwrap_or_default();
             let busy_delta = t.busy_ns - prev.busy_ns;
             self.links

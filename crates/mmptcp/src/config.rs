@@ -310,7 +310,8 @@ impl ExperimentConfig {
     /// before a topology is built rather than in a worker at the first flow
     /// start (or never: a zero progress interval does not advance the run
     /// loop). A connection holds between one and [`MAX_SUBFLOWS`] subflows,
-    /// and MMPTCP's packet-scatter flow is one of them.
+    /// and MMPTCP's packet-scatter flow is one of them — but not the only
+    /// one, or the connection would silently be `Protocol::PacketScatter`.
     pub fn validate(&self) -> Result<(), String> {
         if self.progress_interval.is_zero() {
             return Err("progress_interval must be positive".into());
@@ -324,6 +325,11 @@ impl ExperimentConfig {
                     return Err("MPTCP needs at least one subflow".into());
                 }
                 Protocol::Mptcp { subflows } => ("MPTCP", subflows, subflows),
+                Protocol::Mmptcp { subflows: 0, .. } => {
+                    return Err("MMPTCP with no subflows never leaves its scatter phase; \
+                                use Protocol::PacketScatter"
+                        .into());
+                }
                 Protocol::Mmptcp { subflows, .. } => {
                     ("MMPTCP", subflows, subflows.saturating_add(1))
                 }
@@ -373,6 +379,8 @@ mod tests {
             (long(mmptcp(64)), "limit is 64"),
             (with(mptcp(0)), "at least one subflow"),
             (long(mptcp(0)), "at least one subflow"),
+            (with(mmptcp(0)), "use Protocol::PacketScatter"),
+            (long(mmptcp(0)), "use Protocol::PacketScatter"),
             (zero_tick, "progress_interval must be positive"),
             (no_flows, "custom workload has no flows"),
         ];

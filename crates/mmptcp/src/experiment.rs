@@ -277,13 +277,7 @@ fn run_observed(
         metrics.ingest(signals.iter());
         if let Some(sink) = trace_sink.as_mut() {
             sink.ingest(&signals);
-            if sink.links_enabled() {
-                let now = sim.now();
-                for link in sim.network_mut().links_mut() {
-                    link.settle(now);
-                }
-                sink.sample_links(now, sim.network());
-            }
+            sink.sample_links(sim.now(), sim.network());
         }
         observe(&sim);
         if open_bounded.is_empty() || sim.now() >= cap || sim.pending_events() == 0 {

@@ -53,9 +53,8 @@ pub enum Event {
         /// [`crate::packet::PacketArena`]).
         packet: PacketRef,
     },
-    /// The transmitter of `link` finishes serialising the packet (or
-    /// back-to-back batch of packets) currently on the wire and may start on
-    /// the next queued packet.
+    /// The transmitter of `link` finishes serialising the packet currently on
+    /// the wire and may start on the next queued packet.
     TransmitComplete {
         /// The link whose transmitter became free.
         link: LinkId,

@@ -1038,8 +1038,7 @@ mod tests {
             let packet = handoff(99, 50_000, 0, 1).template;
             let tx = net.link_mut(link).offer(now, packet).unwrap().unwrap();
             now = tx.transmit_done_at;
-            net.link_mut(link)
-                .on_transmit_complete(now, &mut Vec::new());
+            net.link_mut(link).transmit_complete(now);
         }
     }
 

@@ -6,33 +6,18 @@
 //! propagation delay. Full-duplex cables are modelled as two independent
 //! links created in opposite directions by the topology builders.
 //!
-//! ## Batched drain
-//!
-//! When the transmitter frees up it commits up to [`LinkConfig::drain_batch`]
-//! queued packets to the wire in one call, computing their back-to-back
-//! serialisation windows, so the engine schedules one `TransmitComplete`
-//! event per *burst* instead of per packet. Physics are preserved: a
-//! committed packet still occupies the queue (for drop, ECN and depth
-//! accounting) and stays out of the link counters until the simulated
-//! instant its serialisation would have started, tracked by the `committed`
-//! ledger, and its delivery time is identical to the packet-at-a-time
-//! schedule. (The one degenerate exception — observations landing at exactly
-//! a later burst packet's serialisation-start instant — is documented on the
-//! private `Link::prune_committed`.)
-//!
-//! The ledger stays. A scratch copy defaulting `drain_batch` to 1 (sizing
-//! ISSUE 19; two alternating pairs per `benchmark/` workload against its
-//! parent, so *unverified, direction consistent* under `benchmark/README.md`'s
-//! ten-pair rule) moved `wall_s` by 0 % on `fig1_mmptcp`, +3 % on
-//! `battle_sweep`, +5 % on `mice_storm_tcp` and +9 % on `elephants_hybrid`:
-//! batching is worth keeping, and the ledger is what makes it invisible.
+//! A packet leaves the queue (for drop, ECN and depth accounting) and enters
+//! the link counters at the instant its serialisation starts, and the engine
+//! schedules one `TransmitComplete` per packet. A packet offered in the very
+//! nanosecond the transmitter frees therefore sees the queue before or after
+//! that dequeue according to calendar order alone (ARCHITECTURE.md,
+//! determinism rule 3).
 
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
 use crate::queue::{DropTailQueue, EnqueueOutcome, QueueConfig, QueueStats};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Configuration of one link direction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,11 +28,6 @@ pub struct LinkConfig {
     pub delay: SimDuration,
     /// Output queue configuration.
     pub queue: QueueConfig,
-    /// Maximum number of queued packets committed to the wire per
-    /// `TransmitComplete` dispatch. 1 reproduces the packet-at-a-time engine
-    /// event-for-event; larger values cut calendar traffic on busy links
-    /// without changing transmission or delivery times.
-    pub drain_batch: usize,
 }
 
 impl Default for LinkConfig {
@@ -57,7 +37,6 @@ impl Default for LinkConfig {
             rate_bps: 1_000_000_000,
             delay: SimDuration::from_micros(25),
             queue: QueueConfig::default(),
-            drain_batch: 8,
         }
     }
 }
@@ -81,9 +60,8 @@ pub struct LinkStats {
 /// instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkTelemetry {
-    /// Instantaneous queue depth in packets (committed-burst packets whose
-    /// serialisation has not started yet still count, exactly as they do for
-    /// drop and ECN decisions).
+    /// Instantaneous queue depth in packets, as drop and ECN decisions see
+    /// it: the packet being serialised is not counted.
     pub queue_depth_packets: usize,
     /// Cumulative packets fully transmitted onto the wire.
     pub tx_packets: u64,
@@ -109,15 +87,8 @@ pub struct Link {
     /// Static configuration.
     pub config: LinkConfig,
     queue: DropTailQueue,
-    /// Whether the transmitter is currently serialising a packet (or a
-    /// committed burst of packets).
+    /// Whether the transmitter is currently serialising a packet.
     transmitting: bool,
-    /// Packets dequeued as part of a burst whose serialisation has not
-    /// started yet at the current simulated time: `(serialisation start, wire
-    /// bytes, serialisation nanoseconds)`. They still count towards queue
-    /// occupancy — and their transmission is not yet added to [`LinkStats`] —
-    /// until their start time passes.
-    committed: VecDeque<(SimTime, u64, u64)>,
     /// Bits per second currently reserved for fluid-mode flows crossing
     /// this link (see [`crate::fluid`]). Packet serialisation runs at the
     /// configured rate minus this reservation, so packet- and fluid-mode
@@ -134,8 +105,7 @@ pub struct Link {
 pub struct StartedTransmission {
     /// The packet that was put on the wire.
     pub packet: Packet,
-    /// When serialisation finishes. For a burst, schedule one
-    /// `TransmitComplete` at the *last* packet's time.
+    /// When serialisation finishes (schedule `TransmitComplete` then).
     pub transmit_done_at: SimTime,
     /// When the packet arrives at `to` (schedule `Delivery` then).
     pub delivered_at: SimTime,
@@ -151,7 +121,6 @@ impl Link {
             config,
             queue: DropTailQueue::new(config.queue),
             transmitting: false,
-            committed: VecDeque::new(),
             fluid_reserved_bps: 0,
             stats: LinkStats::default(),
         }
@@ -185,35 +154,6 @@ impl Link {
         }
     }
 
-    /// Drop committed-ledger entries whose serialisation has started by
-    /// `now`: those packets have physically left the queue, so they stop
-    /// counting towards occupancy and start counting in [`LinkStats`] — the
-    /// same instant the packet-at-a-time engine dequeues and counts them.
-    ///
-    /// Boundary convention: at exactly `now == start` the slot is treated as
-    /// freed (as if the serialisation-start event had already processed).
-    /// The packet-at-a-time engine's behaviour at that degenerate instant
-    /// depends on the calendar seq order of the phantom `TransmitComplete`
-    /// versus the observing event, so no fixed convention can match it in
-    /// every tie; within one engine configuration the choice is applied
-    /// consistently and runs stay deterministic.
-    fn prune_committed(&mut self, now: SimTime) {
-        while let Some(&(start, bytes, tx_ns)) = self.committed.front() {
-            if start > now {
-                break;
-            }
-            self.committed.pop_front();
-            self.count_transmission(bytes, tx_ns);
-        }
-    }
-
-    /// Account one packet's transmission in the link counters.
-    fn count_transmission(&mut self, wire_bytes: u64, tx_ns: u64) {
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += wire_bytes;
-        self.stats.busy_ns += tx_ns;
-    }
-
     /// Offer a packet for transmission at time `now`.
     ///
     /// Returns `Ok(Some(tx))` if the transmitter was idle and the packet went
@@ -224,107 +164,56 @@ impl Link {
         now: SimTime,
         packet: Packet,
     ) -> Result<Option<StartedTransmission>, EnqueueOutcome> {
-        self.prune_committed(now);
-        let outcome = self.queue.enqueue(packet, self.committed.len());
-        match outcome {
+        match self.queue.enqueue(packet) {
             EnqueueOutcome::Dropped => Err(EnqueueOutcome::Dropped),
             EnqueueOutcome::Queued | EnqueueOutcome::QueuedMarked => {
                 if self.transmitting {
                     Ok(None)
                 } else {
-                    Ok(self.start_one(now))
+                    Ok(self.start_next(now))
                 }
             }
         }
     }
 
-    /// Notify the link that the burst it previously started has finished
-    /// serialising; it commits the next burst of queued packets (if any) into
-    /// `out`. The caller schedules one `Delivery` per entry and a single
-    /// `TransmitComplete` at the last entry's `transmit_done_at`.
+    /// Notify the link that the packet it was serialising has left the
+    /// transmitter; the next queued packet (if any) starts and is pushed onto
+    /// `out`, for which the caller schedules a `TransmitComplete` and a
+    /// `Delivery`.
     pub fn on_transmit_complete(&mut self, now: SimTime, out: &mut Vec<StartedTransmission>) {
-        // Every packet of the finished burst started serialising at or
-        // before `now` (the burst's last transmit-done time), so this flushes
-        // the whole ledger, counting any still-pending transmissions.
-        self.prune_committed(now);
-        debug_assert!(self.committed.is_empty());
-        self.transmitting = false;
-
-        let batch = self.config.drain_batch.max(1);
-        let mut start_at = now;
-        while out.len() < batch {
-            let Some(tx) = self.transmit(start_at) else {
-                break;
-            };
-            let wire = tx.packet.wire_bytes() as u64;
-            let tx_ns = (tx.transmit_done_at - start_at).as_nanos();
-            if start_at > now {
-                // Serialisation starts in the future: the packet keeps its
-                // queue slot (for drop/ECN/depth accounting) and its
-                // transmission is not counted until then.
-                self.committed.push_back((start_at, wire, tx_ns));
-            } else {
-                self.count_transmission(wire, tx_ns);
-            }
-            start_at = tx.transmit_done_at;
-            out.push(tx);
-        }
-        self.transmitting = !out.is_empty();
+        out.extend(self.transmit_complete(now));
     }
 
-    /// Dequeue one packet and compute its wire timings from `start_at`.
-    /// Counters are the caller's responsibility (they accrue when the
-    /// serialisation actually starts, which for later burst packets is in
-    /// the future).
-    fn transmit(&mut self, start_at: SimTime) -> Option<StartedTransmission> {
+    /// [`Link::on_transmit_complete`] without the buffer (whose signature is
+    /// what `benchmark/` calls).
+    pub(crate) fn transmit_complete(&mut self, now: SimTime) -> Option<StartedTransmission> {
+        self.transmitting = false;
+        self.start_next(now)
+    }
+
+    /// Dequeue the head packet onto the idle transmitter: compute its wire
+    /// timings from `now` and count the transmission.
+    fn start_next(&mut self, now: SimTime) -> Option<StartedTransmission> {
+        debug_assert!(!self.transmitting);
         let packet = self.queue.dequeue()?;
         let wire = packet.wire_bytes() as u64;
         let tx_time = SimDuration::transmission(wire, self.effective_rate_bps());
-        let transmit_done_at = start_at + tx_time;
-        let delivered_at = transmit_done_at + self.config.delay;
+        self.stats.tx_packets += 1;
+        self.stats.tx_bytes += wire;
+        self.stats.busy_ns += tx_time.as_nanos();
+        self.transmitting = true;
+        let transmit_done_at = now + tx_time;
         Some(StartedTransmission {
             packet,
             transmit_done_at,
-            delivered_at,
+            delivered_at: transmit_done_at + self.config.delay,
         })
     }
 
-    /// Start transmitting a single packet on an idle transmitter.
-    fn start_one(&mut self, now: SimTime) -> Option<StartedTransmission> {
-        debug_assert!(!self.transmitting && self.committed.is_empty());
-        let tx = self.transmit(now)?;
-        let wire = tx.packet.wire_bytes() as u64;
-        self.count_transmission(wire, (tx.transmit_done_at - now).as_nanos());
-        self.transmitting = true;
-        Some(tx)
-    }
-
-    /// Settle the committed-burst ledger up to `now`: count transmissions
-    /// whose serialisation has started in [`LinkStats`] and release their
-    /// queue slots. The engine calls this before statistics are read (the
-    /// ledger is otherwise only pruned by traffic on this link), so
-    /// mid-burst measurement reads match the packet-at-a-time engine.
-    pub fn settle(&mut self, now: SimTime) {
-        self.prune_committed(now);
-    }
-
-    /// Current queue depth in packets at time `now`, excluding packets whose
-    /// serialisation has begun.
-    fn queue_len_at(&self, now: SimTime) -> usize {
-        let pending = self
-            .committed
-            .iter()
-            .filter(|&&(start, _, _)| start > now)
-            .count();
-        self.queue.len() + pending
-    }
-
-    /// Packets accepted into the queue whose transmission has not been
-    /// committed to the wire yet. Unlike the depth that drop and ECN
-    /// decisions see, committed-burst packets are excluded: those already
-    /// have `Delivery` events scheduled (they live in the engine's packet
-    /// arena), so this is exactly the "enqueued but not yet in flight" term
-    /// of the engine's packet conservation law.
+    /// Packets accepted into the queue whose serialisation has not started:
+    /// the "enqueued but not yet in flight" term of the engine's packet
+    /// conservation law (a packet being serialised already has its
+    /// `Delivery` scheduled and lives in the engine's packet arena).
     pub fn backlog(&self) -> usize {
         self.queue.len()
     }
@@ -334,14 +223,12 @@ impl Link {
         self.queue.stats()
     }
 
-    /// Flight-recorder telemetry snapshot at time `now`. Read-only: callers
-    /// that want the committed-burst ledger settled first (so `busy_ns` and
-    /// `tx_*` reflect exactly the transmissions started by `now`) should call
-    /// [`Link::settle`] beforehand, as the experiment loop does.
-    pub fn telemetry(&self, now: SimTime) -> LinkTelemetry {
+    /// Flight-recorder telemetry snapshot: `busy_ns` and `tx_*` count exactly
+    /// the transmissions started so far.
+    pub fn telemetry(&self) -> LinkTelemetry {
         let q = self.queue.stats();
         LinkTelemetry {
-            queue_depth_packets: self.queue_len_at(now),
+            queue_depth_packets: self.queue.len(),
             tx_packets: self.stats.tx_packets,
             tx_bytes: self.stats.tx_bytes,
             busy_ns: self.stats.busy_ns,
@@ -378,7 +265,6 @@ mod tests {
                 limit_packets: 2,
                 ..QueueConfig::default()
             },
-            ..LinkConfig::default()
         }
     }
 
@@ -395,12 +281,6 @@ mod tests {
             1446, // 1446 + 54 header = 1500 wire bytes -> 12 us at 1 Gbps
             SimTime::ZERO,
         )
-    }
-
-    fn complete(link: &mut Link, now: SimTime) -> Vec<StartedTransmission> {
-        let mut out = Vec::new();
-        link.on_transmit_complete(now, &mut out);
-        out
     }
 
     #[test]
@@ -428,13 +308,9 @@ mod tests {
         assert_eq!(link.backlog(), 1);
         // When the first transmission completes, the queued packet starts.
         let done = first.unwrap().transmit_done_at;
-        let second = complete(&mut link, done);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].packet.seq, 1);
-        assert_eq!(
-            second[0].transmit_done_at,
-            done + SimDuration::from_micros(12)
-        );
+        let second = link.transmit_complete(done).unwrap();
+        assert_eq!(second.packet.seq, 1);
+        assert_eq!(second.transmit_done_at, done + SimDuration::from_micros(12));
     }
 
     #[test]
@@ -453,7 +329,7 @@ mod tests {
     fn transmit_complete_with_empty_queue_goes_idle() {
         let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), cfg());
         let tx = link.offer(SimTime::ZERO, pkt(0)).unwrap().unwrap();
-        assert!(complete(&mut link, tx.transmit_done_at).is_empty());
+        assert!(link.transmit_complete(tx.transmit_done_at).is_none());
         assert!(!link.transmitting);
     }
 
@@ -461,7 +337,7 @@ mod tests {
     fn utilisation_accounts_busy_time() {
         let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), cfg());
         let tx = link.offer(SimTime::ZERO, pkt(0)).unwrap().unwrap();
-        complete(&mut link, tx.transmit_done_at);
+        link.transmit_complete(tx.transmit_done_at);
         // One 12 us transmission in 24 us of elapsed time = 50 %.
         let u = link.utilisation(SimDuration::from_micros(24));
         assert!((u - 0.5).abs() < 1e-9, "utilisation {u}");
@@ -470,96 +346,42 @@ mod tests {
     }
 
     #[test]
-    fn burst_is_committed_back_to_back() {
-        let mut link = Link::new(
-            LinkId(0),
-            NodeId(0),
-            NodeId(1),
-            LinkConfig {
-                queue: QueueConfig::default(),
-                ..cfg()
-            },
-        );
-        let now = SimTime::ZERO;
-        let first = link.offer(now, pkt(0)).unwrap().unwrap();
-        for i in 1..=4 {
-            assert!(link.offer(now, pkt(i)).unwrap().is_none());
-        }
-        let burst = complete(&mut link, first.transmit_done_at);
-        assert_eq!(burst.len(), 4, "whole backlog fits in one batch");
-        let tx_us = 12u64;
-        for (i, tx) in burst.iter().enumerate() {
-            assert_eq!(tx.packet.seq, (i + 1) as u64);
-            // Each packet's serialisation finishes one slot after the previous.
-            assert_eq!(
-                tx.transmit_done_at,
-                first.transmit_done_at + SimDuration::from_micros(tx_us * (i as u64 + 1))
-            );
-            assert_eq!(tx.delivered_at, tx.transmit_done_at + link.config.delay);
-        }
-        assert!(link.transmitting);
-        assert_eq!(link.queue_stats().dropped, 0);
-    }
-
-    #[test]
-    fn committed_packets_still_occupy_the_queue() {
-        // limit_packets = 2. One packet on the wire, two queued, then the
-        // wire frees and the batch commits both queued packets. Until their
-        // serialisation start times pass, new arrivals must still see a full
-        // queue and be dropped — exactly as the packet-at-a-time engine
-        // would.
+    fn backlog_drains_back_to_back_one_packet_per_completion() {
+        // limit_packets = 2: one packet on the wire, two queued, a fourth dropped.
         let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), cfg());
-        let now = SimTime::ZERO;
-        let first = link.offer(now, pkt(0)).unwrap().unwrap();
-        link.offer(now, pkt(1)).unwrap();
-        link.offer(now, pkt(2)).unwrap();
-        let t1 = first.transmit_done_at; // pkt(1) starts serialising here
-        let burst = complete(&mut link, t1);
-        assert_eq!(burst.len(), 2);
-        let t2 = burst[0].transmit_done_at; // pkt(2) starts serialising here
-
-        // At t1, pkt(2) has not started: queue still holds one "slot".
-        assert_eq!(link.queue_len_at(t1), 1);
-        // An arrival at t1 sees depth 1 < limit 2 and is accepted.
-        assert!(link.offer(t1, pkt(3)).unwrap().is_none());
-        // Now the queue holds pkt(3) plus committed pkt(2): full again.
-        assert!(link.offer(t1, pkt(4)).is_err());
-        // Once pkt(2)'s serialisation starts, one slot frees up.
-        assert!(link.offer(t2, pkt(5)).unwrap().is_none());
-        assert_eq!(link.queue_stats().dropped, 1);
-    }
-
-    #[test]
-    fn stats_accrue_at_serialisation_start_not_commit() {
-        // A committed burst must not count transmissions whose serialisation
-        // lies in the future, so truncated runs report the same LinkStats as
-        // the packet-at-a-time engine.
-        let config = LinkConfig {
-            queue: QueueConfig::default(),
-            ..cfg()
+        let first = link.offer(SimTime::ZERO, pkt(0)).unwrap().unwrap();
+        link.offer(SimTime::ZERO, pkt(1)).unwrap();
+        link.offer(SimTime::ZERO, pkt(2)).unwrap();
+        assert!(link.offer(SimTime::ZERO, pkt(3)).is_err());
+        let mut expected = LinkTelemetry {
+            queue_depth_packets: 2,
+            tx_packets: 1,
+            tx_bytes: 1500,
+            busy_ns: 12_000,
+            dropped: 1,
+            ecn_marked: 0,
         };
-        let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), config);
-        let now = SimTime::ZERO;
-        let first = link.offer(now, pkt(0)).unwrap().unwrap();
-        for i in 1..=3 {
-            link.offer(now, pkt(i)).unwrap();
+        assert_eq!(link.telemetry(), expected, "only the wire packet counts");
+
+        let mut done = first.transmit_done_at;
+        for seq in 1..=2 {
+            let tx = link.transmit_complete(done).unwrap();
+            assert_eq!(tx.packet.seq, seq);
+            assert_eq!(tx.transmit_done_at, done + SimDuration::from_micros(12));
+            assert_eq!(tx.delivered_at, tx.transmit_done_at + link.config.delay);
+            // The packet left the queue and entered the counters at the
+            // instant its serialisation started: exactly one slot is free.
+            expected.queue_depth_packets -= 1;
+            expected.tx_packets += 1;
+            expected.tx_bytes += 1500;
+            expected.busy_ns += 12_000;
+            assert_eq!(link.telemetry(), expected);
+            assert!(link.offer(done, pkt(10 + seq)).unwrap().is_none());
+            assert!(link.offer(done, pkt(20 + seq)).is_err());
+            expected.queue_depth_packets += 1;
+            expected.dropped += 1;
+            done = tx.transmit_done_at;
         }
-        assert_eq!(link.stats().tx_packets, 1, "only the wire packet counts");
-        let t1 = first.transmit_done_at;
-        let burst = complete(&mut link, t1);
-        assert_eq!(burst.len(), 3);
-        // Burst packet 0 starts at t1; packets 1 and 2 start later.
-        assert_eq!(link.stats().tx_packets, 2);
-        assert_eq!(link.stats().busy_ns, 2 * 12_000);
-        // Once packet 1's start passes (observed via an offer), it counts.
-        let t2 = burst[0].transmit_done_at;
-        link.offer(t2, pkt(9)).unwrap();
-        assert_eq!(link.stats().tx_packets, 3);
-        // The burst-ending TransmitComplete flushes the rest.
-        let end = burst.last().unwrap().transmit_done_at;
-        complete(&mut link, end);
-        assert_eq!(link.stats().tx_packets, 5, "4 burst-era packets + pkt(9)");
-        assert_eq!(link.stats().tx_bytes, 5 * 1500);
     }
 
     #[test]
@@ -572,55 +394,16 @@ mod tests {
         assert_eq!(tx.transmit_done_at, t0 + SimDuration::from_micros(24));
         // Clearing the reservation restores the full rate for later packets.
         link.set_fluid_reservation(0);
-        assert!(complete(&mut link, tx.transmit_done_at).is_empty());
+        assert!(link.transmit_complete(tx.transmit_done_at).is_none());
         let t1 = tx.transmit_done_at;
         let tx2 = link.offer(t1, pkt(1)).unwrap().unwrap();
         assert_eq!(tx2.transmit_done_at, t1 + SimDuration::from_micros(12));
         // An over-reservation is floored at 10 % of the configured rate.
-        assert!(complete(&mut link, tx2.transmit_done_at).is_empty());
+        assert!(link.transmit_complete(tx2.transmit_done_at).is_none());
         link.set_fluid_reservation(2_000_000_000);
         assert_eq!(link.fluid_reservation(), 2_000_000_000);
         let t2 = tx2.transmit_done_at;
         let tx3 = link.offer(t2, pkt(2)).unwrap().unwrap();
         assert_eq!(tx3.transmit_done_at, t2 + SimDuration::from_micros(120));
-    }
-
-    #[test]
-    fn batch_of_one_reproduces_packet_at_a_time_schedule() {
-        let batched = cfg();
-        let unbatched = LinkConfig {
-            drain_batch: 1,
-            ..cfg()
-        };
-        let mut schedules: Vec<Vec<(SimTime, SimTime)>> = Vec::new();
-        for config in [batched, unbatched] {
-            let config = LinkConfig {
-                queue: QueueConfig::default(),
-                ..config
-            };
-            let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), config);
-            let mut times = Vec::new();
-            let first = link.offer(SimTime::ZERO, pkt(0)).unwrap().unwrap();
-            for i in 1..=9 {
-                link.offer(SimTime::ZERO, pkt(i)).unwrap();
-            }
-            times.push((first.transmit_done_at, first.delivered_at));
-            let mut next_complete = first.transmit_done_at;
-            loop {
-                let burst = complete(&mut link, next_complete);
-                if burst.is_empty() {
-                    break;
-                }
-                for tx in &burst {
-                    times.push((tx.transmit_done_at, tx.delivered_at));
-                }
-                next_complete = burst.last().unwrap().transmit_done_at;
-            }
-            schedules.push(times);
-        }
-        assert_eq!(
-            schedules[0], schedules[1],
-            "batched and unbatched drains must produce identical wire schedules"
-        );
     }
 }

@@ -115,12 +115,6 @@ impl Network {
         &self.links
     }
 
-    /// All links, mutably (e.g. for settling batched-drain ledgers before
-    /// reading statistics).
-    pub fn links_mut(&mut self) -> &mut [Link] {
-        &mut self.links
-    }
-
     /// All nodes.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes

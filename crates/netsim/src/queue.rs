@@ -75,14 +75,8 @@ impl DropTailQueue {
 
     /// Offer a packet to the queue. On success the packet is stored (and
     /// possibly ECN-marked); on failure it is dropped and counted.
-    ///
-    /// `extra_packets` of occupancy are conceptually still in the queue but
-    /// stored elsewhere: the link's batched drain commits packets before they
-    /// start serialising, and those must keep counting towards drop and ECN
-    /// decisions so batching does not change them (up to the exact-instant
-    /// tie convention documented on the link's committed ledger).
-    pub(crate) fn enqueue(&mut self, mut packet: Packet, extra_packets: usize) -> EnqueueOutcome {
-        let depth = self.packets.len() + extra_packets;
+    pub(crate) fn enqueue(&mut self, mut packet: Packet) -> EnqueueOutcome {
+        let depth = self.packets.len();
         if depth >= self.config.limit_packets {
             self.stats.dropped += 1;
             self.stats.dropped_bytes += packet.wire_bytes() as u64;
@@ -159,7 +153,7 @@ mod tests {
         for i in 0..5 {
             let mut p = pkt(100);
             p.seq = i;
-            q.enqueue(p, 0);
+            q.enqueue(p);
         }
         for i in 0..5 {
             assert_eq!(q.dequeue().unwrap().seq, i);
@@ -173,9 +167,9 @@ mod tests {
             limit_packets: 2,
             ..QueueConfig::default()
         });
-        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Dropped);
+        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Dropped);
         assert_eq!(q.stats().dropped, 1);
         assert_eq!(
             q.stats().dropped_bytes,
@@ -191,12 +185,12 @@ mod tests {
             limit_packets: 10,
             ecn_threshold_packets: Some(2),
         });
-        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::Queued);
-        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::Queued);
         // Queue depth is now 2 == K, so this one gets marked.
-        assert_eq!(q.enqueue(ecn_pkt(100), 0), EnqueueOutcome::QueuedMarked);
+        assert_eq!(q.enqueue(ecn_pkt(100)), EnqueueOutcome::QueuedMarked);
         // Non-capable packets are never marked.
-        assert_eq!(q.enqueue(pkt(100), 0), EnqueueOutcome::Queued);
+        assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
         assert_eq!(q.stats().ecn_marked, 1);
         // The marked packet carries CE when dequeued.
         q.dequeue();
@@ -208,7 +202,7 @@ mod tests {
     fn max_depth_is_tracked() {
         let mut q = DropTailQueue::new(QueueConfig::default());
         for _ in 0..7 {
-            q.enqueue(pkt(10), 0);
+            q.enqueue(pkt(10));
         }
         q.dequeue();
         q.dequeue();

@@ -47,11 +47,10 @@ pub struct Simulator {
     /// When true, every agent activation sees `AgentCtx::trace_enabled()` and
     /// transports emit `Signal::CwndSample` telemetry. Off by default.
     trace_flows: bool,
-    // Reusable scratch buffers for agent activations and link bursts (avoids
-    // per-event allocation).
+    // Reusable scratch buffers for agent activations (avoids per-event
+    // allocation).
     scratch_out: Vec<Packet>,
     scratch_timers: Vec<(SimTime, u64)>,
-    scratch_tx: Vec<StartedTransmission>,
     /// The fluid fast path (see [`crate::fluid`]). Dormant — and the packet
     /// engine byte-identical to a build without it — unless a handoff
     /// threshold is installed.
@@ -79,7 +78,6 @@ impl Simulator {
             trace_flows: false,
             scratch_out: Vec::with_capacity(64),
             scratch_timers: Vec::with_capacity(16),
-            scratch_tx: Vec::with_capacity(16),
             fluid: FluidEngine::new(),
             fluid_threshold: None,
             fluid_epoch_at: None,
@@ -215,17 +213,10 @@ impl Simulator {
     }
 
     /// Send [`AgentEvent::Finalize`] to every agent on every host so they can
-    /// emit closing measurements (e.g. background-flow progress reports), and
-    /// settle every link's batched-drain ledger so link statistics read after
-    /// the run reflect exactly the transmissions that started by `now` —
-    /// independent of `drain_batch`.
+    /// emit closing measurements (e.g. background-flow progress reports).
     pub fn finalize(&mut self) {
-        let now = self.now;
-        for link in self.network.links_mut() {
-            link.settle(now);
-        }
         if self.fluid_threshold.is_some() && !self.fluid.is_empty() {
-            let (completions, progress) = self.fluid.finalize(now, &mut self.network);
+            let (completions, progress) = self.fluid.finalize(self.now, &mut self.network);
             for c in completions {
                 self.dispatch_agent(c.node, c.flow, AgentEvent::FluidComplete { bytes: c.bytes });
             }
@@ -273,30 +264,20 @@ impl Simulator {
     }
 
     fn handle_transmit_complete(&mut self, link: LinkId) {
-        let mut burst = std::mem::take(&mut self.scratch_tx);
-        burst.clear();
-        self.network
-            .link_mut(link)
-            .on_transmit_complete(self.now, &mut burst);
-        if let Some(last) = burst.last() {
-            // One TransmitComplete for the whole burst, one Delivery per
-            // packet. Scheduling the completion first mirrors the order the
-            // packet-at-a-time engine used, so `drain_batch = 1` reproduces
-            // its event sequence exactly.
-            self.queue
-                .schedule(last.transmit_done_at, Event::TransmitComplete { link });
-            for tx in burst.drain(..) {
-                let handle = self.arena.insert(tx.packet);
-                self.queue.schedule(
-                    tx.delivered_at,
-                    Event::Delivery {
-                        link,
-                        packet: handle,
-                    },
-                );
-            }
+        if let Some(tx) = self.network.link_mut(link).transmit_complete(self.now) {
+            self.schedule_transmission(link, tx);
         }
-        self.scratch_tx = burst;
+    }
+
+    /// Schedule the `TransmitComplete` and the `Delivery` of a transmission
+    /// that just started on `link`, in that order: schedule order breaks
+    /// same-instant ties (determinism rule 3), so it is pinned behaviour.
+    fn schedule_transmission(&mut self, link: LinkId, tx: StartedTransmission) {
+        self.queue
+            .schedule(tx.transmit_done_at, Event::TransmitComplete { link });
+        let packet = self.arena.insert(tx.packet);
+        self.queue
+            .schedule(tx.delivered_at, Event::Delivery { link, packet });
     }
 
     fn dispatch_agent(&mut self, node: NodeId, flow: FlowId, event: AgentEvent) {
@@ -406,18 +387,7 @@ impl Simulator {
         let now = self.now;
         let result = self.network.link_mut(link).offer(now, packet);
         match result {
-            Ok(Some(tx)) => {
-                self.queue
-                    .schedule(tx.transmit_done_at, Event::TransmitComplete { link });
-                let handle = self.arena.insert(tx.packet);
-                self.queue.schedule(
-                    tx.delivered_at,
-                    Event::Delivery {
-                        link,
-                        packet: handle,
-                    },
-                );
-            }
+            Ok(Some(tx)) => self.schedule_transmission(link, tx),
             Ok(None) => {}
             Err(_) => {
                 self.counters.dropped += 1;
@@ -458,6 +428,7 @@ mod tests {
     use crate::ids::Addr;
     use crate::link::LinkConfig;
     use crate::packet::{Packet, PacketKind};
+    use crate::queue::QueueConfig;
     use crate::switch::SwitchLayer;
     use crate::time::SimDuration;
 
@@ -534,6 +505,10 @@ mod tests {
     }
 
     fn two_host_network() -> (Network, NodeId, NodeId) {
+        two_host_network_with(QueueConfig::default())
+    }
+
+    fn two_host_network_with(queue: QueueConfig) -> (Network, NodeId, NodeId) {
         let mut net = Network::new();
         let h0 = net.add_host();
         let h1 = net.add_host();
@@ -541,7 +516,7 @@ mod tests {
         let cfg = LinkConfig {
             rate_bps: 1_000_000_000,
             delay: SimDuration::from_micros(10),
-            ..LinkConfig::default()
+            queue,
         };
         let (_h0_up, h0_down) = net.add_duplex_link(h0, sw, cfg);
         let (_h1_up, h1_down) = net.add_duplex_link(h1, sw, cfg);
@@ -766,175 +741,46 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(80));
     }
 
-    /// A sender that blasts `count` segments in one activation, forcing queue
-    /// build-up and batched drains on its uplink.
-    struct BurstSender {
-        src: Addr,
-        dst: Addr,
-        flow: FlowId,
-        count: u32,
-        payload: u32,
-    }
-
-    impl Agent for BurstSender {
-        fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-            if matches!(event, AgentEvent::Start) {
-                for i in 0..self.count {
-                    let seq = (i * self.payload) as u64;
-                    ctx.send(Packet::data(
-                        self.src,
-                        self.dst,
-                        50_000,
-                        80,
-                        self.flow,
-                        0,
-                        seq,
-                        seq,
-                        self.payload,
-                        ctx.now(),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Receiver that signals the arrival time of every packet (so tests can
-    /// compare full delivery schedules, not just totals).
-    struct ArrivalRecorder;
-    impl Agent for ArrivalRecorder {
-        fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-            if let AgentEvent::Packet(p) = event {
-                ctx.signal(Signal::FlowProgress {
-                    flow: ctx.flow(),
-                    at: ctx.now(),
-                    bytes: p.seq,
-                });
-            }
-        }
-    }
-
-    fn run_burst(drain_batch: usize, count: u32) -> (SimCounters, Vec<Signal>) {
-        let mut net = Network::new();
-        let h0 = net.add_host();
-        let h1 = net.add_host();
-        let sw = net.add_switch(SwitchLayer::Edge, 2);
-        let cfg = LinkConfig {
-            rate_bps: 1_000_000_000,
-            delay: SimDuration::from_micros(10),
-            drain_batch,
-            // Small queue so the burst also exercises identical drop
-            // behaviour under both drain modes.
-            queue: crate::queue::QueueConfig {
-                limit_packets: 20,
-                ..Default::default()
-            },
-        };
-        let (_h0_up, h0_down) = net.add_duplex_link(h0, sw, cfg);
-        let (_h1_up, h1_down) = net.add_duplex_link(h1, sw, cfg);
-        let sw_ref = net.switch_mut(sw);
-        let g0 = sw_ref.add_group(vec![h0_down]);
-        let g1 = sw_ref.add_group(vec![h1_down]);
-        sw_ref.set_route(Addr(0), g0);
-        sw_ref.set_route(Addr(1), g1);
-
-        let mut sim = Simulator::new(net, 11);
-        let flow = FlowId(1);
-        sim.register_agent(
-            h0,
-            flow,
-            Box::new(BurstSender {
-                src: Addr(0),
-                dst: Addr(1),
-                flow,
-                count,
-                payload: 1400,
-            }),
-        );
-        sim.register_agent(h1, flow, Box::new(ArrivalRecorder));
-        sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-        run(&mut sim);
-        let signals = sim.drain_signals();
-        (sim.counters(), signals)
-    }
-
     #[test]
-    fn batched_drain_matches_packet_at_a_time_engine() {
-        // Same burst through drain_batch = 1 (the legacy engine, one
-        // TransmitComplete per packet) and drain_batch = 8: every packet must
-        // arrive at the same simulated instant with the same drops.
-        let (c1, s1) = run_burst(1, 60);
-        let (c8, s8) = run_burst(8, 60);
-        assert_eq!(s1, s8, "delivery schedule must be identical");
-        assert_eq!(c1.delivered_to_hosts, c8.delivered_to_hosts);
-        assert_eq!(c1.forwarded, c8.forwarded);
-        assert_eq!(c1.dropped, c8.dropped);
-        assert!(c1.dropped > 0, "burst should overflow the 20-packet queue");
-        // Batching is the whole point: strictly fewer calendar events.
-        assert!(
-            c8.events_processed < c1.events_processed,
-            "batched: {} vs unbatched: {}",
-            c8.events_processed,
-            c1.events_processed
-        );
-    }
-
-    #[test]
-    fn truncated_run_link_stats_match_packet_at_a_time_engine() {
-        // Stop mid-burst and read link stats the way the experiment harness
-        // does (finalize, then network stats): the batched engine must report
-        // exactly the transmissions that started by the truncation instant,
-        // like drain_batch = 1 would.
-        let run_truncated = |drain_batch: usize| {
-            let mut net = Network::new();
-            let h0 = net.add_host();
-            let h1 = net.add_host();
-            let sw = net.add_switch(SwitchLayer::Edge, 2);
-            let cfg = LinkConfig {
-                rate_bps: 1_000_000_000,
-                delay: SimDuration::from_micros(10),
-                drain_batch,
-                queue: crate::queue::QueueConfig::default(),
+    fn schedule_order_decides_an_arrival_at_the_instant_the_transmitter_frees() {
+        // Determinism rule 3 at a queue: the downlink to h1 has one packet on
+        // the wire and its one-packet queue full when a third packet reaches
+        // the switch in the very nanosecond the wire frees.
+        let run_tie = |arrival_scheduled_first: bool| {
+            let (net, h0, h1) = two_host_network_with(QueueConfig {
+                limit_packets: 1,
+                ..QueueConfig::default()
+            });
+            let mut sim = Simulator::new(net, 7);
+            let links = sim.network().links();
+            let uplink = links.iter().find(|l| l.from == h0).unwrap().id;
+            let downlink = links.iter().find(|l| l.to == h1).unwrap().id;
+            let pkt = |seq| {
+                let (src, dst) = (Addr(0), Addr(1));
+                Packet::data(src, dst, 1, 2, FlowId(1), 0, seq, seq, 1400, SimTime::ZERO)
             };
-            let (_h0_up, h0_down) = net.add_duplex_link(h0, sw, cfg);
-            let (_h1_up, h1_down) = net.add_duplex_link(h1, sw, cfg);
-            let sw_ref = net.switch_mut(sw);
-            let g0 = sw_ref.add_group(vec![h0_down]);
-            let g1 = sw_ref.add_group(vec![h1_down]);
-            sw_ref.set_route(Addr(0), g0);
-            sw_ref.set_route(Addr(1), g1);
-            let mut sim = Simulator::new(net, 3);
-            let flow = FlowId(1);
-            sim.register_agent(
-                h0,
-                flow,
-                Box::new(BurstSender {
-                    src: Addr(0),
-                    dst: Addr(1),
-                    flow,
-                    count: 40,
-                    payload: 1400,
-                }),
-            );
-            sim.register_agent(h1, flow, Box::new(ArrivalRecorder));
-            sim.schedule_flow_start(SimTime::from_millis(1), h0, flow);
-            // 1454B wire = 11.632 us serialisation; truncate mid-way through
-            // the third committed burst on the uplink.
-            sim.run_until(SimTime::from_millis(1) + SimDuration::from_micros(250));
-            sim.finalize();
-            let totals = sim
-                .network()
-                .links()
-                .iter()
-                .map(|l| l.stats())
-                .fold((0u64, 0u64, 0u64), |acc, s| {
-                    (acc.0 + s.tx_packets, acc.1 + s.tx_bytes, acc.2 + s.busy_ns)
-                });
-            totals
+            let wire = u64::from(pkt(0).wire_bytes());
+            let frees_at = SimTime::ZERO + SimDuration::transmission(wire, 1_000_000_000);
+            let arrive = |sim: &mut Simulator| {
+                let arrival = Event::Delivery {
+                    link: uplink,
+                    packet: sim.arena.insert(pkt(2)),
+                };
+                sim.queue.schedule(frees_at, arrival);
+            };
+            if arrival_scheduled_first {
+                arrive(&mut sim);
+            }
+            sim.offer_to_link(downlink, pkt(0)); // on the wire until `frees_at`
+            sim.offer_to_link(downlink, pkt(1)); // fills the queue
+            if !arrival_scheduled_first {
+                arrive(&mut sim);
+            }
+            run(&mut sim);
+            (sim.counters().dropped, sim.counters().delivered_to_hosts)
         };
-        let batched = run_truncated(8);
-        let unbatched = run_truncated(1);
-        assert_eq!(batched, unbatched, "(tx_packets, tx_bytes, busy_ns)");
-        assert!(batched.0 > 0, "some packets must have started by the cut");
+        assert_eq!(run_tie(false), (0, 3), "the transmitter freed first");
+        assert_eq!(run_tie(true), (1, 2), "the packet arrived first");
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub(crate) fn link(rate_bps: u64, delay: SimDuration, queue: QueueConfig) -> Lin
         rate_bps,
         delay,
         queue,
-        ..LinkConfig::default()
     }
 }
 

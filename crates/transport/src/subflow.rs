@@ -24,7 +24,7 @@ use crate::cc::{CongestionController, EcnResponder};
 use crate::config::TransportConfig;
 use crate::rtt::RttEstimator;
 use netsim::{Addr, AgentCtx, Ecn, FlowId, Packet, PacketKind, Signal, SimTime};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Parameters of MPTCP's Linked-Increase (coupled) congestion control for one
 /// ACK, computed by the connection from the state of all subflows.
@@ -123,9 +123,10 @@ pub struct Subflow {
     rto_deadline: Option<SimTime>,
     timer_gen: u64,
 
-    /// Mapping from subflow sequence to (connection data sequence, length)
-    /// for every byte range that is unacknowledged at subflow level.
-    mappings: BTreeMap<u64, (u64, u32)>,
+    /// `(subflow sequence, connection data sequence, length)` of every
+    /// segment that is unacknowledged at subflow level, in send order:
+    /// segments are mapped at `snd_nxt` and acknowledged from the front.
+    mappings: VecDeque<(u64, u64, u32)>,
 
     /// Sequence number of the most recent retransmission (for spurious
     /// retransmission detection via receiver duplicate hints).
@@ -179,7 +180,7 @@ impl Subflow {
             rtt,
             rto_deadline: None,
             timer_gen: 0,
-            mappings: BTreeMap::new(),
+            mappings: VecDeque::new(),
             last_retransmitted: None,
             ecn,
             round_end: 0,
@@ -501,7 +502,7 @@ impl Subflow {
         );
         debug_assert!(len > 0 && len <= self.cfg.mss);
         let seq = self.snd_nxt;
-        self.mappings.insert(seq, (data_seq, len));
+        self.mappings.push_back((seq, data_seq, len));
         self.snd_nxt += len as u64;
         self.transmit(ctx, seq, data_seq, len, false);
         if self.rto_deadline.is_none() {
@@ -541,20 +542,9 @@ impl Subflow {
     }
 
     fn retransmit_first_unacked(&mut self, ctx: &mut AgentCtx<'_>) {
-        // Find the mapping that covers snd_una (segments are atomic, so an
-        // exact or preceding entry covers it).
-        let entry = self
-            .mappings
-            .range(..=self.snd_una)
-            .next_back()
-            .map(|(s, m)| (*s, *m))
-            .or_else(|| {
-                self.mappings
-                    .range(self.snd_una..)
-                    .next()
-                    .map(|(s, m)| (*s, *m))
-            });
-        if let Some((seq, (data_seq, len))) = entry {
+        // Acknowledged mappings are dropped as `snd_una` advances, so the
+        // front one covers it.
+        if let Some(&(seq, data_seq, len)) = self.mappings.front() {
             self.transmit(ctx, seq, data_seq, len, true);
         }
     }
@@ -696,12 +686,11 @@ impl Subflow {
 
     fn drop_acked_mappings(&mut self) {
         let una = self.snd_una;
-        while let Some((&seq, &(_, len))) = self.mappings.iter().next() {
-            if seq + len as u64 <= una {
-                self.mappings.remove(&seq);
-            } else {
+        while let Some(&(seq, _, len)) = self.mappings.front() {
+            if seq + len as u64 > una {
                 break;
             }
+            self.mappings.pop_front();
         }
     }
 }

@@ -217,7 +217,10 @@ fn golden(scenario: &str) -> metrics::ScenarioReport {
 /// The battleground's headline, as pinned by the golden snapshot (which the
 /// CI golden job keeps equal to actual behaviour): RepFlow beats single-path
 /// TCP on mice p99 FCT in every cell at load <= 0.6, while MMPTCP holds
-/// aggregate long-flow goodput within 5% of MPTCP across the matrix.
+/// aggregate long-flow goodput within 5% of MPTCP across the matrix. With
+/// ~5 long flows a run, one seed's ratio is decided by which paths collide
+/// (0.75-1.49 over seeds 1..=8, CHANGES.md PR 23), so the goodput claim pools
+/// the snapshot's two seeds with the same eight cells re-run at seeds 3..=8.
 #[test]
 fn battle_matrix_golden_witnesses_the_headline_claims() {
     let runs = golden("battle-matrix").runs;
@@ -258,10 +261,42 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
         );
     }
 
-    // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix.
-    let sum = |v: &[&metrics::RunReport]| -> f64 { v.iter().map(|r| r.long_goodput_gbps).sum() };
-    let mmptcp = sum(&by_variant("mmptcp-8"));
-    let mptcp = sum(&by_variant("mptcp-8"));
+    // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix and
+    // across seeds: the snapshot holds seeds 1 and 2 of every cell.
+    fn variant_of(label: &str) -> &str {
+        label.split(" | ").next().unwrap_or(label)
+    }
+    let contenders = ["mptcp-8", "mmptcp-8"];
+    let more_seeds: Vec<(String, ExperimentConfig)> = find("battle-matrix")
+        .expect("battle-matrix is in the catalog")
+        .configs(Fidelity::Fast)
+        .into_iter()
+        .filter(|(label, cfg)| cfg.seed == 1 && contenders.contains(&variant_of(label)))
+        .flat_map(|(label, cfg)| {
+            (3..=8u64).map(move |seed| {
+                let mut c = cfg.clone();
+                c.seed = seed;
+                (label.replace("seed=1", &format!("seed={seed}")), c)
+            })
+        })
+        .collect();
+    assert_eq!(
+        more_seeds.len(),
+        2 * 4 * 6,
+        "2 variants x 4 cells x 6 seeds"
+    );
+    let live = Driver::new().run_labelled(more_seeds);
+    let goodput = |variant: &str| -> f64 {
+        let pinned = by_variant(variant);
+        assert_eq!(pinned.len(), 8);
+        let rerun = live
+            .iter()
+            .filter(|(label, _)| variant_of(label) == variant);
+        pinned.iter().map(|r| r.long_goodput_gbps).sum::<f64>()
+            + rerun.map(|(_, r)| r.long_goodput_bps() / 1e9).sum::<f64>()
+    };
+    let mmptcp = goodput("mmptcp-8");
+    let mptcp = goodput("mptcp-8");
     assert!(mptcp > 0.0);
     assert!(
         mmptcp >= 0.95 * mptcp,
