@@ -263,6 +263,7 @@ fn summary_headers() -> Vec<&'static str> {
         "p99 FCT (ms)",
         "max FCT (ms)",
         "flows w/ RTO",
+        "missed deadlines",
         "long goodput (Gbps)",
         "core loss",
         "agg loss",
@@ -273,6 +274,10 @@ fn summary_headers() -> Vec<&'static str> {
 /// The comparison-table row `run` prints for one experiment.
 fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
     let s = r.short_fct_summary();
+    let missed = match r.deadline_misses() {
+        (_, 0) => "-".to_string(),
+        (missed, total) => format!("{missed}/{total}"),
+    };
     vec![
         label.to_string(),
         s.count.to_string(),
@@ -281,6 +286,7 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
         metrics::f2(s.p99),
         metrics::f2(s.max),
         r.short_flows_with_rto().to_string(),
+        missed,
         metrics::f2(r.long_goodput_bps() / 1e9),
         metrics::pct(r.loss.core.loss_rate()),
         metrics::pct(r.loss.aggregation.loss_rate()),
@@ -581,5 +587,6 @@ mod tests {
         let row = summary_row("one flow", &mmptcp::run(one_flow));
         assert_eq!(row.len(), summary_headers().len());
         assert_eq!(row[..2], ["one flow", "1"]);
+        assert_eq!(row[7], "-", "the workload carries no deadline");
     }
 }

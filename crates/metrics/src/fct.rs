@@ -81,8 +81,9 @@ impl FlowMetrics {
                 Signal::SpuriousRetransmit { .. } => rec.spurious_retransmits += 1,
                 Signal::PhaseSwitched { at, .. } => rec.phase_switched = Some(*at),
                 Signal::FlowProgress { at, bytes, .. } => {
-                    // Keep the largest progress report (sender and receiver may
-                    // both report).
+                    // Keep the largest report: at `Finalize` the fluid engine
+                    // reports a handed-off flow's total, its receiver the
+                    // part that rode in packets.
                     rec.bytes = rec.bytes.max(*bytes);
                     self.progress
                         .entry(s.flow())

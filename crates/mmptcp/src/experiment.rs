@@ -7,7 +7,7 @@ use crate::config::{ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
 use crate::results::{ConservationAudit, ExperimentResults};
 use metrics::trace::{TraceConfig, TraceSink};
 use metrics::{loss_report, overall_utilisation, tier_utilisation, FlowMetrics};
-use netsim::{Addr, Agent, FlowId, PathPolicy, SimRng, SimTime, Simulator};
+use netsim::{Addr, Agent, FlowId, PathPolicy, Signal, SimRng, SimTime, Simulator};
 use std::collections::HashSet;
 use topology::{BuiltTopology, LinkTier};
 use transport::{
@@ -36,51 +36,42 @@ fn build_sender(
     spec: &FlowSpec,
 ) -> Box<dyn Agent> {
     let flow = FlowId(spec.id);
-    let src_port = base_port_for(spec.id);
-    let dst_port = dst_port_for(spec.id);
+    let (src, dst, size) = (spec.src, spec.dst, spec.size);
+    let (sp, dp) = (base_port_for(spec.id), dst_port_for(spec.id));
+    // Path diversity sizes the scatter phase's dup-ACK threshold (§2 proposes
+    // a topology-derived threshold and an RR-TCP-style adaptive one;
+    // `DupAckPolicy::TopologyAdaptive` combines them) and decides whether
+    // replication can pay off: with a single path both copies would share
+    // one bottleneck, so such pairs degenerate to plain TCP inside the sender.
+    let paths = topo.path_count(src, dst);
+    let mmptcp = |cfg| Box::new(MmptcpSender::new(cfg, flow, src, dst, sp, dp, size));
     match protocol {
-        Protocol::Tcp => Box::new(TcpSender::new(
-            transport, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
-        )),
+        Protocol::Tcp => Box::new(TcpSender::new(transport, flow, src, dst, sp, dp, size)),
         Protocol::Dctcp => {
             let cfg = TransportConfig {
                 ecn: true,
                 ..transport
             };
-            Box::new(TcpSender::new(
-                cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
+            Box::new(TcpSender::new(cfg, flow, src, dst, sp, dp, size))
+        }
+        Protocol::D2tcp => {
+            let deadline = spec.deadline;
+            Box::new(D2tcpSender::new(
+                transport, flow, src, dst, sp, dp, size, deadline,
             ))
         }
-        Protocol::D2tcp => Box::new(D2tcpSender::new(
-            transport,
-            flow,
-            spec.src,
-            spec.dst,
-            src_port,
-            dst_port,
-            spec.size,
-            spec.deadline,
-        )),
         Protocol::Mptcp { subflows } => {
             let cfg = MptcpConfig {
                 transport,
                 num_subflows: subflows,
             };
-            Box::new(MptcpSender::new(
-                cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
-            ))
+            Box::new(MptcpSender::new(cfg, flow, src, dst, sp, dp, size))
         }
-        Protocol::PacketScatter => {
-            let paths = topo.path_count(spec.src, spec.dst);
-            let cfg = MmptcpConfig {
-                transport,
-                dupack: DupAckPolicy::topology_adaptive(paths as u32),
-                ..MmptcpConfig::packet_scatter_only()
-            };
-            Box::new(MmptcpSender::new(
-                cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
-            ))
-        }
+        Protocol::PacketScatter => mmptcp(MmptcpConfig {
+            transport,
+            dupack: DupAckPolicy::topology_adaptive(paths as u32),
+            ..MmptcpConfig::packet_scatter_only()
+        }),
         Protocol::RepFlow {
             threshold,
             syn_only,
@@ -90,62 +81,37 @@ fn build_sender(
                 replication_threshold: threshold,
                 syn_only,
             };
-            // Path diversity decides whether replication can pay off: with a
-            // single path both copies would share one bottleneck, so such
-            // pairs degenerate to plain TCP inside the sender.
-            let paths = topo.path_count(spec.src, spec.dst);
-            Box::new(RepFlowSender::new(
-                cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size, paths,
-            ))
+            Box::new(RepFlowSender::new(cfg, flow, src, dst, sp, dp, size, paths))
         }
         Protocol::Mmptcp {
             subflows,
             switch,
             dupack,
-        } => {
-            // §2 proposes both a topology-derived threshold and an RR-TCP-style
-            // adaptive one; the default combines them (see
-            // `DupAckPolicy::TopologyAdaptive`).
-            let dupack = dupack.unwrap_or_else(|| {
-                DupAckPolicy::topology_adaptive(topo.path_count(spec.src, spec.dst) as u32)
-            });
-            let cfg = MmptcpConfig {
-                transport,
-                num_subflows: subflows,
-                switch,
-                dupack,
-                coupled: true,
-                reorder_undo: true,
-            };
-            Box::new(MmptcpSender::new(
-                cfg, flow, spec.src, spec.dst, src_port, dst_port, spec.size,
-            ))
-        }
+        } => mmptcp(MmptcpConfig {
+            transport,
+            num_subflows: subflows,
+            switch,
+            dupack: dupack.unwrap_or_else(|| DupAckPolicy::topology_adaptive(paths as u32)),
+            coupled: true,
+            reorder_undo: true,
+        }),
     }
 }
 
 /// If DCTCP is in play and the topology has no ECN marking threshold, install
 /// the conventional K = 20 packets.
 fn ensure_ecn_marking(config: &mut ExperimentConfig) {
-    let needs_ecn = matches!(config.protocol, Protocol::Dctcp | Protocol::D2tcp)
-        || matches!(
-            config.long_protocol,
-            Some(Protocol::Dctcp) | Some(Protocol::D2tcp)
-        );
-    if !needs_ecn {
+    let ecn = |p: Protocol| matches!(p, Protocol::Dctcp | Protocol::D2tcp);
+    if !(ecn(config.protocol) || config.long_protocol.is_some_and(ecn)) {
         return;
     }
-    let set = |q: &mut netsim::QueueConfig| {
-        if q.ecn_threshold_packets.is_none() {
-            q.ecn_threshold_packets = Some(20);
-        }
+    let queue = match &mut config.topology {
+        TopologySpec::FatTree(c) | TopologySpec::MultiHomedFatTree(c) => &mut c.queue,
+        TopologySpec::Vl2(c) => &mut c.queue,
+        TopologySpec::Dumbbell(c) => &mut c.queue,
+        TopologySpec::Parallel(c) => &mut c.queue,
     };
-    match &mut config.topology {
-        TopologySpec::FatTree(c) | TopologySpec::MultiHomedFatTree(c) => set(&mut c.queue),
-        TopologySpec::Vl2(c) => set(&mut c.queue),
-        TopologySpec::Dumbbell(c) => set(&mut c.queue),
-        TopologySpec::Parallel(c) => set(&mut c.queue),
-    }
+    queue.ecn_threshold_packets.get_or_insert(20);
 }
 
 /// Generate the workload for a topology.
@@ -161,28 +127,60 @@ fn generate_workload(spec: WorkloadSpec, hosts: &[Addr], rng: &mut SimRng) -> Wo
     }
 }
 
-/// Run one experiment to completion.
-pub fn run(config: ExperimentConfig) -> ExperimentResults {
-    run_observed(config, |_| {})
+/// Where a caller may time, observe or disturb [`run_with`]'s loop without
+/// restating it. Every method defaults to doing nothing: `()` is [`run`],
+/// and a closure is a hook that only has a `tick`.
+pub trait RunHooks {
+    /// Wraps one phase of the runner and returns what `phase` returns.
+    /// `name` is `topology.build`, `mmptcp.install` (set-up, and every
+    /// tick's just-in-time agent install), `netsim.sim.event_loop`,
+    /// `metrics.fct.signal_fold`, `mmptcp.completion_check`,
+    /// `netsim.sim.finalize` or `metrics.netstats.scrape`.
+    fn stage<R>(&mut self, _name: &'static str, phase: impl FnOnce() -> R) -> R {
+        phase()
+    }
+
+    /// Runs after each tick's `signals` have been folded into the metrics.
+    /// The simulator is mutable so that a test can disturb the run between
+    /// ticks (withdraw links, then `Simulator::notify_topology_changed`)
+    /// until faults are calendar events; a production caller only reads it.
+    fn tick(&mut self, _sim: &mut Simulator, _signals: &[Signal]) {}
+
+    /// Runs once, after `Simulator::finalize` and the fold of the `signals`
+    /// it produced, while the simulator still owns the network.
+    fn end(&mut self, _sim: &Simulator, _signals: &[Signal]) {}
 }
 
-/// [`run`], showing `observe` the simulator after every tick of the loop.
-fn run_observed(
-    mut config: ExperimentConfig,
-    mut observe: impl FnMut(&Simulator),
-) -> ExperimentResults {
+impl RunHooks for () {}
+
+impl<F: FnMut(&mut Simulator, &[Signal])> RunHooks for F {
+    fn tick(&mut self, sim: &mut Simulator, signals: &[Signal]) {
+        self(sim, signals)
+    }
+}
+
+/// Run one experiment to completion.
+pub fn run(config: ExperimentConfig) -> ExperimentResults {
+    run_with(config, &mut ())
+}
+
+/// [`run`], calling `hooks` at the runner's phase and tick boundaries.
+pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> ExperimentResults {
     if let Err(e) = config.validate() {
         panic!("invalid experiment configuration: {e}");
     }
-    ensure_ecn_marking(&mut config);
-    let mut topo = config.topology.build();
-    // The path policy is a fabric property: install it on every switch before
-    // the simulator takes ownership of the network.
-    if config.path_policy != PathPolicy::FlowHash {
-        for sw in topo.network.switches_mut() {
-            sw.set_path_policy(config.path_policy);
+    let mut topo = hooks.stage("topology.build", || {
+        ensure_ecn_marking(&mut config);
+        let mut topo = config.topology.build();
+        // The path policy is a fabric property: install it on every switch
+        // before the simulator takes ownership of the network.
+        if config.path_policy != PathPolicy::FlowHash {
+            for sw in topo.network.switches_mut() {
+                sw.set_path_policy(config.path_policy);
+            }
         }
-    }
+        topo
+    });
     let host_addrs: Vec<Addr> = (0..topo.host_count() as u32).map(Addr).collect();
 
     // Workload generation uses a forked RNG stream so changing the workload
@@ -193,15 +191,46 @@ fn run_observed(
 
     let name = format!("{} on {}", config.protocol.name(), topo.name);
 
-    // The simulator takes ownership of the network; `topo` keeps the metadata
-    // (host table, path model, link tiers) and gets the network back for the
-    // tier-based metrics afterwards.
-    let network = std::mem::replace(&mut topo.network, netsim::Network::new());
-    let mut sim = Simulator::new(network, config.seed);
-    // Hybrid engine: arm the fluid fast path. Transports see the threshold on
-    // every activation and hand off elephant remainders; `Engine::Packet`
-    // leaves the threshold `None` and the run is byte-identical to before.
-    sim.set_fluid_threshold(config.engine.fluid_threshold());
+    let mut short_ids = HashSet::new();
+    let mut long_ids = HashSet::new();
+    // The bounded flows that have not completed yet.
+    let mut open_bounded = HashSet::new();
+    let mut sim = hooks.stage("mmptcp.install", || {
+        // The simulator takes ownership of the network; `topo` keeps the
+        // metadata (host table, path model, link tiers) and gets the network
+        // back for the tier-based metrics afterwards.
+        let network = std::mem::replace(&mut topo.network, netsim::Network::new());
+        let mut sim = Simulator::new(network, config.seed);
+        // Hybrid engine: arm the fluid fast path. Transports see the
+        // threshold on every activation and hand off elephant remainders;
+        // `Engine::Packet` leaves the threshold `None` and the run is
+        // byte-identical to before.
+        sim.set_fluid_threshold(config.engine.fluid_threshold());
+        // Every start goes on the calendar now, in workload order: the
+        // calendar's `(time, seq)` order is part of the run's identity.
+        for spec in &workload.flows {
+            if spec.src.index().max(spec.dst.index()) >= host_addrs.len() {
+                panic!(
+                    "invalid experiment configuration: flow {} runs from host {} to host {}; \
+                     the topology has {} hosts",
+                    spec.id,
+                    spec.src.index(),
+                    spec.dst.index(),
+                    host_addrs.len()
+                );
+            }
+            let flow = FlowId(spec.id);
+            match spec.class {
+                FlowClass::Short => short_ids.insert(flow),
+                FlowClass::Long => long_ids.insert(flow),
+            };
+            if spec.size.is_some() {
+                open_bounded.insert(flow);
+            }
+            sim.schedule_flow_start(spec.start, topo.host(spec.src), flow);
+        }
+        sim
+    });
 
     // Flight recorder: with tracing on, transports emit cwnd samples and
     // (optionally) the loop below snapshots link telemetry. With the default
@@ -215,23 +244,6 @@ fn run_observed(
         }
     };
 
-    // Every start goes on the calendar now, in workload order: the calendar's
-    // `(time, seq)` order is part of the run's identity.
-    let mut short_ids = HashSet::new();
-    let mut long_ids = HashSet::new();
-    // The bounded flows that have not completed yet.
-    let mut open_bounded = HashSet::new();
-    for spec in &workload.flows {
-        let flow = FlowId(spec.id);
-        match spec.class {
-            FlowClass::Short => short_ids.insert(flow),
-            FlowClass::Long => long_ids.insert(flow),
-        };
-        if spec.size.is_some() {
-            open_bounded.insert(flow);
-        }
-        sim.schedule_flow_start(spec.start, topo.host(spec.src), flow);
-    }
     // The agents are not built now. A flow's sender and receiver are installed
     // just before the tick that contains its start, and the sender retires
     // itself once the flow is done, so the resident state follows the flows
@@ -254,90 +266,105 @@ fn run_observed(
         // measure from the start of the run.
         sink.sample_links(sim.now(), sim.network());
     }
+    let mut fold = |sim: &mut Simulator, trace_sink: &mut Option<TraceSink>| {
+        let signals = sim.drain_signals();
+        metrics.ingest(signals.iter());
+        if let Some(sink) = trace_sink {
+            sink.ingest(&signals);
+        }
+        signals
+    };
     loop {
         let next = (sim.now() + tick).min(cap);
-        while let Some(spec) = to_install.next_if(|spec| spec.start <= next) {
-            let flow = FlowId(spec.id);
-            let protocol = match spec.class {
-                FlowClass::Long => config.long_protocol.unwrap_or(config.protocol),
-                FlowClass::Short => config.protocol,
-            };
-            let sender = build_sender(protocol, config.transport, &topo, spec);
-            let receiver: Box<dyn Agent> = Box::new(TransportReceiver::new(flow));
-            sim.register_agent(topo.host(spec.src), flow, sender);
-            sim.register_agent(topo.host(spec.dst), flow, receiver);
-        }
-        sim.run_until(next);
-        let signals = sim.drain_signals();
-        for s in &signals {
-            if let netsim::Signal::FlowCompleted { flow, .. } = s {
-                open_bounded.remove(flow);
+        hooks.stage("mmptcp.install", || {
+            while let Some(spec) = to_install.next_if(|spec| spec.start <= next) {
+                let flow = FlowId(spec.id);
+                let protocol = match spec.class {
+                    FlowClass::Long => config.long_protocol.unwrap_or(config.protocol),
+                    FlowClass::Short => config.protocol,
+                };
+                let sender = build_sender(protocol, config.transport, &topo, spec);
+                let receiver: Box<dyn Agent> = Box::new(TransportReceiver::new(flow));
+                sim.register_agent(topo.host(spec.src), flow, sender);
+                sim.register_agent(topo.host(spec.dst), flow, receiver);
             }
-        }
-        metrics.ingest(signals.iter());
-        if let Some(sink) = trace_sink.as_mut() {
-            sink.ingest(&signals);
-            sink.sample_links(sim.now(), sim.network());
-        }
-        observe(&sim);
-        if open_bounded.is_empty() || sim.now() >= cap || sim.pending_events() == 0 {
+        });
+        hooks.stage("netsim.sim.event_loop", || sim.run_until(next));
+        let signals = hooks.stage("metrics.fct.signal_fold", || {
+            let signals = fold(&mut sim, &mut trace_sink);
+            if let Some(sink) = trace_sink.as_mut() {
+                sink.sample_links(sim.now(), sim.network());
+            }
+            signals
+        });
+        hooks.tick(&mut sim, &signals);
+        let all_done = hooks.stage("mmptcp.completion_check", || {
+            for s in &signals {
+                if let Signal::FlowCompleted { flow, .. } = s {
+                    open_bounded.remove(flow);
+                }
+            }
+            open_bounded.is_empty()
+        });
+        if all_done || sim.now() >= cap || sim.pending_events() == 0 {
             break;
         }
     }
     let all_short_completed = !open_bounded.iter().any(|f| short_ids.contains(f));
 
     // Final measurements from long-running flows and receivers.
-    sim.finalize();
-    let final_signals = sim.drain_signals();
-    metrics.ingest(final_signals.iter());
-    if let Some(sink) = trace_sink.as_mut() {
-        sink.ingest(&final_signals);
-    }
+    hooks.stage("netsim.sim.finalize", || sim.finalize());
+    let final_signals = hooks.stage("metrics.fct.signal_fold", || {
+        fold(&mut sim, &mut trace_sink)
+    });
+    hooks.end(&sim, &final_signals);
 
-    let elapsed = sim.now() - SimTime::ZERO;
-    let counters = sim.counters();
-    let in_flight_at_end = sim.in_flight_packets() as u64;
-    let fluid_delivered_bytes = sim.fluid_delivered_bytes();
+    hooks.stage("metrics.netstats.scrape", || {
+        let elapsed = sim.now() - SimTime::ZERO;
+        let counters = sim.counters();
+        let in_flight_at_end = sim.in_flight_packets() as u64;
+        let fluid_delivered_bytes = sim.fluid_delivered_bytes();
 
-    // The network goes back into `topo` for the tier-based utilisation
-    // metrics.
-    topo.network = std::mem::replace(sim.network_mut(), netsim::Network::new());
-    let network = &topo.network;
-    let backlog_at_end: u64 = network.links().iter().map(|l| l.backlog() as u64).sum();
-    let no_route: u64 = network
-        .nodes()
-        .iter()
-        .filter_map(|n| n.as_switch())
-        .map(|s| s.stats().no_route)
-        .sum();
-    let audit = ConservationAudit {
-        in_flight_at_end,
-        backlog_at_end,
-        no_route,
-        fluid_delivered_bytes,
-    };
-    let loss = loss_report(network);
-    let overall = overall_utilisation(network, elapsed);
-    let core_utilisation = tier_utilisation(&topo, LinkTier::AggregationCore, elapsed);
+        // The network goes back into `topo` for the tier-based utilisation
+        // metrics.
+        topo.network = std::mem::replace(sim.network_mut(), netsim::Network::new());
+        let network = &topo.network;
+        let backlog_at_end: u64 = network.links().iter().map(|l| l.backlog() as u64).sum();
+        let no_route: u64 = network
+            .nodes()
+            .iter()
+            .filter_map(|n| n.as_switch())
+            .map(|s| s.stats().no_route)
+            .sum();
+        let audit = ConservationAudit {
+            in_flight_at_end,
+            backlog_at_end,
+            no_route,
+            fluid_delivered_bytes,
+        };
+        let loss = loss_report(network);
+        let overall = overall_utilisation(network, elapsed);
+        let core_utilisation = tier_utilisation(&topo, LinkTier::AggregationCore, elapsed);
 
-    ExperimentResults {
-        name,
-        protocol: config.protocol,
-        seed: config.seed,
-        elapsed,
-        flows: workload.flows,
-        short_ids,
-        long_ids,
-        metrics,
-        loss,
-        core_utilisation,
-        overall_utilisation: overall,
-        counters,
-        audit,
-        all_short_completed,
-        goodput_horizon: config.goodput_horizon,
-        trace: trace_sink,
-    }
+        ExperimentResults {
+            name,
+            protocol: config.protocol,
+            seed: config.seed,
+            elapsed,
+            flows: workload.flows,
+            short_ids,
+            long_ids,
+            metrics,
+            loss,
+            core_utilisation,
+            overall_utilisation: overall,
+            counters,
+            audit,
+            all_short_completed,
+            goodput_horizon: config.goodput_horizon,
+            trace: trace_sink,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -354,15 +381,14 @@ mod tests {
                 paths: 4,
                 ..ParallelPathConfig::default()
             }),
-            workload: WorkloadSpec::Custom(vec![FlowSpec {
-                id: 0,
-                src: Addr(0),
-                dst: Addr(1),
-                size: Some(70_000),
-                start: SimTime::from_millis(1),
-                class: FlowClass::Short,
-                deadline: None,
-            }]),
+            workload: WorkloadSpec::Custom(vec![FlowSpec::new(
+                0,
+                Addr(0),
+                Addr(1),
+                Some(70_000),
+                SimTime::from_millis(1),
+                FlowClass::Short,
+            )]),
             protocol,
             ..ExperimentConfig::default()
         }
@@ -434,14 +460,9 @@ mod tests {
         let mut config = one_flow_config(Protocol::Tcp);
         config.workload = WorkloadSpec::Custom(
             (0..FLOWS)
-                .map(|id| FlowSpec {
-                    id,
-                    src: Addr(0),
-                    dst: Addr(1),
-                    size: Some(10_000),
-                    start: SimTime::from_micros(id * GAP_US),
-                    class: FlowClass::Short,
-                    deadline: None,
+                .map(|id| {
+                    let start = SimTime::from_micros(id * GAP_US);
+                    FlowSpec::new(id, Addr(0), Addr(1), Some(10_000), start, FlowClass::Short)
                 })
                 .collect(),
         );
@@ -453,7 +474,7 @@ mod tests {
         }
         let mut ticks = 0;
         let mut last = 0;
-        let r = run_observed(config, |sim| {
+        let r = run_with(config, &mut |sim: &mut Simulator, _: &[Signal]| {
             let elapsed_us = (sim.now() - SimTime::ZERO).as_micros();
             let started = (elapsed_us / GAP_US + 1).min(FLOWS) as usize;
             let agents: usize = hosts(sim).map(|h| h.agent_count()).sum();

@@ -47,7 +47,7 @@ pub mod scenario;
 
 pub use config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
 pub use driver::Driver;
-pub use experiment::run;
+pub use experiment::{run, run_with, RunHooks};
 pub use results::ExperimentResults;
 pub use scenario::{Fidelity, ScenarioRun};
 

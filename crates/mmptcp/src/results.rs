@@ -251,17 +251,6 @@ impl ExperimentResults {
         }
         (missed, total)
     }
-
-    /// Fraction of deadline-carrying flows that missed their deadline
-    /// (0.0 when the workload has no deadlines).
-    pub fn deadline_miss_rate(&self) -> f64 {
-        let (missed, total) = self.deadline_misses();
-        if total == 0 {
-            0.0
-        } else {
-            missed as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -426,9 +415,8 @@ mod tests {
         use netsim::Addr;
         use workload::FlowSpec;
         let mut r = fake_results();
-        // No deadlines in the workload: rate is zero.
+        // No deadlines in the workload: nothing to miss.
         assert_eq!(r.deadline_misses(), (0, 0));
-        assert_eq!(r.deadline_miss_rate(), 0.0);
         // Flow 1 completed at 100 ms, flow 2 at 300 ms (see fake_results).
         let spec = |id: u64, deadline_ms: u64| FlowSpec {
             deadline: Some(SimDuration::from_millis(deadline_ms)),
@@ -445,6 +433,5 @@ mod tests {
         // Flow 1 met (100 <= 150), flow 2 missed (300 > 150), flow 99 never
         // completed (no record) so it also counts as a miss.
         assert_eq!(r.deadline_misses(), (2, 3));
-        assert!((r.deadline_miss_rate() - 2.0 / 3.0).abs() < 1e-9);
     }
 }

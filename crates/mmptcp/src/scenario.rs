@@ -759,7 +759,8 @@ fn multihomed(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
 /// deadlines ... even a single RTO may result in flow deadline violation".
 /// Every short flow gets a deadline; D²TCP uses it, everything else —
 /// MMPTCP included — does not. The report carries FCTs, RTOs and marks per
-/// cell; `ExperimentResults::deadline_misses()` has the miss rates.
+/// cell; `scenarios run deadlines` prints each cell's
+/// `ExperimentResults::deadline_misses()` as `missed/total`.
 fn deadlines(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
     let slack = |slack: f64, floor_ms: u64| DeadlineModel::Slack {
         slack,

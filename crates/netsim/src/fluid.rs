@@ -506,8 +506,8 @@ impl FluidEngine {
     /// Flows that finished are returned as completions (the caller
     /// dispatches `FluidComplete` so the transport emits `FlowCompleted`);
     /// unfinished flows get a `FlowProgress` signal with their cumulative
-    /// (packet base + fluid) bytes, standing in for the progress report the
-    /// transport would have emitted in packet mode.
+    /// (packet base + fluid) bytes, which their receivers' reports of the
+    /// packet part cannot exceed.
     pub fn finalize(
         &mut self,
         now: SimTime,

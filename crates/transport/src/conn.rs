@@ -5,7 +5,7 @@
 //! onto them — and RepFlow adds a completion rule. Everything else is the
 //! same for all of them and lives here, once: the connection-level data
 //! sequence space, the cumulative data ACK, completion and its signals
-//! (`FlowStarted` / `FlowCompleted` / `FlowProgress` / `RedundantBytes`),
+//! (`FlowStarted` / `FlowCompleted` / `RedundantBytes`),
 //! routing of packets and timer tokens to the [`Subflow`] they belong to,
 //! and the handoff of an elephant's remainder to the fluid fast path.
 //!
@@ -72,6 +72,19 @@ impl DerefMut for Subflows {
     }
 }
 
+/// Where a connection is in its life; it only ever moves forward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Mapping data onto subflows.
+    Packet,
+    /// The remainder of the flow has been handed to the fluid fast path: the
+    /// connection stops mapping new data and waits for
+    /// [`AgentEvent::FluidComplete`] (in-flight packets still drain normally).
+    Fluid,
+    /// Every byte is acknowledged (or delivered by the fluid engine).
+    Done,
+}
+
 /// The connection-level state shared by every transport. Policies read and
 /// steer it through their hooks.
 #[derive(Debug)]
@@ -86,11 +99,7 @@ pub struct ConnState {
     pub(crate) next_data_seq: u64,
     /// Connection-level cumulative data ACK.
     pub(crate) data_acked: u64,
-    pub(crate) completed: bool,
-    /// True once the remainder of the flow has been handed to the fluid fast
-    /// path: the connection stops mapping new data and waits for
-    /// [`AgentEvent::FluidComplete`] (in-flight packets still drain normally).
-    pub(crate) fluid_mode: bool,
+    pub(crate) mode: Mode,
 }
 
 impl ConnState {
@@ -195,8 +204,7 @@ impl<P: Policy> Connection<P> {
                 subflows,
                 next_data_seq: 0,
                 data_acked: 0,
-                completed: false,
-                fluid_mode: false,
+                mode: Mode::Packet,
             },
             policy,
         }
@@ -204,12 +212,13 @@ impl<P: Policy> Connection<P> {
 
     /// Has the whole transfer been acknowledged?
     pub fn is_completed(&self) -> bool {
-        self.conn.completed
+        self.conn.mode == Mode::Done
     }
 
-    /// Whether the remainder of the flow has been handed to the fluid engine.
+    /// Whether the remainder of the flow has been handed to the fluid engine
+    /// and is still in its hands.
     pub fn is_fluid_mode(&self) -> bool {
-        self.conn.fluid_mode
+        self.conn.mode == Mode::Fluid
     }
 
     /// Every subflow of the connection, started or not.
@@ -233,7 +242,7 @@ impl<P: Policy> Connection<P> {
     /// Mark the flow complete and say so: `total` bytes delivered, of which
     /// `fluid_bytes` by the fluid engine.
     fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) {
-        self.conn.completed = true;
+        self.conn.mode = Mode::Done;
         self.policy.on_finish(&mut self.conn);
         ctx.signal(Signal::FlowCompleted {
             flow: self.conn.flow,
@@ -315,7 +324,7 @@ impl<P: Policy> Connection<P> {
             mss: cfg.mss,
             cc: cfg.cc.fluid(),
         });
-        self.conn.fluid_mode = true;
+        self.conn.mode = Mode::Fluid;
     }
 
     /// One event through the hook order in the module docs.
@@ -343,7 +352,7 @@ impl<P: Policy> Connection<P> {
                     None => SubflowUpdate::default(),
                 };
                 self.policy.after_subflow_event(conn, ctx, idx, update);
-                if conn.fluid_mode || conn.completed {
+                if conn.mode != Mode::Packet {
                     return;
                 }
                 self.policy.pump(conn, ctx);
@@ -360,12 +369,12 @@ impl<P: Policy> Connection<P> {
                     None => SubflowUpdate::default(),
                 };
                 self.policy.after_subflow_event(conn, ctx, idx, update);
-                if !conn.fluid_mode && !conn.completed {
+                if conn.mode == Mode::Packet {
                     self.policy.pump(conn, ctx);
                 }
             }
             AgentEvent::FluidComplete { bytes } => {
-                if !conn.completed {
+                if conn.mode != Mode::Done {
                     for sf in conn.subflows.iter_mut() {
                         sf.abort();
                     }
@@ -374,19 +383,13 @@ impl<P: Policy> Connection<P> {
                 }
             }
             AgentEvent::Finalize => {
-                if !conn.completed && !conn.fluid_mode {
-                    ctx.signal(Signal::FlowProgress {
-                        flow: conn.flow,
-                        at: ctx.now(),
-                        bytes: conn.data_acked,
-                    });
-                    // The price of replication and retransmission must be
-                    // visible even (especially) for flows the run's time cap
-                    // caught unfinished.
-                    if conn.total.is_some() {
-                        let acked = conn.data_acked;
-                        self.signal_redundant_bytes(ctx, self.total_bytes_sent(), acked);
-                    }
+                // The price of replication and retransmission must be visible
+                // even (especially) for flows the run's time cap caught
+                // unfinished. How far such a flow got is the receiver's to
+                // report: `data_acked` is the largest data ACK it ever sent.
+                if conn.mode == Mode::Packet && conn.total.is_some() {
+                    let acked = conn.data_acked;
+                    self.signal_redundant_bytes(ctx, self.total_bytes_sent(), acked);
                 }
             }
         }
@@ -399,7 +402,7 @@ impl<P: Policy> Agent for Connection<P> {
         // A complete flow maps no new data and every hook that could open a
         // subflow has already run; once the subflows are quiet too, no event
         // can make this connection send, arm a timer or signal again.
-        if self.conn.completed && self.conn.subflows.iter().all(Subflow::is_quiescent) {
+        if self.conn.mode == Mode::Done && self.conn.subflows.iter().all(Subflow::is_quiescent) {
             ctx.retire();
         }
     }
@@ -412,5 +415,104 @@ impl<P: Policy> Agent for Connection<P> {
             self.conn.subflows.len(),
             self.conn.total
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::Loopback;
+    use crate::{TcpSender, TransportConfig};
+    use netsim::Addr;
+    use AgentEvent::{FluidComplete, Timer};
+
+    type Tcp = Loopback<TcpSender>;
+
+    /// Run until the loss of one segment has ended slow start: the fast
+    /// retransmit's own activation hands the remainder to the fluid engine.
+    fn hand_off(l: &mut Tcp) {
+        let mut lost = false;
+        while l.handoffs.is_empty() {
+            l.round(|p| {
+                let hit = !lost && p.seq == 14_000;
+                lost |= hit;
+                hit
+            });
+        }
+    }
+
+    /// RepFlow's loser, or a join still open at `FluidComplete`: the SYN retry
+    /// is cancelled and the state stays `SynSent`, so a SYN-ACK still in
+    /// flight would open the subflow.
+    fn abort_syn(l: &mut Tcp) {
+        l.tx.conn.subflows[0].abort();
+        l.deliver(Timer(l.timers[0].1));
+        assert_eq!((l.sent.len(), l.armed.len()), (1, 1), "the SYN, once");
+    }
+
+    fn complete_twice(l: &mut Tcp) {
+        hand_off(l);
+        l.deliver(FluidComplete { bytes: 1 });
+        l.deliver(FluidComplete { bytes: 1 });
+    }
+
+    /// The late ACKs and the stale RTO reach an agent the simulator would
+    /// already have dropped.
+    fn after_retiring(l: &mut Tcp) {
+        hand_off(l);
+        l.deliver(FluidComplete { bytes: 1 });
+        assert!(l.retired && !l.to_rx.is_empty() && !l.timers.is_empty());
+        l.round(|_| false);
+        for (_, token) in std::mem::take(&mut l.timers) {
+            l.deliver(Timer(token));
+        }
+    }
+
+    /// The edges the lifecycle enums do not forbid, one row each, on a 5 MB
+    /// TCP flow under a 100 KB elephant threshold: the states the edge
+    /// leaves behind (`[established, recovering, quiescent]` is subflow 0).
+    /// A sender that retired on the way stays silent.
+    #[test]
+    fn implicit_lifecycle_edges_do_what_they_always_did() {
+        type Edge = fn(&mut Tcp);
+        let rows: [(&str, Edge, Mode, [bool; 3]); 4] = [
+            // The hole is repaired by packets while the remainder is fluid.
+            (
+                "handoff while recovering",
+                hand_off,
+                Mode::Fluid,
+                [true, true, false],
+            ),
+            (
+                "abort during the handshake",
+                abort_syn,
+                Mode::Packet,
+                [false, false, true],
+            ),
+            (
+                "a second FluidComplete",
+                complete_twice,
+                Mode::Done,
+                [true, false, true],
+            ),
+            (
+                "an activation after retirement",
+                after_retiring,
+                Mode::Done,
+                [true, false, true],
+            ),
+        ];
+        for (edge, scenario, mode, subflow) in rows {
+            let (flow, cfg) = (FlowId(1), TransportConfig::default());
+            let tx = TcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(5_000_000));
+            let mut l = Loopback::new(flow, tx);
+            l.fluid_threshold = Some(100_000);
+            l.start();
+            scenario(&mut l);
+            let sf = &l.tx.conn.subflows[0];
+            let found = [sf.is_established(), sf.is_recovering(), sf.is_quiescent()];
+            assert_eq!((l.tx.conn.mode, found), (mode, subflow), "{edge}");
+            assert_eq!(l.produced_after_retiring, 0, "{edge}");
+        }
     }
 }

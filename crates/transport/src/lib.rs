@@ -52,7 +52,7 @@ pub mod testing;
 
 pub use cc::CongestionControl;
 pub use config::TransportConfig;
-pub use mmptcp::{DupAckPolicy, MmptcpConfig, MmptcpPhase, MmptcpSender, SwitchStrategy};
+pub use mmptcp::{DupAckPolicy, MmptcpConfig, MmptcpSender, SwitchStrategy};
 pub use mptcp::{MptcpConfig, MptcpSender};
 pub use receiver::TransportReceiver;
 pub use repflow::{RepFlowConfig, RepFlowSender};

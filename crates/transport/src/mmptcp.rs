@@ -172,23 +172,15 @@ impl MmptcpConfig {
     }
 }
 
-/// Which phase the connection is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MmptcpPhase {
-    /// Initial packet-scatter phase.
-    PacketScatter,
-    /// After the switch: standard MPTCP.
-    Mptcp,
-}
-
 /// MMPTCP as a connection policy. Subflow 0 is the packet-scatter flow,
 /// started with the connection; subflows 1..=N are the MPTCP-phase subflows,
 /// started at the phase switch.
 #[derive(Debug)]
 pub struct ScatterThenMultipath {
     cfg: MmptcpConfig,
-    phase: MmptcpPhase,
     rr_cursor: usize,
+    /// When the connection left the packet-scatter phase for the MPTCP
+    /// phase, if it has: the connection's whole phase state.
     switched_at: Option<SimTime>,
     spurious_seen: u64,
 }
@@ -207,7 +199,7 @@ impl ScatterThenMultipath {
     }
 
     fn should_switch(&self, conn: &ConnState, congestion_event: bool) -> bool {
-        if self.phase != MmptcpPhase::PacketScatter || self.cfg.num_subflows == 0 {
+        if self.switched_at.is_some() || self.cfg.num_subflows == 0 {
             return false;
         }
         match self.cfg.switch {
@@ -218,7 +210,6 @@ impl ScatterThenMultipath {
     }
 
     fn switch_to_mptcp(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        self.phase = MmptcpPhase::Mptcp;
         self.switched_at = Some(ctx.now());
         ctx.signal(Signal::PhaseSwitched {
             flow: conn.flow,
@@ -240,7 +231,7 @@ impl Policy for ScatterThenMultipath {
     const NAME: &'static str = "mmptcp";
 
     fn lia(&self, conn: &ConnState, idx: usize) -> Option<LiaParams> {
-        (self.cfg.coupled && self.phase == MmptcpPhase::Mptcp && idx > 0)
+        (self.cfg.coupled && self.switched_at.is_some() && idx > 0)
             .then(|| compute_lia(&conn.subflows[1..]))
     }
 
@@ -265,26 +256,22 @@ impl Policy for ScatterThenMultipath {
             if len == 0 {
                 break;
             }
-            match self.phase {
-                MmptcpPhase::PacketScatter => {
-                    if conn.subflows[0].window_space() < len {
-                        break;
-                    }
-                    conn.send_next(ctx, 0, len);
-                    // The data-volume trigger is checked as data is handed to
-                    // the network, matching the paper's description.
-                    if self.should_switch(conn, false) {
-                        self.switch_to_mptcp(conn, ctx);
-                    }
+            if self.switched_at.is_none() {
+                if conn.subflows[0].window_space() < len {
+                    break;
                 }
+                conn.send_next(ctx, 0, len);
+                // The data-volume trigger is checked as data is handed to
+                // the network, matching the paper's description.
+                if self.should_switch(conn, false) {
+                    self.switch_to_mptcp(conn, ctx);
+                }
+            } else {
                 // No new data is mapped onto the scatter flow after the switch.
-                MmptcpPhase::Mptcp => {
-                    let Some(idx) = round_robin(&conn.subflows[1..], &mut self.rr_cursor, len)
-                    else {
-                        break;
-                    };
-                    conn.send_next(ctx, idx + 1, len);
-                }
+                let Some(idx) = round_robin(&conn.subflows[1..], &mut self.rr_cursor, len) else {
+                    break;
+                };
+                conn.send_next(ctx, idx + 1, len);
             }
         }
     }
@@ -293,9 +280,9 @@ impl Policy for ScatterThenMultipath {
     /// packet-scatter protection phase stays packet-exact so the short-flow
     /// dynamics the paper studies are never approximated.
     fn fluid_subflows<'a>(&self, subflows: &'a [Subflow]) -> &'a [Subflow] {
-        match self.phase {
-            MmptcpPhase::PacketScatter => &[],
-            MmptcpPhase::Mptcp => &subflows[1..],
+        match self.switched_at {
+            None => &[],
+            Some(_) => &subflows[1..],
         }
     }
 }
@@ -336,7 +323,6 @@ impl MmptcpSender {
         };
         let policy = ScatterThenMultipath {
             cfg,
-            phase: MmptcpPhase::PacketScatter,
             rr_cursor: 0,
             switched_at: None,
             spurious_seen: 0,
@@ -345,12 +331,8 @@ impl MmptcpSender {
         Connection::with_subflows(flow, total, count, subflow, policy)
     }
 
-    /// Current phase.
-    pub fn phase(&self) -> MmptcpPhase {
-        self.policy.phase
-    }
-
-    /// When the phase switch happened (if it has).
+    /// When the connection switched from the packet-scatter to the MPTCP
+    /// phase; `None` while it is still scattering.
     pub fn switched_at(&self) -> Option<SimTime> {
         self.policy.switched_at
     }
@@ -380,7 +362,6 @@ mod tests {
         let mut l = new_loop(MmptcpConfig::default(), 70_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.phase(), MmptcpPhase::PacketScatter);
         assert!(l.tx.switched_at().is_none());
         // All data travelled on the scatter flow.
         assert!(l.tx.scatter_subflow().counters().data_bytes_sent >= 70_000);
@@ -399,7 +380,6 @@ mod tests {
         let mut l = new_loop(cfg, 500_000);
         l.run(5_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.phase(), MmptcpPhase::Mptcp);
         assert!(l.tx.switched_at().is_some());
         assert!(l
             .signals
@@ -435,7 +415,7 @@ mod tests {
             }
         });
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.phase(), MmptcpPhase::Mptcp);
+        assert!(l.tx.switched_at().is_some());
     }
 
     #[test]
@@ -443,7 +423,7 @@ mod tests {
         let mut l = new_loop(MmptcpConfig::packet_scatter_only(), 400_000);
         l.run(5_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.phase(), MmptcpPhase::PacketScatter);
+        assert!(l.tx.switched_at().is_none());
     }
 
     #[test]

@@ -56,12 +56,18 @@ impl SubflowUpdate {
     }
 }
 
-/// Handshake / lifecycle state.
+/// Handshake and loss-recovery state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+enum State {
     Closed,
     SynSent,
-    Established,
+    /// Established, not repairing a loss.
+    Open,
+    /// Established and in fast recovery or RTO repair until `recover` (the
+    /// `snd_nxt` of the moment the loss was detected) is acknowledged.
+    Recovering {
+        recover: u64,
+    },
 }
 
 /// Per-subflow counters.
@@ -98,15 +104,13 @@ pub struct Subflow {
     dst_port: u16,
     flow: FlowId,
 
-    phase: Phase,
+    state: State,
     snd_una: u64,
     snd_nxt: u64,
     /// The congestion state machine this subflow drives.
     cc: Box<dyn CongestionController>,
     dup_acks: u32,
     dupack_threshold: u32,
-    in_recovery: bool,
-    recover: u64,
     /// When true, a fast retransmission later found to be spurious (the
     /// receiver reports the original arrived after all) undoes the congestion
     /// response: cwnd/ssthresh are restored to their pre-recovery values and
@@ -115,7 +119,9 @@ pub struct Subflow {
     /// routinely masquerades as loss.
     undo_on_spurious: bool,
     /// True from entering a fast-recovery episode until either an undo is
-    /// performed or an RTO fires (timeouts are never undone).
+    /// performed or an RTO fires (timeouts are never undone). It outlives
+    /// `State::Recovering` on purpose: the receiver's duplicate hint may
+    /// arrive after the full ACK that ended the episode.
     undo_armed: bool,
     rtt: RttEstimator,
 
@@ -168,13 +174,11 @@ impl Subflow {
             src_port,
             dst_port,
             flow,
-            phase: Phase::Closed,
+            state: State::Closed,
             snd_una: 0,
             snd_nxt: 0,
             cc,
             dup_acks: 0,
-            in_recovery: false,
-            recover: 0,
             undo_on_spurious: false,
             undo_armed: false,
             rtt,
@@ -197,7 +201,19 @@ impl Subflow {
 
     /// Has the handshake completed?
     pub(crate) fn is_established(&self) -> bool {
-        self.phase == Phase::Established
+        matches!(self.state, State::Open | State::Recovering { .. })
+    }
+
+    /// Is a loss being repaired (fast recovery, or go-back-N after an RTO)?
+    pub(crate) fn is_recovering(&self) -> bool {
+        matches!(self.state, State::Recovering { .. })
+    }
+
+    /// Leave loss recovery, if in it.
+    fn exit_recovery(&mut self) {
+        if self.is_recovering() {
+            self.state = State::Open;
+        }
     }
 
     /// Congestion window in bytes.
@@ -241,7 +257,7 @@ impl Subflow {
 
     /// How many more bytes the congestion window allows in flight right now.
     pub(crate) fn window_space(&self) -> u64 {
-        if self.phase != Phase::Established {
+        if !self.is_established() {
             return 0;
         }
         let flight = self.outstanding() as f64;
@@ -361,8 +377,8 @@ impl Subflow {
 
     /// Begin the handshake: send a SYN and arm the retransmission timer.
     pub(crate) fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-        assert_eq!(self.phase, Phase::Closed, "subflow already started");
-        self.phase = Phase::SynSent;
+        assert_eq!(self.state, State::Closed, "subflow already started");
+        self.state = State::SynSent;
         self.send_syn(ctx);
     }
 
@@ -404,7 +420,7 @@ impl Subflow {
     pub(crate) fn abort(&mut self) {
         self.mappings.clear();
         self.snd_una = self.snd_nxt;
-        self.in_recovery = false;
+        self.exit_recovery();
         self.dup_acks = 0;
         self.cancel_timer();
     }
@@ -442,9 +458,9 @@ impl Subflow {
         if gen != self.timer_gen || self.rto_deadline.is_none() {
             return update; // stale or cancelled
         }
-        match self.phase {
-            Phase::Closed => {}
-            Phase::SynSent => {
+        match self.state {
+            State::Closed => {}
+            State::SynSent => {
                 // Lost SYN: back off and retry.
                 self.rtt.backoff();
                 self.counters.rto_count += 1;
@@ -456,7 +472,7 @@ impl Subflow {
                 });
                 self.send_syn(ctx);
             }
-            Phase::Established => {
+            State::Open | State::Recovering { .. } => {
                 if self.is_drained() {
                     self.cancel_timer();
                     return update;
@@ -468,8 +484,9 @@ impl Subflow {
                 // overflows a drop-tail queue and the whole tail of the window
                 // is missing.
                 self.cc.on_rto(self.outstanding());
-                self.in_recovery = true;
-                self.recover = self.snd_nxt;
+                self.state = State::Recovering {
+                    recover: self.snd_nxt,
+                };
                 self.dup_acks = 0;
                 self.undo_armed = false;
                 self.rtt.backoff();
@@ -496,10 +513,7 @@ impl Subflow {
     /// `[data_seq, data_seq + len)`. The caller is responsible for respecting
     /// [`Subflow::window_space`].
     pub(crate) fn send_segment(&mut self, ctx: &mut AgentCtx<'_>, data_seq: u64, len: u32) {
-        debug_assert!(
-            self.phase == Phase::Established,
-            "cannot send before handshake"
-        );
+        debug_assert!(self.is_established(), "cannot send before handshake");
         debug_assert!(len > 0 && len <= self.cfg.mss);
         let seq = self.snd_nxt;
         self.mappings.push_back((seq, data_seq, len));
@@ -563,8 +577,8 @@ impl Subflow {
     ) -> SubflowUpdate {
         let mut update = SubflowUpdate::default();
         match pkt.kind {
-            PacketKind::SynAck if self.phase == Phase::SynSent => {
-                self.phase = Phase::Established;
+            PacketKind::SynAck if self.state == State::SynSent => {
+                self.state = State::Open;
                 self.cc.on_established(ctx.now(), &self.rtt);
                 self.rtt.on_sample(ctx.now() - pkt.sent_at);
                 self.cancel_timer();
@@ -586,7 +600,7 @@ impl Subflow {
         lia: Option<LiaParams>,
     ) -> SubflowUpdate {
         let mut update = SubflowUpdate::default();
-        if self.phase != Phase::Established {
+        if !self.is_established() {
             return update;
         }
         let ack = pkt.ack;
@@ -601,18 +615,16 @@ impl Subflow {
                 self.rtt.on_sample(ctx.now() - pkt.sent_at);
             }
 
-            if self.in_recovery {
-                if ack >= self.recover {
+            match self.state {
+                State::Recovering { recover } if ack >= recover => {
                     // Full ACK: leave recovery.
-                    self.in_recovery = false;
+                    self.state = State::Open;
                     self.cc.on_recovery_exit();
-                } else {
-                    // Partial ACK (NewReno): retransmit the next hole and stay
-                    // in recovery.
-                    self.retransmit_first_unacked(ctx);
                 }
-            } else {
-                self.cc.on_ack(newly, ctx.now(), &self.rtt, lia);
+                // Partial ACK (NewReno): retransmit the next hole and stay
+                // in recovery.
+                State::Recovering { .. } => self.retransmit_first_unacked(ctx),
+                _ => self.cc.on_ack(newly, ctx.now(), &self.rtt, lia),
             }
 
             if let Some(resp) = &mut self.ecn {
@@ -651,7 +663,7 @@ impl Subflow {
                             // RR-TCP/Eifel-style undo: the "loss" was in fact
                             // reordering, so the window reduction (and any
                             // remaining recovery state) is reverted.
-                            self.in_recovery = false;
+                            self.exit_recovery();
                             self.cc.undo();
                             self.dup_acks = 0;
                             self.undo_armed = false;
@@ -660,13 +672,14 @@ impl Subflow {
                 }
             }
             self.dup_acks += 1;
-            if !self.in_recovery && self.dup_acks >= self.dupack_threshold {
+            if !self.is_recovering() && self.dup_acks >= self.dupack_threshold {
                 // Fast retransmit + enter fast recovery. The controller
                 // snapshots its pre-loss state for a possible undo.
                 self.cc.on_loss(self.outstanding());
                 self.undo_armed = true;
-                self.in_recovery = true;
-                self.recover = self.snd_nxt;
+                self.state = State::Recovering {
+                    recover: self.snd_nxt,
+                };
                 self.counters.fast_retransmits += 1;
                 update.congestion_event = true;
                 ctx.signal(Signal::FastRetransmit {
@@ -676,7 +689,7 @@ impl Subflow {
                 });
                 self.retransmit_first_unacked(ctx);
                 self.arm_timer(ctx);
-            } else if self.in_recovery {
+            } else if self.is_recovering() {
                 // Window inflation while the hole is being repaired.
                 self.cc.on_dup_ack();
             }
@@ -855,7 +868,7 @@ mod tests {
         // The retransmission is the segment starting at subflow seq 0.
         let retx = h.out.iter().find(|p| p.kind == PacketKind::Data).unwrap();
         assert_eq!(retx.seq, 0);
-        assert!(sf.in_recovery);
+        assert!(sf.is_recovering());
         assert!(h
             .signals
             .iter()
@@ -879,7 +892,7 @@ mod tests {
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
         assert_eq!(sf.counters().fast_retransmits, 0);
-        assert!(!sf.in_recovery);
+        assert!(!sf.is_recovering());
     }
 
     #[test]
@@ -938,18 +951,18 @@ mod tests {
             let ack = ack_for(&sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert!(sf.in_recovery);
+        assert!(sf.is_recovering());
         h.out.clear();
         // Partial ACK up to 2*MSS (segment 0 repaired, hole at segment 2).
         let ack = ack_for(&sf, 2 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(sf.in_recovery, "partial ACK keeps us in recovery");
+        assert!(sf.is_recovering(), "partial ACK keeps us in recovery");
         assert_eq!(h.out.len(), 1);
         assert_eq!(h.out[0].seq, 2 * MSS as u64);
         // Full ACK ends recovery.
         let ack = ack_for(&sf, 6 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.in_recovery);
+        assert!(!sf.is_recovering());
     }
 
     #[test]
@@ -1078,13 +1091,13 @@ mod tests {
             let ack = ack_for(sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert!(sf.in_recovery);
+        assert!(sf.is_recovering());
         assert_eq!(sf.counters().fast_retransmits, 1);
         // The delayed original (and everything else) arrives: full ACK exits
         // recovery with the reduced window.
         let ack = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.in_recovery);
+        assert!(!sf.is_recovering());
         // More data goes out, then the retransmitted copy reaches the receiver,
         // which reports it as a duplicate.
         h.with(|ctx| sf.send_segment(ctx, 6 * MSS as u64, MSS));

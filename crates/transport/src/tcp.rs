@@ -168,7 +168,7 @@ impl D2tcpSender {
 mod tests {
     use super::*;
     use crate::testing::Loopback;
-    use netsim::{Agent, AgentEvent, Signal, SimRng};
+    use netsim::{Agent, Signal};
 
     /// Drive a sender and receiver back to back until the sender finishes,
     /// dropping every `loss_every`-th packet it emits. Returns the signals.
@@ -222,36 +222,6 @@ mod tests {
         let (tx, _) = run_back_to_back(3_000, None);
         assert!(tx.is_completed());
         assert_eq!(tx.conn.data_acked, 3_000);
-    }
-
-    #[test]
-    fn unbounded_flow_reports_progress_on_finalize() {
-        let flow = FlowId(2);
-        let mut tx = TcpSender::new(
-            TransportConfig::default(),
-            flow,
-            Addr(0),
-            Addr(1),
-            50_000,
-            80,
-            None,
-        );
-        let mut rng = SimRng::new(1);
-        let (mut out, mut timers, mut signals) = (Vec::new(), Vec::new(), Vec::new());
-        let mut ctx = AgentCtx::new(
-            SimTime::from_secs(1),
-            flow,
-            &mut rng,
-            &mut out,
-            &mut timers,
-            &mut signals,
-        );
-        tx.handle(&mut ctx, AgentEvent::Finalize);
-        assert!(matches!(
-            signals.last().unwrap(),
-            Signal::FlowProgress { bytes: 0, .. }
-        ));
-        assert!(!tx.is_completed());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use netsim::{Addr, Agent, AgentEvent, FlowId, Packet, PacketKind, Signal};
 use transport::testing::Loopback;
 use transport::{
-    MmptcpConfig, MmptcpPhase, MmptcpSender, MptcpConfig, MptcpSender, SwitchStrategy, TcpSender,
+    MmptcpConfig, MmptcpSender, MptcpConfig, MptcpSender, SwitchStrategy, TcpSender,
     TransportConfig,
 };
 
@@ -89,7 +89,7 @@ fn mmptcp_hands_off_only_after_the_phase_switch() {
     };
     l.start();
     for _ in 0..2_000 {
-        if l.tx.phase() == MmptcpPhase::Mptcp {
+        if l.tx.switched_at().is_some() {
             break;
         }
         l.round(&mut drop);

@@ -640,28 +640,39 @@ fn assert_engines_agree(
 /// diverge by whole RTO multiples rather than model error.
 #[test]
 fn hybrid_engine_matches_packet_fcts_on_the_dumbbell() {
-    // 10 MB elephants: the fluid ramp-in (EWMA capacity recovery plus
-    // pacing-cap growth after handoff) costs tens of milliseconds, so the
-    // transfer must be long enough for steady state to dominate — exactly
-    // the regime the fast path targets.
-    let pairs: &[(u32, u32, u64)] = &[
-        (0, 2, 10_000_000),
-        (1, 3, 10_000_000),
-        (0, 1, 50_000),
-        (2, 3, 70_000),
-    ];
-    let cfg = ExperimentConfig {
-        topology: TopologySpec::Dumbbell(DumbbellConfig::default()),
+    assert_engines_agree("dumbbell", dumbbell_mix(), DUMBBELL_PAIRS, 500_000);
+}
+
+// 10 MB elephants: the fluid ramp-in (EWMA capacity recovery plus
+// pacing-cap growth after handoff) costs tens of milliseconds, so the
+// transfer must be long enough for steady state to dominate — exactly
+// the regime the fast path targets.
+const DUMBBELL_PAIRS: &[(u32, u32, u64)] = &[
+    (0, 2, 10_000_000),
+    (1, 3, 10_000_000),
+    (0, 1, 50_000),
+    (2, 3, 70_000),
+];
+
+fn dumbbell_mix() -> ExperimentConfig {
+    let dumbbell = TopologySpec::Dumbbell(DumbbellConfig::default());
+    engine_mix(dumbbell, DUMBBELL_PAIRS, 21)
+}
+
+/// `pairs` as TCP flows on `topology`, for the tests that run a grid under
+/// both engines.
+fn engine_mix(topology: TopologySpec, pairs: &[(u32, u32, u64)], seed: u64) -> ExperimentConfig {
+    ExperimentConfig {
+        topology,
         workload: WorkloadSpec::Custom(mixed_flows(pairs)),
         protocol: Protocol::Tcp,
         transport: TransportConfig {
             initial_ssthresh: 100_000,
             ..TransportConfig::low_min_rto()
         },
-        seed: 21,
+        seed,
         ..ExperimentConfig::default()
-    };
-    assert_engines_agree("dumbbell", cfg, pairs, 500_000);
+    }
 }
 
 /// Engine-differential on the small FatTree: inter-pod elephants and mice.
@@ -678,17 +689,7 @@ fn hybrid_engine_matches_packet_fcts_on_the_fattree() {
         (6, 10, 90_000),
         (3, 11, 30_000),
     ];
-    let cfg = ExperimentConfig {
-        topology: TopologySpec::FatTree(FatTreeConfig::small()),
-        workload: WorkloadSpec::Custom(mixed_flows(pairs)),
-        protocol: Protocol::Tcp,
-        transport: TransportConfig {
-            initial_ssthresh: 100_000,
-            ..TransportConfig::low_min_rto()
-        },
-        seed: 23,
-        ..ExperimentConfig::default()
-    };
+    let cfg = engine_mix(TopologySpec::FatTree(FatTreeConfig::small()), pairs, 23);
     assert_engines_agree("fattree", cfg, pairs, 500_000);
 }
 
@@ -731,10 +732,19 @@ fn hybrid_engine_is_byte_identical_when_no_flow_goes_fluid() {
 /// (plus the extra cells — the degraded fabric among them, so build-time
 /// failures and fluid handoff are exercised together). The packet law is
 /// untouched by fluid bytes and the fluid ledger stays within the bounded
-/// workload.
+/// workload. The dumbbell's elephants under CUBIC and BBR come first: no
+/// other test runs those two fluid cap models, so each must go fluid here.
 #[test]
 fn conservation_laws_hold_on_the_hybrid_engine() {
     let mut configs = Vec::new();
+    for cc in [CongestionControl::Cubic, CongestionControl::Bbr] {
+        let mut cfg = dumbbell_mix();
+        cfg.transport.cc = cc;
+        cfg.engine = Engine::Hybrid {
+            elephant_threshold: 500_000,
+        };
+        configs.push((format!("dumbbell / {} hybrid", cc.name()), cfg));
+    }
     for (i, s) in catalog().iter().enumerate() {
         let mut expanded = s.configs(Fidelity::Fast);
         let (label, mut cfg) = expanded.swap_remove(0);
@@ -748,7 +758,12 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         configs.push((format!("{label} hybrid"), cfg));
     }
 
-    assert_conserves(Driver::new().run_labelled(configs));
+    let results = Driver::new().run_labelled(configs);
+    for (label, r) in &results[..2] {
+        let fluid = r.audit.fluid_delivered_bytes;
+        assert!(fluid > 0, "{label}: the fluid cap model never ran");
+    }
+    assert_conserves(results);
 }
 
 /// Mid-run link failure while flows are in fluid mode: the epoch triggered
@@ -757,113 +772,51 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
 /// sizes, and the packet conservation law must hold across the transition.
 #[test]
 fn fluid_flows_survive_a_mid_run_link_failure() {
-    let topo = topology::fattree::build(FatTreeConfig::small());
-    let hosts = topo.hosts.clone();
-    // Every aggregation->core link (both directions), harvested before the
-    // simulator takes the network. Removing each from its emitting switch's
-    // groups degrades the fabric as far as ECMP allows (a group's last
-    // member is never removed, so nothing blackholes).
-    let agg_core: Vec<(netsim::LinkId, netsim::NodeId)> = topo
-        .links_of_tier(topology::LinkTier::AggregationCore)
-        .into_iter()
-        .map(|id| (id, topo.network.link(id).from))
-        .collect();
+    let fabric = FatTreeConfig::small();
+    let topo = topology::fattree::build(fabric);
+    let agg_core = topo.links_of_tier(topology::LinkTier::AggregationCore);
     assert!(!agg_core.is_empty(), "small fat-tree has agg-core links");
-
-    let mut sim = netsim::Simulator::new(topo.network, 1);
-    sim.set_fluid_threshold(Some(200_000));
-    let sizes: &[(u32, u32, u64)] = &[(0, 8, 3_000_000), (1, 12, 3_000_000)];
-    for (i, (src, dst, bytes)) in sizes.iter().enumerate() {
-        let flow = netsim::FlowId(i as u64);
-        // Finite ssthresh: leave slow start (and hand off) without needing
-        // a loss first.
-        let cfg = TransportConfig {
+    let mut failed = false;
+    // At the first tick that finds a fluid flow, withdraw every
+    // aggregation->core link (both directions) from its emitting switch's
+    // groups. That degrades the fabric as far as ECMP allows: a group's last
+    // member is never removed, so nothing blackholes.
+    let mut fail_uplinks = |sim: &mut netsim::Simulator, _: &[netsim::Signal]| {
+        if failed || sim.fluid_flows_active() == 0 {
+            return;
+        }
+        for &link in &agg_core {
+            let from = topo.network.link(link).from;
+            sim.network_mut().switch_mut(from).remove_link(link);
+        }
+        sim.notify_topology_changed();
+        failed = true;
+    };
+    let pairs = &[(0, 8, 3_000_000), (1, 12, 3_000_000)];
+    let config = ExperimentConfig {
+        // Finite ssthresh: leave slow start (and hand off) without needing a
+        // loss first.
+        transport: TransportConfig {
             initial_ssthresh: 64_000,
             ..TransportConfig::default()
-        };
-        let tx = transport::TcpSender::new(
-            cfg,
-            flow,
-            Addr(*src),
-            Addr(*dst),
-            40_000 + i as u16,
-            80,
-            Some(*bytes),
-        );
-        sim.register_agent(hosts[*src as usize], flow, Box::new(tx));
-        sim.register_agent(
-            hosts[*dst as usize],
-            flow,
-            Box::new(transport::TransportReceiver::new(flow)),
-        );
-        sim.schedule_flow_start(SimTime::from_millis(1), hosts[*src as usize], flow);
-    }
-
-    let cap = SimTime::from_secs(5);
-    let mut failed_at = None;
-    let mut completions = std::collections::HashMap::new();
-    while sim.now() < cap && sim.pending_events() > 0 {
-        let next = (sim.now() + SimDuration::from_millis(1)).min(cap);
-        sim.run_until(next);
-        for s in sim.drain_signals() {
-            if let netsim::Signal::FlowCompleted { flow, bytes, .. } = s {
-                completions.insert(flow, bytes);
-            }
-        }
-        if failed_at.is_none() && sim.fluid_flows_active() > 0 {
-            // Both elephants are in fluid mode (or about to be): withdraw
-            // the aggregation->core uplinks mid-run.
-            for (link, from) in &agg_core {
-                sim.network_mut().switch_mut(*from).remove_link(*link);
-            }
-            sim.notify_topology_changed();
-            failed_at = Some(sim.now());
-        }
-        if completions.len() == sizes.len() {
-            break;
-        }
-    }
+        },
+        engine: Engine::Hybrid {
+            elephant_threshold: 200_000,
+        },
+        progress_interval: SimDuration::from_millis(1),
+        ..engine_mix(TopologySpec::FatTree(fabric), pairs, 1)
+    };
+    let r = mmptcp::run_with(config, &mut fail_uplinks);
     assert!(
-        failed_at.is_some(),
+        failed,
         "no flow ever entered fluid mode — the handoff premise broke"
     );
-    sim.finalize();
-    for s in sim.drain_signals() {
-        if let netsim::Signal::FlowCompleted { flow, bytes, .. } = s {
-            completions.insert(flow, bytes);
-        }
-    }
-    for (i, (_, _, bytes)) in sizes.iter().enumerate() {
-        assert_eq!(
-            completions.get(&netsim::FlowId(i as u64)),
-            Some(bytes),
-            "flow {i} must deliver exactly its size across the failure"
-        );
-    }
-    assert!(sim.fluid_delivered_bytes() > 0, "fluid path never engaged");
-    assert!(sim.fluid_delivered_bytes() <= sizes.iter().map(|(_, _, b)| *b).sum::<u64>());
-
-    // Packet conservation across the transition: fluid bytes ride no
-    // packets, so the law is exactly the packet engine's.
-    let loss = metrics::loss_report(sim.network());
-    let offered =
-        loss.edge.offered + loss.aggregation.offered + loss.core.offered + loss.host.offered;
-    let backlog: u64 = sim
-        .network()
-        .links()
-        .iter()
-        .map(|l| l.backlog() as u64)
-        .sum();
-    let counters = sim.counters();
-    assert_eq!(
-        offered,
-        counters.delivered_to_hosts
-            + counters.forwarded
-            + counters.dropped
-            + sim.in_flight_packets() as u64
-            + backlog,
-        "packet conservation across the mid-run failure"
+    assert!(r.all_short_completed, "a flow was stranded by the failure");
+    assert!(
+        r.audit.fluid_delivered_bytes > 0,
+        "fluid path never engaged"
     );
+    r.check_conservation().unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The same degraded fabric under every spraying policy: completion and

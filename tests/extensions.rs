@@ -37,7 +37,6 @@ fn generous_deadlines_are_all_met_by_d2tcp() {
     let (missed, total) = r.deadline_misses();
     assert!(total > 0, "short flows must carry deadlines");
     assert_eq!(missed, 0, "an 8 s deadline for 70 KB cannot be missed");
-    assert_eq!(r.deadline_miss_rate(), 0.0);
 }
 
 #[test]
@@ -50,7 +49,6 @@ fn impossible_deadlines_are_all_missed() {
     let (missed, total) = r.deadline_misses();
     assert_eq!(missed, total, "nobody can move 70 KB in a microsecond");
     assert!(total > 0);
-    assert!((r.deadline_miss_rate() - 1.0).abs() < 1e-9);
 }
 
 #[test]
