@@ -268,6 +268,8 @@ fn summary_headers() -> Vec<&'static str> {
         "core loss",
         "agg loss",
         "mean util",
+        "elapsed (ms)",
+        "last done (ms)",
     ]
 }
 
@@ -278,6 +280,15 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
         (_, 0) => "-".to_string(),
         (missed, total) => format!("{missed}/{total}"),
     };
+    // The run's end beside its last completion: the gap is how far the
+    // tick loop carried the run past its work.
+    let last_done = r
+        .metrics
+        .sorted_records()
+        .iter()
+        .filter_map(|(_, rec)| rec.completed)
+        .max()
+        .map_or("-".to_string(), |t| metrics::f2(t.as_millis_f64()));
     vec![
         label.to_string(),
         s.count.to_string(),
@@ -291,6 +302,8 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
         metrics::pct(r.loss.core.loss_rate()),
         metrics::pct(r.loss.aggregation.loss_rate()),
         metrics::pct(r.overall_utilisation),
+        metrics::f2(r.elapsed.as_millis_f64()),
+        last_done,
     ]
 }
 
@@ -588,5 +601,8 @@ mod tests {
         assert_eq!(row.len(), summary_headers().len());
         assert_eq!(row[..2], ["one flow", "1"]);
         assert_eq!(row[7], "-", "the workload carries no deadline");
+        let ms = |i: usize| row[i].parse::<f64>().expect("a time in ms");
+        // The flow starts at 1 ms; the run cannot end before it completes.
+        assert!(ms(12) >= ms(13) && ms(13) > 1.0, "elapsed, then last done");
     }
 }

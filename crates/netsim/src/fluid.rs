@@ -25,6 +25,16 @@
 //!   approximating congestion avoidance, so shares must be recomputed
 //!   periodically even in the absence of discrete events).
 //!
+//! An epoch redoes only the work whose inputs changed. A flow's path is
+//! walked when the flow is accepted and re-walked only at the first epoch
+//! after a topology change: routing is a pure function of the switches'
+//! tables, which nothing but a caller mutates, and
+//! `Simulator::notify_topology_changed` is that caller's promise to say so.
+//! Link membership is rebuilt only when a flow arrived, a flow departed or
+//! paths were re-walked. Under `debug_assertions` every epoch checks both
+//! caches against a fresh walk and recount, so a routing mutation nobody
+//! announced fails loudly instead of running stale paths.
+//!
 //! ## Sharing capacity with the packet world
 //!
 //! Each link's fluid capacity is its configured rate minus an EWMA of the
@@ -39,26 +49,27 @@
 //!
 //! Every epoch recomputation iterates flows in `FlowId` order and links in
 //! `LinkId` order (or in a flow's path order), and no wall clock or hash
-//! order is consulted anywhere. Flows live in an ordered map; per-link state
-//! lives in an array indexed by `LinkId::index()` — link ids are dense — with
-//! a sorted list of the links in use standing in for key-order iteration.
-//! Arrival order never leaks into a result: epoch recomputation is a pure
-//! function of the seed-determined event sequence, so hybrid runs are
-//! bit-for-bit reproducible like packet runs.
+//! order is consulted anywhere. Flows live in a vector sorted by `FlowId`;
+//! per-link state lives in an array indexed by `LinkId::index()` — link ids
+//! are dense — with a sorted list of the links in use standing in for
+//! key-order iteration. Arrival order never leaks into a result: epoch
+//! recomputation is a pure function of the seed-determined event sequence,
+//! so hybrid runs are bit-for-bit reproducible like packet runs. Skipping
+//! unchanged work keeps that: a cached path or membership count is exactly
+//! what the re-walk or rebuild would produce.
 //!
 //! The per-link array and the water-filling scratch are owned by the engine
 //! and reused from epoch to epoch. Epochs are frequent — most are triggered
 //! by packet drops, not by the refresh interval, thousands per run of a few
-//! dozen elephants — so a steady-state epoch allocates only the list of flow
-//! references it hands to `water_fill`. The array is sized from the network
-//! at the first `accept`: a packet-only simulator allocates nothing.
+//! dozen elephants — so a steady-state epoch allocates nothing beyond its
+//! [`EpochOutcome`]. The array is sized from the network at the first
+//! `accept`: a packet-only simulator allocates nothing.
 
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::network::Network;
 use crate::packet::Packet;
 use crate::signal::Signal;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Shares must be recomputed at least this often while fluid flows are
 /// active: rate caps grow additively (congestion avoidance) and the packet
@@ -156,8 +167,11 @@ pub struct EpochOutcome {
 /// Per-flow fluid state.
 #[derive(Debug, Clone)]
 struct FluidFlow {
+    id: FlowId,
     node: NodeId,
     template: Packet,
+    /// The links the flow crosses: walked at `accept` and re-walked at the
+    /// first epoch after a topology change.
     path: Vec<LinkId>,
     remaining: u64,
     delivered: u64,
@@ -195,12 +209,20 @@ struct LinkLoad {
     ewma_bps: f64,
 }
 
+impl LinkLoad {
+    /// The capacity fluid flows may share on a link of `rate` bits/s: what
+    /// the packet traffic leaves, floored at the headroom.
+    fn fluid_capacity(&self, rate: f64) -> f64 {
+        (rate - self.ewma_bps).max(rate * RESERVE_HEADROOM)
+    }
+}
+
 /// Per-link engine state: one slot per link of the network, indexed by
 /// `LinkId::index()`.
 #[derive(Debug, Clone, Default)]
 struct LinkSlot {
-    /// Fluid flows crossing the link. Rebuilt each epoch (paths only change
-    /// at epochs); `accept` adds the new flow's links in between.
+    /// Fluid flows crossing the link. Rebuilt at an epoch when membership
+    /// changed; `accept` adds the new flow's links in between.
     users: u32,
     /// A packet-mode drop happened here since the last epoch.
     dropped: bool,
@@ -211,8 +233,24 @@ struct LinkSlot {
     remaining: f64,
     /// Water-filling: flows crossing the link whose share is still open.
     active_on: u32,
+    /// Water-filling: `remaining / active_on`, or infinite while no share
+    /// is open — derived whenever either operand changes.
+    share: f64,
     /// Sum of the rates allocated on the link: the reservation to install.
     link_sum: f64,
+}
+
+impl LinkSlot {
+    /// Re-derive `share` after `remaining` or `active_on` changed. An
+    /// infinite share leaves every `min` it enters unchanged, exactly as
+    /// skipping the link would.
+    fn derive_share(&mut self) {
+        self.share = if self.active_on > 0 {
+            self.remaining / self.active_on as f64
+        } else {
+            f64::INFINITY
+        };
+    }
 }
 
 /// The fluid-flow rate solver. Owned by the simulator; all mutation happens
@@ -220,12 +258,19 @@ struct LinkSlot {
 /// calendar.
 #[derive(Debug, Default)]
 pub struct FluidEngine {
-    flows: BTreeMap<FlowId, FluidFlow>,
+    /// Resident flows, sorted by `FlowId`.
+    flows: Vec<FluidFlow>,
     /// Per-link state, grown to the network's link count on `accept`/`epoch`.
     links: Vec<LinkSlot>,
     /// The links with `users > 0`: in `LinkId` order after an epoch, with
     /// the links `accept` newly touched appended until the next one.
     used: Vec<LinkId>,
+    /// Routing changed since paths were last walked: the next epoch
+    /// re-walks every path.
+    paths_stale: bool,
+    /// A flow arrived or departed, or paths were re-walked, since `users`
+    /// and `used` were last rebuilt.
+    membership_stale: bool,
     /// Scratch: the previous epoch's `used`.
     prev_used: Vec<LinkId>,
     /// Scratch: the path being re-walked.
@@ -259,10 +304,28 @@ impl FluidEngine {
         self.delivered_bytes
     }
 
+    /// Where `flow` sits in `flows`, or where it would be inserted.
+    fn position(&self, flow: FlowId) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&flow, |f| f.id)
+    }
+
     /// The currently allocated rate of a fluid flow, if it is one.
     #[cfg(test)]
     pub(crate) fn flow_rate_bps(&self, flow: FlowId) -> Option<u64> {
-        self.flows.get(&flow).map(|f| f.rate_bps)
+        self.position(flow).ok().map(|i| self.flows[i].rate_bps)
+    }
+
+    /// The path of the fluid flow `flow`.
+    #[cfg(test)]
+    fn path(&self, flow: FlowId) -> &[LinkId] {
+        let i = self.position(flow).expect("a fluid flow");
+        &self.flows[i].path
+    }
+
+    /// Routing changed (a link failed or was repaired, a route was
+    /// rewritten): the next epoch re-walks every path.
+    pub(crate) fn topology_changed(&mut self) {
+        self.paths_stale = true;
     }
 
     /// Does any fluid flow currently cross `link`?
@@ -302,6 +365,7 @@ impl FluidEngine {
         walk_path(network, node, &handoff.template, &mut path);
         let srtt = handoff.srtt;
         let f = FluidFlow {
+            id: flow,
             node,
             template: handoff.template,
             path,
@@ -322,13 +386,17 @@ impl FluidEngine {
             cc_epoch_s: 0.0,
         };
         add_users(&mut self.links, &mut self.used, &f.path);
-        self.flows.insert(flow, f);
+        self.membership_stale = true;
+        match self.position(flow) {
+            Ok(i) => self.flows[i] = f,
+            Err(i) => self.flows.insert(i, f),
+        }
     }
 
     /// Run one epoch at `now`: advance delivered bytes under the old rates,
     /// collect completions, apply congestion feedback to the rate caps,
-    /// re-walk paths (picking up topology changes), recompute max-min fair
-    /// shares and install the matching link reservations.
+    /// re-walk paths if the topology changed since the last epoch, recompute
+    /// max-min fair shares and install the matching link reservations.
     pub fn epoch(&mut self, now: SimTime, network: &mut Network) -> EpochOutcome {
         let mut out = EpochOutcome::default();
         self.size_links(network);
@@ -339,7 +407,7 @@ impl FluidEngine {
         //    (congestion avoidance).
         let links = &self.links;
         let mut delivered_delta = 0u64;
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             let dt = now.duration_since(f.last_advance);
             if !dt.is_zero() {
                 if f.rate_bps > 0 {
@@ -396,52 +464,75 @@ impl FluidEngine {
 
         // 2. Completions: fluid remainder fully delivered (`retain` visits
         //    in `FlowId` order).
-        self.flows.retain(|&flow, f| {
+        let resident = self.flows.len();
+        self.flows.retain(|f| {
             let done = f.delivered >= f.remaining;
             if done {
                 out.completions.push(FluidCompletion {
                     node: f.node,
-                    flow,
+                    flow: f.id,
                     bytes: f.remaining,
                 });
             }
             !done
         });
+        self.membership_stale |= self.flows.len() < resident;
 
-        // 3. Re-walk every path: link failures (or repairs) re-route flows
-        //    exactly like the stateless re-pin the packet engine performs.
-        for f in self.flows.values_mut() {
-            walk_path(network, f.node, &f.template, &mut self.path_buf);
-            if !self.path_buf.is_empty() {
-                std::mem::swap(&mut f.path, &mut self.path_buf);
+        // 3. After a topology change, re-walk every path: link failures (or
+        //    repairs) re-route flows exactly like the stateless re-pin the
+        //    packet engine performs.
+        if self.paths_stale {
+            for f in &mut self.flows {
+                walk_path(network, f.node, &f.template, &mut self.path_buf);
+                if !self.path_buf.is_empty() {
+                    std::mem::swap(&mut f.path, &mut self.path_buf);
+                }
+            }
+            self.paths_stale = false;
+            self.membership_stale = true;
+        } else if cfg!(debug_assertions) {
+            for f in &self.flows {
+                walk_path(network, f.node, &f.template, &mut self.path_buf);
+                assert!(
+                    self.path_buf.is_empty() || self.path_buf == f.path,
+                    "fluid flow {:?} runs a stale path: routing changed without \
+                     Simulator::notify_topology_changed",
+                    f.id
+                );
             }
         }
 
-        // 4. Rebuild link membership — the drop marks are spent — and
-        //    refresh the packet-traffic EWMAs for links in use. A link that
-        //    left the used set forgets its EWMA and loses its reservation.
-        std::mem::swap(&mut self.used, &mut self.prev_used);
-        self.used.clear();
-        for &link in &self.prev_used {
-            let slot = &mut self.links[link.index()];
-            slot.users = 0;
-            slot.dropped = false;
-        }
-        for f in self.flows.values() {
-            add_users(&mut self.links, &mut self.used, &f.path);
-        }
-        self.used.sort_unstable();
-        for &link in &self.prev_used {
-            let slot = &mut self.links[link.index()];
-            if slot.users == 0 {
-                slot.load = None;
-                network.link_mut(link).set_fluid_reservation(0);
+        // 4. After an arrival, a departure or a re-walk, rebuild link
+        //    membership. A link that left the used set forgets its EWMA and
+        //    loses its reservation.
+        if self.membership_stale {
+            std::mem::swap(&mut self.used, &mut self.prev_used);
+            self.used.clear();
+            for &link in &self.prev_used {
+                let slot = &mut self.links[link.index()];
+                slot.users = 0;
+                slot.dropped = false;
             }
+            for f in &self.flows {
+                add_users(&mut self.links, &mut self.used, &f.path);
+            }
+            self.used.sort_unstable();
+            for &link in &self.prev_used {
+                let slot = &mut self.links[link.index()];
+                if slot.users == 0 {
+                    slot.load = None;
+                    network.link_mut(link).set_fluid_reservation(0);
+                }
+            }
+            self.membership_stale = false;
         }
+        // The drop marks are spent; refresh the packet-traffic EWMAs for
+        // links in use.
         for &link in &self.used {
             let stats = network.link(link).stats();
             let rate = network.link(link).config.rate_bps as f64;
             let slot = &mut self.links[link.index()];
+            slot.dropped = false;
             let load = slot.load.get_or_insert(LinkLoad {
                 last_tx_bytes: stats.tx_bytes,
                 last_sample: now,
@@ -455,19 +546,23 @@ impl FluidEngine {
                 load.last_tx_bytes = stats.tx_bytes;
                 load.last_sample = now;
             }
-            slot.remaining = (rate - load.ewma_bps).max(rate * RESERVE_HEADROOM);
+            slot.remaining = load.fluid_capacity(rate);
             slot.active_on = slot.users;
             slot.link_sum = 0.0;
         }
 
         // 5. Max-min fair shares with per-flow caps (progressive filling)
         //    over flow positions in `FlowId` order.
-        let order: Vec<&FluidFlow> = self.flows.values().collect();
-        water_fill(&order, &mut self.links, &mut self.active, &mut self.alloc);
+        water_fill(
+            &self.flows,
+            &mut self.links,
+            &mut self.active,
+            &mut self.alloc,
+        );
 
         // 6. Install reservations: packet traffic on a shared link now
         //    serialises at `rate - reservation`.
-        for (f, &rate) in self.flows.values_mut().zip(&self.alloc) {
+        for (f, &rate) in self.flows.iter_mut().zip(&self.alloc) {
             f.rate_bps = rate.max(1.0) as u64;
             for l in &f.path {
                 self.links[l.index()].link_sum += rate;
@@ -479,6 +574,9 @@ impl FluidEngine {
             let reservation = sum.min(rate * (1.0 - RESERVE_HEADROOM)) as u64;
             network.link_mut(link).set_fluid_reservation(reservation);
         }
+        if cfg!(debug_assertions) {
+            self.assert_links_consistent(network);
+        }
 
         // 7. Next epoch: earliest projected completion, bounded by the
         //    refresh interval. Keeping an epoch scheduled while flows are
@@ -486,7 +584,7 @@ impl FluidEngine {
         //    live fluid flow.
         if !self.flows.is_empty() {
             let mut next = now + FLUID_REFRESH;
-            for f in self.flows.values() {
+            for f in &self.flows {
                 let left = f.remaining - f.delivered;
                 if f.rate_bps > 0 {
                     // Round *up*: rounding down would produce an epoch at
@@ -515,14 +613,40 @@ impl FluidEngine {
     ) -> (Vec<FluidCompletion>, Vec<Signal>) {
         let out = self.epoch(now, network);
         let mut progress = Vec::new();
-        for (id, f) in self.flows.iter() {
+        for f in &self.flows {
             progress.push(Signal::FlowProgress {
-                flow: *id,
+                flow: f.id,
                 at: now,
                 bytes: f.base_bytes + f.delivered,
             });
         }
         (out.completions, progress)
+    }
+
+    /// The epoch's invariants over the links, checked under
+    /// `debug_assertions`: every link's cached `users` equals the count the
+    /// paths give, and no used link is allocated more than its fluid
+    /// capacity beyond water-filling's freeze tolerance.
+    fn assert_links_consistent(&self, network: &Network) {
+        let mut users = vec![0u32; self.links.len()];
+        for l in self.flows.iter().flat_map(|f| &f.path) {
+            users[l.index()] += 1;
+        }
+        for (i, (slot, &n)) in self.links.iter().zip(&users).enumerate() {
+            assert_eq!(slot.users, n, "link {i}: cached fluid membership is stale");
+        }
+        for &link in &self.used {
+            let slot = &self.links[link.index()];
+            let capacity = slot
+                .load
+                .expect("a used link is sampled")
+                .fluid_capacity(network.link(link).config.rate_bps as f64);
+            assert!(
+                slot.link_sum <= capacity * (1.0 + 1e-9) + 1e-6,
+                "{link:?}: {} bps of fluid rates on {capacity} bps of capacity",
+                slot.link_sum
+            );
+        }
     }
 }
 
@@ -573,13 +697,18 @@ fn walk_path(network: &Network, src: NodeId, template: &Packet, path: &mut Vec<L
 /// `active_on`. Deterministic: flows are visited in position order and links
 /// in path order, and each round freezes at least one flow, so the loop runs
 /// at most `flows.len()` rounds. `active` holds the unfrozen positions, each
-/// with its limit for the current round.
+/// with its limit for the current round. A link's fair share is divided out
+/// once per change of `remaining` or `active_on`, not once per flow and
+/// round that reads it.
 fn water_fill(
-    flows: &[&FluidFlow],
+    flows: &[FluidFlow],
     links: &mut [LinkSlot],
     active: &mut Vec<(u32, f64)>,
     alloc: &mut Vec<f64>,
 ) {
+    for l in flows.iter().flat_map(|f| &f.path) {
+        links[l.index()].derive_share();
+    }
     alloc.clear();
     alloc.resize(flows.len(), 0.0);
     active.clear();
@@ -589,13 +718,10 @@ fn water_fill(
         // its tightest link.
         let mut level = f64::INFINITY;
         for (pos, limit) in active.iter_mut() {
-            let f = flows[*pos as usize];
+            let f = &flows[*pos as usize];
             let mut lim = f.cap_bps;
             for l in &f.path {
-                let slot = &links[l.index()];
-                if slot.active_on > 0 {
-                    lim = lim.min(slot.remaining / slot.active_on as f64);
-                }
+                lim = lim.min(links[l.index()].share);
             }
             *limit = lim.max(0.0);
             level = level.min(*limit);
@@ -610,6 +736,7 @@ fn water_fill(
                     let slot = &mut links[l.index()];
                     slot.remaining = (slot.remaining - share).max(0.0);
                     slot.active_on = slot.active_on.saturating_sub(1);
+                    slot.derive_share();
                 }
             }
             !frozen
@@ -625,7 +752,7 @@ mod tests {
     use crate::link::LinkConfig;
     use crate::rng::SimRng;
     use crate::switch::SwitchLayer;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Attach one more host to `sw` with a 1 Gbps duplex link and route its
     /// address down it.
@@ -778,7 +905,7 @@ mod tests {
             (before as f64 - 4e8).abs() / 4e8 < 1e-3,
             "cap-limited start"
         );
-        let link = eng.flows[&FlowId(1)].path[0];
+        let link = eng.path(FlowId(1))[0];
         assert!(eng.uses_link(link));
         assert!(eng.note_drop(link));
         let t1 = t0 + SimDuration::from_micros(10);
@@ -799,7 +926,7 @@ mod tests {
         let t0 = SimTime::from_millis(1);
         eng.accept(t0, h0, handoff(1, 50_000, 10_000, 100_000_000_000), &net);
         eng.epoch(t0, &mut net);
-        let link = eng.flows[&FlowId(1)].path[0];
+        let link = eng.path(FlowId(1))[0];
         let reserved = net.link(link).fluid_reservation();
         assert!(reserved > 0, "shared link carries a reservation");
         assert!(reserved <= 900_000_000, "clamped below the headroom");
@@ -906,6 +1033,7 @@ mod tests {
     fn fluid_flow(path: Vec<LinkId>, cap_bps: f64) -> FluidFlow {
         let h = handoff(0, 50_000, 1, 1);
         FluidFlow {
+            id: h.template.flow,
             node: NodeId(0),
             template: h.template,
             path,
@@ -967,7 +1095,7 @@ mod tests {
             }
 
             let expected = water_fill_reference(&flows, &caps);
-            let order: Vec<&FluidFlow> = flows.values().collect();
+            let order: Vec<FluidFlow> = flows.values().cloned().collect();
             water_fill(&order, &mut links, &mut active, &mut alloc);
             let got: Vec<u64> = alloc.iter().map(|r| r.to_bits()).collect();
             let want: Vec<u64> = expected.values().map(|r| r.to_bits()).collect();
@@ -1009,7 +1137,7 @@ mod tests {
             let mut now = t0;
             for step in 0..5 {
                 if step == 1 {
-                    let downlink = eng.flows[&FlowId(10)].path[1];
+                    let downlink = eng.path(FlowId(10))[1];
                     assert!(eng.note_drop(downlink));
                     now += SimDuration::from_micros(10);
                 }
@@ -1051,7 +1179,7 @@ mod tests {
         eng.epoch(t0, &mut net);
         assert_eq!(eng.flow_rate_bps(FlowId(1)), Some(1_000_000_000));
         // Packet traffic on the flow's first link shrinks its fluid share.
-        let link = eng.flows[&FlowId(1)].path[0];
+        let link = eng.path(FlowId(1))[0];
         transmit(&mut net, link, t0, 50);
         let t1 = t0 + SimDuration::from_millis(1);
         eng.epoch(t1, &mut net);
@@ -1100,16 +1228,243 @@ mod tests {
             "the switch's new downlink"
         );
         // ...and so does a resident flow re-routed onto a link added later.
-        let old_downlink = eng.flows[&FlowId(1)].path[1];
+        let old_downlink = eng.path(FlowId(1))[1];
         let detour = net.add_link(sw, hosts[1], LinkConfig::default());
         let sw_ref = net.switch_mut(sw);
         let group = sw_ref.add_group(vec![detour]);
         sw_ref.set_route(Addr(1), group);
+        eng.topology_changed();
         eng.epoch(t0, &mut net);
-        assert_eq!(eng.flows[&FlowId(1)].path[1], detour);
+        assert_eq!(eng.path(FlowId(1))[1], detour);
         assert!(eng.note_drop(detour));
         assert!(net.link(detour).fluid_reservation() > 0);
         assert!(!eng.uses_link(old_downlink));
         assert_eq!(net.link(old_downlink).fluid_reservation(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "without Simulator::notify_topology_changed")]
+    fn a_routing_change_nobody_announced_fails_the_next_epoch() {
+        let (mut net, hosts, sw) = star_network(2);
+        let mut eng = FluidEngine::new();
+        let t0 = SimTime::from_millis(1);
+        eng.accept(t0, hosts[0], handoff(1, 50_000, 10_000_000, 1_000), &net);
+        eng.epoch(t0, &mut net);
+        let detour = net.add_link(sw, hosts[1], LinkConfig::default());
+        let sw_ref = net.switch_mut(sw);
+        let group = sw_ref.add_group(vec![detour]);
+        sw_ref.set_route(Addr(1), group);
+        eng.epoch(t0 + SimDuration::from_micros(10), &mut net);
+    }
+
+    /// A leaf–spine fabric of 1 Gbps links: `leaves` leaf switches with
+    /// `per_leaf` hosts each, every leaf wired to each of `spines` spines. A
+    /// leaf reaches a remote host through one ECMP group of all its
+    /// uplinks; a spine reaches it down the link to the host's leaf.
+    /// Returns the network, its hosts in address order, and each leaf's
+    /// uplinks in leaf order.
+    fn leaf_spine(
+        leaves: usize,
+        spines: usize,
+        per_leaf: usize,
+    ) -> (Network, Vec<NodeId>, Vec<Vec<LinkId>>) {
+        let mut net = Network::new();
+        let n_hosts = leaves * per_leaf;
+        let leaf_ids: Vec<NodeId> = (0..leaves)
+            .map(|_| net.add_switch(SwitchLayer::Edge, n_hosts))
+            .collect();
+        let spine_ids: Vec<NodeId> = (0..spines)
+            .map(|_| net.add_switch(SwitchLayer::Core, n_hosts))
+            .collect();
+        let mut hosts = Vec::new();
+        let mut host_downlinks = Vec::new();
+        for &leaf in &leaf_ids {
+            for _ in 0..per_leaf {
+                let host = net.add_host();
+                hosts.push(host);
+                host_downlinks.push(net.add_duplex_link(host, leaf, LinkConfig::default()).1);
+            }
+        }
+        let mut uplinks = Vec::new();
+        let mut spine_groups = vec![Vec::new(); spines];
+        for &leaf in &leaf_ids {
+            let mut ups = Vec::new();
+            for (s, &spine) in spine_ids.iter().enumerate() {
+                let (up, down) = net.add_duplex_link(leaf, spine, LinkConfig::default());
+                ups.push(up);
+                let group = net.switch_mut(spine).add_group(vec![down]);
+                spine_groups[s].push(group);
+            }
+            uplinks.push(ups);
+        }
+        for (l, (&leaf, ups)) in leaf_ids.iter().zip(&uplinks).enumerate() {
+            let sw = net.switch_mut(leaf);
+            let remote = sw.add_group(ups.clone());
+            for (h, &down) in host_downlinks.iter().enumerate() {
+                let group = if h / per_leaf == l {
+                    sw.add_group(vec![down])
+                } else {
+                    remote
+                };
+                sw.set_route(Addr(h as u32), group);
+            }
+        }
+        for (s, &spine) in spine_ids.iter().enumerate() {
+            for h in 0..n_hosts {
+                let group = spine_groups[s][h / per_leaf];
+                net.switch_mut(spine).set_route(Addr(h as u32), group);
+            }
+        }
+        (net, hosts, uplinks)
+    }
+
+    /// Run one seeded script against two engines on twin leaf–spines: one
+    /// caching paths and membership between epochs, one told the topology
+    /// changed before every epoch — so it re-walks every path and rebuilds
+    /// membership each time. After every epoch the two must agree bit for
+    /// bit. Returns how many epochs ran, how many flows completed and the
+    /// most flows resident at once.
+    fn cache_differential(seed: u64, steps: u32, max_flows: usize) -> (u32, usize, usize) {
+        let mut rng = SimRng::new(seed);
+        let (leaves, spines, per_leaf) = (
+            rng.range(2..=5usize),
+            rng.range(1..=4usize),
+            rng.range(1..=4usize),
+        );
+        let (mut net, hosts, uplinks) = leaf_spine(leaves, spines, per_leaf);
+        let mut twin = leaf_spine(leaves, spines, per_leaf).0;
+        let (mut cached, mut walked) = (FluidEngine::new(), FluidEngine::new());
+        let mut now = SimTime::ZERO;
+        let mut requested = None;
+        let mut next_flow = 0u64;
+        let (mut epochs, mut completions, mut peak) = (0, 0, 0);
+        for _ in 0..steps {
+            peak = peak.max(cached.len());
+            match rng.range(0..12u32) {
+                0..=3 if cached.len() < max_flows => {
+                    let src = rng.range(0..hosts.len());
+                    let dst = (src + rng.range(1..hosts.len())) % hosts.len();
+                    next_flow += rng.range(1..=3u64);
+                    let cap = match rng.range(0..3u32) {
+                        0 => rng.range(1_000_000..=200_000_000u64),
+                        1 => 100_000_000_000,
+                        _ => rng.range(1..=2_000_000_000u64),
+                    };
+                    let remaining = rng.range(1..=4_000_000u64);
+                    let mut h = handoff_between(
+                        next_flow,
+                        (src as u32, dst as u32),
+                        rng.ephemeral_port(),
+                        remaining,
+                        cap,
+                    );
+                    h.cc = [FluidCc::Reno, FluidCc::Cubic, FluidCc::Bbr][rng.range(0..3usize)];
+                    h.srtt = SimDuration::from_micros(rng.range(0..=400u64));
+                    cached.accept(now, hosts[src], h.clone(), &net);
+                    walked.accept(now, hosts[src], h, &twin);
+                }
+                4 | 5 if !cached.is_empty() => {
+                    let path = &cached.flows[rng.range(0..cached.len())].path;
+                    if !path.is_empty() {
+                        let link = path[rng.range(0..path.len())];
+                        assert_eq!(cached.note_drop(link), walked.note_drop(link));
+                    }
+                }
+                6 => {
+                    let link = LinkId(rng.range(0..net.link_count() as u32));
+                    let packets = rng.range(1..=20u32);
+                    transmit(&mut net, link, now, packets);
+                    transmit(&mut twin, link, now, packets);
+                }
+                7 => {
+                    // A link fails, or a leaf's uplinks are all repaired.
+                    let l = rng.range(0..uplinks.len());
+                    let ups = &uplinks[l];
+                    let leaf = net.link(ups[0]).from;
+                    if rng.chance(0.7) {
+                        let up = ups[rng.range(0..ups.len())];
+                        let removed = net.switch_mut(leaf).remove_link(up);
+                        assert_eq!(twin.switch_mut(leaf).remove_link(up), removed);
+                    } else {
+                        for n in [&mut net, &mut twin] {
+                            let sw = n.switch_mut(leaf);
+                            let group = sw.add_group(ups.clone());
+                            for h in (0..hosts.len()).filter(|h| h / per_leaf != l) {
+                                sw.set_route(Addr(h as u32), group);
+                            }
+                        }
+                    }
+                    cached.topology_changed();
+                }
+                _ => {
+                    let at = match requested {
+                        Some(t) if rng.chance(0.5) => t,
+                        _ => now + SimDuration::from_nanos(rng.range(0..=3_000_000u64)),
+                    };
+                    now = now.max(at);
+                    walked.topology_changed();
+                    let a = cached.epoch(now, &mut net);
+                    let b = walked.epoch(now, &mut twin);
+                    assert_eq!(a.completions, b.completions, "seed {seed:#x} at {now}");
+                    assert_eq!(a.next_epoch, b.next_epoch, "seed {seed:#x} at {now}");
+                    let state = |e: &FluidEngine| -> Vec<_> {
+                        e.flows
+                            .iter()
+                            .map(|f| {
+                                let cap = f.cap_bps.to_bits();
+                                (f.id, f.rate_bps, cap, f.delivered, f.path.clone())
+                            })
+                            .collect()
+                    };
+                    assert_eq!(state(&cached), state(&walked), "seed {seed:#x} at {now}");
+                    for (l, r) in net.links().iter().zip(twin.links()) {
+                        assert_eq!(
+                            l.fluid_reservation(),
+                            r.fluid_reservation(),
+                            "seed {seed:#x} at {now}: {:?}",
+                            l.id
+                        );
+                    }
+                    requested = a.next_epoch;
+                    epochs += 1;
+                    completions += a.completions.len();
+                }
+            }
+        }
+        (epochs, completions, peak)
+    }
+
+    #[test]
+    fn cached_paths_and_membership_match_a_rebuild_every_epoch() {
+        let (mut epochs, mut completions) = (0, 0);
+        for seed in 0..48 {
+            let (e, c, _) = cache_differential(0xCAC4E + seed, 500, 64);
+            epochs += e;
+            completions += c;
+        }
+        assert!(
+            epochs > 1_000 && completions > 100,
+            "{epochs} epochs, {completions} completions"
+        );
+    }
+
+    /// The long run of the differential (`cargo test --release -p netsim --
+    /// --ignored fluid`): thousands of scripts, up to 1 024 resident flows.
+    #[test]
+    #[ignore]
+    fn cached_paths_and_membership_match_a_rebuild_every_epoch_long() {
+        let mut rng = SimRng::new(0x10_CAC4E);
+        let mut peak = 0;
+        for script in 0..2_000 {
+            let max_flows = if script % 50 == 0 {
+                1_024
+            } else {
+                1 << rng.range(2..=7u32)
+            };
+            let steps = 4 * max_flows as u32 + 300;
+            peak = peak.max(cache_differential(rng.next_u64(), steps, max_flows).2);
+        }
+        assert_eq!(peak, 1_024);
     }
 }

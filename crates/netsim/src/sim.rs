@@ -111,8 +111,16 @@ impl Simulator {
 
     /// Tell the fluid fast path the topology changed (link failure or
     /// repair): schedules an immediate epoch so paths are re-walked and
-    /// shares recomputed. No-op when the hybrid engine is off or idle.
+    /// shares recomputed. No epoch is scheduled when the hybrid engine is
+    /// off or idle.
+    ///
+    /// The contract: call this after *any* routing mutation made while the
+    /// simulator runs (`Switch::remove_link`, `Switch::set_route`, a new
+    /// link or group). Fluid paths are walked at handoff and re-walked only
+    /// after this call, so a mutation left unannounced keeps resident fluid
+    /// flows on their old paths (debug builds panic at the next epoch).
     pub fn notify_topology_changed(&mut self) {
+        self.fluid.topology_changed();
         if self.fluid_threshold.is_some() && !self.fluid.is_empty() {
             let now = self.now;
             self.schedule_fluid_epoch(now);
