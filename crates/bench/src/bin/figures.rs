@@ -3,18 +3,19 @@
 //! Three figure families, written under `target/figures/`:
 //!
 //! * **fig1a_fct_vs_subflows** — short-flow FCT versus MPTCP subflow count,
-//!   read from the committed golden snapshot `tests/golden/fig1a.json`
-//!   (no simulation needed: the goldens *are* the blessed numbers);
+//!   read from the committed golden `fig1a` rows (no simulation needed: the
+//!   goldens *are* the blessed numbers);
 //! * **fct_vs_load** — short-flow p99 FCT versus offered load per protocol,
-//!   from `tests/golden/load-sweep.json`;
+//!   from the golden `load-sweep` rows;
 //! * **cwnd_switch** — a traced MMPTCP run (the `fig1bc` Figure-1(c)
 //!   configuration) showing each subflow's congestion window over time with
 //!   the packet-scatter→MPTCP switch instant marked;
 //! * **queue_heat** — a traced `hotspot` run's per-link queue-depth series
 //!   as a time × link heat map.
 //!
-//! The golden snapshots are read back with `ScenarioReport::from_json`, the
-//! canonical reader next to the writer that rendered them.
+//! The golden cells `tests/golden/cells.json` are read back with
+//! `ScenarioReport::from_json`, the canonical reader next to the writer that
+//! rendered them, and `Scenario::reassemble` rebuilds a scenario's rows.
 //!
 //! Usage: `figures [--out DIR]` (default `target/figures`). Render with
 //! `gnuplot <name>.gp`; every script writes `<name>.png` next to its data.
@@ -25,20 +26,19 @@ use mmptcp::scenario::{find, Fidelity};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
-}
-
 fn default_out_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/figures")
 }
 
-/// Read a committed golden snapshot, or say why its figure is skipped.
+/// A scenario's document reassembled from the committed golden cells, or
+/// say why its figure is skipped.
 fn golden(name: &str) -> Option<ScenarioReport> {
-    let path = golden_dir().join(format!("{name}.json"));
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cells.json");
+    let scenario = find(name).expect("a catalog scenario");
     let report = std::fs::read_to_string(&path)
         .map_err(|e| e.to_string())
-        .and_then(|text| ScenarioReport::from_json(&text));
+        .and_then(|text| ScenarioReport::from_json(&text))
+        .and_then(|cells| scenario.reassemble(&cells));
     match report {
         Ok(report) => Some(report),
         Err(e) => {
@@ -74,7 +74,7 @@ fn fig1a(out_dir: &Path) -> std::io::Result<bool> {
     let Some(report) = golden("fig1a") else {
         return Ok(false);
     };
-    let mut dat = String::from("# subflows  mean_ms  p99_ms   (from tests/golden/fig1a.json)\n");
+    let mut dat = String::from("# subflows  mean_ms  p99_ms   (from the golden fig1a rows)\n");
     for run in &report.runs {
         let Some(n) = subflow_count(&run.label) else {
             continue;
@@ -125,7 +125,7 @@ fn fct_vs_load(out_dir: &Path) -> std::io::Result<bool> {
     }
     loads.sort_unstable_by(|a, b| b.cmp(a)); // lightest load first
     let mut dat = format!(
-        "# interarrival_ms  {}   (short-flow p99 ms, from tests/golden/load-sweep.json)\n",
+        "# interarrival_ms  {}   (short-flow p99 ms, from the golden load-sweep rows)\n",
         protocols.join("  ")
     );
     for &ms in &loads {

@@ -3,9 +3,10 @@
 //!
 //! The one way to run an experiment: every figure, sweep and ablation is a
 //! catalog entry reached through this registry-driven entry point, which is
-//! also the substrate of the CI `golden` job:
-//! every scenario's fast variant renders a canonical JSON metrics document
-//! that is compared byte-for-byte against the snapshot in `tests/golden/`.
+//! also the substrate of the CI `golden` job: every distinct fast
+//! configuration of the catalog (a *cell*, `mmptcp::scenario::cells`) renders
+//! one row of a canonical JSON metrics document that is compared
+//! byte-for-byte against `tests/golden/cells.json`.
 //!
 //! Usage:
 //!
@@ -13,39 +14,43 @@
 //! scenarios list
 //! scenarios run <name>... [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N] [--json]
 //! scenarios check [<name>...] [--threads N]
-//! scenarios bless [<name>...] [--threads N]
-//! scenarios conserve [<name>...] [--seeds N] [--all-configs] [--engine packet|hybrid] [--threads N]
-//! scenarios trace <name>... [--flow ID] [--links] [--full | --paper] [--seed N] [--threads N]
+//! scenarios bless [--threads N]
+//! scenarios conserve [<name>...] [--seeds N] [--all-configs] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
+//! scenarios trace <name>... [--flow ID] [--links] [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
 //! ```
 //!
 //! `--full` runs the 64-host benchmark scale the replaced binaries used by
 //! default; `--paper` the 512-server paper scale (their old `--full`).
-//! `--seed N` overrides every run's seed (run command only; golden snapshots
-//! are defined at the fast fidelity's pinned seed, so `check`/`bless` reject
+//! `--seed N` overrides every run's seed (run/trace only; golden cells are
+//! defined at the fast fidelity's pinned seed, so `check`/`bless` reject
 //! scale and seed flags). `--engine packet|hybrid` overrides which engine
 //! executes every selected configuration — `hybrid` installs the default
 //! 1 MB elephant threshold (`Engine::hybrid_default`) so any catalog
 //! scenario can be re-run on the fluid fast path, and `packet` forces the
 //! exact engine on scenarios (like `mega-load-sweep`) that default to
-//! hybrid. Golden snapshots pin each scenario's own engine choice, so
+//! hybrid. Golden cells pin each scenario's own engine choice, so
 //! `check`/`bless` reject the flag; `conserve` accepts it and sweeps the
 //! conservation laws under the chosen engine. `--cc reno|cubic|bbr`
 //! similarly overrides the congestion controller on every selected run
 //! (run/trace/conserve only — goldens pin each scenario's own controller
 //! axis, so `check`/`bless` reject it).
 //!
-//! `check` compares against the golden snapshots and exits non-zero on any
-//! drift, writing a line diff per drifted scenario to `target/golden-diff/`
-//! (the artifact CI uploads). `bless` intentionally rewrites the snapshots,
-//! so every accepted metrics change is an explicit commit.
+//! `check` runs the distinct cells of the selected scenarios (default: all)
+//! in one driver sweep, compares them row by row against the golden and
+//! exits non-zero on any drift. It names each drifted cell once, with every
+//! scenario row that shares it, in `target/golden-diff/cells.diff` (the
+//! artifact CI uploads). `bless` runs every cell and rewrites the one golden
+//! file, so every accepted metrics change is an explicit commit; it takes no
+//! names, because a shared cell belongs to several scenarios.
 //!
 //! `conserve` is the simulator-wide conservation sweep: for every selected
 //! scenario it runs the first fast-fidelity configuration (every
-//! configuration with `--all-configs`) across `--seeds N` seeds (default 16)
-//! and checks [`mmptcp::ExperimentResults::check_conservation`] on each run —
-//! packets injected must equal delivered + dropped + still-in-network, and
-//! every completed bounded flow must have delivered exactly its size. CI
-//! runs this next to the golden check.
+//! configuration with `--all-configs`) across `--seeds N` seeds (default 16),
+//! each distinct (config, seed) pair once, and checks
+//! [`mmptcp::ExperimentResults::check_conservation`] on each run — packets
+//! injected must equal delivered + dropped + still-in-network, and every
+//! completed bounded flow must have delivered exactly its size. CI runs this
+//! next to the golden check.
 //!
 //! `trace` runs the selected scenarios with the flight recorder on
 //! (`metrics::trace`) and writes the per-run time series under
@@ -57,16 +62,16 @@
 //! Golden metrics are unaffected: tracing rides alongside the normal run
 //! and the `TraceConfig::Off` default never records anything.
 
-use metrics::{report, Table};
-use mmptcp::scenario::{catalog, find, Fidelity, Scenario};
-use mmptcp::{Engine, ExperimentConfig, ExperimentResults};
+use metrics::{report, RunReport, ScenarioReport, Table};
+use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
+use mmptcp::{Driver, Engine, ExperimentConfig, ExperimentResults};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use transport::CongestionControl;
 
-/// Repository-root-relative directory holding the golden snapshots.
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+/// Repository-root-relative path of the golden cells document.
+fn golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cells.json")
 }
 
 /// Where `check` writes drift diffs (uploaded as a CI artifact on failure).
@@ -105,18 +110,19 @@ fn usage() -> ! {
          [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--all-configs] \
          [--threads N] [--json] [--flow ID] [--links]\n\
          check/bless always run the pinned fast fidelity and reject \
-         --full/--paper/--seed/--engine/--cc;\n\
+         --full/--paper/--seed/--engine/--cc; bless rewrites every cell and takes no names;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
          config (--all-configs: every config) and checks the conservation laws, optionally \
-         under an --engine override;\n\
+         under an --engine or --cc override;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
-         --flow ID narrows the flow series to one flow)"
+         --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply)"
     );
     std::process::exit(2)
 }
 
-fn parse_args() -> Options {
+/// Parse the arguments that follow the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
     let mut opts = Options {
         command: Command::List,
         names: Vec::new(),
@@ -135,7 +141,7 @@ fn parse_args() -> Options {
         links: false,
     };
     let mut command = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "list" if command.is_none() => command = Some(Command::List),
@@ -218,8 +224,28 @@ fn parse_args() -> Options {
         );
         std::process::exit(2);
     }
+    if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
+        eprintln!(
+            "bless rewrites every golden cell: a cell can belong to several scenarios; \
+             drop the names (use `scenarios check <name>...` to look at one scenario)"
+        );
+        std::process::exit(2);
+    }
     opts.seeds = opts.seeds.max(1);
     opts
+}
+
+/// The `--seed`, `--engine` and `--cc` overrides, applied to one config.
+fn apply_overrides(opts: &Options, config: &mut ExperimentConfig) {
+    if let Some(seed) = opts.seed {
+        config.seed = seed;
+    }
+    if let Some(engine) = opts.engine {
+        config.engine = engine;
+    }
+    if let Some(cc) = opts.cc {
+        config.transport.cc = cc;
+    }
 }
 
 /// Resolve requested names (default: the whole catalog) into scenarios.
@@ -249,7 +275,7 @@ fn cmd_list() -> ExitCode {
          --paper: 512-server paper scale, --seed N overrides the seed);",
         catalog().len()
     );
-    println!("`scenarios check` verifies golden snapshots; `scenarios bless` rewrites them.");
+    println!("`scenarios check` verifies the golden cells; `scenarios bless` rewrites them.");
     ExitCode::SUCCESS
 }
 
@@ -310,38 +336,20 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
 fn cmd_run(opts: &Options) -> ExitCode {
     let fidelity = opts.fidelity;
     for s in select(&opts.names) {
-        let run = if opts.seed.is_none() && opts.engine.is_none() && opts.cc.is_none() {
-            s.run(fidelity, opts.threads)
-        } else {
-            let configs: Vec<(String, ExperimentConfig)> = s
-                .configs(fidelity)
-                .into_iter()
-                .map(|(label, mut cfg)| {
-                    if let Some(seed) = opts.seed {
-                        cfg.seed = seed;
-                    }
-                    if let Some(engine) = opts.engine {
-                        cfg.engine = engine;
-                    }
-                    if let Some(cc) = opts.cc {
-                        cfg.transport.cc = cc;
-                    }
-                    (label, cfg)
-                })
-                .collect();
-            let results = mmptcp::Driver::with_threads(opts.threads).run_labelled(configs);
-            let report = mmptcp::scenario::report(s.name, fidelity, &results);
-            mmptcp::ScenarioRun { results, report }
-        };
+        let mut configs = s.configs(fidelity);
+        for (_, cfg) in configs.iter_mut() {
+            apply_overrides(opts, cfg);
+        }
+        let results = Driver::with_threads(opts.threads).run_labelled(configs);
         if opts.json {
-            print!("{}", run.report.to_json());
+            print!("{}", scenario::report(s.name, fidelity, &results).to_json());
             continue;
         }
         let mut table = Table::new(
             format!("{} [{}]: {}", s.name, fidelity.label(), s.description),
             &summary_headers(),
         );
-        for (label, r) in &run.results {
+        for (label, r) in &results {
             table.add_row(summary_row(label, r));
         }
         println!("{}", table.render());
@@ -349,112 +357,151 @@ fn cmd_run(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn golden_path(s: &Scenario) -> PathBuf {
-    golden_dir().join(format!("{}.json", s.name))
+/// Every fast row of `scenarios`, named `<scenario> / <label>`.
+fn fast_rows(scenarios: &[&Scenario]) -> Vec<(String, ExperimentConfig)> {
+    scenarios
+        .iter()
+        .flat_map(|s| {
+            let rows = s.configs(Fidelity::Fast).into_iter();
+            rows.map(|(label, config)| (format!("{} / {label}", s.name), config))
+        })
+        .collect()
+}
+
+/// Run `cells` in one driver sweep and distil the golden cells document.
+fn run_cells(cells: Vec<(String, ExperimentConfig)>, threads: usize) -> ScenarioReport {
+    let results = Driver::with_threads(threads).run_labelled(cells);
+    scenario::report("cells", Fidelity::Fast, &results)
+}
+
+/// One row as a canonical document of its own, for a row-by-row diff.
+fn render(run: &RunReport) -> String {
+    let runs = vec![run.clone()];
+    ScenarioReport {
+        runs,
+        ..ScenarioReport::default()
+    }
+    .to_json()
 }
 
 fn cmd_bless(opts: &Options) -> ExitCode {
-    let dir = golden_dir();
-    std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for s in select(&opts.names) {
-        let run = s.run(Fidelity::Fast, opts.threads);
-        let path = golden_path(s);
-        std::fs::write(&path, run.report.to_json()).expect("write golden snapshot");
-        println!("blessed {}", path.display());
-    }
-    println!("snapshots rewritten; commit the changes to make them the new baseline");
+    let cells = scenario::cells();
+    let count = cells.len();
+    let path = golden_path();
+    std::fs::write(&path, run_cells(cells, opts.threads).to_json()).expect("write golden cells");
+    println!(
+        "blessed {count} cells into {}; commit it to make it the new baseline",
+        path.display()
+    );
     ExitCode::SUCCESS
 }
 
 fn cmd_check(opts: &Options) -> ExitCode {
-    let mut drifted = Vec::new();
-    let mut missing = Vec::new();
-    let diffs = diff_dir();
-    for s in select(&opts.names) {
-        let path = golden_path(s);
-        let Ok(expected) = std::fs::read_to_string(&path) else {
-            eprintln!("MISSING  {} (no {})", s.name, path.display());
-            missing.push(s.name);
-            continue;
-        };
-        let run = s.run(Fidelity::Fast, opts.threads);
-        let actual = run.report.to_json();
-        match report::diff(&expected, &actual) {
-            None => println!("OK       {}", s.name),
-            Some(d) => {
-                eprintln!("DRIFT    {}", s.name);
-                std::fs::create_dir_all(&diffs).expect("create diff dir");
-                let diff_path = diffs.join(format!("{}.diff", s.name));
-                let body = format!(
-                    "golden-metrics drift in scenario '{}' (expected {} vs actual):\n{}",
-                    s.name,
-                    path.display(),
-                    d
-                );
-                std::fs::write(&diff_path, &body).expect("write diff");
-                eprintln!("{body}");
-                eprintln!("diff written to {}", diff_path.display());
-                drifted.push(s.name);
+    let path = golden_path();
+    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+    let golden = match text.and_then(|text| ScenarioReport::from_json(&text)) {
+        Ok(golden) => golden,
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", path.display());
+            eprintln!("run `scenarios bless` and commit the result");
+            return ExitCode::FAILURE;
+        }
+    };
+    let rows = fast_rows(&select(&opts.names));
+    let cells: Vec<(String, ExperimentConfig)> = scenario::cells()
+        .into_iter()
+        .filter(|(_, cell)| rows.iter().any(|(_, row)| row == cell))
+        .collect();
+    println!(
+        "checking {} cells ({} scenario rows)",
+        cells.len(),
+        rows.len()
+    );
+    let actual = run_cells(cells.clone(), opts.threads);
+    let all_rows = fast_rows(&select(&[]));
+    let mut failures = Vec::new();
+    for ((_, config), run) in cells.iter().zip(&actual.runs) {
+        let expected = golden.runs.iter().find(|g| g.label == run.label);
+        let mut body = match expected.map(|g| report::diff(&render(g), &render(run))) {
+            Some(None) => {
+                println!("OK       {}", run.label);
+                continue;
             }
+            Some(Some(d)) => format!("DRIFT    {}\n{d}", run.label),
+            None => format!("MISSING  {} (no such row in the golden)\n", run.label),
+        };
+        for (row, _) in all_rows.iter().filter(|(_, c)| c == config) {
+            body.push_str(&format!("  shared by {row}\n"));
+        }
+        eprint!("{body}");
+        failures.push(body);
+    }
+    if opts.names.is_empty() {
+        for stale in golden
+            .runs
+            .iter()
+            .filter(|g| !actual.runs.iter().any(|r| r.label == g.label))
+        {
+            let body = format!("STALE    {} (a golden row no scenario runs)\n", stale.label);
+            eprint!("{body}");
+            failures.push(body);
         }
     }
-    if drifted.is_empty() && missing.is_empty() {
+    if failures.is_empty() {
         println!("golden check passed");
         return ExitCode::SUCCESS;
     }
-    if !missing.is_empty() {
-        eprintln!(
-            "missing snapshots: {} — run `scenarios bless {}` and commit the result",
-            missing.join(", "),
-            missing.join(" ")
-        );
-    }
-    if !drifted.is_empty() {
-        eprintln!(
-            "metrics drift in: {} — if intentional, rerun with `scenarios bless` and commit",
-            drifted.join(", ")
-        );
-    }
+    let dir = diff_dir();
+    std::fs::create_dir_all(&dir).expect("create diff dir");
+    let diff_path = dir.join("cells.diff");
+    let header = format!(
+        "golden-metrics drift against {} ({} cells; `-` expected, `+` actual):\n",
+        path.display(),
+        failures.len()
+    );
+    std::fs::write(&diff_path, header + &failures.concat()).expect("write diff");
+    eprintln!(
+        "{} cells drifted, missing or stale; diff written to {} — if intentional, \
+         rerun `scenarios bless` and commit",
+        failures.len(),
+        diff_path.display()
+    );
     ExitCode::FAILURE
 }
 
 /// Conservation sweep: run the selected scenarios' fast configurations
-/// across many seeds and check the packet/byte conservation laws on every
-/// run. Exits non-zero (listing every violation) if any law is broken.
+/// across many seeds, each distinct (config, seed) pair once, and check the
+/// packet/byte conservation laws on every run. Exits non-zero (listing
+/// every violation) if any law is broken.
 fn cmd_conserve(opts: &Options) -> ExitCode {
     let mut configs: Vec<(String, ExperimentConfig)> = Vec::new();
     for s in select(&opts.names) {
         let expanded = s.configs(Fidelity::Fast);
-        let chosen: Vec<_> = if opts.all_configs {
-            expanded
-        } else {
-            expanded.into_iter().take(1).collect()
-        };
-        for (label, cfg) in chosen {
+        let chosen = if opts.all_configs { expanded.len() } else { 1 };
+        for (label, cfg) in expanded.into_iter().take(chosen) {
             for seed in 1..=opts.seeds {
                 let mut c = cfg.clone();
                 c.seed = seed;
-                if let Some(engine) = opts.engine {
-                    c.engine = engine;
+                apply_overrides(opts, &mut c);
+                if configs.iter().any(|(_, seen)| *seen == c) {
+                    continue;
                 }
-                if let Some(cc) = opts.cc {
-                    c.transport.cc = cc;
-                }
-                configs.push((
-                    format!(
-                        "{} / {label} seed={seed} engine={} cc={}",
-                        s.name,
-                        c.engine.label(),
-                        c.transport.cc.name()
-                    ),
-                    c,
-                ));
+                let run = format!(
+                    "{} / {label} seed={seed} engine={} cc={}",
+                    s.name,
+                    c.engine.label(),
+                    c.transport.cc.name()
+                );
+                configs.push((run, c));
             }
         }
     }
     let total = configs.len();
-    println!("conservation sweep: {total} runs ({} seeds)", opts.seeds);
-    let results = mmptcp::Driver::with_threads(opts.threads).run_labelled(configs);
+    println!(
+        "conservation sweep: {total} distinct runs ({} seeds)",
+        opts.seeds
+    );
+    let results = Driver::with_threads(opts.threads).run_labelled(configs);
     let mut violations = Vec::new();
     for (label, r) in &results {
         if let Err(e) = r.check_conservation() {
@@ -512,14 +559,9 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         let mut configs = s.configs(opts.fidelity);
         for (_, cfg) in configs.iter_mut() {
             cfg.trace = metrics::TraceConfig::On(settings);
-            if let Some(seed) = opts.seed {
-                cfg.seed = seed;
-            }
-            if let Some(cc) = opts.cc {
-                cfg.transport.cc = cc;
-            }
+            apply_overrides(opts, cfg);
         }
-        let results = mmptcp::Driver::with_threads(opts.threads).run_labelled(configs);
+        let results = Driver::with_threads(opts.threads).run_labelled(configs);
         let scenario_dir = trace_dir().join(s.name);
         // Clear previous traces of this scenario so run directories from an
         // earlier fidelity/flag combination cannot linger beside fresh ones.
@@ -565,7 +607,7 @@ fn cmd_trace(opts: &Options) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let opts = parse_args(std::env::args().skip(1));
     match opts.command {
         Command::List => cmd_list(),
         Command::Run => cmd_run(&opts),
@@ -604,5 +646,25 @@ mod tests {
         let ms = |i: usize| row[i].parse::<f64>().expect("a time in ms");
         // The flow starts at 1 ms; the run cannot end before it completes.
         assert!(ms(12) >= ms(13) && ms(13) > 1.0, "elapsed, then last done");
+    }
+
+    /// `--seed`, `--engine` and `--cc` reach the config of every command
+    /// that accepts them — `trace --engine hybrid` once ran the packet engine.
+    #[test]
+    fn overrides_reach_the_config() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        let mut config = ExperimentConfig::default();
+        apply_overrides(&parse("run fig1bc"), &mut config);
+        assert_eq!(config, ExperimentConfig::default());
+        for line in [
+            "trace fig1bc --seed 9 --engine hybrid --cc cubic",
+            "run fig1bc --seed 9 --engine hybrid --cc cubic",
+        ] {
+            let mut config = ExperimentConfig::default();
+            apply_overrides(&parse(line), &mut config);
+            assert_eq!(config.seed, 9, "{line}");
+            assert_eq!(config.engine, Engine::hybrid_default(), "{line}");
+            assert_eq!(config.transport.cc, CongestionControl::Cubic, "{line}");
+        }
     }
 }

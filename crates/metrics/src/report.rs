@@ -5,9 +5,10 @@
 //! per-tier drops and ECN marks) rendered as a *canonical* JSON string —
 //! fixed key order, two-space indentation, floats rounded to four decimals
 //! before formatting so last-ulp libm differences between platforms can
-//! never produce spurious diffs. Golden snapshots under `tests/golden/` are
-//! compared byte-for-byte against this rendering; [`diff`] produces the
-//! line-level drift report CI uploads as an artifact.
+//! never produce spurious diffs. The golden cells document
+//! `tests/golden/cells.json` is compared byte-for-byte against this
+//! rendering; [`diff`] produces the line-level drift report CI uploads as an
+//! artifact.
 //!
 //! The local `serde` crate is a no-op shim (offline build), so the writer is
 //! hand-rolled: a tiny escaping/formatting layer instead of a serializer.
@@ -326,11 +327,12 @@ impl RunReport {
 /// The canonical, deterministic metrics document of one scenario execution.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioReport {
-    /// Scenario name from the registry.
+    /// Scenario name from the registry, or `cells` for the golden document
+    /// that holds each distinct fast configuration of the catalog once.
     pub scenario: String,
     /// Fidelity label (`fast` / `full`).
     pub fidelity: String,
-    /// One entry per run, in the scenario's deterministic config order.
+    /// One entry per run, in the deterministic config order.
     pub runs: Vec<RunReport>,
 }
 

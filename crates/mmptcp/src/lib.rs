@@ -49,7 +49,7 @@ pub use config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec}
 pub use driver::Driver;
 pub use experiment::{run, run_with, RunHooks};
 pub use results::ExperimentResults;
-pub use scenario::{Fidelity, ScenarioRun};
+pub use scenario::Fidelity;
 
 // Re-export the sub-crates so downstream users need a single dependency.
 pub use metrics;

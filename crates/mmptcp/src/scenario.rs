@@ -6,11 +6,16 @@
 //! (the CI / golden-snapshot scale, seconds per scenario), [`Fidelity::Full`]
 //! (the 64-host benchmark scale the replaced binaries ran by default) or
 //! [`Fidelity::Paper`] (their old `--full` 512-server scale). Running a
-//! scenario fans the configs across the parallel [`Driver`] and distils each
-//! run into a canonical [`metrics::report::ScenarioReport`] JSON document;
-//! `tests/golden/` pins those documents and the `scenarios` binary (crate
-//! `bench`) checks them in CI, so any behavioural drift in the simulator,
-//! transports, workloads or topologies becomes an explicit, reviewable diff.
+//! scenario fans the configs across the parallel [`crate::Driver`] and
+//! [`report`] distils each run into a canonical
+//! [`metrics::report::ScenarioReport`] JSON document.
+//!
+//! The golden tier pins each distinct fast configuration once: [`cells`]
+//! lists them, `tests/golden/cells.json` holds their rows, and
+//! [`Scenario::reassemble`] rebuilds any scenario's document from it. The
+//! `scenarios` binary (crate `bench`) checks the cells in CI, so any
+//! behavioural drift in the simulator, transports, workloads or topologies
+//! becomes an explicit, reviewable diff — one per changed cell.
 //!
 //! The catalog covers the paper's figures (`fig1a`, `fig1bc`), the load and
 //! incast sweeps, empirical flow-size workloads (`web-search`,
@@ -18,7 +23,6 @@
 //! injection (`link-failure`) and protocol co-existence (`coexistence`).
 
 use crate::config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
-use crate::driver::Driver;
 use crate::results::ExperimentResults;
 use metrics::report::{FctDoc, RunReport, ScenarioReport, TierCounts};
 use netsim::{PathPolicy, SimDuration, SimTime};
@@ -42,7 +46,7 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Stable label used in reports and golden file names.
+    /// Stable label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
             Fidelity::Fast => "fast",
@@ -65,23 +69,15 @@ impl Fidelity {
 /// assert_eq!(configs.len(), 3);
 /// assert_eq!(configs[0].0, "mptcp-1");
 /// assert_eq!(configs, scenario.configs(Fidelity::Fast));
-/// // `scenario.run(fidelity, threads)` would execute them on the parallel
-/// // driver and distil the canonical `ScenarioReport`.
+/// // `Driver::run_labelled(configs)` executes them on the parallel driver
+/// // and `scenario::report` distils the canonical `ScenarioReport`.
 /// ```
 pub struct Scenario {
-    /// Registry name (also the golden snapshot file stem).
+    /// Registry name.
     pub name: &'static str,
     /// One-line description shown by `scenarios list`.
     pub description: &'static str,
     build: fn(Fidelity) -> Vec<(String, ExperimentConfig)>,
-}
-
-/// The outcome of executing one scenario.
-pub struct ScenarioRun {
-    /// Full per-run results, in config order.
-    pub results: Vec<(String, ExperimentResults)>,
-    /// The canonical metrics document distilled from `results`.
-    pub report: ScenarioReport,
 }
 
 impl Scenario {
@@ -90,12 +86,48 @@ impl Scenario {
         (self.build)(fidelity)
     }
 
-    /// Run every configuration on the parallel driver and build the report.
-    pub fn run(&self, fidelity: Fidelity, threads: usize) -> ScenarioRun {
-        let results = Driver::with_threads(threads).run_labelled(self.configs(fidelity));
-        let report = report(self.name, fidelity, &results);
-        ScenarioRun { results, report }
+    /// This scenario's fast document, rebuilt from the golden cells document
+    /// (the rendering of [`cells`]): each row is the cell whose config equals
+    /// the row's, under the row's own label. Fails when a cell is missing.
+    pub fn reassemble(&self, golden: &ScenarioReport) -> Result<ScenarioReport, String> {
+        let cells = cells();
+        let runs = self
+            .configs(Fidelity::Fast)
+            .into_iter()
+            .map(|(label, config)| {
+                let (name, _) = cells
+                    .iter()
+                    .find(|(_, cell)| *cell == config)
+                    .expect("every fast row is a cell");
+                let run = golden.runs.iter().find(|r| r.label == *name);
+                let run = run.ok_or_else(|| format!("{}: no golden cell `{name}`", self.name))?;
+                Ok(RunReport {
+                    label,
+                    ..run.clone()
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(ScenarioReport {
+            scenario: self.name.to_string(),
+            fidelity: Fidelity::Fast.label().to_string(),
+            runs,
+        })
     }
+}
+
+/// Every distinct fast configuration of the catalog, once, in catalog
+/// order: the golden cells. A cell is named `<scenario> / <label>` after its
+/// first row; a later row whose config is equal shares it.
+pub fn cells() -> Vec<(String, ExperimentConfig)> {
+    let mut cells: Vec<(String, ExperimentConfig)> = Vec::new();
+    for s in catalog() {
+        for (label, config) in s.configs(Fidelity::Fast) {
+            if !cells.iter().any(|(_, cell)| *cell == config) {
+                cells.push((format!("{} / {label}", s.name), config));
+            }
+        }
+    }
+    cells
 }
 
 /// Distil labelled results into the canonical metrics document.
@@ -438,7 +470,8 @@ fn link_failure(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
     for &p in protocols {
         for &millis in &[0u32, 125, 250] {
             let mut cfg = base(fidelity, p);
-            if let TopologySpec::FatTree(ft) = &mut cfg.topology {
+            // The unfailed row is the plain base, so it shares its cell.
+            if let (TopologySpec::FatTree(ft), true) = (&mut cfg.topology, millis > 0) {
                 ft.failures = LinkFailureSpec::agg_core(millis, 42);
             }
             out.push((format!("{} / failed {millis}/1000", p.name()), cfg));
@@ -547,11 +580,15 @@ fn battle_matrix(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
     };
     // At the 16-host fast scale a single permutation matrix leaves only ~5
     // long flows, so per-cell goodput is dominated by which paths collide;
-    // two seeds per cell make cross-transport comparisons meaningful. The
-    // larger fidelities have enough flows per run.
-    let seeds: &[u64] = match fidelity {
-        Fidelity::Fast => &[1, 2],
-        _ => &[1],
+    // two seeds per cell make cross-transport comparisons meaningful, and
+    // the MPTCP-8 / MMPTCP-8 goodput comparison pools eight (one seed's ratio
+    // ranges 0.75-1.49). The larger fidelities have enough flows per run.
+    let seeds = |variant: &str| -> &'static [u64] {
+        match (fidelity, variant) {
+            (Fidelity::Fast, "mptcp-8" | "mmptcp-8") => &[1, 2, 3, 4, 5, 6, 7, 8],
+            (Fidelity::Fast, _) => &[1, 2],
+            _ => &[1],
+        }
     };
     let mut out = Vec::new();
     for &(wl_name, model) in workloads {
@@ -575,14 +612,14 @@ fn battle_matrix(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
                 // across transports are not dominated by which burst the
                 // 1 s Figure-1 window happens to straddle.
                 cfg.goodput_horizon = Some(SimDuration::from_secs(3));
-                for &seed in seeds {
+                for &seed in seeds(variant) {
                     let mut c = cfg.clone();
                     c.seed = seed;
                     let load_label = format!("load {:.1}", load as f64 / 1000.0);
-                    let label = if seeds.len() == 1 {
-                        format!("{variant} | {wl_name} @ {load_label}")
-                    } else {
+                    let label = if fidelity == Fidelity::Fast {
                         format!("{variant} | {wl_name} @ {load_label} seed={seed}")
+                    } else {
+                        format!("{variant} | {wl_name} @ {load_label}")
                     };
                     out.push((label, c));
                 }
@@ -1099,23 +1136,31 @@ mod tests {
         assert_eq!(models, [tight, tight, tight, loose, loose, loose]);
     }
 
-    /// Registry-driven execution equals running the same configs by hand:
-    /// the registry adds no hidden state on top of the deterministic engine.
+    /// The golden cells: no two are equal, every fast row is one of them, and
+    /// a row shares the cell of the first row whose config equals its own.
     #[test]
-    fn registry_run_equals_direct_run() {
-        let scenario = find("fig1bc").unwrap();
-        let run = scenario.run(Fidelity::Fast, 2);
-        let direct = Driver::with_threads(1).run_labelled(scenario.configs(Fidelity::Fast));
-        assert_eq!(run.results.len(), direct.len());
-        for ((la, ra), (lb, rb)) in run.results.iter().zip(&direct) {
-            assert_eq!(la, lb);
-            assert_eq!(ra.short_fcts_ms(), rb.short_fcts_ms());
-            assert_eq!(ra.counters, rb.counters);
+    fn cells_are_distinct_and_cover_every_fast_row() {
+        let cells = cells();
+        for (i, (name, cell)) in cells.iter().enumerate() {
+            let twin = cells[..i].iter().find(|(_, earlier)| earlier == cell);
+            assert!(twin.is_none(), "{name} repeats {twin:?}");
         }
-        // And the report is itself reproducible.
-        let again = scenario.run(Fidelity::Fast, 3);
-        assert_eq!(run.report.to_json(), again.report.to_json());
-        assert_eq!(run.report.runs.len(), 2);
+        let fig1_mmptcp = "fig1bc / mmptcp-8 (Figure 1c)";
+        let mut rows_of_fig1_mmptcp = Vec::new();
+        for s in catalog() {
+            for (label, config) in s.configs(Fidelity::Fast) {
+                let (name, _) = cells.iter().find(|(_, c)| *c == config).unwrap();
+                if name == fig1_mmptcp {
+                    rows_of_fig1_mmptcp.push(format!("{} / {label}", s.name));
+                }
+            }
+        }
+        // The Figure-1 MMPTCP-8 cell is the plain fast base, which eight
+        // rows run — link-failure's unfailed row included.
+        let (_, config) = cells.iter().find(|(n, _)| n == fig1_mmptcp).unwrap();
+        assert_eq!(*config, fast_base(Protocol::mmptcp_default()));
+        assert_eq!(rows_of_fig1_mmptcp.len(), 8, "{rows_of_fig1_mmptcp:#?}");
+        assert!(rows_of_fig1_mmptcp.contains(&"link-failure / mmptcp-8 / failed 0/1000".into()));
     }
 
     #[test]
@@ -1134,10 +1179,11 @@ mod tests {
 
     #[test]
     fn battle_matrix_crosses_variants_workloads_and_loads() {
-        // Fast: 5 variants x 2 workloads x 2 loads x 2 seeds; full: 10 x 2 x 4
-        // (the 8 transport variants plus the tcp-cubic / tcp-bbr CC cells).
+        // Fast: 5 variants x 2 workloads x 2 loads x 2 seeds, plus seeds 3-8
+        // of mptcp-8 and mmptcp-8; full: 10 x 2 x 4 (the 8 transport
+        // variants plus the tcp-cubic / tcp-bbr CC cells).
         let fast = find("battle-matrix").unwrap().configs(Fidelity::Fast);
-        assert_eq!(fast.len(), 5 * 2 * 2 * 2);
+        assert_eq!(fast.len(), 88);
         let full = find("battle-matrix").unwrap().configs(Fidelity::Full);
         assert_eq!(full.len(), 10 * 2 * 4);
         // The DiffFlow variant carries the size-aware path policy; everything

@@ -199,35 +199,39 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// The bytes of a committed golden snapshot.
-fn golden_text(scenario: &str) -> String {
-    let path = format!(
-        "{}/../../tests/golden/{scenario}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+/// The committed golden cells document, as text.
+fn cells_text() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cells.json");
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// A committed golden snapshot, read back through the canonical reader.
+/// The committed golden cells, read back through the canonical reader.
+fn golden_cells() -> metrics::ScenarioReport {
+    metrics::ScenarioReport::from_json(&cells_text()).unwrap_or_else(|e| panic!("cells.json: {e}"))
+}
+
+/// A scenario's golden document, reassembled from the committed cells.
 fn golden(scenario: &str) -> metrics::ScenarioReport {
-    metrics::ScenarioReport::from_json(&golden_text(scenario))
-        .unwrap_or_else(|e| panic!("{scenario} golden: {e}"))
+    let scenario = find(scenario).expect("a catalog scenario");
+    scenario
+        .reassemble(&golden_cells())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The battleground's headline, as pinned by the golden snapshot (which the
-/// CI golden job keeps equal to actual behaviour): RepFlow beats single-path
+/// The battleground's headline, as pinned by the golden cells (which the CI
+/// golden job keeps equal to actual behaviour): RepFlow beats single-path
 /// TCP on mice p99 FCT in every cell at load <= 0.6, while MMPTCP holds
 /// aggregate long-flow goodput within 5% of MPTCP across the matrix. With
 /// ~5 long flows a run, one seed's ratio is decided by which paths collide
-/// (0.75-1.49 over seeds 1..=8, CHANGES.md PR 23), so the goodput claim pools
-/// the snapshot's two seeds with the same eight cells re-run at seeds 3..=8.
+/// (0.75-1.49 over seeds 1..=8), so the goodput claim pools the eight seeds
+/// the golden holds of every MPTCP-8 and MMPTCP-8 cell. Nothing is run.
 #[test]
 fn battle_matrix_golden_witnesses_the_headline_claims() {
     let runs = golden("battle-matrix").runs;
     assert_eq!(
         runs.len(),
-        40,
-        "5 variants x 2 workloads x 2 loads x 2 seeds"
+        88,
+        "5 variants x 2 workloads x 2 loads x 2 seeds, + seeds 3..=8 of mptcp-8 and mmptcp-8"
     );
 
     let cell_of = |label: &str| -> String {
@@ -262,38 +266,11 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
     }
 
     // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix and
-    // across seeds: the snapshot holds seeds 1 and 2 of every cell.
-    fn variant_of(label: &str) -> &str {
-        label.split(" | ").next().unwrap_or(label)
-    }
-    let contenders = ["mptcp-8", "mmptcp-8"];
-    let more_seeds: Vec<(String, ExperimentConfig)> = find("battle-matrix")
-        .expect("battle-matrix is in the catalog")
-        .configs(Fidelity::Fast)
-        .into_iter()
-        .filter(|(label, cfg)| cfg.seed == 1 && contenders.contains(&variant_of(label)))
-        .flat_map(|(label, cfg)| {
-            (3..=8u64).map(move |seed| {
-                let mut c = cfg.clone();
-                c.seed = seed;
-                (label.replace("seed=1", &format!("seed={seed}")), c)
-            })
-        })
-        .collect();
-    assert_eq!(
-        more_seeds.len(),
-        2 * 4 * 6,
-        "2 variants x 4 cells x 6 seeds"
-    );
-    let live = Driver::new().run_labelled(more_seeds);
+    // across seeds 1..=8.
     let goodput = |variant: &str| -> f64 {
-        let pinned = by_variant(variant);
-        assert_eq!(pinned.len(), 8);
-        let rerun = live
-            .iter()
-            .filter(|(label, _)| variant_of(label) == variant);
-        pinned.iter().map(|r| r.long_goodput_gbps).sum::<f64>()
-            + rerun.map(|(_, r)| r.long_goodput_bps() / 1e9).sum::<f64>()
+        let pooled = by_variant(variant);
+        assert_eq!(pooled.len(), 2 * 2 * 8, "{variant}: 4 cells x 8 seeds");
+        pooled.iter().map(|r| r.long_goodput_gbps).sum()
     };
     let mmptcp = goodput("mmptcp-8");
     let mptcp = goodput("mptcp-8");
@@ -304,36 +281,25 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
     );
 }
 
-/// The congestion-control axis must cost nothing by default: setting
-/// `cc = Reno` explicitly (what `scenarios run --cc reno` does) reproduces
-/// the committed fig1bc golden snapshot byte-for-byte. Those bytes were
-/// pinned before the controller state machine moved behind the
-/// `transport::cc::CongestionController` trait, so this is the differential
-/// witness that the extracted Reno arithmetic — and the trait plumbing
-/// around it — is exactly the legacy inline implementation.
+/// fig1bc's golden rows are what its configs produce today, byte for byte,
+/// under the two defaults the goldens were pinned with, both checked here:
+/// the Reno controller behind the `transport::cc::CongestionController`
+/// trait (so the extracted Reno arithmetic is the legacy inline one) and
+/// `TraceConfig::Off` (so the flight recorder costs the golden nothing). The
+/// 2-thread driver is the path `scenarios check` takes; thread-count
+/// independence itself is pinned by the driver's and telemetry's tests.
 #[test]
 fn explicit_reno_reproduces_the_fig1bc_golden_byte_for_byte() {
-    let scenario = mmptcp::scenario::find("fig1bc").expect("fig1bc is in the catalog");
-    let configs: Vec<(String, ExperimentConfig)> = scenario
-        .configs(Fidelity::Fast)
-        .into_iter()
-        .map(|(label, mut cfg)| {
-            assert_eq!(
-                cfg.transport.cc,
-                CongestionControl::Reno,
-                "{label}: Reno must be the default controller"
-            );
-            cfg.transport.cc = CongestionControl::Reno;
-            (label, cfg)
-        })
-        .collect();
-    let results = Driver::new().run_labelled(configs);
+    let configs = find("fig1bc")
+        .expect("fig1bc is in the catalog")
+        .configs(Fidelity::Fast);
+    for (label, cfg) in &configs {
+        assert_eq!(cfg.transport.cc, CongestionControl::Reno, "{label}");
+        assert_eq!(cfg.trace, TraceConfig::Off, "{label}");
+    }
+    let results = Driver::with_threads(2).run_labelled(configs);
     let report = mmptcp::scenario::report("fig1bc", Fidelity::Fast, &results);
-    assert_eq!(
-        report.to_json(),
-        golden_text("fig1bc"),
-        "trait-based Reno must reproduce the pre-refactor golden bytes"
-    );
+    assert_eq!(report.to_json(), golden("fig1bc").to_json());
 }
 
 /// The controller duel's headline, as pinned by the cc-battle golden (kept
@@ -419,32 +385,48 @@ fn design_knob_goldens_witness_deadlines_and_phase_switching() {
     assert_eq!(never.expect("PS-only cell").phase_switches, 0);
 }
 
-/// The catalog and `tests/golden/` name the same scenarios, and every
-/// snapshot is a canonical rendering: reading it back and re-rendering it
-/// reproduces the file byte for byte, so a hand-edited golden fails here
-/// without a simulation being run.
+/// `tests/golden/` is one canonical document whose rows are the catalog's
+/// distinct fast cells, in order, and every scenario reassembles from it:
+/// a hand-edited, stale or incomplete golden fails here without a
+/// simulation being run.
 #[test]
 fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
-    let mut files: Vec<String> = std::fs::read_dir(dir)
+    let files: Vec<String> = std::fs::read_dir(dir)
         .expect("tests/golden exists")
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
-    files.sort_unstable();
-    let mut expected: Vec<String> = catalog()
-        .iter()
-        .map(|s| format!("{}.json", s.name))
-        .collect();
-    expected.sort_unstable();
-    assert_eq!(files, expected);
+    assert!(files.iter().any(|f| f == "cells.json"), "{files:?}");
+    let cells = golden_cells();
+    assert_eq!(cells.to_json(), cells_text(), "cells.json is not canonical");
+    assert_eq!(cells.fidelity, Fidelity::Fast.label());
+    let pinned: Vec<&str> = cells.runs.iter().map(|r| r.label.as_str()).collect();
+    let names: Vec<String> = mmptcp::scenario::cells().into_iter().map(|c| c.0).collect();
+    assert_eq!(pinned, names, "golden rows against the distinct fast cells");
     for s in catalog() {
-        let report = golden(s.name);
-        assert_eq!(report.scenario, s.name);
-        assert_eq!(report.fidelity, Fidelity::Fast.label());
+        let report = s.reassemble(&cells).unwrap_or_else(|e| panic!("{e}"));
         let labels: Vec<String> = s.configs(Fidelity::Fast).into_iter().map(|c| c.0).collect();
-        let pinned: Vec<&str> = report.runs.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(pinned, labels, "{}: run labels", s.name);
-        assert_eq!(report.to_json(), golden_text(s.name), "{}", s.name);
+        let rows: Vec<&str> = report.runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(rows, labels, "{}: row labels", s.name);
+    }
+}
+
+/// Transitional proof: the cells rebuild each scenario's legacy snapshot
+/// byte for byte (battle-matrix without its new seeds 3..=8).
+#[test]
+fn cells_reassemble_every_legacy_snapshot_byte_for_byte() {
+    for s in catalog() {
+        let mut report = golden(s.name);
+        report
+            .runs
+            .retain(|r| !(3..=8).any(|seed| r.label.ends_with(&format!(" seed={seed}"))));
+        let path = format!(
+            "{}/../../tests/golden/{}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            s.name
+        );
+        let legacy = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(report.to_json(), legacy, "{}", s.name);
     }
 }
 

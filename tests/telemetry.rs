@@ -3,7 +3,8 @@
 //! Three properties the trace subsystem must keep:
 //!
 //! 1. **Zero cost when off** — `TraceConfig::Off` (the default) leaves every
-//!    golden metric byte-identical, and turning tracing *on* still does not
+//!    golden metric byte-identical (the fig1bc golden test in
+//!    `conformance.rs` pins this), and turning tracing *on* still does not
 //!    perturb the simulation itself (identical FCTs, counters and loss).
 //! 2. **Determinism** — the same seed produces byte-identical trace CSV
 //!    across repeated runs and across driver thread counts (per-worker
@@ -14,7 +15,6 @@
 //!    in the event log.
 
 use mmptcp::prelude::*;
-use mmptcp::scenario;
 use mmptcp::{TopologySpec, WorkloadSpec};
 use netsim::Addr;
 
@@ -227,24 +227,4 @@ fn flow_filter_restricts_series_to_one_flow() {
     let sink = r.trace.as_ref().unwrap();
     assert!(!sink.flow_keys().is_empty());
     assert!(sink.flow_keys().iter().all(|&(f, _)| f == 1));
-}
-
-/// `TraceConfig::Off` must leave the golden contract untouched: regenerating
-/// a pinned scenario's canonical report (tracing off, as always) still
-/// matches the committed snapshot byte for byte. This is the same comparison
-/// `scenarios check` makes in CI, pinned here against the cheapest golden
-/// scenario so the guarantee is also enforced by tier-1.
-#[test]
-fn trace_off_keeps_golden_metrics_byte_identical() {
-    let golden =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fig1bc.json");
-    let expected = std::fs::read_to_string(&golden).expect("committed golden snapshot");
-    let run = scenario::find("fig1bc")
-        .expect("catalog entry")
-        .run(scenario::Fidelity::Fast, 2);
-    assert_eq!(
-        run.report.to_json(),
-        expected,
-        "TraceConfig::Off drifted the golden metrics"
-    );
 }
