@@ -270,7 +270,6 @@ fn queue_heat(out_dir: &Path) -> std::io::Result<bool> {
     let mut dat = format!(
         "# traced run: {label}\n# t_ms link_index depth_packets (blank line between link blocks)\n"
     );
-    let mut links = 0usize;
     let mut link = 0usize;
     while let Some(series) = sink.link_series(link) {
         for p in series.items() {
@@ -281,7 +280,6 @@ fn queue_heat(out_dir: &Path) -> std::io::Result<bool> {
             ));
         }
         dat.push('\n');
-        links += 1;
         link += 1;
     }
     let gp = format!(
@@ -297,7 +295,7 @@ fn queue_heat(out_dir: &Path) -> std::io::Result<bool> {
     );
     write(out_dir, "queue_heat.dat", dat)?;
     write(out_dir, "queue_heat.gp", gp)?;
-    println!("queue_heat: {links} link blocks");
+    println!("queue_heat: {link} link blocks");
     Ok(true)
 }
 

@@ -74,11 +74,6 @@ fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cells.json")
 }
 
-/// Where `check` writes drift diffs (uploaded as a CI artifact on failure).
-fn diff_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-diff")
-}
-
 struct Options {
     command: Command,
     names: Vec<String>,
@@ -194,41 +189,27 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
         }
     }
     opts.command = command.unwrap_or_else(|| usage());
-    // Golden snapshots are pinned at fast fidelity, seed and engine: a check
-    // or bless under any other combination would silently compare apples to
-    // oranges. The conservation sweep likewise always runs the fast fidelity
-    // and owns its seeds (--seeds), but the conservation laws must hold
-    // under every engine, so it does accept --engine.
-    if matches!(
-        opts.command,
-        Command::Check | Command::Bless | Command::Conserve
-    ) && (opts.fidelity_flag_seen || opts.seed.is_some())
+    // Golden cells are pinned at fast fidelity, seed, engine and controller:
+    // a check or bless under any other combination would silently compare
+    // apples to oranges. The conservation sweep likewise always runs the fast
+    // fidelity and owns its seeds (--seeds), but the conservation laws must
+    // hold under every engine and controller, so it does accept --engine/--cc.
+    let golden = matches!(opts.command, Command::Check | Command::Bless);
+    let conflict = if (golden || matches!(opts.command, Command::Conserve))
+        && (opts.fidelity_flag_seen || opts.seed.is_some())
     {
-        eprintln!(
-            "check/bless/conserve always run the pinned fast fidelity; \
-             drop --full/--paper/--seed (conserve takes --seeds N)"
-        );
-        std::process::exit(2);
-    }
-    if matches!(opts.command, Command::Check | Command::Bless) && opts.engine.is_some() {
-        eprintln!(
-            "golden snapshots pin each scenario's own engine; drop --engine \
-             (use `scenarios run <name> --engine ...` or `scenarios conserve --engine ...`)"
-        );
-        std::process::exit(2);
-    }
-    if matches!(opts.command, Command::Check | Command::Bless) && opts.cc.is_some() {
-        eprintln!(
-            "golden snapshots pin each scenario's own congestion-control axis; drop --cc \
-             (use `scenarios run <name> --cc ...` or `scenarios conserve --cc ...`)"
-        );
-        std::process::exit(2);
-    }
-    if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
-        eprintln!(
-            "bless rewrites every golden cell: a cell can belong to several scenarios; \
-             drop the names (use `scenarios check <name>...` to look at one scenario)"
-        );
+        "check/bless/conserve always run the pinned fast fidelity; \
+         drop --full/--paper/--seed (conserve takes --seeds N)"
+    } else if golden && (opts.engine.is_some() || opts.cc.is_some()) {
+        "golden cells pin each scenario's own engine and congestion-control axis; drop \
+         --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)"
+    } else if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
+        "bless rewrites every cell (a cell can belong to several scenarios); drop the names"
+    } else {
+        ""
+    };
+    if !conflict.is_empty() {
+        eprintln!("{conflict}");
         std::process::exit(2);
     }
     opts.seeds = opts.seeds.max(1);
@@ -376,23 +357,17 @@ fn run_cells(cells: Vec<(String, ExperimentConfig)>, threads: usize) -> Scenario
 
 /// One row as a canonical document of its own, for a row-by-row diff.
 fn render(run: &RunReport) -> String {
-    let runs = vec![run.clone()];
     ScenarioReport {
-        runs,
+        runs: vec![run.clone()],
         ..ScenarioReport::default()
     }
     .to_json()
 }
 
 fn cmd_bless(opts: &Options) -> ExitCode {
-    let cells = scenario::cells();
-    let count = cells.len();
-    let path = golden_path();
-    std::fs::write(&path, run_cells(cells, opts.threads).to_json()).expect("write golden cells");
-    println!(
-        "blessed {count} cells into {}; commit it to make it the new baseline",
-        path.display()
-    );
+    let golden = run_cells(scenario::cells(), opts.threads);
+    std::fs::write(golden_path(), golden.to_json()).expect("write golden cells");
+    println!("blessed {} cells into cells.json", golden.runs.len());
     ExitCode::SUCCESS
 }
 
@@ -402,8 +377,7 @@ fn cmd_check(opts: &Options) -> ExitCode {
     let golden = match text.and_then(|text| ScenarioReport::from_json(&text)) {
         Ok(golden) => golden,
         Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            eprintln!("run `scenarios bless` and commit the result");
+            eprintln!("cannot read {}: {e}; run `scenarios bless`", path.display());
             return ExitCode::FAILURE;
         }
     };
@@ -412,23 +386,18 @@ fn cmd_check(opts: &Options) -> ExitCode {
         .into_iter()
         .filter(|(_, cell)| rows.iter().any(|(_, row)| row == cell))
         .collect();
-    println!(
-        "checking {} cells ({} scenario rows)",
-        cells.len(),
-        rows.len()
-    );
+    println!("checking {} cells of {} rows", cells.len(), rows.len());
     let actual = run_cells(cells.clone(), opts.threads);
     let all_rows = fast_rows(&select(&[]));
     let mut failures = Vec::new();
     for ((_, config), run) in cells.iter().zip(&actual.runs) {
         let expected = golden.runs.iter().find(|g| g.label == run.label);
-        let mut body = match expected.map(|g| report::diff(&render(g), &render(run))) {
-            Some(None) => {
-                println!("OK       {}", run.label);
-                continue;
-            }
-            Some(Some(d)) => format!("DRIFT    {}\n{d}", run.label),
+        let mut body = match expected {
             None => format!("MISSING  {} (no such row in the golden)\n", run.label),
+            Some(g) => match report::diff(&render(g), &render(run)) {
+                None => continue,
+                Some(d) => format!("DRIFT    {}\n{d}", run.label),
+            },
         };
         for (row, _) in all_rows.iter().filter(|(_, c)| c == config) {
             body.push_str(&format!("  shared by {row}\n"));
@@ -436,36 +405,18 @@ fn cmd_check(opts: &Options) -> ExitCode {
         eprint!("{body}");
         failures.push(body);
     }
-    if opts.names.is_empty() {
-        for stale in golden
-            .runs
-            .iter()
-            .filter(|g| !actual.runs.iter().any(|r| r.label == g.label))
-        {
-            let body = format!("STALE    {} (a golden row no scenario runs)\n", stale.label);
-            eprint!("{body}");
-            failures.push(body);
-        }
-    }
     if failures.is_empty() {
-        println!("golden check passed");
+        println!("golden check passed: {} cells", cells.len());
         return ExitCode::SUCCESS;
     }
-    let dir = diff_dir();
+    // Uploaded as a CI artifact on failure.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-diff");
     std::fs::create_dir_all(&dir).expect("create diff dir");
     let diff_path = dir.join("cells.diff");
-    let header = format!(
-        "golden-metrics drift against {} ({} cells; `-` expected, `+` actual):\n",
-        path.display(),
-        failures.len()
-    );
+    let header = format!("drift against {} (- expected, + actual):\n", path.display());
     std::fs::write(&diff_path, header + &failures.concat()).expect("write diff");
-    eprintln!(
-        "{} cells drifted, missing or stale; diff written to {} — if intentional, \
-         rerun `scenarios bless` and commit",
-        failures.len(),
-        diff_path.display()
-    );
+    let drifted = failures.len();
+    eprintln!("{drifted} cells drifted (if intended, `scenarios bless`): {diff_path:?}");
     ExitCode::FAILURE
 }
 
@@ -497,10 +448,7 @@ fn cmd_conserve(opts: &Options) -> ExitCode {
         }
     }
     let total = configs.len();
-    println!(
-        "conservation sweep: {total} distinct runs ({} seeds)",
-        opts.seeds
-    );
+    println!("conservation sweep: {total} runs ({} seeds)", opts.seeds);
     let results = Driver::with_threads(opts.threads).run_labelled(configs);
     let mut violations = Vec::new();
     for (label, r) in &results {
@@ -654,17 +602,12 @@ mod tests {
     fn overrides_reach_the_config() {
         let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
         let mut config = ExperimentConfig::default();
-        apply_overrides(&parse("run fig1bc"), &mut config);
+        apply_overrides(&parse("trace fig1bc"), &mut config);
         assert_eq!(config, ExperimentConfig::default());
-        for line in [
-            "trace fig1bc --seed 9 --engine hybrid --cc cubic",
-            "run fig1bc --seed 9 --engine hybrid --cc cubic",
-        ] {
-            let mut config = ExperimentConfig::default();
-            apply_overrides(&parse(line), &mut config);
-            assert_eq!(config.seed, 9, "{line}");
-            assert_eq!(config.engine, Engine::hybrid_default(), "{line}");
-            assert_eq!(config.transport.cc, CongestionControl::Cubic, "{line}");
-        }
+        let line = "trace fig1bc --seed 9 --engine hybrid --cc cubic";
+        apply_overrides(&parse(line), &mut config);
+        assert_eq!(config.seed, 9);
+        assert_eq!(config.engine, Engine::hybrid_default());
+        assert_eq!(config.transport.cc, CongestionControl::Cubic);
     }
 }

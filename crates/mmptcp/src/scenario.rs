@@ -1136,35 +1136,28 @@ mod tests {
         assert_eq!(models, [tight, tight, tight, loose, loose, loose]);
     }
 
-    /// The golden cells: no two are equal, every fast row is one of them, and
-    /// a row shares the cell of the first row whose config equals its own.
+    /// Registry-driven execution equals running the same configs by hand: a
+    /// scenario reassembled from a run of its cells is what a direct run
+    /// reports, so the cells add no hidden state to the deterministic engine.
     #[test]
-    fn cells_are_distinct_and_cover_every_fast_row() {
-        let cells = cells();
-        for (i, (name, cell)) in cells.iter().enumerate() {
-            let twin = cells[..i].iter().find(|(_, earlier)| earlier == cell);
-            assert!(twin.is_none(), "{name} repeats {twin:?}");
-        }
-        let fig1_mmptcp = "fig1bc / mmptcp-8 (Figure 1c)";
-        let mut rows_of_fig1_mmptcp = Vec::new();
-        for s in catalog() {
-            for (label, config) in s.configs(Fidelity::Fast) {
-                let (name, _) = cells.iter().find(|(_, c)| *c == config).unwrap();
-                if name == fig1_mmptcp {
-                    rows_of_fig1_mmptcp.push(format!("{} / {label}", s.name));
-                }
-            }
-        }
-        // The Figure-1 MMPTCP-8 cell is the plain fast base, which eight
-        // rows run — link-failure's unfailed row included.
-        let (_, config) = cells.iter().find(|(n, _)| n == fig1_mmptcp).unwrap();
-        assert_eq!(*config, fast_base(Protocol::mmptcp_default()));
-        assert_eq!(rows_of_fig1_mmptcp.len(), 8, "{rows_of_fig1_mmptcp:#?}");
-        assert!(rows_of_fig1_mmptcp.contains(&"link-failure / mmptcp-8 / failed 0/1000".into()));
+    fn registry_run_equals_direct_run() {
+        let incast = find("incast").unwrap();
+        let configs = incast.configs(Fidelity::Fast);
+        let mut own = cells();
+        own.retain(|(_, cell)| configs.iter().any(|(_, c)| c == cell));
+        let run = |configs, threads| crate::Driver::with_threads(threads).run_labelled(configs);
+        let golden = report("cells", Fidelity::Fast, &run(own, 2));
+        let direct = report("incast", Fidelity::Fast, &run(configs, 1));
+        assert_eq!(direct.runs.len(), 4);
+        let reassembled = incast.reassemble(&golden).unwrap();
+        assert_eq!(reassembled.to_json(), direct.to_json());
     }
 
     #[test]
     fn link_failure_scenario_wires_the_failure_spec() {
+        // The unfailed fast row is the plain base: it shares fig1bc's cell.
+        let fast = find("link-failure").unwrap().configs(Fidelity::Fast);
+        assert_eq!(fast[0].1, fast_base(Protocol::mmptcp_default()));
         for (label, cfg) in find("link-failure").unwrap().configs(Fidelity::Full) {
             let TopologySpec::FatTree(ft) = cfg.topology else {
                 panic!("link-failure must use a FatTree");

@@ -200,22 +200,17 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
 }
 
 /// The committed golden cells document, as text.
-fn cells_text() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cells.json");
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
+const CELLS: &str = include_str!("golden/cells.json");
 
 /// The committed golden cells, read back through the canonical reader.
 fn golden_cells() -> metrics::ScenarioReport {
-    metrics::ScenarioReport::from_json(&cells_text()).unwrap_or_else(|e| panic!("cells.json: {e}"))
+    metrics::ScenarioReport::from_json(CELLS).unwrap_or_else(|e| panic!("cells.json: {e}"))
 }
 
 /// A scenario's golden document, reassembled from the committed cells.
 fn golden(scenario: &str) -> metrics::ScenarioReport {
-    let scenario = find(scenario).expect("a catalog scenario");
-    scenario
-        .reassemble(&golden_cells())
-        .unwrap_or_else(|e| panic!("{e}"))
+    let reassembled = find(scenario).unwrap().reassemble(&golden_cells());
+    reassembled.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The battleground's headline, as pinned by the golden cells (which the CI
@@ -396,9 +391,9 @@ fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
         .expect("tests/golden exists")
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
-    assert!(files.iter().any(|f| f == "cells.json"), "{files:?}");
+    assert_eq!(files, ["cells.json"]);
     let cells = golden_cells();
-    assert_eq!(cells.to_json(), cells_text(), "cells.json is not canonical");
+    assert_eq!(cells.to_json(), CELLS, "cells.json is not canonical");
     assert_eq!(cells.fidelity, Fidelity::Fast.label());
     let pinned: Vec<&str> = cells.runs.iter().map(|r| r.label.as_str()).collect();
     let names: Vec<String> = mmptcp::scenario::cells().into_iter().map(|c| c.0).collect();
@@ -408,25 +403,6 @@ fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
         let labels: Vec<String> = s.configs(Fidelity::Fast).into_iter().map(|c| c.0).collect();
         let rows: Vec<&str> = report.runs.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(rows, labels, "{}: row labels", s.name);
-    }
-}
-
-/// Transitional proof: the cells rebuild each scenario's legacy snapshot
-/// byte for byte (battle-matrix without its new seeds 3..=8).
-#[test]
-fn cells_reassemble_every_legacy_snapshot_byte_for_byte() {
-    for s in catalog() {
-        let mut report = golden(s.name);
-        report
-            .runs
-            .retain(|r| !(3..=8).any(|seed| r.label.ends_with(&format!(" seed={seed}"))));
-        let path = format!(
-            "{}/../../tests/golden/{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            s.name
-        );
-        let legacy = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(report.to_json(), legacy, "{}", s.name);
     }
 }
 
