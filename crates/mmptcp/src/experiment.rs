@@ -428,6 +428,7 @@ mod tests {
         assert_eq!(a.short_fcts_ms(), b.short_fcts_ms());
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.loss, b.loss);
+        assert_eq!(a.core_utilisation.bytes, b.core_utilisation.bytes);
     }
 
     #[test]

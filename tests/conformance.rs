@@ -13,6 +13,9 @@
 //!   transport collapses to plain TCP's completion time exactly (±0) —
 //!   multi-path machinery must cost nothing when there are no paths to use.
 
+mod common;
+
+use common::{golden, golden_cells, CELLS};
 use mmptcp::prelude::*;
 use mmptcp::scenario::{catalog, find, Fidelity};
 use netsim::{Packet, PathPolicy};
@@ -20,8 +23,9 @@ use transport::testing::Loopback;
 use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 
 /// Fast cells no scenario's first config reaches, swept next to the first
-/// configs by both conservation tests: a fabric degraded by build-time link
-/// failures, the dual-homed access layer and D²TCP with deadlines to meet.
+/// configs by the packet conservation test: a fabric degraded by build-time
+/// link failures, the dual-homed access layer and D²TCP with deadlines to
+/// meet.
 fn extra_conservation_cells() -> Vec<(String, ExperimentConfig)> {
     [
         ("link-failure", "mmptcp-8 / failed 250/1000"),
@@ -40,22 +44,33 @@ fn extra_conservation_cells() -> Vec<(String, ExperimentConfig)> {
     .collect()
 }
 
-/// Conservation across the catalog: the first fast config of every scenario,
-/// two distinct seeds each (seeds never repeat across scenarios, so the
-/// sweep covers well over 16 seeds in total; the CI `scenarios conserve`
-/// job extends this to 16 seeds per scenario at release speed).
+/// The first fast config of every scenario, each distinct config once, with
+/// the catalog index of the scenario that opens on it (the index seeds the
+/// runs). Several scenarios open on the same cell: `cc-battle` on
+/// `hotspot`'s, `coexistence` and `multihomed` on `link-failure`'s.
+fn first_cells() -> Vec<(usize, String, ExperimentConfig)> {
+    let mut firsts: Vec<(usize, String, ExperimentConfig)> = Vec::new();
+    for (i, s) in catalog().iter().enumerate() {
+        let (label, cfg) = s.configs(Fidelity::Fast).swap_remove(0);
+        if firsts.iter().all(|(.., first)| *first != cfg) {
+            firsts.push((i, format!("{} / {label}", s.name), cfg));
+        }
+    }
+    firsts
+}
+
+/// Conservation across the catalog: every scenario's first cell, two
+/// distinct seeds each (seeds never repeat across cells, so the sweep covers
+/// well over 16 seeds in total; the CI `scenarios conserve` job extends this
+/// to 16 seeds per scenario at release speed).
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
     let mut configs = extra_conservation_cells();
-    for (i, s) in catalog().iter().enumerate() {
-        let mut expanded = s.configs(Fidelity::Fast);
-        assert!(!expanded.is_empty());
-        let (label, cfg) = expanded.swap_remove(0);
+    for (i, name, cfg) in first_cells() {
         for k in 0..2u64 {
-            let seed = 1 + (i as u64) * 2 + k;
-            let mut c = cfg.clone();
-            c.seed = seed;
-            configs.push((format!("{} / {label} seed={seed}", s.name), c));
+            let mut run = cfg.clone();
+            run.seed = 1 + (i as u64) * 2 + k;
+            configs.push((format!("{name} seed={}", run.seed), run));
         }
     }
     assert!(
@@ -200,19 +215,6 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
 }
 
 /// The committed golden cells document, as text.
-const CELLS: &str = include_str!("golden/cells.json");
-
-/// The committed golden cells, read back through the canonical reader.
-fn golden_cells() -> metrics::ScenarioReport {
-    metrics::ScenarioReport::from_json(CELLS).unwrap_or_else(|e| panic!("cells.json: {e}"))
-}
-
-/// A scenario's golden document, reassembled from the committed cells.
-fn golden(scenario: &str) -> metrics::ScenarioReport {
-    let reassembled = find(scenario).unwrap().reassemble(&golden_cells());
-    reassembled.unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The battleground's headline, as pinned by the golden cells (which the CI
 /// golden job keeps equal to actual behaviour): RepFlow beats single-path
 /// TCP on mice p99 FCT in every cell at load <= 0.6, while MMPTCP holds
@@ -223,35 +225,20 @@ fn golden(scenario: &str) -> metrics::ScenarioReport {
 #[test]
 fn battle_matrix_golden_witnesses_the_headline_claims() {
     let runs = golden("battle-matrix").runs;
-    assert_eq!(
-        runs.len(),
-        88,
-        "5 variants x 2 workloads x 2 loads x 2 seeds, + seeds 3..=8 of mptcp-8 and mmptcp-8"
-    );
-
-    let cell_of = |label: &str| -> String {
-        label
-            .split_once(" | ")
-            .map(|(_, rest)| rest.to_string())
-            .expect("label format: variant | workload @ load L seed=S")
-    };
-    let by_variant = |variant: &str| -> Vec<&metrics::RunReport> {
+    let variant = |name: &str| -> Vec<&metrics::RunReport> {
+        let prefix = format!("{name} | ");
         runs.iter()
-            .filter(|r| r.label.split(" | ").next() == Some(variant))
+            .filter(|r| r.label.starts_with(&prefix))
             .collect()
     };
 
-    // RepFlow vs TCP, mice p99, cell by cell (every fast load is <= 0.6).
-    let tcp = by_variant("tcp");
-    let repflow = by_variant("repflow");
-    assert_eq!(tcp.len(), 8);
+    // Cell by cell, in the matrix's order (every fast load is <= 0.6).
+    let (tcp, repflow) = (variant("tcp"), variant("repflow"));
+    assert_eq!(tcp.len(), 8, "2 workloads x 2 loads x 2 seeds");
     assert_eq!(repflow.len(), 8);
-    for t in &tcp {
-        let cell = cell_of(&t.label);
-        let r = repflow
-            .iter()
-            .find(|r| cell_of(&r.label) == cell)
-            .unwrap_or_else(|| panic!("no repflow run for cell {cell}"));
+    for (t, r) in tcp.iter().zip(&repflow) {
+        let cell = t.label.split_once(" | ").expect("variant | cell").1;
+        assert_eq!(r.label, format!("repflow | {cell}"));
         assert!(
             r.mice_fct.p99_ms < t.mice_fct.p99_ms,
             "repflow mice p99 {} must beat tcp {} in cell {cell}",
@@ -262,13 +249,12 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
 
     // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix and
     // across seeds 1..=8.
-    let goodput = |variant: &str| -> f64 {
-        let pooled = by_variant(variant);
-        assert_eq!(pooled.len(), 2 * 2 * 8, "{variant}: 4 cells x 8 seeds");
+    let goodput = |name: &str| -> f64 {
+        let pooled = variant(name);
+        assert_eq!(pooled.len(), 2 * 2 * 8, "{name}: 4 cells x 8 seeds");
         pooled.iter().map(|r| r.long_goodput_gbps).sum()
     };
-    let mmptcp = goodput("mmptcp-8");
-    let mptcp = goodput("mptcp-8");
+    let (mmptcp, mptcp) = (goodput("mmptcp-8"), goodput("mptcp-8"));
     assert!(mptcp > 0.0);
     assert!(
         mmptcp >= 0.95 * mptcp,
@@ -685,13 +671,19 @@ fn hybrid_engine_is_byte_identical_when_no_flow_goes_fluid() {
     assert_eq!(packet.loss, hybrid.loss);
 }
 
-/// Conservation across the catalog under the hybrid engine: every
-/// scenario's first fast config re-run with `Engine::hybrid_default()`
-/// (plus the extra cells — the degraded fabric among them, so build-time
-/// failures and fluid handoff are exercised together). The packet law is
-/// untouched by fluid bytes and the fluid ledger stays within the bounded
-/// workload. The dumbbell's elephants under CUBIC and BBR come first: no
-/// other test runs those two fluid cap models, so each must go fluid here.
+/// Conservation under the hybrid engine, on runs that hand flows to the
+/// fluid path: the packet law is untouched by fluid bytes and the fluid
+/// ledger stays within the bounded workload. Only a bounded flow above the
+/// threshold goes fluid; on a run without one the hybrid engine should be
+/// the packet engine byte for byte, which the packet sweep audits. So the
+/// runs are the dumbbell's elephants under CUBIC and BBR (no other test runs
+/// those two fluid cap models), every first cell whose short flows come from
+/// an empirical size CDF, and data-mining's on a fabric degraded by
+/// build-time link failures — and each must go fluid. That premise is
+/// checked on one config here
+/// (`hybrid_engine_is_byte_identical_when_no_flow_goes_fluid`); the hybrid
+/// runs of the other first cells and of the extra cells are left to CI's
+/// release `scenarios conserve --engine hybrid`, which audits every cell.
 #[test]
 fn conservation_laws_hold_on_the_hybrid_engine() {
     let mut configs = Vec::new();
@@ -703,23 +695,31 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         };
         configs.push((format!("dumbbell / {} hybrid", cc.name()), cfg));
     }
-    for (i, s) in catalog().iter().enumerate() {
-        let mut expanded = s.configs(Fidelity::Fast);
-        let (label, mut cfg) = expanded.swap_remove(0);
-        cfg.engine = Engine::hybrid_default();
-        cfg.seed = 101 + i as u64;
-        configs.push((format!("{} / {label} hybrid", s.name), cfg));
+    for (i, name, mut cfg) in first_cells() {
+        if matches!(&cfg.workload, WorkloadSpec::Paper(w) if w.short_size.cdf().is_some()) {
+            cfg.engine = Engine::hybrid_default();
+            cfg.seed = 101 + i as u64;
+            configs.push((format!("{name} hybrid"), cfg));
+        }
     }
-    for (i, (label, mut cfg)) in extra_conservation_cells().into_iter().enumerate() {
-        cfg.engine = Engine::hybrid_default();
-        cfg.seed = 251 + i as u64;
-        configs.push((format!("{label} hybrid"), cfg));
+    let (label, mut degraded) = find("data-mining")
+        .unwrap()
+        .configs(Fidelity::Fast)
+        .swap_remove(0);
+    if let TopologySpec::FatTree(ft) = &mut degraded.topology {
+        ft.failures = LinkFailureSpec::agg_core(250, 42);
     }
+    degraded.engine = Engine::hybrid_default();
+    degraded.seed = 251;
+    configs.push((
+        format!("data-mining / {label} failed 250/1000 hybrid"),
+        degraded,
+    ));
 
     let results = Driver::new().run_labelled(configs);
-    for (label, r) in &results[..2] {
+    for (label, r) in &results {
         let fluid = r.audit.fluid_delivered_bytes;
-        assert!(fluid > 0, "{label}: the fluid cap model never ran");
+        assert!(fluid > 0, "{label}: nothing went fluid");
     }
     assert_conserves(results);
 }

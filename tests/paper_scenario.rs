@@ -1,95 +1,103 @@
-//! Integration test of the paper's evaluation scenario at reduced scale:
-//! a 4:1 over-subscribed FatTree, one third of hosts running long background
+//! The paper's evaluation scenario at reduced scale: a 2:1 over-subscribed
+//! FatTree (k = 4, 32 hosts), one third of hosts running long background
 //! flows, the rest sending Poisson-arriving 70 KB short flows over a
-//! permutation matrix — compared across MPTCP and MMPTCP.
+//! permutation matrix, compared across MPTCP-8 and MMPTCP-8 over five seeds.
+//! Those are the `fig1-seeds` scenario's fast cells; the claims are read
+//! from their committed golden rows, which the CI golden job keeps equal to
+//! what the simulator produces, so nothing is run here.
 //!
 //! These are *shape* checks (who wins, where the tail comes from), not
-//! absolute-number checks; the absolute numbers depend on scale.
+//! absolute-number checks; the absolute numbers depend on scale. They pool
+//! the seeds: at this scale one seed can read either way.
 
+mod common;
+
+use common::golden;
+use metrics::RunReport;
 use mmptcp::prelude::*;
 
-fn scenario(protocol: Protocol, seed: u64) -> ExperimentConfig {
-    ExperimentConfig {
-        // k=4 with 2:1 over-subscription (32 hosts): enough contention for the
-        // paper's effect to show, small enough for the debug-mode test suite.
-        topology: TopologySpec::FatTree(FatTreeConfig {
-            k: 4,
-            oversubscription: 2,
-            ..FatTreeConfig::default()
-        }),
-        workload: WorkloadSpec::Paper(PaperWorkloadConfig {
-            flows_per_short_host: 3,
-            arrivals: ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_millis(30),
-            },
-            ..PaperWorkloadConfig::default()
-        }),
-        protocol,
-        seed,
-        ..ExperimentConfig::default()
-    }
+/// Every seed of one protocol in `fig1-seeds`' fast arm.
+fn seeds(protocol: &str) -> Vec<RunReport> {
+    let prefix = format!("{protocol} seed=");
+    let runs = golden("fig1-seeds").runs;
+    let rows: Vec<RunReport> = runs
+        .into_iter()
+        .filter(|r| r.label.starts_with(&prefix))
+        .collect();
+    assert_eq!(rows.len(), 5, "{protocol}: seeds 1..=5");
+    rows
 }
 
+/// Each protocol completes every short flow of every seed within the cap,
+/// and the long flows make progress.
 #[test]
 fn both_protocols_complete_the_paper_workload() {
-    for protocol in [Protocol::mptcp8(), Protocol::mmptcp_default()] {
-        let r = mmptcp::run(scenario(protocol, 1));
-        assert!(
-            r.all_short_completed,
-            "{:?}: not all short flows completed within the cap",
-            protocol
-        );
-        assert!(r.short_fct_summary().count > 10);
-        assert!(
-            r.long_goodput_bps() > 0.0,
-            "long flows should make progress"
-        );
+    for run in seeds("mptcp-8").iter().chain(&seeds("mmptcp-8")) {
+        let label = &run.label;
+        assert!(run.all_short_completed, "{label}: a short flow stranded");
+        assert!(run.short_fct.count > 10, "{label}");
+        assert!(run.long_goodput_gbps > 0.0, "{label}: long flows stalled");
     }
 }
 
+/// The tail claim: MPTCP-8's short flows, split over eight small windows,
+/// fall into RTOs that MMPTCP-8's packet-scatter phase avoids. Over the five
+/// seeds fewer MMPTCP-8 short flows see an RTO, and its short-flow p99 FCT,
+/// summed over the seeds, is lower.
 #[test]
 fn mmptcp_tail_is_no_worse_than_mptcp_tail() {
-    // Average over a few seeds to damp run-to-run noise at this small scale.
-    let seeds = [1u64, 2, 3];
-    let mut mptcp_rto_flows = 0usize;
-    let mut mmptcp_rto_flows = 0usize;
-    let mut mptcp_std = 0.0;
-    let mut mmptcp_std = 0.0;
-    for &s in &seeds {
-        let a = mmptcp::run(scenario(Protocol::mptcp8(), s));
-        let b = mmptcp::run(scenario(Protocol::mmptcp_default(), s));
-        mptcp_rto_flows += a.short_flows_with_rto();
-        mmptcp_rto_flows += b.short_flows_with_rto();
-        mptcp_std += a.short_fct_summary().std_dev;
-        mmptcp_std += b.short_fct_summary().std_dev;
-    }
-    println!(
-        "RTO-affected short flows over {} seeds: mptcp={mptcp_rto_flows} mmptcp={mmptcp_rto_flows}; \
-         summed std: mptcp={mptcp_std:.1} ms mmptcp={mmptcp_std:.1} ms",
-        seeds.len()
-    );
+    let (mptcp, mmptcp) = (seeds("mptcp-8"), seeds("mmptcp-8"));
+    let rto_flows =
+        |runs: &[RunReport]| -> usize { runs.iter().map(|r| r.short_flows_with_rto).sum() };
+    let p99 = |runs: &[RunReport]| -> f64 { runs.iter().map(|r| r.short_fct.p99_ms).sum() };
+    let (a, b) = (rto_flows(&mptcp), rto_flows(&mmptcp));
     assert!(
-        mmptcp_rto_flows <= mptcp_rto_flows + 1,
-        "MMPTCP should not have (noticeably) more RTO-affected short flows ({mmptcp_rto_flows}) than MPTCP ({mptcp_rto_flows})"
+        b < a,
+        "{b} mmptcp-8 short flows saw an RTO over five seeds, mptcp-8 {a}"
     );
-    // At this deliberately small scale the MPTCP pathology the paper targets
-    // (tiny per-subflow windows forcing RTOs) barely appears, so the standard
-    // deviations are dominated by a handful of 1 s initial-RTO outliers and a
-    // strict ordering assertion would be noise-driven. The full-contrast shape
-    // check lives in `figure1_shape_at_benchmark_scale` below (run with
-    // `cargo test --release -- --ignored`) and in the `fig1bc` scenario.
+    let (a, b) = (p99(&mptcp), p99(&mmptcp));
     assert!(
-        mmptcp_std <= 3.0 * (mptcp_std + 100.0),
-        "MMPTCP FCT spread ({mmptcp_std:.1} ms summed) is implausibly larger than MPTCP's ({mptcp_std:.1} ms summed)"
+        b < a,
+        "summed short-flow p99: mmptcp-8 {b:.1} ms, mptcp-8 {a:.1} ms"
+    );
+}
+
+/// Aggregate long-flow goodput of a run that gives each of its ten long
+/// flows (a third of the 32 hosts) a meaningful share, 50 Mbps, of its
+/// 1 Gbps access link.
+const LONG_GOODPUT_FLOOR_GBPS: f64 = 0.5;
+
+/// "Same average throughput": pooled over the five seeds, MMPTCP-8's
+/// long-flow goodput is within 5 % of MPTCP-8's, and no run starves its long
+/// flows. One seed's ratio is decided by which paths collide, hence the
+/// pooling; and the two protocols' runs end at different simulated times
+/// (MPTCP-8 waits for its RTO-bound stragglers), so their goodput windows
+/// differ.
+#[test]
+fn long_flow_throughput_is_comparable_between_protocols() {
+    let pooled = |runs: Vec<RunReport>| -> f64 {
+        for run in &runs {
+            assert!(
+                run.long_goodput_gbps > LONG_GOODPUT_FLOOR_GBPS,
+                "{}: {:.3} Gbps of long-flow goodput",
+                run.label,
+                run.long_goodput_gbps
+            );
+        }
+        runs.iter().map(|r| r.long_goodput_gbps).sum()
+    };
+    let (a, b) = (pooled(seeds("mptcp-8")), pooled(seeds("mmptcp-8")));
+    assert!(
+        a.max(b) / a.min(b) < 1.05,
+        "long-flow goodput over five seeds should match: mptcp-8 {a:.3} Gbps, mmptcp-8 {b:.3}"
     );
 }
 
 /// The benchmark-scale (64-host, 4:1 over-subscribed) shape check matching
-/// Figure 1(b)/(c) and the §3 statistics: MMPTCP has (substantially) fewer
-/// RTO-affected short flows and a smaller FCT standard deviation than MPTCP-8,
-/// while long-flow goodput stays comparable. Ignored by default because it
-/// takes a couple of minutes in release mode (and much longer in debug); run
-/// with `cargo test --release -- --ignored`.
+/// Figure 1(b)/(c) and the §3 statistics: MMPTCP has fewer RTO-affected short
+/// flows than MPTCP-8, while long-flow goodput stays comparable. Ignored by
+/// default because it takes about 20 s in release mode (and much longer in
+/// debug); run with `cargo test --release -- --ignored`, as CI does.
 #[test]
 #[ignore]
 fn figure1_shape_at_benchmark_scale() {
@@ -105,7 +113,7 @@ fn figure1_shape_at_benchmark_scale() {
     // The robust part of the paper's claim at this scale: fewer short flows
     // are RTO-bound under MMPTCP, and the long flows keep their throughput.
     // (The mean/sigma contrast of the paper's §3 additionally needs the
-    // full 512-host, 16-path scale — see EXPERIMENTS.md.)
+    // 512-server, 16-path scale: `scenarios run fig1bc --paper`.)
     assert!(mmptcp_r.short_flows_with_rto() < mptcp.short_flows_with_rto());
     let (ga, gb) = (mptcp.long_goodput_bps(), mmptcp_r.long_goodput_bps());
     assert!(ga > 0.0 && gb > 0.0);
@@ -113,64 +121,4 @@ fn figure1_shape_at_benchmark_scale() {
         ga.max(gb) / ga.min(gb) < 1.3,
         "long goodput should match: {ga:.2e} vs {gb:.2e}"
     );
-}
-
-#[test]
-fn long_flow_throughput_is_comparable_between_protocols() {
-    let a = mmptcp::run(scenario(Protocol::mptcp8(), 5));
-    let b = mmptcp::run(scenario(Protocol::mmptcp_default(), 5));
-    let ga = a.long_goodput_bps();
-    let gb = b.long_goodput_bps();
-    println!(
-        "long-flow goodput: mptcp {ga:.2e} bps over {}, mmptcp {gb:.2e} bps over {}",
-        a.elapsed, b.elapsed
-    );
-    assert!(ga > 0.0 && gb > 0.0);
-    // The two runs end at different simulated times (the MPTCP run waits for
-    // its RTO-bound stragglers), so the goodput windows differ; "comparable"
-    // here means within a small factor, not equality.
-    let ratio = ga.max(gb) / ga.min(gb);
-    assert!(
-        ratio < 2.5,
-        "long-flow goodput should be comparable (paper: 'same average throughput'), got {ga:.2e} vs {gb:.2e}"
-    );
-    // Each long flow must still achieve a meaningful share of its 1 Gbps
-    // access link on average.
-    let per_long_a = ga / a.long_ids.len().max(1) as f64;
-    let per_long_b = gb / b.long_ids.len().max(1) as f64;
-    assert!(
-        per_long_a > 5e7,
-        "MPTCP long flows too slow: {per_long_a:.2e} bps each"
-    );
-    assert!(
-        per_long_b > 5e7,
-        "MMPTCP long flows too slow: {per_long_b:.2e} bps each"
-    );
-}
-
-#[test]
-fn deterministic_reproduction_of_the_full_scenario() {
-    let a = mmptcp::run(scenario(Protocol::mmptcp_default(), 9));
-    let b = mmptcp::run(scenario(Protocol::mmptcp_default(), 9));
-    assert_eq!(a.short_fcts_ms(), b.short_fcts_ms());
-    assert_eq!(a.counters, b.counters);
-    assert_eq!(a.loss, b.loss);
-    assert_eq!(a.core_utilisation.bytes, b.core_utilisation.bytes);
-}
-
-#[test]
-fn workload_accounting_matches_results() {
-    let r = mmptcp::run(scenario(Protocol::mmptcp_default(), 4));
-    // Every flow in the workload is classified exactly once.
-    assert_eq!(
-        r.short_ids.len() + r.long_ids.len(),
-        r.flows.len(),
-        "short + long ids must cover the workload"
-    );
-    // Completed short flows transferred exactly 70 KB each.
-    for (id, rec) in r.metrics.sorted_records() {
-        if r.short_ids.contains(&id) && rec.completed.is_some() {
-            assert_eq!(rec.bytes, 70_000, "flow {id:?} reported wrong byte count");
-        }
-    }
 }
