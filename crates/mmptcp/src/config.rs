@@ -329,7 +329,11 @@ impl ExperimentConfig {
             // of `mice_storm_tcp` was measured as 15-30 % of its set-up.
             let mut seen = vec![false; flows.len()];
             let mut sparse = Vec::new();
-            for id in flows.iter().map(|f| f.id) {
+            for &FlowSpec { id, src, dst, .. } in flows {
+                // Its receiver would replace its sender: it would never start.
+                if src == dst {
+                    return Err(format!("custom workload flow {id} has {src} at both ends"));
+                }
                 match usize::try_from(id).ok().and_then(|i| seen.get_mut(i)) {
                     Some(seen) => {
                         if std::mem::replace(seen, true) {
@@ -422,6 +426,8 @@ mod tests {
             // The second sender would silently replace the first.
             (custom(&[(1, 0, 1), (0, 2, 3), (1, 4, 5)]), "flow id 1"),
             (custom(&[(7, 0, 1), (8, 2, 3), (7, 4, 5)]), "flow id 7"),
+            // The receiver would replace the sender: the flow never starts.
+            (custom(&[(0, 0, 1), (1, 5, 5)]), "flow 1 has h5 at both"),
         ];
         // `small_test` is a 16-host tree, which only the built topology
         // knows: an index panic in a worker until `run` checked.

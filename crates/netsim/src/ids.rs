@@ -1,7 +1,9 @@
 //! Small copyable identifier newtypes used throughout the simulator.
 //!
-//! All identifiers are dense indices handed out by the [`crate::network::Network`]
-//! builder, so they can be used to index the corresponding vectors directly.
+//! Node and link identifiers and host addresses are dense indices handed out
+//! by the [`crate::network::Network`] builder, so they can be used to index the
+//! corresponding vectors directly. A [`FlowId`] is not: the workload chooses it
+//! (any `u64`), and each host keys its agents by it in a map.
 
 use core::fmt;
 use serde::{Deserialize, Serialize};

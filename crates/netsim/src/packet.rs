@@ -30,10 +30,6 @@ pub enum PacketKind {
     Data,
     /// A pure acknowledgement.
     Ack,
-    /// Sender has no more data (carries the final sequence number).
-    Fin,
-    /// Acknowledgement of a `Fin`.
-    FinAck,
 }
 
 /// Explicit Congestion Notification codepoint carried by the packet.

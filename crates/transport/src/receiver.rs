@@ -7,91 +7,50 @@
 //! transmit timestamps back to the sender.
 
 use netsim::{Agent, AgentCtx, AgentEvent, Ecn, FlowId, Packet, PacketKind, Signal};
-use std::collections::BTreeMap;
 
 /// Reassembly state for one direction of one subflow.
 #[derive(Debug, Default, Clone)]
 struct SubflowRecv {
     /// Next expected subflow-level byte.
     rcv_nxt: u64,
-    /// Out-of-order byte ranges above `rcv_nxt` (start -> length).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order byte ranges above `rcv_nxt`.
+    ooo: Vec<(u64, u64)>,
 }
 
-/// Insert `[seq, seq+len)` into a cumulative-plus-out-of-order tracker and
-/// return the number of *new* bytes it contributed. Advances `rcv_nxt` over
-/// any now-contiguous buffered ranges.
-fn insert_range(rcv_nxt: &mut u64, ooo: &mut BTreeMap<u64, u64>, seq: u64, len: u64) -> u64 {
-    // The next expected segment with nothing buffered: the general path would
-    // insert the range and pop it straight back. A flow that only ever
-    // arrives in order therefore never allocates a tree node.
+/// Insert `[seq, seq+len)` into a cumulative-plus-out-of-order tracker whose
+/// `ooo` ranges are half-open, sorted, disjoint, non-adjacent (coalesced) and
+/// above `rcv_nxt`. Advances `rcv_nxt` over any range made contiguous.
+fn insert_range(rcv_nxt: &mut u64, ooo: &mut Vec<(u64, u64)>, seq: u64, len: u64) {
+    // The common case, the next expected segment with nothing buffered,
+    // skips the searches. Neither path allocates for an in-order flow.
     if seq == *rcv_nxt && ooo.is_empty() {
         *rcv_nxt += len;
-        return len;
+        return;
     }
     insert_range_general(rcv_nxt, ooo, seq, len)
 }
 
 /// [`insert_range`] for any range: duplicates, overlaps, holes.
-fn insert_range_general(
-    rcv_nxt: &mut u64,
-    ooo: &mut BTreeMap<u64, u64>,
-    seq: u64,
-    len: u64,
-) -> u64 {
-    if len == 0 {
-        return 0;
+fn insert_range_general(rcv_nxt: &mut u64, ooo: &mut Vec<(u64, u64)>, seq: u64, len: u64) {
+    let (mut start, mut end) = (seq.max(*rcv_nxt), seq + len);
+    if start >= end {
+        return; // empty or entirely duplicate
     }
-    let mut start = seq;
-    let end = seq + len;
-    if end <= *rcv_nxt {
-        return 0; // entirely duplicate
+    // `ooo[lo..hi]` are the ranges that overlap or touch `[start, end)`.
+    let lo = ooo.partition_point(|&(_, e)| e < start);
+    let hi = ooo.partition_point(|&(s, _)| s <= end);
+    if lo < hi {
+        start = start.min(ooo[lo].0);
+        end = end.max(ooo[hi - 1].1);
     }
-    if start < *rcv_nxt {
-        start = *rcv_nxt;
+    if start == *rcv_nxt {
+        // Only the first range can start at `rcv_nxt` (`lo == 0`), and the
+        // next one starts beyond `end`: nothing further becomes contiguous.
+        *rcv_nxt = end;
+        ooo.drain(lo..hi);
+    } else {
+        ooo.splice(lo..hi, [(start, end)]);
     }
-    // Check overlap with already-buffered ranges; clip against any range that
-    // covers part of [start, end). Ranges are non-overlapping by construction.
-    let mut new_bytes = 0;
-    let mut cursor = start;
-    while cursor < end {
-        // Find the buffered range that contains or follows `cursor`.
-        let covering = ooo
-            .range(..=cursor)
-            .next_back()
-            .filter(|(s, l)| **s + **l > cursor)
-            .map(|(s, l)| (*s, *l));
-        if let Some((s, l)) = covering {
-            cursor = s + l; // skip the already-buffered part
-            continue;
-        }
-        let next_start = ooo
-            .range(cursor..)
-            .next()
-            .map(|(s, _)| *s)
-            .unwrap_or(u64::MAX);
-        let piece_end = end.min(next_start);
-        if piece_end > cursor {
-            ooo.insert(cursor, piece_end - cursor);
-            new_bytes += piece_end - cursor;
-            cursor = piece_end;
-        } else {
-            break;
-        }
-    }
-    // Advance the cumulative pointer over contiguous buffered data.
-    while let Some((&s, &l)) = ooo.iter().next() {
-        if s <= *rcv_nxt {
-            let range_end = s + l;
-            ooo.remove(&s);
-            if range_end > *rcv_nxt {
-                *rcv_nxt = range_end;
-            }
-        } else {
-            break;
-        }
-    }
-    new_bytes
 }
 
 /// How often (in delivered bytes) the receiver emits a [`Signal::FlowProgress`]
@@ -109,7 +68,7 @@ pub struct TransportReceiver {
     /// a subflow's first data packet (indices are a `u8`: at most 256 slots).
     subflows: Vec<SubflowRecv>,
     data_rcv_nxt: u64,
-    data_ooo: BTreeMap<u64, u64>,
+    data_ooo: Vec<(u64, u64)>,
     last_progress_report: u64,
 }
 
@@ -120,7 +79,7 @@ impl TransportReceiver {
             flow,
             subflows: Vec::new(),
             data_rcv_nxt: 0,
-            data_ooo: BTreeMap::new(),
+            data_ooo: Vec::new(),
             last_progress_report: 0,
         }
     }
@@ -195,7 +154,7 @@ impl Agent for TransportReceiver {
         match event {
             AgentEvent::Packet(pkt) => match pkt.kind {
                 PacketKind::Syn => self.handle_syn(ctx, &pkt),
-                PacketKind::Data | PacketKind::Fin => self.handle_data(ctx, &pkt),
+                PacketKind::Data => self.handle_data(ctx, &pkt),
                 _ => {}
             },
             AgentEvent::Finalize => {
@@ -218,6 +177,7 @@ impl Agent for TransportReceiver {
 mod tests {
     use super::*;
     use netsim::{Addr, SimRng, SimTime};
+    use std::collections::BTreeMap;
 
     struct Harness {
         rng: SimRng,
@@ -265,32 +225,127 @@ mod tests {
         )
     }
 
+    /// The tracker the range list replaced, one tree entry per buffered
+    /// piece and never merged: the reference of the differential tests.
+    fn reference_insert(rcv_nxt: &mut u64, ooo: &mut BTreeMap<u64, u64>, seq: u64, len: u64) {
+        let end = seq + len;
+        let mut cursor = seq.max(*rcv_nxt);
+        while cursor < end {
+            // Skip the buffered piece that covers `cursor`, if any.
+            let covering = ooo.range(..=cursor).next_back();
+            if let Some((s, l)) = covering.filter(|(s, l)| **s + **l > cursor) {
+                cursor = s + l;
+                continue;
+            }
+            let piece_end = ooo.range(cursor..).next().map_or(end, |(s, _)| end.min(*s));
+            ooo.insert(cursor, piece_end - cursor);
+            cursor = piece_end;
+        }
+        while let Some(piece) = ooo.first_entry().filter(|p| *p.key() <= *rcv_nxt) {
+            let (s, l) = piece.remove_entry();
+            *rcv_nxt = (*rcv_nxt).max(s + l);
+        }
+    }
+
+    /// Differential test: one random stream of `segments` 1 400-byte
+    /// segments, reordered within a window of up to 64 and mixed with
+    /// duplicates, retransmits below `rcv_nxt`, overlapping and zero-length
+    /// segments, into the range list and the reference tree.
+    fn run_against_reference_tree(seed: u64, segments: u64) {
+        const MSS: u64 = 1_400;
+        let total = segments * MSS;
+        let mut rng = SimRng::new(seed);
+        let window = rng.range(1..=64usize);
+        let (mut rcv_nxt, mut ooo) = (0u64, Vec::new());
+        let (mut ref_nxt, mut ref_ooo) = (0, BTreeMap::new());
+        let (mut released, mut pending) = (0, Vec::new());
+        while released < segments || !pending.is_empty() {
+            while released < segments && pending.len() < window {
+                pending.push(released);
+                released += 1;
+            }
+            let (seq, len) = match rng.range(0..10u32) {
+                0 => (rng.range(0..released) * MSS, MSS),
+                1 => {
+                    let seq =
+                        rng.range(rcv_nxt.saturating_sub(2 * MSS)..=rcv_nxt + window as u64 * MSS);
+                    (seq, rng.range(1..=3 * MSS).min(total.saturating_sub(seq)))
+                }
+                2 => (rng.range(0..=total), 0),
+                _ => (pending.swap_remove(rng.range(0..pending.len())) * MSS, MSS),
+            };
+            insert_range(&mut rcv_nxt, &mut ooo, seq, len);
+            reference_insert(&mut ref_nxt, &mut ref_ooo, seq, len);
+            // Equal `rcv_nxt`, the reference's pieces covering exactly the
+            // ranges, and those sorted, disjoint, non-adjacent, above it.
+            assert_eq!(rcv_nxt, ref_nxt, "seed {seed}");
+            let mut union: Vec<(u64, u64)> = Vec::new();
+            for (&s, &l) in &ref_ooo {
+                match union.last_mut() {
+                    Some(last) if last.1 == s => last.1 = s + l,
+                    _ => union.push((s, s + l)),
+                }
+            }
+            assert_eq!(ooo, union, "seed {seed}");
+            assert!(ooo.iter().all(|&(s, e)| rcv_nxt < s && s < e));
+            assert!(ooo.windows(2).all(|w| w[0].1 < w[1].0), "{ooo:?}");
+        }
+        assert_eq!((rcv_nxt, ooo.len()), (total, 0), "seed {seed}");
+    }
+
+    #[test]
+    fn reassembly_matches_reference_tree_on_random_streams() {
+        for seed in 0..200 {
+            run_against_reference_tree(seed, 300);
+        }
+    }
+
+    /// The long run CI makes outside tier-1:
+    /// `cargo test --release -p transport -- --ignored reassembly`.
+    #[test]
+    #[ignore = "long: 5 000 streams x 2 000 segments"]
+    fn reassembly_matches_reference_tree_on_long_random_streams() {
+        for seed in 0..5_000 {
+            run_against_reference_tree(1_000 + seed, 2_000);
+        }
+    }
+
+    /// A train that arrives back to front stays one buffered range: each
+    /// segment touches the range its successor started.
+    #[test]
+    fn a_reversed_train_keeps_one_buffered_range() {
+        let (mut rcv_nxt, mut ooo) = (0, Vec::new());
+        for seg in (0..1_000u64).rev() {
+            insert_range(&mut rcv_nxt, &mut ooo, seg * 1_400, 1_400);
+            assert!(ooo.len() <= 1, "{ooo:?}");
+        }
+        assert_eq!((rcv_nxt, ooo.len()), (1_400_000, 0));
+    }
+
     #[test]
     fn insert_range_basics() {
-        let mut rcv_nxt = 0;
-        let mut ooo = BTreeMap::new();
-        assert_eq!(insert_range(&mut rcv_nxt, &mut ooo, 0, 100), 100);
+        let (mut rcv_nxt, mut ooo) = (0, Vec::new());
+        insert_range(&mut rcv_nxt, &mut ooo, 0, 100);
         assert_eq!(rcv_nxt, 100);
-        // Duplicate contributes nothing.
-        assert_eq!(insert_range(&mut rcv_nxt, &mut ooo, 0, 100), 0);
+        // A duplicate changes nothing.
+        insert_range(&mut rcv_nxt, &mut ooo, 0, 100);
+        assert_eq!((rcv_nxt, ooo.len()), (100, 0));
         // Gap: buffered but not advanced.
-        assert_eq!(insert_range(&mut rcv_nxt, &mut ooo, 200, 100), 100);
-        assert_eq!(rcv_nxt, 100);
+        insert_range(&mut rcv_nxt, &mut ooo, 200, 100);
+        assert_eq!((rcv_nxt, &ooo[..]), (100, &[(200, 300)][..]));
         // Filling the gap advances over both.
-        assert_eq!(insert_range(&mut rcv_nxt, &mut ooo, 100, 100), 100);
+        insert_range(&mut rcv_nxt, &mut ooo, 100, 100);
         assert_eq!(rcv_nxt, 300);
         assert!(ooo.is_empty());
     }
 
     #[test]
     fn insert_range_partial_overlap() {
-        let mut rcv_nxt = 0;
-        let mut ooo = BTreeMap::new();
+        let (mut rcv_nxt, mut ooo) = (0, Vec::new());
         insert_range(&mut rcv_nxt, &mut ooo, 100, 100);
-        // Overlaps the buffered range on both sides.
-        let added = insert_range(&mut rcv_nxt, &mut ooo, 50, 200);
-        assert_eq!(added, 100, "only the non-overlapping parts count");
-        assert_eq!(rcv_nxt, 0);
+        // Overlaps the buffered range on both sides: one merged range.
+        insert_range(&mut rcv_nxt, &mut ooo, 50, 200);
+        assert_eq!((rcv_nxt, &ooo[..]), (0, &[(50, 250)][..]));
         insert_range(&mut rcv_nxt, &mut ooo, 0, 50);
         assert_eq!(rcv_nxt, 250);
     }
@@ -301,8 +356,8 @@ mod tests {
     fn insert_range_fast_path_matches_the_general_path() {
         let mut rng = SimRng::new(0xfa57);
         for _ in 0..300 {
-            let (mut fast_nxt, mut fast_ooo) = (0u64, BTreeMap::new());
-            let (mut slow_nxt, mut slow_ooo) = (0u64, BTreeMap::new());
+            let (mut fast_nxt, mut fast_ooo) = (0u64, Vec::new());
+            let (mut slow_nxt, mut slow_ooo) = (0u64, Vec::new());
             // How far the stream strays from `rcv_nxt`: 0 is a purely
             // in-order (with duplicates) stream that must never buffer.
             let spread = rng.range(0..4u64) * 1_500;
@@ -313,9 +368,8 @@ mod tests {
                     2 => fast_nxt.saturating_sub(rng.range(0..=2_000u64)),
                     _ => fast_nxt + rng.range(0..=spread),
                 };
-                let fast = insert_range(&mut fast_nxt, &mut fast_ooo, seq, len);
-                let slow = insert_range_general(&mut slow_nxt, &mut slow_ooo, seq, len);
-                assert_eq!(fast, slow, "new bytes of [{seq}, +{len})");
+                insert_range(&mut fast_nxt, &mut fast_ooo, seq, len);
+                insert_range_general(&mut slow_nxt, &mut slow_ooo, seq, len);
                 assert_eq!(fast_nxt, slow_nxt, "rcv_nxt after [{seq}, +{len})");
                 assert_eq!(fast_ooo, slow_ooo, "ooo after [{seq}, +{len})");
                 assert!(spread > 0 || fast_ooo.is_empty());

@@ -584,7 +584,7 @@ impl Subflow {
                 self.cancel_timer();
                 update.became_established = true;
             }
-            PacketKind::Ack | PacketKind::FinAck => {
+            PacketKind::Ack => {
                 update.merge(self.on_ack(ctx, pkt, lia));
             }
             _ => {}
