@@ -17,10 +17,6 @@ pub struct FlowRecord {
     pub bytes: u64,
     /// Retransmission timeouts experienced.
     pub rtos: u32,
-    /// Fast retransmissions experienced.
-    pub fast_retransmits: u32,
-    /// Spurious retransmissions detected.
-    pub spurious_retransmits: u32,
     /// When the MMPTCP phase switch happened, if it did.
     pub phase_switched: Option<SimTime>,
     /// Bytes the sender put on the wire beyond the flow's size (replica
@@ -77,8 +73,8 @@ impl FlowMetrics {
                         .push((*at, *bytes));
                 }
                 Signal::RetransmissionTimeout { .. } => rec.rtos += 1,
-                Signal::FastRetransmit { .. } => rec.fast_retransmits += 1,
-                Signal::SpuriousRetransmit { .. } => rec.spurious_retransmits += 1,
+                // No report reads these; the trace's events log keeps them.
+                Signal::FastRetransmit { .. } | Signal::SpuriousRetransmit { .. } => {}
                 Signal::PhaseSwitched { at, .. } => rec.phase_switched = Some(*at),
                 Signal::FlowProgress { at, bytes, .. } => {
                     // Keep the largest report: at `Finalize` the fluid engine
@@ -281,8 +277,7 @@ mod tests {
         ]);
         assert_eq!(m.total_rtos(|_| true), 2);
         assert_eq!(m.flows_with_rto(|_| true), 1);
-        assert_eq!(m.record(FlowId(2)).unwrap().fast_retransmits, 1);
-        assert_eq!(m.record(FlowId(2)).unwrap().spurious_retransmits, 1);
+        assert_eq!(m.record(FlowId(2)).unwrap().rtos, 0, "not timeouts");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! 2. With tracing on, transports emit `CwndSample` signals after every
 //!    state-changing activation and the experiment loop feeds the signal
 //!    stream to a per-run [`TraceSink`]; when link tracing is requested the
-//!    loop additionally snapshots every link's [`netsim::LinkTelemetry`]
-//!    at the [`TraceSink::sample_every`] cadence.
+//!    loop additionally reads every link's [`netsim::Link::stats`],
+//!    [`netsim::Link::queue_stats`] and [`netsim::Link::backlog`] at the
+//!    [`TraceSink::sample_every`] cadence.
 //! 3. Each series lives in a [`RingSeries`]: a bounded, decimating recorder.
 //!    When a series fills its capacity it drops every second retained point
 //!    and doubles its acceptance stride, so arbitrarily long runs keep a
@@ -39,7 +40,9 @@
 //! seed produces byte-identical CSV across runs and across driver thread
 //! counts.
 
-use netsim::{LinkTelemetry, Network, Signal, SimDuration, SimTime};
+use netsim::link::LinkStats;
+use netsim::queue::QueueStats;
+use netsim::{Network, Signal, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -260,8 +263,8 @@ pub struct TraceSink {
     events_dropped: u64,
     /// Link series keyed by link index.
     links: BTreeMap<usize, RingSeries<LinkPoint>>,
-    /// Cumulative telemetry at the previous link sample, per link index.
-    prev_links: Vec<LinkTelemetry>,
+    /// Cumulative counters at the previous link sample, per link index.
+    prev_links: Vec<(LinkStats, QueueStats)>,
     last_link_sample: Option<SimTime>,
 }
 
@@ -383,26 +386,26 @@ impl TraceSink {
             .unwrap_or(0);
         let mut fresh = Vec::with_capacity(network.links().len());
         for (i, link) in network.links().iter().enumerate() {
-            let t = link.telemetry();
-            let prev = self.prev_links.get(i).copied().unwrap_or_default();
-            let busy_delta = t.busy_ns - prev.busy_ns;
+            let (ls, qs) = (link.stats(), link.queue_stats());
+            let (pl, pq) = self.prev_links.get(i).copied().unwrap_or_default();
+            let busy_delta = ls.busy_ns - pl.busy_ns;
             self.links
                 .entry(i)
                 .or_insert_with(|| RingSeries::new(RING_CAPACITY))
                 .push(LinkPoint {
                     at: now,
-                    depth_packets: t.queue_depth_packets,
-                    tx_packets: t.tx_packets - prev.tx_packets,
-                    tx_bytes: t.tx_bytes - prev.tx_bytes,
-                    drops: t.dropped - prev.dropped,
-                    ecn_marks: t.ecn_marked - prev.ecn_marked,
+                    depth_packets: link.backlog(),
+                    tx_packets: ls.tx_packets - pl.tx_packets,
+                    tx_bytes: ls.tx_bytes - pl.tx_bytes,
+                    drops: qs.dropped - pq.dropped,
+                    ecn_marks: qs.ecn_marked - pq.ecn_marked,
                     utilisation: if window_ns > 0 {
                         (busy_delta as f64 / window_ns as f64).min(1.0)
                     } else {
                         0.0
                     },
                 });
-            fresh.push(t);
+            fresh.push((ls, qs));
         }
         self.prev_links = fresh;
         self.last_link_sample = Some(now);
@@ -752,19 +755,28 @@ mod tests {
 
     #[test]
     fn link_sampling_produces_window_deltas() {
-        use netsim::{Addr, FlowId, LinkConfig, Packet, SwitchLayer};
+        use netsim::{Addr, Ecn, FlowId, LinkConfig, Packet, QueueConfig, SwitchLayer};
         let mut net = Network::new();
         let h0 = net.add_host();
         let sw = net.add_switch(SwitchLayer::Edge, 1);
-        let (up, _down) = net.add_duplex_link(h0, sw, LinkConfig::default());
+        let config = LinkConfig {
+            queue: QueueConfig {
+                limit_packets: 2,
+                ecn_threshold_packets: Some(1),
+            },
+            ..LinkConfig::default()
+        };
+        let (up, _down) = net.add_duplex_link(h0, sw, config);
         let mut sink = TraceSink::new(TraceSettings {
             links: true,
             ..TraceSettings::default()
         });
         sink.sample_links(SimTime::ZERO, &net);
-        // Put three packets on the uplink: one transmits, two queue.
-        for i in 0..3u64 {
-            let pkt = Packet::data(
+        // Offer five ECN-capable packets to the uplink: one transmits, the
+        // second queues unmarked, the third queues marked (depth 1 = K) and
+        // the last two find the 2-packet queue full.
+        for i in 0..5u64 {
+            let mut pkt = Packet::data(
                 Addr(0),
                 Addr(0),
                 1,
@@ -776,20 +788,21 @@ mod tests {
                 1400,
                 SimTime::ZERO,
             );
+            pkt.ecn = Ecn::Capable;
             let _ = net.link_mut(up).offer(SimTime::ZERO, pkt);
         }
         sink.sample_links(SimTime::from_micros(100), &net);
         let series = sink.link_series(up.index()).unwrap();
         assert_eq!(series.len(), 2);
         let p = series.items()[1];
+        let deltas = |p: LinkPoint| (p.tx_packets, p.tx_bytes, p.drops, p.ecn_marks);
         assert_eq!(p.depth_packets, 2);
-        assert_eq!(p.tx_packets, 1, "window delta, not cumulative");
+        assert_eq!(deltas(p), (1, 1454, 2, 1), "window deltas, not cumulative");
         assert!(p.utilisation > 0.0 && p.utilisation <= 1.0);
         // A quiet window records zero deltas.
         sink.sample_links(SimTime::from_micros(200), &net);
         let q = sink.link_series(up.index()).unwrap().items()[2];
-        assert_eq!(q.tx_packets, 0);
-        assert_eq!(q.tx_bytes, 0);
+        assert_eq!(deltas(q), (0, 0, 0, 0));
         // Every link in the network has a series.
         assert_eq!(sink.link_count(), net.link_count());
         let csv = sink.links_csv();

@@ -348,6 +348,9 @@ impl ExperimentConfig {
                 return Err(format!("custom workload repeats flow id {}", pair[0]));
             }
         }
+        if let WorkloadSpec::Incast { fan_in: 0 | 1, .. } = self.workload {
+            return Err("incast needs at least two senders per receiver".into());
+        }
         for protocol in std::iter::once(&self.protocol).chain(&self.long_protocol) {
             let (name, subflows, needed) = match *protocol {
                 Protocol::Mptcp { subflows: 0 } => {
@@ -400,6 +403,18 @@ mod tests {
         let (mut zero_tick, mut no_flows) = (with(Protocol::Tcp), with(Protocol::Tcp));
         zero_tick.progress_interval = SimDuration::ZERO;
         no_flows.workload = WorkloadSpec::Custom(Vec::new());
+        let incast = |fan_in| ExperimentConfig {
+            workload: WorkloadSpec::Incast {
+                fan_in,
+                bytes: 70_000,
+                start: SimTime::ZERO,
+            },
+            ..with(Protocol::Tcp)
+        };
+        let paper_on_two_hosts = ExperimentConfig {
+            topology: TopologySpec::Parallel(ParallelPathConfig::default()),
+            ..with(Protocol::Tcp)
+        };
         let custom = |flows: &[(u64, u32, u32)]| {
             let mut config = with(Protocol::Tcp);
             let flow = |&(id, src, dst)| {
@@ -428,12 +443,15 @@ mod tests {
             (custom(&[(7, 0, 1), (8, 2, 3), (7, 4, 5)]), "flow id 7"),
             // The receiver would replace the sender: the flow never starts.
             (custom(&[(0, 0, 1), (1, 5, 5)]), "flow 1 has h5 at both"),
+            (incast(1), "incast needs at least two senders"),
         ];
         // `small_test` is a 16-host tree, which only the built topology
         // knows: an index panic in a worker until `run` checked.
         let beyond_the_fabric = [
             (custom(&[(0, 0, 1), (1, 16, 2)]), "flow 1 runs from host 16"),
             (custom(&[(0, 3, 99)]), "to host 99; the topology has 16"),
+            (incast(16), "group needs 17 hosts; the topology has 16"),
+            (paper_on_two_hosts, "workload needs 4 hosts"),
         ];
         let by_validate = rejected.into_iter().map(|row| (row, true));
         let by_run = beyond_the_fabric.into_iter().map(|row| (row, false));

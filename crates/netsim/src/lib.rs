@@ -66,7 +66,7 @@ pub mod time;
 pub use agent::{Agent, AgentCtx, AgentEvent};
 pub use fluid::FluidCc;
 pub use ids::{Addr, FlowId, LinkId, NodeId};
-pub use link::{Link, LinkConfig, LinkTelemetry};
+pub use link::{Link, LinkConfig};
 pub use network::Network;
 pub use node::Node;
 pub use packet::{Ecn, Packet, PacketArena, PacketKind, DEFAULT_MSS};

@@ -52,29 +52,6 @@ pub struct LinkStats {
     pub busy_ns: u64,
 }
 
-/// A cumulative telemetry snapshot of one link, taken by the flight-recorder
-/// trace pipeline at a fixed cadence. Counters are cumulative since the start
-/// of the run; the trace sink differences consecutive snapshots to produce
-/// per-sample-window series (bytes carried, drops, ECN marks, utilisation),
-/// while `queue_depth_packets` is the instantaneous occupancy at the sample
-/// instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkTelemetry {
-    /// Instantaneous queue depth in packets, as drop and ECN decisions see
-    /// it: the packet being serialised is not counted.
-    pub queue_depth_packets: usize,
-    /// Cumulative packets fully transmitted onto the wire.
-    pub tx_packets: u64,
-    /// Cumulative wire bytes transmitted.
-    pub tx_bytes: u64,
-    /// Cumulative transmitter busy time in nanoseconds.
-    pub busy_ns: u64,
-    /// Cumulative packets dropped by the output queue.
-    pub dropped: u64,
-    /// Cumulative ECN marks applied by the output queue.
-    pub ecn_marked: u64,
-}
-
 /// One unidirectional link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -223,20 +200,6 @@ impl Link {
         self.queue.stats()
     }
 
-    /// Flight-recorder telemetry snapshot: `busy_ns` and `tx_*` count exactly
-    /// the transmissions started so far.
-    pub fn telemetry(&self) -> LinkTelemetry {
-        let q = self.queue.stats();
-        LinkTelemetry {
-            queue_depth_packets: self.queue.len(),
-            tx_packets: self.stats.tx_packets,
-            tx_bytes: self.stats.tx_bytes,
-            busy_ns: self.stats.busy_ns,
-            dropped: q.dropped,
-            ecn_marked: q.ecn_marked,
-        }
-    }
-
     /// Link counters.
     pub fn stats(&self) -> LinkStats {
         self.stats
@@ -353,15 +316,17 @@ mod tests {
         link.offer(SimTime::ZERO, pkt(1)).unwrap();
         link.offer(SimTime::ZERO, pkt(2)).unwrap();
         assert!(link.offer(SimTime::ZERO, pkt(3)).is_err());
-        let mut expected = LinkTelemetry {
-            queue_depth_packets: 2,
-            tx_packets: 1,
-            tx_bytes: 1500,
-            busy_ns: 12_000,
-            dropped: 1,
-            ecn_marked: 0,
+        let snapshot = |l: &Link| (l.backlog(), l.stats(), l.queue_stats().dropped);
+        let wire = |n: u64| LinkStats {
+            tx_packets: n,
+            tx_bytes: 1500 * n,
+            busy_ns: 12_000 * n,
         };
-        assert_eq!(link.telemetry(), expected, "only the wire packet counts");
+        assert_eq!(
+            snapshot(&link),
+            (2, wire(1), 1),
+            "only the wire packet counts"
+        );
 
         let mut done = first.transmit_done_at;
         for seq in 1..=2 {
@@ -371,15 +336,9 @@ mod tests {
             assert_eq!(tx.delivered_at, tx.transmit_done_at + link.config.delay);
             // The packet left the queue and entered the counters at the
             // instant its serialisation started: exactly one slot is free.
-            expected.queue_depth_packets -= 1;
-            expected.tx_packets += 1;
-            expected.tx_bytes += 1500;
-            expected.busy_ns += 12_000;
-            assert_eq!(link.telemetry(), expected);
+            assert_eq!(snapshot(&link), (1, wire(seq + 1), seq));
             assert!(link.offer(done, pkt(10 + seq)).unwrap().is_none());
             assert!(link.offer(done, pkt(20 + seq)).is_err());
-            expected.queue_depth_packets += 1;
-            expected.dropped += 1;
             done = tx.transmit_done_at;
         }
     }

@@ -36,12 +36,8 @@ pub struct QueueStats {
     pub enqueued: u64,
     /// Packets dropped because the queue was full.
     pub dropped: u64,
-    /// Bytes dropped (wire bytes).
-    pub dropped_bytes: u64,
     /// Packets marked with Congestion Experienced.
     pub ecn_marked: u64,
-    /// Highest instantaneous occupancy observed, in packets.
-    pub max_depth_packets: usize,
 }
 
 /// The outcome of offering a packet to a queue.
@@ -79,7 +75,6 @@ impl DropTailQueue {
         let depth = self.packets.len();
         if depth >= self.config.limit_packets {
             self.stats.dropped += 1;
-            self.stats.dropped_bytes += packet.wire_bytes() as u64;
             return EnqueueOutcome::Dropped;
         }
 
@@ -94,9 +89,6 @@ impl DropTailQueue {
 
         self.packets.push_back(packet);
         self.stats.enqueued += 1;
-        if depth + 1 > self.stats.max_depth_packets {
-            self.stats.max_depth_packets = depth + 1;
-        }
         if marked {
             EnqueueOutcome::QueuedMarked
         } else {
@@ -171,10 +163,6 @@ mod tests {
         assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Queued);
         assert_eq!(q.enqueue(pkt(100)), EnqueueOutcome::Dropped);
         assert_eq!(q.stats().dropped, 1);
-        assert_eq!(
-            q.stats().dropped_bytes,
-            100 + crate::packet::HEADER_BYTES as u64
-        );
         assert_eq!(q.stats().enqueued, 2);
         assert_eq!(q.len(), 2);
     }
@@ -196,16 +184,5 @@ mod tests {
         q.dequeue();
         q.dequeue();
         assert_eq!(q.dequeue().unwrap().ecn, Ecn::CongestionExperienced);
-    }
-
-    #[test]
-    fn max_depth_is_tracked() {
-        let mut q = DropTailQueue::new(QueueConfig::default());
-        for _ in 0..7 {
-            q.enqueue(pkt(10));
-        }
-        q.dequeue();
-        q.dequeue();
-        assert_eq!(q.stats().max_depth_packets, 7);
     }
 }

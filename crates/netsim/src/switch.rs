@@ -99,9 +99,6 @@ impl PathPolicy {
 /// Per-switch forwarding counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwitchStats {
-    /// Packets forwarded to an output queue (whether or not the queue
-    /// subsequently dropped them).
-    pub forwarded: u64,
     /// Packets with no route (should not happen on a well-formed topology;
     /// counted rather than panicking so malformed experiments are visible).
     pub no_route: u64,
@@ -221,7 +218,6 @@ impl Switch {
                 ecmp::select(packet, salt, n)
             }
         };
-        self.stats.forwarded += 1;
         Some(group[choice])
     }
 
@@ -321,7 +317,6 @@ mod tests {
         assert_eq!(sw.forward(&pkt(0, 50_000)), Some(LinkId(7)));
         let up_choice = sw.forward(&pkt(1, 50_000)).unwrap();
         assert!([LinkId(0), LinkId(1), LinkId(2), LinkId(3)].contains(&up_choice));
-        assert_eq!(sw.stats().forwarded, 2);
     }
 
     #[test]

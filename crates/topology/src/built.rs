@@ -4,7 +4,7 @@
 use netsim::{Addr, LinkId, Network, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Which tier of the fabric a link belongss to (classified by its endpoints).
+/// Which tier of the fabric a link belongs to (classified by its endpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LinkTier {
     /// Host ↔ edge/ToR switch.

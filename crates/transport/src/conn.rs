@@ -235,8 +235,7 @@ impl<P: Policy> Connection<P> {
     /// Total data bytes handed to the network across all subflows,
     /// including retransmissions and replica copies.
     pub fn total_bytes_sent(&self) -> u64 {
-        let sent = |s: &Subflow| s.counters().data_bytes_sent;
-        self.subflows().iter().map(sent).sum()
+        self.subflows().iter().map(Subflow::bytes_sent).sum()
     }
 
     /// Mark the flow complete and say so: `total` bytes delivered, of which

@@ -182,22 +182,9 @@ pub struct ScatterThenMultipath {
     /// When the connection left the packet-scatter phase for the MPTCP
     /// phase, if it has: the connection's whole phase state.
     switched_at: Option<SimTime>,
-    spurious_seen: u64,
 }
 
 impl ScatterThenMultipath {
-    fn maybe_adapt_dupack(&mut self, scatter: &mut Subflow) {
-        if let Some((step, max)) = self.cfg.dupack.adaptation() {
-            let spurious = scatter.counters().spurious_retransmits;
-            if spurious > self.spurious_seen {
-                let bump = ((spurious - self.spurious_seen) as u32).saturating_mul(step);
-                let new = (scatter.dupack_threshold() + bump).min(max);
-                scatter.set_dupack_threshold(new);
-                self.spurious_seen = spurious;
-            }
-        }
-    }
-
     fn should_switch(&self, conn: &ConnState, congestion_event: bool) -> bool {
         if self.switched_at.is_some() || self.cfg.num_subflows == 0 {
             return false;
@@ -242,8 +229,14 @@ impl Policy for ScatterThenMultipath {
         idx: usize,
         update: SubflowUpdate,
     ) {
-        if idx == 0 {
-            self.maybe_adapt_dupack(&mut conn.subflows[0]);
+        // An adaptive policy raises the scatter flow's dup-ACK threshold by
+        // `step` per retransmission this activation judged spurious, up to
+        // `max`.
+        let spurious = update.spurious_retransmits;
+        if let (0, 1.., Some((step, max))) = (idx, spurious, self.cfg.dupack.adaptation()) {
+            let scatter = &mut conn.subflows[0];
+            let new = (scatter.dupack_threshold() + spurious.saturating_mul(step)).min(max);
+            scatter.set_dupack_threshold(new);
         }
         if self.should_switch(conn, update.congestion_event) {
             self.switch_to_mptcp(conn, ctx);
@@ -325,7 +318,6 @@ impl MmptcpSender {
             cfg,
             rr_cursor: 0,
             switched_at: None,
-            spurious_seen: 0,
         };
         let count = cfg.num_subflows.saturating_add(1);
         Connection::with_subflows(flow, total, count, subflow, policy)
@@ -364,9 +356,9 @@ mod tests {
         assert!(l.tx.is_completed());
         assert!(l.tx.switched_at().is_none());
         // All data travelled on the scatter flow.
-        assert!(l.tx.scatter_subflow().counters().data_bytes_sent >= 70_000);
+        assert!(l.tx.scatter_subflow().bytes_sent() >= 70_000);
         for sf in &l.tx.subflows()[1..] {
-            assert_eq!(sf.counters().data_bytes_sent, 0);
+            assert_eq!(sf.bytes_sent(), 0);
         }
     }
 
@@ -386,13 +378,10 @@ mod tests {
             .iter()
             .any(|s| matches!(s, Signal::PhaseSwitched { .. })));
         // MPTCP subflows carried the bulk of the data after the switch.
-        let mptcp_bytes: u64 = l.tx.subflows()[1..]
-            .iter()
-            .map(|s| s.counters().data_bytes_sent)
-            .sum();
+        let mptcp_bytes: u64 = l.tx.subflows()[1..].iter().map(Subflow::bytes_sent).sum();
         assert!(mptcp_bytes > 0);
         // The PS flow stopped taking new data around the threshold.
-        assert!(l.tx.scatter_subflow().counters().data_bytes_sent <= 150_000);
+        assert!(l.tx.scatter_subflow().bytes_sent() <= 150_000);
     }
 
     #[test]
@@ -487,7 +476,7 @@ mod tests {
     #[test]
     fn adaptive_policy_raises_threshold_after_spurious_retransmits() {
         // Force a low initial threshold so reordering triggers a spurious fast
-        // retransmit, then check that the threshold was bumped.
+        // retransmit, then check that the threshold was bumped by one step.
         let cfg = MmptcpConfig {
             dupack: DupAckPolicy::TopologyAdaptive {
                 paths: 1,
@@ -523,12 +512,10 @@ mod tests {
             l.round(|_| false);
         }
         assert!(l.tx.is_completed());
-        if l.tx.scatter_subflow().counters().spurious_retransmits > 0 {
-            assert!(
-                l.tx.scatter_subflow().dupack_threshold() > initial_threshold,
-                "threshold must rise after a spurious retransmission"
-            );
-        }
+        let spurious = |s: &&Signal| matches!(s, Signal::SpuriousRetransmit { .. });
+        assert_eq!(l.signals.iter().filter(spurious).count(), 1);
+        let threshold = l.tx.scatter_subflow().dupack_threshold();
+        assert_eq!((initial_threshold, threshold), (3, 3 + 5), "one step up");
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl MptcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::Loopback;
+    use crate::testing::{repairs, Loopback};
     use netsim::{Packet, PacketKind};
 
     fn new_loop(cfg: MptcpConfig, total: u64) -> Loopback<MptcpSender> {
@@ -191,7 +191,7 @@ mod tests {
         assert!(l.tx.is_completed());
         for sf in l.tx.subflows() {
             assert!(
-                sf.counters().data_bytes_sent > 0,
+                sf.bytes_sent() > 0,
                 "subflow {} never carried data",
                 sf.index
             );
@@ -227,7 +227,7 @@ mod tests {
         let mut l = new_loop(MptcpConfig::with_subflows(1), 70_000);
         l.run(2_000, |_| false);
         assert!(l.tx.is_completed());
-        assert_eq!(l.tx.subflow().counters().rto_count, 0);
+        assert_eq!(repairs(&l.signals, 0).1, 0);
     }
 
     #[test]
@@ -246,7 +246,8 @@ mod tests {
         assert!(l.tx.is_completed(), "connection must eventually complete");
         // Only subflow 2 performed retransmissions/timeouts.
         for sf in l.tx.subflows() {
-            let recovering = sf.counters().fast_retransmits + sf.counters().rto_count;
+            let (fast, rto) = repairs(&l.signals, sf.index);
+            let recovering = fast + rto;
             if sf.index == 2 {
                 assert!(recovering > 0);
             } else {
@@ -301,12 +302,9 @@ mod tests {
             }
         });
         assert!(!l.tx.is_completed());
-        assert!(l.tx.subflows()[0].counters().rto_count >= 1);
+        assert!(repairs(&l.signals, 0).1 >= 1);
         assert_eq!(
-            l.tx.subflows()
-                .iter()
-                .map(|s| s.counters().data_bytes_sent)
-                .sum::<u64>(),
+            l.tx.subflows().iter().map(Subflow::bytes_sent).sum::<u64>(),
             0,
             "no data can flow before the initial subflow establishes"
         );

@@ -224,7 +224,7 @@ mod tests {
         let replicas = l.tx.subflows();
         assert_eq!(replicas.len(), 2);
         for sf in replicas {
-            assert!(sf.counters().data_bytes_sent > 0);
+            assert!(sf.bytes_sent() > 0);
         }
         assert_ne!(replicas[0].src_port(), replicas[1].src_port());
         // The wire carried more than the flow size; the overhead is reported.
@@ -336,13 +336,13 @@ mod tests {
                 .expect("a replica must have established");
         let loser = 1 - winner;
         let first_window = TransportConfig::default().initial_cwnd_bytes() as u64;
-        let sent = l.tx.subflows()[loser].counters().data_bytes_sent;
+        let sent = l.tx.subflows()[loser].bytes_sent();
         assert!(
             sent <= first_window,
             "loser sent {sent} > one initial window {first_window}"
         );
         // The winner carried the whole flow.
-        assert!(l.tx.subflows()[winner].counters().data_bytes_sent >= 70_000);
+        assert!(l.tx.subflows()[winner].bytes_sent() >= 70_000);
     }
 
     #[test]

@@ -46,6 +46,9 @@ pub struct SubflowUpdate {
     pub congestion_event: bool,
     /// Subflow-level bytes newly acknowledged by this activation.
     pub newly_acked: u64,
+    /// Retransmissions this activation judged spurious (the original had in
+    /// fact arrived).
+    pub spurious_retransmits: u32,
 }
 
 impl SubflowUpdate {
@@ -53,6 +56,7 @@ impl SubflowUpdate {
         self.became_established |= other.became_established;
         self.congestion_event |= other.congestion_event;
         self.newly_acked += other.newly_acked;
+        self.spurious_retransmits += other.spurious_retransmits;
     }
 }
 
@@ -68,21 +72,6 @@ enum State {
     Recovering {
         recover: u64,
     },
-}
-
-/// Per-subflow counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SubflowCounters {
-    /// Retransmission timeouts that fired.
-    pub rto_count: u64,
-    /// Fast retransmissions triggered.
-    pub fast_retransmits: u64,
-    /// Retransmissions judged spurious (the original had in fact arrived).
-    pub spurious_retransmits: u64,
-    /// Data packets sent (including retransmissions).
-    pub data_packets_sent: u64,
-    /// Data bytes sent (including retransmissions).
-    pub data_bytes_sent: u64,
 }
 
 /// Duplicate ACKs that trigger a fast retransmission, until a policy raises
@@ -145,7 +134,8 @@ pub struct Subflow {
     /// and the controller's `on_round_trip` hook.
     round_end: u64,
 
-    counters: SubflowCounters,
+    /// Data bytes sent, retransmissions included.
+    bytes_sent: u64,
 }
 
 impl Subflow {
@@ -188,7 +178,7 @@ impl Subflow {
             last_retransmitted: None,
             ecn,
             round_end: 0,
-            counters: SubflowCounters::default(),
+            bytes_sent: 0,
         }
     }
 
@@ -285,9 +275,9 @@ impl Subflow {
         self.undo_on_spurious = enabled;
     }
 
-    /// Per-subflow counters.
-    pub(crate) fn counters(&self) -> SubflowCounters {
-        self.counters
+    /// Data bytes sent, retransmissions included.
+    pub(crate) fn bytes_sent(&self) -> u64 {
+        self.bytes_sent
     }
 
     /// The DCTCP marked-fraction estimate (0 when ECN is off).
@@ -463,7 +453,6 @@ impl Subflow {
             State::SynSent => {
                 // Lost SYN: back off and retry.
                 self.rtt.backoff();
-                self.counters.rto_count += 1;
                 update.congestion_event = true;
                 ctx.signal(Signal::RetransmissionTimeout {
                     flow: self.flow,
@@ -490,7 +479,6 @@ impl Subflow {
                 self.dup_acks = 0;
                 self.undo_armed = false;
                 self.rtt.backoff();
-                self.counters.rto_count += 1;
                 update.congestion_event = true;
                 ctx.signal(Signal::RetransmissionTimeout {
                     flow: self.flow,
@@ -547,8 +535,7 @@ impl Subflow {
         if self.cfg.ecn {
             pkt.ecn = Ecn::Capable;
         }
-        self.counters.data_packets_sent += 1;
-        self.counters.data_bytes_sent += len as u64;
+        self.bytes_sent += len as u64;
         if is_retransmit {
             self.last_retransmitted = Some(seq);
         }
@@ -652,7 +639,7 @@ impl Subflow {
             if pkt.dup_hint {
                 if let Some(seq) = self.last_retransmitted {
                     if seq < ack {
-                        self.counters.spurious_retransmits += 1;
+                        update.spurious_retransmits += 1;
                         self.last_retransmitted = None;
                         ctx.signal(Signal::SpuriousRetransmit {
                             flow: self.flow,
@@ -680,7 +667,6 @@ impl Subflow {
                 self.state = State::Recovering {
                     recover: self.snd_nxt,
                 };
-                self.counters.fast_retransmits += 1;
                 update.congestion_event = true;
                 ctx.signal(Signal::FastRetransmit {
                     flow: self.flow,
@@ -711,6 +697,7 @@ impl Subflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::repairs;
     use netsim::{SimDuration, SimRng};
 
     const MSS: u32 = 1400;
@@ -864,15 +851,11 @@ mod tests {
             let ack = ack_for(&sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert_eq!(sf.counters().fast_retransmits, 1);
+        assert_eq!(repairs(&h.signals, 0), (1, 0));
         // The retransmission is the segment starting at subflow seq 0.
         let retx = h.out.iter().find(|p| p.kind == PacketKind::Data).unwrap();
         assert_eq!(retx.seq, 0);
         assert!(sf.is_recovering());
-        assert!(h
-            .signals
-            .iter()
-            .any(|s| matches!(s, Signal::FastRetransmit { .. })));
     }
 
     #[test]
@@ -891,7 +874,7 @@ mod tests {
             let ack = ack_for(&sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert_eq!(sf.counters().fast_retransmits, 0);
+        assert_eq!(repairs(&h.signals, 0), (0, 0));
         assert!(!sf.is_recovering());
     }
 
@@ -910,14 +893,10 @@ mod tests {
         h.out.clear();
         let upd = h.with(|ctx| sf.on_timer(ctx, gen));
         assert!(upd.congestion_event);
-        assert_eq!(sf.counters().rto_count, 1);
+        assert_eq!(repairs(&h.signals, 0), (0, 1));
         assert_eq!(sf.cwnd(), MSS as f64);
         assert_eq!(h.out.len(), 1, "exactly the first segment is retransmitted");
         assert_eq!(h.out[0].seq, 0);
-        assert!(h
-            .signals
-            .iter()
-            .any(|s| matches!(s, Signal::RetransmissionTimeout { .. })));
     }
 
     #[test]
@@ -934,7 +913,7 @@ mod tests {
         h.with(|ctx| sf.on_packet(ctx, &ack, None));
         assert!(sf.is_drained());
         let upd = h.with(|ctx| sf.on_timer(ctx, gen));
-        assert_eq!(sf.counters().rto_count, 0);
+        assert_eq!(repairs(&h.signals, 0), (0, 0));
         assert!(!upd.congestion_event);
     }
 
@@ -1053,7 +1032,7 @@ mod tests {
             let ack = ack_for(&sf, 0, SimTime::ZERO);
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
-        assert_eq!(sf.counters().fast_retransmits, 1);
+        assert_eq!(repairs(&h.signals, 0), (1, 0));
         // Later the receiver advances past the retransmitted data and flags a
         // duplicate arrival.
         let ack = ack_for(&sf, 4 * MSS as u64, SimTime::ZERO);
@@ -1062,8 +1041,8 @@ mod tests {
         dup.dup_hint = true;
         // Make it a duplicate ACK by keeping outstanding data around.
         h.with(|ctx| sf.send_segment(ctx, 4 * MSS as u64, MSS));
-        h.with(|ctx| sf.on_packet(ctx, &dup, None));
-        assert_eq!(sf.counters().spurious_retransmits, 1);
+        let upd = h.with(|ctx| sf.on_packet(ctx, &dup, None));
+        assert_eq!(upd.spurious_retransmits, 1, "reported by the activation");
         assert!(h
             .signals
             .iter()
@@ -1092,7 +1071,7 @@ mod tests {
             h.with(|ctx| sf.on_packet(ctx, &ack, None));
         }
         assert!(sf.is_recovering());
-        assert_eq!(sf.counters().fast_retransmits, 1);
+        assert_eq!(repairs(&h.signals, 0), (1, 0));
         // The delayed original (and everything else) arrives: full ACK exits
         // recovery with the reduced window.
         let ack = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
@@ -1103,8 +1082,8 @@ mod tests {
         h.with(|ctx| sf.send_segment(ctx, 6 * MSS as u64, MSS));
         let mut dup = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
         dup.dup_hint = true;
-        h.with(|ctx| sf.on_packet(ctx, &dup, None));
-        assert_eq!(sf.counters().spurious_retransmits, 1);
+        let upd = h.with(|ctx| sf.on_packet(ctx, &dup, None));
+        assert_eq!(upd.spurious_retransmits, 1);
         cwnd_before
     }
 
@@ -1150,7 +1129,7 @@ mod tests {
         let (_idx, gen) = Subflow::decode_timer_token(token);
         h.now = deadline;
         h.with(|ctx| sf.on_timer(ctx, gen));
-        assert_eq!(sf.counters().rto_count, 1);
+        assert_eq!(repairs(&h.signals, 0), (0, 1));
         let collapsed = sf.cwnd();
         // A dup-hinted duplicate ACK after the timeout must not restore the
         // pre-timeout window.

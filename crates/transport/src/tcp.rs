@@ -167,7 +167,7 @@ impl D2tcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::Loopback;
+    use crate::testing::{repairs, Loopback};
     use netsim::{Agent, Signal};
 
     /// Drive a sender and receiver back to back until the sender finishes,
@@ -200,7 +200,7 @@ mod tests {
         assert!(signals
             .iter()
             .any(|s| matches!(s, Signal::FlowCompleted { bytes: 70_000, .. })));
-        assert_eq!(tx.subflow().counters().rto_count, 0);
+        assert_eq!(repairs(&signals, 0).1, 0);
     }
 
     #[test]
@@ -209,9 +209,8 @@ mod tests {
         assert!(tx.is_completed(), "transfer must recover from losses");
         assert_eq!(tx.conn.data_acked, 140_000);
         // Some recovery mechanism fired.
-        let recovered =
-            tx.subflow().counters().fast_retransmits + tx.subflow().counters().rto_count;
-        assert!(recovered > 0);
+        let (fast, rto) = repairs(&signals, 0);
+        assert!(fast + rto > 0);
         assert!(signals
             .iter()
             .any(|s| matches!(s, Signal::FlowCompleted { .. })));

@@ -201,3 +201,18 @@ impl<A: Agent> Loopback<A> {
         }
     }
 }
+
+/// The fast retransmits and the retransmission timeouts `signals` report for
+/// subflow `index`.
+#[cfg(test)]
+pub(crate) fn repairs(signals: &[Signal], index: u8) -> (usize, usize) {
+    let (mut fast, mut rto) = (0, 0);
+    for s in signals {
+        match *s {
+            Signal::FastRetransmit { subflow, .. } if subflow == index => fast += 1,
+            Signal::RetransmissionTimeout { subflow, .. } if subflow == index => rto += 1,
+            _ => {}
+        }
+    }
+    (fast, rto)
+}
