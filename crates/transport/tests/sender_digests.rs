@@ -10,12 +10,15 @@
 //! options they set (21 of 24 MPTCP scheduler × coupling × join rows); none
 //! was re-recorded.
 
-use netsim::{Addr, Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, SimDuration};
+use netsim::{
+    Addr, Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, SimDuration, SimRng, SimTime,
+};
 use std::fmt::{Debug, Write};
+use transport::subflow::LiaParams;
 use transport::testing::Loopback;
 use transport::{
-    D2tcpSender, MmptcpConfig, MmptcpSender, MptcpConfig, MptcpSender, RepFlowConfig,
-    RepFlowSender, SwitchStrategy, TcpSender, TransportConfig,
+    CongestionControl, D2tcpSender, MmptcpConfig, MmptcpSender, MptcpConfig, MptcpSender,
+    RepFlowConfig, RepFlowSender, RttEstimator, SwitchStrategy, TcpSender, TransportConfig,
 };
 
 /// `Loopback` is generic over the sender type; the table holds them boxed.
@@ -167,6 +170,24 @@ fn cases() -> Vec<Case> {
         fluid_threshold: Some(100_000),
         ..c
     }));
+    let under = |cc, cfg: TransportConfig| TransportConfig { cc, ..cfg };
+    let controllers = [
+        (
+            "tcp/cubic",
+            under(CongestionControl::Cubic, TransportConfig::default()),
+        ),
+        (
+            "tcp/bbr",
+            under(CongestionControl::Bbr, TransportConfig::default()),
+        ),
+        (
+            "dctcp/cubic",
+            under(CongestionControl::Cubic, TransportConfig::dctcp()),
+        ),
+    ];
+    for (name, cfg) in controllers {
+        cases.push(case(name, tcp(cfg, 300_000)));
+    }
     cases
 }
 
@@ -234,7 +255,8 @@ fn digest(case: &Case, lossy: bool) -> u64 {
     d.0
 }
 
-/// `case lossless-digest lossy-digest`, recorded at commit e4924ed.
+/// `case lossless-digest lossy-digest`, recorded at commit e4924ed. The
+/// last three rows and [`CONTROLLER_SCRIPTS`] were recorded at ce478f9.
 const EXPECTED: &str = "\
 tcp 62a5ae10e96936c4 e4dc054aef8741e5
 dctcp be936200e620fd75 70c02b48f91502c0
@@ -252,6 +274,9 @@ repflow-elephant 62a5ae10e96936c4 e4dc054aef8741e5
 tcp+fluid ea6d133f96f780b1 3ba2436d4ebb57f8
 mptcp-4+fluid 9792f2be423d7c59 96b4baf8878637e6
 mmptcp+fluid 93d81952ab1e4519 359e19fe9f9588c0
+tcp/cubic 62a5ae10e96936c4 f5ac0a04387c5b2b
+tcp/bbr 3ea8f7521461fa41 ed71576a364e3132
+dctcp/cubic 76ca8c0000634eb8 9b0223f1869ffdf6
 ";
 
 #[test]
@@ -271,5 +296,117 @@ fn every_sender_variant_behaves_exactly_as_recorded() {
     assert!(
         table == EXPECTED,
         "sender behaviour changed for {changed:#?}; the digests are now:\n{table}"
+    );
+}
+
+/// The hooks a controller script calls, in the order [`script`] numbers them.
+const HOOKS: [&str; 9] = [
+    "on_established",
+    "on_ack",
+    "on_dup_ack",
+    "on_loss",
+    "on_recovery_exit",
+    "on_ecn",
+    "on_rto",
+    "on_round_trip",
+    "undo",
+];
+
+/// Drive one controller through a seeded random sequence of hook calls and
+/// digest the window after each: `cwnd`, `ssthresh` (as bits),
+/// `in_slow_start` and `pacing_rate_bps`. Every hook is called, `on_ack`
+/// with and without RFC 6356 coupling, and `undo` follows a fast
+/// retransmit, an RTO and an ECN cut at least once each.
+fn script(cc: CongestionControl) -> u64 {
+    let cfg = TransportConfig {
+        cc,
+        ..TransportConfig::default()
+    };
+    let mut rng = SimRng::new(0xcc);
+    let mut rtt = RttEstimator::new(cfg.min_rto, cfg.initial_rto, cfg.max_rto);
+    let mut now = SimTime::from_millis(1);
+    let mut ctl = cc.build(&cfg);
+    let mut called = [false; HOOKS.len()];
+    let mut undone_after = [false; HOOKS.len()];
+    let mut prev = 0;
+    let mut d = Digest::new();
+    for _ in 0..3_000 {
+        now += SimDuration::from_micros(rng.range(1u64..2_000));
+        if rng.chance(0.6) {
+            rtt.on_sample(SimDuration::from_micros(rng.range(50u64..500)));
+        }
+        let flight = rng.range(0u64..400_000);
+        // `on_established` opens the window once; later draws skip it.
+        let hook = if called[0] {
+            rng.range(1..HOOKS.len())
+        } else {
+            0
+        };
+        match hook {
+            0 => ctl.on_established(now, &rtt),
+            1 => {
+                let newly = rng.range(1u64..8 * cfg.mss as u64);
+                let lia = rng.chance(0.3).then(|| LiaParams {
+                    alpha: rng.range(1u64..=1_000) as f64 / 500.0,
+                    total_cwnd_bytes: rng.range(0u64..2_000_000) as f64,
+                });
+                ctl.on_ack(newly, now, &rtt, lia);
+            }
+            2 => ctl.on_dup_ack(),
+            3 => ctl.on_loss(flight),
+            4 => ctl.on_recovery_exit(),
+            5 => ctl.on_ecn(rng.range(0u64..=1_000) as f64 / 1_000.0),
+            6 => ctl.on_rto(flight),
+            7 => ctl.on_round_trip(now, &rtt),
+            _ => {
+                ctl.undo();
+                undone_after[prev] = true;
+            }
+        }
+        called[hook] = true;
+        prev = hook;
+        d.add(&(
+            HOOKS[hook],
+            ctl.cwnd().to_bits(),
+            ctl.ssthresh().to_bits(),
+            ctl.in_slow_start(),
+            ctl.pacing_rate_bps(),
+        ));
+    }
+    for (i, name) in HOOKS.iter().enumerate() {
+        assert!(called[i], "{} script never calls {name}", cc.name());
+    }
+    for after in [3, 5, 6] {
+        assert!(
+            undone_after[after],
+            "{} script never undoes right after {}",
+            cc.name(),
+            HOOKS[after]
+        );
+    }
+    d.0
+}
+
+/// `controller script-digest`, recorded at commit ce478f9.
+const CONTROLLER_SCRIPTS: &str = "\
+reno b82edae29ae09509
+cubic 05655f4b0dd788e0
+bbr bd2d72cdcc8accf7
+";
+
+#[test]
+fn every_congestion_controller_follows_its_recorded_script() {
+    let mut table = String::new();
+    for cc in [
+        CongestionControl::Reno,
+        CongestionControl::Cubic,
+        CongestionControl::Bbr,
+    ] {
+        writeln!(table, "{} {:016x}", cc.name(), script(cc))
+            .expect("writing to a String cannot fail");
+    }
+    assert!(
+        table == CONTROLLER_SCRIPTS,
+        "controller behaviour changed; the digests are now:\n{table}"
     );
 }
