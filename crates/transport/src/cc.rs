@@ -9,7 +9,8 @@
 //! RTO / ECN, and how an RR-TCP/Eifel-style undo restores it when a
 //! "loss" turns out to have been reordering.
 //!
-//! Shipped controllers:
+//! Shipped controllers (each keeps one [`Window`] and overrides the trait's
+//! provided NewReno hooks only where its rule differs):
 //!
 //! * `Reno` — the NewReno/RFC 5681 state machine extracted from the
 //!   pre-refactor `Subflow`, byte-identical to it (including RFC 6356
@@ -59,7 +60,7 @@ pub enum CongestionControl {
 
 impl CongestionControl {
     /// Stable lower-case label (CLI values, trace CSV column, run labels).
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             CongestionControl::Reno => "reno",
             CongestionControl::Cubic => "cubic",
@@ -98,6 +99,57 @@ impl CongestionControl {
     }
 }
 
+/// The window every controller keeps, in bytes: `cwnd`, `ssthresh`, the
+/// `(cwnd, ssthresh)` pair [`CongestionController::undo`] restores, and the
+/// MSS and initial window they are computed from.
+#[derive(Debug)]
+pub struct Window {
+    mss: f64,
+    initial_cwnd: f64,
+    cwnd: f64,
+    ssthresh: f64,
+    prior_cwnd: f64,
+    prior_ssthresh: f64,
+}
+
+impl Window {
+    /// A closed window; the handshake opens it.
+    fn new(cfg: &TransportConfig) -> Self {
+        Window {
+            mss: cfg.mss as f64,
+            initial_cwnd: cfg.initial_cwnd_bytes(),
+            cwnd: 0.0,
+            ssthresh: cfg.initial_ssthresh as f64,
+            prior_cwnd: 0.0,
+            prior_ssthresh: 0.0,
+        }
+    }
+
+    /// Slow start: one MSS per MSS acknowledged (ABC-limited to 2·MSS).
+    fn slow_start(&mut self, newly_acked: u64) {
+        self.cwnd += (newly_acked as f64).min(2.0 * self.mss);
+    }
+
+    /// Remember `(cwnd, ssthresh)` for a later [`Self::restore`].
+    fn snapshot(&mut self) {
+        self.prior_cwnd = self.cwnd;
+        self.prior_ssthresh = self.ssthresh;
+    }
+
+    /// Restore the snapshot, floored at one MSS and two MSS.
+    fn restore(&mut self) {
+        self.cwnd = self.prior_cwnd.max(self.mss);
+        self.ssthresh = self.prior_ssthresh.max(2.0 * self.mss);
+    }
+
+    /// DCTCP-style reduction by `penalty / 2`, floored at one MSS, with
+    /// `ssthresh` held at the new window.
+    fn cut(&mut self, penalty: f64) {
+        self.cwnd = (self.cwnd * (1.0 - penalty / 2.0)).max(self.mss);
+        self.ssthresh = self.cwnd;
+    }
+}
+
 /// The congestion state machine behind one subflow.
 ///
 /// The subflow calls exactly one hook per event, in event order; controllers
@@ -105,13 +157,20 @@ impl CongestionControl {
 /// flight, the RTT estimator). `cwnd()` must never return less than one MSS
 /// or a non-finite value, and `ssthresh()` must stay finite — the property
 /// suite fuzzes every controller against random loss/ECN/RTO sequences.
+/// Every controller keeps one [`Window`]; the provided methods are NewReno's
+/// rule for each hook, and a controller overrides only where it differs.
 pub trait CongestionController: std::fmt::Debug + Send {
-    /// The controller's stable label ("reno" / "cubic" / "bbr"), used to tag
-    /// flight-recorder samples.
-    fn name(&self) -> &'static str;
+    /// The controller's window.
+    fn window(&self) -> &Window;
+
+    /// The controller's window, mutably.
+    fn window_mut(&mut self) -> &mut Window;
 
     /// The handshake completed: open the initial window.
-    fn on_established(&mut self, now: SimTime, rtt: &RttEstimator);
+    fn on_established(&mut self, _now: SimTime, _rtt: &RttEstimator) {
+        let w = self.window_mut();
+        w.cwnd = w.initial_cwnd;
+    }
 
     /// Bytes were newly acknowledged outside recovery: grow the window.
     /// `lia` carries RFC 6356 coupling parameters when the connection links
@@ -124,21 +183,29 @@ pub trait CongestionController: std::fmt::Debug + Send {
         lia: Option<LiaParams>,
     );
 
-    /// A duplicate ACK arrived while in fast recovery (window inflation
-    /// while the hole is repaired; RFC 5681 inflates by one MSS).
-    fn on_dup_ack(&mut self);
+    /// A duplicate ACK arrived while in fast recovery: inflate the window by
+    /// one MSS while the hole is repaired (RFC 5681).
+    fn on_dup_ack(&mut self) {
+        let w = self.window_mut();
+        w.cwnd += w.mss;
+    }
 
     /// Loss was detected by duplicate ACKs (fast-retransmit entry), with
     /// `flight` bytes outstanding. The controller must snapshot whatever it
     /// needs to honour a later [`Self::undo`].
     fn on_loss(&mut self, flight: u64);
 
-    /// A full ACK ended fast recovery (window deflation).
-    fn on_recovery_exit(&mut self);
+    /// A full ACK ended fast recovery: deflate the window to `ssthresh`.
+    fn on_recovery_exit(&mut self) {
+        let w = self.window_mut();
+        w.cwnd = w.ssthresh.max(w.mss);
+    }
 
     /// The ECN responder computed a round-end penalty in `[0, 1]` (DCTCP's
-    /// `alpha^d`): apply the multiplicative decrease.
-    fn on_ecn(&mut self, penalty: f64);
+    /// `alpha^d`): cut the window by `penalty / 2` and hold `ssthresh` there.
+    fn on_ecn(&mut self, penalty: f64) {
+        self.window_mut().cut(penalty);
+    }
 
     /// A retransmission timeout fired with `flight` bytes outstanding.
     /// Timeouts are never undone.
@@ -147,68 +214,69 @@ pub trait CongestionController: std::fmt::Debug + Send {
     /// One round trip of data (`snd_una` crossed the previous `snd_nxt`)
     /// completed — the hook for per-round logic: CUBIC's hybrid-slow-start
     /// delay check, BBR's round counting and state transitions.
-    fn on_round_trip(&mut self, now: SimTime, rtt: &RttEstimator);
+    fn on_round_trip(&mut self, _now: SimTime, _rtt: &RttEstimator) {}
 
     /// A fast retransmission was spurious (reordering, not loss): restore
     /// the state snapshotted at [`Self::on_loss`]. The subflow guarantees at
     /// most one undo per recovery episode and never after an RTO.
-    fn undo(&mut self);
+    fn undo(&mut self) {
+        self.window_mut().restore();
+    }
 
     /// Congestion window in bytes. Always ≥ 1 MSS and finite.
-    fn cwnd(&self) -> f64;
+    fn cwnd(&self) -> f64 {
+        self.window().cwnd
+    }
 
     /// Slow-start threshold in bytes (or this controller's nearest analog).
     /// Always finite.
-    fn ssthresh(&self) -> f64;
+    fn ssthresh(&self) -> f64 {
+        self.window().ssthresh
+    }
 
     /// Whether the controller considers itself still in its startup regime
     /// (`cwnd < ssthresh` for loss-based controllers, the `Startup` state
     /// for BBR). The fluid fast path refuses handoffs during startup.
-    fn in_slow_start(&self) -> bool;
+    fn in_slow_start(&self) -> bool {
+        self.cwnd() < self.ssthresh()
+    }
 
     /// An explicit pacing rate in bits per second, if this controller paces
     /// (BBR). `None` means the caller should fall back to the classic
     /// `cwnd / srtt` estimate — returning `None` here is what keeps Reno's
     /// fluid handoffs byte-identical to the pre-refactor engine.
-    fn pacing_rate_bps(&self) -> Option<u64>;
+    fn pacing_rate_bps(&self) -> Option<u64> {
+        None
+    }
 }
 
 // --- Reno ----------------------------------------------------------------
 
 /// NewReno (RFC 5681/6582) with optional RFC 6356 linked increase — the
 /// congestion response extracted verbatim from the pre-refactor `Subflow`,
-/// kept byte-identical so every golden snapshot pins it.
+/// kept byte-identical so every golden snapshot pins it. Everything but the
+/// increase and the two backoffs is the trait's provided behaviour.
 #[derive(Debug)]
 pub(crate) struct Reno {
-    mss: f64,
-    initial_cwnd: f64,
-    cwnd: f64,
-    ssthresh: f64,
-    prior_cwnd: f64,
-    prior_ssthresh: f64,
+    w: Window,
 }
 
 impl Reno {
     /// Build from the transport configuration.
     pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Reno {
-            mss: cfg.mss as f64,
-            initial_cwnd: cfg.initial_cwnd_bytes(),
-            cwnd: 0.0,
-            ssthresh: cfg.initial_ssthresh as f64,
-            prior_cwnd: 0.0,
-            prior_ssthresh: 0.0,
+            w: Window::new(cfg),
         }
     }
 }
 
 impl CongestionController for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
+    fn window(&self) -> &Window {
+        &self.w
     }
 
-    fn on_established(&mut self, _now: SimTime, _rtt: &RttEstimator) {
-        self.cwnd = self.initial_cwnd;
+    fn window_mut(&mut self) -> &mut Window {
+        &mut self.w
     }
 
     fn on_ack(
@@ -218,80 +286,41 @@ impl CongestionController for Reno {
         _rtt: &RttEstimator,
         lia: Option<LiaParams>,
     ) {
-        let mss = self.mss;
-        if self.cwnd < self.ssthresh {
-            // Slow start: one MSS per MSS acknowledged (ABC-limited to 2*MSS).
-            self.cwnd += (newly_acked as f64).min(2.0 * mss);
+        let w = &mut self.w;
+        let mss = w.mss;
+        if w.cwnd < w.ssthresh {
+            w.slow_start(newly_acked);
         } else {
             match lia {
                 None => {
                     // Reno congestion avoidance.
-                    self.cwnd += mss * (newly_acked as f64) / self.cwnd;
+                    w.cwnd += mss * (newly_acked as f64) / w.cwnd;
                 }
                 Some(p) => {
                     // RFC 6356 linked increase.
                     let total = p.total_cwnd_bytes.max(mss);
                     let coupled = p.alpha * (newly_acked as f64) * mss / total;
-                    let uncoupled = (newly_acked as f64) * mss / self.cwnd;
-                    self.cwnd += coupled.min(uncoupled);
+                    let uncoupled = (newly_acked as f64) * mss / w.cwnd;
+                    w.cwnd += coupled.min(uncoupled);
                 }
             }
         }
         // Never let cwnd collapse below one segment.
-        self.cwnd = self.cwnd.max(mss);
-    }
-
-    fn on_dup_ack(&mut self) {
-        // Window inflation while the hole is being repaired.
-        self.cwnd += self.mss;
+        w.cwnd = w.cwnd.max(mss);
     }
 
     fn on_loss(&mut self, flight: u64) {
-        let flight = flight as f64;
-        self.prior_cwnd = self.cwnd;
-        self.prior_ssthresh = self.ssthresh;
-        self.ssthresh = (flight / 2.0).max(2.0 * self.mss);
-        self.cwnd = self.ssthresh + 3.0 * self.mss;
-    }
-
-    fn on_recovery_exit(&mut self) {
-        self.cwnd = self.ssthresh.max(self.mss);
-    }
-
-    fn on_ecn(&mut self, penalty: f64) {
-        // DCTCP-style reduction by penalty/2; the responder computes the
-        // (possibly gamma-corrected) penalty.
-        self.cwnd = (self.cwnd * (1.0 - penalty / 2.0)).max(self.mss);
-        self.ssthresh = self.cwnd;
+        // The timeout's ssthresh (RFC 5681 eq. 4), then three segments of
+        // inflation for the duplicate ACKs that signalled the loss.
+        self.w.snapshot();
+        self.on_rto(flight);
+        self.w.cwnd = self.w.ssthresh + 3.0 * self.w.mss;
     }
 
     fn on_rto(&mut self, flight: u64) {
-        let flight = flight as f64;
-        self.ssthresh = (flight / 2.0).max(2.0 * self.mss);
-        self.cwnd = self.mss;
-    }
-
-    fn on_round_trip(&mut self, _now: SimTime, _rtt: &RttEstimator) {}
-
-    fn undo(&mut self) {
-        self.cwnd = self.prior_cwnd.max(self.mss);
-        self.ssthresh = self.prior_ssthresh.max(2.0 * self.mss);
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn pacing_rate_bps(&self) -> Option<u64> {
-        None
+        let w = &mut self.w;
+        w.ssthresh = (flight as f64 / 2.0).max(2.0 * w.mss);
+        w.cwnd = w.mss;
     }
 }
 
@@ -310,12 +339,10 @@ const CUBIC_BETA: f64 = 0.7;
 /// exited early when the smoothed RTT inflates by more than an eighth over
 /// the round-trip floor (the HyStart delay signal) — on fabrics whose queues
 /// mark delay long before they drop, this leaves slow start without a loss.
+/// Dup-ACK inflation and recovery exit are Reno's.
 #[derive(Debug)]
 pub(crate) struct Cubic {
-    mss: f64,
-    initial_cwnd: f64,
-    cwnd: f64,
-    ssthresh: f64,
+    w: Window,
     /// Window size (bytes) at the last multiplicative decrease.
     w_max: f64,
     /// Time at which the current congestion-avoidance epoch started.
@@ -323,26 +350,16 @@ pub(crate) struct Cubic {
     /// `K` for the current epoch: seconds from epoch start until the cubic
     /// reaches `w_max` again.
     k: f64,
-    /// cwnd at the start of the current epoch.
-    w_epoch: f64,
-    prior_cwnd: f64,
-    prior_ssthresh: f64,
 }
 
 impl Cubic {
     /// Build from the transport configuration.
     pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Cubic {
-            mss: cfg.mss as f64,
-            initial_cwnd: cfg.initial_cwnd_bytes(),
-            cwnd: 0.0,
-            ssthresh: cfg.initial_ssthresh as f64,
+            w: Window::new(cfg),
             w_max: 0.0,
             epoch_start: None,
             k: 0.0,
-            w_epoch: 0.0,
-            prior_cwnd: 0.0,
-            prior_ssthresh: 0.0,
         }
     }
 
@@ -350,40 +367,32 @@ impl Cubic {
     /// from the post-decrease window back to `W_max` (RFC 8312 §4.1, windows
     /// converted from segments to bytes).
     fn k_for(&self, w_max: f64, w_start: f64) -> f64 {
-        ((w_max - w_start).max(0.0) / (CUBIC_C * self.mss)).cbrt()
+        ((w_max - w_start).max(0.0) / (CUBIC_C * self.w.mss)).cbrt()
     }
 
     /// The cubic window (bytes) `t` seconds into the current epoch.
     fn w_cubic(&self, t: f64) -> f64 {
-        CUBIC_C * self.mss * (t - self.k).powi(3) + self.w_max
+        CUBIC_C * self.w.mss * (t - self.k).powi(3) + self.w_max
     }
 
     fn begin_epoch(&mut self, now: SimTime) {
         self.epoch_start = Some(now);
-        if self.w_max < self.cwnd {
+        if self.w_max < self.w.cwnd {
             // We grew past the old saturation point without a loss: restart
             // the cubic from here (RFC 8312's "w_max < cwnd" reset).
-            self.w_max = self.cwnd;
+            self.w_max = self.w.cwnd;
         }
-        self.w_epoch = self.cwnd;
-        self.k = self.k_for(self.w_max, self.cwnd);
-    }
-
-    fn backoff(&mut self) {
-        self.w_max = self.cwnd;
-        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * self.mss);
-        self.cwnd = self.ssthresh;
-        self.epoch_start = None;
+        self.k = self.k_for(self.w_max, self.w.cwnd);
     }
 }
 
 impl CongestionController for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
+    fn window(&self) -> &Window {
+        &self.w
     }
 
-    fn on_established(&mut self, _now: SimTime, _rtt: &RttEstimator) {
-        self.cwnd = self.initial_cwnd;
+    fn window_mut(&mut self) -> &mut Window {
+        &mut self.w
     }
 
     fn on_ack(
@@ -393,10 +402,9 @@ impl CongestionController for Cubic {
         rtt: &RttEstimator,
         _lia: Option<LiaParams>,
     ) {
-        if self.cwnd < self.ssthresh {
-            // Slow start, byte-counted like Reno's.
-            self.cwnd += (newly_acked as f64).min(2.0 * self.mss);
-            self.cwnd = self.cwnd.max(self.mss);
+        if self.w.cwnd < self.w.ssthresh {
+            self.w.slow_start(newly_acked);
+            self.w.cwnd = self.w.cwnd.max(self.w.mss);
             return;
         }
         if self.epoch_start.is_none() {
@@ -410,44 +418,37 @@ impl CongestionController for Cubic {
         // Target the cubic one RTT ahead; approach it at (target−cwnd)/cwnd
         // per ACKed segment, the standard per-ACK discretisation.
         let t = (now - start).as_secs_f64() + srtt;
-        let target = self.w_cubic(t).min(self.cwnd * 1.5);
-        let acked_segments = (newly_acked as f64 / self.mss).max(1.0);
-        if target > self.cwnd {
-            self.cwnd += (target - self.cwnd) / self.cwnd * self.mss * acked_segments;
+        let target = self.w_cubic(t).min(self.w.cwnd * 1.5);
+        let w = &mut self.w;
+        let acked_segments = (newly_acked as f64 / w.mss).max(1.0);
+        if target > w.cwnd {
+            w.cwnd += (target - w.cwnd) / w.cwnd * w.mss * acked_segments;
         } else {
             // Plateau region: creep forward so the flow is never stalled
             // (RFC 8312 grows by at least 1 segment per 100 RTTs; one byte
             // per segment-ACK is the same order at these window sizes).
-            self.cwnd += self.mss * acked_segments / self.cwnd.max(self.mss);
+            w.cwnd += w.mss * acked_segments / w.cwnd.max(w.mss);
         }
-        self.cwnd = self.cwnd.max(self.mss);
+        w.cwnd = w.cwnd.max(w.mss);
     }
 
-    fn on_dup_ack(&mut self) {
-        self.cwnd += self.mss;
-    }
-
-    fn on_loss(&mut self, _flight: u64) {
-        self.prior_cwnd = self.cwnd;
-        self.prior_ssthresh = self.ssthresh;
-        self.backoff();
-    }
-
-    fn on_recovery_exit(&mut self) {
-        self.cwnd = self.ssthresh.max(self.mss);
+    fn on_loss(&mut self, flight: u64) {
+        // The timeout's decrease, keeping `β·cwnd` as the window.
+        self.w.snapshot();
+        self.on_rto(flight);
+        self.w.cwnd = self.w.ssthresh;
     }
 
     fn on_ecn(&mut self, penalty: f64) {
-        self.w_max = self.cwnd;
-        self.cwnd = (self.cwnd * (1.0 - penalty / 2.0)).max(self.mss);
-        self.ssthresh = self.cwnd;
+        self.w_max = self.w.cwnd;
+        self.w.cut(penalty);
         self.epoch_start = None;
     }
 
     fn on_rto(&mut self, _flight: u64) {
-        self.w_max = self.cwnd;
-        self.ssthresh = (self.cwnd * CUBIC_BETA).max(2.0 * self.mss);
-        self.cwnd = self.mss;
+        self.w_max = self.w.cwnd;
+        self.w.ssthresh = (self.w.cwnd * CUBIC_BETA).max(2.0 * self.w.mss);
+        self.w.cwnd = self.w.mss;
         self.epoch_start = None;
     }
 
@@ -455,39 +456,22 @@ impl CongestionController for Cubic {
         // Hybrid slow start, delay signal: once the smoothed RTT exceeds the
         // propagation floor by an eighth (clamped to [4 µs, 16 ms]), queues
         // are building — exit slow start before the overshoot loss.
-        if self.cwnd < self.ssthresh {
+        if self.w.cwnd < self.w.ssthresh {
             if let (Some(srtt), Some(base)) = (rtt.srtt(), rtt.min_rtt()) {
                 let eta = (base / 8)
                     .max(SimDuration::from_micros(4))
                     .min(SimDuration::from_millis(16));
                 if srtt > base + eta {
-                    self.ssthresh = self.cwnd;
+                    self.w.ssthresh = self.w.cwnd;
                 }
             }
         }
     }
 
     fn undo(&mut self) {
-        self.cwnd = self.prior_cwnd.max(self.mss);
-        self.ssthresh = self.prior_ssthresh.max(2.0 * self.mss);
-        self.w_max = self.w_max.max(self.cwnd);
+        self.w.restore();
+        self.w_max = self.w_max.max(self.w.cwnd);
         self.epoch_start = None;
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn pacing_rate_bps(&self) -> Option<u64> {
-        None
     }
 }
 
@@ -571,6 +555,8 @@ enum BbrState {
 const BBR_STARTUP_GAIN: f64 = 2.885;
 /// The probe-bandwidth pacing-gain cycle (RFC draft-cardwell-iccrg-bbr).
 const BBR_PROBE_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+/// The cwnd gain over the BDP, the same in every state.
+const BBR_CWND_GAIN: f64 = 2.0;
 /// Bandwidth filter window, in round trips.
 const BBR_BW_WINDOW_ROUNDS: u64 = 10;
 
@@ -580,15 +566,13 @@ const BBR_BW_WINDOW_ROUNDS: u64 = 10;
 /// — bottleneck bandwidth from a [`WindowedMaxFilter`] over per-ACK delivery
 /// rate samples (`newly_acked / latest_rtt`), propagation delay from the
 /// [`RttEstimator`]'s min-RTT tracking — and keeps
-/// `cwnd = cwnd_gain × BDP` while pacing at `pacing_gain × BtlBw`. Loss and
-/// ECN apply only a conservative 0.7 backoff so the model, not the loss
-/// signal, dominates steady state.
+/// `cwnd = BBR_CWND_GAIN × BDP` while pacing at `pacing_gain × BtlBw`. Loss
+/// and RTO apply only a conservative 0.7 backoff so the model, not the loss
+/// signal, dominates steady state; ECN takes Reno's cut with `ssthresh`
+/// floored at two MSS. The undo is Reno's.
 #[derive(Debug)]
 pub(crate) struct Bbr {
-    mss: f64,
-    initial_cwnd: f64,
-    cwnd: f64,
-    ssthresh: f64,
+    w: Window,
     state: BbrState,
     /// Bottleneck-bandwidth estimate, bits per second, max-filtered.
     bw_filter: WindowedMaxFilter,
@@ -598,28 +582,18 @@ pub(crate) struct Bbr {
     full_bw_bps: f64,
     /// Consecutive rounds without 25% bandwidth growth.
     full_bw_rounds: u32,
-    /// Rounds spent in Drain.
-    drain_rounds: u32,
-    prior_cwnd: f64,
-    prior_ssthresh: f64,
 }
 
 impl Bbr {
     /// Build from the transport configuration.
     pub(crate) fn new(cfg: &TransportConfig) -> Self {
         Bbr {
-            mss: cfg.mss as f64,
-            initial_cwnd: cfg.initial_cwnd_bytes(),
-            cwnd: 0.0,
-            ssthresh: cfg.initial_ssthresh as f64,
+            w: Window::new(cfg),
             state: BbrState::Startup,
             bw_filter: WindowedMaxFilter::new(BBR_BW_WINDOW_ROUNDS),
             round: 0,
             full_bw_bps: 0.0,
             full_bw_rounds: 0,
-            drain_rounds: 0,
-            prior_cwnd: 0.0,
-            prior_ssthresh: 0.0,
         }
     }
 
@@ -628,13 +602,6 @@ impl Bbr {
             BbrState::Startup => BBR_STARTUP_GAIN,
             BbrState::Drain => 1.0 / BBR_STARTUP_GAIN,
             BbrState::ProbeBw(phase) => BBR_PROBE_GAINS[phase % BBR_PROBE_GAINS.len()],
-        }
-    }
-
-    fn cwnd_gain(&self) -> f64 {
-        match self.state {
-            BbrState::Startup | BbrState::Drain => 2.0,
-            BbrState::ProbeBw(_) => 2.0,
         }
     }
 
@@ -650,12 +617,12 @@ impl Bbr {
 }
 
 impl CongestionController for Bbr {
-    fn name(&self) -> &'static str {
-        "bbr"
+    fn window(&self) -> &Window {
+        &self.w
     }
 
-    fn on_established(&mut self, _now: SimTime, _rtt: &RttEstimator) {
-        self.cwnd = self.initial_cwnd;
+    fn window_mut(&mut self) -> &mut Window {
+        &mut self.w
     }
 
     fn on_ack(
@@ -672,36 +639,34 @@ impl CongestionController for Bbr {
             self.bw_filter.update(bw_bps, self.round);
         }
         let bdp = self.bdp_bytes(rtt);
+        let w = &mut self.w;
         if bdp > 0.0 {
-            let target = (self.cwnd_gain() * bdp).max(4.0 * self.mss);
-            if self.cwnd < target {
+            let target = (BBR_CWND_GAIN * bdp).max(4.0 * w.mss);
+            if w.cwnd < target {
                 // Grow at most one-for-one with delivered data toward the
                 // target (never a step jump past it).
-                self.cwnd = (self.cwnd + newly_acked as f64).min(target);
+                w.cwnd = (w.cwnd + newly_acked as f64).min(target);
             } else {
                 // Model says the window is too big (e.g. after a gain-cycle
                 // phase ends or min-RTT drops): deflate gently.
-                self.cwnd =
-                    (self.cwnd - (self.cwnd - target).min(newly_acked as f64)).max(4.0 * self.mss);
+                w.cwnd = (w.cwnd - (w.cwnd - target).min(newly_acked as f64)).max(4.0 * w.mss);
             }
         } else {
             // No model yet: slow-start-like growth to feed the filter.
-            self.cwnd += (newly_acked as f64).min(2.0 * self.mss);
+            w.slow_start(newly_acked);
         }
-        self.cwnd = self.cwnd.max(self.mss);
+        w.cwnd = w.cwnd.max(w.mss);
     }
 
     fn on_dup_ack(&mut self) {
         // The model, not dup-ACK inflation, sizes the window.
     }
 
-    fn on_loss(&mut self, _flight: u64) {
-        self.prior_cwnd = self.cwnd;
-        self.prior_ssthresh = self.ssthresh;
+    fn on_loss(&mut self, flight: u64) {
         // Conservative backoff: BBR does not treat loss as a primary signal,
         // but drop-tail fabrics need the queue released.
-        self.ssthresh = (self.cwnd * 0.7).max(2.0 * self.mss);
-        self.cwnd = self.ssthresh;
+        self.on_rto(flight);
+        self.w.cwnd = self.w.ssthresh;
     }
 
     fn on_recovery_exit(&mut self) {
@@ -709,15 +674,15 @@ impl CongestionController for Bbr {
     }
 
     fn on_ecn(&mut self, penalty: f64) {
-        self.cwnd = (self.cwnd * (1.0 - penalty / 2.0)).max(self.mss);
-        self.ssthresh = self.cwnd.max(2.0 * self.mss);
+        self.w.cut(penalty);
+        self.w.ssthresh = self.w.ssthresh.max(2.0 * self.w.mss);
     }
 
     fn on_rto(&mut self, _flight: u64) {
-        self.prior_cwnd = self.cwnd;
-        self.prior_ssthresh = self.ssthresh;
-        self.ssthresh = (self.cwnd * 0.7).max(2.0 * self.mss);
-        self.cwnd = self.mss;
+        let w = &mut self.w;
+        w.snapshot();
+        w.ssthresh = (w.cwnd * 0.7).max(2.0 * w.mss);
+        w.cwnd = w.mss;
     }
 
     fn on_round_trip(&mut self, _now: SimTime, _rtt: &RttEstimator) {
@@ -734,7 +699,6 @@ impl CongestionController for Bbr {
                     self.full_bw_rounds += 1;
                     if self.full_bw_rounds >= 3 {
                         self.state = BbrState::Drain;
-                        self.drain_rounds = 0;
                     }
                 }
             }
@@ -742,28 +706,12 @@ impl CongestionController for Bbr {
                 // One full round at the drain gain empties the startup queue
                 // (the simulator's ACK clocking makes inflight ≈ cwnd, so a
                 // round at gain < 1 is the deterministic drain criterion).
-                self.drain_rounds += 1;
-                if self.drain_rounds >= 1 {
-                    self.state = BbrState::ProbeBw(0);
-                }
+                self.state = BbrState::ProbeBw(0);
             }
             BbrState::ProbeBw(phase) => {
                 self.state = BbrState::ProbeBw((phase + 1) % BBR_PROBE_GAINS.len());
             }
         }
-    }
-
-    fn undo(&mut self) {
-        self.cwnd = self.prior_cwnd.max(self.mss);
-        self.ssthresh = self.prior_ssthresh.max(2.0 * self.mss);
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
     }
 
     fn in_slow_start(&self) -> bool {
@@ -884,7 +832,6 @@ mod tests {
             CongestionControl::Bbr,
         ] {
             assert_eq!(CongestionControl::parse(cc.name()), Some(cc));
-            assert_eq!(cc.build(&cfg()).name(), cc.name());
         }
         assert_eq!(CongestionControl::parse("vegas"), None);
         assert_eq!(CongestionControl::default(), CongestionControl::Reno);
@@ -917,7 +864,7 @@ mod tests {
         let mut cubic = Cubic::new(&cfg());
         let rtt = rtt_with(100);
         cubic.on_established(SimTime::ZERO, &rtt);
-        cubic.ssthresh = cubic.cwnd(); // force congestion avoidance
+        cubic.w.ssthresh = cubic.cwnd(); // force congestion avoidance
         cubic.on_loss(0);
         let w_max = cubic.w_max;
         assert!(w_max > 0.0);
@@ -930,7 +877,7 @@ mod tests {
         assert!(cubic.w_cubic(0.0) < w_max);
         assert!(cubic.w_cubic(2.0 * k) > w_max);
         // K matches the closed form cbrt(w_max(1-beta)/(C*mss)).
-        let expected_k = ((w_max - cubic.cwnd) / (CUBIC_C * MSS)).cbrt();
+        let expected_k = ((w_max - cubic.w.cwnd) / (CUBIC_C * MSS)).cbrt();
         assert!((k - expected_k).abs() < 1e-9);
     }
 
@@ -939,7 +886,7 @@ mod tests {
         let mut cubic = Cubic::new(&cfg());
         let rtt = rtt_with(100);
         cubic.on_established(SimTime::ZERO, &rtt);
-        cubic.ssthresh = cubic.cwnd() / 2.0;
+        cubic.w.ssthresh = cubic.cwnd() / 2.0;
         let before = cubic.cwnd();
         cubic.on_ack(1400, SimTime::from_millis(1), &rtt, None);
         assert!(cubic.cwnd() > before, "CA must make progress");

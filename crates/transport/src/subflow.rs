@@ -359,7 +359,7 @@ impl Subflow {
             cwnd: self.cc.cwnd() as u64,
             srtt_us: self.rtt.srtt().map(|d| d.as_micros()).unwrap_or(0),
             outstanding: self.outstanding(),
-            cc: self.cc.name(),
+            cc: self.cfg.cc.name(),
         });
     }
 
