@@ -265,10 +265,13 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
     let mut to_install = by_start.into_iter().peekable();
 
     // Run until every bounded flow completes (or the cap is hit), draining
-    // signals incrementally so memory stays flat. Link tracing tightens the
-    // tick to the telemetry cadence; otherwise it is the progress interval.
+    // signals incrementally so memory stays flat. Flows are installed and
+    // the stop is decided on progress-interval boundaries; link tracing
+    // samples inside the interval at its own cadence, so a traced run stops
+    // where the untraced one does.
     let mut metrics = FlowMetrics::new();
     let cap = SimTime::ZERO + config.max_sim_time;
+    let mut boundary = SimTime::ZERO;
     let tick = match &trace_sink {
         Some(sink) if sink.links_enabled() => config.progress_interval.min(sink.sample_every()),
         _ => config.progress_interval,
@@ -287,9 +290,12 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
         signals
     };
     loop {
-        let next = (sim.now() + tick).min(cap);
+        if sim.now() >= boundary {
+            boundary = (sim.now() + config.progress_interval).min(cap);
+        }
+        let next = (sim.now() + tick).min(boundary);
         hooks.stage("mmptcp.install", || {
-            while let Some(spec) = to_install.next_if(|spec| spec.start <= next) {
+            while let Some(spec) = to_install.next_if(|spec| spec.start <= boundary) {
                 let flow = FlowId(spec.id);
                 let protocol = match spec.class {
                     FlowClass::Long => config.long_protocol.unwrap_or(config.protocol),
@@ -318,7 +324,8 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
             }
             open_bounded.is_empty()
         });
-        if all_done || sim.now() >= cap || sim.pending_events() == 0 {
+        // The cap is a boundary too (`boundary <= cap`).
+        if sim.now() >= boundary && (all_done || sim.now() >= cap || sim.pending_events() == 0) {
             break;
         }
     }

@@ -138,14 +138,28 @@ fn trace_rows_carry_the_congestion_controller_label() {
     }
 }
 
+/// Link tracing samples inside the progress tick; it must not move when the
+/// run stops, or anything else a report row shows.
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let base = tiny_config(Protocol::mmptcp_default(), 11, &[(0, 300_000), (1, 70_000)]);
-    let plain = mmptcp::run(base.clone());
-    let full = mmptcp::run(traced(base, true));
-    assert_eq!(plain.short_fcts_ms(), full.short_fcts_ms());
-    assert_eq!(plain.counters, full.counters);
-    assert_eq!(plain.loss, full.loss);
+    let mut configs = vec![("tiny".to_string(), base)];
+    configs.extend(scenario::find("incast").unwrap().configs(Fidelity::Fast));
+    let with_links = configs
+        .iter()
+        .map(|(label, config)| (label.clone(), traced(config.clone(), true)))
+        .collect();
+    let driver = Driver::with_threads(2);
+    let plain = driver.run_labelled(configs);
+    let full = driver.run_labelled(with_links);
+    for ((label, plain), (_, full)) in plain.iter().zip(&full) {
+        assert_eq!(plain.elapsed, full.elapsed, "{label}");
+        assert_eq!(plain.short_fcts_ms(), full.short_fcts_ms(), "{label}");
+        assert_eq!(plain.counters, full.counters, "{label}");
+        assert_eq!(plain.loss, full.loss, "{label}");
+    }
+    let render = |results| scenario::report("incast", Fidelity::Fast, results).to_json();
+    assert_eq!(render(&plain), render(&full));
 }
 
 #[test]
