@@ -313,10 +313,18 @@ impl ExperimentConfig {
     /// and MMPTCP's packet-scatter flow is one of them — but not the only
     /// one, or the connection would silently be `Protocol::PacketScatter`.
     /// A `Custom` workload names each flow id once; that its endpoints exist
-    /// is checked by `run` as soon as the topology is built.
+    /// is checked by `run` as soon as the topology is built. The fabric's
+    /// shape is checked by its own config, whose builder would panic.
     pub fn validate(&self) -> Result<(), String> {
         if self.progress_interval.is_zero() {
             return Err("progress_interval must be positive".into());
+        }
+        match &self.topology {
+            TopologySpec::FatTree(c) => c.check(1)?,
+            TopologySpec::MultiHomedFatTree(c) => c.check(2)?,
+            TopologySpec::Vl2(_) => {}
+            TopologySpec::Dumbbell(c) => c.check()?,
+            TopologySpec::Parallel(c) => c.check()?,
         }
         if let WorkloadSpec::Custom(flows) = &self.workload {
             if flows.is_empty() {
@@ -415,6 +423,24 @@ mod tests {
             topology: TopologySpec::Parallel(ParallelPathConfig::default()),
             ..with(Protocol::Tcp)
         };
+        let on = |topology| ExperimentConfig {
+            topology,
+            ..with(Protocol::Tcp)
+        };
+        let fat_tree = |k, oversubscription| FatTreeConfig {
+            k,
+            oversubscription,
+            ..FatTreeConfig::default()
+        };
+        let parallel = |host_pairs, paths| ParallelPathConfig {
+            host_pairs,
+            paths,
+            ..ParallelPathConfig::default()
+        };
+        let no_hosts = DumbbellConfig {
+            hosts_per_side: 0,
+            ..DumbbellConfig::default()
+        };
         let custom = |flows: &[(u64, u32, u32)]| {
             let mut config = with(Protocol::Tcp);
             let flow = |&(id, src, dst)| {
@@ -444,6 +470,19 @@ mod tests {
             // The receiver would replace the sender: the flow never starts.
             (custom(&[(0, 0, 1), (1, 5, 5)]), "flow 1 has h5 at both"),
             (incast(1), "incast needs at least two senders"),
+            // The fabric's builder would panic in a worker.
+            (on(TopologySpec::FatTree(fat_tree(3, 1))), "k must be even"),
+            (
+                on(TopologySpec::FatTree(fat_tree(4, 0))),
+                "over-subscription",
+            ),
+            (
+                on(TopologySpec::MultiHomedFatTree(fat_tree(2, 1))),
+                "dual-homing needs at least two edge switches",
+            ),
+            (on(TopologySpec::Parallel(parallel(1, 0))), "one path"),
+            (on(TopologySpec::Parallel(parallel(0, 4))), "one host pair"),
+            (on(TopologySpec::Dumbbell(no_hosts)), "one host per side"),
         ];
         // `small_test` is a 16-host tree, which only the built topology
         // knows: an index panic in a worker until `run` checked.

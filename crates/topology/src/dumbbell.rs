@@ -39,9 +39,19 @@ impl Default for DumbbellConfig {
     }
 }
 
+impl DumbbellConfig {
+    /// Whether [`build`] can build this; it panics with the same message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.hosts_per_side < 1 {
+            return Err("need at least one host per side".into());
+        }
+        Ok(())
+    }
+}
+
 /// Build a dumbbell. Hosts `0..n` are on the left, `n..2n` on the right.
 pub fn build(config: DumbbellConfig) -> BuiltTopology {
-    assert!(config.hosts_per_side >= 1);
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let n = config.hosts_per_side;
     let access = fabric::link(config.access_rate_bps, config.access_delay, config.queue);
     let bottleneck = fabric::link(

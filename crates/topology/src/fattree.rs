@@ -134,12 +134,20 @@ impl FatTreeConfig {
         self.hosts_per_pod() * self.k
     }
 
-    fn validate(&self) {
-        assert!(
-            self.k >= 2 && self.k.is_multiple_of(2),
-            "FatTree k must be even and >= 2"
-        );
-        assert!(self.oversubscription >= 1, "over-subscription must be >= 1");
+    /// Whether a tree whose hosts attach to `homes` edge switches each (1
+    /// for [`build`], 2 for [`build_dual_homed`]) can be built; the builders
+    /// panic with the same message.
+    pub fn check(&self, homes: usize) -> Result<(), String> {
+        if self.k < 2 || !self.k.is_multiple_of(2) {
+            return Err("FatTree k must be even and >= 2".into());
+        }
+        if self.oversubscription < 1 {
+            return Err("over-subscription must be >= 1".into());
+        }
+        if homes > self.k / 2 {
+            return Err("dual-homing needs at least two edge switches per pod".into());
+        }
+        Ok(())
     }
 }
 
@@ -161,13 +169,9 @@ pub fn build_dual_homed(config: FatTreeConfig) -> BuiltTopology {
 /// The FatTree with every host attached to `homes` consecutive edge switches
 /// of its pod.
 fn build_homed(config: FatTreeConfig, homes: usize) -> BuiltTopology {
-    config.validate();
+    config.check(homes).unwrap_or_else(|e| panic!("{e}"));
     let k = config.k;
     let half = k / 2;
-    assert!(
-        homes <= half,
-        "dual-homing needs at least two edge switches per pod"
-    );
     let hosts_per_edge = config.hosts_per_edge();
     let hosts_per_pod = config.hosts_per_pod();
     let num_hosts = config.total_hosts();

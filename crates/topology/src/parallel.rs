@@ -41,11 +41,23 @@ impl Default for ParallelPathConfig {
     }
 }
 
+impl ParallelPathConfig {
+    /// Whether [`build`] can build this; it panics with the same message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.paths < 1 {
+            return Err("need at least one path".into());
+        }
+        if self.host_pairs < 1 {
+            return Err("need at least one host pair".into());
+        }
+        Ok(())
+    }
+}
+
 /// Build a parallel-path topology: hosts — edge switch — `p` middle switches —
 /// edge switch — hosts.
 pub fn build(config: ParallelPathConfig) -> BuiltTopology {
-    assert!(config.paths >= 1, "need at least one path");
-    assert!(config.host_pairs >= 1, "need at least one host pair");
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let n = config.host_pairs;
     let access = fabric::link(config.access_rate_bps, config.link_delay, config.queue);
     let core = fabric::link(config.path_rate_bps, config.link_delay, config.queue);
