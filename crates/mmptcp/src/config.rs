@@ -73,7 +73,7 @@ impl Protocol {
     /// RepFlow with the paper's 100 KB replication threshold.
     pub fn repflow() -> Protocol {
         Protocol::RepFlow {
-            threshold: 100_000,
+            threshold: netsim::MICE_THRESHOLD_BYTES,
             syn_only: false,
         }
     }
@@ -81,7 +81,7 @@ impl Protocol {
     /// RepSYN: replicate only the handshake and the first window.
     pub fn repsyn() -> Protocol {
         Protocol::RepFlow {
-            threshold: 100_000,
+            threshold: netsim::MICE_THRESHOLD_BYTES,
             syn_only: true,
         }
     }

@@ -1,18 +1,12 @@
 //! Results of one experiment run.
 
 use metrics::{FlowMetrics, LossReport, Summary, UtilisationReport};
-use netsim::{FlowId, SimCounters, SimDuration};
+use netsim::{FlowId, SimCounters, SimDuration, MICE_THRESHOLD_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use workload::{FlowClass, FlowSpec};
 
 use crate::config::Protocol;
-
-/// Mice/elephant boundary used by the per-class report metrics: short flows
-/// of at most this many bytes are "mice" — the population RepFlow replicates
-/// and DiffFlow scatters, and the one whose tail latency the short-flow
-/// transports compete on.
-const MICE_THRESHOLD_BYTES: u64 = 100_000;
 
 /// End-of-run engine state needed to close the packet conservation law —
 /// packets that were accepted by a queue but had not yet been delivered,

@@ -69,7 +69,7 @@ pub use ids::{Addr, FlowId, LinkId, NodeId};
 pub use link::{Link, LinkConfig};
 pub use network::Network;
 pub use node::Node;
-pub use packet::{Ecn, Packet, PacketArena, PacketKind, DEFAULT_MSS};
+pub use packet::{Ecn, Packet, PacketArena, PacketKind, DEFAULT_MSS, MICE_THRESHOLD_BYTES};
 pub use queue::QueueConfig;
 pub use rng::SimRng;
 pub use signal::Signal;

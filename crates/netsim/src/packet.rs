@@ -19,6 +19,12 @@ pub const HEADER_BYTES: u32 = 54;
 /// rounded to the traditional 1400 used by the authors' ns-3 MPTCP model).
 pub const DEFAULT_MSS: u32 = 1400;
 
+/// The mice/elephant boundary of the datacentre traffic studies RepFlow and
+/// DiffFlow build on: a flow of at most this many bytes is a mouse. RepFlow
+/// replicates below it, DiffFlow scatters below it, and the reports' mice
+/// metrics count the short flows at or under it.
+pub const MICE_THRESHOLD_BYTES: u64 = 100_000;
+
 /// What kind of segment this packet carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PacketKind {

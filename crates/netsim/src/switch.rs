@@ -78,11 +78,10 @@ pub enum PathPolicy {
 
 impl PathPolicy {
     /// The conventional DiffFlow configuration: flows become elephants after
-    /// 100 KB — the mice/elephant boundary of the datacentre traffic studies
-    /// both RepFlow and DiffFlow build on.
+    /// [`MICE_THRESHOLD_BYTES`](crate::MICE_THRESHOLD_BYTES).
     pub fn diffflow_default() -> Self {
         PathPolicy::DiffFlow {
-            elephant_threshold: 100_000,
+            elephant_threshold: crate::MICE_THRESHOLD_BYTES,
         }
     }
 

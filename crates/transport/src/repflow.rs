@@ -66,7 +66,7 @@ impl Default for RepFlowConfig {
     fn default() -> Self {
         RepFlowConfig {
             transport: TransportConfig::default(),
-            replication_threshold: 100_000,
+            replication_threshold: netsim::MICE_THRESHOLD_BYTES,
             syn_only: false,
         }
     }
