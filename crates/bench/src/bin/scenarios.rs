@@ -60,7 +60,9 @@
 //! deltas, utilisation per sample window) and a schema-documenting
 //! `manifest.json`. `--flow ID` restricts the flow series to one flow.
 //! Golden metrics are unaffected: tracing rides alongside the normal run
-//! and the `TraceConfig::Off` default never records anything.
+//! and the `TraceConfig::Off` default never records anything. `--links`
+//! samples inside the progress tick, so the run stops where the untraced
+//! one does and reports the same results.
 
 use metrics::{report, RunReport, ScenarioReport, Table};
 use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
