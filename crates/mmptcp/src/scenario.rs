@@ -916,6 +916,86 @@ mod tests {
         }
     }
 
+    /// `scenario fidelity digest`: each scenario's labelled configuration
+    /// list at each fidelity, through [`netsim::Digest`].
+    const EXPANSIONS: &str = "\
+fig1a fast 9e82971fb8feb9b7
+fig1a full 8247e84418177d64
+fig1a paper c4e8bae5f6c62ab8
+fig1bc fast 5cff252c0fb41b29
+fig1bc full bc208a3d4ea66fd9
+fig1bc paper 0b9434dd1e1091b9
+load-sweep fast 7d1cb8ff3ef88e46
+load-sweep full 73431a7a7ffe65c0
+load-sweep paper 10320bbdb52f1ce0
+incast fast 6b3ed414a49bd896
+incast full b2a3905ae57e4f82
+incast paper 054f09056ea5523a
+web-search fast b596e864e7f1af64
+web-search full e3d8f2fc5d2150bc
+web-search paper e2d3b8a9b9e6b5e0
+data-mining fast 1182a0ce0ac14bf4
+data-mining full 01fcf9a00022be20
+data-mining paper 9226d8675bc4ceec
+hotspot fast f26d027c2994e42c
+hotspot full 8d9c013d46596a55
+hotspot paper 9d4ffe189a746e95
+link-failure fast b60d64941f901ebd
+link-failure full c9175d86161fdc94
+link-failure paper c6658e53da9930d4
+coexistence fast e4e15cfd020dfe29
+coexistence full 9a1eeeb0ac8675ed
+coexistence paper 0a09f2f7b05e6f2d
+battle-matrix fast 758befe7c3bc30a0
+battle-matrix full e91ee67db74918ce
+battle-matrix paper 46b5e818eda43076
+cc-battle fast 69ca466377d865d9
+cc-battle full 402ffc74ee493c39
+cc-battle paper 36ee24bb2b9a5741
+mega-load-sweep fast d21e454df86034c1
+mega-load-sweep full 6ea496a8e12822ca
+mega-load-sweep paper 0887305c6693e8fa
+switching fast ba019ebb06e75d25
+switching full 7ae615e736943c30
+switching paper 5e2681b028655974
+dupack fast a5ca269a84d09b75
+dupack full 9d1169f7aa21e381
+dupack paper 0c304069295fa2fc
+multihomed fast 6139ac852fae2f16
+multihomed full a6375ad2210a91b6
+multihomed paper eec22947c5e1d12e
+deadlines fast 9d476dffc113c814
+deadlines full 8cca41abfc151d81
+deadlines paper 19528cd0c7eefa25
+fig1-seeds fast e21f5bc21d849b42
+fig1-seeds full 905dddc775f8c6c2
+fig1-seeds paper 0f06324bb1b4d2f2
+";
+
+    #[test]
+    fn every_expansion_is_as_recorded() {
+        use std::fmt::Write;
+        let mut table = String::new();
+        for s in catalog() {
+            for fidelity in [Fidelity::Fast, Fidelity::Full, Fidelity::Paper] {
+                let mut d = netsim::Digest::new();
+                d.add(&s.configs(fidelity));
+                writeln!(table, "{} {} {:016x}", s.name, fidelity.label(), d.value())
+                    .expect("writing to a String cannot fail");
+            }
+        }
+        let changed: Vec<&str> = table
+            .lines()
+            .zip(EXPANSIONS.lines())
+            .filter(|(now, then)| now != then)
+            .map(|(now, _)| now)
+            .collect();
+        assert!(
+            table == EXPANSIONS,
+            "expansions changed for {changed:#?}; the digests are now:\n{table}"
+        );
+    }
+
     #[test]
     fn fast_configs_stay_at_test_scale() {
         for s in catalog() {

@@ -48,6 +48,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod agent;
+pub mod digest;
 pub mod ecmp;
 pub mod event;
 pub mod fluid;
@@ -64,6 +65,7 @@ pub mod sim;
 pub mod time;
 
 pub use agent::{Agent, AgentCtx, AgentEvent};
+pub use digest::Digest;
 pub use fluid::FluidCc;
 pub use ids::{Addr, FlowId, LinkId, NodeId};
 pub use link::{Link, LinkConfig};

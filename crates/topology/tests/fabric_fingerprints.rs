@@ -15,29 +15,12 @@
 //! fabrics first pinned at 9a207a1 (before they were ported onto one shared
 //! fabric helper); a refactor of the builders must not change any.
 
-use netsim::{Addr, Node, SimDuration};
-use std::fmt::{Debug, Write};
+use netsim::{Addr, Digest, Node, SimDuration};
+use std::fmt::Write;
 use topology::{
     dumbbell, fattree, parallel, vl2, BuiltTopology, DumbbellConfig, FatTreeConfig,
     LinkFailureSpec, ParallelPathConfig, Vl2Config,
 };
-
-/// FNV-1a over the `Debug` rendering of everything added.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn add(&mut self, item: &impl Debug) {
-        let mut text = String::new();
-        write!(text, "{item:?};").expect("writing to a String cannot fail");
-        for byte in text.bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 fn fingerprint(t: &BuiltTopology) -> u64 {
     let mut d = Digest::new();
@@ -67,7 +50,7 @@ fn fingerprint(t: &BuiltTopology) -> u64 {
     for a in dsts() {
         d.add(&dsts().map(|b| t.path_count(a, b)).collect::<Vec<_>>());
     }
-    d.0
+    d.value()
 }
 
 fn fat(k: usize, oversubscription: usize) -> FatTreeConfig {

@@ -11,9 +11,10 @@
 //! was re-recorded.
 
 use netsim::{
-    Addr, Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, SimDuration, SimRng, SimTime,
+    Addr, Agent, AgentCtx, AgentEvent, Digest, FlowId, Packet, PacketKind, SimDuration, SimRng,
+    SimTime,
 };
-use std::fmt::{Debug, Write};
+use std::fmt::Write;
 use transport::subflow::LiaParams;
 use transport::testing::Loopback;
 use transport::{
@@ -191,23 +192,6 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// FNV-1a over the `Debug` rendering of everything recorded.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn add(&mut self, item: &impl Debug) {
-        let mut text = String::new();
-        write!(text, "{item:?};").expect("writing to a String cannot fail");
-        for byte in text.bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Drive one case to the end and digest the recording. With `lossy`, every
 /// 13th packet the sender emits (SYNs included) is dropped.
 fn digest(case: &Case, lossy: bool) -> u64 {
@@ -252,7 +236,7 @@ fn digest(case: &Case, lossy: bool) -> u64 {
     l.handoffs.iter().for_each(|x| d.add(x));
     l.signals.iter().for_each(|x| d.add(x));
     d.add(&l.now);
-    d.0
+    d.value()
 }
 
 /// `case lossless-digest lossy-digest`, recorded at commit e4924ed. The
@@ -384,7 +368,7 @@ fn script(cc: CongestionControl) -> u64 {
             HOOKS[after]
         );
     }
-    d.0
+    d.value()
 }
 
 /// `controller script-digest`, recorded at commit ce478f9.
