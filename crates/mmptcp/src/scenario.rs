@@ -917,7 +917,10 @@ mod tests {
     }
 
     /// `scenario fidelity digest`: each scenario's labelled configuration
-    /// list at each fidelity, through [`netsim::Digest`].
+    /// list at each fidelity, through [`netsim::Digest`]. Recorded at commit
+    /// aa6e7fb, where the tests that restated the replaced binaries' grids
+    /// config by config still passed. A change to an expansion, or to the
+    /// `Debug` shape of a config type, re-records the table and says why.
     const EXPANSIONS: &str = "\
 fig1a fast 9e82971fb8feb9b7
 fig1a full 8247e84418177d64
@@ -1012,25 +1015,8 @@ fig1-seeds paper 0f06324bb1b4d2f2
         }
     }
 
-    /// Differential guard for the deleted `fig1a` binary: the registry's full
-    /// expansion must be exactly the configuration list the binary ran
-    /// (`ExperimentConfig::figure1` per subflow count with the default
-    /// harness options), so registry runs reproduce the old numbers
-    /// run-for-run (the engine is deterministic per config+seed).
-    #[test]
-    fn fig1a_full_matches_the_replaced_binary() {
-        let registry = find("fig1a").unwrap().configs(Fidelity::Full);
-        let legacy: Vec<ExperimentConfig> = (1..=9)
-            .map(|n| ExperimentConfig::figure1(Protocol::Mptcp { subflows: n }, 1, false, 10))
-            .collect();
-        assert_eq!(registry.len(), legacy.len());
-        for ((label, cfg), old) in registry.iter().zip(&legacy) {
-            assert_eq!(cfg, old, "config drift for {label}");
-        }
-    }
-
-    /// Paper fidelity reproduces the deleted binaries' `--full` flag: the
-    /// 512-server evaluation topology of the paper.
+    /// Paper fidelity is the paper's evaluation scale: `figure1` on the
+    /// 512-server FatTree.
     #[test]
     fn paper_fidelity_uses_the_512_server_topology() {
         for (label, cfg) in find("fig1a").unwrap().configs(Fidelity::Paper) {
@@ -1049,161 +1035,6 @@ fig1-seeds paper 0f06324bb1b4d2f2
                 panic!("{label}: expected a FatTree");
             };
             assert_eq!(ft.total_hosts(), 512, "{label}");
-        }
-    }
-
-    /// Differential guard for the deleted `fig1bc` binary.
-    #[test]
-    fn fig1bc_full_matches_the_replaced_binary() {
-        let registry = find("fig1bc").unwrap().configs(Fidelity::Full);
-        let legacy = [
-            ExperimentConfig::figure1(Protocol::mptcp8(), 1, false, 10),
-            ExperimentConfig::figure1(Protocol::mmptcp_default(), 1, false, 10),
-        ];
-        assert_eq!(registry.len(), legacy.len());
-        for ((_, cfg), old) in registry.iter().zip(&legacy) {
-            assert_eq!(cfg, old);
-        }
-    }
-
-    /// Differential guards for the other replaced binaries (`load_sweep`,
-    /// `incast_sweep`, `hotspot`, `coexistence`): spot-check that the full
-    /// expansion reproduces the binaries' configuration grids.
-    #[test]
-    fn remaining_full_expansions_match_the_replaced_binaries() {
-        // load_sweep: 3 protocols x 4 loads, protocol-major, 300..40 ms.
-        let loads = find("load-sweep").unwrap().configs(Fidelity::Full);
-        assert_eq!(loads.len(), 12);
-        assert_eq!(loads[0].0, "tcp @ 300 ms");
-        let expected = with_paper_workload(full_base(Protocol::Tcp), |w| {
-            w.arrivals = ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_millis(300),
-            };
-        });
-        assert_eq!(loads[0].1, expected);
-
-        // incast_sweep: 4 fan-ins x 5 protocols, 64 KB per sender.
-        let incast = find("incast").unwrap().configs(Fidelity::Full);
-        assert_eq!(incast.len(), 20);
-        assert_eq!(incast[0].0, "tcp | 4");
-        match &incast[0].1.workload {
-            WorkloadSpec::Incast {
-                fan_in,
-                bytes,
-                start,
-            } => {
-                assert_eq!(*fan_in, 4);
-                assert_eq!(*bytes, 64_000);
-                assert_eq!(*start, SimTime::from_millis(1));
-            }
-            other => panic!("unexpected workload {other:?}"),
-        }
-
-        // hotspot: permutation baseline must be exactly the figure-1 config.
-        let hotspot = find("hotspot").unwrap().configs(Fidelity::Full);
-        assert_eq!(hotspot.len(), 6);
-        assert_eq!(hotspot[0].1, full_base(Protocol::mptcp8()));
-
-        // coexistence: 4 combos, long_protocol overrides as in the binary.
-        let coex = find("coexistence").unwrap().configs(Fidelity::Full);
-        assert_eq!(coex.len(), 4);
-        assert_eq!(coex[1].1.long_protocol, Some(Protocol::mptcp8()));
-        assert_eq!(coex[3].1.protocol, Protocol::mptcp8());
-        assert_eq!(coex[3].1.long_protocol, Some(Protocol::Tcp));
-    }
-
-    /// Differential guards for the last four folded binaries
-    /// (`switching_sweep`, `dupack_ablation`, `multihomed`, `deadlines`):
-    /// Full is each binary's default grid, Paper its `--full` grid — cell for
-    /// cell `ExperimentConfig::figure1` with one knob turned.
-    #[test]
-    fn design_knob_expansions_match_the_replaced_binaries() {
-        for fidelity in [Fidelity::Full, Fidelity::Paper] {
-            let paper = fidelity == Fidelity::Paper;
-            let fig1 = |p: Protocol| ExperimentConfig::figure1(p, 1, paper, 10);
-            let grid = |name: &str| find(name).unwrap().configs(fidelity);
-
-            let mut switching: Vec<(String, ExperimentConfig)> = [70u64, 140, 210, 500, 1_000]
-                .iter()
-                .map(|kb| {
-                    let switch = SwitchStrategy::DataVolume(kb * 1_000);
-                    (format!("data-volume {kb} KB"), fig1(mmptcp8(switch, None)))
-                })
-                .collect();
-            switching.push((
-                "congestion-event".into(),
-                fig1(mmptcp8(SwitchStrategy::CongestionEvent, None)),
-            ));
-            switching.push(("never (PS only)".into(), fig1(Protocol::PacketScatter)));
-            assert_eq!(grid("switching"), switching);
-
-            let paths = if paper { 16 } else { 4 };
-            let policies = [
-                ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
-                (
-                    "topology-aware only",
-                    Some(DupAckPolicy::TopologyAware { paths }),
-                ),
-                (
-                    "adaptive (RR-TCP style)",
-                    Some(DupAckPolicy::Adaptive {
-                        initial: 3,
-                        step: 4,
-                        max: 64,
-                    }),
-                ),
-                ("topology-adaptive (default)", None),
-            ];
-            let dupack: Vec<(String, ExperimentConfig)> = policies
-                .iter()
-                .map(|&(l, d)| (l.to_string(), fig1(mmptcp8(SwitchStrategy::default(), d))))
-                .collect();
-            assert_eq!(grid("dupack"), dupack);
-
-            let ft = if paper {
-                FatTreeConfig::paper()
-            } else {
-                FatTreeConfig::benchmark()
-            };
-            let mut multihomed = Vec::new();
-            for (name, p) in [
-                ("mmptcp-8", Protocol::mmptcp_default()),
-                ("mptcp-8", Protocol::mptcp8()),
-            ] {
-                multihomed.push((format!("{name} / single-homed"), fig1(p)));
-                assert_eq!(fig1(p).topology, TopologySpec::FatTree(ft));
-                let mut dual = fig1(p);
-                dual.topology = TopologySpec::MultiHomedFatTree(ft);
-                multihomed.push((format!("{name} / dual-homed"), dual));
-            }
-            assert_eq!(grid("multihomed"), multihomed);
-
-            let slack = |slack, floor_ms| DeadlineModel::Slack {
-                slack,
-                reference_gbps: 1.0,
-                floor: SimDuration::from_millis(floor_ms),
-            };
-            let mut deadlines = Vec::new();
-            for (model_name, model) in [
-                ("tight (5x, 10 ms floor)", slack(5.0, 10)),
-                ("moderate (20x, 25 ms floor)", slack(20.0, 25)),
-                (
-                    "loose (fixed 100 ms)",
-                    DeadlineModel::Fixed(SimDuration::from_millis(100)),
-                ),
-            ] {
-                for (name, p) in [
-                    ("tcp", Protocol::Tcp),
-                    ("dctcp", Protocol::Dctcp),
-                    ("d2tcp", Protocol::D2tcp),
-                    ("mptcp-8", Protocol::mptcp8()),
-                    ("mmptcp-8", Protocol::mmptcp_default()),
-                ] {
-                    let cfg = with_paper_workload(fig1(p), |w| w.deadlines = model);
-                    deadlines.push((format!("{name} | {model_name}"), cfg));
-                }
-            }
-            assert_eq!(grid("deadlines"), deadlines);
         }
     }
 
