@@ -20,8 +20,9 @@
 //! Usage: `figures [--out DIR]` (default `target/figures`). Render with
 //! `gnuplot <name>.gp`; every script writes `<name>.png` next to its data.
 
-use metrics::trace::{FlowSelect, TraceConfig, TraceEventKind, TraceSettings};
+use metrics::trace::{FlowSelect, TraceConfig, TraceSettings};
 use metrics::ScenarioReport;
+use mmptcp::netsim::Signal;
 use mmptcp::scenario::{find, Fidelity};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -183,29 +184,26 @@ fn cwnd_switch(out_dir: &Path) -> std::io::Result<bool> {
     let results = mmptcp::run(config);
     let sink = results.trace.as_ref().expect("traced run carries a sink");
     // The flow whose series we plot: the first one that switched phase.
-    let Some(switch) = sink
-        .events()
-        .iter()
-        .find(|e| e.kind == TraceEventKind::PhaseSwitch)
-        .copied()
-    else {
+    let Some((flow, at)) = sink.events().iter().find_map(|e| match *e {
+        Signal::PhaseSwitched { flow, at, .. } => Some((flow.0, at)),
+        _ => None,
+    }) else {
         eprintln!("skipping cwnd_switch figure: no flow switched phase");
         return Ok(false);
     };
     let subflows: Vec<u8> = sink
         .flow_keys()
         .iter()
-        .filter(|(f, _)| *f == switch.flow)
+        .filter(|(f, _)| *f == flow)
         .map(|(_, s)| *s)
         .collect();
     let mut dat = format!(
-        "# traced run: {label}; flow {} switched PS->MPTCP at {:.4} ms\n\
+        "# traced run: {label}; flow {flow} switched PS->MPTCP at {:.4} ms\n\
          # one index block per subflow (0 = packet-scatter flow): t_ms cwnd_bytes outstanding_bytes\n",
-        switch.flow,
-        switch.at.as_millis_f64()
+        at.as_millis_f64()
     );
     for &sf in &subflows {
-        let series = sink.flow_series(switch.flow, sf).expect("keyed series");
+        let series = sink.flow_series(flow, sf).expect("keyed series");
         dat.push_str(&format!("# subflow {sf}\n"));
         for p in series.items() {
             dat.push_str(&format!(
@@ -227,8 +225,8 @@ fn cwnd_switch(out_dir: &Path) -> std::io::Result<bool> {
             "set label 'switch' at {at}, graph 0.95 offset 1,0 tc rgb 'red'\n",
             "plot ",
         ),
-        flow = switch.flow,
-        at = switch.at.as_millis_f64(),
+        flow = flow,
+        at = at.as_millis_f64(),
     );
     for (i, sf) in subflows.iter().enumerate() {
         if i > 0 {

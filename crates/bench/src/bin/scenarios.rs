@@ -65,6 +65,7 @@
 //! one does and reports the same results.
 
 use metrics::{report, RunReport, ScenarioReport, Table};
+use mmptcp::netsim::Signal;
 use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
 use mmptcp::{Driver, Engine, ExperimentConfig, ExperimentResults};
 use std::path::{Path, PathBuf};
@@ -525,7 +526,7 @@ fn cmd_trace(opts: &Options) -> ExitCode {
             let switches = sink
                 .events()
                 .iter()
-                .filter(|e| e.kind == metrics::trace::TraceEventKind::PhaseSwitch)
+                .filter(|e| matches!(e, Signal::PhaseSwitched { .. }))
                 .count();
             println!(
                 "{}/{label}: {} flow series ({} samples), {} events ({} phase switches), \

@@ -121,47 +121,6 @@ pub struct LinkPoint {
     pub utilisation: f64,
 }
 
-/// A discrete flow event worth a row of its own (never decimated, only
-/// capacity-capped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlowEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// The flow.
-    pub flow: u64,
-    /// Subflow index (0 for connection-level events like the phase switch).
-    pub subflow: u8,
-    /// What happened.
-    pub kind: TraceEventKind,
-    /// Event-specific detail (bytes sent at the phase switch; 0 otherwise).
-    pub detail: u64,
-}
-
-/// The kinds of discrete flow events the recorder keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEventKind {
-    /// MMPTCP left the packet-scatter phase (detail = bytes sent by then).
-    PhaseSwitch,
-    /// A retransmission timeout fired.
-    Rto,
-    /// A fast retransmission was triggered.
-    FastRetransmit,
-    /// A retransmission was detected to be spurious (reordering, not loss).
-    SpuriousRetransmit,
-}
-
-impl TraceEventKind {
-    /// Stable label used in the CSV export.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEventKind::PhaseSwitch => "phase_switch",
-            TraceEventKind::Rto => "rto",
-            TraceEventKind::FastRetransmit => "fast_retransmit",
-            TraceEventKind::SpuriousRetransmit => "spurious_retransmit",
-        }
-    }
-}
-
 /// A bounded, decimating time-series recorder.
 ///
 /// `push` accepts every `stride`-th offered sample (stride starts at 1).
@@ -191,10 +150,12 @@ pub struct RingSeries<T> {
 }
 
 impl<T> RingSeries<T> {
-    /// A series retaining at most `capacity` points (minimum 2).
+    /// A series retaining at most `capacity` points (minimum 2). An odd
+    /// capacity is rounded down: a full series of odd length would keep its
+    /// last point, which is off the doubled stride.
     pub fn new(capacity: usize) -> Self {
         RingSeries {
-            capacity: capacity.max(2),
+            capacity: capacity.max(2) & !1,
             stride: 1,
             offered: 0,
             items: Vec::new(),
@@ -246,6 +207,21 @@ impl<T> RingSeries<T> {
     }
 }
 
+/// The `events.csv` row of a signal the event log keeps, as `(at, subflow,
+/// event, detail)`; `None` for every other signal. `detail` is the bytes
+/// sent at a phase switch (connection-level, so subflow 0) and 0 otherwise.
+fn event_row(s: &Signal) -> Option<(SimTime, u8, &'static str, u64)> {
+    match *s {
+        Signal::PhaseSwitched { at, bytes_sent, .. } => Some((at, 0, "phase_switch", bytes_sent)),
+        Signal::RetransmissionTimeout { at, subflow, .. } => Some((at, subflow, "rto", 0)),
+        Signal::FastRetransmit { at, subflow, .. } => Some((at, subflow, "fast_retransmit", 0)),
+        Signal::SpuriousRetransmit { at, subflow, .. } => {
+            Some((at, subflow, "spurious_retransmit", 0))
+        }
+        _ => None,
+    }
+}
+
 /// Upper bound on retained discrete flow events; beyond it new events are
 /// counted but dropped (queues-gone-mad pathologies should not OOM a trace).
 const MAX_EVENTS: usize = 65_536;
@@ -258,8 +234,9 @@ pub struct TraceSink {
     /// Cwnd series keyed by `(flow, subflow)` — BTreeMap for deterministic
     /// export order.
     flows: BTreeMap<(u64, u8), RingSeries<FlowPoint>>,
-    /// Discrete events in emission (= simulated time) order.
-    events: Vec<FlowEvent>,
+    /// The signals [`event_row`] keeps, in emission (= simulated time)
+    /// order.
+    events: Vec<Signal>,
     events_dropped: u64,
     /// Link series keyed by link index.
     links: BTreeMap<usize, RingSeries<LinkPoint>>,
@@ -299,14 +276,6 @@ impl TraceSink {
         }
     }
 
-    fn record_event(&mut self, event: FlowEvent) {
-        if self.events.len() >= MAX_EVENTS {
-            self.events_dropped += 1;
-        } else {
-            self.events.push(event);
-        }
-    }
-
     /// Consume a batch of signals: cwnd samples feed the flow series,
     /// lifecycle signals feed the event log, everything else is ignored
     /// (the flow-completion pipeline owns it).
@@ -333,42 +302,13 @@ impl TraceSink {
                             cc,
                         });
                 }
-                Signal::PhaseSwitched {
-                    flow,
-                    at,
-                    bytes_sent,
-                } if self.wants_flow(flow.0) => self.record_event(FlowEvent {
-                    at: *at,
-                    flow: flow.0,
-                    subflow: 0,
-                    kind: TraceEventKind::PhaseSwitch,
-                    detail: *bytes_sent,
-                }),
-                Signal::RetransmissionTimeout { flow, subflow, at } if self.wants_flow(flow.0) => {
-                    self.record_event(FlowEvent {
-                        at: *at,
-                        flow: flow.0,
-                        subflow: *subflow,
-                        kind: TraceEventKind::Rto,
-                        detail: 0,
-                    })
+                s if event_row(s).is_some() && self.wants_flow(s.flow().0) => {
+                    if self.events.len() >= MAX_EVENTS {
+                        self.events_dropped += 1;
+                    } else {
+                        self.events.push(s.clone());
+                    }
                 }
-                Signal::FastRetransmit { flow, subflow, at } if self.wants_flow(flow.0) => self
-                    .record_event(FlowEvent {
-                        at: *at,
-                        flow: flow.0,
-                        subflow: *subflow,
-                        kind: TraceEventKind::FastRetransmit,
-                        detail: 0,
-                    }),
-                Signal::SpuriousRetransmit { flow, subflow, at } if self.wants_flow(flow.0) => self
-                    .record_event(FlowEvent {
-                        at: *at,
-                        flow: flow.0,
-                        subflow: *subflow,
-                        kind: TraceEventKind::SpuriousRetransmit,
-                        detail: 0,
-                    }),
                 _ => {}
             }
         }
@@ -423,8 +363,9 @@ impl TraceSink {
         self.flows.get(&(flow, subflow))
     }
 
-    /// The recorded discrete events, in simulated-time order.
-    pub fn events(&self) -> &[FlowEvent] {
+    /// The recorded event signals (phase switches, RTOs, fast and spurious
+    /// retransmits), in simulated-time order.
+    pub fn events(&self) -> &[Signal] {
         &self.events
     }
 
@@ -480,14 +421,9 @@ impl TraceSink {
     pub fn events_csv(&self) -> String {
         let mut out = String::from("flow,subflow,t_ns,event,detail\n");
         for e in &self.events {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                e.flow,
-                e.subflow,
-                e.at.as_nanos(),
-                e.kind.label(),
-                e.detail
-            ));
+            let (at, subflow, event, detail) = event_row(e).expect("the log holds event rows only");
+            let (flow, t_ns) = (e.flow().0, at.as_nanos());
+            out.push_str(&format!("{flow},{subflow},{t_ns},{event},{detail}\n"));
         }
         out
     }
@@ -656,6 +592,19 @@ mod tests {
     }
 
     #[test]
+    fn ring_series_keeps_even_spacing_at_every_capacity() {
+        for capacity in 2..=9 {
+            let mut s = RingSeries::new(capacity);
+            for i in 0..1000u64 {
+                s.push(i);
+            }
+            let even: Vec<u64> = (0..s.len() as u64).map(|i| i * s.stride()).collect();
+            assert_eq!(s.items(), even, "capacity {capacity}");
+            assert!(s.len() <= capacity, "capacity {capacity}");
+        }
+    }
+
+    #[test]
     fn ring_series_minimum_capacity_is_two() {
         let mut s = RingSeries::new(0);
         for i in 0..10u64 {
@@ -703,7 +652,7 @@ mod tests {
         ]);
         assert_eq!(sink.flow_keys(), vec![(7, 0)]);
         assert_eq!(sink.events().len(), 1);
-        assert_eq!(sink.events()[0].flow, 7);
+        assert_eq!(sink.events()[0].flow(), FlowId(7));
     }
 
     #[test]
@@ -737,7 +686,8 @@ mod tests {
                 bytes: 70_000,
             },
         ]);
-        let kinds: Vec<&str> = sink.events().iter().map(|e| e.kind.label()).collect();
+        let rows: Vec<_> = sink.events().iter().filter_map(event_row).collect();
+        let kinds: Vec<&str> = rows.iter().map(|r| r.2).collect();
         assert_eq!(
             kinds,
             vec![
@@ -747,7 +697,7 @@ mod tests {
                 "spurious_retransmit"
             ]
         );
-        assert_eq!(sink.events()[0].detail, 210_000);
+        assert_eq!(rows[0].3, 210_000);
         let csv = sink.events_csv();
         assert!(csv.starts_with("flow,subflow,t_ns,event,detail\n"));
         assert!(csv.contains("1,0,5000000,phase_switch,210000"));

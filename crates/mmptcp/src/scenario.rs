@@ -4,8 +4,10 @@
 //! A [`Scenario`] expands to a deterministic, labelled list of
 //! [`ExperimentConfig`]s at one of three fidelities — [`Fidelity::Fast`]
 //! (the CI / golden-snapshot scale, seconds per scenario), [`Fidelity::Full`]
-//! (the 64-host benchmark scale the replaced binaries ran by default) or
-//! [`Fidelity::Paper`] (their old `--full` 512-server scale). Running a
+//! (64 hosts behind a 4:1 over-subscribed core, the benchmark scale) or
+//! [`Fidelity::Paper`] (512 servers at 4:1, the paper's evaluation scale).
+//! Every expansion at every fidelity is pinned by a recorded digest table in
+//! this module's tests. Running a
 //! scenario fans the configs across the parallel [`crate::Driver`] and
 //! [`report`] distils each run into a canonical
 //! [`metrics::report::ScenarioReport`] JSON document.
@@ -38,12 +40,12 @@ pub enum Fidelity {
     /// check: 16-host FatTree (32 hosts where a scenario needs a 2:1
     /// over-subscribed core), few flows and seeds.
     Fast,
-    /// The scale the replaced harness binaries ran by default: the 64-host,
-    /// 4:1 over-subscribed benchmark FatTree with 10 flows per short host —
-    /// the paper's contention regime at laptop-friendly cost.
+    /// The benchmark scale: the 64-host, 4:1 over-subscribed FatTree with 10
+    /// flows per short host — the paper's contention regime at
+    /// laptop-friendly cost.
     Full,
-    /// The paper's actual evaluation scale (the binaries' old `--full`
-    /// flag): the 512-server, 4:1 over-subscribed k=8 FatTree.
+    /// The paper's evaluation scale: the 512-server, 4:1 over-subscribed
+    /// k=8 FatTree.
     Paper,
 }
 
@@ -275,9 +277,8 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 
 // --- Base configurations ------------------------------------------------
 
-/// The figure-faithful base the replaced harness binaries used by default:
-/// `ExperimentConfig::figure1` at benchmark scale, seed 1, 10 flows per
-/// short-flow host.
+/// Full-scale base: `ExperimentConfig::figure1` on the 64-host, 4:1
+/// benchmark FatTree, seed 1, 10 flows per short-flow host.
 fn full_base(protocol: Protocol) -> ExperimentConfig {
     ExperimentConfig::figure1(protocol, 1, false, 10)
 }
@@ -291,8 +292,8 @@ fn fast_base(protocol: Protocol) -> ExperimentConfig {
     }
 }
 
-/// Paper-scale base: what the replaced binaries ran under their `--full`
-/// flag — the 512-server FatTree of the paper's evaluation.
+/// Paper-scale base: `ExperimentConfig::figure1` on the 512-server, 4:1
+/// FatTree of the paper's evaluation, seed 1, 10 flows per short-flow host.
 fn paper_base(protocol: Protocol) -> ExperimentConfig {
     ExperimentConfig::figure1(protocol, 1, true, 10)
 }

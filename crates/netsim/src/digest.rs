@@ -23,7 +23,6 @@ use std::fmt::{Debug, Write};
 /// b.add(&1);
 /// assert_ne!(a.value(), b.value());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest(u64);
 
 impl Digest {

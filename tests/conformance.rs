@@ -214,7 +214,6 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// The committed golden cells document, as text.
 /// The battleground's headline, as pinned by the golden cells (which the CI
 /// golden job keeps equal to actual behaviour): RepFlow beats single-path
 /// TCP on mice p99 FCT in every cell at load <= 0.6, while MMPTCP holds

@@ -16,7 +16,7 @@
 use mmptcp::prelude::*;
 use mmptcp::scenario;
 use mmptcp::{TopologySpec, WorkloadSpec};
-use netsim::Addr;
+use netsim::{Addr, Signal};
 
 fn tiny_config(protocol: Protocol, seed: u64, flows: &[(u64, u64)]) -> ExperimentConfig {
     ExperimentConfig {
@@ -73,21 +73,27 @@ fn traced_mmptcp_flow_shows_the_phase_switch() {
     assert!(r.all_short_completed);
     let sink = r.trace.as_ref().expect("traced run must carry a sink");
 
-    let switch = sink
+    let (flow, switched_at, bytes_sent) = sink
         .events()
         .iter()
-        .find(|e| e.kind == metrics::trace::TraceEventKind::PhaseSwitch)
-        .copied()
+        .find_map(|e| match *e {
+            Signal::PhaseSwitched {
+                flow,
+                at,
+                bytes_sent,
+            } => Some((flow, at, bytes_sent)),
+            _ => None,
+        })
         .expect("the flow must have switched phase");
-    assert_eq!(switch.flow, 0);
-    assert_eq!(switch.detail, 210_000, "switch carries bytes-sent");
+    assert_eq!(flow, FlowId(0));
+    assert_eq!(bytes_sent, 210_000, "switch carries bytes-sent");
 
     // Scatter subflow (0) has samples before the switch; every MPTCP
     // subflow's samples start at or after it.
     let scatter = sink.flow_series(0, 0).expect("scatter series");
     assert!(!scatter.is_empty());
     assert!(
-        scatter.items().iter().any(|p| p.at < switch.at),
+        scatter.items().iter().any(|p| p.at < switched_at),
         "scatter cwnd evolution before the switch must be visible"
     );
     let mptcp_keys: Vec<(u64, u8)> = sink
@@ -99,7 +105,7 @@ fn traced_mmptcp_flow_shows_the_phase_switch() {
     for (f, s) in mptcp_keys {
         let series = sink.flow_series(f, s).unwrap();
         assert!(
-            series.items().iter().all(|p| p.at >= switch.at),
+            series.items().iter().all(|p| p.at >= switched_at),
             "subflow {s} sampled before the switch"
         );
     }
