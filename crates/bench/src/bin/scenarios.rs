@@ -35,6 +35,12 @@
 //! (run/trace/conserve only — goldens pin each scenario's own controller
 //! axis, so `check`/`bless` reject it).
 //!
+//! After each scenario, `run` prints to stderr every claim of the scenario's
+//! rows that the run breaks (`Scenario::check_claims`), at every fidelity
+//! and under every override, so a `--full` or `--paper` run says which of
+//! the claims the golden cells keep it no longer makes. Stdout, `--json`
+//! included, is unchanged.
+//!
 //! `check` runs the distinct cells of the selected scenarios (default: all)
 //! in one driver sweep, compares them row by row against the golden and
 //! exits non-zero on any drift. It names each drifted cell once, with every
@@ -44,8 +50,9 @@
 //! names, because a shared cell belongs to several scenarios.
 //!
 //! `conserve` is the simulator-wide conservation sweep: for every selected
-//! scenario it runs the first fast-fidelity configuration (every
-//! configuration with `--all-configs`) across `--seeds N` seeds (default 16),
+//! scenario it runs the first fast-fidelity configuration and the scenario's
+//! `conservation_extras` (every configuration with `--all-configs`) across
+//! `--seeds N` seeds (default 16),
 //! each distinct (config, seed) pair once, and checks
 //! [`mmptcp::ExperimentResults::check_conservation`] on each run — packets
 //! injected must equal delivered + dropped + still-in-network, and every
@@ -82,7 +89,6 @@ struct Options {
     names: Vec<String>,
     threads: usize,
     fidelity: Fidelity,
-    fidelity_flag_seen: bool,
     seed: Option<u64>,
     seeds: u64,
     engine: Option<Engine>,
@@ -110,7 +116,7 @@ fn usage() -> ! {
          check/bless always run the pinned fast fidelity and reject \
          --full/--paper/--seed/--engine/--cc; bless rewrites every cell and takes no names;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
-         config (--all-configs: every config) and checks the conservation laws, optionally \
+         config and conservation extras (--all-configs: every config) and checks the conservation laws, optionally \
          under an --engine or --cc override;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
@@ -119,8 +125,9 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Parse the arguments that follow the program name.
-fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
+/// Parse the arguments that follow the program name, or name the flags
+/// the command cannot take.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'static str> {
     let mut opts = Options {
         command: Command::List,
         names: Vec::new(),
@@ -128,7 +135,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
             .map(|n| n.get())
             .unwrap_or(4),
         fidelity: Fidelity::Fast,
-        fidelity_flag_seen: false,
         seed: None,
         seeds: 16,
         engine: None,
@@ -170,14 +176,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
                 let Some(v) = args.next() else { usage() };
                 opts.cc = Some(CongestionControl::parse(&v).unwrap_or_else(|| usage()));
             }
-            "--full" => {
-                opts.fidelity = Fidelity::Full;
-                opts.fidelity_flag_seen = true;
-            }
-            "--paper" => {
-                opts.fidelity = Fidelity::Paper;
-                opts.fidelity_flag_seen = true;
-            }
+            "--full" => opts.fidelity = Fidelity::Full,
+            "--paper" => opts.fidelity = Fidelity::Paper,
             "--json" => opts.json = true,
             "--seed" => {
                 let Some(v) = args.next() else { usage() };
@@ -198,25 +198,25 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Options {
     // fidelity and owns its seeds (--seeds), but the conservation laws must
     // hold under every engine and controller, so it does accept --engine/--cc.
     let golden = matches!(opts.command, Command::Check | Command::Bless);
-    let conflict = if (golden || matches!(opts.command, Command::Conserve))
-        && (opts.fidelity_flag_seen || opts.seed.is_some())
+    if (golden || matches!(opts.command, Command::Conserve))
+        && (opts.fidelity != Fidelity::Fast || opts.seed.is_some())
     {
-        "check/bless/conserve always run the pinned fast fidelity; \
-         drop --full/--paper/--seed (conserve takes --seeds N)"
-    } else if golden && (opts.engine.is_some() || opts.cc.is_some()) {
-        "golden cells pin each scenario's own engine and congestion-control axis; drop \
-         --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)"
-    } else if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
-        "bless rewrites every cell (a cell can belong to several scenarios); drop the names"
-    } else {
-        ""
-    };
-    if !conflict.is_empty() {
-        eprintln!("{conflict}");
-        std::process::exit(2);
+        return Err("check/bless/conserve always run the pinned fast fidelity; \
+             drop --full/--paper/--seed (conserve takes --seeds N)");
+    }
+    if golden && (opts.engine.is_some() || opts.cc.is_some()) {
+        return Err(
+            "golden cells pin each scenario's own engine and congestion-control axis; drop \
+             --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)",
+        );
+    }
+    if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
+        return Err(
+            "bless rewrites every cell (a cell can belong to several scenarios); drop the names",
+        );
     }
     opts.seeds = opts.seeds.max(1);
-    opts
+    Ok(opts)
 }
 
 /// The `--seed`, `--engine` and `--cc` overrides, applied to one config.
@@ -325,18 +325,22 @@ fn cmd_run(opts: &Options) -> ExitCode {
             apply_overrides(opts, cfg);
         }
         let results = Driver::with_threads(opts.threads).run_labelled(configs);
+        let report = scenario::report(s.name, fidelity, &results);
         if opts.json {
-            print!("{}", scenario::report(s.name, fidelity, &results).to_json());
-            continue;
+            print!("{}", report.to_json());
+        } else {
+            let mut table = Table::new(
+                format!("{} [{}]: {}", s.name, fidelity.label(), s.description),
+                &summary_headers(),
+            );
+            for (label, r) in &results {
+                table.add_row(summary_row(label, r));
+            }
+            println!("{}", table.render());
         }
-        let mut table = Table::new(
-            format!("{} [{}]: {}", s.name, fidelity.label(), s.description),
-            &summary_headers(),
-        );
-        for (label, r) in &results {
-            table.add_row(summary_row(label, r));
+        for broken in s.check_claims(&report) {
+            eprintln!("BROKEN CLAIM  {broken}");
         }
-        println!("{}", table.render());
     }
     ExitCode::SUCCESS
 }
@@ -430,9 +434,12 @@ fn cmd_check(opts: &Options) -> ExitCode {
 fn cmd_conserve(opts: &Options) -> ExitCode {
     let mut configs: Vec<(String, ExperimentConfig)> = Vec::new();
     for s in select(&opts.names) {
-        let expanded = s.configs(Fidelity::Fast);
-        let chosen = if opts.all_configs { expanded.len() } else { 1 };
-        for (label, cfg) in expanded.into_iter().take(chosen) {
+        let mut chosen = s.configs(Fidelity::Fast);
+        if !opts.all_configs {
+            chosen.truncate(1);
+            chosen.extend(s.conservation_extras());
+        }
+        for (label, cfg) in chosen {
             for seed in 1..=opts.seeds {
                 let mut c = cfg.clone();
                 c.seed = seed;
@@ -558,7 +565,10 @@ fn cmd_trace(opts: &Options) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args(std::env::args().skip(1));
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|conflict| {
+        eprintln!("{conflict}");
+        std::process::exit(2)
+    });
     match opts.command {
         Command::List => cmd_list(),
         Command::Run => cmd_run(&opts),
@@ -600,10 +610,19 @@ mod tests {
     }
 
     /// `--seed`, `--engine` and `--cc` reach the config of every command
-    /// that accepts them — `trace --engine hybrid` once ran the packet engine.
+    /// that accepts them — `trace --engine hybrid` once ran the packet engine
+    /// — and the commands pinned to the fast fidelity reject the flags that
+    /// leave it.
     #[test]
     fn overrides_reach_the_config() {
-        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        let args = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        let parse = |line: &str| args(line).unwrap();
+        let fast_only = args("check --full").err();
+        assert!(fast_only.is_some_and(|e| e.starts_with("check/bless/conserve always run")));
+        for line in ["check --paper", "bless --full", "conserve fig1bc --paper"] {
+            assert_eq!(args(line).err(), fast_only, "{line}");
+        }
+        assert!(args("run fig1bc --paper").is_ok());
         let mut config = ExperimentConfig::default();
         apply_overrides(&parse("trace fig1bc"), &mut config);
         assert_eq!(config, ExperimentConfig::default());

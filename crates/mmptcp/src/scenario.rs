@@ -117,6 +117,21 @@ impl Scenario {
             runs,
         })
     }
+
+    /// Fast rows past this scenario's first that the conservation sweeps
+    /// also run, because no scenario opens on their cells: a fabric degraded
+    /// by build-time link failures, the dual-homed access layer and D²TCP
+    /// with deadlines to meet.
+    pub fn conservation_extras(&self) -> Vec<(String, ExperimentConfig)> {
+        const EXTRAS: [(&str, &str); 3] = [
+            ("link-failure", "mmptcp-8 / failed 250/1000"),
+            ("multihomed", "mmptcp-8 / dual-homed"),
+            ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
+        ];
+        let mut rows = self.configs(Fidelity::Fast);
+        rows.retain(|(label, _)| EXTRAS.contains(&(self.name, label.as_str())));
+        rows
+    }
 }
 
 /// Every distinct fast configuration of the catalog, once, in catalog
@@ -273,6 +288,164 @@ pub fn catalog() -> &'static [Scenario] {
 /// Look a scenario up by name.
 pub fn find(name: &str) -> Option<&'static Scenario> {
     catalog().iter().find(|s| s.name == name)
+}
+
+// --- Claims -------------------------------------------------------------
+
+/// What the catalog's rows claim, one claim a line:
+/// `scenario; rows; metric; relation; other rows; bound; source`.
+///
+/// `rows` and `other rows` select the runs whose labels start with them.
+/// `metric` is a `RunReport` field: `completed`, `short flows`,
+/// `long goodput`, `rto flows`, `short p99`, `mice p99`, `ecn marks` or
+/// `phase switches`. `relation` is one of:
+/// - `each >`, `each =`: every selected run against `bound`;
+/// - `each <`: every selected run against the other run whose label goes on
+///   the same way after the prefix;
+/// - `sum >`: the selected runs' sum against `bound`;
+/// - `sum <`: against the other rows' sum;
+/// - `sum >=`: at least `bound` times the other rows' sum;
+/// - `sum ~`: the larger of the two sums is below `bound` times the smaller;
+/// - `same`, `differs`: the selected runs against the other rows, whole and
+///   without their labels.
+///
+/// `-` fills a field the relation does not read. A selection that matches
+/// no run breaks its claim, and so does a run that `each <` cannot pair.
+/// `source` says where the claim comes from.
+const CLAIMS: &str = "\
+fig1-seeds; mptcp-8 seed=; completed; each =; -; 1; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; completed; each =; -; 1; paper §3, Figure 1(b)/(c)
+fig1-seeds; mptcp-8 seed=; short flows; each >; -; 10; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; short flows; each >; -; 10; paper §3, Figure 1(b)/(c)
+fig1-seeds; mptcp-8 seed=; long goodput; each >; -; 0; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; long goodput; each >; -; 0; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; rto flows; sum <; mptcp-8 seed=; -; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; short p99; sum <; mptcp-8 seed=; -; paper §3, Figure 1(b)/(c)
+fig1-seeds; mptcp-8 seed=; long goodput; each >; -; 0.5; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; long goodput; each >; -; 0.5; paper §3, Figure 1(b)/(c)
+fig1-seeds; mmptcp-8 seed=; long goodput; sum ~; mptcp-8 seed=; 1.05; paper §3, Figure 1(b)/(c)
+battle-matrix; repflow |; mice p99; each <; tcp |; -; RepFlow (PAPERS.md)
+battle-matrix; mptcp-8 |; long goodput; sum >; -; 0; paper §3, Figure 1(b)/(c)
+battle-matrix; mmptcp-8 |; long goodput; sum >=; mptcp-8 |; 0.95; paper §3, Figure 1(b)/(c)
+cc-battle; tcp-reno; long goodput; sum >; -; 0; none cited
+cc-battle; tcp-bbr; long goodput; sum >=; tcp-reno; 1; none cited
+cc-battle; mmptcp-8-bbr; long goodput; sum >=; mmptcp-8-reno; 1; none cited
+cc-battle; dctcp; ecn marks; each >; -; 0; none cited
+cc-battle; tcp-; ecn marks; each =; -; 0; none cited
+deadlines; d2tcp | tight; -; differs; d2tcp | loose; -; paper §1, deadline-bound short flows
+deadlines; dctcp | tight; -; same; dctcp | loose; -; paper §1, deadline-bound short flows
+deadlines; d2tcp | tight; ecn marks; each >; -; 0; paper §1, deadline-bound short flows
+switching; data-volume; phase switches; each >; -; 0; paper §2
+switching; never (PS only); phase switches; each =; -; 0; paper §2
+";
+
+impl Scenario {
+    /// The claims this scenario's rows make (paper §3's Figure-1 contrast,
+    /// RepFlow's mice tail, the design knobs' effects), checked on
+    /// `report`: one line for each claim it breaks, naming the claim, its
+    /// source and the numbers that break it. Tier-1 checks the golden
+    /// cells; `scenarios run` checks every run, at every fidelity.
+    pub fn check_claims(&self, report: &ScenarioReport) -> Vec<String> {
+        let own = CLAIMS
+            .lines()
+            .filter(|line| line.split(';').next() == Some(self.name));
+        own.filter_map(|line| Some(format!("{line}: {}", broken(line, &report.runs)?)))
+            .collect()
+    }
+}
+
+/// The `RunReport` field a claim's `metric` names, as a number.
+fn metric(name: &str) -> fn(&RunReport) -> f64 {
+    match name {
+        "completed" => |r| f64::from(u8::from(r.all_short_completed)),
+        "short flows" => |r| r.short_fct.count as f64,
+        "long goodput" => |r| r.long_goodput_gbps,
+        "rto flows" => |r| r.short_flows_with_rto as f64,
+        "short p99" => |r| r.short_fct.p99_ms,
+        "mice p99" => |r| r.mice_fct.p99_ms,
+        "ecn marks" => |r| r.ecn_marks.total() as f64,
+        "phase switches" => |r| r.phase_switches as f64,
+        _ => panic!("no claim metric `{name}`"),
+    }
+}
+
+/// Why the claim `line` does not hold on `runs`, or `None` when it holds.
+/// Panics on a malformed line.
+fn broken(line: &str, runs: &[RunReport]) -> Option<String> {
+    let fields: Vec<&str> = line.split(';').map(str::trim).collect();
+    let [_, rows, metric_name, relation, other, bound, _] = fields[..] else {
+        panic!("claim `{line}` does not have seven fields");
+    };
+    let (mine, theirs) = (select(runs, rows), select(runs, other));
+    if mine.is_empty() || (other != "-" && theirs.is_empty()) {
+        return Some("a selection matches no run".to_string());
+    }
+    let bound = || -> f64 {
+        let parsed = bound.parse();
+        parsed.unwrap_or_else(|_| panic!("claim `{line}`: bound `{bound}` is not a number"))
+    };
+    let unless = |holds: bool, why: String| (!holds).then_some(why);
+    match relation {
+        "each >" | "each =" => {
+            let (value, bound) = (metric(metric_name), bound());
+            let holds = |v: f64| {
+                if relation == "each >" {
+                    v > bound
+                } else {
+                    v == bound
+                }
+            };
+            let miss = mine.iter().find(|(_, r)| !holds(value(r)));
+            miss.map(|(_, r)| format!("{} has {}", r.label, value(r)))
+        }
+        "each <" => {
+            let value = metric(metric_name);
+            let counts = format!("{} runs against {}", mine.len(), theirs.len());
+            unless(mine.len() == theirs.len(), counts).or_else(|| {
+                mine.iter().find_map(|(rest, r)| {
+                    let Some((_, o)) = theirs.iter().find(|(t, _)| t == rest) else {
+                        return Some(format!("{} has no partner", r.label));
+                    };
+                    let (x, y) = (value(r), value(o));
+                    unless(x < y, format!("{} has {x}, {} {y}", r.label, o.label))
+                })
+            })
+        }
+        "sum >" | "sum <" | "sum >=" | "sum ~" => {
+            let value = metric(metric_name);
+            let sum =
+                |runs: &[(&str, &RunReport)]| -> f64 { runs.iter().map(|(_, r)| value(r)).sum() };
+            let (a, b) = (sum(&mine), sum(&theirs));
+            let holds = match relation {
+                "sum >" => a > bound(),
+                "sum <" => a < b,
+                "sum >=" => a >= bound() * b,
+                _ => a.max(b) / a.min(b) < bound(),
+            };
+            unless(holds, format!("the sums are {a} and {b}"))
+        }
+        "same" | "differs" => {
+            let bare = |runs: Vec<(&str, &RunReport)>| -> Vec<RunReport> {
+                let unlabelled = |r: &RunReport| RunReport {
+                    label: String::new(),
+                    ..r.clone()
+                };
+                runs.into_iter().map(|(_, r)| unlabelled(r)).collect()
+            };
+            let same = bare(mine) == bare(theirs);
+            unless(
+                same == (relation == "same"),
+                format!("the runs are not {relation}"),
+            )
+        }
+        _ => panic!("claim `{line}`: no relation `{relation}`"),
+    }
+}
+
+/// The runs whose labels start with `prefix`, each with the rest of its label.
+fn select<'a>(runs: &'a [RunReport], prefix: &str) -> Vec<(&'a str, &'a RunReport)> {
+    let rest = |r: &'a RunReport| Some((r.label.strip_prefix(prefix)?, r));
+    runs.iter().filter_map(rest).collect()
 }
 
 // --- Base configurations ------------------------------------------------
@@ -998,6 +1171,64 @@ fig1-seeds paper 0f06324bb1b4d2f2
             table == EXPANSIONS,
             "expansions changed for {changed:#?}; the digests are now:\n{table}"
         );
+    }
+
+    /// Every claim names a catalog scenario, so some golden check reads it.
+    #[test]
+    fn every_claim_names_a_scenario() {
+        for line in CLAIMS.lines() {
+            let scenario = line.split(';').next().unwrap_or_default();
+            assert!(find(scenario).is_some(), "claim `{line}`");
+        }
+    }
+
+    /// Runs `a 1` and `b 1` with long-flow goodputs `a` and `b`.
+    fn two(a: f64, b: f64) -> Vec<RunReport> {
+        let run = |label: &str, gbps| RunReport {
+            label: label.to_string(),
+            long_goodput_gbps: gbps,
+            ..RunReport::default()
+        };
+        vec![run("a 1", a), run("b 1", b)]
+    }
+
+    /// Each relation holds on one two-run report and breaks on another, and
+    /// a selection that matches nothing, or an `each <` run without a
+    /// partner, breaks its claim.
+    #[test]
+    fn each_claim_relation_holds_and_breaks() {
+        for (relation, other, bound, holds, breaks) in [
+            ("each >", "-", "1", two(2.0, 0.0), two(1.0, 0.0)),
+            ("each =", "-", "1", two(1.0, 0.0), two(2.0, 1.0)),
+            ("each <", "b", "-", two(1.0, 2.0), two(2.0, 2.0)),
+            ("sum >", "-", "1", two(1.5, 0.0), two(1.0, 5.0)),
+            ("sum <", "b", "-", two(1.0, 2.0), two(2.0, 1.0)),
+            ("sum >=", "b", "0.5", two(1.0, 2.0), two(0.9, 2.0)),
+            ("sum ~", "b", "1.05", two(2.0, 2.09), two(2.2, 2.0)),
+            ("same", "b", "-", two(1.0, 1.0), two(1.0, 2.0)),
+            ("differs", "b", "-", two(1.0, 2.0), two(1.0, 1.0)),
+        ] {
+            let line = format!("s; a; long goodput; {relation}; {other}; {bound}; test");
+            assert_eq!(broken(&line, &holds), None, "`{line}` on {holds:?}");
+            assert!(broken(&line, &breaks).is_some(), "`{line}` on {breaks:?}");
+        }
+        let nothing = "s; c; long goodput; each >; -; 0; test";
+        assert!(broken(nothing, &two(1.0, 1.0)).is_some());
+        let mut unpaired = two(1.0, 2.0);
+        unpaired[1].label = "b 2".to_string();
+        let paired = "s; a; long goodput; each <; b; -; test";
+        assert!(broken(paired, &unpaired).is_some());
+        unpaired.push(RunReport {
+            label: "b 1".to_string(),
+            ..unpaired[1].clone()
+        });
+        assert!(broken(paired, &unpaired).is_some(), "an extra `b` run");
+    }
+
+    #[test]
+    #[should_panic(expected = "no relation")]
+    fn a_malformed_claim_panics() {
+        broken("s; a; long goodput; each >=; -; 0; test", &two(1.0, 1.0));
     }
 
     #[test]

@@ -44,20 +44,9 @@ pub struct SubflowUpdate {
     pub became_established: bool,
     /// A congestion event (fast retransmit or RTO) occurred.
     pub congestion_event: bool,
-    /// Subflow-level bytes newly acknowledged by this activation.
-    pub newly_acked: u64,
     /// Retransmissions this activation judged spurious (the original had in
     /// fact arrived).
     pub spurious_retransmits: u32,
-}
-
-impl SubflowUpdate {
-    fn merge(&mut self, other: SubflowUpdate) {
-        self.became_established |= other.became_established;
-        self.congestion_event |= other.congestion_event;
-        self.newly_acked += other.newly_acked;
-        self.spurious_retransmits += other.spurious_retransmits;
-    }
 }
 
 /// Handshake and loss-recovery state.
@@ -562,20 +551,20 @@ impl Subflow {
         pkt: &Packet,
         lia: Option<LiaParams>,
     ) -> SubflowUpdate {
-        let mut update = SubflowUpdate::default();
-        match pkt.kind {
+        let update = match pkt.kind {
             PacketKind::SynAck if self.state == State::SynSent => {
                 self.state = State::Open;
                 self.cc.on_established(ctx.now(), &self.rtt);
                 self.rtt.on_sample(ctx.now() - pkt.sent_at);
                 self.cancel_timer();
-                update.became_established = true;
+                SubflowUpdate {
+                    became_established: true,
+                    ..SubflowUpdate::default()
+                }
             }
-            PacketKind::Ack => {
-                update.merge(self.on_ack(ctx, pkt, lia));
-            }
-            _ => {}
-        }
+            PacketKind::Ack => self.on_ack(ctx, pkt, lia),
+            _ => SubflowUpdate::default(),
+        };
         self.trace_sample(ctx);
         update
     }
@@ -593,7 +582,6 @@ impl Subflow {
         let ack = pkt.ack;
         if ack > self.snd_una {
             let newly = ack - self.snd_una;
-            update.newly_acked = newly;
             self.snd_una = ack;
             self.drop_acked_mappings();
             self.dup_acks = 0;

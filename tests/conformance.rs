@@ -22,28 +22,6 @@ use netsim::{Packet, PathPolicy};
 use transport::testing::Loopback;
 use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 
-/// Fast cells no scenario's first config reaches, swept next to the first
-/// configs by the packet conservation test: a fabric degraded by build-time
-/// link failures, the dual-homed access layer and D²TCP with deadlines to
-/// meet.
-fn extra_conservation_cells() -> Vec<(String, ExperimentConfig)> {
-    [
-        ("link-failure", "mmptcp-8 / failed 250/1000"),
-        ("multihomed", "mmptcp-8 / dual-homed"),
-        ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
-    ]
-    .into_iter()
-    .map(|(scenario, label)| {
-        let configs = find(scenario)
-            .expect("catalog scenario")
-            .configs(Fidelity::Fast);
-        let cell = configs.into_iter().find(|(l, _)| l == label);
-        let (_, cfg) = cell.unwrap_or_else(|| panic!("{scenario} has no `{label}` cell"));
-        (format!("{scenario} / {label}"), cfg)
-    })
-    .collect()
-}
-
 /// The first fast config of every scenario, each distinct config once, with
 /// the catalog index of the scenario that opens on it (the index seeds the
 /// runs). Several scenarios open on the same cell: `cc-battle` on
@@ -62,10 +40,18 @@ fn first_cells() -> Vec<(usize, String, ExperimentConfig)> {
 /// Conservation across the catalog: every scenario's first cell, two
 /// distinct seeds each (seeds never repeat across cells, so the sweep covers
 /// well over 16 seeds in total; the CI `scenarios conserve` job extends this
-/// to 16 seeds per scenario at release speed).
+/// to 16 seeds per scenario at release speed), and the cells of
+/// `Scenario::conservation_extras` once each at their own seed.
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
-    let mut configs = extra_conservation_cells();
+    let mut configs: Vec<(String, ExperimentConfig)> = catalog()
+        .iter()
+        .flat_map(|s| {
+            let extras = s.conservation_extras().into_iter();
+            extras.map(|(label, cfg)| (format!("{} / {label}", s.name), cfg))
+        })
+        .collect();
+    assert_eq!(configs.len(), 3, "a failed fabric, dual homing and D²TCP");
     for (i, name, cfg) in first_cells() {
         for k in 0..2u64 {
             let mut run = cfg.clone();
@@ -389,6 +375,21 @@ fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
         let rows: Vec<&str> = report.runs.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(rows, labels, "{}: row labels", s.name);
     }
+}
+
+/// Every claim of the claims table (`mmptcp::scenario`) holds on the
+/// scenario's golden document: the paper's Figure-1 contrast on
+/// `fig1-seeds`, RepFlow's mice tail and MMPTCP's pooled goodput on
+/// `battle-matrix`, the controllers on `cc-battle` and the design knobs on
+/// `deadlines` and `switching`. Nothing is run.
+#[test]
+fn every_claim_holds_on_the_golden_cells() {
+    let cells = golden_cells();
+    let broken: Vec<String> = catalog()
+        .iter()
+        .flat_map(|s| s.check_claims(&s.reassemble(&cells).unwrap_or_else(|e| panic!("{e}"))))
+        .collect();
+    assert!(broken.is_empty(), "broken claims: {broken:#?}");
 }
 
 /// Link failure × size-aware routing: on the fig-style fat-tree with 25% of
