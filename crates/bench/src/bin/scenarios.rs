@@ -35,11 +35,9 @@
 //! (run/trace/conserve only — goldens pin each scenario's own controller
 //! axis, so `check`/`bless` reject it).
 //!
-//! After each scenario, `run` prints to stderr every claim of the scenario's
-//! rows that the run breaks (`Scenario::check_claims`), at every fidelity
-//! and under every override, so a `--full` or `--paper` run says which of
-//! the claims the golden cells keep it no longer makes. Stdout, `--json`
-//! included, is unchanged.
+//! `run` prints to stderr each claim of the scenario's rows that the run
+//! breaks (`Scenario::check_claims`), at every fidelity and under every
+//! override; stdout, `--json` included, does not change.
 //!
 //! `check` runs the distinct cells of the selected scenarios (default: all)
 //! in one driver sweep, compares them row by row against the golden and
@@ -52,8 +50,8 @@
 //! `conserve` is the simulator-wide conservation sweep: for every selected
 //! scenario it runs the first fast-fidelity configuration and the scenario's
 //! `conservation_extras` (every configuration with `--all-configs`) across
-//! `--seeds N` seeds (default 16),
-//! each distinct (config, seed) pair once, and checks
+//! `--seeds N` seeds (default 16), each distinct (config, seed) pair once,
+//! and checks
 //! [`mmptcp::ExperimentResults::check_conservation`] on each run — packets
 //! injected must equal delivered + dropped + still-in-network, and every
 //! completed bounded flow must have delivered exactly its size. CI runs this
@@ -116,8 +114,8 @@ fn usage() -> ! {
          check/bless always run the pinned fast fidelity and reject \
          --full/--paper/--seed/--engine/--cc; bless rewrites every cell and takes no names;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
-         config and conservation extras (--all-configs: every config) and checks the conservation laws, optionally \
-         under an --engine or --cc override;\n\
+         config and conservation extras (--all-configs: every config) and checks the \
+         conservation laws, optionally under an --engine or --cc override;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
          --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply)"
@@ -198,25 +196,21 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
     // fidelity and owns its seeds (--seeds), but the conservation laws must
     // hold under every engine and controller, so it does accept --engine/--cc.
     let golden = matches!(opts.command, Command::Check | Command::Bless);
-    if (golden || matches!(opts.command, Command::Conserve))
+    let conflict = if (golden || matches!(opts.command, Command::Conserve))
         && (opts.fidelity != Fidelity::Fast || opts.seed.is_some())
     {
-        return Err("check/bless/conserve always run the pinned fast fidelity; \
-             drop --full/--paper/--seed (conserve takes --seeds N)");
-    }
-    if golden && (opts.engine.is_some() || opts.cc.is_some()) {
-        return Err(
-            "golden cells pin each scenario's own engine and congestion-control axis; drop \
-             --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)",
-        );
-    }
-    if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
-        return Err(
-            "bless rewrites every cell (a cell can belong to several scenarios); drop the names",
-        );
-    }
-    opts.seeds = opts.seeds.max(1);
-    Ok(opts)
+        "check/bless/conserve always run the pinned fast fidelity; \
+         drop --full/--paper/--seed (conserve takes --seeds N)"
+    } else if golden && (opts.engine.is_some() || opts.cc.is_some()) {
+        "golden cells pin each scenario's own engine and congestion-control axis; drop \
+         --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)"
+    } else if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
+        "bless rewrites every cell (a cell can belong to several scenarios); drop the names"
+    } else {
+        opts.seeds = opts.seeds.max(1);
+        return Ok(opts);
+    };
+    Err(conflict)
 }
 
 /// The `--seed`, `--engine` and `--cc` overrides, applied to one config.
@@ -326,21 +320,21 @@ fn cmd_run(opts: &Options) -> ExitCode {
         }
         let results = Driver::with_threads(opts.threads).run_labelled(configs);
         let report = scenario::report(s.name, fidelity, &results);
-        if opts.json {
-            print!("{}", report.to_json());
-        } else {
-            let mut table = Table::new(
-                format!("{} [{}]: {}", s.name, fidelity.label(), s.description),
-                &summary_headers(),
-            );
-            for (label, r) in &results {
-                table.add_row(summary_row(label, r));
-            }
-            println!("{}", table.render());
-        }
         for broken in s.check_claims(&report) {
             eprintln!("BROKEN CLAIM  {broken}");
         }
+        if opts.json {
+            print!("{}", report.to_json());
+            continue;
+        }
+        let mut table = Table::new(
+            format!("{} [{}]: {}", s.name, fidelity.label(), s.description),
+            &summary_headers(),
+        );
+        for (label, r) in &results {
+            table.add_row(summary_row(label, r));
+        }
+        println!("{}", table.render());
     }
     ExitCode::SUCCESS
 }

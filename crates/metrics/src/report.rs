@@ -13,7 +13,7 @@
 //! The local `serde` crate is a no-op shim (offline build), so the writer is
 //! hand-rolled: a tiny escaping/formatting layer instead of a serializer.
 //! [`ScenarioReport::from_json`] is its inverse — the one reader of these
-//! documents (figure rendering, golden-witness tests), strict enough that
+//! documents (figure rendering, claim checks), strict enough that
 //! `from_json(text).to_json() == text` holds for exactly the canonical
 //! renderings.
 

@@ -380,42 +380,28 @@ fn broken(line: &str, runs: &[RunReport]) -> Option<String> {
     if mine.is_empty() || (other != "-" && theirs.is_empty()) {
         return Some("a selection matches no run".to_string());
     }
+    let value = |r: &RunReport| metric(metric_name)(r);
     let bound = || -> f64 {
         let parsed = bound.parse();
         parsed.unwrap_or_else(|_| panic!("claim `{line}`: bound `{bound}` is not a number"))
     };
     let unless = |holds: bool, why: String| (!holds).then_some(why);
+    // The first selected run that breaks a claim about each run on its own.
+    let miss = |holds: &dyn Fn(&str, &RunReport) -> bool| {
+        let run = mine.iter().find(|(rest, r)| !holds(rest, r));
+        run.map(|(_, r)| format!("{} has {}", r.label, value(r)))
+    };
     match relation {
-        "each >" | "each =" => {
-            let (value, bound) = (metric(metric_name), bound());
-            let holds = |v: f64| {
-                if relation == "each >" {
-                    v > bound
-                } else {
-                    v == bound
-                }
-            };
-            let miss = mine.iter().find(|(_, r)| !holds(value(r)));
-            miss.map(|(_, r)| format!("{} has {}", r.label, value(r)))
-        }
-        "each <" => {
-            let value = metric(metric_name);
-            let counts = format!("{} runs against {}", mine.len(), theirs.len());
-            unless(mine.len() == theirs.len(), counts).or_else(|| {
-                mine.iter().find_map(|(rest, r)| {
-                    let Some((_, o)) = theirs.iter().find(|(t, _)| t == rest) else {
-                        return Some(format!("{} has no partner", r.label));
-                    };
-                    let (x, y) = (value(r), value(o));
-                    unless(x < y, format!("{} has {x}, {} {y}", r.label, o.label))
-                })
-            })
-        }
+        "each >" => miss(&|_, r| value(r) > bound()),
+        "each =" => miss(&|_, r| value(r) == bound()),
+        "each <" if mine.len() != theirs.len() => Some("a run has no partner".to_string()),
+        "each <" => miss(&|rest, r| {
+            let partner = theirs.iter().find(|(t, _)| *t == rest);
+            partner.is_some_and(|(_, o)| value(r) < value(o))
+        }),
         "sum >" | "sum <" | "sum >=" | "sum ~" => {
-            let value = metric(metric_name);
-            let sum =
-                |runs: &[(&str, &RunReport)]| -> f64 { runs.iter().map(|(_, r)| value(r)).sum() };
-            let (a, b) = (sum(&mine), sum(&theirs));
+            let sum = |runs: &[(&str, &RunReport)]| runs.iter().map(|(_, r)| value(r)).sum();
+            let (a, b): (f64, f64) = (sum(&mine), sum(&theirs));
             let holds = match relation {
                 "sum >" => a > bound(),
                 "sum <" => a < b,
@@ -425,14 +411,14 @@ fn broken(line: &str, runs: &[RunReport]) -> Option<String> {
             unless(holds, format!("the sums are {a} and {b}"))
         }
         "same" | "differs" => {
-            let bare = |runs: Vec<(&str, &RunReport)>| -> Vec<RunReport> {
+            let bare = |runs: &[(&str, &RunReport)]| -> Vec<RunReport> {
                 let unlabelled = |r: &RunReport| RunReport {
                     label: String::new(),
                     ..r.clone()
                 };
-                runs.into_iter().map(|(_, r)| unlabelled(r)).collect()
+                runs.iter().map(|(_, r)| unlabelled(r)).collect()
             };
-            let same = bare(mine) == bare(theirs);
+            let same = bare(&mine) == bare(&theirs);
             unless(
                 same == (relation == "same"),
                 format!("the runs are not {relation}"),
@@ -1028,7 +1014,7 @@ fn deadlines(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
 /// way: 70 KB Poisson short flows over long flows, MPTCP-8 against MMPTCP-8.
 /// The fast base's 16-host tree is not over-subscribed, so the fast arm runs
 /// k = 4 at 2:1 (32 hosts); the larger fidelities keep their 4:1 base.
-/// `tests/paper_scenario.rs` reads the paper's claims off the fast cells.
+/// The claims table states the paper's claims on these rows.
 fn fig1_seeds(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
     let cell = |protocol| match fidelity {
         Fidelity::Fast => ExperimentConfig {
@@ -1218,10 +1204,7 @@ fig1-seeds paper 0f06324bb1b4d2f2
         unpaired[1].label = "b 2".to_string();
         let paired = "s; a; long goodput; each <; b; -; test";
         assert!(broken(paired, &unpaired).is_some());
-        unpaired.push(RunReport {
-            label: "b 1".to_string(),
-            ..unpaired[1].clone()
-        });
+        unpaired.extend(two(0.0, 2.0).pop());
         assert!(broken(paired, &unpaired).is_some(), "an extra `b` run");
     }
 

@@ -12,10 +12,13 @@
 //! * **Degeneracy**: on a single-path dumbbell with zero loss, every
 //!   transport collapses to plain TCP's completion time exactly (±0) —
 //!   multi-path machinery must cost nothing when there are no paths to use.
+//! * **Claims**: every row of the claims table in `mmptcp::scenario` holds on
+//!   its scenario's golden document, reassembled from the committed cells.
+//!   A claim is a row of that table, not a test of its own.
 
 mod common;
 
-use common::{golden, golden_cells, CELLS};
+use common::{golden_cells, CELLS};
 use mmptcp::prelude::*;
 use mmptcp::scenario::{catalog, find, Fidelity};
 use netsim::{Packet, PathPolicy};
@@ -44,13 +47,12 @@ fn first_cells() -> Vec<(usize, String, ExperimentConfig)> {
 /// `Scenario::conservation_extras` once each at their own seed.
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
-    let mut configs: Vec<(String, ExperimentConfig)> = catalog()
-        .iter()
-        .flat_map(|s| {
-            let extras = s.conservation_extras().into_iter();
-            extras.map(|(label, cfg)| (format!("{} / {label}", s.name), cfg))
-        })
-        .collect();
+    let mut configs = Vec::new();
+    for s in catalog() {
+        for (label, cfg) in s.conservation_extras() {
+            configs.push((format!("{} / {label}", s.name), cfg));
+        }
+    }
     assert_eq!(configs.len(), 3, "a failed fabric, dual homing and D²TCP");
     for (i, name, cfg) in first_cells() {
         for k in 0..2u64 {
@@ -200,53 +202,6 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// The battleground's headline, as pinned by the golden cells (which the CI
-/// golden job keeps equal to actual behaviour): RepFlow beats single-path
-/// TCP on mice p99 FCT in every cell at load <= 0.6, while MMPTCP holds
-/// aggregate long-flow goodput within 5% of MPTCP across the matrix. With
-/// ~5 long flows a run, one seed's ratio is decided by which paths collide
-/// (0.75-1.49 over seeds 1..=8), so the goodput claim pools the eight seeds
-/// the golden holds of every MPTCP-8 and MMPTCP-8 cell. Nothing is run.
-#[test]
-fn battle_matrix_golden_witnesses_the_headline_claims() {
-    let runs = golden("battle-matrix").runs;
-    let variant = |name: &str| -> Vec<&metrics::RunReport> {
-        let prefix = format!("{name} | ");
-        runs.iter()
-            .filter(|r| r.label.starts_with(&prefix))
-            .collect()
-    };
-
-    // Cell by cell, in the matrix's order (every fast load is <= 0.6).
-    let (tcp, repflow) = (variant("tcp"), variant("repflow"));
-    assert_eq!(tcp.len(), 8, "2 workloads x 2 loads x 2 seeds");
-    assert_eq!(repflow.len(), 8);
-    for (t, r) in tcp.iter().zip(&repflow) {
-        let cell = t.label.split_once(" | ").expect("variant | cell").1;
-        assert_eq!(r.label, format!("repflow | {cell}"));
-        assert!(
-            r.mice_fct.p99_ms < t.mice_fct.p99_ms,
-            "repflow mice p99 {} must beat tcp {} in cell {cell}",
-            r.mice_fct.p99_ms,
-            t.mice_fct.p99_ms
-        );
-    }
-
-    // MMPTCP vs MPTCP, aggregate long-flow goodput across the matrix and
-    // across seeds 1..=8.
-    let goodput = |name: &str| -> f64 {
-        let pooled = variant(name);
-        assert_eq!(pooled.len(), 2 * 2 * 8, "{name}: 4 cells x 8 seeds");
-        pooled.iter().map(|r| r.long_goodput_gbps).sum()
-    };
-    let (mmptcp, mptcp) = (goodput("mmptcp-8"), goodput("mptcp-8"));
-    assert!(mptcp > 0.0);
-    assert!(
-        mmptcp >= 0.95 * mptcp,
-        "mmptcp aggregate long goodput {mmptcp:.3} Gbps must stay within 5% of mptcp {mptcp:.3}"
-    );
-}
-
 /// fig1bc's golden rows are what its configs produce today, byte for byte,
 /// under the two defaults the goldens were pinned with, both checked here:
 /// the Reno controller behind the `transport::cc::CongestionController`
@@ -256,99 +211,16 @@ fn battle_matrix_golden_witnesses_the_headline_claims() {
 /// independence itself is pinned by the driver's and telemetry's tests.
 #[test]
 fn explicit_reno_reproduces_the_fig1bc_golden_byte_for_byte() {
-    let configs = find("fig1bc")
-        .expect("fig1bc is in the catalog")
-        .configs(Fidelity::Fast);
+    let fig1bc = find("fig1bc").expect("fig1bc is in the catalog");
+    let configs = fig1bc.configs(Fidelity::Fast);
     for (label, cfg) in &configs {
         assert_eq!(cfg.transport.cc, CongestionControl::Reno, "{label}");
         assert_eq!(cfg.trace, TraceConfig::Off, "{label}");
     }
     let results = Driver::with_threads(2).run_labelled(configs);
     let report = mmptcp::scenario::report("fig1bc", Fidelity::Fast, &results);
-    assert_eq!(report.to_json(), golden("fig1bc").to_json());
-}
-
-/// The controller duel's headline, as pinned by the cc-battle golden (kept
-/// equal to actual behaviour by the CI golden job): BBR's model-based pacing
-/// matches or beats Reno's loss-probing on long-flow goodput — single-path
-/// and under MMPTCP — and the DCTCP cell is the one whose ECN responder
-/// actually engages (the loss-based cells never see a mark, so DCTCP's
-/// alpha arithmetic — now layered on the trait via `EcnResponder`, with its
-/// legacy-equivalence pinned by `transport::cc`'s unit tests — is what the
-/// frozen snapshot captures).
-#[test]
-fn cc_battle_golden_witnesses_the_controller_claims() {
-    let runs = golden("cc-battle").runs;
-    assert_eq!(runs.len(), 6, "6 controller cells");
-    let run = |name: &str| -> &metrics::RunReport {
-        runs.iter()
-            .find(|r| r.label == name)
-            .unwrap_or_else(|| panic!("missing cc-battle cell {name}"))
-    };
-
-    let bbr = run("tcp-bbr").long_goodput_gbps;
-    let reno = run("tcp-reno").long_goodput_gbps;
-    assert!(reno > 0.0);
-    assert!(
-        bbr >= reno,
-        "BBR long-flow goodput {bbr:.3} Gbps must be >= Reno's {reno:.3}"
-    );
-    let mm_bbr = run("mmptcp-8-bbr").long_goodput_gbps;
-    let mm_reno = run("mmptcp-8-reno").long_goodput_gbps;
-    assert!(
-        mm_bbr >= mm_reno,
-        "MMPTCP/BBR goodput {mm_bbr:.3} Gbps must be >= MMPTCP/Reno's {mm_reno:.3}"
-    );
-
-    assert!(
-        run("dctcp").ecn_marks.total() > 0,
-        "the DCTCP cell must actually exercise the ECN responder"
-    );
-    for loss_based in ["tcp-reno", "tcp-cubic", "tcp-bbr"] {
-        assert_eq!(
-            run(loss_based).ecn_marks.total(),
-            0,
-            "{loss_based} must not see ECN marks (no responder installed)"
-        );
-    }
-}
-
-/// The paper's own knobs, as pinned by the `deadlines` and `switching`
-/// goldens: the deadline model reaches D²TCP's window arithmetic and nothing
-/// else's (DCTCP ignores it, so its two cells are the same run), and the
-/// phase switch happens under every data-volume threshold and never under
-/// the packet-scatter-only ablation.
-#[test]
-fn design_knob_goldens_witness_deadlines_and_phase_switching() {
-    let deadlines = golden("deadlines").runs;
-    let cell = |protocol: &str, model: &str| -> metrics::RunReport {
-        let prefix = format!("{protocol} | {model} ");
-        let found = deadlines.iter().find(|r| r.label.starts_with(&prefix));
-        let run = found.unwrap_or_else(|| panic!("no `{prefix}` cell"));
-        metrics::RunReport {
-            label: String::new(),
-            ..run.clone()
-        }
-    };
-    assert_ne!(
-        cell("d2tcp", "tight"),
-        cell("d2tcp", "loose"),
-        "the fast deadline models must separate D2TCP's behaviour"
-    );
-    assert_eq!(cell("dctcp", "tight"), cell("dctcp", "loose"));
-    assert!(cell("d2tcp", "tight").ecn_marks.total() > 0);
-
-    let switching = golden("switching").runs;
-    let data_volume: Vec<_> = switching
-        .iter()
-        .filter(|r| r.label.starts_with("data-volume "))
-        .collect();
-    assert_eq!(data_volume.len(), 2);
-    for run in data_volume {
-        assert!(run.phase_switches > 0, "{}: nothing switched", run.label);
-    }
-    let never = switching.iter().find(|r| r.label == "never (PS only)");
-    assert_eq!(never.expect("PS-only cell").phase_switches, 0);
+    let golden = fig1bc.reassemble(&golden_cells()).unwrap();
+    assert_eq!(report.to_json(), golden.to_json());
 }
 
 /// `tests/golden/` is one canonical document whose rows are the catalog's
@@ -377,11 +249,8 @@ fn every_scenario_has_a_canonical_golden_and_every_golden_a_scenario() {
     }
 }
 
-/// Every claim of the claims table (`mmptcp::scenario`) holds on the
-/// scenario's golden document: the paper's Figure-1 contrast on
-/// `fig1-seeds`, RepFlow's mice tail and MMPTCP's pooled goodput on
-/// `battle-matrix`, the controllers on `cc-battle` and the design knobs on
-/// `deadlines` and `switching`. Nothing is run.
+/// Every row of the claims table in `mmptcp::scenario` holds on its
+/// scenario's golden document. Nothing is run.
 #[test]
 fn every_claim_holds_on_the_golden_cells() {
     let cells = golden_cells();

@@ -1,97 +1,12 @@
-//! The paper's evaluation scenario at reduced scale: a 2:1 over-subscribed
-//! FatTree (k = 4, 32 hosts), one third of hosts running long background
-//! flows, the rest sending Poisson-arriving 70 KB short flows over a
-//! permutation matrix, compared across MPTCP-8 and MMPTCP-8 over five seeds.
-//! Those are the `fig1-seeds` scenario's fast cells; the claims are read
-//! from their committed golden rows, which the CI golden job keeps equal to
-//! what the simulator produces, so nothing is run here.
+//! The paper's evaluation scenario at benchmark scale: the 64-host, 4:1
+//! over-subscribed FatTree, run once per protocol.
 //!
-//! These are *shape* checks (who wins, where the tail comes from), not
-//! absolute-number checks; the absolute numbers depend on scale. They pool
-//! the seeds: at this scale one seed can read either way.
+//! Tier-1 does not run it. The Figure-1 claims at reduced scale (32 hosts at
+//! 2:1, MPTCP-8 against MMPTCP-8 over five seeds, the `fig1-seeds` cells) are
+//! rows of the claims table in `mmptcp::scenario`, which the `conformance`
+//! test binary checks on the committed golden cells.
 
-mod common;
-
-use common::golden;
-use metrics::RunReport;
 use mmptcp::prelude::*;
-
-/// Every seed of one protocol in `fig1-seeds`' fast arm.
-fn seeds(protocol: &str) -> Vec<RunReport> {
-    let prefix = format!("{protocol} seed=");
-    let runs = golden("fig1-seeds").runs;
-    let rows: Vec<RunReport> = runs
-        .into_iter()
-        .filter(|r| r.label.starts_with(&prefix))
-        .collect();
-    assert_eq!(rows.len(), 5, "{protocol}: seeds 1..=5");
-    rows
-}
-
-/// Each protocol completes every short flow of every seed within the cap,
-/// and the long flows make progress.
-#[test]
-fn both_protocols_complete_the_paper_workload() {
-    for run in seeds("mptcp-8").iter().chain(&seeds("mmptcp-8")) {
-        let label = &run.label;
-        assert!(run.all_short_completed, "{label}: a short flow stranded");
-        assert!(run.short_fct.count > 10, "{label}");
-        assert!(run.long_goodput_gbps > 0.0, "{label}: long flows stalled");
-    }
-}
-
-/// The tail claim: MPTCP-8's short flows, split over eight small windows,
-/// fall into RTOs that MMPTCP-8's packet-scatter phase avoids. Over the five
-/// seeds fewer MMPTCP-8 short flows see an RTO, and its short-flow p99 FCT,
-/// summed over the seeds, is lower.
-#[test]
-fn mmptcp_tail_is_no_worse_than_mptcp_tail() {
-    let (mptcp, mmptcp) = (seeds("mptcp-8"), seeds("mmptcp-8"));
-    let rto_flows =
-        |runs: &[RunReport]| -> usize { runs.iter().map(|r| r.short_flows_with_rto).sum() };
-    let p99 = |runs: &[RunReport]| -> f64 { runs.iter().map(|r| r.short_fct.p99_ms).sum() };
-    let (a, b) = (rto_flows(&mptcp), rto_flows(&mmptcp));
-    assert!(
-        b < a,
-        "{b} mmptcp-8 short flows saw an RTO over five seeds, mptcp-8 {a}"
-    );
-    let (a, b) = (p99(&mptcp), p99(&mmptcp));
-    assert!(
-        b < a,
-        "summed short-flow p99: mmptcp-8 {b:.1} ms, mptcp-8 {a:.1} ms"
-    );
-}
-
-/// Aggregate long-flow goodput of a run that gives each of its ten long
-/// flows (a third of the 32 hosts) a meaningful share, 50 Mbps, of its
-/// 1 Gbps access link.
-const LONG_GOODPUT_FLOOR_GBPS: f64 = 0.5;
-
-/// "Same average throughput": pooled over the five seeds, MMPTCP-8's
-/// long-flow goodput is within 5 % of MPTCP-8's, and no run starves its long
-/// flows. One seed's ratio is decided by which paths collide, hence the
-/// pooling; and the two protocols' runs end at different simulated times
-/// (MPTCP-8 waits for its RTO-bound stragglers), so their goodput windows
-/// differ.
-#[test]
-fn long_flow_throughput_is_comparable_between_protocols() {
-    let pooled = |runs: Vec<RunReport>| -> f64 {
-        for run in &runs {
-            assert!(
-                run.long_goodput_gbps > LONG_GOODPUT_FLOOR_GBPS,
-                "{}: {:.3} Gbps of long-flow goodput",
-                run.label,
-                run.long_goodput_gbps
-            );
-        }
-        runs.iter().map(|r| r.long_goodput_gbps).sum()
-    };
-    let (a, b) = (pooled(seeds("mptcp-8")), pooled(seeds("mmptcp-8")));
-    assert!(
-        a.max(b) / a.min(b) < 1.05,
-        "long-flow goodput over five seeds should match: mptcp-8 {a:.3} Gbps, mmptcp-8 {b:.3}"
-    );
-}
 
 /// The benchmark-scale (64-host, 4:1 over-subscribed) shape check matching
 /// Figure 1(b)/(c) and the §3 statistics: MMPTCP has fewer RTO-affected short
