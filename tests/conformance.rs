@@ -14,11 +14,12 @@
 //!   multi-path machinery must cost nothing when there are no paths to use.
 //! * **Claims**: every row of the claims table in `mmptcp::scenario` holds on
 //!   its scenario's golden document, reassembled from the committed cells.
-//!   A claim is a row of that table, not a test of its own.
+//!   A claim is a row of that table; the tests below check it group by group
+//!   and whole.
 
 mod common;
 
-use common::{golden_cells, CELLS};
+use common::{assert_claims_hold, golden_cells, CELLS};
 use mmptcp::prelude::*;
 use mmptcp::scenario::{catalog, find, Fidelity};
 use netsim::{Packet, PathPolicy};
@@ -259,6 +260,28 @@ fn every_claim_holds_on_the_golden_cells() {
         .flat_map(|s| s.check_claims(&s.reassemble(&cells).unwrap_or_else(|e| panic!("{e}"))))
         .collect();
     assert!(broken.is_empty(), "broken claims: {broken:#?}");
+}
+
+/// RepFlow beats TCP's mice p99 cell by cell; MMPTCP-8's pooled long-flow
+/// goodput stays within 5 % of MPTCP-8's.
+#[test]
+fn battle_matrix_golden_witnesses_the_headline_claims() {
+    assert_claims_hold("battle-matrix", &["mice p99", "long goodput"], 3);
+}
+
+/// BBR's long-flow goodput is at least Reno's, single-path and under MMPTCP;
+/// only the DCTCP cell sees ECN marks.
+#[test]
+fn cc_battle_golden_witnesses_the_controller_claims() {
+    assert_claims_hold("cc-battle", &["long goodput", "ecn marks"], 5);
+}
+
+/// The deadline model moves D²TCP and not DCTCP; the phase switch happens
+/// under every data-volume threshold and never in the PS-only ablation.
+#[test]
+fn design_knob_goldens_witness_deadlines_and_phase_switching() {
+    assert_claims_hold("deadlines", &["-", "ecn marks"], 3);
+    assert_claims_hold("switching", &["phase switches"], 2);
 }
 
 /// Link failure × size-aware routing: on the fig-style fat-tree with 25% of
