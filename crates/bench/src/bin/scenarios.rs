@@ -17,6 +17,7 @@
 //! scenarios bless [--threads N]
 //! scenarios conserve [<name>...] [--seeds N] [--all-configs] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
 //! scenarios trace <name>... [--flow ID] [--links] [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
+//! scenarios figures [--threads N]
 //! ```
 //!
 //! `--full` runs the 64-host benchmark scale the replaced binaries used by
@@ -68,8 +69,20 @@
 //! and the `TraceConfig::Off` default never records anything. `--links`
 //! samples inside the progress tick, so the run stops where the untraced
 //! one does and reports the same results.
+//!
+//! `figures` renders the paper's Figure-1 views as gnuplot `.dat` + `.gp`
+//! pairs under `target/figures/` (`gnuplot <name>.gp` writes `<name>.png`
+//! next to its data). Two come from the golden cells, without simulating:
+//! `fig1a_fct_vs_subflows`, short-flow FCT against MPTCP subflow count
+//! (the `fig1a` rows), and `fct_vs_load`, short-flow p99 against offered
+//! load with one column per protocol (the `load-sweep` rows). Two come from
+//! traced runs of a fast row: `cwnd_switch`, the subflow windows of the
+//! first MMPTCP flow of `fig1bc`'s MMPTCP-8 row to switch from packet
+//! scatter to MPTCP, and `queue_heat`, every link's queue depth over time in
+//! `hotspot`'s MMPTCP-8 hotspot row. Like `check` it takes no scale, seed,
+//! engine or controller flag, and like `bless` no names.
 
-use metrics::{report, RunReport, ScenarioReport, Table};
+use metrics::{report, RunReport, ScenarioReport, Table, TraceConfig, TraceSettings};
 use mmptcp::netsim::Signal;
 use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
 use mmptcp::{Driver, Engine, ExperimentConfig, ExperimentResults};
@@ -80,6 +93,23 @@ use transport::CongestionControl;
 /// Repository-root-relative path of the golden cells document.
 fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cells.json")
+}
+
+/// The golden cells document that `check` compares against and `figures`
+/// plots, or why it cannot be read.
+fn read_golden() -> Result<ScenarioReport, String> {
+    let path = golden_path();
+    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+    text.and_then(|text| ScenarioReport::from_json(&text))
+        .map_err(|e| format!("cannot read {}: {e}; run `scenarios bless`", path.display()))
+}
+
+/// `target/<sub>` at the repository root, where `check`, `trace` and
+/// `figures` write.
+fn target_dir(sub: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(sub)
 }
 
 struct Options {
@@ -104,11 +134,12 @@ enum Command {
     Bless,
     Conserve,
     Trace,
+    Figures,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios <list|run|check|bless|conserve|trace> [<name>...] [--full | --paper] \
+        "usage: scenarios <list|run|check|bless|conserve|trace|figures> [<name>...] [--full | --paper] \
          [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--all-configs] \
          [--threads N] [--json] [--flow ID] [--links]\n\
          check/bless always run the pinned fast fidelity and reject \
@@ -118,7 +149,9 @@ fn usage() -> ! {
          conservation laws, optionally under an --engine or --cc override;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
-         --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply)"
+         --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply);\n\
+         figures writes gnuplot .dat/.gp files under target/figures/ from the golden \
+         cells and two traced fast runs; like bless it takes no names or scale flags"
     );
     std::process::exit(2)
 }
@@ -152,6 +185,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
             "bless" if command.is_none() => command = Some(Command::Bless),
             "conserve" if command.is_none() => command = Some(Command::Conserve),
             "trace" if command.is_none() => command = Some(Command::Trace),
+            "figures" if command.is_none() => command = Some(Command::Figures),
             "--all-configs" => opts.all_configs = true,
             "--links" => opts.links = true,
             "--flow" => {
@@ -192,20 +226,25 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
     opts.command = command.unwrap_or_else(|| usage());
     // Golden cells are pinned at fast fidelity, seed, engine and controller:
     // a check or bless under any other combination would silently compare
-    // apples to oranges. The conservation sweep likewise always runs the fast
-    // fidelity and owns its seeds (--seeds), but the conservation laws must
-    // hold under every engine and controller, so it does accept --engine/--cc.
-    let golden = matches!(opts.command, Command::Check | Command::Bless);
+    // apples to oranges, and figures plots them beside two fast rows. The
+    // conservation sweep likewise always runs the fast fidelity and owns its
+    // seeds (--seeds), but the conservation laws must hold under every engine
+    // and controller, so it does accept --engine/--cc.
+    let golden = matches!(
+        opts.command,
+        Command::Check | Command::Bless | Command::Figures
+    );
     let conflict = if (golden || matches!(opts.command, Command::Conserve))
         && (opts.fidelity != Fidelity::Fast || opts.seed.is_some())
     {
-        "check/bless/conserve always run the pinned fast fidelity; \
+        "check/bless/conserve/figures always run the pinned fast fidelity; \
          drop --full/--paper/--seed (conserve takes --seeds N)"
     } else if golden && (opts.engine.is_some() || opts.cc.is_some()) {
         "golden cells pin each scenario's own engine and congestion-control axis; drop \
          --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)"
-    } else if matches!(opts.command, Command::Bless) && !opts.names.is_empty() {
-        "bless rewrites every cell (a cell can belong to several scenarios); drop the names"
+    } else if matches!(opts.command, Command::Bless | Command::Figures) && !opts.names.is_empty() {
+        "bless rewrites every cell (a cell can belong to several scenarios) and figures \
+         renders a fixed set; drop the names"
     } else {
         opts.seeds = opts.seeds.max(1);
         return Ok(opts);
@@ -373,12 +412,10 @@ fn cmd_bless(opts: &Options) -> ExitCode {
 }
 
 fn cmd_check(opts: &Options) -> ExitCode {
-    let path = golden_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
-    let golden = match text.and_then(|text| ScenarioReport::from_json(&text)) {
+    let golden = match read_golden() {
         Ok(golden) => golden,
         Err(e) => {
-            eprintln!("cannot read {}: {e}; run `scenarios bless`", path.display());
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -411,10 +448,13 @@ fn cmd_check(opts: &Options) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     // Uploaded as a CI artifact on failure.
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-diff");
+    let dir = target_dir("golden-diff");
     std::fs::create_dir_all(&dir).expect("create diff dir");
     let diff_path = dir.join("cells.diff");
-    let header = format!("drift against {} (- expected, + actual):\n", path.display());
+    let header = format!(
+        "drift against {} (- expected, + actual):\n",
+        golden_path().display()
+    );
     std::fs::write(&diff_path, header + &failures.concat()).expect("write diff");
     let drifted = failures.len();
     eprintln!("{drifted} cells drifted (if intended, `scenarios bless`): {diff_path:?}");
@@ -470,9 +510,18 @@ fn cmd_conserve(opts: &Options) -> ExitCode {
     }
 }
 
-/// Where `trace` writes its per-run series directories.
-fn trace_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/traces")
+/// Run `configs` with the flight recorder on, under the `--seed`,
+/// `--engine` and `--cc` overrides.
+fn run_traced(
+    opts: &Options,
+    mut configs: Vec<(String, ExperimentConfig)>,
+    settings: TraceSettings,
+) -> Vec<(String, ExperimentResults)> {
+    for (_, cfg) in configs.iter_mut() {
+        cfg.trace = TraceConfig::On(settings);
+        apply_overrides(opts, cfg);
+    }
+    Driver::with_threads(opts.threads).run_labelled(configs)
 }
 
 /// File-system-safe directory name for one run label, prefixed with its
@@ -499,7 +548,7 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         eprintln!("trace needs at least one scenario name; `scenarios list` shows the catalog");
         return ExitCode::from(2);
     }
-    let settings = metrics::TraceSettings {
+    let settings = TraceSettings {
         flows: match opts.flow {
             None => metrics::FlowSelect::All,
             Some(id) => metrics::FlowSelect::One(id),
@@ -508,13 +557,8 @@ fn cmd_trace(opts: &Options) -> ExitCode {
     };
     let mut empty = Vec::new();
     for s in select(&opts.names) {
-        let mut configs = s.configs(opts.fidelity);
-        for (_, cfg) in configs.iter_mut() {
-            cfg.trace = metrics::TraceConfig::On(settings);
-            apply_overrides(opts, cfg);
-        }
-        let results = Driver::with_threads(opts.threads).run_labelled(configs);
-        let scenario_dir = trace_dir().join(s.name);
+        let results = run_traced(opts, s.configs(opts.fidelity), settings);
+        let scenario_dir = target_dir("traces").join(s.name);
         // Clear previous traces of this scenario so run directories from an
         // earlier fidelity/flag combination cannot linger beside fresh ones.
         if scenario_dir.exists() {
@@ -549,12 +593,246 @@ fn cmd_trace(opts: &Options) -> ExitCode {
     if empty.is_empty() {
         println!(
             "trace series written under {} (schema in each manifest.json)",
-            trace_dir().display()
+            target_dir("traces").display()
         );
         ExitCode::SUCCESS
     } else {
         eprintln!("runs with no flow samples: {}", empty.join(", "));
         ExitCode::FAILURE
+    }
+}
+
+/// Between two plots of one gnuplot `plot` command.
+const PLOT_SEPARATOR: &str = ", \\\n     ";
+
+/// Write one figure file and say where.
+fn write_figure(dir: &Path, name: &str, contents: String) -> Result<(), String> {
+    let path = dir.join(name);
+    std::fs::write(&path, contents).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+/// Figure 1(a) from the golden `fig1a` rows: FCT against subflow count.
+fn fig1a(dir: &Path, report: &ScenarioReport) -> Result<(), String> {
+    let mut dat = String::from("# subflows  mean_ms  p99_ms   (from the golden fig1a rows)\n");
+    for run in &report.runs {
+        let Some(Ok(n)) = run.label.strip_prefix("mptcp-").map(str::parse::<u32>) else {
+            continue;
+        };
+        let fct = run.short_fct;
+        dat.push_str(&format!("{n} {} {}\n", fct.mean_ms, fct.p99_ms));
+    }
+    write_figure(dir, "fig1a_fct_vs_subflows.dat", dat)?;
+    write_figure(
+        dir,
+        "fig1a_fct_vs_subflows.gp",
+        concat!(
+            "set terminal png size 800,600\n",
+            "set output 'fig1a_fct_vs_subflows.png'\n",
+            "set title 'Short-flow FCT vs MPTCP subflow count (golden fig1a)'\n",
+            "set xlabel 'subflows'\nset ylabel 'FCT (ms)'\nset key top left\nset grid\n",
+            "plot 'fig1a_fct_vs_subflows.dat' using 1:2 with linespoints title 'mean', \\\n",
+            "     '' using 1:3 with linespoints title 'p99'\n",
+        )
+        .to_string(),
+    )
+}
+
+/// FCT against load from the golden `load-sweep` rows (labelled
+/// `<protocol> @ <ms> ms`): one column per protocol, x = Poisson mean
+/// inter-arrival (smaller = heavier load).
+fn fct_vs_load(dir: &Path, report: &ScenarioReport) -> Result<(), String> {
+    // Protocols and loads in first-appearance order.
+    let mut protocols: Vec<&str> = Vec::new();
+    let mut loads: Vec<u64> = Vec::new();
+    let mut cells: Vec<(&str, u64, f64)> = Vec::new();
+    for run in &report.runs {
+        let Some((proto, rest)) = run.label.split_once(" @ ") else {
+            continue;
+        };
+        let Some(Ok(ms)) = rest.strip_suffix(" ms").map(str::parse::<u64>) else {
+            continue;
+        };
+        if !protocols.contains(&proto) {
+            protocols.push(proto);
+        }
+        if !loads.contains(&ms) {
+            loads.push(ms);
+        }
+        cells.push((proto, ms, run.short_fct.p99_ms));
+    }
+    loads.sort_unstable_by(|a, b| b.cmp(a)); // lightest load first
+    let mut dat = format!(
+        "# interarrival_ms  {}   (short-flow p99 ms, from the golden load-sweep rows)\n",
+        protocols.join("  ")
+    );
+    for &ms in &loads {
+        dat.push_str(&format!("{ms}"));
+        for &proto in &protocols {
+            let v = cells
+                .iter()
+                .find(|&&(p, l, _)| p == proto && l == ms)
+                .map_or(f64::NAN, |&(_, _, v)| v);
+            dat.push_str(&format!(" {v}"));
+        }
+        dat.push('\n');
+    }
+    let plots: Vec<String> = protocols
+        .iter()
+        .enumerate()
+        .map(|(i, proto)| {
+            let column = i + 2;
+            format!("'fct_vs_load.dat' using 1:{column} with linespoints title '{proto}'")
+        })
+        .collect();
+    let gp = format!(
+        concat!(
+            "set terminal png size 800,600\n",
+            "set output 'fct_vs_load.png'\n",
+            "set title 'Short-flow p99 FCT vs offered load (golden load-sweep)'\n",
+            "set xlabel 'Poisson mean inter-arrival (ms; left = heavier load)'\n",
+            "set ylabel 'p99 FCT (ms)'\nset key top right\nset grid\n",
+            "plot {}\n",
+        ),
+        plots.join(PLOT_SEPARATOR)
+    );
+    write_figure(dir, "fct_vs_load.dat", dat)?;
+    write_figure(dir, "fct_vs_load.gp", gp)
+}
+
+/// Per-subflow cwnd series of the first flow of a traced MMPTCP run to
+/// switch phase, with the packet-scatter→MPTCP switch instant marked.
+fn cwnd_switch(dir: &Path, (label, results): (String, ExperimentResults)) -> Result<(), String> {
+    let sink = results.trace.as_ref().expect("traced run carries a sink");
+    let Some((flow, at)) = sink.events().iter().find_map(|e| match *e {
+        Signal::PhaseSwitched { flow, at, .. } => Some((flow.0, at)),
+        _ => None,
+    }) else {
+        return Err(format!("cwnd_switch: no flow of '{label}' switched phase"));
+    };
+    let subflows: Vec<u8> = sink
+        .flow_keys()
+        .iter()
+        .filter(|(f, _)| *f == flow)
+        .map(|(_, s)| *s)
+        .collect();
+    let mut dat = format!(
+        "# traced run: {label}; flow {flow} switched PS->MPTCP at {:.4} ms\n\
+         # one index block per subflow (0 = packet-scatter flow): t_ms cwnd_bytes outstanding_bytes\n",
+        at.as_millis_f64()
+    );
+    for &sf in &subflows {
+        let series = sink.flow_series(flow, sf).expect("keyed series");
+        dat.push_str(&format!("# subflow {sf}\n"));
+        for p in series.items() {
+            dat.push_str(&format!(
+                "{:.6} {} {}\n",
+                p.at.as_millis_f64(),
+                p.cwnd,
+                p.outstanding
+            ));
+        }
+        dat.push_str("\n\n");
+    }
+    let plots: Vec<String> = subflows
+        .iter()
+        .enumerate()
+        .map(|(i, &sf)| {
+            let title = match sf {
+                0 => "packet-scatter".to_string(),
+                _ => format!("mptcp subflow {sf}"),
+            };
+            format!("'cwnd_switch.dat' index {i} using 1:2 with steps title '{title}'")
+        })
+        .collect();
+    let gp = format!(
+        concat!(
+            "set terminal png size 900,600\n",
+            "set output 'cwnd_switch.png'\n",
+            "set title 'MMPTCP flow {flow}: subflow cwnd across the PS->MPTCP switch'\n",
+            "set xlabel 'time (ms)'\nset ylabel 'cwnd (bytes)'\nset key top left\nset grid\n",
+            "set arrow from {at}, graph 0 to {at}, graph 1 nohead dashtype 2 lc rgb 'red'\n",
+            "set label 'switch' at {at}, graph 0.95 offset 1,0 tc rgb 'red'\n",
+            "plot {plots}\n",
+        ),
+        flow = flow,
+        at = at.as_millis_f64(),
+        plots = plots.join(PLOT_SEPARATOR),
+    );
+    write_figure(dir, "cwnd_switch.dat", dat)?;
+    write_figure(dir, "cwnd_switch.gp", gp)
+}
+
+/// Every link's queue-depth series of a traced run, as time × link heat data.
+fn queue_heat(dir: &Path, (label, results): (String, ExperimentResults)) -> Result<(), String> {
+    let sink = results.trace.as_ref().expect("traced run carries a sink");
+    let mut dat = format!(
+        "# traced run: {label}\n# t_ms link_index depth_packets (blank line between link blocks)\n"
+    );
+    let mut link = 0usize;
+    while let Some(series) = sink.link_series(link) {
+        for p in series.items() {
+            dat.push_str(&format!(
+                "{:.6} {link} {}\n",
+                p.at.as_millis_f64(),
+                p.depth_packets
+            ));
+        }
+        dat.push('\n');
+        link += 1;
+    }
+    let gp = format!(
+        concat!(
+            "set terminal png size 1000,700\n",
+            "set output 'queue_heat.png'\n",
+            "set title 'Queue depth over time, every link ({label})'\n",
+            "set xlabel 'time (ms)'\nset ylabel 'link index'\nset cblabel 'queue depth (packets)'\n",
+            "set view map\nset palette rgbformulae 22,13,-31\n",
+            "splot 'queue_heat.dat' using 1:2:3 with points pointtype 5 pointsize 0.5 palette notitle\n",
+        ),
+        label = label,
+    );
+    write_figure(dir, "queue_heat.dat", dat)?;
+    write_figure(dir, "queue_heat.gp", gp)
+}
+
+/// Render the Figure-1 views under `target/figures/`: two from the golden
+/// cells, two from traced fast rows.
+fn cmd_figures(opts: &Options) -> ExitCode {
+    let dir = target_dir("figures");
+    let traced = |name: &str, label: &str, links: bool| {
+        let scenario = find(name).expect("a catalog scenario");
+        let row = scenario.configs(Fidelity::Fast).into_iter();
+        let row = row.filter(|(l, _)| l == label).collect();
+        println!("running traced '{name} / {label}'...");
+        let settings = TraceSettings {
+            links,
+            ..TraceSettings::default()
+        };
+        let mut results = run_traced(opts, row, settings);
+        results.pop().expect("the row is in the catalog")
+    };
+    let rendered = read_golden().and_then(|cells| {
+        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let golden = |name| find(name).expect("a catalog scenario").reassemble(&cells);
+        fig1a(&dir, &golden("fig1a")?)?;
+        fct_vs_load(&dir, &golden("load-sweep")?)?;
+        cwnd_switch(&dir, traced("fig1bc", "mmptcp-8 (Figure 1c)", false))?;
+        queue_heat(&dir, traced("hotspot", "mmptcp-8 / hotspot", true))
+    });
+    match rendered {
+        Ok(()) => {
+            println!(
+                "4 figures under {}; render with `gnuplot <name>.gp`",
+                dir.display()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -570,6 +848,7 @@ fn main() -> ExitCode {
         Command::Bless => cmd_bless(&opts),
         Command::Conserve => cmd_conserve(&opts),
         Command::Trace => cmd_trace(&opts),
+        Command::Figures => cmd_figures(&opts),
     }
 }
 
@@ -606,16 +885,25 @@ mod tests {
     /// `--seed`, `--engine` and `--cc` reach the config of every command
     /// that accepts them — `trace --engine hybrid` once ran the packet engine
     /// — and the commands pinned to the fast fidelity reject the flags that
-    /// leave it.
+    /// leave it; those that render a fixed set reject names.
     #[test]
     fn overrides_reach_the_config() {
         let args = |line: &str| parse_args(line.split_whitespace().map(String::from));
         let parse = |line: &str| args(line).unwrap();
         let fast_only = args("check --full").err();
-        assert!(fast_only.is_some_and(|e| e.starts_with("check/bless/conserve always run")));
-        for line in ["check --paper", "bless --full", "conserve fig1bc --paper"] {
+        let prefix = "check/bless/conserve/figures always run";
+        assert!(fast_only.as_ref().is_some_and(|e| e.starts_with(prefix)));
+        for line in [
+            "check --paper",
+            "bless --full",
+            "conserve fig1bc --paper",
+            "figures --full",
+        ] {
             assert_eq!(args(line).err(), fast_only, "{line}");
         }
+        let no_names = args("bless fig1a").err();
+        assert!(no_names.is_some_and(|e| e.ends_with("drop the names")));
+        assert_eq!(args("figures fig1a").err(), no_names);
         assert!(args("run fig1bc --paper").is_ok());
         let mut config = ExperimentConfig::default();
         apply_overrides(&parse("trace fig1bc"), &mut config);
@@ -625,5 +913,35 @@ mod tests {
         assert_eq!(config.seed, 9);
         assert_eq!(config.engine, Engine::hybrid_default());
         assert_eq!(config.transport.cc, CongestionControl::Cubic);
+    }
+
+    /// The golden-fed figures skip runs whose label they cannot parse; the
+    /// committed goldens must leave them nothing to skip.
+    #[test]
+    fn extractor_handles_the_committed_goldens() {
+        let cells = read_golden().unwrap();
+        let golden = |name| find(name).unwrap().reassemble(&cells).unwrap();
+        let dir = std::env::temp_dir().join(format!("scenarios-figures-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fig1a_golden = golden("fig1a");
+        fig1a(&dir, &fig1a_golden).unwrap();
+        fct_vs_load(&dir, &golden("load-sweep")).unwrap();
+        let rows = |name: &str| -> Vec<Vec<f64>> {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            let data = text.lines().filter(|line| !line.starts_with('#'));
+            let row = |line: &str| line.split(' ').map(|v| v.parse().unwrap()).collect();
+            data.map(row).collect()
+        };
+        let subflows = rows("fig1a_fct_vs_subflows.dat");
+        assert_eq!(fig1a_golden.runs.len(), 3);
+        assert_eq!(subflows.len(), fig1a_golden.runs.len(), "{subflows:?}");
+        let loads = rows("fct_vs_load.dat");
+        assert_eq!(loads.len(), 2, "two loads: {loads:?}");
+        for row in &loads {
+            // The inter-arrival, then one p99 per protocol, none missing.
+            assert_eq!(row.len(), 1 + 2, "{row:?}");
+            assert!(row.iter().all(|v| v.is_finite()), "{row:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

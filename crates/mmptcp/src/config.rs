@@ -312,19 +312,36 @@ impl ExperimentConfig {
     /// loop). A connection holds between one and [`MAX_SUBFLOWS`] subflows,
     /// and MMPTCP's packet-scatter flow is one of them — but not the only
     /// one, or the connection would silently be `Protocol::PacketScatter`.
-    /// A `Custom` workload names each flow id once; that its endpoints exist
-    /// is checked by `run` as soon as the topology is built. The fabric's
-    /// shape is checked by its own config, whose builder would panic.
+    /// The fabric's shape is checked by its own config, whose builder would
+    /// panic, and that check counts the hosts the workload may use. A
+    /// `Custom` workload names each flow id once, between hosts that exist.
     pub fn validate(&self) -> Result<(), String> {
         if self.progress_interval.is_zero() {
             return Err("progress_interval must be positive".into());
         }
-        match &self.topology {
+        let hosts = match &self.topology {
             TopologySpec::FatTree(c) => c.check(1)?,
             TopologySpec::MultiHomedFatTree(c) => c.check(2)?,
-            TopologySpec::Vl2(_) => {}
+            TopologySpec::Vl2(c) => c.check()?,
             TopologySpec::Dumbbell(c) => c.check()?,
             TopologySpec::Parallel(c) => c.check()?,
+        };
+        match self.workload {
+            WorkloadSpec::Paper(_) if hosts < 4 => {
+                return Err(format!(
+                    "the paper workload needs 4 hosts; the topology has {hosts}"
+                ));
+            }
+            WorkloadSpec::Incast { fan_in: 0 | 1, .. } => {
+                return Err("incast needs at least two senders per receiver".into());
+            }
+            WorkloadSpec::Incast { fan_in, .. } if hosts <= fan_in => {
+                return Err(format!(
+                    "one incast group needs {} hosts; the topology has {hosts}",
+                    fan_in.saturating_add(1)
+                ));
+            }
+            _ => {}
         }
         if let WorkloadSpec::Custom(flows) = &self.workload {
             if flows.is_empty() {
@@ -342,6 +359,14 @@ impl ExperimentConfig {
                 if src == dst {
                     return Err(format!("custom workload flow {id} has {src} at both ends"));
                 }
+                if src.index().max(dst.index()) >= hosts {
+                    return Err(format!(
+                        "custom workload flow {id} runs from host {} to host {}; \
+                         the topology has {hosts} hosts",
+                        src.index(),
+                        dst.index()
+                    ));
+                }
                 match usize::try_from(id).ok().and_then(|i| seen.get_mut(i)) {
                     Some(seen) => {
                         if std::mem::replace(seen, true) {
@@ -355,9 +380,6 @@ impl ExperimentConfig {
             if let Some(pair) = sparse.windows(2).find(|pair| pair[0] == pair[1]) {
                 return Err(format!("custom workload repeats flow id {}", pair[0]));
             }
-        }
-        if let WorkloadSpec::Incast { fan_in: 0 | 1, .. } = self.workload {
-            return Err("incast needs at least two senders per receiver".into());
         }
         for protocol in std::iter::once(&self.protocol).chain(&self.long_protocol) {
             let (name, subflows, needed) = match *protocol {
@@ -391,9 +413,8 @@ mod tests {
     use super::*;
     use workload::FlowClass;
 
-    /// Every rule of `validate`, one row each, and the one `run` adds when it
-    /// has built the topology; `run` refuses with the same message before it
-    /// installs anything.
+    /// Every rule of `validate`, one row each; `run` refuses with the same
+    /// message before it builds anything.
     #[test]
     fn validate_bounds_subflows_per_connection() {
         let with = |protocol| ExperimentConfig::small_test(protocol, 1);
@@ -441,6 +462,10 @@ mod tests {
             hosts_per_side: 0,
             ..DumbbellConfig::default()
         };
+        let one_agg = Vl2Config {
+            num_aggs: 1,
+            ..Vl2Config::default()
+        };
         let custom = |flows: &[(u64, u32, u32)]| {
             let mut config = with(Protocol::Tcp);
             let flow = |&(id, src, dst)| {
@@ -483,25 +508,20 @@ mod tests {
             (on(TopologySpec::Parallel(parallel(1, 0))), "one path"),
             (on(TopologySpec::Parallel(parallel(0, 4))), "one host pair"),
             (on(TopologySpec::Dumbbell(no_hosts)), "one host per side"),
-        ];
-        // `small_test` is a 16-host tree, which only the built topology
-        // knows: an index panic in a worker until `run` checked.
-        let beyond_the_fabric = [
+            (on(TopologySpec::Vl2(one_agg)), "two aggregation switches"),
+            // Well-shaped, but beyond `small_test`'s 16 hosts: only the
+            // count the fabric's check returns rejects these.
             (custom(&[(0, 0, 1), (1, 16, 2)]), "flow 1 runs from host 16"),
             (custom(&[(0, 3, 99)]), "to host 99; the topology has 16"),
             (incast(16), "group needs 17 hosts; the topology has 16"),
             (paper_on_two_hosts, "workload needs 4 hosts"),
         ];
-        let by_validate = rejected.into_iter().map(|row| (row, true));
-        let by_run = beyond_the_fabric.into_iter().map(|row| (row, false));
-        for ((config, expected), validate_rejects) in by_validate.chain(by_run) {
-            let err = config.validate().err();
-            assert_eq!(err.is_some(), validate_rejects, "{expected}");
+        for (config, expected) in rejected {
+            let err = config.validate().expect_err(expected);
+            assert!(err.contains(expected), "{err}");
             let panic = std::panic::catch_unwind(|| crate::run(config)).unwrap_err();
             let message = panic.downcast_ref::<String>().unwrap();
-            assert!(message.starts_with("invalid experiment configuration: "));
-            assert!(message.contains(expected), "{message}");
-            assert!(message.ends_with(&err.unwrap_or_default()), "{message}");
+            assert_eq!(*message, format!("invalid experiment configuration: {err}"));
         }
     }
 
@@ -559,33 +579,23 @@ mod tests {
         assert_eq!(ExperimentConfig::default().goodput_horizon, None);
     }
 
+    /// Every fabric builds, and its `check` counts the hosts its builder
+    /// builds: the count `validate` holds a workload to.
     #[test]
     fn topology_specs_build() {
-        assert_eq!(
-            TopologySpec::FatTree(FatTreeConfig::small())
-                .build()
-                .host_count(),
-            16
-        );
-        assert_eq!(
-            TopologySpec::Dumbbell(DumbbellConfig::default())
-                .build()
-                .host_count(),
-            4
-        );
-        assert_eq!(
-            TopologySpec::Parallel(ParallelPathConfig::default())
-                .build()
-                .host_count(),
-            2
-        );
-        assert!(TopologySpec::Vl2(Vl2Config::default()).build().host_count() > 0);
-        assert_eq!(
-            TopologySpec::MultiHomedFatTree(FatTreeConfig::small())
-                .build()
-                .host_count(),
-            16
-        );
+        let (small, dumbbell) = (FatTreeConfig::small(), DumbbellConfig::default());
+        let (parallel, vl2) = (ParallelPathConfig::default(), Vl2Config::default());
+        let specs = [
+            (TopologySpec::FatTree(small), small.check(1), 16),
+            (TopologySpec::MultiHomedFatTree(small), small.check(2), 16),
+            (TopologySpec::Dumbbell(dumbbell), dumbbell.check(), 4),
+            (TopologySpec::Parallel(parallel), parallel.check(), 2),
+            (TopologySpec::Vl2(vl2), vl2.check(), 64),
+        ];
+        for (spec, checked, hosts) in specs {
+            assert_eq!(spec.build().host_count(), hosts, "{spec:?}");
+            assert_eq!(checked, Ok(hosts), "{spec:?}");
+        }
     }
 
     #[test]

@@ -40,12 +40,13 @@ impl Default for DumbbellConfig {
 }
 
 impl DumbbellConfig {
-    /// Whether [`build`] can build this; it panics with the same message.
-    pub fn check(&self) -> Result<(), String> {
+    /// The hosts [`build`] builds, or why it cannot build this; it panics
+    /// with the same message.
+    pub fn check(&self) -> Result<usize, String> {
         if self.hosts_per_side < 1 {
             return Err("need at least one host per side".into());
         }
-        Ok(())
+        Ok(2 * self.hosts_per_side)
     }
 }
 

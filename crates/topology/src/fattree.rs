@@ -134,10 +134,10 @@ impl FatTreeConfig {
         self.hosts_per_pod() * self.k
     }
 
-    /// Whether a tree whose hosts attach to `homes` edge switches each (1
-    /// for [`build`], 2 for [`build_dual_homed`]) can be built; the builders
-    /// panic with the same message.
-    pub fn check(&self, homes: usize) -> Result<(), String> {
+    /// The hosts of a tree whose hosts attach to `homes` edge switches each
+    /// (1 for [`build`], 2 for [`build_dual_homed`]), or why it cannot be
+    /// built; the builders panic with the same message.
+    pub fn check(&self, homes: usize) -> Result<usize, String> {
         if self.k < 2 || !self.k.is_multiple_of(2) {
             return Err("FatTree k must be even and >= 2".into());
         }
@@ -147,7 +147,7 @@ impl FatTreeConfig {
         if homes > self.k / 2 {
             return Err("dual-homing needs at least two edge switches per pod".into());
         }
-        Ok(())
+        Ok(self.total_hosts())
     }
 }
 
@@ -169,12 +169,11 @@ pub fn build_dual_homed(config: FatTreeConfig) -> BuiltTopology {
 /// The FatTree with every host attached to `homes` consecutive edge switches
 /// of its pod.
 fn build_homed(config: FatTreeConfig, homes: usize) -> BuiltTopology {
-    config.check(homes).unwrap_or_else(|e| panic!("{e}"));
+    let num_hosts = config.check(homes).unwrap_or_else(|e| panic!("{e}"));
     let k = config.k;
     let half = k / 2;
     let hosts_per_edge = config.hosts_per_edge();
     let hosts_per_pod = config.hosts_per_pod();
-    let num_hosts = config.total_hosts();
     let host_link = fabric::link(config.host_rate_bps, config.link_delay, config.queue);
     let fabric_link = fabric::link(config.fabric_rate_bps, config.link_delay, config.queue);
 

@@ -42,15 +42,16 @@ impl Default for ParallelPathConfig {
 }
 
 impl ParallelPathConfig {
-    /// Whether [`build`] can build this; it panics with the same message.
-    pub fn check(&self) -> Result<(), String> {
+    /// The hosts [`build`] builds, or why it cannot build this; it panics
+    /// with the same message.
+    pub fn check(&self) -> Result<usize, String> {
         if self.paths < 1 {
             return Err("need at least one path".into());
         }
         if self.host_pairs < 1 {
             return Err("need at least one host pair".into());
         }
-        Ok(())
+        Ok(2 * self.host_pairs)
     }
 }
 

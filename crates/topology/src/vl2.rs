@@ -50,30 +50,35 @@ impl Default for Vl2Config {
 }
 
 impl Vl2Config {
-    /// Total hosts.
-    pub fn total_hosts(&self) -> usize {
-        self.num_tors * self.hosts_per_tor
+    /// The hosts [`build`] builds, or why it cannot build this; it panics
+    /// with the same message.
+    pub fn check(&self) -> Result<usize, String> {
+        if self.num_aggs < 2 {
+            return Err("VL2 needs at least two aggregation switches".into());
+        }
+        if self.num_tors < 1 || self.hosts_per_tor < 1 {
+            return Err("VL2 needs at least one ToR and one host per ToR".into());
+        }
+        if self.num_intermediates < 1 {
+            return Err("VL2 needs at least one intermediate switch".into());
+        }
+        Ok(self.num_tors * self.hosts_per_tor)
     }
 }
 
 /// Build the VL2-style topology.
 pub fn build(config: Vl2Config) -> BuiltTopology {
-    assert!(
-        config.num_aggs >= 2,
-        "VL2 needs at least two aggregation switches"
-    );
-    assert!(config.num_tors >= 1 && config.hosts_per_tor >= 1);
-    assert!(config.num_intermediates >= 1);
+    let num_hosts = config.check().unwrap_or_else(|e| panic!("{e}"));
     let host_link = fabric::link(config.host_rate_bps, config.link_delay, config.queue);
     let fabric_link = fabric::link(config.fabric_rate_bps, config.link_delay, config.queue);
 
-    let mut f = Fabric::new(config.total_hosts());
+    let mut f = Fabric::new(num_hosts);
     let tors = f.switches(SwitchLayer::Edge, config.num_tors);
     let aggs = f.switches(SwitchLayer::Aggregation, config.num_aggs);
     let ints = f.switches(SwitchLayer::Core, config.num_intermediates);
 
     // Hosts to ToRs.
-    let host_down: Vec<_> = (0..config.total_hosts())
+    let host_down: Vec<_> = (0..num_hosts)
         .map(|h| f.attach(h, tors[h / config.hosts_per_tor], host_link))
         .collect();
 
