@@ -15,7 +15,7 @@
 //! scenarios run <name>... [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N] [--json]
 //! scenarios check [<name>...] [--threads N]
 //! scenarios bless [--threads N]
-//! scenarios conserve [<name>...] [--seeds N] [--all-configs] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
+//! scenarios conserve [<name>...] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
 //! scenarios trace <name>... [--flow ID] [--links] [--full | --paper] [--seed N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--threads N]
 //! scenarios figures [--threads N]
 //! ```
@@ -41,22 +41,24 @@
 //! override; stdout, `--json` included, does not change.
 //!
 //! `check` runs the distinct cells of the selected scenarios (default: all)
-//! in one driver sweep, compares them row by row against the golden and
-//! exits non-zero on any drift. It names each drifted cell once, with every
+//! in one driver sweep, compares them row by row against the golden, audits
+//! each run with [`mmptcp::ExperimentResults::check_conservation`] (a
+//! `VIOLATION` line per broken run) and exits non-zero on any drift or
+//! violation. It names each drifted cell once, with every
 //! scenario row that shares it, in `target/golden-diff/cells.diff` (the
 //! artifact CI uploads). `bless` runs every cell and rewrites the one golden
 //! file, so every accepted metrics change is an explicit commit; it takes no
 //! names, because a shared cell belongs to several scenarios.
 //!
-//! `conserve` is the simulator-wide conservation sweep: for every selected
-//! scenario it runs the first fast-fidelity configuration and the scenario's
-//! `conservation_extras` (every configuration with `--all-configs`) across
-//! `--seeds N` seeds (default 16), each distinct (config, seed) pair once,
-//! and checks
+//! `conserve` is the simulator-wide conservation sweep: it runs
+//! `mmptcp::scenario::conservation_runs` over the selected scenarios — each
+//! one's first fast-fidelity configuration and the extra cells no scenario
+//! opens on — at seeds `1..=N` (`--seeds N`, default 16), each distinct
+//! (config, seed) pair once, and checks
 //! [`mmptcp::ExperimentResults::check_conservation`] on each run — packets
-//! injected must equal delivered + dropped + still-in-network, and every
-//! completed bounded flow must have delivered exactly its size. CI runs this
-//! next to the golden check.
+//! injected must equal delivered + dropped + still-in-network, no packet
+//! was unsendable or misrouted, and every completed bounded flow must have
+//! delivered exactly its size. CI runs this next to the golden check.
 //!
 //! `trace` runs the selected scenarios with the flight recorder on
 //! (`metrics::trace`) and writes the per-run time series under
@@ -121,7 +123,6 @@ struct Options {
     seeds: u64,
     engine: Option<Engine>,
     cc: Option<CongestionControl>,
-    all_configs: bool,
     json: bool,
     flow: Option<u64>,
     links: bool,
@@ -140,13 +141,14 @@ enum Command {
 fn usage() -> ! {
     eprintln!(
         "usage: scenarios <list|run|check|bless|conserve|trace|figures> [<name>...] [--full | --paper] \
-         [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] [--all-configs] \
+         [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] \
          [--threads N] [--json] [--flow ID] [--links]\n\
          check/bless always run the pinned fast fidelity and reject \
-         --full/--paper/--seed/--engine/--cc; bless rewrites every cell and takes no names;\n\
+         --full/--paper/--seed/--engine/--cc; check also audits conservation on every \
+         cell; bless rewrites every cell and takes no names;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
-         config and conservation extras (--all-configs: every config) and checks the \
-         conservation laws, optionally under an --engine or --cc override;\n\
+         config and the extra cells no scenario opens on and checks the conservation \
+         laws, optionally under an --engine or --cc override;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
          --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply);\n\
@@ -170,7 +172,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
         seeds: 16,
         engine: None,
         cc: None,
-        all_configs: false,
         json: false,
         flow: None,
         links: false,
@@ -186,7 +187,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
             "conserve" if command.is_none() => command = Some(Command::Conserve),
             "trace" if command.is_none() => command = Some(Command::Trace),
             "figures" if command.is_none() => command = Some(Command::Figures),
-            "--all-configs" => opts.all_configs = true,
             "--links" => opts.links = true,
             "--flow" => {
                 let Some(v) = args.next() else { usage() };
@@ -389,10 +389,17 @@ fn fast_rows(scenarios: &[&Scenario]) -> Vec<(String, ExperimentConfig)> {
         .collect()
 }
 
-/// Run `cells` in one driver sweep and distil the golden cells document.
-fn run_cells(cells: Vec<(String, ExperimentConfig)>, threads: usize) -> ScenarioReport {
-    let results = Driver::with_threads(threads).run_labelled(cells);
-    scenario::report("cells", Fidelity::Fast, &results)
+/// Check the conservation law on every run, printing a `VIOLATION` line for
+/// each run that breaks it; returns how many did.
+fn audit(results: &[(String, ExperimentResults)]) -> usize {
+    let mut broken = 0;
+    for (label, r) in results {
+        if let Err(e) = r.check_conservation() {
+            eprintln!("VIOLATION  {label}: {e}");
+            broken += 1;
+        }
+    }
+    broken
 }
 
 /// One row as a canonical document of its own, for a row-by-row diff.
@@ -405,7 +412,8 @@ fn render(run: &RunReport) -> String {
 }
 
 fn cmd_bless(opts: &Options) -> ExitCode {
-    let golden = run_cells(scenario::cells(), opts.threads);
+    let results = Driver::with_threads(opts.threads).run_labelled(scenario::cells());
+    let golden = scenario::report("cells", Fidelity::Fast, &results);
     std::fs::write(golden_path(), golden.to_json()).expect("write golden cells");
     println!("blessed {} cells into cells.json", golden.runs.len());
     ExitCode::SUCCESS
@@ -425,7 +433,9 @@ fn cmd_check(opts: &Options) -> ExitCode {
         .filter(|(_, cell)| rows.iter().any(|(_, row)| row == cell))
         .collect();
     println!("checking {} cells of {} rows", cells.len(), rows.len());
-    let actual = run_cells(cells.clone(), opts.threads);
+    let results = Driver::with_threads(opts.threads).run_labelled(cells.clone());
+    let violations = audit(&results);
+    let actual = scenario::report("cells", Fidelity::Fast, &results);
     let all_rows = fast_rows(&select(&[]));
     let mut failures = Vec::new();
     for ((_, config), run) in cells.iter().zip(&actual.runs) {
@@ -443,70 +453,49 @@ fn cmd_check(opts: &Options) -> ExitCode {
         eprint!("{body}");
         failures.push(body);
     }
-    if failures.is_empty() {
-        println!("golden check passed: {} cells", cells.len());
+    let total = cells.len();
+    if !failures.is_empty() {
+        // Uploaded as a CI artifact on failure.
+        let dir = target_dir("golden-diff");
+        std::fs::create_dir_all(&dir).expect("create diff dir");
+        let diff_path = dir.join("cells.diff");
+        let header = format!(
+            "drift against {} (- expected, + actual):\n",
+            golden_path().display()
+        );
+        std::fs::write(&diff_path, header + &failures.concat()).expect("write diff");
+        let drifted = failures.len();
+        eprintln!("{drifted} cells drifted (if intended, `scenarios bless`): {diff_path:?}");
+    }
+    if violations > 0 {
+        eprintln!("{violations} of {total} cells violated conservation");
+    }
+    if failures.is_empty() && violations == 0 {
+        println!("golden check passed: {total} cells match and conserve");
         return ExitCode::SUCCESS;
     }
-    // Uploaded as a CI artifact on failure.
-    let dir = target_dir("golden-diff");
-    std::fs::create_dir_all(&dir).expect("create diff dir");
-    let diff_path = dir.join("cells.diff");
-    let header = format!(
-        "drift against {} (- expected, + actual):\n",
-        golden_path().display()
-    );
-    std::fs::write(&diff_path, header + &failures.concat()).expect("write diff");
-    let drifted = failures.len();
-    eprintln!("{drifted} cells drifted (if intended, `scenarios bless`): {diff_path:?}");
     ExitCode::FAILURE
 }
 
-/// Conservation sweep: run the selected scenarios' fast configurations
-/// across many seeds, each distinct (config, seed) pair once, and check the
-/// packet/byte conservation laws on every run. Exits non-zero (listing
-/// every violation) if any law is broken.
+/// Conservation sweep: run `scenario::conservation_runs` over the selected
+/// scenarios at seeds `1..=N` and check the conservation law on every run.
+/// Exits non-zero (listing every violation) if any law is broken.
 fn cmd_conserve(opts: &Options) -> ExitCode {
-    let mut configs: Vec<(String, ExperimentConfig)> = Vec::new();
-    for s in select(&opts.names) {
-        let mut chosen = s.configs(Fidelity::Fast);
-        if !opts.all_configs {
-            chosen.truncate(1);
-            chosen.extend(s.conservation_extras());
-        }
-        for (label, cfg) in chosen {
-            for seed in 1..=opts.seeds {
-                let mut c = cfg.clone();
-                c.seed = seed;
-                apply_overrides(opts, &mut c);
-                if configs.iter().any(|(_, seen)| *seen == c) {
-                    continue;
-                }
-                let run = format!(
-                    "{} / {label} seed={seed} engine={} cc={}",
-                    s.name,
-                    c.engine.label(),
-                    c.transport.cc.name()
-                );
-                configs.push((run, c));
-            }
-        }
-    }
+    let configs = scenario::conservation_runs(select(&opts.names), 1..=opts.seeds, |c| {
+        apply_overrides(opts, c)
+    });
     let total = configs.len();
     println!("conservation sweep: {total} runs ({} seeds)", opts.seeds);
     let results = Driver::with_threads(opts.threads).run_labelled(configs);
-    let mut violations = Vec::new();
-    for (label, r) in &results {
-        if let Err(e) = r.check_conservation() {
-            eprintln!("VIOLATION  {label}: {e}");
-            violations.push(label.clone());
+    match audit(&results) {
+        0 => {
+            println!("conservation laws hold across all {total} runs");
+            ExitCode::SUCCESS
         }
-    }
-    if violations.is_empty() {
-        println!("conservation laws hold across all {total} runs");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{} of {total} runs violated conservation", violations.len());
-        ExitCode::FAILURE
+        violations => {
+            eprintln!("{violations} of {total} runs violated conservation");
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -466,18 +466,16 @@ mod tests {
         );
         config.progress_interval = netsim::SimDuration::from_millis(1);
 
-        fn hosts(sim: &Simulator) -> impl Iterator<Item = &netsim::host::Host> {
-            let net = sim.network();
-            net.hosts().iter().filter_map(|&h| net.node(h).as_host())
-        }
         let mut ticks = 0;
         let mut last = 0;
         let r = run_with(config, &mut |sim: &mut Simulator, _: &[Signal]| {
             let elapsed_us = (sim.now() - SimTime::ZERO).as_micros();
             let started = (elapsed_us / GAP_US + 1).min(FLOWS) as usize;
-            let agents: usize = hosts(sim).map(|h| h.agent_count()).sum();
+            let net = sim.network();
+            let hosts = net.hosts().iter().filter_map(|&h| net.node(h).as_host());
+            let agents: usize = hosts.map(|h| h.agent_count()).sum();
             // No host was ever handed a packet addressed to another.
-            assert!(hosts(sim).all(|h| h.stats().misrouted == 0));
+            assert_eq!(sim.counters().misrouted, 0);
             assert!(
                 (started..=started + MAX_LIVE_SENDERS).contains(&agents),
                 "{agents} agents resident with {started} of {FLOWS} flows started"

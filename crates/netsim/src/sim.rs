@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub struct SimCounters {
     /// Events processed so far.
     pub events_processed: u64,
-    /// Packets delivered to host agents.
+    /// Packets delivered to hosts, [`SimCounters::misrouted`] ones included.
     pub delivered_to_hosts: u64,
     /// Packets forwarded by switches.
     pub forwarded: u64,
@@ -31,6 +31,9 @@ pub struct SimCounters {
     pub dropped: u64,
     /// Packets a host could not send because it has no uplink.
     pub unsendable: u64,
+    /// Packets delivered to a host other than their destination (a routing
+    /// bug), discarded there instead of reaching an agent.
+    pub misrouted: u64,
 }
 
 /// The discrete-event simulator.
@@ -264,6 +267,11 @@ impl Simulator {
             }
         } else {
             self.counters.delivered_to_hosts += 1;
+            let host = self.network.node(to).as_host();
+            if host.is_some_and(|h| h.addr != packet.dst) {
+                self.counters.misrouted += 1;
+                return;
+            }
             let flow = packet.flow;
             self.with_agent_ctx(to, flow, |host, ctx| {
                 host.deliver(ctx, packet);
@@ -802,19 +810,30 @@ mod tests {
         let mut net = Network::new();
         let h0 = net.add_host(); // no uplink
         let mut sim = Simulator::new(net, 1);
-        let pkt = Packet::data(
-            Addr(0),
-            Addr(0),
-            1,
-            2,
-            FlowId(1),
-            0,
-            0,
-            0,
-            10,
-            SimTime::ZERO,
-        );
-        sim.send_from_host(h0, pkt);
+        let pkt = |dst| {
+            Packet::data(
+                Addr(0),
+                Addr(dst),
+                1,
+                2,
+                FlowId(1),
+                0,
+                0,
+                0,
+                10,
+                SimTime::ZERO,
+            )
+        };
+        sim.send_from_host(h0, pkt(0));
         assert_eq!(sim.counters().unsendable, 1);
+        // So is a packet delivered to a host it is not addressed to.
+        let (net, _, h1) = two_host_network();
+        let mut sim = Simulator::new(net, 1);
+        let links = sim.network().links();
+        let downlink = links.iter().find(|l| l.to == h1).unwrap().id;
+        sim.offer_to_link(downlink, pkt(0));
+        run(&mut sim);
+        let c = sim.counters();
+        assert_eq!((c.delivered_to_hosts, c.misrouted), (1, 1));
     }
 }

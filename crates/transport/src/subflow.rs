@@ -312,17 +312,15 @@ impl Subflow {
     /// segment at `data_seq`, but never transmitted. The fluid engine walks
     /// the routing tables with it to discover which links the flow occupies.
     pub(crate) fn fluid_template(&self, data_seq: u64, payload: u32, now: SimTime) -> Packet {
+        self.segment(self.src_port, self.snd_nxt, data_seq, payload, now)
+    }
+
+    /// A data segment of this subflow from `src_port`, ECN-capable when the
+    /// subflow negotiates ECN.
+    fn segment(&self, src_port: u16, seq: u64, data_seq: u64, len: u32, now: SimTime) -> Packet {
+        let (src, dst, dst_port) = (self.src, self.dst, self.dst_port);
         let mut pkt = Packet::data(
-            self.src,
-            self.dst,
-            self.src_port,
-            self.dst_port,
-            self.flow,
-            self.index,
-            self.snd_nxt,
-            data_seq,
-            payload,
-            now,
+            src, dst, src_port, dst_port, self.flow, self.index, seq, data_seq, len, now,
         );
         if self.cfg.ecn {
             pkt.ecn = Ecn::Capable;
@@ -362,22 +360,8 @@ impl Subflow {
     }
 
     fn send_syn(&mut self, ctx: &mut AgentCtx<'_>) {
-        let mut syn = Packet::data(
-            self.src,
-            self.dst,
-            self.pick_port(ctx),
-            self.dst_port,
-            self.flow,
-            self.index,
-            0,
-            0,
-            0,
-            ctx.now(),
-        );
+        let mut syn = self.segment(self.pick_port(ctx), 0, 0, 0, ctx.now());
         syn.kind = PacketKind::Syn;
-        if self.cfg.ecn {
-            syn.ecn = Ecn::Capable;
-        }
         ctx.send(syn);
         self.arm_timer(ctx);
     }
@@ -509,21 +493,7 @@ impl Subflow {
         len: u32,
         is_retransmit: bool,
     ) {
-        let mut pkt = Packet::data(
-            self.src,
-            self.dst,
-            self.pick_port(ctx),
-            self.dst_port,
-            self.flow,
-            self.index,
-            seq,
-            data_seq,
-            len,
-            ctx.now(),
-        );
-        if self.cfg.ecn {
-            pkt.ecn = Ecn::Capable;
-        }
+        let pkt = self.segment(self.pick_port(ctx), seq, data_seq, len, ctx.now());
         self.bytes_sent += len as u64;
         if is_retransmit {
             self.last_retransmitted = Some(seq);

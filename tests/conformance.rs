@@ -21,65 +21,27 @@ mod common;
 
 use common::{assert_claims_hold, golden_cells, CELLS};
 use mmptcp::prelude::*;
-use mmptcp::scenario::{catalog, find, Fidelity};
+use mmptcp::scenario::{catalog, conservation_runs, find, Fidelity};
 use netsim::{Packet, PathPolicy};
 use transport::testing::Loopback;
 use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 
-/// The first fast config of every scenario, each distinct config once, with
-/// the catalog index of the scenario that opens on it (the index seeds the
-/// runs). Several scenarios open on the same cell: `cc-battle` on
-/// `hotspot`'s, `coexistence` and `multihomed` on `link-failure`'s.
-fn first_cells() -> Vec<(usize, String, ExperimentConfig)> {
-    let mut firsts: Vec<(usize, String, ExperimentConfig)> = Vec::new();
-    for (i, s) in catalog().iter().enumerate() {
-        let (label, cfg) = s.configs(Fidelity::Fast).swap_remove(0);
-        if firsts.iter().all(|(.., first)| *first != cfg) {
-            firsts.push((i, format!("{} / {label}", s.name), cfg));
-        }
-    }
-    firsts
-}
-
-/// Conservation across the catalog: every scenario's first cell, two
-/// distinct seeds each (seeds never repeat across cells, so the sweep covers
-/// well over 16 seeds in total; the CI `scenarios conserve` job extends this
-/// to 16 seeds per scenario at release speed), and the cells of
-/// `Scenario::conservation_extras` once each at their own seed.
+/// Conservation across the catalog: `conservation_runs`, the list CI's
+/// `scenarios conserve` sweeps at seeds 1..=16, here at seeds 17 and 18,
+/// which that job never runs: every scenario's first cell and the extra
+/// cells no scenario opens on, each distinct config once. Every run must
+/// deliver something, so the audit is meaningful.
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
-    let mut configs = Vec::new();
-    for s in catalog() {
-        for (label, cfg) in s.conservation_extras() {
-            configs.push((format!("{} / {label}", s.name), cfg));
-        }
-    }
-    assert_eq!(configs.len(), 3, "a failed fabric, dual homing and D²TCP");
-    for (i, name, cfg) in first_cells() {
-        for k in 0..2u64 {
-            let mut run = cfg.clone();
-            run.seed = 1 + (i as u64) * 2 + k;
-            configs.push((format!("{name} seed={}", run.seed), run));
-        }
-    }
-    assert!(
-        configs.len() >= 16,
-        "the sweep must span at least 16 seeded runs"
-    );
-    assert_conserves(Driver::new().run_labelled(configs));
-}
-
-/// Every run conserves packets and bytes, injected something (so the audit
-/// is meaningful) and never asked a host without an uplink to send.
-fn assert_conserves(results: Vec<(String, ExperimentResults)>) {
-    for (label, r) in &results {
+    let runs = conservation_runs(catalog(), 17..=18, |_| {});
+    assert!(runs.len() >= 16, "the sweep must span at least 16 runs");
+    for (label, r) in Driver::new().run_labelled(runs) {
         r.check_conservation()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(
             r.counters.delivered_to_hosts > 0,
             "{label}: no packets delivered?"
         );
-        assert_eq!(r.counters.unsendable, 0, "{label}: a host had no uplink");
     }
 }
 
@@ -569,10 +531,10 @@ fn hybrid_engine_is_byte_identical_when_no_flow_goes_fluid() {
 /// threshold goes fluid; on a run without one the hybrid engine should be
 /// the packet engine byte for byte, which the packet sweep audits. So the
 /// runs are the dumbbell's elephants under CUBIC and BBR (no other test runs
-/// those two fluid cap models), every first cell whose short flows come from
-/// an empirical size CDF, and data-mining's on a fabric degraded by
-/// build-time link failures — and each must go fluid. That premise is
-/// checked on one config here
+/// those two fluid cap models), every run of `conservation_runs` at seed 17
+/// whose short flows come from an empirical size CDF, and data-mining's on a
+/// fabric degraded by build-time link failures — and each must go fluid.
+/// That premise is checked on one config here
 /// (`hybrid_engine_is_byte_identical_when_no_flow_goes_fluid`); the hybrid
 /// runs of the other first cells and of the extra cells are left to CI's
 /// release `scenarios conserve --engine hybrid`, which audits every cell.
@@ -587,13 +549,10 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         };
         configs.push((format!("dumbbell / {} hybrid", cc.name()), cfg));
     }
-    for (i, name, mut cfg) in first_cells() {
-        if matches!(&cfg.workload, WorkloadSpec::Paper(w) if w.short_size.cdf().is_some()) {
-            cfg.engine = Engine::hybrid_default();
-            cfg.seed = 101 + i as u64;
-            configs.push((format!("{name} hybrid"), cfg));
-        }
-    }
+    let cdf_cells = conservation_runs(catalog(), 17..=17, |c| c.engine = Engine::hybrid_default());
+    configs.extend(cdf_cells.into_iter().filter(
+        |(_, c)| matches!(&c.workload, WorkloadSpec::Paper(w) if w.short_size.cdf().is_some()),
+    ));
     let (label, mut degraded) = find("data-mining")
         .unwrap()
         .configs(Fidelity::Fast)
@@ -608,12 +567,19 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
         degraded,
     ));
 
-    let results = Driver::new().run_labelled(configs);
-    for (label, r) in &results {
-        let fluid = r.audit.fluid_delivered_bytes;
-        assert!(fluid > 0, "{label}: nothing went fluid");
+    assert_eq!(
+        configs.len(),
+        7,
+        "CUBIC, BBR, 4 empirical-CDF cells, degraded"
+    );
+    for (label, r) in Driver::new().run_labelled(configs) {
+        r.check_conservation()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(
+            r.audit.fluid_delivered_bytes > 0,
+            "{label}: nothing went fluid"
+        );
     }
-    assert_conserves(results);
 }
 
 /// Mid-run link failure while flows are in fluid mode: the epoch triggered
