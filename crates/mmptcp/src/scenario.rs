@@ -143,6 +143,9 @@ pub fn cells() -> Vec<(String, ExperimentConfig)> {
 /// and D²TCP with deadlines to meet), each at every seed of `seeds` with
 /// `overrides` applied, every distinct config once. Labels name the
 /// scenario, row, seed, engine and controller.
+///
+/// Panics if a selected scenario no longer has the extra row this sweep
+/// names for it, so a renamed row cannot silently drop out of the sweep.
 pub fn conservation_runs<'a>(
     scenarios: impl IntoIterator<Item = &'a Scenario>,
     seeds: RangeInclusive<u64>,
@@ -155,7 +158,14 @@ pub fn conservation_runs<'a>(
     ];
     let mut runs: Vec<(String, ExperimentConfig)> = Vec::new();
     for s in scenarios {
-        let rows = s.configs(Fidelity::Fast).into_iter().enumerate();
+        let rows = s.configs(Fidelity::Fast);
+        for (name, extra) in EXTRAS.iter().filter(|(name, _)| *name == s.name) {
+            assert!(
+                rows.iter().any(|(label, _)| label == extra),
+                "conservation_runs: scenario {name} has no row {extra:?}"
+            );
+        }
+        let rows = rows.into_iter().enumerate();
         let rows = rows.filter(|(i, (label, _))| *i == 0 || EXTRAS.contains(&(s.name, label)));
         for (_, (label, config)) in rows {
             for seed in seeds.clone() {
@@ -1071,6 +1081,23 @@ fn fig1_seeds(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sweep's extra cells are named by (scenario, row label); a rename
+    /// of one of those rows must fail loudly, not drop the cell.
+    #[test]
+    #[should_panic(expected = "has no row")]
+    fn conservation_runs_rejects_a_scenario_missing_its_extra_row() {
+        let renamed = Scenario {
+            name: "deadlines",
+            description: "deadlines without its D²TCP tight row",
+            build: |fidelity| {
+                let mut rows = find("deadlines").unwrap().configs(fidelity);
+                rows.retain(|(label, _)| !label.starts_with("d2tcp | tight"));
+                rows
+            },
+        };
+        conservation_runs([&renamed], 1..=1, |_| {});
+    }
 
     #[test]
     fn catalog_names_are_unique_and_plentiful() {

@@ -29,8 +29,9 @@ use transport::{CongestionControl, MmptcpConfig, MmptcpSender};
 /// Conservation across the catalog: `conservation_runs`, the list CI's
 /// `scenarios conserve` sweeps at seeds 1..=16, here at seeds 17 and 18,
 /// which that job never runs: every scenario's first cell and the extra
-/// cells no scenario opens on, each distinct config once. Every run must
-/// deliver something, so the audit is meaningful.
+/// cells no scenario opens on, each distinct config once (a renamed extra
+/// row panics in `conservation_runs`). Every run must deliver something, so
+/// the audit is meaningful.
 #[test]
 fn conservation_laws_hold_across_the_catalog() {
     let runs = conservation_runs(catalog(), 17..=18, |_| {});
@@ -575,6 +576,10 @@ fn conservation_laws_hold_on_the_hybrid_engine() {
     for (label, r) in Driver::new().run_labelled(configs) {
         r.check_conservation()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(
+            r.counters.delivered_to_hosts > 0,
+            "{label}: no packets delivered?"
+        );
         assert!(
             r.audit.fluid_delivered_bytes > 0,
             "{label}: nothing went fluid"
