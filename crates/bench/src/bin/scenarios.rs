@@ -3,10 +3,11 @@
 //!
 //! The one way to run an experiment: every figure, sweep and ablation is a
 //! catalog entry reached through this registry-driven entry point, which is
-//! also the substrate of the CI `golden` job: every distinct fast
-//! configuration of the catalog (a *cell*, `mmptcp::scenario::cells`) renders
-//! one row of a canonical JSON metrics document that is compared
-//! byte-for-byte against `tests/golden/cells.json`.
+//! also the substrate of the CI `golden` job: every distinct behaviour among
+//! the catalog's fast configurations (a *cell*: one normal form of the
+//! config, `mmptcp::scenario::cells`) renders one row of a canonical JSON
+//! metrics document that is compared byte-for-byte against
+//! `tests/golden/cells.json`.
 //!
 //! Usage:
 //!
@@ -34,14 +35,18 @@
 //! conservation laws under the chosen engine. `--cc reno|cubic|bbr`
 //! similarly overrides the congestion controller on every selected run
 //! (run/trace/conserve only — goldens pin each scenario's own controller
-//! axis, so `check`/`bless` reject it).
+//! axis, so `check`/`bless` reject it). A flag that shapes one command's
+//! output is that command's alone, and the others reject it: `--seeds N`
+//! (at least 1) is `conserve`'s, `--json` is `run`'s, and `--flow ID` and
+//! `--links` are `trace`'s; `list` takes no names or flags.
 //!
 //! `run` prints to stderr each claim of the scenario's rows that the run
 //! breaks (`Scenario::check_claims`), at every fidelity and under every
 //! override; stdout, `--json` included, does not change.
 //!
-//! `check` runs the distinct cells of the selected scenarios (default: all)
-//! in one driver sweep, compares them row by row against the golden, audits
+//! `check` runs the cells that the rows of the selected scenarios (default:
+//! all) share, as `mmptcp::scenario::cells` lists them, in one driver
+//! sweep, compares them row by row against the golden, audits
 //! each run with [`mmptcp::ExperimentResults::check_conservation`] (a
 //! `VIOLATION` line per broken run) and exits non-zero on any drift or
 //! violation. It names each drifted cell once, with every
@@ -53,8 +58,9 @@
 //! `conserve` is the simulator-wide conservation sweep: it runs
 //! `mmptcp::scenario::conservation_runs` over the selected scenarios — each
 //! one's first fast-fidelity configuration and the extra cells no scenario
-//! opens on — at seeds `1..=N` (`--seeds N`, default 16), each distinct
-//! (config, seed) pair once, and checks
+//! opens on — at seeds `1..=N` (`--seeds N`, default 16), each run once up
+//! to the normal form, leaving out the runs that are golden cells (`check`
+//! runs and audits those; a selection that leaves no run exits 2), and checks
 //! [`mmptcp::ExperimentResults::check_conservation`] on each run — packets
 //! injected must equal delivered + dropped + still-in-network, no packet
 //! was unsendable or misrouted, and every completed bounded flow must have
@@ -120,7 +126,7 @@ struct Options {
     threads: usize,
     fidelity: Fidelity,
     seed: Option<u64>,
-    seeds: u64,
+    seeds: Option<u64>,
     engine: Option<Engine>,
     cc: Option<CongestionControl>,
     json: bool,
@@ -128,6 +134,7 @@ struct Options {
     links: bool,
 }
 
+#[derive(Clone, Copy, PartialEq)]
 enum Command {
     List,
     Run,
@@ -147,8 +154,11 @@ fn usage() -> ! {
          --full/--paper/--seed/--engine/--cc; check also audits conservation on every \
          cell; bless rewrites every cell and takes no names;\n\
          conserve sweeps --seeds N seeds (default 16) over every scenario's first fast \
-         config and the extra cells no scenario opens on and checks the conservation \
-         laws, optionally under an --engine or --cc override;\n\
+         config and the extra cells no scenario opens on, skipping the runs that are \
+         golden cells (check audits those), and checks the conservation laws, \
+         optionally under an --engine or --cc override;\n\
+         --seeds is conserve's only, --json run's, --flow/--links trace's; list takes \
+         nothing;\n\
          trace re-runs the named scenarios with the flight recorder on and writes \
          CSV/JSON series under target/traces/ (--links adds per-link series, \
          --flow ID narrows the flow series to one flow; --seed/--engine/--cc apply);\n\
@@ -169,7 +179,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
             .unwrap_or(4),
         fidelity: Fidelity::Fast,
         seed: None,
-        seeds: 16,
+        seeds: None,
         engine: None,
         cc: None,
         json: false,
@@ -177,6 +187,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
         links: false,
     };
     let mut command = None;
+    let args: Vec<String> = args.into_iter().collect();
+    let bare = args.len() == 1;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -194,7 +206,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
             }
             "--seeds" => {
                 let Some(v) = args.next() else { usage() };
-                opts.seeds = v.parse().unwrap_or_else(|_| usage());
+                opts.seeds = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--engine" => {
                 let Some(v) = args.next() else { usage() };
@@ -229,12 +241,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
     // apples to oranges, and figures plots them beside two fast rows. The
     // conservation sweep likewise always runs the fast fidelity and owns its
     // seeds (--seeds), but the conservation laws must hold under every engine
-    // and controller, so it does accept --engine/--cc.
-    let golden = matches!(
-        opts.command,
-        Command::Check | Command::Bless | Command::Figures
-    );
-    let conflict = if (golden || matches!(opts.command, Command::Conserve))
+    // and controller, so it does accept --engine/--cc. A flag that shapes
+    // one command's output is that command's alone.
+    let command = opts.command;
+    let golden = matches!(command, Command::Check | Command::Bless | Command::Figures);
+    let conflict = if (golden || command == Command::Conserve)
         && (opts.fidelity != Fidelity::Fast || opts.seed.is_some())
     {
         "check/bless/conserve/figures always run the pinned fast fidelity; \
@@ -242,11 +253,22 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, &'stati
     } else if golden && (opts.engine.is_some() || opts.cc.is_some()) {
         "golden cells pin each scenario's own engine and congestion-control axis; drop \
          --engine/--cc (`scenarios run <name>` and `scenarios conserve` take them)"
-    } else if matches!(opts.command, Command::Bless | Command::Figures) && !opts.names.is_empty() {
+    } else if matches!(command, Command::Bless | Command::Figures) && !opts.names.is_empty() {
         "bless rewrites every cell (a cell can belong to several scenarios) and figures \
          renders a fixed set; drop the names"
+    } else if opts.seeds.is_some() && command != Command::Conserve {
+        "--seeds N is the conservation sweep's seed count; only conserve takes it \
+         (run and trace take --seed N)"
+    } else if opts.seeds == Some(0) {
+        "--seeds N sweeps seeds 1..=N; N must be at least 1"
+    } else if (opts.flow.is_some() || opts.links) && command != Command::Trace {
+        "--flow ID and --links narrow and widen the flight recorder's series; only trace \
+         takes them"
+    } else if opts.json && command != Command::Run {
+        "--json prints the canonical report of a run; only run takes it"
+    } else if command == Command::List && !bare {
+        "list prints the whole catalog; it takes no names or flags"
     } else {
-        opts.seeds = opts.seeds.max(1);
         return Ok(opts);
     };
     Err(conflict)
@@ -378,17 +400,6 @@ fn cmd_run(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Every fast row of `scenarios`, named `<scenario> / <label>`.
-fn fast_rows(scenarios: &[&Scenario]) -> Vec<(String, ExperimentConfig)> {
-    scenarios
-        .iter()
-        .flat_map(|s| {
-            let rows = s.configs(Fidelity::Fast).into_iter();
-            rows.map(|(label, config)| (format!("{} / {label}", s.name), config))
-        })
-        .collect()
-}
-
 /// Check the conservation law on every run, printing a `VIOLATION` line for
 /// each run that breaks it; returns how many did.
 fn audit(results: &[(String, ExperimentResults)]) -> usize {
@@ -412,7 +423,8 @@ fn render(run: &RunReport) -> String {
 }
 
 fn cmd_bless(opts: &Options) -> ExitCode {
-    let results = Driver::with_threads(opts.threads).run_labelled(scenario::cells());
+    let cells = scenario::cells(catalog()).into_iter().map(|(cell, _)| cell);
+    let results = Driver::with_threads(opts.threads).run_labelled(cells.collect());
     let golden = scenario::report("cells", Fidelity::Fast, &results);
     std::fs::write(golden_path(), golden.to_json()).expect("write golden cells");
     println!("blessed {} cells into cells.json", golden.runs.len());
@@ -427,18 +439,16 @@ fn cmd_check(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let rows = fast_rows(&select(&opts.names));
-    let cells: Vec<(String, ExperimentConfig)> = scenario::cells()
-        .into_iter()
-        .filter(|(_, cell)| rows.iter().any(|(_, row)| row == cell))
-        .collect();
-    println!("checking {} cells of {} rows", cells.len(), rows.len());
-    let results = Driver::with_threads(opts.threads).run_labelled(cells.clone());
+    let (cells, shared): (Vec<_>, Vec<Vec<String>>) =
+        scenario::cells(select(&opts.names)).into_iter().unzip();
+    let rows: usize = shared.iter().map(Vec::len).sum();
+    let total = cells.len();
+    println!("checking {total} cells, shared by {rows} rows");
+    let results = Driver::with_threads(opts.threads).run_labelled(cells);
     let violations = audit(&results);
     let actual = scenario::report("cells", Fidelity::Fast, &results);
-    let all_rows = fast_rows(&select(&[]));
     let mut failures = Vec::new();
-    for ((_, config), run) in cells.iter().zip(&actual.runs) {
+    for (run, rows) in actual.runs.iter().zip(&shared) {
         let expected = golden.runs.iter().find(|g| g.label == run.label);
         let mut body = match expected {
             None => format!("MISSING  {} (no such row in the golden)\n", run.label),
@@ -447,13 +457,12 @@ fn cmd_check(opts: &Options) -> ExitCode {
                 Some(d) => format!("DRIFT    {}\n{d}", run.label),
             },
         };
-        for (row, _) in all_rows.iter().filter(|(_, c)| c == config) {
+        for row in rows {
             body.push_str(&format!("  shared by {row}\n"));
         }
         eprint!("{body}");
         failures.push(body);
     }
-    let total = cells.len();
     if !failures.is_empty() {
         // Uploaded as a CI artifact on failure.
         let dir = target_dir("golden-diff");
@@ -481,11 +490,18 @@ fn cmd_check(opts: &Options) -> ExitCode {
 /// scenarios at seeds `1..=N` and check the conservation law on every run.
 /// Exits non-zero (listing every violation) if any law is broken.
 fn cmd_conserve(opts: &Options) -> ExitCode {
-    let configs = scenario::conservation_runs(select(&opts.names), 1..=opts.seeds, |c| {
-        apply_overrides(opts, c)
-    });
+    let seeds = opts.seeds.unwrap_or(16);
+    let configs =
+        scenario::conservation_runs(select(&opts.names), 1..=seeds, |c| apply_overrides(opts, c));
     let total = configs.len();
-    println!("conservation sweep: {total} runs ({} seeds)", opts.seeds);
+    if total == 0 {
+        eprintln!(
+            "conserve: every run of this selection is a golden cell, which \
+             `scenarios check` runs and audits; add seeds or scenarios"
+        );
+        return ExitCode::from(2);
+    }
+    println!("conservation sweep: {total} runs ({seeds} seeds)");
     let results = Driver::with_threads(opts.threads).run_labelled(configs);
     match audit(&results) {
         0 => {
@@ -874,7 +890,9 @@ mod tests {
     /// `--seed`, `--engine` and `--cc` reach the config of every command
     /// that accepts them — `trace --engine hybrid` once ran the packet engine
     /// — and the commands pinned to the fast fidelity reject the flags that
-    /// leave it; those that render a fixed set reject names.
+    /// leave it; those that render a fixed set reject names, and a command
+    /// rejects a flag that only another command reads (`run --seeds 4` once
+    /// ran one seed) or a sweep of no seeds (once quietly one).
     #[test]
     fn overrides_reach_the_config() {
         let args = |line: &str| parse_args(line.split_whitespace().map(String::from));
@@ -894,6 +912,27 @@ mod tests {
         assert!(no_names.is_some_and(|e| e.ends_with("drop the names")));
         assert_eq!(args("figures fig1a").err(), no_names);
         assert!(args("run fig1bc --paper").is_ok());
+        for (line, rejected) in [
+            ("run fig1bc --seeds 4", "only conserve takes it"),
+            ("trace fig1bc --seeds 4", "only conserve takes it"),
+            ("check --seeds 4", "only conserve takes it"),
+            ("conserve --seeds 0", "at least 1"),
+            ("run fig1bc --flow 3", "only trace"),
+            ("conserve --links", "only trace"),
+            ("check --links", "only trace"),
+            ("trace fig1bc --json", "only run takes it"),
+            ("list --json", "only run takes it"),
+            ("list fig1a", "no names or flags"),
+            ("list --threads 2", "no names or flags"),
+        ] {
+            let err = args(line).err();
+            assert!(err.is_some_and(|e| e.contains(rejected)), "{line}: {err:?}");
+        }
+        assert_eq!(parse("conserve --seeds 4").seeds, Some(4));
+        let traced = parse("trace fig1bc --flow 3 --links");
+        assert!(traced.flow == Some(3) && traced.links);
+        assert!(parse("run fig1bc --json").json);
+        assert!(args("list").is_ok());
         let mut config = ExperimentConfig::default();
         apply_overrides(&parse("trace fig1bc"), &mut config);
         assert_eq!(config, ExperimentConfig::default());

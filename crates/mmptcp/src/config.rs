@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use topology::{DumbbellConfig, FatTreeConfig, ParallelPathConfig, Vl2Config};
 use transport::conn::MAX_SUBFLOWS;
 use transport::{DupAckPolicy, SwitchStrategy, TransportConfig};
-use workload::{FlowSpec, PaperWorkloadConfig};
+use workload::{DeadlineModel, FlowSpec, PaperWorkloadConfig};
 
 /// The transport protocol a flow uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -405,6 +405,33 @@ impl ExperimentConfig {
             }
         }
         Ok(())
+    }
+
+    /// The config with what no run of it reads erased, so two configs with
+    /// one normal form run to the same counters, FCTs and losses, and differ
+    /// at most in their deadline misses. Two rules, each pinned by
+    /// `scenario::tests::a_normal_form_shares_its_cells_result`:
+    /// MPTCP with one subflow is TCP, and only D²TCP reads the deadlines of
+    /// the paper workload, which only short flows (which run `protocol`)
+    /// carry. It decides which rows share a golden cell and which
+    /// conservation runs are the same run; nothing runs it.
+    pub(crate) fn normal(&self) -> ExperimentConfig {
+        let single_path = |protocol| match protocol {
+            Protocol::Mptcp { subflows: 1 } => Protocol::Tcp,
+            other => other,
+        };
+        let mut normal = ExperimentConfig {
+            protocol: single_path(self.protocol),
+            long_protocol: self.long_protocol.map(single_path),
+            ..self.clone()
+        };
+        match &mut normal.workload {
+            WorkloadSpec::Paper(paper) if self.protocol != Protocol::D2tcp => {
+                paper.deadlines = DeadlineModel::None;
+            }
+            _ => {}
+        }
+        normal
     }
 }
 

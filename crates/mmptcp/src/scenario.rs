@@ -12,9 +12,13 @@
 //! [`report`] distils each run into a canonical
 //! [`metrics::report::ScenarioReport`] JSON document.
 //!
-//! The golden tier pins each distinct fast configuration once: [`cells`]
-//! lists them, `tests/golden/cells.json` holds their rows, and
-//! [`Scenario::reassemble`] rebuilds any scenario's document from it. The
+//! The golden tier pins each behaviour once. Which fast rows are the same
+//! run is decided here and nowhere else, on a normal form of the config
+//! that erases what no run reads (MPTCP with one subflow is TCP; only D²TCP
+//! reads deadlines): [`cells`] lists one cell per normal form with the rows
+//! that share it, `tests/golden/cells.json` holds the cells' rows,
+//! [`Scenario::reassemble`] rebuilds any scenario's document from it, and
+//! [`conservation_runs`] skips the runs that are cells. The
 //! `scenarios` binary (crate `bench`) checks the cells in CI, so any
 //! behavioural drift in the simulator, transports, workloads or topologies
 //! becomes an explicit, reviewable diff — one per changed cell. What the
@@ -94,18 +98,19 @@ impl Scenario {
     }
 
     /// This scenario's fast document, rebuilt from the golden cells document
-    /// (the rendering of [`cells`]): each row is the cell whose config equals
-    /// the row's, under the row's own label. Fails when a cell is missing.
+    /// (the rendering of [`cells`]): each row is the cell it shares, under
+    /// the row's own label. Fails when a cell is missing.
     pub fn reassemble(&self, golden: &ScenarioReport) -> Result<ScenarioReport, String> {
-        let cells = cells();
+        let cells = cells(catalog());
         let runs = self
             .configs(Fidelity::Fast)
             .into_iter()
-            .map(|(label, config)| {
-                let (name, _) = cells
+            .map(|(label, _)| {
+                let row = format!("{} / {label}", self.name);
+                let ((name, _), _) = cells
                     .iter()
-                    .find(|(_, cell)| *cell == config)
-                    .expect("every fast row is a cell");
+                    .find(|(_, rows)| rows.contains(&row))
+                    .expect("every fast row shares a cell");
                 let run = golden.runs.iter().find(|r| r.label == *name);
                 let run = run.ok_or_else(|| format!("{}: no golden cell `{name}`", self.name))?;
                 Ok(RunReport {
@@ -122,26 +127,50 @@ impl Scenario {
     }
 }
 
-/// Every distinct fast configuration of the catalog, once, in catalog
-/// order: the golden cells. A cell is named `<scenario> / <label>` after its
-/// first row; a later row whose config is equal shares it.
-pub fn cells() -> Vec<(String, ExperimentConfig)> {
-    let mut cells: Vec<(String, ExperimentConfig)> = Vec::new();
+/// The golden cells that the fast rows of `scenarios` share, in catalog
+/// order, each with every row of the catalog that shares it. A cell is one
+/// normal form of the catalog's fast configs (`ExperimentConfig::normal`
+/// erases what no run reads): it is named `<scenario> / <label>` after its
+/// first row and runs that row's config as written. A later row with the
+/// same normal form shares the cell and its result; rows are named like
+/// cells.
+pub fn cells<'a>(
+    scenarios: impl IntoIterator<Item = &'a Scenario>,
+) -> Vec<((String, ExperimentConfig), Vec<String>)> {
+    let selected: Vec<&str> = scenarios.into_iter().map(|s| s.name).collect();
+    let mut cells: Vec<((String, ExperimentConfig), Vec<String>)> = Vec::new();
+    // Each cell's normal form, and whether a row of `scenarios` shares it.
+    let mut normals: Vec<(ExperimentConfig, bool)> = Vec::new();
     for s in catalog() {
+        let chosen = selected.contains(&s.name);
         for (label, config) in s.configs(Fidelity::Fast) {
-            if !cells.iter().any(|(_, cell)| *cell == config) {
-                cells.push((format!("{} / {label}", s.name), config));
+            let (row, normal) = (format!("{} / {label}", s.name), config.normal());
+            match normals.iter().position(|(cell, _)| *cell == normal) {
+                Some(i) => {
+                    normals[i].1 |= chosen;
+                    cells[i].1.push(row);
+                }
+                None => {
+                    normals.push((normal, chosen));
+                    cells.push(((row.clone(), config), vec![row]));
+                }
             }
         }
     }
+    let wanted = normals.into_iter().map(|(_, wanted)| wanted);
+    let cells = cells.into_iter().zip(wanted);
     cells
+        .filter_map(|(cell, wanted)| wanted.then_some(cell))
+        .collect()
 }
 
 /// The conservation sweep's runs over `scenarios`: each one's first fast
 /// row and, where the scenario holds one, the cells no scenario opens on (a
 /// fabric degraded by build-time link failures, the dual-homed access layer
 /// and D²TCP with deadlines to meet), each at every seed of `seeds` with
-/// `overrides` applied, every distinct config once. Labels name the
+/// `overrides` applied. A run is left out when its normal form is an
+/// earlier run's, or a golden cell's, which `scenarios check` runs and
+/// audits already; so a selection can leave no run. Labels name the
 /// scenario, row, seed, engine and controller.
 ///
 /// Panics if a selected scenario no longer has the extra row this sweep
@@ -156,6 +185,11 @@ pub fn conservation_runs<'a>(
         ("multihomed", "mmptcp-8 / dual-homed"),
         ("deadlines", "d2tcp | tight (2x, 1 ms floor)"),
     ];
+    // The normal forms already run: every cell's, then each run's.
+    let mut seen: Vec<ExperimentConfig> = cells(catalog())
+        .into_iter()
+        .map(|((_, cell), _)| cell.normal())
+        .collect();
     let mut runs: Vec<(String, ExperimentConfig)> = Vec::new();
     for s in scenarios {
         let rows = s.configs(Fidelity::Fast);
@@ -172,7 +206,9 @@ pub fn conservation_runs<'a>(
                 let mut c = config.clone();
                 c.seed = seed;
                 overrides(&mut c);
-                if runs.iter().all(|(_, seen)| *seen != c) {
+                let normal = c.normal();
+                if !seen.contains(&normal) {
+                    seen.push(normal);
                     let (engine, cc) = (c.engine.label(), c.transport.cc.name());
                     let label = format!("{} / {label} seed={seed} engine={engine} cc={cc}", s.name);
                     runs.push((label, c));
@@ -1099,6 +1135,84 @@ mod tests {
         conservation_runs([&renamed], 1..=1, |_| {});
     }
 
+    /// The sweeps' sizes, pinned without running them: CI's packet and
+    /// hybrid sweeps at seeds 1..=16 and tier-1's at 17..=18. The first rows
+    /// and the 3 extras are 17 distinct configs a seed (`multihomed`'s and
+    /// `coexistence`'s first rows are `link-failure`'s, `cc-battle`'s is
+    /// `hotspot`'s): 272 and 34 pairs. Every sweep drops `hotspot / tcp /
+    /// permutation`, which is TCP as `fig1a / mptcp-1` is. At seeds 1..=16
+    /// the pairs that are cells go too: on the packet engine 21 (16 seed-1
+    /// rows, `fig1-seeds`' seeds 2..=5 and `battle-matrix`'s seed 2), and
+    /// under the hybrid override only `mega-load-sweep`'s seed-1 row, the
+    /// one cell that runs hybrid. A selection of cells alone leaves no run.
+    #[test]
+    fn conservation_sweeps_skip_cells_and_repeats() {
+        let hybrid = |c: &mut ExperimentConfig| c.engine = Engine::hybrid_default();
+        assert_eq!(conservation_runs(catalog(), 1..=16, |_| {}).len(), 235);
+        assert_eq!(conservation_runs(catalog(), 1..=16, hybrid).len(), 255);
+        assert_eq!(conservation_runs(catalog(), 17..=18, |_| {}).len(), 32);
+        assert_eq!(conservation_runs(find("fig1a"), 1..=1, |_| {}), []);
+    }
+
+    /// The normal form's rules hold where the catalog leans on them: each
+    /// distinct fast config that differs from its cell's config as written
+    /// runs to that cell's golden row. There are five: `load-sweep / tcp @
+    /// 20 ms`, which is `fig1a / mptcp-1` with TCP for one-subflow MPTCP,
+    /// and the deadline-blind `dctcp` and `mmptcp-8` rows of `deadlines`.
+    /// D²TCP reads its deadlines, so its two models stay two cells. If a
+    /// bless makes a group diverge, delete the rule that folds it, not this
+    /// test.
+    #[test]
+    fn a_normal_form_shares_its_cells_result() {
+        let cells = cells(catalog());
+        let cell_of = |row: &str| {
+            let shared = cells.iter().find(|(_, rows)| rows.iter().any(|r| r == row));
+            shared
+                .map(|(cell, _)| cell)
+                .expect("every fast row shares a cell")
+        };
+        let (tight, loose) = ("| tight (2x, 1 ms floor)", "| loose (fixed 100 ms)");
+        let d2tcp = |model| &cell_of(&format!("deadlines / d2tcp {model}")).0;
+        assert_ne!(d2tcp(tight), d2tcp(loose));
+        let (mut folded, mut runs) = (Vec::new(), Vec::<(String, ExperimentConfig)>::new());
+        for s in catalog() {
+            for (label, config) in s.configs(Fidelity::Fast) {
+                let row = format!("{} / {label}", s.name);
+                let (cell, cell_config) = cell_of(&row);
+                if config != *cell_config && runs.iter().all(|(_, c)| *c != config) {
+                    folded.push(row);
+                    runs.push((cell.clone(), config));
+                }
+            }
+        }
+        assert_eq!(
+            folded,
+            [
+                "load-sweep / tcp @ 20 ms".to_string(),
+                format!("deadlines / dctcp {tight}"),
+                format!("deadlines / mmptcp-8 {tight}"),
+                format!("deadlines / dctcp {loose}"),
+                format!("deadlines / mmptcp-8 {loose}"),
+            ]
+        );
+        let golden = include_str!("../../../tests/golden/cells.json");
+        let golden = ScenarioReport::from_json(golden).expect("cells.json reads back");
+        let expected = runs.iter().map(|(cell, _)| {
+            let row = golden.runs.iter().find(|r| r.label == *cell);
+            row.expect("a golden row per cell").clone()
+        });
+        let expected = ScenarioReport {
+            runs: expected.collect(),
+            ..golden.clone()
+        };
+        let actual = report(
+            "cells",
+            Fidelity::Fast,
+            &crate::Driver::with_threads(2).run_labelled(runs),
+        );
+        assert_eq!(actual.to_json(), expected.to_json());
+    }
+
     #[test]
     fn catalog_names_are_unique_and_plentiful() {
         let names: Vec<&str> = catalog().iter().map(|s| s.name).collect();
@@ -1364,8 +1478,7 @@ fig1-seeds paper 0f06324bb1b4d2f2
     fn registry_run_equals_direct_run() {
         let incast = find("incast").unwrap();
         let configs = incast.configs(Fidelity::Fast);
-        let mut own = cells();
-        own.retain(|(_, cell)| configs.iter().any(|(_, c)| c == cell));
+        let own = cells([incast]).into_iter().map(|(cell, _)| cell).collect();
         let run = |configs, threads| crate::Driver::with_threads(threads).run_labelled(configs);
         let golden = report("cells", Fidelity::Fast, &run(own, 2));
         let direct = report("incast", Fidelity::Fast, &run(configs, 1));

@@ -254,7 +254,7 @@ fn flow_filter_restricts_series_to_one_flow() {
 /// regenerates its committed rows byte for byte, as `scenarios check` does.
 #[test]
 fn trace_off_keeps_golden_metrics_byte_identical() {
-    for (name, cfg) in scenario::cells() {
+    for ((name, cfg), _) in scenario::cells(scenario::catalog()) {
         assert_eq!(cfg.trace, TraceConfig::Off, "{name}");
     }
     let cells = metrics::ScenarioReport::from_json(include_str!("golden/cells.json")).unwrap();
