@@ -2,9 +2,8 @@
 //! phase-switch accounting, derived from the [`netsim::Signal`] stream.
 
 use crate::stats::Summary;
-use netsim::{FlowId, Signal, SimDuration, SimTime};
+use netsim::{FlowId, FlowMap, Signal, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Everything recorded about one flow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -38,12 +37,17 @@ impl FlowRecord {
 /// Collects per-flow records from the signal stream.
 #[derive(Debug, Default, Clone)]
 pub struct FlowMetrics {
-    records: HashMap<FlowId, FlowRecord>,
+    records: FlowMap<FlowRecord>,
     /// Time series of progress reports per flow: `(when, bytes delivered so
     /// far)`, in arrival order. Fed by the receivers' periodic
     /// `Signal::FlowProgress` reports; lets goodput be computed over any fixed
     /// window regardless of when the run ended.
-    progress: HashMap<FlowId, Vec<(SimTime, u64)>>,
+    ///
+    /// A completion is the flow's last progress point. A flow with a series
+    /// holds its completion in it; a flow without one (a mouse, whose only
+    /// later report is its receiver's `Finalize` of the same bytes) has the
+    /// completion in its record alone.
+    progress: FlowMap<Vec<(SimTime, u64)>>,
 }
 
 impl FlowMetrics {
@@ -65,26 +69,32 @@ impl FlowMetrics {
             match s {
                 Signal::FlowStarted { at, .. } => rec.started = Some(*at),
                 Signal::FlowCompleted { at, bytes, .. } => {
+                    debug_assert!(rec.completed.is_none(), "{} completed twice", s.flow());
                     rec.completed = Some(*at);
                     rec.bytes = *bytes;
-                    self.progress
-                        .entry(s.flow())
-                        .or_default()
-                        .push((*at, *bytes));
+                    if let Some(series) = self.progress.get_mut(&s.flow()) {
+                        series.push((*at, *bytes));
+                    }
                 }
                 Signal::RetransmissionTimeout { .. } => rec.rtos += 1,
                 // No report reads these; the trace's events log keeps them.
                 Signal::FastRetransmit { .. } | Signal::SpuriousRetransmit { .. } => {}
                 Signal::PhaseSwitched { at, .. } => rec.phase_switched = Some(*at),
                 Signal::FlowProgress { at, bytes, .. } => {
+                    let completion = rec.completed.map(|done| (done, rec.bytes));
+                    if completion.is_some_and(|(done, _)| done <= *at) && *bytes <= rec.bytes {
+                        // Nothing new: the completion, or a larger report
+                        // since, delivered as much no later.
+                        continue;
+                    }
                     // Keep the largest report: at `Finalize` the fluid engine
                     // reports a handed-off flow's total, its receiver the
                     // part that rode in packets.
                     rec.bytes = rec.bytes.max(*bytes);
-                    self.progress
-                        .entry(s.flow())
-                        .or_default()
-                        .push((*at, *bytes));
+                    // A series started after the completion opens with it.
+                    let series = self.progress.entry(s.flow());
+                    let series = series.or_insert_with(|| completion.into_iter().collect());
+                    series.push((*at, *bytes));
                 }
                 Signal::RedundantBytes { bytes, .. } => rec.redundant_bytes += bytes,
                 Signal::CwndSample { .. } => unreachable!("filtered above"),
@@ -96,17 +106,21 @@ impl FlowMetrics {
     /// progress report (or completion) at or before `at`. Returns 0 if the
     /// flow had reported nothing by then.
     pub fn bytes_delivered_by(&self, flow: FlowId, at: SimTime) -> u64 {
-        self.progress
-            .get(&flow)
-            .map(|series| {
-                series
-                    .iter()
-                    .filter(|(t, _)| *t <= at)
-                    .map(|(_, b)| *b)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        match self.progress.get(&flow) {
+            Some(series) => {
+                let by = series.iter().filter(|(t, _)| *t <= at).map(|(_, b)| *b);
+                by.max().unwrap_or(0)
+            }
+            // No series: the completion is the flow's only point.
+            None => match self.records.get(&flow) {
+                Some(&FlowRecord {
+                    completed: Some(done),
+                    bytes,
+                    ..
+                }) if done <= at => bytes,
+                _ => 0,
+            },
+        }
     }
 
     /// Aggregate goodput (bits per second) of the selected flows over the
@@ -125,7 +139,7 @@ impl FlowMetrics {
             return 0.0;
         }
         let bytes: u64 = self
-            .progress
+            .records
             .keys()
             .filter(|id| filter(**id))
             .map(|id| {
@@ -373,5 +387,86 @@ mod tests {
             m.record(FlowId(4)).unwrap().phase_switched,
             Some(SimTime::from_millis(42))
         );
+    }
+
+    /// The progress rule drops reports that a completion covers, which is
+    /// only sound if the completion is the flow's one.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "f1 completed twice")]
+    fn a_flow_completes_at_most_once() {
+        let mut m = FlowMetrics::new();
+        m.ingest(&signals_for_flow(1, 0, 100, 70_000));
+        m.ingest(&signals_for_flow(1, 0, 200, 70_000));
+    }
+
+    #[test]
+    fn a_completion_is_the_flows_last_progress_point() {
+        let ms = SimTime::from_millis;
+        let progress = |id, at, bytes| Signal::FlowProgress {
+            flow: FlowId(id),
+            at,
+            bytes,
+        };
+        let completed = |id, at, bytes| Signal::FlowCompleted {
+            flow: FlowId(id),
+            at,
+            bytes,
+        };
+        let mut m = FlowMetrics::new();
+        m.ingest(&[
+            // (a) 1 MB reports, a completion at 25 ms, a `Finalize` report of
+            // the same bytes at 100 ms.
+            progress(1, ms(10), 1_000_000),
+            progress(3, ms(10), 1_000_000),
+            progress(1, ms(20), 2_000_000),
+            completed(1, ms(25), 2_500_000),
+            // (b) a completion and no report at all.
+            completed(2, ms(30), 70_000),
+            // (c) a `Finalize` total above the completion's bytes.
+            completed(3, ms(40), 3_000_000),
+        ]);
+        m.ingest(&[
+            progress(1, ms(100), 2_500_000),
+            progress(2, ms(100), 70_000),
+            progress(3, ms(100), 5_000_000),
+        ]);
+        let by = |id, at| m.bytes_delivered_by(FlowId(id), at);
+        let a: Vec<u64> = [5, 10, 24, 25, 99, 100, 200].map(|t| by(1, ms(t))).into();
+        let a_expected = [
+            0, 1_000_000, 2_000_000, 2_500_000, 2_500_000, 2_500_000, 2_500_000,
+        ];
+        assert_eq!(a, a_expected);
+        let b: Vec<u64> = [29, 30, 1_000].map(|t| by(2, ms(t))).into();
+        assert_eq!(b, [0, 70_000, 70_000]);
+        let c: Vec<u64> = [9, 10, 39, 40, 99, 100].map(|t| by(3, ms(t))).into();
+        let c_expected = [0, 1_000_000, 1_000_000, 3_000_000, 3_000_000, 5_000_000];
+        assert_eq!(c, c_expected);
+        assert_eq!(m.record(FlowId(1)).unwrap().bytes, 2_500_000);
+        assert_eq!(m.record(FlowId(2)).unwrap().bytes, 70_000);
+        assert_eq!(
+            m.record(FlowId(3)).unwrap().bytes,
+            5_000_000,
+            "the larger total is kept"
+        );
+        let bps = |keep: &dyn Fn(u64) -> bool, start, end| {
+            m.goodput_bps_windowed(|f| keep(f.0), ms(start), ms(end))
+        };
+        let all = |_| true;
+        let only_b = |f| f == 2;
+        // Flow b over windows that end before, at and after its completion.
+        assert_eq!(bps(&only_b, 0, 29), 0.0);
+        assert!((bps(&only_b, 0, 30) - 70_000.0 * 8.0 / 0.030).abs() < 1e-3);
+        assert!((bps(&only_b, 0, 1_000) - 560_000.0).abs() < 1e-6);
+        // 2 + 0 + 1 MB in 20 ms; 2.5 MB + 70 KB + 1 MB in 30 ms.
+        assert!((bps(&all, 0, 20) - 1.2e9).abs() < 1e-3);
+        assert!((bps(&all, 0, 30) - 952e6).abs() < 1e-3);
+        // After a's and b's completions only c moves: 2 MB by its completion,
+        // 2 MB more by its `Finalize` report.
+        assert!((bps(&all, 30, 50) - 800e6).abs() < 1e-3);
+        assert!((bps(&all, 50, 100) - 320e6).abs() < 1e-3);
+        assert_eq!(bps(&all, 100, 200), 0.0);
+        let not_a = |f| f != 1;
+        assert!((bps(&not_a, 25, 50) - 2_070_000.0 * 8.0 / 0.025).abs() < 1e-3);
     }
 }

@@ -7,7 +7,7 @@ use crate::config::{ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
 use crate::results::{ConservationAudit, ExperimentResults};
 use metrics::trace::{TraceConfig, TraceSink};
 use metrics::{loss_report, overall_utilisation, tier_utilisation, FlowMetrics};
-use netsim::{Addr, Agent, FlowId, PathPolicy, Signal, SimRng, SimTime, Simulator};
+use netsim::{Addr, Agent, FlowId, FlowSet, PathPolicy, Signal, SimRng, SimTime, Simulator};
 use std::collections::HashSet;
 use topology::{BuiltTopology, LinkTier};
 use transport::{
@@ -194,7 +194,7 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
     let mut short_ids = HashSet::new();
     let mut long_ids = HashSet::new();
     // The bounded flows that have not completed yet.
-    let mut open_bounded = HashSet::new();
+    let mut open_bounded = FlowSet::default();
     let mut sim = hooks.stage("mmptcp.install", || {
         // The simulator takes ownership of the network; `topo` keeps the
         // metadata (host table, path model, link tiers) and gets the network

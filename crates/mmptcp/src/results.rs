@@ -1,7 +1,7 @@
 //! Results of one experiment run.
 
 use metrics::{FlowMetrics, LossReport, Summary, UtilisationReport};
-use netsim::{FlowId, SimCounters, SimDuration, MICE_THRESHOLD_BYTES};
+use netsim::{FlowId, FlowSet, SimCounters, SimDuration, MICE_THRESHOLD_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use workload::{FlowClass, FlowSpec};
@@ -88,7 +88,7 @@ impl ExperimentResults {
     /// multi-megabyte transfers; this is the tail the mice-focused
     /// transports compete on.
     pub(crate) fn mice_fct_summary(&self) -> Summary {
-        let mice: HashSet<FlowId> = self
+        let mice: FlowSet = self
             .flows
             .iter()
             .filter(|f| {
@@ -229,11 +229,8 @@ impl ExperimentResults {
 
     /// Number of flows that switched phase (MMPTCP only).
     pub fn phase_switches(&self) -> usize {
-        self.metrics
-            .sorted_records()
-            .iter()
-            .filter(|(_, r)| r.phase_switched.is_some())
-            .count()
+        let switched = |spec: &FlowSpec| self.metrics.record(FlowId(spec.id))?.phase_switched;
+        self.flows.iter().filter_map(switched).count()
     }
 
     /// Deadline accounting over flows that carry a deadline in the workload:

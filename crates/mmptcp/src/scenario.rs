@@ -376,8 +376,9 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 /// - `sum <`: against the other rows' sum;
 /// - `sum >=`: at least `bound` times the other rows' sum;
 /// - `sum ~`: the larger of the two sums is below `bound` times the smaller;
-/// - `same`, `differs`: the selected runs against the other rows, whole and
-///   without their labels.
+/// - `differs`: the selected runs against the other rows, whole and without
+///   their labels. (That two rows are the same run is not a claim but the
+///   config normal form's rule: they share a cell.)
 ///
 /// `-` fills a field the relation does not read. A selection that matches
 /// no run breaks its claim, and so does a run that `each <` cannot pair.
@@ -403,7 +404,6 @@ cc-battle; mmptcp-8-bbr; long goodput; sum >=; mmptcp-8-reno; 1; none cited
 cc-battle; dctcp; ecn marks; each >; -; 0; none cited
 cc-battle; tcp-; ecn marks; each =; -; 0; none cited
 deadlines; d2tcp | tight; -; differs; d2tcp | loose; -; paper §1, deadline-bound short flows
-deadlines; dctcp | tight; -; same; dctcp | loose; -; paper §1, deadline-bound short flows
 deadlines; d2tcp | tight; ecn marks; each >; -; 0; paper §1, deadline-bound short flows
 switching; data-volume; phase switches; each >; -; 0; paper §2
 switching; never (PS only); phase switches; each =; -; 0; paper §2
@@ -480,7 +480,7 @@ fn broken(line: &str, runs: &[RunReport]) -> Option<String> {
             };
             unless(holds, format!("the sums are {a} and {b}"))
         }
-        "same" | "differs" => {
+        "differs" => {
             let bare = |runs: &[(&str, &RunReport)]| -> Vec<RunReport> {
                 let unlabelled = |r: &RunReport| RunReport {
                     label: String::new(),
@@ -488,11 +488,8 @@ fn broken(line: &str, runs: &[RunReport]) -> Option<String> {
                 };
                 runs.iter().map(|(_, r)| unlabelled(r)).collect()
             };
-            let same = bare(&mine) == bare(&theirs);
-            unless(
-                same == (relation == "same"),
-                format!("the runs are not {relation}"),
-            )
+            let differs = bare(&mine) != bare(&theirs);
+            unless(differs, "the runs are the same".to_string())
         }
         _ => panic!("claim `{line}`: no relation `{relation}`"),
     }
@@ -1356,7 +1353,6 @@ fig1-seeds paper 0f06324bb1b4d2f2
             ("sum <", "b", "-", two(1.0, 2.0), two(2.0, 2.0)),
             ("sum >=", "b", "0.5", two(1.0, 2.0), two(0.9, 2.0)),
             ("sum ~", "b", "1.5", two(2.0, 2.9), two(3.0, 2.0)),
-            ("same", "b", "-", two(1.0, 1.0), two(1.0, 2.0)),
             ("differs", "b", "-", two(1.0, 2.0), two(1.0, 1.0)),
         ] {
             let line = format!("s; a; long goodput; {relation}; {other}; {bound}; test");

@@ -8,9 +8,8 @@
 //! packet, making classic 5-tuple demux unusable.
 
 use crate::agent::{Agent, AgentCtx, AgentEvent};
-use crate::ids::{Addr, FlowId, LinkId, NodeId};
+use crate::ids::{Addr, FlowId, FlowMap, LinkId, NodeId};
 use crate::packet::Packet;
-use std::collections::HashMap;
 
 /// An end host.
 pub struct Host {
@@ -22,7 +21,7 @@ pub struct Host {
     pub uplinks: Vec<LinkId>,
     /// Salt used to pick among multiple uplinks (multi-homed hosts).
     pub ecmp_salt: u64,
-    agents: HashMap<FlowId, Box<dyn Agent>>,
+    agents: FlowMap<Box<dyn Agent>>,
 }
 
 impl std::fmt::Debug for Host {
@@ -44,7 +43,7 @@ impl Host {
             addr,
             uplinks: Vec::new(),
             ecmp_salt,
-            agents: HashMap::new(),
+            agents: FlowMap::default(),
         }
     }
 

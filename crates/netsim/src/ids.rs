@@ -3,10 +3,12 @@
 //! Node and link identifiers and host addresses are dense indices handed out
 //! by the [`crate::network::Network`] builder, so they can be used to index the
 //! corresponding vectors directly. A [`FlowId`] is not: the workload chooses it
-//! (any `u64`), and each host keys its agents by it in a map.
+//! (any `u64`), and each host keys its agents by it in a [`FlowMap`].
 
 use core::fmt;
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node (host or switch) in the network graph.
 #[derive(
@@ -56,9 +58,36 @@ impl Addr {
     }
 }
 
-impl FlowId {
-    /// The underlying integer value.
-    pub fn value(self) -> u64 {
+/// A map keyed by [`FlowId`], hashed by [`FlowHasher`]: a host's agents (one
+/// lookup per delivered packet, timer and start), the metrics' per-flow
+/// records.
+pub type FlowMap<V> = HashMap<FlowId, V, BuildHasherDefault<FlowHasher>>;
+
+/// A set of [`FlowId`]s, hashed like a [`FlowMap`].
+pub type FlowSet = HashSet<FlowId, BuildHasherDefault<FlowHasher>>;
+
+/// The hasher of [`FlowMap`] and [`FlowSet`]: one folded multiply per id
+/// instead of SipHash's rounds. It does not resist keys crafted to collide,
+/// which the program's own flow ids are not.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    /// The 128-bit product's two halves XORed: every bit of the id reaches
+    /// both the low bits a table indexes its buckets by and the high bits
+    /// it tags them with, whichever bits the ids differ in.
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0xf135_7aea_2e62_a9c5;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -90,13 +119,33 @@ impl fmt::Display for Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::hash::Hash;
 
     #[test]
     fn ids_are_usable_as_map_keys() {
         let mut m = HashMap::new();
         m.insert(FlowId(7), "seven");
         assert_eq!(m[&FlowId(7)], "seven");
+    }
+
+    #[test]
+    fn the_flow_hasher_spreads_sequential_and_high_bit_ids() {
+        let hash = |id: u64| {
+            let mut h = FlowHasher::default();
+            FlowId(id).hash(&mut h);
+            h.finish()
+        };
+        // A 1024-bucket table indexes by the low 10 bits. Sequential ids,
+        // and ids that differ only far above those bits, fill about as many
+        // buckets as random keys would (1 - 1/e of them).
+        for shift in [0, 32, 54] {
+            let buckets: HashSet<u64> = (0..1024u64).map(|i| hash(i << shift) & 1023).collect();
+            assert!(
+                buckets.len() > 600,
+                "ids << {shift}: {} of 1024 buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
@@ -112,6 +161,5 @@ mod tests {
         assert_eq!(NodeId(9).index(), 9);
         assert_eq!(LinkId(9).index(), 9);
         assert_eq!(Addr(9).index(), 9);
-        assert_eq!(FlowId(9).value(), 9);
     }
 }

@@ -67,7 +67,7 @@ pub mod time;
 pub use agent::{Agent, AgentCtx, AgentEvent};
 pub use digest::Digest;
 pub use fluid::FluidCc;
-pub use ids::{Addr, FlowId, LinkId, NodeId};
+pub use ids::{Addr, FlowHasher, FlowId, FlowMap, FlowSet, LinkId, NodeId};
 pub use link::{Link, LinkConfig};
 pub use network::Network;
 pub use node::Node;

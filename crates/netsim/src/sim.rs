@@ -236,6 +236,14 @@ impl Simulator {
             self.signals.extend(progress);
         }
         let hosts: Vec<NodeId> = self.network.hosts().to_vec();
+        // Room for one report per resident agent up front: grown by
+        // doubling, the buffer would hold up to twice that at its peak.
+        let resident: usize = hosts
+            .iter()
+            .filter_map(|&h| self.network.node(h).as_host())
+            .map(|h| h.agent_count())
+            .sum();
+        self.signals.reserve(resident);
         for host in hosts {
             let flows = self
                 .network

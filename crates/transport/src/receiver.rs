@@ -65,7 +65,8 @@ pub const PROGRESS_REPORT_STRIDE: u64 = 1_000_000;
 pub struct TransportReceiver {
     flow: FlowId,
     /// Per-subflow reassembly state, indexed by subflow index and grown on
-    /// a subflow's first data packet (indices are a `u8`: at most 256 slots).
+    /// a subflow's first data packet (indices are a `u8`: at most 256 slots),
+    /// to exactly the slots used: a TCP flow holds one, not `Vec`'s four.
     subflows: Vec<SubflowRecv>,
     data_rcv_nxt: u64,
     data_ooo: Vec<(u64, u64)>,
@@ -100,6 +101,7 @@ impl TransportReceiver {
     fn handle_data(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
         let index = usize::from(pkt.subflow);
         if index >= self.subflows.len() {
+            self.subflows.reserve_exact(index + 1 - self.subflows.len());
             self.subflows.resize_with(index + 1, SubflowRecv::default);
         }
         let sf = &mut self.subflows[index];
@@ -441,6 +443,17 @@ mod tests {
         assert_eq!(a[0].ack, 1400, "subflow 2's own cumulative ack");
         assert_eq!(a[0].data_ack, 2800, "connection-level data ack");
         assert_eq!(a[0].subflow, 2);
+    }
+
+    #[test]
+    fn the_reassembly_table_holds_exactly_the_subflows_used() {
+        let mut h = Harness::new();
+        let mut rx = TransportReceiver::new(FlowId(1));
+        h.deliver(&mut rx, data(0, 0, 0, 1400));
+        h.deliver(&mut rx, data(0, 1400, 1400, 1400));
+        assert_eq!(rx.subflows.capacity(), 1, "a TCP flow holds one slot");
+        h.deliver(&mut rx, data(7, 0, 2800, 1400));
+        assert_eq!(rx.subflows.capacity(), 8);
     }
 
     #[test]
