@@ -330,7 +330,7 @@ pub struct ScenarioReport {
     /// Scenario name from the registry, or `cells` for the golden document
     /// that holds each distinct fast configuration of the catalog once.
     pub scenario: String,
-    /// Fidelity label (`fast` / `full`).
+    /// Fidelity label (`fast` / `full` / `paper`).
     pub fidelity: String,
     /// One entry per run, in the deterministic config order.
     pub runs: Vec<RunReport>,

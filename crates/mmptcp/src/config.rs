@@ -284,11 +284,12 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's Figure 1 scenario at the requested scale. `full` uses the
-    /// 512-server topology; otherwise a 4:1 over-subscribed 64-host FatTree is
-    /// used, preserving the contention regime at laptop-friendly cost.
-    pub fn figure1(protocol: Protocol, seed: u64, full: bool, flows_per_host: usize) -> Self {
-        let topo = if full {
+    /// The paper's Figure 1 scenario at the requested scale. `paper` uses the
+    /// paper's 512-server topology (`Fidelity::Paper`); otherwise a 4:1
+    /// over-subscribed 64-host FatTree (`Fidelity::Full`) preserves the
+    /// contention regime at laptop-friendly cost.
+    pub fn figure1(protocol: Protocol, seed: u64, paper: bool, flows_per_host: usize) -> Self {
+        let topo = if paper {
             FatTreeConfig::paper()
         } else {
             FatTreeConfig::benchmark()

@@ -761,11 +761,7 @@ fn battle_matrix(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
             ("mptcp-8", Protocol::mptcp8(), PathPolicy::FlowHash),
             ("mmptcp-8", Protocol::mmptcp_default(), PathPolicy::FlowHash),
             ("repflow", Protocol::repflow(), PathPolicy::FlowHash),
-            (
-                "tcp+diffflow",
-                Protocol::Tcp,
-                PathPolicy::diffflow_default(),
-            ),
+            ("tcp+diffflow", Protocol::Tcp, PathPolicy::DiffFlow),
         ],
         _ => vec![
             ("tcp", Protocol::Tcp, PathPolicy::FlowHash),
@@ -779,11 +775,7 @@ fn battle_matrix(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
             ("mmptcp-8", Protocol::mmptcp_default(), PathPolicy::FlowHash),
             ("repflow", Protocol::repflow(), PathPolicy::FlowHash),
             ("repsyn", Protocol::repsyn(), PathPolicy::FlowHash),
-            (
-                "tcp+diffflow",
-                Protocol::Tcp,
-                PathPolicy::diffflow_default(),
-            ),
+            ("tcp+diffflow", Protocol::Tcp, PathPolicy::DiffFlow),
         ],
     };
     // The congestion-control axis joins the battle at the larger fidelities:
@@ -985,19 +977,12 @@ fn dupack(fidelity: Fidelity) -> Vec<(String, ExperimentConfig)> {
         _ => 4,
     };
     [
-        ("fixed 3 (standard TCP)", Some(DupAckPolicy::Fixed(3))),
+        ("fixed 3 (standard TCP)", Some(DupAckPolicy::Standard)),
         (
             "topology-aware only",
             Some(DupAckPolicy::TopologyAware { paths }),
         ),
-        (
-            "adaptive (RR-TCP style)",
-            Some(DupAckPolicy::Adaptive {
-                initial: 3,
-                step: 4,
-                max: 64,
-            }),
-        ),
+        ("adaptive (RR-TCP style)", Some(DupAckPolicy::Adaptive)),
         ("topology-adaptive (default)", None),
     ]
     .into_iter()
@@ -1271,9 +1256,9 @@ link-failure paper c6658e53da9930d4
 coexistence fast e4e15cfd020dfe29
 coexistence full 9a1eeeb0ac8675ed
 coexistence paper 0a09f2f7b05e6f2d
-battle-matrix fast 758befe7c3bc30a0
-battle-matrix full e91ee67db74918ce
-battle-matrix paper 46b5e818eda43076
+battle-matrix fast ddeed86c6f1d2e9a
+battle-matrix full b3883b41acbca686
+battle-matrix paper 9211848211c25716
 cc-battle fast 69ca466377d865d9
 cc-battle full 402ffc74ee493c39
 cc-battle paper 36ee24bb2b9a5741
@@ -1283,9 +1268,9 @@ mega-load-sweep paper 0887305c6693e8fa
 switching fast ba019ebb06e75d25
 switching full 7ae615e736943c30
 switching paper 5e2681b028655974
-dupack fast a5ca269a84d09b75
-dupack full 9d1169f7aa21e381
-dupack paper 0c304069295fa2fc
+dupack fast 5cb9185d7cb9adb7
+dupack full 63190fe80616e167
+dupack paper e42fcc52ea6835ee
 multihomed fast 6139ac852fae2f16
 multihomed full a6375ad2210a91b6
 multihomed paper eec22947c5e1d12e
@@ -1513,7 +1498,7 @@ fig1-seeds paper 0f06324bb1b4d2f2
         // else runs plain per-flow ECMP.
         for (label, cfg) in &fast {
             if label.starts_with("tcp+diffflow") {
-                assert_eq!(cfg.path_policy, PathPolicy::diffflow_default(), "{label}");
+                assert_eq!(cfg.path_policy, PathPolicy::DiffFlow, "{label}");
             } else {
                 assert_eq!(cfg.path_policy, PathPolicy::FlowHash, "{label}");
             }
@@ -1638,10 +1623,10 @@ fig1-seeds paper 0f06324bb1b4d2f2
         assert_eq!(first_flows, 50);
     }
 
-    /// Config fields that show fewer than two values across the catalog, and
-    /// why each is a field all the same. Anything not listed here must take
-    /// two values in some scenario, or it is a constant (ARCHITECTURE.md
-    /// "Options").
+    /// Config fields and enum payloads that show fewer than two values
+    /// across the catalog, and why each is a field all the same. Anything not
+    /// listed here must take two values in some scenario, or it is a
+    /// constant (ARCHITECTURE.md "Options").
     const SINGLE_VALUED: &[(&str, &str)] = &[
         ("ExperimentConfig::trace", "set by `scenarios trace`"),
         ("TraceSettings::flows", "set by `scenarios trace --flow`"),
@@ -1654,13 +1639,33 @@ fig1-seeds paper 0f06324bb1b4d2f2
             "ExperimentConfig::progress_interval",
             "frozen by benchmark/src",
         ),
+        ("Protocol::Mmptcp::subflows", "frozen by benchmark/src"),
+        ("Protocol::RepFlow::threshold", "frozen by benchmark/src"),
         ("TransportConfig::ecn", "set by `run` for DCTCP and D²TCP"),
         ("FatTreeConfig::queue", "set by `run` for DCTCP and D²TCP"),
         ("TransportConfig::initial_ssthresh", "test reference"),
+        ("Engine::Hybrid::elephant_threshold", "test reference"),
         ("FatTreeConfig::host_rate_bps", "physical input"),
         ("FatTreeConfig::fabric_rate_bps", "physical input"),
         ("FatTreeConfig::link_delay", "physical input"),
         ("PaperWorkloadConfig::long_start", "physical input"),
+    ];
+
+    /// Enum variants that no catalog row produces, and the caller that does.
+    /// Any other variant must come out of some scenario, or nothing needs it.
+    const UNPRODUCED: &[(&str, &str)] = &[
+        ("TopologySpec::Vl2", "frozen by benchmark/src"),
+        ("TopologySpec::Dumbbell", "the analytic oracles' fabric"),
+        ("TopologySpec::Parallel", "the analytic oracles' fabric"),
+        ("WorkloadSpec::Custom", "benchmark/src"),
+        ("ArrivalProcess::Simultaneous", "benchmark/src"),
+        ("TrafficMatrix::Stride", "benchmark/src"),
+        ("PathPolicy::PerPacketScatter", "benchmark/src"),
+        ("SwitchStrategy::Never", "set by `packet_scatter_only`"),
+        ("DupAckPolicy::TopologyAdaptive", "installed by the runner"),
+        ("TraceConfig::On", "set by `scenarios trace`"),
+        ("FlowSelect::All", "set by `scenarios trace`"),
+        ("FlowSelect::One", "set by `scenarios trace --flow`"),
     ];
 
     /// Destructure `$value` exhaustively (a new field does not compile until
@@ -1675,16 +1680,47 @@ fig1-seeds paper 0f06324bb1b4d2f2
         };
     }
 
-    /// The rule for options, executable: a config field exists because two
-    /// catalog scenarios give it different values, or `SINGLE_VALUED` says
-    /// why not.
+    /// Enter every listed variant under `Type::Variant`, then match each of
+    /// `$values` exhaustively (a new variant does not compile until it is
+    /// listed) and mark its variant produced. A payload bound by name is
+    /// recorded under `Type::Variant::name`; an input's is matched by `..`.
+    macro_rules! note_variants {
+        (@payload $seen:ident, $ty:ident::$v:ident, $(..)?) => {};
+        (@payload $seen:ident, $ty:ident::$v:ident, $name:ident $(, $($rest:tt)*)?) => {
+            $seen
+                .entry(concat!(stringify!($ty), "::", stringify!($v), "::", stringify!($name)))
+                .or_default()
+                .insert(format!("{:?}", $name));
+            note_variants!(@payload $seen, $ty::$v, $($($rest)*)?);
+        };
+        ($variants:ident, $seen:ident, $ty:ident {
+            $($v:ident $(($($tuple:tt)*))? $({ $($named:tt)* })?),*
+        } in $values:expr) => {
+            $($variants.entry(concat!(stringify!($ty), "::", stringify!($v))).or_insert(false);)*
+            for value in $values {
+                match value {
+                    $($ty::$v $(($($tuple)*))? $({ $($named)* })? => {
+                        $variants.insert(concat!(stringify!($ty), "::", stringify!($v)), true);
+                        note_variants!(@payload $seen, $ty::$v, $($($tuple)*)? $($($named)*)?);
+                    })*
+                }
+            }
+        };
+    }
+
+    /// The rule for options, executable: a config field, or the payload of
+    /// a variant of the system under test, exists because two catalog
+    /// scenarios give it different values, or `SINGLE_VALUED` says why not;
+    /// a variant of a config enum exists because some catalog scenario
+    /// produces it, or `UNPRODUCED` names its caller.
     #[test]
     fn every_config_field_takes_two_values_somewhere_in_the_catalog() {
-        use metrics::{TraceConfig, TraceSettings};
+        use metrics::{FlowSelect, TraceConfig, TraceSettings};
         use std::collections::{BTreeMap, BTreeSet};
         use transport::TransportConfig;
 
         let mut seen: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+        let mut variants: BTreeMap<&str, bool> = BTreeMap::new();
         let configs = catalog().iter().flat_map(|s| {
             [Fidelity::Fast, Fidelity::Full, Fidelity::Paper]
                 .into_iter()
@@ -1748,9 +1784,58 @@ fig1-seeds paper 0f06324bb1b4d2f2
                         deadlines
                     } = paper
                 );
+                note_variants!(variants, seen, FlowSizeModel {
+                    Fixed(..), WebSearch, DataMining
+                } in [short_size]);
+                note_variants!(variants, seen, ArrivalProcess {
+                    Poisson { .. }, Simultaneous
+                } in [arrivals]);
+                note_variants!(variants, seen, TrafficMatrix {
+                    Permutation, Stride(..), Hotspot { .. }
+                } in [matrix]);
+                note_variants!(variants, seen, DeadlineModel {
+                    None, Fixed(..), Slack { .. }
+                } in [deadlines]);
             }
-            if let TraceConfig::On(settings) = trace {
+            // `scenarios trace` alone turns tracing on: no row reaches
+            // `FlowSelect`, whose variants are entered all the same.
+            let settings = match trace {
+                TraceConfig::On(settings) => Some(settings),
+                TraceConfig::Off => None,
+            };
+            if let Some(settings) = settings {
                 note_fields!(seen, TraceSettings { flows, links } = settings);
+            }
+            note_variants!(variants, seen, FlowSelect {
+                All, One(..)
+            } in settings.iter().map(|s| &s.flows));
+            note_variants!(variants, seen, TraceConfig { Off, On(..) } in [trace]);
+            note_variants!(variants, seen, TopologySpec {
+                FatTree(..), MultiHomedFatTree(..), Vl2(..), Dumbbell(..), Parallel(..)
+            } in [topology]);
+            note_variants!(variants, seen, WorkloadSpec {
+                Paper(..), Incast { .. }, Custom(..)
+            } in [workload]);
+            note_variants!(variants, seen, CongestionControl { Reno, Cubic, Bbr } in [cc]);
+            note_variants!(variants, seen, Engine {
+                Packet, Hybrid { elephant_threshold }
+            } in [engine]);
+            note_variants!(variants, seen, PathPolicy {
+                FlowHash, PerPacketScatter, DiffFlow
+            } in [path_policy]);
+            for protocol in std::iter::once(protocol).chain(long_protocol) {
+                note_variants!(variants, seen, Protocol {
+                    Tcp, Dctcp, D2tcp, Mptcp { subflows }, PacketScatter,
+                    Mmptcp { subflows, switch, dupack }, RepFlow { threshold, syn_only }
+                } in [protocol]);
+                if let Protocol::Mmptcp { switch, dupack, .. } = protocol {
+                    note_variants!(variants, seen, SwitchStrategy {
+                        DataVolume(bytes), CongestionEvent, Never
+                    } in [switch]);
+                    note_variants!(variants, seen, DupAckPolicy {
+                        Standard, TopologyAware { paths }, Adaptive, TopologyAdaptive { paths }
+                    } in dupack.iter());
+                }
             }
         }
         let mut wrong = Vec::new();
@@ -1760,6 +1845,14 @@ fig1-seeds paper 0f06324bb1b4d2f2
                 (true, None) | (false, Some(_)) => {}
                 (false, None) => wrong.push(format!("{field} only ever is {values:?}")),
                 (true, Some((_, why))) => wrong.push(format!("{field} varies, yet: {why}")),
+            }
+        }
+        for (variant, &produced) in &variants {
+            let excused = UNPRODUCED.iter().find(|(v, _)| v == variant);
+            match (produced, excused) {
+                (true, None) | (false, Some(_)) => {}
+                (false, None) => wrong.push(format!("no scenario produces {variant}")),
+                (true, Some((_, why))) => wrong.push(format!("{variant} is produced, yet: {why}")),
             }
         }
         assert!(wrong.is_empty(), "constants, not options: {wrong:#?}");

@@ -96,11 +96,6 @@ impl Simulator {
         self.fluid_threshold = threshold;
     }
 
-    /// The hybrid engine's handoff threshold, if enabled.
-    pub fn fluid_threshold(&self) -> Option<u64> {
-        self.fluid_threshold
-    }
-
     /// Bytes delivered analytically by the fluid fast path so far (the
     /// fluid term of the experiment-level conservation ledger).
     pub fn fluid_delivered_bytes(&self) -> u64 {

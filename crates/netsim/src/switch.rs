@@ -10,7 +10,7 @@
 
 use crate::ecmp;
 use crate::ids::{Addr, LinkId, NodeId};
-use crate::packet::Packet;
+use crate::packet::{Packet, MICE_THRESHOLD_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Which tier of the data-centre fabric a switch belongs to.
@@ -65,24 +65,18 @@ pub enum PathPolicy {
     PerPacketScatter,
     /// DiffFlow-style size-aware routing: data packets whose connection-level
     /// byte offset (`Packet::data_seq`, the byte count carried in the packet
-    /// metadata) is still below `elephant_threshold` are treated as mice and
-    /// scattered per packet; once a flow's offset crosses the threshold its
+    /// metadata) is still below [`MICE_THRESHOLD_BYTES`] are treated as mice
+    /// and scattered per packet; once a flow's offset reaches it, the flow's
     /// packets are pinned to one stable path chosen by a port-agnostic flow
     /// hash, so the elephant stops causing reordering and keeps its ACK
     /// clock. Control packets follow the flow hash.
-    DiffFlow {
-        /// Byte offset at which a flow stops being a mouse.
-        elephant_threshold: u64,
-    },
+    DiffFlow,
 }
 
 impl PathPolicy {
-    /// The conventional DiffFlow configuration: flows become elephants after
-    /// [`MICE_THRESHOLD_BYTES`](crate::MICE_THRESHOLD_BYTES).
+    /// [`PathPolicy::DiffFlow`], under the name `benchmark/` calls.
     pub fn diffflow_default() -> Self {
-        PathPolicy::DiffFlow {
-            elephant_threshold: crate::MICE_THRESHOLD_BYTES,
-        }
+        PathPolicy::DiffFlow
     }
 
     /// Short label for run names and reports.
@@ -90,7 +84,7 @@ impl PathPolicy {
         match self {
             PathPolicy::FlowHash => "ecmp",
             PathPolicy::PerPacketScatter => "scatter",
-            PathPolicy::DiffFlow { .. } => "diffflow",
+            PathPolicy::DiffFlow => "diffflow",
         }
     }
 }
@@ -205,17 +199,15 @@ impl Switch {
         let choice = match self.policy {
             PathPolicy::FlowHash => ecmp::select(packet, salt, n),
             PathPolicy::PerPacketScatter if packet.payload > 0 => scatter(&mut self.scatter_nonce),
-            PathPolicy::DiffFlow { elephant_threshold } if packet.payload > 0 => {
-                if packet.data_seq < elephant_threshold {
+            PathPolicy::DiffFlow if packet.payload > 0 => {
+                if packet.data_seq < MICE_THRESHOLD_BYTES {
                     scatter(&mut self.scatter_nonce)
                 } else {
                     ecmp::select_pinned(packet, salt, n)
                 }
             }
             // Control packets under the spraying policies keep the flow hash.
-            PathPolicy::PerPacketScatter | PathPolicy::DiffFlow { .. } => {
-                ecmp::select(packet, salt, n)
-            }
+            PathPolicy::PerPacketScatter | PathPolicy::DiffFlow => ecmp::select(packet, salt, n),
         };
         Some(group[choice])
     }
@@ -240,8 +232,8 @@ impl Switch {
         let n = group.len();
         let salt = self.ecmp_salt;
         let choice = match self.policy {
-            PathPolicy::DiffFlow { elephant_threshold }
-                if packet.payload > 0 && packet.data_seq >= elephant_threshold =>
+            PathPolicy::DiffFlow
+                if packet.payload > 0 && packet.data_seq >= MICE_THRESHOLD_BYTES =>
             {
                 ecmp::select_pinned(packet, salt, n)
             }
@@ -407,9 +399,7 @@ mod tests {
     #[test]
     fn diffflow_scatters_mice_and_pins_elephants() {
         let mut sw = switch_with_two_groups();
-        sw.set_path_policy(PathPolicy::DiffFlow {
-            elephant_threshold: 100_000,
-        });
+        sw.set_path_policy(PathPolicy::DiffFlow);
         // Below the threshold: the flow sprays.
         let mut mice_links = std::collections::HashSet::new();
         for i in 0..64u64 {
@@ -431,7 +421,7 @@ mod tests {
     #[test]
     fn diffflow_elephant_repins_when_the_group_shrinks() {
         let mut sw = switch_with_two_groups();
-        sw.set_path_policy(PathPolicy::diffflow_default());
+        sw.set_path_policy(PathPolicy::DiffFlow);
         let pinned = sw.forward(&data_pkt(1, 50_000, 500_000, 1400)).unwrap();
         // Fail the pinned link: the elephant must move to a surviving sibling
         // immediately (stateless re-pin), never to the removed link.
@@ -458,13 +448,8 @@ mod tests {
         assert_eq!(sw.policy, PathPolicy::FlowHash);
         assert_eq!(PathPolicy::FlowHash.label(), "ecmp");
         assert_eq!(PathPolicy::PerPacketScatter.label(), "scatter");
-        assert_eq!(PathPolicy::diffflow_default().label(), "diffflow");
-        assert_eq!(
-            PathPolicy::diffflow_default(),
-            PathPolicy::DiffFlow {
-                elephant_threshold: 100_000
-            }
-        );
+        assert_eq!(PathPolicy::DiffFlow.label(), "diffflow");
+        assert_eq!(PathPolicy::diffflow_default(), PathPolicy::DiffFlow);
     }
 
     #[test]
@@ -477,7 +462,7 @@ mod tests {
             assert_eq!(stable, sw.forward(&p));
         }
         // DiffFlow elephants (data_seq past the threshold) pin identically.
-        sw.set_path_policy(PathPolicy::diffflow_default());
+        sw.set_path_policy(PathPolicy::DiffFlow);
         for port in 49_152..49_152 + 32 {
             let p = data_pkt(1, port, 500_000, 1400);
             assert_eq!(sw.route_stable(&p), sw.forward(&p));

@@ -6,8 +6,8 @@
 //!    packets each carry a freshly randomised source port, so hash-based ECMP
 //!    sprays them over every available path. Reordering is expected, so the
 //!    duplicate-ACK threshold is raised according to a [`DupAckPolicy`]
-//!    (fixed, derived from the topology's path count — the FatTree addressing
-//!    trick of §2 — or adaptive à la RR-TCP).
+//!    (derived from the topology's path count — the FatTree addressing
+//!    trick of §2 — adaptive à la RR-TCP, or both).
 //! 2. **MPTCP phase** — once the [`SwitchStrategy`] triggers (a configured
 //!    data volume has been sent, or the first congestion event occurs), the
 //!    connection opens N regular subflows governed by coupled congestion
@@ -21,7 +21,7 @@
 use crate::config::TransportConfig;
 use crate::conn::{round_robin, ConnState, Connection, Policy};
 use crate::mptcp::compute_lia;
-use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
+use crate::subflow::{LiaParams, Subflow, SubflowUpdate, DUPACK_THRESHOLD};
 use netsim::{Addr, AgentCtx, FlowId, Signal, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -48,12 +48,17 @@ impl Default for SwitchStrategy {
     }
 }
 
+/// [`DupAckPolicy::Adaptive`]'s increment per spurious retransmission.
+const ADAPTIVE_STEP: u32 = 4;
+
+/// [`DupAckPolicy::Adaptive`]'s upper bound on the adapted threshold.
+const ADAPTIVE_MAX: u32 = 64;
+
 /// How the packet-scatter phase picks its duplicate-ACK threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DupAckPolicy {
-    /// A fixed threshold (3 = standard TCP; higher values tolerate scatter
-    /// reordering at the cost of slower loss detection).
-    Fixed(u32),
+    /// Standard TCP's threshold of 3, which reads scatter reordering as loss.
+    Standard,
     /// Derive the threshold from the number of equal-cost paths between the
     /// endpoints (obtained from FatTree addressing or a VL2-style directory):
     /// `threshold = max(3, paths)`.
@@ -61,29 +66,19 @@ pub enum DupAckPolicy {
         /// Number of equal-cost paths between source and destination.
         paths: u32,
     },
-    /// RR-TCP-style adaptation: start at `initial` and raise the threshold by
-    /// `step` every time a spurious retransmission is detected, up to `max`.
-    Adaptive {
-        /// Starting threshold.
-        initial: u32,
-        /// Increment per detected spurious retransmission.
-        step: u32,
-        /// Upper bound.
-        max: u32,
-    },
+    /// RR-TCP-style adaptation: start at standard TCP's 3 and raise the
+    /// threshold by 4 every time a spurious retransmission is detected, up
+    /// to 64.
+    Adaptive,
     /// Both mechanisms of §2 combined: the initial threshold is derived from
-    /// the topology's path count (`max(3, paths)`) and is then
-    /// raised RR-TCP-style by `step` per detected spurious retransmission, up
-    /// to `max`. This is the default the experiment runner installs, because
-    /// at low path counts the queue-occupancy *difference* between paths (not
-    /// the path count itself) bounds the reordering depth.
+    /// the topology's path count (`max(3, paths)`) and is then raised
+    /// RR-TCP-style by `max(3, paths)` per detected spurious retransmission,
+    /// up to `max(24, 8 * paths)`. This is the default the experiment runner
+    /// installs, because at low path counts the queue-occupancy *difference*
+    /// between paths (not the path count itself) bounds the reordering depth.
     TopologyAdaptive {
         /// Number of equal-cost paths between source and destination.
         paths: u32,
-        /// Increment per detected spurious retransmission.
-        step: u32,
-        /// Upper bound on the adapted threshold.
-        max: u32,
     },
 }
 
@@ -97,10 +92,10 @@ impl DupAckPolicy {
     /// The threshold to install when the connection starts.
     pub fn initial_threshold(&self) -> u32 {
         match *self {
-            DupAckPolicy::Fixed(t) => t.max(1),
-            DupAckPolicy::TopologyAware { paths }
-            | DupAckPolicy::TopologyAdaptive { paths, .. } => paths.max(3),
-            DupAckPolicy::Adaptive { initial, .. } => initial.max(1),
+            DupAckPolicy::Standard | DupAckPolicy::Adaptive => DUPACK_THRESHOLD,
+            DupAckPolicy::TopologyAware { paths } | DupAckPolicy::TopologyAdaptive { paths } => {
+                paths.max(DUPACK_THRESHOLD)
+            }
         }
     }
 
@@ -108,22 +103,18 @@ impl DupAckPolicy {
     /// policy adapts at run time.
     pub fn adaptation(&self) -> Option<(u32, u32)> {
         match *self {
-            DupAckPolicy::Fixed(_) | DupAckPolicy::TopologyAware { .. } => None,
-            DupAckPolicy::Adaptive { step, max, .. }
-            | DupAckPolicy::TopologyAdaptive { step, max, .. } => Some((step, max)),
+            DupAckPolicy::Standard | DupAckPolicy::TopologyAware { .. } => None,
+            DupAckPolicy::Adaptive => Some((ADAPTIVE_STEP, ADAPTIVE_MAX)),
+            DupAckPolicy::TopologyAdaptive { paths } => Some((
+                paths.max(DUPACK_THRESHOLD),
+                (8 * paths).max(8 * DUPACK_THRESHOLD),
+            )),
         }
     }
 
-    /// A topology-aware policy that also adapts (the experiment default):
-    /// initial threshold = path count, bumped by `paths` per spurious
-    /// retransmission, capped at `8 * paths`.
+    /// [`DupAckPolicy::TopologyAdaptive`] over `paths` equal-cost paths.
     pub fn topology_adaptive(paths: u32) -> Self {
-        let paths = paths.max(1);
-        DupAckPolicy::TopologyAdaptive {
-            paths,
-            step: paths.max(3),
-            max: (8 * paths).max(24),
-        }
+        DupAckPolicy::TopologyAdaptive { paths }
     }
 }
 
@@ -389,7 +380,7 @@ mod tests {
         let cfg = MmptcpConfig {
             switch: SwitchStrategy::CongestionEvent,
             num_subflows: 2,
-            dupack: DupAckPolicy::Fixed(3),
+            dupack: DupAckPolicy::Standard,
             ..MmptcpConfig::default()
         };
         let mut l = new_loop(cfg, 300_000);
@@ -417,25 +408,11 @@ mod tests {
 
     #[test]
     fn dupack_policy_thresholds() {
-        assert_eq!(DupAckPolicy::Fixed(3).initial_threshold(), 3);
-        assert_eq!(
-            DupAckPolicy::TopologyAware { paths: 16 }.initial_threshold(),
-            16
-        );
-        assert_eq!(
-            DupAckPolicy::TopologyAware { paths: 2 }.initial_threshold(),
-            3,
-            "never below the TCP default of 3"
-        );
-        assert_eq!(
-            DupAckPolicy::Adaptive {
-                initial: 3,
-                step: 2,
-                max: 20
-            }
-            .initial_threshold(),
-            3
-        );
+        assert_eq!(DupAckPolicy::Standard.initial_threshold(), DUPACK_THRESHOLD);
+        assert_eq!(DupAckPolicy::Adaptive.initial_threshold(), DUPACK_THRESHOLD);
+        let aware = |paths| DupAckPolicy::TopologyAware { paths }.initial_threshold();
+        assert_eq!(aware(16), 16);
+        assert_eq!(aware(2), 3, "never below the TCP default of 3");
     }
 
     #[test]
@@ -468,8 +445,11 @@ mod tests {
         let q = DupAckPolicy::topology_adaptive(16);
         assert_eq!(q.initial_threshold(), 16);
         assert_eq!(q.adaptation(), Some((16, 128)));
+        let one = DupAckPolicy::topology_adaptive(1);
+        assert_eq!(one.adaptation(), Some((3, 24)), "standard TCP's floor");
+        assert_eq!(DupAckPolicy::Adaptive.adaptation(), Some((4, 64)));
         // Non-adaptive policies report no adaptation.
-        assert_eq!(DupAckPolicy::Fixed(3).adaptation(), None);
+        assert_eq!(DupAckPolicy::Standard.adaptation(), None);
         assert_eq!(DupAckPolicy::TopologyAware { paths: 4 }.adaptation(), None);
     }
 
@@ -478,11 +458,7 @@ mod tests {
         // Force a low initial threshold so reordering triggers a spurious fast
         // retransmit, then check that the threshold was bumped by one step.
         let cfg = MmptcpConfig {
-            dupack: DupAckPolicy::TopologyAdaptive {
-                paths: 1,
-                step: 5,
-                max: 40,
-            },
+            dupack: DupAckPolicy::topology_adaptive(1),
             switch: SwitchStrategy::Never,
             ..MmptcpConfig::default()
         };
@@ -515,7 +491,7 @@ mod tests {
         let spurious = |s: &&Signal| matches!(s, Signal::SpuriousRetransmit { .. });
         assert_eq!(l.signals.iter().filter(spurious).count(), 1);
         let threshold = l.tx.scatter_subflow().dupack_threshold();
-        assert_eq!((initial_threshold, threshold), (3, 3 + 5), "one step up");
+        assert_eq!((initial_threshold, threshold), (3, 3 + 3), "one step up");
     }
 
     #[test]

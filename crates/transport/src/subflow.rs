@@ -65,7 +65,7 @@ enum State {
 
 /// Duplicate ACKs that trigger a fast retransmission, until a policy raises
 /// the subflow's threshold (MMPTCP's packet-scatter phase).
-const DUPACK_THRESHOLD: u32 = 3;
+pub(crate) const DUPACK_THRESHOLD: u32 = 3;
 
 /// A single-path TCP sender engine.
 #[derive(Debug)]

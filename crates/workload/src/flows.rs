@@ -243,19 +243,10 @@ impl EmpiricalCdf {
 pub enum FlowSizeModel {
     /// Every flow has exactly this many bytes (the paper's 70 KB short flows).
     Fixed(u64),
-    /// Uniformly distributed in `[min, max]`.
-    Uniform {
-        /// Smallest flow size.
-        min: u64,
-        /// Largest flow size.
-        max: u64,
-    },
     /// The empirical web-search distribution ([`WEB_SEARCH`]).
     WebSearch,
     /// The empirical data-mining distribution ([`DATA_MINING`]).
     DataMining,
-    /// Any other empirical CDF.
-    Empirical(&'static EmpiricalCdf),
 }
 
 impl FlowSizeModel {
@@ -264,8 +255,7 @@ impl FlowSizeModel {
         match self {
             FlowSizeModel::WebSearch => Some(&WEB_SEARCH),
             FlowSizeModel::DataMining => Some(&DATA_MINING),
-            FlowSizeModel::Empirical(cdf) => Some(cdf),
-            _ => None,
+            FlowSizeModel::Fixed(_) => None,
         }
     }
 
@@ -273,13 +263,8 @@ impl FlowSizeModel {
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         match *self {
             FlowSizeModel::Fixed(b) => b,
-            FlowSizeModel::Uniform { min, max } => {
-                assert!(min <= max);
-                rng.range(min..=max)
-            }
             FlowSizeModel::WebSearch => WEB_SEARCH.sample(rng),
             FlowSizeModel::DataMining => DATA_MINING.sample(rng),
-            FlowSizeModel::Empirical(cdf) => cdf.sample(rng),
         }
     }
 }
@@ -291,11 +276,6 @@ pub enum ArrivalProcess {
     Poisson {
         /// Mean inter-arrival time between consecutive flows at one host.
         mean_interarrival: SimDuration,
-    },
-    /// Fixed-rate arrivals with the given period.
-    Periodic {
-        /// Constant gap between consecutive flows at one host.
-        period: SimDuration,
     },
     /// All flows of a host start at the same instant (burst / incast).
     Simultaneous,
@@ -309,7 +289,6 @@ impl ArrivalProcess {
                 let gap = rng.exponential(mean_interarrival.as_secs_f64());
                 prev + SimDuration::from_secs_f64(gap)
             }
-            ArrivalProcess::Periodic { period } => prev + period,
             ArrivalProcess::Simultaneous => base,
         }
     }
@@ -573,8 +552,6 @@ mod tests {
         let mut rng = SimRng::new(4);
         assert_eq!(FlowSizeModel::Fixed(70_000).sample(&mut rng), 70_000);
         for _ in 0..100 {
-            let v = FlowSizeModel::Uniform { min: 10, max: 20 }.sample(&mut rng);
-            assert!((10..=20).contains(&v));
             let w = FlowSizeModel::WebSearch.sample(&mut rng);
             assert!((6_000..=30_000_000).contains(&w));
             let d = FlowSizeModel::DataMining.sample(&mut rng);
@@ -616,7 +593,6 @@ mod tests {
         };
         TOY.validate();
         assert!((TOY.mean() - 12.5).abs() < 1e-9);
-        assert_eq!(FlowSizeModel::Empirical(&TOY).cdf().unwrap().name, "toy");
     }
 
     #[test]
@@ -679,17 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn periodic_and_simultaneous_arrivals() {
+    fn simultaneous_arrivals_start_at_the_base() {
         let mut rng = SimRng::new(4);
         let base = SimTime::from_millis(10);
-        let p = ArrivalProcess::Periodic {
-            period: SimDuration::from_millis(2),
-        };
-        let t1 = p.next(base, base, &mut rng);
-        let t2 = p.next(base, t1, &mut rng);
-        assert_eq!(t1, SimTime::from_millis(12));
-        assert_eq!(t2, SimTime::from_millis(14));
         let s = ArrivalProcess::Simultaneous;
-        assert_eq!(s.next(base, t2, &mut rng), base);
+        assert_eq!(s.next(base, SimTime::from_millis(14), &mut rng), base);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Two layers:
 //!
-//! * [`matrix`] — traffic matrices (permutation, random, stride, hotspot,
-//!   incast) that pair sending hosts with destinations;
+//! * [`matrix`] — traffic matrices (permutation, stride, hotspot) that pair
+//!   sending hosts with destinations;
 //! * [`flows`] — flow-level workload generators: the paper's evaluation
 //!   workload (one third of hosts running long background flows, the rest
 //!   generating Poisson-arriving 70 KB short flows over a permutation matrix),

@@ -2,9 +2,9 @@
 //!
 //! The paper schedules all flows "based on a permutation traffic matrix":
 //! every sending host is paired with exactly one receiving host and no host
-//! receives from more than one sender. The roadmap additionally mentions
-//! hotspot scenarios; random and stride matrices round out the usual
-//! data-centre evaluation suite (incast is a workload of its own,
+//! receives from more than one sender. The hotspot scenario concentrates
+//! senders on a few hosts, and the benchmark's stride matrix fixes every
+//! pair by position (incast is a workload of its own,
 //! [`crate::flows::incast_workload`]).
 
 use netsim::{Addr, SimRng};
@@ -16,9 +16,6 @@ pub enum TrafficMatrix {
     /// A random derangement: every host sends to exactly one other host and
     /// receives from exactly one other host (never itself).
     Permutation,
-    /// Each sender picks an independent uniformly random destination
-    /// (collisions allowed).
-    Random,
     /// Host `i` sends to host `(i + stride) mod n`.
     Stride(usize),
     /// A fraction of senders all target the same small set of "hot" hosts.
@@ -45,16 +42,6 @@ pub fn assign_destinations(
     assert!(candidates.len() >= 2, "need at least two candidate hosts");
     match matrix {
         TrafficMatrix::Permutation => permutation(senders, candidates, rng),
-        TrafficMatrix::Random => senders
-            .iter()
-            .map(|&s| {
-                let mut d = s;
-                while d == s {
-                    d = candidates[rng.range(0..candidates.len())];
-                }
-                (s, d)
-            })
-            .collect(),
         TrafficMatrix::Stride(k) => {
             let n = candidates.len();
             senders
@@ -157,15 +144,6 @@ mod tests {
         let c = assign_destinations(TrafficMatrix::Permutation, &h, &h, &mut SimRng::new(2));
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn random_matrix_avoids_self() {
-        let mut rng = SimRng::new(3);
-        let h = hosts(16);
-        for (s, d) in assign_destinations(TrafficMatrix::Random, &h, &h, &mut rng) {
-            assert_ne!(s, d);
-        }
     }
 
     #[test]

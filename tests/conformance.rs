@@ -307,7 +307,7 @@ fn diffflow_link_failure_never_strands_a_pinned_elephant() {
         }),
         workload: WorkloadSpec::Custom(flows),
         protocol: Protocol::Tcp,
-        path_policy: PathPolicy::diffflow_default(),
+        path_policy: PathPolicy::DiffFlow,
         seed: 3,
         ..ExperimentConfig::default()
     };
@@ -674,7 +674,7 @@ fn all_path_policies_survive_link_failures() {
     for policy in [
         PathPolicy::FlowHash,
         PathPolicy::PerPacketScatter,
-        PathPolicy::diffflow_default(),
+        PathPolicy::DiffFlow,
     ] {
         let cfg = ExperimentConfig {
             topology: TopologySpec::FatTree(FatTreeConfig {
