@@ -90,7 +90,7 @@
 //! `hotspot`'s MMPTCP-8 hotspot row. Like `check` it takes no scale, seed,
 //! engine or controller flag, and like `bless` no names.
 
-use metrics::{report, RunReport, ScenarioReport, Table, TraceConfig, TraceSettings};
+use metrics::{report, FlowSelect, RunReport, ScenarioReport, Table, TraceConfig, TraceSettings};
 use mmptcp::netsim::Signal;
 use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
 use mmptcp::{Driver, Engine, ExperimentConfig, ExperimentResults};
@@ -546,6 +546,17 @@ fn sanitize_label(index: usize, label: &str) -> String {
     out.trim_end_matches('-').to_string()
 }
 
+/// What `--flow` and `--links` ask the flight recorder to keep.
+fn trace_settings(opts: &Options) -> TraceSettings {
+    TraceSettings {
+        flows: match opts.flow {
+            None => FlowSelect::All,
+            Some(id) => FlowSelect::One(id),
+        },
+        links: opts.links,
+    }
+}
+
 /// Flight-recorder sweep: run the selected scenarios with tracing on and
 /// write each run's CSV/JSON series under `target/traces/<scenario>/<run>/`.
 fn cmd_trace(opts: &Options) -> ExitCode {
@@ -553,16 +564,9 @@ fn cmd_trace(opts: &Options) -> ExitCode {
         eprintln!("trace needs at least one scenario name; `scenarios list` shows the catalog");
         return ExitCode::from(2);
     }
-    let settings = TraceSettings {
-        flows: match opts.flow {
-            None => metrics::FlowSelect::All,
-            Some(id) => metrics::FlowSelect::One(id),
-        },
-        links: opts.links,
-    };
     let mut empty = Vec::new();
     for s in select(&opts.names) {
-        let results = run_traced(opts, s.configs(opts.fidelity), settings);
+        let results = run_traced(opts, s.configs(opts.fidelity), trace_settings(opts));
         let scenario_dir = target_dir("traces").join(s.name);
         // Clear previous traces of this scenario so run directories from an
         // earlier fidelity/flag combination cannot linger beside fresh ones.
@@ -929,8 +933,12 @@ mod tests {
             assert!(err.is_some_and(|e| e.contains(rejected)), "{line}: {err:?}");
         }
         assert_eq!(parse("conserve --seeds 4").seeds, Some(4));
-        let traced = parse("trace fig1bc --flow 3 --links");
-        assert!(traced.flow == Some(3) && traced.links);
+        // Both values of each `TraceSettings` field, which no catalog row
+        // sets (the Options rule in `mmptcp::scenario`).
+        let traced = trace_settings(&parse("trace fig1bc --flow 3 --links"));
+        assert_eq!((traced.flows, traced.links), (FlowSelect::One(3), true));
+        let bare = trace_settings(&parse("trace fig1bc"));
+        assert_eq!((bare.flows, bare.links), (FlowSelect::All, false));
         assert!(parse("run fig1bc --json").json);
         assert!(args("list").is_ok());
         let mut config = ExperimentConfig::default();

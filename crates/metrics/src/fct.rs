@@ -105,7 +105,7 @@ impl FlowMetrics {
     /// Bytes the flow had delivered by time `at`, using the most recent
     /// progress report (or completion) at or before `at`. Returns 0 if the
     /// flow had reported nothing by then.
-    pub fn bytes_delivered_by(&self, flow: FlowId, at: SimTime) -> u64 {
+    pub(crate) fn bytes_delivered_by(&self, flow: FlowId, at: SimTime) -> u64 {
         match self.progress.get(&flow) {
             Some(series) => {
                 let by = series.iter().filter(|(t, _)| *t <= at).map(|(_, b)| *b);
@@ -215,6 +215,7 @@ impl FlowMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
 
     fn signals_for_flow(id: u64, start_ms: u64, end_ms: u64, bytes: u64) -> Vec<Signal> {
         vec![
@@ -326,6 +327,91 @@ mod tests {
         // The window is insensitive to later progress.
         let with_tail = m.goodput_bps_windowed(|_| true, SimTime::ZERO, SimTime::from_secs(2));
         assert!((with_tail - 12e6).abs() < 1.0);
+    }
+
+    /// Windowed goodput is non-negative and bytes delivered by `t` never
+    /// fall as `t` grows, for any sorted progress series.
+    #[test]
+    fn windowed_goodput_monotone_in_delivered_bytes() {
+        for case in 0..CASES {
+            let mut params = case_rng(10, case);
+            let len = params.range(1usize..40);
+            let mut points: Vec<(u64, u64)> = (0..len)
+                .map(|_| (params.range(1u64..5_000), params.range(1u64..1_000_000)))
+                .collect();
+            points.sort();
+            let mut m = FlowMetrics::new();
+            let mut cumulative = 0u64;
+            let mut last_t = 0u64;
+            for (dt, db) in &points {
+                last_t += dt;
+                cumulative += db;
+                m.ingest(&[Signal::FlowProgress {
+                    flow: FlowId(1),
+                    at: SimTime::from_micros(last_t),
+                    bytes: cumulative,
+                }]);
+            }
+            let end = SimTime::from_micros(last_t);
+            assert_eq!(m.bytes_delivered_by(FlowId(1), end), cumulative);
+            assert_eq!(m.bytes_delivered_by(FlowId(1), SimTime::ZERO), 0);
+            let mut prev = 0u64;
+            for i in 0..points.len() as u64 {
+                let b = m.bytes_delivered_by(FlowId(1), SimTime::from_micros((i + 1) * 100));
+                assert!(b >= prev);
+                prev = b;
+            }
+            assert!(m.goodput_bps_windowed(|_| true, SimTime::ZERO, end) >= 0.0);
+
+            // Over the whole stream the window measures exactly the bytes the
+            // flow records hold — the whole-run goodput, so results need no
+            // second formula — whatever mix of reports a flow leaves behind:
+            // receiver and sender progress at the same instant in either
+            // order (the sender a few segments behind; the fluid engine
+            // reports through the same signal), and a completion followed by
+            // the receiver's closing report.
+            let mut m = FlowMetrics::new();
+            let mut end = SimTime::ZERO;
+            for flow in 0..params.range(1u64..5) {
+                let progress = |at, bytes| Signal::FlowProgress {
+                    flow: FlowId(flow),
+                    at,
+                    bytes,
+                };
+                let (mut at, mut delivered) = (SimTime::ZERO, 0u64);
+                for _ in 0..params.range(1usize..20) {
+                    at += SimDuration::from_micros(params.range(1u64..5_000));
+                    delivered += params.range(1u64..1_000_000);
+                    let lag = params.range(0u64..=delivered.min(14_000));
+                    match params.range(0u32..3) {
+                        0 => m.ingest(&[progress(at, delivered)]),
+                        1 => m.ingest(&[progress(at, delivered), progress(at, delivered - lag)]),
+                        _ => m.ingest(&[progress(at, delivered - lag), progress(at, delivered)]),
+                    }
+                }
+                if params.chance(0.5) {
+                    at += SimDuration::from_micros(params.range(1u64..5_000));
+                    m.ingest(&[Signal::FlowCompleted {
+                        flow: FlowId(flow),
+                        at,
+                        bytes: delivered,
+                    }]);
+                    if params.chance(0.5) {
+                        at += SimDuration::from_micros(params.range(0u64..5_000));
+                        m.ingest(&[progress(at, delivered)]);
+                    }
+                }
+                end = end.max(at);
+            }
+            let even = |f: FlowId| f.0.is_multiple_of(2);
+            let recorded = m.sorted_records().into_iter();
+            let bytes: u64 = recorded.filter(|r| even(r.0)).map(|r| r.1.bytes).sum();
+            assert_eq!(
+                m.goodput_bps_windowed(even, SimTime::ZERO, end),
+                bytes as f64 * 8.0 / (end - SimTime::ZERO).as_secs_f64(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -34,3 +34,14 @@ pub use report::{RunReport, ScenarioReport};
 pub use stats::{percentile, Summary};
 pub use table::{f2, pct, Table};
 pub use trace::{FlowSelect, TraceConfig, TraceSettings, TraceSink};
+
+/// Each property test draws `CASES` inputs from `case_rng`: the same sample
+/// on every run, so a failure reproduces without a shrinker.
+#[cfg(test)]
+const CASES: u64 = 64;
+
+/// The source of property `property`'s `case`th input.
+#[cfg(test)]
+fn case_rng(property: u64, case: u64) -> netsim::SimRng {
+    netsim::SimRng::new(0xC0FFEE ^ (property << 32) ^ case)
+}

@@ -78,6 +78,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
 
     #[test]
     fn summary_of_known_values() {
@@ -88,6 +89,25 @@ mod tests {
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
         assert!((s.median - 4.5).abs() < 1e-9);
+    }
+
+    /// The summary orders its percentiles and bounds its mean for any
+    /// sample.
+    #[test]
+    fn summary_statistics_are_consistent() {
+        for case in 0..CASES {
+            let mut params = case_rng(3, case);
+            let len = params.range(1usize..200);
+            let samples: Vec<f64> = (0..len).map(|_| params.unit() * 1e6).collect();
+            let s = Summary::of(&samples);
+            assert_eq!(s.count, samples.len());
+            assert!(s.min <= s.median + 1e-9);
+            assert!(s.median <= s.p95 + 1e-9);
+            assert!(s.p95 <= s.p99 + 1e-9);
+            assert!(s.p99 <= s.max + 1e-9);
+            assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
+            assert!(s.std_dev >= 0.0);
+        }
     }
 
     #[test]

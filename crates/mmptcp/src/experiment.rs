@@ -435,12 +435,21 @@ mod tests {
         assert_ne!(a.short_fcts_ms(), b.short_fcts_ms());
     }
 
+    /// Long flows make progress, and over a 500 ms goodput horizon they
+    /// carry no more than their access links' line rate.
     #[test]
     fn paper_workload_on_small_fattree_completes_for_mmptcp() {
-        let r = run(ExperimentConfig::small_test(Protocol::mmptcp_default(), 7));
+        let mut r = run(ExperimentConfig {
+            goodput_horizon: Some(netsim::SimDuration::from_millis(500)),
+            ..ExperimentConfig::small_test(Protocol::mmptcp_default(), 7)
+        });
         assert!(r.short_fct_summary().count > 0);
         assert!(r.all_short_completed, "short flows must finish");
-        // Long flows made progress.
+        let host_rate = topology::FatTreeConfig::small().host_rate_bps as f64;
+        let bound = r.long_ids.len() as f64 * host_rate * 1.05;
+        let goodput = r.long_goodput_bps();
+        assert!(goodput > 0.0 && goodput <= bound, "{goodput} bps");
+        r.goodput_horizon = None;
         assert!(r.long_goodput_bps() > 0.0);
         assert!(r.overall_utilisation > 0.0);
     }

@@ -395,6 +395,8 @@ fig1-seeds; mmptcp-8 seed=; short p99; sum <; mptcp-8 seed=; -; paper §3, Figur
 fig1-seeds; mptcp-8 seed=; long goodput; each >; -; 0.5; paper §3, Figure 1(b)/(c)
 fig1-seeds; mmptcp-8 seed=; long goodput; each >; -; 0.5; paper §3, Figure 1(b)/(c)
 fig1-seeds; mmptcp-8 seed=; long goodput; sum ~; mptcp-8 seed=; 1.05; paper §3, Figure 1(b)/(c)
+coexistence; short; completed; each =; -; 1; none cited
+coexistence; short; long goodput; each >; -; 0; none cited
 battle-matrix; repflow |; mice p99; each <; tcp |; -; RepFlow (PAPERS.md)
 battle-matrix; mptcp-8 |; long goodput; sum >; -; 0; paper §3, Figure 1(b)/(c)
 battle-matrix; mmptcp-8 |; long goodput; sum >=; mptcp-8 |; 0.95; paper §3, Figure 1(b)/(c)
@@ -405,7 +407,9 @@ cc-battle; dctcp; ecn marks; each >; -; 0; none cited
 cc-battle; tcp-; ecn marks; each =; -; 0; none cited
 deadlines; d2tcp | tight; -; differs; d2tcp | loose; -; paper §1, deadline-bound short flows
 deadlines; d2tcp | tight; ecn marks; each >; -; 0; paper §1, deadline-bound short flows
+deadlines; d2tcp |; completed; each =; -; 1; paper §1, deadline-bound short flows
 switching; data-volume; phase switches; each >; -; 0; paper §2
+switching; congestion-event; phase switches; each >; -; 0; paper §2
 switching; never (PS only); phase switches; each =; -; 0; paper §2
 ";
 
@@ -1629,8 +1633,6 @@ fig1-seeds paper 0f06324bb1b4d2f2
     /// constant (ARCHITECTURE.md "Options").
     const SINGLE_VALUED: &[(&str, &str)] = &[
         ("ExperimentConfig::trace", "set by `scenarios trace`"),
-        ("TraceSettings::flows", "set by `scenarios trace --flow`"),
-        ("TraceSettings::links", "set by `scenarios trace --links`"),
         ("TransportConfig::mss", "frozen by benchmark/src"),
         ("TransportConfig::min_rto", "frozen by benchmark/src"),
         ("TransportConfig::initial_rto", "frozen by benchmark/src"),
@@ -1712,7 +1714,8 @@ fig1-seeds paper 0f06324bb1b4d2f2
     /// a variant of the system under test, exists because two catalog
     /// scenarios give it different values, or `SINGLE_VALUED` says why not;
     /// a variant of a config enum exists because some catalog scenario
-    /// produces it, or `UNPRODUCED` names its caller.
+    /// produces it, or `UNPRODUCED` names its caller. A row of either list
+    /// names something this walk records, or its evidence lies elsewhere.
     #[test]
     fn every_config_field_takes_two_values_somewhere_in_the_catalog() {
         use metrics::{FlowSelect, TraceConfig, TraceSettings};
@@ -1798,7 +1801,9 @@ fig1-seeds paper 0f06324bb1b4d2f2
                 } in [deadlines]);
             }
             // `scenarios trace` alone turns tracing on: no row reaches
-            // `FlowSelect`, whose variants are entered all the same.
+            // `TraceSettings`, whose two values of each field the CLI's
+            // `overrides_reach_the_config` sets, or `FlowSelect`, whose
+            // variants are entered all the same.
             let settings = match trace {
                 TraceConfig::On(settings) => Some(settings),
                 TraceConfig::Off => None,
@@ -1855,6 +1860,9 @@ fig1-seeds paper 0f06324bb1b4d2f2
                 (true, Some((_, why))) => wrong.push(format!("{variant} is produced, yet: {why}")),
             }
         }
+        let unseen = SINGLE_VALUED.iter().filter(|(f, _)| !seen.contains_key(f));
+        let unseen = unseen.chain(UNPRODUCED.iter().filter(|(v, _)| !variants.contains_key(v)));
+        wrong.extend(unseen.map(|(name, _)| format!("{name} is excused, yet never recorded")));
         assert!(wrong.is_empty(), "constants, not options: {wrong:#?}");
     }
 

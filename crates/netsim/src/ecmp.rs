@@ -36,7 +36,7 @@ fn flow_hash(packet: &Packet, salt: u64) -> u64 {
 /// Panics if `n == 0` — a switch must always have at least one candidate
 /// next hop for a reachable destination.
 #[inline]
-pub fn select(packet: &Packet, salt: u64, n: usize) -> usize {
+pub(crate) fn select(packet: &Packet, salt: u64, n: usize) -> usize {
     assert!(n > 0, "ECMP selection over an empty next-hop set");
     if n == 1 {
         return 0;
@@ -103,6 +103,35 @@ mod tests {
         let q = pkt(51_000);
         for n in [2usize, 4, 8, 16] {
             assert_eq!(select(&p, 1234, n), select(&q, 1234, n));
+        }
+    }
+
+    /// Selection is deterministic per 5-tuple and salt, and in range, for
+    /// any tuple, salt and group size (64 seeded cases).
+    #[test]
+    fn ecmp_selection_in_range() {
+        for case in 0..64 {
+            let mut params = crate::SimRng::new(0xC0FFEE ^ (5 << 32) ^ case);
+            let src = params.range(0u32..1024);
+            let dst = params.range(0u32..1024);
+            let sport = params.range(1024u16..65535);
+            let salt = params.next_u64();
+            let n = params.range(1usize..64);
+            let pkt = Packet::data(
+                Addr(src),
+                Addr(dst),
+                sport,
+                80,
+                FlowId(1),
+                0,
+                0,
+                0,
+                1400,
+                SimTime::ZERO,
+            );
+            let a = select(&pkt, salt, n);
+            assert_eq!(a, select(&pkt, salt, n));
+            assert!(a < n);
         }
     }
 

@@ -49,7 +49,7 @@
 
 pub mod agent;
 pub mod digest;
-pub mod ecmp;
+mod ecmp;
 pub mod event;
 pub mod fluid;
 pub mod host;

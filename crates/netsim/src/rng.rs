@@ -100,7 +100,7 @@ impl SimRng {
     }
 
     /// A raw 64-bit draw (e.g. for hash salts). xoshiro256++ output function.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;

@@ -64,7 +64,8 @@ impl SimTime {
     }
 
     /// Value in milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 
@@ -132,7 +133,8 @@ impl SimDuration {
     }
 
     /// Value in milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
+    #[cfg(test)]
+    pub(crate) const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 

@@ -448,6 +448,43 @@ mod tests {
         assert_eq!(t.path_count(Addr(0), Addr(8)), 4);
     }
 
+    /// Host count, tier list, uplinks per host, routability and the path
+    /// model hold for every legal (k, oversubscription), single- and
+    /// dual-homed.
+    #[test]
+    fn fattree_structure_invariants() {
+        for k in [4usize, 6, 8] {
+            for oversub in 1usize..=4 {
+                let cfg = FatTreeConfig {
+                    k,
+                    oversubscription: oversub,
+                    ..FatTreeConfig::default()
+                };
+                let single = build(cfg);
+                for (topo, homes) in [(&single, 1), (&build_dual_homed(cfg), 2)] {
+                    assert_eq!(topo.host_count(), oversub * k * k * k / 4);
+                    assert_eq!(topo.link_tiers.len(), topo.network.link_count());
+                    for &h in &topo.hosts {
+                        let host = topo.network.node(h).as_host().unwrap();
+                        assert_eq!(host.uplinks.len(), homes);
+                    }
+                    assert_fully_routable(topo);
+                    // The path count grows with distance, and every extra
+                    // home multiplies the single-homed count.
+                    let last = Addr((topo.host_count() - 1) as u32);
+                    assert!(topo.path_count(Addr(0), Addr(1)) <= topo.path_count(Addr(0), last));
+                    assert_eq!(topo.path_count(Addr(0), last), homes * (k / 2) * (k / 2));
+                    for b in 1..topo.host_count() as u32 {
+                        assert_eq!(
+                            topo.path_count(Addr(0), Addr(b)),
+                            homes * single.path_count(Addr(0), Addr(b))
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn ecn_threshold_is_applied() {
         let mut cfg = FatTreeConfig::small();

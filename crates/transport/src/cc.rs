@@ -807,6 +807,7 @@ impl EcnResponder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
 
     const MSS: f64 = 1400.0;
 
@@ -994,6 +995,69 @@ mod tests {
         assert_eq!(r.penalty_exponent(), 4.0);
         r.set_penalty_exponent(0.0);
         assert_eq!(r.penalty_exponent(), 0.25);
+    }
+
+    /// Every controller keeps its state sane under any interleaving of ACK,
+    /// dup-ACK, fast-retransmit loss, ECN, RTO, round-trip and undo events:
+    ///
+    /// * `cwnd` stays finite and never drops below 1 MSS, the universal
+    ///   floor. (2 MSS holds right after a fast-retransmit loss, and is
+    ///   asserted there; it cannot hold universally because RFC 5681
+    ///   collapses the window to one segment on an RTO, and a DCTCP-style
+    ///   ECN response may pin `ssthresh = cwnd` below 2 MSS.)
+    /// * `ssthresh` stays finite and strictly positive.
+    /// * The advertised pacing rate, when present, is a positive number of bps.
+    #[test]
+    fn congestion_controllers_keep_their_state_sane_under_random_events() {
+        let cfg = cfg();
+        let mss = cfg.mss as f64;
+        let controllers = [
+            CongestionControl::Reno,
+            CongestionControl::Cubic,
+            CongestionControl::Bbr,
+        ];
+        for case in 0..CASES {
+            for (ci, cc) in controllers.iter().enumerate() {
+                let mut params = case_rng(7, case * 8 + ci as u64);
+                let mut rtt = RttEstimator::new(cfg.min_rto, cfg.initial_rto, cfg.max_rto);
+                let mut now = SimTime::from_millis(1);
+                let mut ctl = cc.build(&cfg);
+                ctl.on_established(now, &rtt);
+                for step in 0..200u32 {
+                    now += SimDuration::from_micros(params.range(1u64..5_000));
+                    if params.chance(0.7) {
+                        rtt.on_sample(SimDuration::from_micros(params.range(20u64..5_000)));
+                    }
+                    let flight = params.range(0u64..400_000);
+                    let at = || format!("{} case={case} step={step}", cc.name());
+                    match params.range(0u32..100) {
+                        0..=44 => {
+                            let newly = params.range(1u64..(3 * cfg.mss as u64));
+                            ctl.on_ack(newly, now, &rtt, None);
+                        }
+                        45..=54 => ctl.on_dup_ack(),
+                        55..=64 => {
+                            ctl.on_loss(flight);
+                            let w = ctl.cwnd();
+                            assert!(w >= 2.0 * mss, "{}: cwnd {w} < 2 MSS after a loss", at());
+                        }
+                        65..=72 => ctl.on_recovery_exit(),
+                        73..=80 => {
+                            let penalty = params.range(0u64..=1_000) as f64 / 1_000.0;
+                            ctl.on_ecn(penalty);
+                        }
+                        81..=87 => ctl.on_rto(flight),
+                        88..=94 => ctl.on_round_trip(now, &rtt),
+                        _ => ctl.undo(),
+                    }
+                    let (w, s) = (ctl.cwnd(), ctl.ssthresh());
+                    assert!(w.is_finite() && w >= mss, "{}: cwnd {w} < 1 MSS", at());
+                    assert!(s.is_finite() && s > 0.0, "{}: ssthresh {s}", at());
+                    let rate = ctl.pacing_rate_bps();
+                    assert!(rate != Some(0), "{}: zero pacing rate advertised", at());
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl Default for DupAckPolicy {
 
 impl DupAckPolicy {
     /// The threshold to install when the connection starts.
-    pub fn initial_threshold(&self) -> u32 {
+    pub(crate) fn initial_threshold(&self) -> u32 {
         match *self {
             DupAckPolicy::Standard | DupAckPolicy::Adaptive => DUPACK_THRESHOLD,
             DupAckPolicy::TopologyAware { paths } | DupAckPolicy::TopologyAdaptive { paths } => {
@@ -101,7 +101,7 @@ impl DupAckPolicy {
 
     /// The per-spurious-retransmission increment and upper bound, if this
     /// policy adapts at run time.
-    pub fn adaptation(&self) -> Option<(u32, u32)> {
+    pub(crate) fn adaptation(&self) -> Option<(u32, u32)> {
         match *self {
             DupAckPolicy::Standard | DupAckPolicy::TopologyAware { .. } => None,
             DupAckPolicy::Adaptive => Some((ADAPTIVE_STEP, ADAPTIVE_MAX)),
@@ -330,6 +330,7 @@ impl MmptcpSender {
 mod tests {
     use super::*;
     use crate::testing::Loopback;
+    use crate::{case_rng, CASES};
     use netsim::{Packet, PacketKind};
 
     fn new_loop(cfg: MmptcpConfig, total: u64) -> Loopback<MmptcpSender> {
@@ -451,6 +452,20 @@ mod tests {
         // Non-adaptive policies report no adaptation.
         assert_eq!(DupAckPolicy::Standard.adaptation(), None);
         assert_eq!(DupAckPolicy::TopologyAware { paths: 4 }.adaptation(), None);
+    }
+
+    /// Every path count gives a threshold of at least TCP's 3, and the
+    /// combined policy adapts up to a bound no smaller than its start.
+    #[test]
+    fn dupack_policies_are_sane() {
+        for case in 0..CASES {
+            let paths = case_rng(7, case).range(1u32..256);
+            assert!(DupAckPolicy::TopologyAware { paths }.initial_threshold() >= 3);
+            let combined = DupAckPolicy::topology_adaptive(paths);
+            assert!(combined.initial_threshold() >= 3);
+            let (_step, max) = combined.adaptation().expect("combined policy adapts");
+            assert!(max >= combined.initial_threshold());
+        }
     }
 
     #[test]

@@ -86,7 +86,8 @@ impl TransportReceiver {
     }
 
     /// Connection-level bytes received contiguously so far.
-    pub fn contiguous_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn contiguous_bytes(&self) -> u64 {
         self.data_rcv_nxt
     }
 
@@ -178,6 +179,7 @@ impl Agent for TransportReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
     use netsim::{Addr, SimRng, SimTime};
     use std::collections::BTreeMap;
 
@@ -309,6 +311,35 @@ mod tests {
     fn reassembly_matches_reference_tree_on_long_random_streams() {
         for seed in 0..5_000 {
             run_against_reference_tree(1_000 + seed, 2_000);
+        }
+    }
+
+    /// A shuffled stream with duplicates reassembles without losing or
+    /// duplicating a byte, and the connection-level ACK never goes back.
+    #[test]
+    fn receiver_reassembly_is_lossless() {
+        for case in 0..CASES {
+            let mut params = case_rng(2, case);
+            let segments = params.range(1u64..60);
+            let seed = params.range(0u64..500);
+            let duplicate_every = params.range(2usize..10);
+            let mss = 1_000;
+            let mut order: Vec<u64> = (0..segments).collect();
+            SimRng::new(seed).shuffle(&mut order);
+            let (mut rx, mut h) = (TransportReceiver::new(FlowId(1)), Harness::new());
+            let mut last_data_ack = 0;
+            for (i, &seg) in order.iter().enumerate() {
+                h.now = SimTime::from_millis(1 + i as u64);
+                let reps = if i % duplicate_every == 0 { 2 } else { 1 };
+                for _ in 0..reps {
+                    for ack in h.deliver(&mut rx, data(0, seg * mss, seg * mss, mss as u32)) {
+                        assert!(ack.data_ack >= last_data_ack, "data ack went backwards");
+                        last_data_ack = ack.data_ack;
+                    }
+                }
+            }
+            assert_eq!(rx.contiguous_bytes(), segments * mss);
+            assert_eq!(last_data_ack, segments * mss);
         }
     }
 

@@ -88,7 +88,7 @@ pub enum DeadlineModel {
 impl DeadlineModel {
     /// The deadline for a flow of `size` bytes (`None` when the model assigns
     /// no deadlines).
-    pub fn deadline_for(&self, size: u64) -> Option<SimDuration> {
+    pub(crate) fn deadline_for(&self, size: u64) -> Option<SimDuration> {
         match *self {
             DeadlineModel::None => None,
             DeadlineModel::Fixed(d) => Some(d),
@@ -345,6 +345,7 @@ pub struct Workload {
     pub flows: Vec<FlowSpec>,
 }
 
+#[cfg(test)]
 impl Workload {
     /// Flows of a given class.
     fn of_class(&self, class: FlowClass) -> impl Iterator<Item = &FlowSpec> {
@@ -352,12 +353,12 @@ impl Workload {
     }
 
     /// Number of short flows.
-    pub fn short_count(&self) -> usize {
+    fn short_count(&self) -> usize {
         self.of_class(FlowClass::Short).count()
     }
 
     /// Number of long flows.
-    pub fn long_count(&self) -> usize {
+    fn long_count(&self) -> usize {
         self.of_class(FlowClass::Long).count()
     }
 }
@@ -467,6 +468,7 @@ pub fn incast_workload(hosts: &[Addr], fan_in: usize, bytes: u64, start: SimTime
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
 
     fn hosts(n: usize) -> Vec<Addr> {
         (0..n as u32).map(Addr).collect()
@@ -479,9 +481,34 @@ mod tests {
         assert_eq!(w.long_count(), 48 * 333 / 1000);
         let expected_short_hosts = 48 - 48 * 333 / 1000;
         assert_eq!(w.short_count(), expected_short_hosts * 8);
-        // No flow sends to itself.
-        for f in &w.flows {
-            assert_ne!(f.src, f.dst);
+    }
+
+    /// Flow counts, classes and sizes are coherent for any host count,
+    /// flows per host and seed.
+    #[test]
+    fn paper_workload_is_coherent() {
+        for case in 0..CASES {
+            let mut params = case_rng(4, case);
+            let n = params.range(6usize..80);
+            let seed = params.range(0u64..200);
+            let flows_per_host = params.range(1usize..5);
+            let cfg = PaperWorkloadConfig {
+                flows_per_short_host: flows_per_host,
+                ..PaperWorkloadConfig::default()
+            };
+            let w = paper_workload(&hosts(n), &cfg, &mut SimRng::new(seed));
+            let long = w.long_count();
+            assert!(long >= 1);
+            assert_eq!(w.short_count(), (n - long) * flows_per_host);
+            for f in &w.flows {
+                assert!(f.src.index() < n);
+                assert!(f.dst.index() < n);
+                assert_ne!(f.src, f.dst);
+                match f.class {
+                    FlowClass::Long => assert!(f.size.is_none()),
+                    FlowClass::Short => assert_eq!(f.size, Some(70_000)),
+                }
+            }
         }
     }
 
@@ -571,9 +598,6 @@ mod tests {
 
     #[test]
     fn empirical_quantiles_interpolate_between_knots() {
-        // u = 0 and u = 1 hit the endpoints exactly.
-        assert_eq!(WEB_SEARCH.quantile(0.0), 6_000);
-        assert_eq!(WEB_SEARCH.quantile(1.0), 30_000_000);
         // Exactly at a knot.
         assert_eq!(WEB_SEARCH.quantile(0.15), 10_000);
         // Halfway through the first segment: linear in bytes.
@@ -581,6 +605,75 @@ mod tests {
         // Out-of-range probabilities clamp rather than panic.
         assert_eq!(DATA_MINING.quantile(-0.5), 100);
         assert_eq!(DATA_MINING.quantile(1.5), 100_000_000);
+    }
+
+    /// The quantile function is monotone non-decreasing over [0, 1], the
+    /// basic soundness requirement for inverse-transform sampling.
+    #[test]
+    fn empirical_cdf_quantile_is_monotone() {
+        for cdf in [&WEB_SEARCH, &DATA_MINING] {
+            let mut prev = 0u64;
+            for i in 0..=1_000 {
+                let q = cdf.quantile(i as f64 / 1_000.0);
+                assert!(q >= prev, "{} quantile not monotone at {i}", cdf.name);
+                prev = q;
+            }
+            assert_eq!(cdf.quantile(0.0), cdf.min_bytes());
+            assert_eq!(cdf.quantile(1.0), cdf.max_bytes());
+        }
+    }
+
+    /// Sampling is a pure function of the RNG stream: the same seed always
+    /// reproduces the same sample sequence, different seeds explore
+    /// different ones, and every sample lies in the CDF's support.
+    #[test]
+    fn empirical_cdf_sampling_is_deterministic_per_seed() {
+        for case in 0..CASES {
+            let mut params = case_rng(12, case);
+            let seed = params.range(0u64..10_000);
+            for cdf in [&WEB_SEARCH, &DATA_MINING] {
+                let draw = |seed: u64| -> Vec<u64> {
+                    let mut rng = SimRng::new(seed);
+                    (0..32).map(|_| cdf.sample(&mut rng)).collect()
+                };
+                let a = draw(seed);
+                assert_eq!(a, draw(seed), "{} seed={seed}", cdf.name);
+                let c = draw(seed ^ 0x5EED_0001);
+                assert_ne!(a, c, "{} different seeds must differ", cdf.name);
+                for v in a {
+                    assert!(
+                        (cdf.min_bytes()..=cdf.max_bytes()).contains(&v),
+                        "{} sample {v} out of CDF support",
+                        cdf.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Inverse-transform sampling converges: the mean over many samples
+    /// approaches the analytic piecewise-linear mean of the CDF.
+    #[test]
+    fn empirical_cdf_sample_means_converge_to_the_analytic_mean() {
+        const SAMPLES: usize = 200_000;
+        for (cdf, tolerance) in [
+            // Web-search mass is spread broadly: tight tolerance.
+            (&WEB_SEARCH, 0.05),
+            // Data-mining is dominated by its extreme tail (top 2 % of flows
+            // carry most bytes), so the sample mean has higher variance.
+            (&DATA_MINING, 0.10),
+        ] {
+            let mut rng = SimRng::new(0xCDF_CA5E);
+            let sum: f64 = (0..SAMPLES).map(|_| cdf.sample(&mut rng) as f64).sum();
+            let sample_mean = sum / SAMPLES as f64;
+            let analytic = cdf.mean();
+            let rel = (sample_mean - analytic).abs() / analytic;
+            assert!(
+                rel < tolerance,
+                "{}: sample mean {sample_mean:.0} vs analytic {analytic:.0} (rel err {rel:.4})",
+                cdf.name
+            );
+        }
     }
 
     #[test]
@@ -612,6 +705,31 @@ mod tests {
         assert!((d.as_secs_f64() - 5.6e-3).abs() < 1e-5, "got {:?}", d);
         // Tiny flows hit the floor.
         assert_eq!(slack.deadline_for(10), Some(SimDuration::from_millis(1)));
+    }
+
+    /// Slack deadlines never fall below the floor and are monotone in
+    /// size; `None` and `Fixed` ignore the size.
+    #[test]
+    fn slack_deadlines_are_monotone_and_floored() {
+        for case in 0..CASES {
+            let mut params = case_rng(6, case);
+            let small = params.range(1_000u64..50_000);
+            let extra = params.range(1u64..10_000_000);
+            let slack = 0.1 + params.unit() * 49.9;
+            let floor = SimDuration::from_millis(params.range(1u64..100));
+            let model = DeadlineModel::Slack {
+                slack,
+                reference_gbps: 1.0,
+                floor,
+            };
+            let d_small = model.deadline_for(small).unwrap();
+            let d_large = model.deadline_for(small + extra).unwrap();
+            assert!(d_small >= floor);
+            assert!(d_large >= d_small);
+            assert_eq!(DeadlineModel::None.deadline_for(small), None);
+            let fixed = DeadlineModel::Fixed(floor);
+            assert_eq!(fixed.deadline_for(small + extra), Some(floor));
+        }
     }
 
     #[test]
@@ -652,6 +770,31 @@ mod tests {
         assert!(w.flows[..8].iter().all(|f| f.dst == first_dst));
         assert!(w.flows[..8].iter().all(|f| f.src != f.dst));
         assert!(w.flows.iter().all(|f| f.start == SimTime::from_millis(5)));
+    }
+
+    /// `fan_in` senders per receiver, no self-flows and one shared
+    /// destination per group, for any host count and fan-in.
+    #[test]
+    fn incast_workload_structure() {
+        for case in 0..CASES {
+            let mut params = case_rng(8, case);
+            let n = params.range(6usize..120);
+            let fan_in = params.range(2usize..16);
+            if n <= fan_in {
+                continue;
+            }
+            let w = incast_workload(&hosts(n), fan_in, 32_000, SimTime::from_millis(1));
+            assert!(!w.flows.is_empty());
+            assert_eq!(w.flows.len() % fan_in, 0);
+            for group in w.flows.chunks(fan_in) {
+                let dst = group[0].dst;
+                for f in group {
+                    assert_eq!(f.dst, dst);
+                    assert_ne!(f.src, f.dst);
+                    assert_eq!(f.size, Some(32_000));
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,4 +23,15 @@ pub use flows::{
     incast_workload, paper_workload, ArrivalProcess, DeadlineModel, FlowClass, FlowSizeModel,
     FlowSpec, PaperWorkloadConfig, Workload, DATA_MINING, WEB_SEARCH,
 };
-pub use matrix::{assign_destinations, TrafficMatrix};
+pub use matrix::TrafficMatrix;
+
+/// Each property test draws `CASES` inputs from `case_rng`: the same sample
+/// on every run, so a failure reproduces without a shrinker.
+#[cfg(test)]
+const CASES: u64 = 64;
+
+/// The source of property `property`'s `case`th input.
+#[cfg(test)]
+fn case_rng(property: u64, case: u64) -> netsim::SimRng {
+    netsim::SimRng::new(0xC0FFEE ^ (property << 32) ^ case)
+}

@@ -32,7 +32,7 @@ pub enum TrafficMatrix {
 /// from `candidates` (usually the same set, or all hosts).
 ///
 /// Returns pairs `(src, dst)` with `src != dst` guaranteed.
-pub fn assign_destinations(
+pub(crate) fn assign_destinations(
     matrix: TrafficMatrix,
     senders: &[Addr],
     candidates: &[Addr],
@@ -117,23 +117,30 @@ fn permutation(senders: &[Addr], candidates: &[Addr], rng: &mut SimRng) -> Vec<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{case_rng, CASES};
 
     fn hosts(n: usize) -> Vec<Addr> {
         (0..n as u32).map(Addr).collect()
     }
 
+    /// The permutation matrix never maps a host to itself and never assigns
+    /// two senders the same destination.
     #[test]
-    fn permutation_has_no_self_pairs_and_unique_destinations() {
-        let mut rng = SimRng::new(7);
-        let h = hosts(64);
-        let pairs = assign_destinations(TrafficMatrix::Permutation, &h, &h, &mut rng);
-        assert_eq!(pairs.len(), 64);
-        let mut dsts = std::collections::HashSet::new();
-        for (s, d) in &pairs {
-            assert_ne!(s, d, "self pair");
-            dsts.insert(*d);
+    fn permutation_matrix_is_a_derangement() {
+        for case in 0..CASES {
+            let mut params = case_rng(1, case);
+            let n = params.range(2usize..200);
+            let seed = params.range(0u64..1000);
+            let h = hosts(n);
+            let mut rng = SimRng::new(seed);
+            let pairs = assign_destinations(TrafficMatrix::Permutation, &h, &h, &mut rng);
+            assert_eq!(pairs.len(), n);
+            let mut seen = std::collections::HashSet::new();
+            for (s, d) in pairs {
+                assert_ne!(s, d, "n={n} seed={seed}");
+                assert!(seen.insert(d), "duplicate destination (n={n} seed={seed})");
+            }
         }
-        assert_eq!(dsts.len(), 64, "destinations must be distinct");
     }
 
     #[test]
@@ -146,6 +153,7 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Host `i` sends `k` places on, and never to itself.
     #[test]
     fn stride_matrix() {
         let mut rng = SimRng::new(3);
@@ -153,8 +161,21 @@ mod tests {
         let pairs = assign_destinations(TrafficMatrix::Stride(4), &h, &h, &mut rng);
         assert_eq!(pairs[0], (Addr(0), Addr(4)));
         assert_eq!(pairs[5], (Addr(5), Addr(1)));
+        for case in 0..CASES {
+            let mut params = case_rng(11, case);
+            let n = params.range(3usize..100);
+            let k = params.range(1usize..50);
+            let h = hosts(n);
+            let pairs = assign_destinations(TrafficMatrix::Stride(k), &h, &h, &mut params);
+            assert_eq!(pairs.len(), n);
+            for (s, d) in pairs {
+                assert_ne!(s, d, "n={n} k={k}");
+            }
+        }
     }
 
+    /// Most senders pick a hot host at an 80 % fraction; for any hot-set
+    /// size and fraction, every sender keeps one destination, never itself.
     #[test]
     fn hotspot_concentrates_traffic() {
         let mut rng = SimRng::new(5);
@@ -173,8 +194,24 @@ mod tests {
             hot_count > 50,
             "expected most flows to hit the hot hosts, got {hot_count}"
         );
-        for (s, d) in pairs {
-            assert_ne!(s, d);
+        for case in 0..CASES {
+            let mut params = case_rng(9, case);
+            let n = params.range(4usize..150);
+            let hot_hosts = params.range(1usize..8);
+            let fraction = params.range(0u32..1000);
+            let seed = params.range(0u64..300);
+            let h = hosts(n);
+            let mut rng = SimRng::new(seed);
+            let matrix = TrafficMatrix::Hotspot {
+                hot_hosts,
+                hot_fraction_millis: fraction,
+            };
+            let pairs = assign_destinations(matrix, &h, &h, &mut rng);
+            assert_eq!(pairs.len(), n);
+            for (s, d) in pairs {
+                assert_ne!(s, d);
+                assert!(d.index() < n);
+            }
         }
     }
 }

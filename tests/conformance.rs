@@ -14,12 +14,11 @@
 //!   multi-path machinery must cost nothing when there are no paths to use.
 //! * **Claims**: every row of the claims table in `mmptcp::scenario` holds on
 //!   its scenario's golden document, reassembled from the committed cells.
-//!   A claim is a row of that table; the tests below check it group by group
-//!   and whole.
+//!   A claim is a row of that table, and one test checks the whole table.
 
 mod common;
 
-use common::{assert_claims_hold, golden_cells, CELLS};
+use common::{golden_cells, CELLS};
 use mmptcp::prelude::*;
 use mmptcp::scenario::{catalog, conservation_runs, find, Fidelity};
 use netsim::{Packet, PathPolicy};
@@ -167,25 +166,33 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// fig1bc's golden rows are what its configs produce today, byte for byte,
-/// under the two defaults the goldens were pinned with, both checked here:
-/// the Reno controller behind the `transport::cc::CongestionController`
-/// trait (so the extracted Reno arithmetic is the legacy inline one) and
-/// `TraceConfig::Off` (so the flight recorder costs the golden nothing). The
-/// 2-thread driver is the path `scenarios check` takes; thread-count
-/// independence itself is pinned by the driver's and telemetry's tests.
+/// The golden rows are what the configs produce today, byte for byte,
+/// under the defaults they were pinned with: every cell runs with
+/// `TraceConfig::Off` (so the flight recorder costs the golden nothing), and
+/// fig1bc under the Reno controller behind the
+/// `transport::cc::CongestionController` trait (so the extracted Reno
+/// arithmetic is the legacy inline one). fig1bc and incast, the cheapest
+/// scenario, regenerate in one sweep of the 2-thread driver, the path
+/// `scenarios check` takes; thread-count independence itself is pinned by
+/// the driver's and telemetry's tests.
 #[test]
-fn explicit_reno_reproduces_the_fig1bc_golden_byte_for_byte() {
-    let fig1bc = find("fig1bc").expect("fig1bc is in the catalog");
-    let configs = fig1bc.configs(Fidelity::Fast);
-    for (label, cfg) in &configs {
-        assert_eq!(cfg.transport.cc, CongestionControl::Reno, "{label}");
-        assert_eq!(cfg.trace, TraceConfig::Off, "{label}");
+fn untraced_reno_runs_regenerate_the_goldens_byte_for_byte() {
+    for ((name, cfg), _) in mmptcp::scenario::cells(catalog()) {
+        assert_eq!(cfg.trace, TraceConfig::Off, "{name}");
     }
-    let results = Driver::with_threads(2).run_labelled(configs);
-    let report = mmptcp::scenario::report("fig1bc", Fidelity::Fast, &results);
-    let golden = fig1bc.reassemble(&golden_cells()).unwrap();
-    assert_eq!(report.to_json(), golden.to_json());
+    let scenarios = ["fig1bc", "incast"].map(|name| find(name).expect("a catalog scenario"));
+    let rows = scenarios.map(|s| s.configs(Fidelity::Fast));
+    for (label, cfg) in &rows[0] {
+        assert_eq!(cfg.transport.cc, CongestionControl::Reno, "{label}");
+    }
+    let mut results = Driver::with_threads(2).run_labelled(rows.concat());
+    let cells = golden_cells();
+    for (s, rows) in scenarios.iter().zip(&rows) {
+        let runs: Vec<_> = results.drain(..rows.len()).collect();
+        let report = mmptcp::scenario::report(s.name, Fidelity::Fast, &runs);
+        let golden = s.reassemble(&cells).unwrap();
+        assert_eq!(report.to_json(), golden.to_json(), "{}", s.name);
+    }
 }
 
 /// `tests/golden/` is one canonical document whose rows are the catalog's
@@ -246,30 +253,6 @@ fn every_claim_holds_on_the_golden_cells() {
         .flat_map(|s| s.check_claims(&s.reassemble(&cells).unwrap_or_else(|e| panic!("{e}"))))
         .collect();
     assert!(broken.is_empty(), "broken claims: {broken:#?}");
-}
-
-/// RepFlow beats TCP's mice p99 cell by cell; MMPTCP-8's pooled long-flow
-/// goodput stays within 5 % of MPTCP-8's.
-#[test]
-fn battle_matrix_golden_witnesses_the_headline_claims() {
-    assert_claims_hold("battle-matrix", &["mice p99", "long goodput"], 3);
-}
-
-/// BBR's long-flow goodput is at least Reno's, single-path and under MMPTCP;
-/// only the DCTCP cell sees ECN marks.
-#[test]
-fn cc_battle_golden_witnesses_the_controller_claims() {
-    assert_claims_hold("cc-battle", &["long goodput", "ecn marks"], 5);
-}
-
-/// The deadline model moves D²TCP; the phase switch happens under every
-/// data-volume threshold and never in the PS-only ablation. That it moves no
-/// deadline-blind transport is the config normal form's rule, checked by
-/// `scenario::tests::a_normal_form_shares_its_cells_result`.
-#[test]
-fn design_knob_goldens_witness_deadlines_and_phase_switching() {
-    assert_claims_hold("deadlines", &["-", "ecn marks"], 2);
-    assert_claims_hold("switching", &["phase switches"], 2);
 }
 
 /// Link failure × size-aware routing: on the fig-style fat-tree with 25% of

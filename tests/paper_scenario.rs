@@ -1,33 +1,11 @@
 //! The paper's evaluation scenario. At reduced scale (32 hosts at 2:1,
 //! MPTCP-8 against MMPTCP-8 over five seeds, the `fig1-seeds` cells) its
-//! claims are rows of the claims table in `mmptcp::scenario`, checked group
-//! by group on the committed golden cells, so nothing is run. The 64-host,
-//! 4:1 check runs once per protocol and is ignored by default.
+//! claims are rows of the claims table in `mmptcp::scenario`, checked whole
+//! on the committed golden cells by the conformance layer, so nothing is run
+//! here in tier-1. The 64-host, 4:1 check runs once per protocol and is
+//! ignored by default.
 
-mod common;
-
-use common::assert_claims_hold;
 use mmptcp::prelude::*;
-
-/// Every short flow of every seed completes, more than ten a run.
-#[test]
-fn both_protocols_complete_the_paper_workload() {
-    assert_claims_hold("fig1-seeds", &["completed", "short flows"], 4);
-}
-
-/// Summed over the seeds, MMPTCP-8 has fewer RTO-bound short flows and a
-/// lower short-flow p99 than MPTCP-8, whose eight small windows fall into RTOs.
-#[test]
-fn mmptcp_tail_is_no_worse_than_mptcp_tail() {
-    assert_claims_hold("fig1-seeds", &["rto flows", "short p99"], 2);
-}
-
-/// "Same average throughput": over 0.5 Gbps of long-flow goodput a run, and
-/// the two protocols' sums over the seeds within 5 % of each other.
-#[test]
-fn long_flow_throughput_is_comparable_between_protocols() {
-    assert_claims_hold("fig1-seeds", &["long goodput"], 5);
-}
 
 /// The benchmark-scale (64-host, 4:1 over-subscribed) shape check matching
 /// Figure 1(b)/(c) and the §3 statistics: MMPTCP has fewer RTO-affected short
