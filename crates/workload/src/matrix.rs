@@ -123,8 +123,22 @@ mod tests {
         (0..n as u32).map(Addr).collect()
     }
 
-    /// The permutation matrix never maps a host to itself and never assigns
-    /// two senders the same destination.
+    #[test]
+    fn permutation_has_no_self_pairs_and_unique_destinations() {
+        let mut rng = SimRng::new(7);
+        let h = hosts(64);
+        let pairs = assign_destinations(TrafficMatrix::Permutation, &h, &h, &mut rng);
+        assert_eq!(pairs.len(), 64);
+        let mut dsts = std::collections::HashSet::new();
+        for (s, d) in &pairs {
+            assert_ne!(s, d, "self pair");
+            dsts.insert(*d);
+        }
+        assert_eq!(dsts.len(), 64, "destinations must be distinct");
+    }
+
+    /// For any host count and seed, the permutation matrix never maps a host
+    /// to itself and never assigns two senders the same destination.
     #[test]
     fn permutation_matrix_is_a_derangement() {
         for case in 0..CASES {
@@ -153,7 +167,7 @@ mod tests {
         assert_ne!(a, c);
     }
 
-    /// Host `i` sends `k` places on, and never to itself.
+    /// Host `i` sends `k` places on.
     #[test]
     fn stride_matrix() {
         let mut rng = SimRng::new(3);
@@ -161,6 +175,12 @@ mod tests {
         let pairs = assign_destinations(TrafficMatrix::Stride(4), &h, &h, &mut rng);
         assert_eq!(pairs[0], (Addr(0), Addr(4)));
         assert_eq!(pairs[5], (Addr(5), Addr(1)));
+    }
+
+    /// For any host count and stride, every host keeps one destination,
+    /// never itself.
+    #[test]
+    fn stride_matrices_avoid_self() {
         for case in 0..CASES {
             let mut params = case_rng(11, case);
             let n = params.range(3usize..100);
@@ -174,8 +194,7 @@ mod tests {
         }
     }
 
-    /// Most senders pick a hot host at an 80 % fraction; for any hot-set
-    /// size and fraction, every sender keeps one destination, never itself.
+    /// Most senders pick a hot host at an 80 % fraction.
     #[test]
     fn hotspot_concentrates_traffic() {
         let mut rng = SimRng::new(5);
@@ -194,6 +213,15 @@ mod tests {
             hot_count > 50,
             "expected most flows to hit the hot hosts, got {hot_count}"
         );
+        for (s, d) in pairs {
+            assert_ne!(s, d);
+        }
+    }
+
+    /// For any hot-set size and fraction, every sender keeps one
+    /// destination, never itself.
+    #[test]
+    fn hotspot_matrix_is_valid() {
         for case in 0..CASES {
             let mut params = case_rng(9, case);
             let n = params.range(4usize..150);

@@ -166,33 +166,25 @@ fn every_transport_degenerates_to_plain_tcp_on_a_single_path_dumbbell() {
     }
 }
 
-/// The golden rows are what the configs produce today, byte for byte,
-/// under the defaults they were pinned with: every cell runs with
-/// `TraceConfig::Off` (so the flight recorder costs the golden nothing), and
-/// fig1bc under the Reno controller behind the
-/// `transport::cc::CongestionController` trait (so the extracted Reno
-/// arithmetic is the legacy inline one). fig1bc and incast, the cheapest
-/// scenario, regenerate in one sweep of the 2-thread driver, the path
-/// `scenarios check` takes; thread-count independence itself is pinned by
-/// the driver's and telemetry's tests.
+/// fig1bc's golden rows are what its configs produce today, byte for byte,
+/// under the two defaults the goldens were pinned with, both checked here:
+/// the Reno controller behind the `transport::cc::CongestionController`
+/// trait (so the extracted Reno arithmetic is the legacy inline one) and
+/// `TraceConfig::Off` (so the flight recorder costs the golden nothing). The
+/// 2-thread driver is the path `scenarios check` takes; thread-count
+/// independence itself is pinned by the driver's and telemetry's tests.
 #[test]
-fn untraced_reno_runs_regenerate_the_goldens_byte_for_byte() {
-    for ((name, cfg), _) in mmptcp::scenario::cells(catalog()) {
-        assert_eq!(cfg.trace, TraceConfig::Off, "{name}");
-    }
-    let scenarios = ["fig1bc", "incast"].map(|name| find(name).expect("a catalog scenario"));
-    let rows = scenarios.map(|s| s.configs(Fidelity::Fast));
-    for (label, cfg) in &rows[0] {
+fn explicit_reno_reproduces_the_fig1bc_golden_byte_for_byte() {
+    let fig1bc = find("fig1bc").expect("fig1bc is in the catalog");
+    let configs = fig1bc.configs(Fidelity::Fast);
+    for (label, cfg) in &configs {
         assert_eq!(cfg.transport.cc, CongestionControl::Reno, "{label}");
+        assert_eq!(cfg.trace, TraceConfig::Off, "{label}");
     }
-    let mut results = Driver::with_threads(2).run_labelled(rows.concat());
-    let cells = golden_cells();
-    for (s, rows) in scenarios.iter().zip(&rows) {
-        let runs: Vec<_> = results.drain(..rows.len()).collect();
-        let report = mmptcp::scenario::report(s.name, Fidelity::Fast, &runs);
-        let golden = s.reassemble(&cells).unwrap();
-        assert_eq!(report.to_json(), golden.to_json(), "{}", s.name);
-    }
+    let results = Driver::with_threads(2).run_labelled(configs);
+    let report = mmptcp::scenario::report("fig1bc", Fidelity::Fast, &results);
+    let golden = fig1bc.reassemble(&golden_cells()).unwrap();
+    assert_eq!(report.to_json(), golden.to_json());
 }
 
 /// `tests/golden/` is one canonical document whose rows are the catalog's

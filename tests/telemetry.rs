@@ -3,9 +3,8 @@
 //! Three properties the trace subsystem must keep:
 //!
 //! 1. **Zero cost when off** — `TraceConfig::Off` (the default) leaves every
-//!    golden metric byte-identical (the conformance layer regenerates
-//!    goldens untraced), and turning tracing *on* still does not perturb the
-//!    simulation itself (identical FCTs, counters and loss).
+//!    golden metric byte-identical, and turning tracing *on* still does not
+//!    perturb the simulation itself (identical FCTs, counters and loss).
 //! 2. **Determinism** — the same seed produces byte-identical trace CSV
 //!    across repeated runs and across driver thread counts (per-worker
 //!    sinks travel inside results, which merge in config order).
@@ -248,4 +247,20 @@ fn flow_filter_restricts_series_to_one_flow() {
     let sink = r.trace.as_ref().unwrap();
     assert!(!sink.flow_keys().is_empty());
     assert!(sink.flow_keys().iter().all(|&(f, _)| f == 1));
+}
+
+/// `TraceConfig::Off` leaves the golden contract untouched: every cell is
+/// pinned with tracing off, and the cheapest golden scenario (incast) still
+/// regenerates its committed rows byte for byte, as `scenarios check` does.
+#[test]
+fn trace_off_keeps_golden_metrics_byte_identical() {
+    for ((name, cfg), _) in scenario::cells(scenario::catalog()) {
+        assert_eq!(cfg.trace, TraceConfig::Off, "{name}");
+    }
+    let cells = metrics::ScenarioReport::from_json(include_str!("golden/cells.json")).unwrap();
+    let incast = scenario::find("incast").unwrap();
+    let golden = incast.reassemble(&cells).unwrap();
+    let results = Driver::with_threads(2).run_labelled(incast.configs(Fidelity::Fast));
+    let report = scenario::report("incast", Fidelity::Fast, &results);
+    assert_eq!(report.to_json(), golden.to_json());
 }
