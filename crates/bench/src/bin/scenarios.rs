@@ -42,7 +42,8 @@
 //!
 //! `run` prints to stderr each claim of the scenario's rows that the run
 //! breaks (`Scenario::check_claims`), at every fidelity and under every
-//! override; stdout, `--json` included, does not change.
+//! override, and then exits non-zero; stdout, `--json` included, does not
+//! change.
 //!
 //! `check` runs the cells that the rows of the selected scenarios (default:
 //! all) share, as `mmptcp::scenario::cells` lists them, in one driver
@@ -150,6 +151,8 @@ fn usage() -> ! {
         "usage: scenarios <list|run|check|bless|conserve|trace|figures> [<name>...] [--full | --paper] \
          [--seed N] [--seeds N] [--engine packet|hybrid] [--cc reno|cubic|bbr] \
          [--threads N] [--json] [--flow ID] [--links]\n\
+         run prints the table (or --json) and exits non-zero when a run breaks a \
+         claim of the scenario's rows;\n\
          check/bless always run the pinned fast fidelity and reject \
          --full/--paper/--seed/--engine/--cc; check also audits conservation on every \
          cell; bless rewrites every cell and takes no names;\n\
@@ -374,6 +377,7 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
 
 fn cmd_run(opts: &Options) -> ExitCode {
     let fidelity = opts.fidelity;
+    let mut broken_claims = 0;
     for s in select(&opts.names) {
         let mut configs = s.configs(fidelity);
         for (_, cfg) in configs.iter_mut() {
@@ -383,6 +387,7 @@ fn cmd_run(opts: &Options) -> ExitCode {
         let report = scenario::report(s.name, fidelity, &results);
         for broken in s.check_claims(&report) {
             eprintln!("BROKEN CLAIM  {broken}");
+            broken_claims += 1;
         }
         if opts.json {
             print!("{}", report.to_json());
@@ -397,7 +402,7 @@ fn cmd_run(opts: &Options) -> ExitCode {
         }
         println!("{}", table.render());
     }
-    ExitCode::SUCCESS
+    ExitCode::from(u8::from(broken_claims > 0))
 }
 
 /// Check the conservation law on every run, printing a `VIOLATION` line for

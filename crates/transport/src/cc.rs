@@ -12,10 +12,9 @@
 //! Shipped controllers (each keeps one [`Window`] and overrides the trait's
 //! provided NewReno hooks only where its rule differs):
 //!
-//! * `Reno` — the NewReno/RFC 5681 state machine extracted from the
-//!   pre-refactor `Subflow`, byte-identical to it (including RFC 6356
+//! * `Reno` — the NewReno/RFC 5681 window rules, with RFC 6356
 //!   linked-increase coupling when the connection supplies
-//!   [`LiaParams`]). The default.
+//!   [`LiaParams`]. The default.
 //! * `Cubic` — RFC 8312 cubic window growth with a delay-based hybrid
 //!   slow start (HyStart-style exit when round-trip delay inflates).
 //! * `Bbr` — model-based control: a windowed max filter over per-ACK
@@ -252,10 +251,9 @@ pub trait CongestionController: std::fmt::Debug + Send {
 
 // --- Reno ----------------------------------------------------------------
 
-/// NewReno (RFC 5681/6582) with optional RFC 6356 linked increase — the
-/// congestion response extracted verbatim from the pre-refactor `Subflow`,
-/// kept byte-identical so every golden snapshot pins it. Everything but the
-/// increase and the two backoffs is the trait's provided behaviour.
+/// NewReno (RFC 5681/6582) with optional RFC 6356 linked increase.
+/// Everything but the increase and the two backoffs is the trait's provided
+/// behaviour.
 #[derive(Debug)]
 pub(crate) struct Reno {
     w: Window,

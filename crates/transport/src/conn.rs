@@ -172,7 +172,7 @@ pub trait Policy: Send {
     }
 
     /// The flow has just completed.
-    fn on_finish(&mut self, _conn: &mut ConnState) {}
+    fn on_finish(&mut self, _conn: &mut ConnState, _ctx: &mut AgentCtx<'_>) {}
 }
 
 /// A sender: the shared connection core steered by transport policy `P`.
@@ -242,7 +242,7 @@ impl<P: Policy> Connection<P> {
     /// `fluid_bytes` by the fluid engine.
     fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) {
         self.conn.mode = Mode::Done;
-        self.policy.on_finish(&mut self.conn);
+        self.policy.on_finish(&mut self.conn, ctx);
         ctx.signal(Signal::FlowCompleted {
             flow: self.conn.flow,
             at: ctx.now(),
@@ -375,7 +375,7 @@ impl<P: Policy> Connection<P> {
             AgentEvent::FluidComplete { bytes } => {
                 if conn.mode != Mode::Done {
                     for sf in conn.subflows.iter_mut() {
-                        sf.abort();
+                        sf.abort(ctx);
                     }
                     let total = conn.total.unwrap_or(conn.next_data_seq + bytes);
                     self.complete(ctx, total, bytes);
@@ -444,7 +444,7 @@ mod tests {
     /// is cancelled and the state stays `SynSent`, so a SYN-ACK still in
     /// flight would open the subflow.
     fn abort_syn(l: &mut Tcp) {
-        l.tx.conn.subflows[0].abort();
+        l.act(|tx, ctx| tx.conn.subflows[0].abort(ctx));
         l.deliver(Timer(l.timers[0].1));
         assert_eq!((l.sent.len(), l.armed.len()), (1, 1), "the SYN, once");
     }

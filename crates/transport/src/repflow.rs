@@ -147,9 +147,9 @@ impl Policy for Replicated {
     /// First full delivery wins: silence the losing replica so it stops
     /// retransmitting bytes nobody needs (the real protocol closes the
     /// slower connection).
-    fn on_finish(&mut self, conn: &mut ConnState) {
+    fn on_finish(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
         for sf in conn.subflows.iter_mut() {
-            sf.abort();
+            sf.abort(ctx);
         }
     }
 }

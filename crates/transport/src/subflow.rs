@@ -2,9 +2,12 @@
 //!
 //! A [`Subflow`] is a complete single-path TCP sender state machine: SYN
 //! handshake, sliding window, slow start / congestion avoidance, duplicate-ACK
-//! counting with a configurable threshold, fast retransmit + NewReno-style
-//! fast recovery, RTO with exponential backoff, and optional DCTCP-style ECN
-//! reaction.
+//! counting with a configurable threshold, fast retransmit and fast recovery,
+//! RTO with exponential backoff, and optional DCTCP-style ECN reaction. Every
+//! change of state is one arm of `Subflow::step`; the diagram is beside
+//! `State`. What recovery does not do yet (ROADMAP item 16): a partial ACK
+//! does not deflate the window (RFC 6582 §3.2 step 5), and no receive window
+//! bounds `snd_nxt − snd_una`, so a flow in recovery keeps growing its flight.
 //!
 //! Every transport in this crate is built out of subflows:
 //! * plain TCP is one subflow whose data sequence equals its subflow sequence;
@@ -49,7 +52,33 @@ pub struct SubflowUpdate {
     pub spurious_retransmits: u32,
 }
 
-/// Handshake and loss-recovery state.
+/// Handshake and loss-recovery state. [`Subflow::step`] is the only place
+/// it changes; each edge below is one of its arms.
+///
+/// ```text
+///           start              SYN-ACK
+/// Closed ──────────▶ SynSent ──────────▶ Open ◀──────────────────────────┐
+///                     │   ▲               │  ↺ full ACK: grow the window │
+///                     └───┘               │  ↺ dup ACK below threshold   │
+///                 RTO: back off,          │                              │
+///                 resend the SYN          │ dup ACK at the threshold     │
+///                                         │ (RFC 5681 §3.2), or RTO      │
+///                                         │ (RFC 6298 §5): enter         │
+///                                         ▼ recovery                     │
+///                               Recovering { recover } ──────────────────┘
+///  ↺ dup ACK: inflate by one MSS            full ACK: deflate to ssthresh
+///  ↺ partial ACK: resend the next hole      (RFC 6582 §3.2); spurious hint
+///  ↺ RTO: enter recovery again              with undo armed: undo; abort
+/// ```
+///
+/// Entering recovery is one sequence for both causes: signal, resend the
+/// first hole, arm the timer, `recover = snd_nxt`. A spurious hint undoes
+/// only when undo is on and armed, and can do so in `Open` too: the hint may
+/// follow the full ACK that ended the episode, so `undo_armed` outlives
+/// `Recovering`. An ACK before the handshake completes, a SYN-ACK after it
+/// and an RTO while `Closed` are ignored; an RTO with nothing outstanding
+/// only cancels the timer; `abort` forgets the unacknowledged data and
+/// cancels the timer in every state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Closed,
@@ -61,6 +90,30 @@ enum State {
     Recovering {
         recover: u64,
     },
+}
+
+/// What [`Subflow::step`] reacts to, classified from its input by `start`,
+/// `on_packet`, `on_timer` and `abort`.
+#[derive(Debug, Clone, Copy)]
+enum Event<'a> {
+    /// The connection opens the subflow.
+    Start,
+    /// The SYN-ACK, echoing the SYN's send time.
+    SynAck(SimTime),
+    /// An ACK of new data up to `recover` or beyond; outside recovery, every
+    /// ACK of new data.
+    FullAck(&'a Packet, Option<LiaParams>),
+    /// An ACK of new data short of `recover`.
+    PartialAck(&'a Packet),
+    /// An ACK of nothing new while data is outstanding.
+    DupAck,
+    /// The retransmission timer expired.
+    Rto,
+    /// The receiver got a second copy of the last retransmission: it was
+    /// spurious. Precedes the duplicate ACK that carries it.
+    SpuriousHint,
+    /// The connection silences the subflow.
+    Abort,
 }
 
 /// Duplicate ACKs that trigger a fast retransmission, until a policy raises
@@ -103,8 +156,9 @@ pub struct Subflow {
     undo_armed: bool,
     rtt: RttEstimator,
 
-    /// Pending RTO deadline and the generation of the last armed timer.
-    rto_deadline: Option<SimTime>,
+    /// Whether a retransmission timer is armed, and the generation of the
+    /// last one armed or cancelled (only a timer of that generation fires).
+    rto_armed: bool,
     timer_gen: u64,
 
     /// `(subflow sequence, connection data sequence, length)` of every
@@ -161,7 +215,7 @@ impl Subflow {
             undo_on_spurious: false,
             undo_armed: false,
             rtt,
-            rto_deadline: None,
+            rto_armed: false,
             timer_gen: 0,
             mappings: VecDeque::new(),
             last_retransmitted: None,
@@ -184,15 +238,9 @@ impl Subflow {
     }
 
     /// Is a loss being repaired (fast recovery, or go-back-N after an RTO)?
+    #[cfg(test)]
     pub(crate) fn is_recovering(&self) -> bool {
         matches!(self.state, State::Recovering { .. })
-    }
-
-    /// Leave loss recovery, if in it.
-    fn exit_recovery(&mut self) {
-        if self.is_recovering() {
-            self.state = State::Open;
-        }
     }
 
     /// Congestion window in bytes.
@@ -231,7 +279,7 @@ impl Subflow {
     /// retransmission deadline armed (so every timer still in the calendar is
     /// stale). Only a new `start` or `send_segment` wakes it.
     pub(crate) fn is_quiescent(&self) -> bool {
-        self.is_drained() && self.rto_deadline.is_none()
+        self.is_drained() && !self.rto_armed
     }
 
     /// How many more bytes the congestion window allows in flight right now.
@@ -354,9 +402,7 @@ impl Subflow {
 
     /// Begin the handshake: send a SYN and arm the retransmission timer.
     pub(crate) fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-        assert_eq!(self.state, State::Closed, "subflow already started");
-        self.state = State::SynSent;
-        self.send_syn(ctx);
+        self.step(ctx, Event::Start);
     }
 
     fn send_syn(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -380,12 +426,8 @@ impl Subflow {
     /// has completed through the other one — without an abort the laggard
     /// would keep retransmitting (and firing RTO signals) for data nobody
     /// needs any more.
-    pub(crate) fn abort(&mut self) {
-        self.mappings.clear();
-        self.snd_una = self.snd_nxt;
-        self.exit_recovery();
-        self.dup_acks = 0;
-        self.cancel_timer();
+    pub(crate) fn abort(&mut self, ctx: &mut AgentCtx<'_>) {
+        self.step(ctx, Event::Abort);
     }
 
     // --- timers -----------------------------------------------------------
@@ -404,64 +446,24 @@ impl Subflow {
 
     fn arm_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         self.timer_gen += 1;
+        self.rto_armed = true;
         let deadline = ctx.now() + self.rtt.rto();
-        self.rto_deadline = Some(deadline);
         ctx.set_timer(deadline, Self::timer_token(self.index, self.timer_gen));
     }
 
     fn cancel_timer(&mut self) {
-        self.rto_deadline = None;
+        self.rto_armed = false;
         self.timer_gen += 1;
     }
 
     /// Handle a timer firing for this subflow. `gen` is the generation part of
-    /// the token; stale timers are ignored.
+    /// the token; a timer of an older generation was re-armed or cancelled
+    /// since (no timer of generation 0 is ever armed).
     pub(crate) fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, gen: u64) -> SubflowUpdate {
-        let mut update = SubflowUpdate::default();
-        if gen != self.timer_gen || self.rto_deadline.is_none() {
-            return update; // stale or cancelled
+        if gen != self.timer_gen {
+            return SubflowUpdate::default();
         }
-        match self.state {
-            State::Closed => {}
-            State::SynSent => {
-                // Lost SYN: back off and retry.
-                self.rtt.backoff();
-                update.congestion_event = true;
-                ctx.signal(Signal::RetransmissionTimeout {
-                    flow: self.flow,
-                    subflow: self.index,
-                    at: ctx.now(),
-                });
-                self.send_syn(ctx);
-            }
-            State::Open | State::Recovering { .. } => {
-                if self.is_drained() {
-                    self.cancel_timer();
-                    return update;
-                }
-                // RFC 5681 timeout reaction. Entering the recovery state with
-                // `recover = snd_nxt` makes subsequent partial ACKs retransmit
-                // the remaining holes (go-back-N style, ACK clocked) instead of
-                // waiting one RTO per lost segment — essential when a burst
-                // overflows a drop-tail queue and the whole tail of the window
-                // is missing.
-                self.cc.on_rto(self.outstanding());
-                self.state = State::Recovering {
-                    recover: self.snd_nxt,
-                };
-                self.dup_acks = 0;
-                self.undo_armed = false;
-                self.rtt.backoff();
-                update.congestion_event = true;
-                ctx.signal(Signal::RetransmissionTimeout {
-                    flow: self.flow,
-                    subflow: self.index,
-                    at: ctx.now(),
-                });
-                self.retransmit_first_unacked(ctx);
-                self.arm_timer(ctx);
-            }
-        }
+        let update = self.step(ctx, Event::Rto);
         if update.congestion_event {
             self.trace_sample(ctx);
         }
@@ -480,7 +482,7 @@ impl Subflow {
         self.mappings.push_back((seq, data_seq, len));
         self.snd_nxt += len as u64;
         self.transmit(ctx, seq, data_seq, len, false);
-        if self.rto_deadline.is_none() {
+        if !self.rto_armed {
             self.arm_timer(ctx);
         }
     }
@@ -522,16 +524,7 @@ impl Subflow {
         lia: Option<LiaParams>,
     ) -> SubflowUpdate {
         let update = match pkt.kind {
-            PacketKind::SynAck if self.state == State::SynSent => {
-                self.state = State::Open;
-                self.cc.on_established(ctx.now(), &self.rtt);
-                self.rtt.on_sample(ctx.now() - pkt.sent_at);
-                self.cancel_timer();
-                SubflowUpdate {
-                    became_established: true,
-                    ..SubflowUpdate::default()
-                }
-            }
+            PacketKind::SynAck => self.step(ctx, Event::SynAck(pkt.sent_at)),
             PacketKind::Ack => self.on_ack(ctx, pkt, lia),
             _ => SubflowUpdate::default(),
         };
@@ -545,100 +538,222 @@ impl Subflow {
         pkt: &Packet,
         lia: Option<LiaParams>,
     ) -> SubflowUpdate {
-        let mut update = SubflowUpdate::default();
-        if !self.is_established() {
-            return update;
-        }
         let ack = pkt.ack;
         if ack > self.snd_una {
-            let newly = ack - self.snd_una;
-            self.snd_una = ack;
-            self.drop_acked_mappings();
-            self.dup_acks = 0;
-            // RTT sample from the echoed transmit timestamp.
-            if pkt.sent_at > SimTime::ZERO {
-                self.rtt.on_sample(ctx.now() - pkt.sent_at);
-            }
-
-            match self.state {
-                State::Recovering { recover } if ack >= recover => {
-                    // Full ACK: leave recovery.
-                    self.state = State::Open;
-                    self.cc.on_recovery_exit();
+            return match self.state {
+                State::Recovering { recover } if ack < recover => {
+                    self.step(ctx, Event::PartialAck(pkt))
                 }
-                // Partial ACK (NewReno): retransmit the next hole and stay
-                // in recovery.
-                State::Recovering { .. } => self.retransmit_first_unacked(ctx),
-                _ => self.cc.on_ack(newly, ctx.now(), &self.rtt, lia),
-            }
+                _ => self.step(ctx, Event::FullAck(pkt, lia)),
+            };
+        }
+        if self.outstanding() == 0 {
+            return SubflowUpdate::default();
+        }
+        let spurious = pkt.dup_hint && self.last_retransmitted.is_some_and(|seq| seq < ack);
+        let hint = match spurious {
+            true => self.step(ctx, Event::SpuriousHint),
+            false => SubflowUpdate::default(),
+        };
+        SubflowUpdate {
+            spurious_retransmits: hint.spurious_retransmits,
+            ..self.step(ctx, Event::DupAck)
+        }
+    }
 
-            if let Some(resp) = &mut self.ecn {
-                resp.on_ack(newly, pkt.ecn_echo);
+    /// The transition function: the one place `state` changes, one arm per
+    /// (state, event) pair of the diagram beside [`State`].
+    fn step(&mut self, ctx: &mut AgentCtx<'_>, event: Event<'_>) -> SubflowUpdate {
+        use Event::*;
+        use State::*;
+        let mut update = SubflowUpdate::default();
+        self.state = match (self.state, event) {
+            (Closed, Start) => {
+                self.send_syn(ctx);
+                SynSent
             }
-            if self.snd_una >= self.round_end {
-                // One round trip of data completed: let the ECN responder
-                // fold in its marked fraction and give the controller its
-                // per-round hook, then start the next round at snd_nxt —
-                // exactly the window DCTCP's α-EWMA has always used.
-                if let Some(resp) = &mut self.ecn {
-                    resp.on_round_end(self.cc.as_mut());
-                }
-                self.cc.on_round_trip(ctx.now(), &self.rtt);
-                self.round_end = self.snd_nxt;
-            }
-
-            if self.is_drained() {
+            (SynSent | Open | Recovering { .. }, Start) => panic!("subflow already started"),
+            (SynSent, SynAck(sent_at)) => {
+                self.cc.on_established(ctx.now(), &self.rtt);
+                self.rtt.on_sample(ctx.now() - sent_at);
                 self.cancel_timer();
-            } else {
-                self.arm_timer(ctx);
+                update.became_established = true;
+                Open
             }
-        } else if self.outstanding() > 0 {
-            // Duplicate ACK.
-            if pkt.dup_hint {
-                if let Some(seq) = self.last_retransmitted {
-                    if seq < ack {
-                        update.spurious_retransmits += 1;
-                        self.last_retransmitted = None;
-                        ctx.signal(Signal::SpuriousRetransmit {
-                            flow: self.flow,
-                            subflow: self.index,
-                            at: ctx.now(),
-                        });
-                        if self.undo_on_spurious && self.undo_armed {
-                            // RR-TCP/Eifel-style undo: the "loss" was in fact
-                            // reordering, so the window reduction (and any
-                            // remaining recovery state) is reverted.
-                            self.exit_recovery();
-                            self.cc.undo();
-                            self.dup_acks = 0;
-                            self.undo_armed = false;
-                        }
-                    }
+            (state @ (Closed | Open | Recovering { .. }), SynAck(_))
+            | (state @ (Closed | SynSent), FullAck(..) | PartialAck(_) | DupAck | SpuriousHint)
+            | (state @ Closed, Rto) => state,
+            (Open, FullAck(pkt, lia)) => {
+                let newly = self.take_ack(ctx, pkt);
+                self.cc.on_ack(newly, ctx.now(), &self.rtt, lia);
+                self.settle_ack(ctx, pkt, newly);
+                Open
+            }
+            (Recovering { .. }, FullAck(pkt, _)) => {
+                let newly = self.take_ack(ctx, pkt);
+                self.cc.on_recovery_exit();
+                self.settle_ack(ctx, pkt, newly);
+                Open
+            }
+            (Open, PartialAck(_)) => unreachable!("only recovery has a partial ACK"),
+            (state @ Recovering { .. }, PartialAck(pkt)) => {
+                let newly = self.take_ack(ctx, pkt);
+                self.retransmit_first_unacked(ctx);
+                self.settle_ack(ctx, pkt, newly);
+                state
+            }
+            (Open, DupAck) => {
+                self.dup_acks += 1;
+                if self.dup_acks < self.dupack_threshold {
+                    Open
+                } else {
+                    // The controller snapshots its pre-loss state for a
+                    // possible undo.
+                    self.cc.on_loss(self.outstanding());
+                    self.undo_armed = true;
+                    self.enter_recovery(ctx, &mut update, false)
                 }
             }
-            self.dup_acks += 1;
-            if !self.is_recovering() && self.dup_acks >= self.dupack_threshold {
-                // Fast retransmit + enter fast recovery. The controller
-                // snapshots its pre-loss state for a possible undo.
-                self.cc.on_loss(self.outstanding());
-                self.undo_armed = true;
-                self.state = State::Recovering {
-                    recover: self.snd_nxt,
-                };
+            (state @ Recovering { .. }, DupAck) => {
+                // Window inflation while the hole is being repaired.
+                self.dup_acks += 1;
+                self.cc.on_dup_ack();
+                state
+            }
+            (SynSent, Rto) => {
+                // Lost SYN: back off and retry.
+                self.rtt.backoff();
                 update.congestion_event = true;
-                ctx.signal(Signal::FastRetransmit {
+                self.signal_timeout(ctx);
+                self.send_syn(ctx);
+                SynSent
+            }
+            (state @ (Open | Recovering { .. }), Rto) if self.is_drained() => {
+                self.cancel_timer();
+                state
+            }
+            (Open | Recovering { .. }, Rto) => {
+                // Entering recovery with `recover = snd_nxt` makes later
+                // partial ACKs retransmit the remaining holes (go-back-N
+                // style, ACK clocked) instead of waiting one RTO per lost
+                // segment — essential when a burst overflows a drop-tail
+                // queue and the whole tail of the window is missing.
+                self.cc.on_rto(self.outstanding());
+                self.dup_acks = 0;
+                self.undo_armed = false;
+                self.rtt.backoff();
+                self.enter_recovery(ctx, &mut update, true)
+            }
+            (state @ (Open | Recovering { .. }), SpuriousHint) => {
+                update.spurious_retransmits = 1;
+                self.last_retransmitted = None;
+                ctx.signal(Signal::SpuriousRetransmit {
                     flow: self.flow,
                     subflow: self.index,
                     at: ctx.now(),
                 });
-                self.retransmit_first_unacked(ctx);
-                self.arm_timer(ctx);
-            } else if self.is_recovering() {
-                // Window inflation while the hole is being repaired.
-                self.cc.on_dup_ack();
+                if self.undo_on_spurious && self.undo_armed {
+                    // RR-TCP/Eifel-style undo: the "loss" was in fact
+                    // reordering, so the window reduction (and any remaining
+                    // recovery state) is reverted.
+                    self.cc.undo();
+                    self.dup_acks = 0;
+                    self.undo_armed = false;
+                    Open
+                } else {
+                    state
+                }
             }
-        }
+            (state @ (Closed | SynSent | Open), Abort) => {
+                self.forget();
+                state
+            }
+            (Recovering { .. }, Abort) => {
+                self.forget();
+                Open
+            }
+        };
         update
+    }
+
+    /// Forget every unacknowledged mapping and cancel the timer.
+    fn forget(&mut self) {
+        self.mappings.clear();
+        self.snd_una = self.snd_nxt;
+        self.dup_acks = 0;
+        self.cancel_timer();
+    }
+
+    /// Enter loss recovery after the controller's response to a fast
+    /// retransmit or a timeout: signal it, resend the first hole and arm the
+    /// timer, until everything sent so far is acknowledged.
+    fn enter_recovery(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        update: &mut SubflowUpdate,
+        timeout: bool,
+    ) -> State {
+        update.congestion_event = true;
+        if timeout {
+            self.signal_timeout(ctx);
+        } else {
+            ctx.signal(Signal::FastRetransmit {
+                flow: self.flow,
+                subflow: self.index,
+                at: ctx.now(),
+            });
+        }
+        self.retransmit_first_unacked(ctx);
+        self.arm_timer(ctx);
+        State::Recovering {
+            recover: self.snd_nxt,
+        }
+    }
+
+    fn signal_timeout(&self, ctx: &mut AgentCtx<'_>) {
+        ctx.signal(Signal::RetransmissionTimeout {
+            flow: self.flow,
+            subflow: self.index,
+            at: ctx.now(),
+        });
+    }
+
+    /// What every ACK of new data does first: advance `snd_una` past it and
+    /// take the RTT sample its echoed timestamp carries. Returns the bytes
+    /// newly acknowledged.
+    fn take_ack(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) -> u64 {
+        let newly = pkt.ack - self.snd_una;
+        self.snd_una = pkt.ack;
+        self.drop_acked_mappings();
+        self.dup_acks = 0;
+        if pkt.sent_at > SimTime::ZERO {
+            self.rtt.on_sample(ctx.now() - pkt.sent_at);
+        }
+        newly
+    }
+
+    /// What every ACK of new data does last, after the window's response:
+    /// ECN accounting, the round-trip boundary, and the timer.
+    fn settle_ack(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet, newly: u64) {
+        if let Some(resp) = &mut self.ecn {
+            resp.on_ack(newly, pkt.ecn_echo);
+        }
+        if self.snd_una >= self.round_end {
+            // One round trip of data completed: let the ECN responder
+            // fold in its marked fraction and give the controller its
+            // per-round hook, then start the next round at snd_nxt —
+            // exactly the window DCTCP's α-EWMA has always used.
+            if let Some(resp) = &mut self.ecn {
+                resp.on_round_end(self.cc.as_mut());
+            }
+            self.cc.on_round_trip(ctx.now(), &self.rtt);
+            self.round_end = self.snd_nxt;
+        }
+        if self.is_drained() {
+            self.cancel_timer();
+        } else {
+            self.arm_timer(ctx);
+        }
     }
 
     fn drop_acked_mappings(&mut self) {
@@ -655,445 +770,263 @@ impl Subflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::repairs;
-    use netsim::{SimDuration, SimRng};
+    use crate::conn::{ConnState, Connection, Policy};
+    use crate::tcp::pump_single_path;
+    use crate::testing::{repairs, Loopback, Step, Step::*};
+    use std::collections::HashSet;
+    use State::Open;
 
-    const MSS: u32 = 1400;
+    const MSS: u64 = 1400;
+    /// The default initial ssthresh, `u64::MAX / 2`, as the window's `f64`.
+    const INF: u64 = 1 << 63;
+    /// Recovering from a loss in the initial window, which ends at 14 000.
+    const RECOVERING: State = State::Recovering { recover: 14_000 };
+    const ROUND: Step = Drop(|_| false);
+    const BLACKOUT: Step = Drop(|_| true);
 
-    struct Harness {
-        rng: SimRng,
-        out: Vec<Packet>,
-        timers: Vec<(SimTime, u64)>,
-        signals: Vec<Signal>,
-        now: SimTime,
+    /// Subflow 0 after a step: state; cwnd, ssthresh and outstanding bytes
+    /// (whole bytes); the fast retransmits, timeouts and spurious
+    /// retransmissions signalled so far; the RTO in milliseconds.
+    #[derive(Debug, PartialEq)]
+    struct Check(State, u64, u64, u64, (usize, usize, usize), u64);
+
+    /// Start `sender` in a [`Loopback`] and play `script`, checking subflow 0
+    /// after every step, and that the activations reported every congestion
+    /// event and spurious retransmission the subflow signalled.
+    fn play(rfc: &str, sender: Connection<Probe>, script: &[(Step, Check)]) {
+        let mut l = Loopback::new(FlowId(1), sender);
+        l.start();
+        let mut found = Vec::new();
+        for &(step, _) in script {
+            l.play(step);
+            let sf = &l.tx.conn.subflows[0];
+            let (fast, rto) = repairs(&l.signals, 0);
+            let spurious = l
+                .signals
+                .iter()
+                .filter(|s| matches!(s, Signal::SpuriousRetransmit { .. }))
+                .count();
+            let reported = (l.tx.policy.congestion_events, l.tx.policy.spurious);
+            assert_eq!(reported, (fast + rto, spurious), "{rfc}");
+            found.push(Check(
+                sf.state,
+                sf.cc.cwnd() as u64,
+                sf.cc.ssthresh() as u64,
+                sf.outstanding(),
+                (fast, rto, spurious),
+                sf.rtt.rto().as_millis_f64() as u64,
+            ));
+        }
+        let want: Vec<&Check> = script.iter().map(|(_, check)| check).collect();
+        assert_eq!(found.iter().collect::<Vec<_>>(), want, "{rfc}");
     }
 
-    impl Harness {
-        fn new() -> Self {
-            Harness {
-                rng: SimRng::new(1),
-                out: Vec::new(),
-                timers: Vec::new(),
-                signals: Vec::new(),
-                now: SimTime::from_millis(1),
-            }
+    /// Single-path TCP that counts what its subflow's activations report.
+    /// A greedy one hands every ACK RFC 6356 parameters with an absurd α, so
+    /// only the uncoupled cap bounds its increase.
+    #[derive(Default)]
+    struct Probe {
+        greedy: bool,
+        congestion_events: usize,
+        spurious: usize,
+    }
+
+    impl Policy for Probe {
+        const NAME: &'static str = "probe";
+
+        fn lia(&self, conn: &ConnState, idx: usize) -> Option<LiaParams> {
+            self.greedy.then(|| LiaParams {
+                alpha: 100.0,
+                total_cwnd_bytes: conn.subflows[idx].cwnd(),
+            })
         }
-        fn with<R>(&mut self, f: impl FnOnce(&mut AgentCtx<'_>) -> R) -> R {
-            let mut ctx = AgentCtx::new(
-                self.now,
-                FlowId(1),
-                &mut self.rng,
-                &mut self.out,
-                &mut self.timers,
-                &mut self.signals,
-            );
-            f(&mut ctx)
+
+        fn after_subflow_event(
+            &mut self,
+            _conn: &mut ConnState,
+            _ctx: &mut AgentCtx<'_>,
+            _idx: usize,
+            update: SubflowUpdate,
+        ) {
+            self.congestion_events += usize::from(update.congestion_event);
+            self.spurious += update.spurious_retransmits as usize;
         }
-        fn advance(&mut self, d: SimDuration) {
-            self.now += d;
+
+        fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+            pump_single_path(conn, ctx);
         }
     }
 
-    fn subflow(scatter: bool) -> Subflow {
-        subflow_with(TransportConfig::default(), scatter)
+    fn tcp_with(cfg: TransportConfig, total: Option<u64>) -> Connection<Probe> {
+        let subflow = |_| Subflow::new(cfg, 0, false, Addr(0), Addr(1), 50_000, 80, FlowId(1));
+        Connection::with_subflows(FlowId(1), total, 1, subflow, Probe::default())
+    }
+
+    fn tcp(total: Option<u64>) -> Connection<Probe> {
+        tcp_with(TransportConfig::default(), total)
     }
 
     /// In congestion avoidance from the first ACK: the slow-start threshold
     /// is half the initial window.
-    fn subflow_in_congestion_avoidance() -> Subflow {
-        let cfg = TransportConfig::default();
-        let initial_ssthresh = cfg.initial_cwnd_bytes() as u64 / 2;
-        let cfg = TransportConfig {
-            initial_ssthresh,
-            ..cfg
+    fn avoiding() -> TransportConfig {
+        TransportConfig {
+            initial_ssthresh: 5 * MSS,
+            ..TransportConfig::default()
+        }
+    }
+
+    /// `sender` with its subflow adjusted by `tune` before it starts.
+    fn tuned(mut sender: Connection<Probe>, tune: impl FnOnce(&mut Subflow)) -> Connection<Probe> {
+        tune(&mut sender.conn.subflows[0]);
+        sender
+    }
+
+    /// The loss-recovery table. A row is a sender, a script of
+    /// [`Loopback`] steps with the checkpoint after each, and the section
+    /// it implements; it runs as one `#[test]` under its own name.
+    macro_rules! rows {
+        ($($(#[doc = $doc:literal])* $name:ident: $rfc:literal, $sender:expr,
+            [$($step:expr => $check:expr,)*];)*) => {
+            $($(#[doc = $doc])* #[test] fn $name() {
+                play($rfc, $sender, &[$(($step, $check)),*]);
+            })*
         };
-        subflow_with(cfg, false)
     }
 
-    fn subflow_with(cfg: TransportConfig, scatter: bool) -> Subflow {
-        Subflow::new(cfg, 0, scatter, Addr(0), Addr(1), 50_000, 80, FlowId(1))
+    rows! {
+        /// The SYN-ACK opens a 10-segment window, and its RTT sample takes
+        /// the RTO from the initial 1 s to the 200 ms floor.
+        handshake_and_initial_window: "RFC 6928 §2, RFC 6298 §2", tcp(None), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+        ];
+        /// Every acknowledged segment adds one to the window.
+        slow_start_doubles_per_rtt: "RFC 5681 §3.1", tcp(None), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 28_000, INF, 28_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 56_000, INF, 56_000, (0, 0, 0), 200),
+        ];
+        /// Above ssthresh a window of ACKs adds less than one segment.
+        congestion_avoidance_grows_slowly: "RFC 5681 §3.1", tcp_with(avoiding(), None), [
+            ROUND => Check(Open, 14_000, 7_000, 14_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 15_342, 7_000, 14_000, (0, 0, 0), 200),
+        ];
+        /// RFC 6356's increase is never more than uncoupled Reno's: this
+        /// row's windows are `congestion_avoidance_grows_slowly`'s.
+        lia_increase_is_capped_by_uncoupled_increase: "RFC 6356 §3",
+            Connection { policy: Probe { greedy: true, ..Probe::default() }, ..tcp_with(avoiding(), None) }, [
+            ROUND => Check(Open, 14_000, 7_000, 14_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 15_342, 7_000, 14_000, (0, 0, 0), 200),
+        ];
+        /// The third duplicate ACK halves ssthresh, retransmits the hole and
+        /// inflates the window by three; each later one inflates it by one,
+        /// and the ACK of the repaired hole deflates it to ssthresh.
+        three_dupacks_trigger_fast_retransmit: "RFC 5681 §3.2", tcp(Some(14_000)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Drop(|p| p.seq == 0) => Check(RECOVERING, 19_600, 7_000, 14_000, (1, 0, 0), 200),
+            ROUND => Check(Open, 7_000, 7_000, 0, (1, 0, 0), 200),
+        ];
+        /// A partial ACK retransmits the next hole and stays in recovery;
+        /// the full ACK ends it. Each partial ACK here acknowledges one
+        /// segment, where step 5's deflation leaves the window as it is.
+        newreno_partial_ack_retransmits_next_hole: "RFC 6582 §3.2", tcp(Some(14_000)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Drop(|p| p.seq < 2 * MSS) => Check(RECOVERING, 18_200, 7_000, 14_000, (1, 0, 0), 200),
+            ROUND => Check(RECOVERING, 18_200, 7_000, 12_600, (1, 0, 0), 200),
+            ROUND => Check(Open, 7_000, 7_000, 0, (1, 0, 0), 200),
+        ];
+        /// A timeout collapses the window to one segment, retransmits the
+        /// first hole and doubles the RTO; the RTT sample of the first ACK
+        /// of new data ends the backoff, and each partial ACK repairs the
+        /// next hole.
+        rto_collapses_window_and_retransmits: "RFC 5681 §3.1, RFC 6298 §5", tcp(Some(14_000)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            BLACKOUT => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            ROUND => Check(RECOVERING, 1_400, 7_000, 14_000, (0, 1, 0), 400),
+            BLACKOUT => Check(RECOVERING, 1_400, 7_000, 14_000, (0, 1, 0), 400),
+            ROUND => Check(RECOVERING, 1_400, 7_000, 14_000, (0, 2, 0), 800),
+            ROUND => Check(RECOVERING, 1_400, 7_000, 12_600, (0, 2, 0), 200),
+        ];
+        /// Once everything is acknowledged the timer is off: the one armed
+        /// with the data fires stale.
+        stale_timers_are_ignored: "RFC 6298 §5.2", tcp(Some(MSS)), [
+            ROUND => Check(Open, 14_000, INF, 1_400, (0, 0, 0), 200),
+            ROUND => Check(Open, 15_400, INF, 0, (0, 0, 0), 200),
+            Expire => Check(Open, 15_400, INF, 0, (0, 0, 0), 200),
+        ];
+        /// Each marked round cuts the window by α/2, α an EWMA of the
+        /// marked fraction with gain 1/16; an unmarked round cuts nothing.
+        dctcp_reduces_window_proportionally_to_marks: "RFC 8257 §3.3",
+            tcp_with(TransportConfig::dctcp(), None), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Mark => Check(Open, 15_089, 15_089, 14_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 16_341, 15_089, 15_400, (0, 0, 0), 200),
+        ];
+        /// MMPTCP's packet-scatter threshold: nine duplicate ACKs from a
+        /// segment one round late are reordering, not loss.
+        high_dupack_threshold_tolerates_reordering: "MMPTCP's raised threshold",
+            tuned(tcp(None), |sf| sf.set_dupack_threshold(16)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Delay(|p| p.seq == 0) => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            ROUND => Check(Open, 16_800, INF, 16_800, (0, 0, 0), 200),
+        ];
+        /// The same late segment under threshold 2: its retransmission
+        /// reaches the receiver as a duplicate, which the sender counts.
+        spurious_retransmission_detection: "MMPTCP's spurious-retransmit detection",
+            tuned(tcp(None), |sf| sf.set_dupack_threshold(2)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Delay(|p| p.seq == 0) => Check(RECOVERING, 21_000, 7_000, 21_000, (1, 0, 0), 200),
+            ROUND => Check(Open, 8_303, 7_000, 7_000, (1, 0, 1), 200),
+        ];
+        /// With undo on, the duplicate restores the pre-recovery window.
+        spurious_retransmit_undo_restores_window: "MMPTCP's spurious undo (RR-TCP, Eifel)",
+            tuned(tcp(None), |sf| sf.set_undo_on_spurious(true)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Delay(|p| p.seq == 0) => Check(RECOVERING, 19_600, 7_000, 19_600, (1, 0, 0), 200),
+            ROUND => Check(Open, 19_600, INF, 19_600, (1, 0, 1), 200),
+        ];
+        /// With undo off, the halved window persists.
+        without_undo_spurious_recovery_keeps_reduced_window: "RFC 5681 §3.2, no undo", tcp(None), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Delay(|p| p.seq == 0) => Check(RECOVERING, 19_600, 7_000, 19_600, (1, 0, 0), 200),
+            ROUND => Check(Open, 8_059, 7_000, 7_000, (1, 0, 1), 200),
+        ];
+        /// A timeout is never undone: the window arrives two rounds late,
+        /// after the RTO, and the duplicate it causes restores nothing.
+        rto_recovery_is_never_undone: "MMPTCP's spurious undo (RR-TCP, Eifel)",
+            tuned(tcp(None), |sf| sf.set_undo_on_spurious(true)), [
+            ROUND => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Delay(|_| true) => Check(Open, 14_000, INF, 14_000, (0, 0, 0), 200),
+            Expire => Check(RECOVERING, 1_400, 7_000, 14_000, (0, 1, 0), 400),
+            ROUND => Check(Open, 7_000, 7_000, 7_000, (0, 1, 1), 478),
+        ];
     }
 
-    /// Establish the subflow by simulating a SYN / SYN-ACK exchange.
-    fn establish(h: &mut Harness, sf: &mut Subflow) {
-        h.with(|ctx| sf.start(ctx));
-        assert_eq!(h.out.len(), 1);
-        let syn = h.out.pop().unwrap();
-        assert_eq!(syn.kind, PacketKind::Syn);
-        h.advance(SimDuration::from_micros(100));
-        let mut synack = syn.reply_template();
-        synack.kind = PacketKind::SynAck;
-        synack.sent_at = syn.sent_at;
-        let upd = h.with(|ctx| sf.on_packet(ctx, &synack, None));
-        assert!(upd.became_established);
-        assert!(sf.is_established());
-    }
-
-    fn ack_for(sf: &Subflow, ack: u64, sent_at: SimTime) -> Packet {
-        let mut p = Packet::ack(
-            Addr(1),
-            Addr(0),
-            80,
-            50_000,
-            FlowId(1),
-            sf.index,
-            ack,
-            ack,
-            sent_at,
-        );
-        p.sent_at = sent_at;
-        p
-    }
-
-    #[test]
-    fn handshake_and_initial_window() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        assert_eq!(sf.cwnd(), (10 * MSS) as f64);
-        assert_eq!(sf.window_space(), (10 * MSS) as u64);
-        assert!(sf.srtt().is_some());
-    }
-
-    #[test]
-    fn slow_start_doubles_per_rtt() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        let before = sf.cwnd();
-        // Send and ack one full initial window.
-        for i in 0..10u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let sent_at = h.now;
-        h.advance(SimDuration::from_micros(200));
-        for i in 1..=10u64 {
-            let ack = ack_for(&sf, i * MSS as u64, sent_at);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        // Slow start: cwnd should have grown by ~1 MSS per acked MSS.
-        assert!(
-            sf.cwnd() >= before + (9 * MSS) as f64,
-            "cwnd {} should have nearly doubled from {}",
-            sf.cwnd(),
-            before
-        );
-    }
-
-    #[test]
-    fn congestion_avoidance_grows_slowly() {
-        let mut h = Harness::new();
-        let mut sf = subflow_in_congestion_avoidance();
-        establish(&mut h, &mut sf);
-        let before = sf.cwnd();
-        h.with(|ctx| sf.send_segment(ctx, 0, MSS));
-        let sent = h.now;
-        h.advance(SimDuration::from_micros(100));
-        let ack = ack_for(&sf, MSS as u64, sent);
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        let growth = sf.cwnd() - before;
-        assert!(growth > 0.0 && growth < MSS as f64, "CA growth {growth}");
-    }
-
-    #[test]
-    fn three_dupacks_trigger_fast_retransmit() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        for i in 0..5u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        h.out.clear();
-        // Three duplicate ACKs for sequence 0 (first segment lost).
-        for _ in 0..3 {
-            let ack = ack_for(&sf, 0, SimTime::ZERO);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert_eq!(repairs(&h.signals, 0), (1, 0));
-        // The retransmission is the segment starting at subflow seq 0.
-        let retx = h.out.iter().find(|p| p.kind == PacketKind::Data).unwrap();
-        assert_eq!(retx.seq, 0);
-        assert!(sf.is_recovering());
-    }
-
-    #[test]
-    fn high_dupack_threshold_tolerates_reordering() {
-        let mut h = Harness::new();
-        let mut sf = subflow(true);
-        sf.set_dupack_threshold(16);
-        establish(&mut h, &mut sf);
-        for i in 0..8u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        h.out.clear();
-        // Ten duplicate ACKs caused by reordering: below the threshold of 16,
-        // so no fast retransmit.
-        for _ in 0..10 {
-            let ack = ack_for(&sf, 0, SimTime::ZERO);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert_eq!(repairs(&h.signals, 0), (0, 0));
-        assert!(!sf.is_recovering());
-    }
-
-    #[test]
-    fn rto_collapses_window_and_retransmits() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        for i in 0..4u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        // Find the armed timer and fire it.
-        let (deadline, token) = *h.timers.last().unwrap();
-        let (_idx, gen) = Subflow::decode_timer_token(token);
-        h.now = deadline;
-        h.out.clear();
-        let upd = h.with(|ctx| sf.on_timer(ctx, gen));
-        assert!(upd.congestion_event);
-        assert_eq!(repairs(&h.signals, 0), (0, 1));
-        assert_eq!(sf.cwnd(), MSS as f64);
-        assert_eq!(h.out.len(), 1, "exactly the first segment is retransmitted");
-        assert_eq!(h.out[0].seq, 0);
-    }
-
-    #[test]
-    fn stale_timers_are_ignored() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        h.with(|ctx| sf.send_segment(ctx, 0, MSS));
-        let (_, token) = *h.timers.last().unwrap();
-        let (_, gen) = Subflow::decode_timer_token(token);
-        // ACK everything: timer is cancelled.
-        let ack = ack_for(&sf, MSS as u64, h.now);
-        h.advance(SimDuration::from_micros(50));
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(sf.is_drained());
-        let upd = h.with(|ctx| sf.on_timer(ctx, gen));
-        assert_eq!(repairs(&h.signals, 0), (0, 0));
-        assert!(!upd.congestion_event);
-    }
-
-    #[test]
-    fn newreno_partial_ack_retransmits_next_hole() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        for i in 0..6u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        // Lose segments 0 and 2: three dupacks at 0 trigger recovery.
-        for _ in 0..3 {
-            let ack = ack_for(&sf, 0, SimTime::ZERO);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert!(sf.is_recovering());
-        h.out.clear();
-        // Partial ACK up to 2*MSS (segment 0 repaired, hole at segment 2).
-        let ack = ack_for(&sf, 2 * MSS as u64, SimTime::ZERO);
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(sf.is_recovering(), "partial ACK keeps us in recovery");
-        assert_eq!(h.out.len(), 1);
-        assert_eq!(h.out[0].seq, 2 * MSS as u64);
-        // Full ACK ends recovery.
-        let ack = ack_for(&sf, 6 * MSS as u64, SimTime::ZERO);
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.is_recovering());
-    }
-
-    #[test]
-    fn lia_increase_is_capped_by_uncoupled_increase() {
-        let mut h = Harness::new();
-        let mut sf = subflow_in_congestion_avoidance();
-        establish(&mut h, &mut sf);
-        let before = sf.cwnd();
-        h.with(|ctx| sf.send_segment(ctx, 0, MSS));
-        let lia = LiaParams {
-            alpha: 100.0, // absurdly aggressive: must be capped
-            total_cwnd_bytes: before,
-        };
-        let ack = ack_for(&sf, MSS as u64, h.now);
-        h.advance(SimDuration::from_micros(100));
-        h.with(|ctx| sf.on_packet(ctx, &ack, Some(lia)));
-        let growth = sf.cwnd() - before;
-        let uncoupled_cap = MSS as f64 * MSS as f64 / before;
-        assert!(
-            growth <= uncoupled_cap + 1.0,
-            "growth {growth} cap {uncoupled_cap}"
-        );
+    /// Distinct source ports of the first 20 data segments a TCP sender
+    /// emits, with packet scatter on or off.
+    fn data_ports(scatter: bool) -> usize {
+        let mut l = Loopback::new(FlowId(1), tuned(tcp(None), |sf| sf.scatter = scatter));
+        l.start();
+        l.play(ROUND);
+        l.play(ROUND);
+        let data = l.sent.iter().filter(|(_, p)| p.kind == PacketKind::Data);
+        let ports: HashSet<u16> = data.take(20).map(|(_, p)| p.src_port).collect();
+        ports.len()
     }
 
     #[test]
     fn scatter_randomises_source_ports() {
-        let mut h = Harness::new();
-        let mut sf = subflow(true);
-        establish(&mut h, &mut sf);
-        h.out.clear();
-        for i in 0..20u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let ports: std::collections::HashSet<u16> = h.out.iter().map(|p| p.src_port).collect();
-        assert!(
-            ports.len() > 10,
-            "expected many distinct ports, got {}",
-            ports.len()
-        );
+        let ports = data_ports(true);
+        assert!(ports > 10, "expected many distinct ports, got {ports}");
     }
 
     #[test]
     fn pinned_subflow_uses_one_source_port() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        establish(&mut h, &mut sf);
-        h.out.clear();
-        for i in 0..10u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let ports: std::collections::HashSet<u16> = h.out.iter().map(|p| p.src_port).collect();
-        assert_eq!(ports.len(), 1);
-    }
-
-    #[test]
-    fn dctcp_reduces_window_proportionally_to_marks() {
-        let mut h = Harness::new();
-        let mut sf = subflow_with(TransportConfig::dctcp(), false);
-        establish(&mut h, &mut sf);
-        let before = sf.cwnd();
-        // Send a window, ack it all with ECN echo set.
-        for i in 0..10u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let sent = h.now;
-        h.advance(SimDuration::from_micros(100));
-        for i in 1..=10u64 {
-            let mut ack = ack_for(&sf, i * MSS as u64, sent);
-            ack.ecn_echo = true;
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert!(sf.dctcp_alpha() > 0.0);
-        // Window must not have grown unchecked despite slow start.
-        assert!(sf.cwnd() < before + (10 * MSS) as f64);
-    }
-
-    #[test]
-    fn spurious_retransmission_detection() {
-        let mut h = Harness::new();
-        let mut sf = subflow(false);
-        sf.set_dupack_threshold(2);
-        establish(&mut h, &mut sf);
-        for i in 0..4u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        // Reordering-induced dupacks trigger a (spurious) fast retransmit.
-        for _ in 0..2 {
-            let ack = ack_for(&sf, 0, SimTime::ZERO);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert_eq!(repairs(&h.signals, 0), (1, 0));
-        // Later the receiver advances past the retransmitted data and flags a
-        // duplicate arrival.
-        let ack = ack_for(&sf, 4 * MSS as u64, SimTime::ZERO);
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        let mut dup = ack_for(&sf, 4 * MSS as u64, SimTime::ZERO);
-        dup.dup_hint = true;
-        // Make it a duplicate ACK by keeping outstanding data around.
-        h.with(|ctx| sf.send_segment(ctx, 4 * MSS as u64, MSS));
-        let upd = h.with(|ctx| sf.on_packet(ctx, &dup, None));
-        assert_eq!(upd.spurious_retransmits, 1, "reported by the activation");
-        assert!(h
-            .signals
-            .iter()
-            .any(|s| matches!(s, Signal::SpuriousRetransmit { .. })));
+        assert_eq!(data_ports(false), 1);
     }
 
     #[test]
     fn timer_token_roundtrip() {
         let token = Subflow::timer_token(7, 123_456);
         assert_eq!(Subflow::decode_timer_token(token), (7, 123_456));
-    }
-
-    /// Drive a subflow through a reordering-induced (spurious) fast-recovery
-    /// episode: dup-ACKs below `threshold+…`, then a full ACK (the "lost"
-    /// original arrived after all), then the dup-hinted duplicate ACK caused by
-    /// the unnecessary retransmitted copy. Returns the cwnd before the episode.
-    fn spurious_episode(h: &mut Harness, sf: &mut Subflow) -> f64 {
-        establish(h, sf);
-        for i in 0..6u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let cwnd_before = sf.cwnd();
-        // Reordering-induced duplicate ACKs trigger a spurious fast retransmit.
-        for _ in 0..2 {
-            let ack = ack_for(sf, 0, SimTime::ZERO);
-            h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        }
-        assert!(sf.is_recovering());
-        assert_eq!(repairs(&h.signals, 0), (1, 0));
-        // The delayed original (and everything else) arrives: full ACK exits
-        // recovery with the reduced window.
-        let ack = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
-        h.with(|ctx| sf.on_packet(ctx, &ack, None));
-        assert!(!sf.is_recovering());
-        // More data goes out, then the retransmitted copy reaches the receiver,
-        // which reports it as a duplicate.
-        h.with(|ctx| sf.send_segment(ctx, 6 * MSS as u64, MSS));
-        let mut dup = ack_for(sf, 6 * MSS as u64, SimTime::ZERO);
-        dup.dup_hint = true;
-        let upd = h.with(|ctx| sf.on_packet(ctx, &dup, None));
-        assert_eq!(upd.spurious_retransmits, 1);
-        cwnd_before
-    }
-
-    #[test]
-    fn spurious_retransmit_undo_restores_window() {
-        let mut h = Harness::new();
-        let mut sf = subflow(true);
-        sf.set_dupack_threshold(2);
-        sf.set_undo_on_spurious(true);
-        let cwnd_before = spurious_episode(&mut h, &mut sf);
-        assert!(
-            sf.cwnd() >= cwnd_before,
-            "cwnd {} must be restored to at least its pre-recovery value {}",
-            sf.cwnd(),
-            cwnd_before
-        );
-    }
-
-    #[test]
-    fn without_undo_spurious_recovery_keeps_reduced_window() {
-        let mut h = Harness::new();
-        let mut sf = subflow(true);
-        sf.set_dupack_threshold(2);
-        let cwnd_before = spurious_episode(&mut h, &mut sf);
-        assert!(
-            sf.cwnd() < cwnd_before,
-            "without undo the halved window persists: cwnd {} vs {}",
-            sf.cwnd(),
-            cwnd_before
-        );
-    }
-
-    #[test]
-    fn rto_recovery_is_never_undone() {
-        let mut h = Harness::new();
-        let mut sf = subflow(true);
-        sf.set_undo_on_spurious(true);
-        establish(&mut h, &mut sf);
-        for i in 0..4u64 {
-            h.with(|ctx| sf.send_segment(ctx, i * MSS as u64, MSS));
-        }
-        let (deadline, token) = *h.timers.last().unwrap();
-        let (_idx, gen) = Subflow::decode_timer_token(token);
-        h.now = deadline;
-        h.with(|ctx| sf.on_timer(ctx, gen));
-        assert_eq!(repairs(&h.signals, 0), (0, 1));
-        let collapsed = sf.cwnd();
-        // A dup-hinted duplicate ACK after the timeout must not restore the
-        // pre-timeout window.
-        let mut dup = ack_for(&sf, 0, SimTime::ZERO);
-        dup.dup_hint = true;
-        h.with(|ctx| sf.on_packet(ctx, &dup, None));
-        assert!(sf.cwnd() <= collapsed + MSS as f64);
     }
 }

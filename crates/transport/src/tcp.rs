@@ -12,7 +12,7 @@ use crate::subflow::Subflow;
 use netsim::{Addr, AgentCtx, FlowId, SimDuration, SimTime};
 
 /// Pump the whole stream into the connection's only subflow.
-fn pump_single_path(conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+pub(crate) fn pump_single_path(conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
     loop {
         let len = conn.next_segment_len();
         if len == 0 || conn.subflows[0].window_space() < len {

@@ -91,6 +91,12 @@ impl<A: Agent> Loopback<A> {
     /// Hand one event to the sender at the current time, recording what it
     /// does and queueing its packets for the receiver.
     pub fn deliver(&mut self, event: AgentEvent) {
+        self.act(|tx, ctx| tx.handle(ctx, event));
+    }
+
+    /// Let `f` act on the sender at the current time, with what
+    /// [`Loopback::deliver`] records and queues.
+    pub(crate) fn act(&mut self, f: impl FnOnce(&mut A, &mut AgentCtx<'_>)) {
         let mut out = Vec::new();
         let armed_from = self.timers.len();
         let (signals_from, handoffs_from) = (self.signals.len(), self.handoffs.len());
@@ -103,7 +109,7 @@ impl<A: Agent> Loopback<A> {
             &mut self.signals,
         );
         ctx.set_fluid_threshold(self.fluid_threshold);
-        self.tx.handle(&mut ctx, event);
+        f(&mut self.tx, &mut ctx);
         let retires = ctx.retired();
         if let Some(handoff) = ctx.take_fluid_handoff() {
             self.handoffs.push((self.now, handoff));
@@ -198,6 +204,58 @@ impl<A: Agent> Loopback<A> {
                 break;
             }
             self.round_with(&mut drop, &mut mark);
+        }
+    }
+}
+
+/// One step of a scripted run: the loss-recovery table in `subflow.rs`
+/// plays each of its rows as a list of these.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// One round trip in which the sender packets the predicate selects
+    /// vanish.
+    Drop(fn(&Packet) -> bool),
+    /// One round trip in which the sender packets the predicate selects are
+    /// held back: they reach the receiver a round late, ahead of that
+    /// round's own packets (reordering, or a delayed original).
+    Delay(fn(&Packet) -> bool),
+    /// One round trip in which every ECN-capable packet arrives marked.
+    Mark,
+    /// The timer with the earliest deadline fires then, stale or not.
+    Expire,
+}
+
+#[cfg(test)]
+impl<A: Agent> Loopback<A> {
+    /// Apply one step of a script.
+    pub(crate) fn play(&mut self, step: Step) {
+        match step {
+            Step::Drop(drop) => self.round(drop),
+            Step::Delay(delay) => {
+                let (mut held, busy) = (Vec::new(), self.now + HOP + HOP);
+                self.round(|p| {
+                    let hold = delay(p);
+                    if hold {
+                        held.push(p.clone());
+                    }
+                    hold
+                });
+                if !held.is_empty() {
+                    // Still in flight, so the round did not leave the pipe
+                    // idle: take back its jump to the next deadline.
+                    self.now = busy;
+                    self.to_rx.splice(0..0, held);
+                }
+            }
+            Step::Mark => self.round_with(|_| false, |_| true),
+            Step::Expire => {
+                let first = (0..self.timers.len()).min_by_key(|&i| self.timers[i]);
+                if let Some((at, token)) = first.map(|i| self.timers.remove(i)) {
+                    self.now = self.now.max(at);
+                    self.deliver(AgentEvent::Timer(token));
+                }
+            }
         }
     }
 }
