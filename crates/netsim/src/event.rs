@@ -10,16 +10,24 @@
 //! reaches a higher-level slot it **cascades** it into the levels below.
 //! The active slot is sorted once by `(time, seq)` when it is loaded and
 //! popped by a cursor; an event scheduled into it (or before it — "late"
-//! events are legal) appends when it sorts last and otherwise waits in a
-//! small side heap, `pop` taking the smaller of the two heads, so no burst
+//! events are legal) appends when its key sorts last and otherwise waits in
+//! a small side heap, `pop` taking the smaller of the two heads, so no burst
 //! makes a slot quadratic. Only what lies beyond the top level (an RTO that
 //! straddles a 4.29 s boundary or has backed off past that span) waits in
 //! the overflow heap, and the wheel re-bases onto it when it runs dry. The
-//! insertion sequence number breaks ties between simultaneous events so
-//! processing is FIFO and every run is bit-for-bit reproducible — the pop
-//! order is *identical* to a plain binary-heap calendar (kept, under
-//! `cfg(test)`, as the reference of this module's differential tests;
+//! sequence number breaks ties between simultaneous events so processing is
+//! FIFO and every run is bit-for-bit reproducible — the pop order is
+//! *identical* to a plain binary-heap calendar (kept, under `cfg(test)`, as
+//! the reference of this module's differential tests;
 //! `benchmark/`'s `netsim.event.ns_per_op.*` kernels time the wheel).
+//!
+//! A key can also be **reserved**: the engine takes a sequence number at the
+//! point in the schedule where an event belongs (`EventQueue::reserve`) and
+//! inserts the event under it later, or never
+//! (`EventQueue::schedule_reserved`). Such an event pops exactly where it
+//! would have, had it been scheduled when its number was taken, so its key
+//! can be older than keys scheduled after the reservation; every comparison
+//! here is on the whole key, never on the time alone.
 //!
 //! Why no heap on the packet path: the hot loop of every experiment is
 //! `schedule`/`pop` at hundreds of thousands of pending events (one per
@@ -54,7 +62,9 @@ pub enum Event {
         packet: PacketRef,
     },
     /// The transmitter of `link` finishes serialising the packet currently on
-    /// the wire and may start on the next queued packet.
+    /// the wire and may start on the next queued packet. On the calendar
+    /// only when a packet is queued behind the transmission, under the key
+    /// reserved when it started.
     TransmitComplete {
         /// The link whose transmitter became free.
         link: LinkId,
@@ -174,11 +184,12 @@ pub struct EventQueue {
     occupied: [[u64; SLOTS / 64]; LEVELS],
     /// Events beyond the wheel's top-level window.
     overflow: BinaryHeap<Scheduled>,
-    /// Next FIFO tie-break sequence number, i.e. events scheduled so far.
+    /// Next FIFO tie-break sequence number, i.e. keys handed out so far
+    /// (reserved ones included).
     next_seq: u64,
-    /// Events popped so far (`len` is the difference; [`Self::tier_lens`]
-    /// counts what the tiers hold).
-    popped: u64,
+    /// Events the tiers hold ([`Self::tier_lens`] counts them one by one);
+    /// a reserved key is not an event until it is scheduled.
+    len: usize,
 }
 
 impl Default for EventQueue {
@@ -192,7 +203,7 @@ impl Default for EventQueue {
             occupied: [[0; SLOTS / 64]; LEVELS],
             overflow: BinaryHeap::new(),
             next_seq: 0,
-            popped: 0,
+            len: 0,
         }
     }
 }
@@ -204,13 +215,37 @@ impl EventQueue {
     }
 
     /// Schedule `event` at absolute time `at`.
+    #[inline(always)]
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let s = Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        };
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Take the next sequence number without scheduling anything: the key
+    /// `(at, seq)` of an event that, if [`Self::schedule_reserved`] ever
+    /// inserts it, pops as if it had been scheduled now.
+    pub(crate) fn reserve(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// The sequence number [`Self::reserve`] hands out next: every key taken
+    /// so far is below it.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Schedule `event` under the key `(at, seq)`, `seq` taken by
+    /// [`Self::reserve`] and not used before.
+    ///
+    /// Inlined so that the caller builds the entry where it is stored: an
+    /// `Event` stored piecewise by the caller and reloaded whole here stalls
+    /// the load on store forwarding, the hottest load of the packet path.
+    #[inline(always)]
+    pub(crate) fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        let s = Scheduled { at, seq, event };
+        self.len += 1;
         if !self.in_active_slot(&s) {
             self.place_ahead(s);
         } else if self.head == self.active.len() {
@@ -219,8 +254,9 @@ impl EventQueue {
             self.active.clear();
             self.head = 0;
             self.active.push(s);
-        } else if self.active[self.active.len() - 1].at <= at {
-            // `seq` is the largest so far: sorts last.
+        } else if self.active[self.active.len() - 1].key() < s.key() {
+            // Sorts last. The whole key, not the time alone: a reserved key
+            // can be older than the last entry at the same instant.
             self.active.push(s);
         } else {
             self.late.push(s);
@@ -235,6 +271,7 @@ impl EventQueue {
 
     /// Store an event later than the active slot: in the lowest level whose
     /// higher time bits equal the active slot's, else in the overflow heap.
+    #[inline(always)]
     fn place_ahead(&mut self, s: Scheduled) {
         let t = s.at.as_nanos();
         debug_assert!(t > self.cur | low_bits(SLOT_BITS));
@@ -342,15 +379,17 @@ impl EventQueue {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_at_or_before(SimTime::MAX)
+        let ((at, _), event) = self.pop_at_or_before(SimTime::MAX)?;
+        Some((at, event))
     }
 
-    /// Remove and return the earliest event if its time is at or before
-    /// `until`; otherwise leave it pending and return `None`.
+    /// Remove the earliest event if its time is at or before `until` and
+    /// return it with its `(time, seq)` key; otherwise leave it pending and
+    /// return `None`.
     ///
     /// This is the engine's windowed-run primitive: it locates the next event
     /// only once, and leaves the wheel at or before `until` when it refuses.
-    pub(crate) fn pop_at_or_before(&mut self, until: SimTime) -> Option<(SimTime, Event)> {
+    pub(crate) fn pop_at_or_before(&mut self, until: SimTime) -> Option<((SimTime, u64), Event)> {
         // `late` empties before `active` does (see its field doc), so an
         // exhausted `active` is an exhausted slot.
         if self.head == self.active.len() && !self.turn(until.as_nanos()) {
@@ -369,13 +408,14 @@ impl EventQueue {
         } else {
             self.late.pop();
         }
-        self.popped += 1;
-        Some((s.at, s.event))
+        self.len -= 1;
+        Some((s.key(), s.event))
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending (a reserved key is not one until
+    /// it is scheduled).
     pub fn len(&self) -> usize {
-        (self.next_seq - self.popped) as usize
+        self.len
     }
 
     /// Whether the queue is empty.
@@ -404,25 +444,22 @@ mod tests {
     use crate::time::SimDuration;
 
     /// A plain binary-heap calendar: the reference the differential tests
-    /// hold the wheel's pop order to.
+    /// hold the wheel's pop order to. It takes each event's key as given.
     #[derive(Default)]
     struct BinaryHeapQueue {
         heap: BinaryHeap<Scheduled>,
-        next_seq: u64,
     }
 
     impl BinaryHeapQueue {
-        fn schedule(&mut self, at: SimTime, event: Event) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+        fn schedule(&mut self, at: SimTime, seq: u64, event: Event) {
             self.heap.push(Scheduled { at, seq, event });
         }
 
-        fn pop_at_or_before(&mut self, until: SimTime) -> Option<(SimTime, Event)> {
+        fn pop_at_or_before(&mut self, until: SimTime) -> Option<((SimTime, u64), Event)> {
             if self.heap.peek()?.at > until {
                 return None;
             }
-            self.heap.pop().map(|s| (s.at, s.event))
+            self.heap.pop().map(|s| (s.key(), s.event))
         }
     }
 
@@ -524,7 +561,7 @@ mod tests {
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(5)), None);
         assert_eq!(q.len(), 2);
         // Window covering the first event only.
-        let (t, _) = q.pop_at_or_before(SimTime::from_millis(10)).unwrap();
+        let ((t, _), _) = q.pop_at_or_before(SimTime::from_millis(10)).unwrap();
         assert_eq!(t, SimTime::from_millis(10));
         assert_eq!(q.pop_at_or_before(SimTime::from_millis(19_999)), None);
         assert_eq!(q.len(), 1);
@@ -578,30 +615,68 @@ mod tests {
         SimTime::from_nanos(if rng.chance(0.5) { t & !63 } else { t })
     }
 
-    /// Differential test: interleave random schedules with bounded and
-    /// unbounded pops and hold the wheel to the reference heap's exact
-    /// `(time, event)` stream, and its tiers to `len()`, after every
-    /// operation.
+    /// Differential test: interleave random schedules and key reservations
+    /// with bounded and unbounded pops, insert a random subset of the
+    /// reserved keys later (in random order, from the current instant to
+    /// beyond the top level; the rest never), and hold the wheel to the
+    /// reference heap's exact `((time, seq), event)` stream, and its tiers to
+    /// `len()`, after every operation.
     fn run_against_reference_heap(seed: u64, rounds: usize) {
         let mut rng = SimRng::new(seed);
         let mut wheel = EventQueue::new();
         let mut heap = BinaryHeapQueue::default();
         let mut now = 0u64;
         let mut next_flow = 0u64;
+        let mut reserved = Vec::new();
         let check_len = |wheel: &EventQueue, heap: &BinaryHeapQueue| {
             assert_eq!(wheel.len(), heap.heap.len());
             assert_eq!(wheel.tier_lens().iter().sum::<usize>(), wheel.len());
         };
-        let mut schedule = |wheel: &mut EventQueue, heap: &mut BinaryHeapQueue, at: SimTime| {
-            wheel.schedule(at, flow_start(next_flow));
-            heap.schedule(at, flow_start(next_flow));
+        // Schedule a fresh event at `at`, under a reserved seq if given.
+        let mut schedule = |wheel: &mut EventQueue,
+                            heap: &mut BinaryHeapQueue,
+                            at: SimTime,
+                            reserved: Option<u64>| {
+            let event = flow_start(next_flow);
             next_flow += 1;
+            let seq = match reserved {
+                Some(seq) => {
+                    wheel.schedule_reserved(at, seq, event);
+                    seq
+                }
+                None => {
+                    let seq = wheel.next_seq();
+                    wheel.schedule(at, event);
+                    seq
+                }
+            };
+            heap.schedule(at, seq, event);
             check_len(wheel, heap);
         };
         for _round in 0..rounds {
             for _ in 0..rng.range(0usize..8) {
+                if rng.chance(0.2) {
+                    reserved.push(wheel.reserve());
+                    check_len(&wheel, &heap);
+                }
                 let at = random_time(&mut rng, now);
-                schedule(&mut wheel, &mut heap, at);
+                schedule(&mut wheel, &mut heap, at, None);
+            }
+            for _ in 0..rng.range(0usize..3) {
+                if reserved.is_empty() {
+                    break;
+                }
+                let seq = reserved.swap_remove(rng.range(0..reserved.len()));
+                if rng.chance(0.1) {
+                    continue; // never inserted
+                }
+                // Often at the current instant, behind younger keys.
+                let at = if rng.chance(0.25) {
+                    SimTime::from_nanos(now)
+                } else {
+                    random_time(&mut rng, now).max(SimTime::from_nanos(now))
+                };
+                schedule(&mut wheel, &mut heap, at, Some(seq));
             }
             for _ in 0..rng.range(0usize..6) {
                 // Half the pops are windowed, many of the windows ending in
@@ -622,21 +697,21 @@ mod tests {
                     // Popping the `SimTime::MAX` event leaves the clock
                     // alone: everything scheduled afterwards is then late by
                     // the whole run — the far jump.
-                    Some((t, _)) if t != SimTime::MAX => now = now.max(t.as_nanos()),
+                    Some(((t, _), _)) if t != SimTime::MAX => now = now.max(t.as_nanos()),
                     Some(_) => {}
                     // A refused pop: like the engine, move the clock to the
                     // window's end and schedule just after it.
                     None if until != SimTime::MAX => {
                         now = now.max(until.as_nanos());
                         let at = SimTime::from_nanos(now + rng.range(0u64..3_000));
-                        schedule(&mut wheel, &mut heap, at);
+                        schedule(&mut wheel, &mut heap, at, None);
                     }
                     None => {}
                 }
             }
         }
         loop {
-            let popped = wheel.pop();
+            let popped = wheel.pop_at_or_before(SimTime::MAX);
             assert_eq!(
                 popped,
                 heap.pop_at_or_before(SimTime::MAX),

@@ -8,10 +8,11 @@
 //!
 //! A packet leaves the queue (for drop, ECN and depth accounting) and enters
 //! the link counters at the instant its serialisation starts, and the engine
-//! schedules one `TransmitComplete` per packet. A packet offered in the very
-//! nanosecond the transmitter frees therefore sees the queue before or after
-//! that dequeue according to calendar order alone (ARCHITECTURE.md,
-//! determinism rule 3).
+//! reserves one calendar key for each packet's `TransmitComplete`, putting
+//! the event on the calendar only when a packet waits behind it. A packet
+//! offered in the very nanosecond the transmitter frees therefore sees the
+//! queue before or after that dequeue according to calendar order alone
+//! (ARCHITECTURE.md, determinism rule 3).
 
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
@@ -72,6 +73,11 @@ pub struct Link {
     /// traffic contend for the same capacity. Zero (the default) leaves the
     /// packet path byte-identical to a build without the fluid engine.
     fluid_reserved_bps: u64,
+    /// The `(time, seq)` calendar key of the running transmission's
+    /// completion while nothing is queued behind it: the engine reserves the
+    /// key when the transmission starts and schedules the completion under
+    /// it only once a packet queues.
+    pub(crate) deferred_completion: Option<(SimTime, u64)>,
     stats: LinkStats,
 }
 
@@ -99,6 +105,7 @@ impl Link {
             queue: DropTailQueue::new(config.queue),
             transmitting: false,
             fluid_reserved_bps: 0,
+            deferred_completion: None,
             stats: LinkStats::default(),
         }
     }
@@ -185,6 +192,12 @@ impl Link {
             transmit_done_at,
             delivered_at: transmit_done_at + self.config.delay,
         })
+    }
+
+    /// Whether a deferred completion, if any, belongs to a busy transmitter
+    /// with nothing queued behind it (the engine's debug invariant).
+    pub(crate) fn deferred_completion_is_consistent(&self) -> bool {
+        self.deferred_completion.is_none() || self.transmitting && self.queue.len() == 0
     }
 
     /// Packets accepted into the queue whose serialisation has not started:

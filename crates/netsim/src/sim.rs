@@ -21,7 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Engine-wide counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimCounters {
-    /// Events processed so far.
+    /// Events processed so far. A link's completion with nothing queued
+    /// behind it is not an event: it never enters the calendar
+    /// (ARCHITECTURE.md "The event engine").
     pub events_processed: u64,
     /// Packets delivered to hosts, [`SimCounters::misrouted`] ones included.
     pub delivered_to_hosts: u64,
@@ -44,6 +46,11 @@ pub struct Simulator {
     /// small generational handles.
     arena: PacketArena,
     now: SimTime,
+    /// Every calendar key below this one is settled: its event has been
+    /// dispatched or, for a deferred completion, would have been. Just
+    /// above the key being dispatched; after a drained `run_until` window,
+    /// the window's end and the next unreserved seq.
+    frontier: (SimTime, u64),
     rng: SimRng,
     signals: Vec<Signal>,
     counters: SimCounters,
@@ -75,6 +82,7 @@ impl Simulator {
             queue: EventQueue::new(),
             arena: PacketArena::with_capacity(256),
             now: SimTime::ZERO,
+            frontier: (SimTime::ZERO, 0),
             rng: SimRng::new(seed),
             signals: Vec::new(),
             counters: SimCounters::default(),
@@ -171,7 +179,10 @@ impl Simulator {
             .schedule(at, Event::FlowStart { node: host, flow });
     }
 
-    /// Number of events waiting in the calendar.
+    /// Number of events waiting in the calendar. A deferred completion is
+    /// not one, and the experiment loop's stop on zero does not need it:
+    /// its transmission's `Delivery` is pending at the same time or later,
+    /// under a larger seq.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -181,10 +192,12 @@ impl Simulator {
         self.arena.len()
     }
 
-    /// Advance the clock to `at` and dispatch one popped event.
-    fn process(&mut self, at: SimTime, event: Event) {
-        debug_assert!(at >= self.now, "event scheduled in the past");
+    /// Advance the clock to the popped event's time and dispatch it.
+    fn process(&mut self, key: (SimTime, u64), event: Event) {
+        debug_assert!(key >= self.frontier, "key {key:?} dispatched out of order");
+        let (at, seq) = key;
         self.now = at;
+        self.frontier = (at, seq + 1);
         self.counters.events_processed += 1;
         match event {
             Event::Delivery { link, packet } => self.handle_delivery(link, packet),
@@ -210,12 +223,15 @@ impl Simulator {
     pub fn run_until(&mut self, until: SimTime) {
         // Bounded pop: locates the next event once and leaves it pending if
         // it lies beyond the window.
-        while let Some((at, event)) = self.queue.pop_at_or_before(until) {
-            self.process(at, event);
+        while let Some((key, event)) = self.queue.pop_at_or_before(until) {
+            self.process(key, event);
         }
         if self.now < until {
             self.now = until;
         }
+        // Drained: every key reserved so far at or before `until` is settled,
+        // so an offer from a hook or `finalize` finds those completions done.
+        self.frontier = self.frontier.max((until, self.queue.next_seq()));
     }
 
     /// Send [`AgentEvent::Finalize`] to every agent on every host so they can
@@ -283,20 +299,41 @@ impl Simulator {
     }
 
     fn handle_transmit_complete(&mut self, link: LinkId) {
-        if let Some(tx) = self.network.link_mut(link).transmit_complete(self.now) {
+        let l = self.network.link_mut(link);
+        debug_assert!(
+            l.deferred_completion.is_none(),
+            "completion both scheduled and deferred"
+        );
+        if let Some(tx) = l.transmit_complete(self.now) {
             self.schedule_transmission(link, tx);
         }
+        debug_assert!(self.network.link(link).deferred_completion_is_consistent());
     }
 
-    /// Schedule the `TransmitComplete` and the `Delivery` of a transmission
-    /// that just started on `link`, in that order: schedule order breaks
-    /// same-instant ties (determinism rule 3), so it is pinned behaviour.
+    /// Key the `TransmitComplete` and schedule the `Delivery` of a
+    /// transmission that just started on `link`, in that order: schedule
+    /// order breaks same-instant ties (determinism rule 3), so it is pinned
+    /// behaviour. The completion goes on the calendar now only if a packet
+    /// waits behind the transmission; otherwise the link keeps its key until
+    /// one does (`offer_to_link`), and if none does, the completion would
+    /// have found the queue empty and is never an event.
     fn schedule_transmission(&mut self, link: LinkId, tx: StartedTransmission) {
-        self.queue
-            .schedule(tx.transmit_done_at, Event::TransmitComplete { link });
+        let completion = (tx.transmit_done_at, self.queue.reserve());
+        let l = self.network.link_mut(link);
+        if l.backlog() == 0 {
+            l.deferred_completion = Some(completion);
+        } else {
+            self.schedule_completion(link, completion);
+        }
         let packet = self.arena.insert(tx.packet);
         self.queue
             .schedule(tx.delivered_at, Event::Delivery { link, packet });
+    }
+
+    /// Put `link`'s completion on the calendar under its reserved key.
+    fn schedule_completion(&mut self, link: LinkId, (at, seq): (SimTime, u64)) {
+        self.queue
+            .schedule_reserved(at, seq, Event::TransmitComplete { link });
     }
 
     fn dispatch_agent(&mut self, node: NodeId, flow: FlowId, event: AgentEvent) {
@@ -403,11 +440,24 @@ impl Simulator {
     }
 
     fn offer_to_link(&mut self, link: LinkId, packet: Packet) {
-        let now = self.now;
-        let result = self.network.link_mut(link).offer(now, packet);
+        let (now, frontier) = (self.now, self.frontier);
+        let l = self.network.link_mut(link);
+        // A deferred completion the schedule has passed found nothing
+        // queued: it frees the transmitter and starts nothing.
+        if let Some((done_at, _)) = l.deferred_completion.take_if(|key| *key < frontier) {
+            let started = l.transmit_complete(done_at);
+            debug_assert!(started.is_none());
+        }
+        let result = l.offer(now, packet);
         match result {
             Ok(Some(tx)) => self.schedule_transmission(link, tx),
-            Ok(None) => {}
+            Ok(None) => {
+                // Queued behind the busy transmitter: its completion has a
+                // packet to start, so it becomes an event.
+                if let Some(completion) = l.deferred_completion.take() {
+                    self.schedule_completion(link, completion);
+                }
+            }
             Err(_) => {
                 self.counters.dropped += 1;
                 // A packet drop on a link shared with fluid flows is
@@ -418,6 +468,16 @@ impl Simulator {
                 }
             }
         }
+        debug_assert!(self.network.link(link).deferred_completion_is_consistent());
+    }
+
+    /// Links holding a completion that the schedule has not passed: with
+    /// `pending_events`, what the calendar would hold if every completion
+    /// were an event.
+    fn deferred_completions(&self) -> usize {
+        let links = self.network.links().iter();
+        let deferred = links.filter_map(|l| l.deferred_completion);
+        deferred.filter(|&key| key >= self.frontier).count()
     }
 }
 
@@ -434,6 +494,7 @@ impl std::fmt::Debug for Simulator {
                     self.queue.len()
                 ),
             )
+            .field("deferred_completions", &self.deferred_completions())
             .field("counters", &self.counters)
             .field("nodes", &self.network.node_count())
             .field("links", &self.network.link_count())
@@ -550,8 +611,8 @@ mod tests {
 
     /// Drain the calendar, leaving the clock at the last event.
     fn run(sim: &mut Simulator) {
-        while let Some((at, event)) = sim.queue.pop() {
-            sim.process(at, event);
+        while let Some((key, event)) = sim.queue.pop_at_or_before(SimTime::MAX) {
+            sim.process(key, event);
         }
     }
 
@@ -667,6 +728,26 @@ mod tests {
         assert!(
             format!("{sim:?}")
                 .contains("pending_events: 2 (active 0, level0 0, level1 1, level2 0, overflow 1)"),
+            "{sim:?}"
+        );
+        assert!(
+            format!("{sim:?}").contains("deferred_completions: 0,"),
+            "{sim:?}"
+        );
+        // A transmission with nothing queued behind it keeps its completion
+        // off the calendar until the schedule passes it.
+        let links = sim.network().links();
+        let uplink = links.iter().find(|l| l.from == h0).unwrap().id;
+        let (src, dst) = (Addr(0), Addr(1));
+        let pkt = Packet::data(src, dst, 1, 2, FlowId(1), 0, 0, 0, 10, SimTime::ZERO);
+        sim.offer_to_link(uplink, pkt);
+        assert!(
+            format!("{sim:?}").contains("pending_events: 3 (active 0, level0 1, level1 1, level2 0, overflow 1), deferred_completions: 1,"),
+            "{sim:?}"
+        );
+        sim.run_until(SimTime::from_micros(100));
+        assert!(
+            format!("{sim:?}").contains("deferred_completions: 0,"),
             "{sim:?}"
         );
     }
@@ -800,6 +881,82 @@ mod tests {
         };
         assert_eq!(run_tie(false), (0, 3), "the transmitter freed first");
         assert_eq!(run_tie(true), (1, 2), "the packet arrived first");
+    }
+
+    #[test]
+    fn schedule_order_decides_two_arrivals_at_a_completion_with_nothing_queued() {
+        // Determinism rule 3 at a transmitter with nothing queued behind it:
+        // the downlink to h1 has one packet on the wire, an empty one-packet
+        // queue, and two packets reach the switch in the very nanosecond the
+        // wire frees. What h1 receives (seq, arrival time) and the drops.
+        struct Recorder;
+        impl Agent for Recorder {
+            fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+                if let AgentEvent::Packet(p) = event {
+                    let (flow, at) = (p.flow, ctx.now());
+                    ctx.signal(Signal::FlowProgress {
+                        flow,
+                        at,
+                        bytes: p.seq,
+                    });
+                }
+            }
+        }
+        let pkt = |seq| {
+            let (src, dst) = (Addr(0), Addr(1));
+            Packet::data(src, dst, 1, 2, FlowId(1), 0, seq, seq, 1400, SimTime::ZERO)
+        };
+        let tx = SimDuration::transmission(u64::from(pkt(0).wire_bytes()), 1_000_000_000);
+        let frees_at = SimTime::ZERO + tx;
+        let run_tie = |arrivals_scheduled_first: bool| {
+            let (net, h0, h1) = two_host_network_with(QueueConfig {
+                limit_packets: 1,
+                ..QueueConfig::default()
+            });
+            let mut sim = Simulator::new(net, 7);
+            sim.register_agent(h1, FlowId(1), Box::new(Recorder));
+            let links = sim.network().links();
+            let uplink = links.iter().find(|l| l.from == h0).unwrap().id;
+            let downlink = links.iter().find(|l| l.to == h1).unwrap().id;
+            let arrive = |sim: &mut Simulator| {
+                for seq in [1, 2] {
+                    let arrival = Event::Delivery {
+                        link: uplink,
+                        packet: sim.arena.insert(pkt(seq)),
+                    };
+                    sim.queue.schedule(frees_at, arrival);
+                }
+            };
+            if arrivals_scheduled_first {
+                arrive(&mut sim);
+            }
+            sim.offer_to_link(downlink, pkt(0)); // on the wire until `frees_at`
+            if !arrivals_scheduled_first {
+                arrive(&mut sim);
+            }
+            run(&mut sim);
+            let received: Vec<(u64, SimTime)> = sim
+                .drain_signals()
+                .into_iter()
+                .map(|s| match s {
+                    Signal::FlowProgress { bytes, at, .. } => (bytes, at),
+                    other => panic!("unexpected signal {other:?}"),
+                })
+                .collect();
+            (received, sim.counters().dropped)
+        };
+        let delay = SimDuration::from_micros(10);
+        let arrives = |seq: u64| (seq, frees_at + tx * seq + delay);
+        assert_eq!(
+            run_tie(false),
+            (vec![arrives(0), arrives(1), arrives(2)], 0),
+            "the transmitter freed first: the first arrival starts at once, the second queues"
+        );
+        assert_eq!(
+            run_tie(true),
+            (vec![arrives(0), arrives(1)], 1),
+            "the packets arrived first: the first queues, the second is dropped"
+        );
     }
 
     #[test]
