@@ -7,10 +7,13 @@
 //! sequence space, the cumulative data ACK, completion and its signals
 //! (`FlowStarted` / `FlowCompleted` / `RedundantBytes`),
 //! routing of packets and timer tokens to the [`Subflow`] they belong to,
-//! and the handoff of an elephant's remainder to the fluid fast path.
+//! round-robin scheduling, and the handoff of an elephant's remainder to the
+//! fluid fast path. Every change of the connection's `Mode` is one arm of
+//! `Connection::step`; the diagram is beside `Mode`.
 //!
 //! A transport is a [`Policy`]: a small, statically dispatched set of hooks
-//! the core calls at fixed points. On an ACK the order is
+//! the core calls at fixed points, each with a default, so a policy states
+//! only what differs. On an ACK the order is
 //!
 //! 1. `data_acked` advances to the packet's connection-level ACK,
 //! 2. [`Policy::before_ack`] (D²TCP refreshes its deadline-imminence exponent),
@@ -18,12 +21,16 @@
 //! 4. `Subflow::on_packet` runs loss detection and congestion control,
 //! 5. [`Policy::after_subflow_event`] (MPTCP joins, MMPTCP adapts its
 //!    dup-ACK threshold and switches phase, RepSYN caps the losing replica),
-//! 6. [`Policy::pump`] maps new data onto subflows with window space,
-//! 7. completion is checked ([`Policy::on_finish`] runs before the signals),
+//! 6. [`Policy::pump`] maps new data onto subflows with window space (by
+//!    default round-robin over the established subflows),
+//! 7. completion is checked ([`Policy::on_finish`] runs before the signals;
+//!    RepFlow aborts the losing replica),
 //! 8. the fluid handoff is considered over [`Policy::fluid_subflows`].
 //!
-//! Steps 6–8 are skipped once the flow is complete or in fluid mode. A timer
-//! runs `Subflow::on_timer`, then steps 5 and 6.
+//! Steps 6–8 run only in `Mode::Packet`, and in this order: a RepFlow
+//! replica whose own ACK completes the flow still has data mapped onto it
+//! first. A timer runs `Subflow::on_timer`, then step 5, and step 6 in
+//! `Mode::Packet`.
 //!
 //! A connection lives until its flow is complete *and* every subflow is
 //! quiescent (`Subflow::is_quiescent`); the activation that gets it there
@@ -31,7 +38,9 @@
 
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
 use netsim::fluid::{pacing_rate_bps, FluidHandoff};
-use netsim::{Agent, AgentCtx, AgentEvent, FlowId, PacketKind, Signal, SimDuration, SimTime};
+use netsim::{
+    Agent, AgentCtx, AgentEvent, FlowId, Packet, PacketKind, Signal, SimDuration, SimTime,
+};
 use std::ops::{Deref, DerefMut};
 
 /// The most subflows one connection may have. Subflow indices travel in a
@@ -73,6 +82,27 @@ impl DerefMut for Subflows {
 }
 
 /// Where a connection is in its life; it only ever moves forward.
+/// `Connection::step` is the only place it changes; each edge below is one
+/// of its arms.
+///
+/// ```text
+///  Packet ─────────────── handoff ──────────────▶ Fluid
+///    │ ↺ ACK or timer: pump                         │ ↺ ACK or timer: the subflows drain
+///    │                                              │
+///    │ the last byte's data ACK                     │ FluidComplete: abort every subflow
+///    ▼                                              │
+///  Done ◀───────────────────────────────────────────┘
+///    ↺ ACK or timer: the subflows drain; retire once every subflow is quiescent
+/// ```
+///
+/// The handoff needs the hybrid engine and a bounded elephant out of slow
+/// start with more than the engine's threshold left to send. `Start`
+/// signals `FlowStarted` and calls [`Policy::start`] in every mode.
+/// `FluidComplete` in `Packet` takes `Fluid`'s arm, and a second one is
+/// ignored. At `Finalize` a bounded flow still in `Packet` reports what it
+/// sent beyond `data_acked` as redundant bytes; `Fluid` and `Done` report
+/// nothing there. RepFlow's losing replica is not a connection state: it is
+/// the subflow's `Abort`, which a `FluidComplete` also sends every subflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
     /// Mapping data onto subflows.
@@ -100,6 +130,9 @@ pub struct ConnState {
     /// Connection-level cumulative data ACK.
     pub(crate) data_acked: u64,
     pub(crate) mode: Mode,
+    /// Where the round-robin scheduler's next search starts, counted from
+    /// the first subflow it schedules over.
+    next_subflow: u8,
 }
 
 impl ConnState {
@@ -118,22 +151,34 @@ impl ConnState {
         self.subflows[idx].send_segment(ctx, self.next_data_seq, len as u32);
         self.next_data_seq += len;
     }
+
+    /// Round-robin over the established subflows from `first` on: map each
+    /// next segment onto the first of them at or after the cursor with
+    /// window space for it, until the stream is mapped or no window has room.
+    pub(crate) fn pump_from(&mut self, ctx: &mut AgentCtx<'_>, first: usize) {
+        let n = self.subflows.len() - first;
+        loop {
+            let len = self.next_segment_len();
+            if len == 0 {
+                return;
+            }
+            let cursor = usize::from(self.next_subflow);
+            let Some(idx) = (0..n).map(|off| (cursor + off) % n).find(|&i| {
+                let sf = &self.subflows[first + i];
+                sf.is_established() && sf.window_space() >= len
+            }) else {
+                return;
+            };
+            self.next_subflow = ((idx + 1) % n) as u8;
+            self.send_next(ctx, first + idx, len);
+        }
+    }
 }
 
-/// Round-robin scheduling over `subflows`: the first established subflow at
-/// or after `cursor` with `len` bytes of window space. Advances the cursor
-/// past the pick.
-pub(crate) fn round_robin(subflows: &[Subflow], cursor: &mut usize, len: u64) -> Option<usize> {
-    let n = subflows.len();
-    (0..n)
-        .map(|off| (*cursor + off) % n)
-        .find(|&idx| subflows[idx].is_established() && subflows[idx].window_space() >= len)
-        .inspect(|&idx| *cursor = (idx + 1) % n)
-}
-
-/// What distinguishes one transport from another. The defaults describe a
-/// connection that opens subflow 0 at `Start`, couples nothing, reacts to
-/// nothing and never goes fluid; only [`Policy::pump`] has no default.
+/// What distinguishes one transport from another. Every hook has a default:
+/// together they describe a connection that opens subflow 0 at `Start`,
+/// couples nothing, reacts to nothing, maps data round-robin over its
+/// established subflows and never goes fluid.
 pub trait Policy: Send {
     /// The transport's label in [`Agent::describe`].
     const NAME: &'static str;
@@ -162,8 +207,11 @@ pub trait Policy: Send {
     ) {
     }
 
-    /// Map as much new data as the subflows' windows allow.
-    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>);
+    /// Map as much new data as the subflows' windows allow: by default
+    /// round-robin over every established subflow.
+    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
+        conn.pump_from(ctx, 0);
+    }
 
     /// The subflows whose rates a fluid handoff would sum, or none while
     /// the connection must stay packet-exact.
@@ -205,6 +253,7 @@ impl<P: Policy> Connection<P> {
                 next_data_seq: 0,
                 data_acked: 0,
                 mode: Mode::Packet,
+                next_subflow: 0,
             },
             policy,
         }
@@ -238,10 +287,9 @@ impl<P: Policy> Connection<P> {
         self.subflows().iter().map(Subflow::bytes_sent).sum()
     }
 
-    /// Mark the flow complete and say so: `total` bytes delivered, of which
-    /// `fluid_bytes` by the fluid engine.
-    fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) {
-        self.conn.mode = Mode::Done;
+    /// Say that the flow is complete — `total` bytes delivered, of which
+    /// `fluid_bytes` by the fluid engine — and return its next mode.
+    fn complete(&mut self, ctx: &mut AgentCtx<'_>, total: u64, fluid_bytes: u64) -> Mode {
         self.policy.on_finish(&mut self.conn, ctx);
         ctx.signal(Signal::FlowCompleted {
             flow: self.conn.flow,
@@ -249,6 +297,7 @@ impl<P: Policy> Connection<P> {
             bytes: total,
         });
         self.signal_redundant_bytes(ctx, self.total_bytes_sent() + fluid_bytes, total);
+        Mode::Done
     }
 
     /// Emit [`Signal::RedundantBytes`] when the sender has put more data
@@ -272,21 +321,22 @@ impl<P: Policy> Connection<P> {
     /// threshold left, and at least one eligible subflow has an RTT sample
     /// and has settled out of slow start (so the pacing cap approximates
     /// congestion avoidance). The cap is the sum of the eligible subflows'
-    /// rates, so an MPTCP connection's aggregate is respected.
-    fn maybe_fluid_handoff(&mut self, ctx: &mut AgentCtx<'_>) {
+    /// rates, so an MPTCP connection's aggregate is respected. Returns the
+    /// connection's next mode.
+    fn hand_off(&mut self, ctx: &mut AgentCtx<'_>) -> Mode {
         let Some(threshold) = ctx.fluid_threshold() else {
-            return;
+            return Mode::Packet;
         };
         let Some(total) = self.conn.total else {
-            return; // unbounded background flows stay packet-level
+            return Mode::Packet; // unbounded background flows stay packet-level
         };
         let remaining = total.saturating_sub(self.conn.next_data_seq);
         if remaining <= threshold {
-            return;
+            return Mode::Packet;
         }
         let eligible = self.policy.fluid_subflows(&self.conn.subflows);
         let Some(first) = eligible.first() else {
-            return;
+            return Mode::Packet;
         };
         let mut rate_cap_bps = 0u64;
         let mut base_rtt: Option<SimDuration> = None;
@@ -308,10 +358,10 @@ impl<P: Policy> Connection<P> {
             base_rtt = Some(base_rtt.map_or(base, |cur| cur.min(base)));
         }
         let Some(srtt) = base_rtt else {
-            return;
+            return Mode::Packet;
         };
         if !out_of_slow_start {
-            return;
+            return Mode::Packet;
         }
         let cfg = first.config();
         ctx.request_fluid_handoff(FluidHandoff {
@@ -323,81 +373,103 @@ impl<P: Policy> Connection<P> {
             mss: cfg.mss,
             cc: cfg.cc.fluid(),
         });
-        self.conn.mode = Mode::Fluid;
+        Mode::Fluid
     }
 
-    /// One event through the hook order in the module docs.
-    fn on_event(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+    /// Steps 1–5 of the hook order for an ACK or a SYN-ACK.
+    fn on_ack(&mut self, ctx: &mut AgentCtx<'_>, pkt: &Packet) {
         let conn = &mut self.conn;
-        match event {
-            AgentEvent::Start => {
+        conn.data_acked = conn.data_acked.max(pkt.data_ack);
+        self.policy.before_ack(conn, ctx.now());
+        let idx = usize::from(pkt.subflow);
+        let lia = self.policy.lia(conn, idx);
+        let update = match conn.subflows.get_mut(idx) {
+            Some(sf) => sf.on_packet(ctx, pkt, lia),
+            None => SubflowUpdate::default(),
+        };
+        self.policy.after_subflow_event(conn, ctx, idx, update);
+    }
+
+    /// A timer through its subflow, then step 5 of the hook order.
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+        let (idx, gen) = Subflow::decode_timer_token(token);
+        let idx = usize::from(idx);
+        let conn = &mut self.conn;
+        let update = match conn.subflows.get_mut(idx) {
+            Some(sf) => sf.on_timer(ctx, gen),
+            None => SubflowUpdate::default(),
+        };
+        self.policy.after_subflow_event(conn, ctx, idx, update);
+    }
+
+    /// The connection's transition function: one arm per edge of the
+    /// diagram beside [`Mode`], and the only place the mode changes.
+    fn step(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
+        use AgentEvent::{Finalize, FluidComplete, Start, Timer};
+        use Mode::{Done, Fluid, Packet};
+        self.conn.mode = match (self.conn.mode, event) {
+            (mode, Start) => {
                 ctx.signal(Signal::FlowStarted {
-                    flow: conn.flow,
+                    flow: self.conn.flow,
                     at: ctx.now(),
-                    bytes: conn.total.unwrap_or(u64::MAX),
+                    bytes: self.conn.total.unwrap_or(u64::MAX),
                 });
-                self.policy.start(conn, ctx);
+                self.policy.start(&mut self.conn, ctx);
+                mode
             }
-            AgentEvent::Packet(pkt) => {
-                if !matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) {
-                    return;
-                }
-                conn.data_acked = conn.data_acked.max(pkt.data_ack);
-                self.policy.before_ack(conn, ctx.now());
-                let idx = usize::from(pkt.subflow);
-                let lia = self.policy.lia(conn, idx);
-                let update = match conn.subflows.get_mut(idx) {
-                    Some(sf) => sf.on_packet(ctx, &pkt, lia),
-                    None => SubflowUpdate::default(),
-                };
-                self.policy.after_subflow_event(conn, ctx, idx, update);
-                if conn.mode != Mode::Packet {
-                    return;
-                }
-                self.policy.pump(conn, ctx);
-                match conn.total {
-                    Some(total) if conn.data_acked >= total => self.complete(ctx, total, 0),
-                    _ => self.maybe_fluid_handoff(ctx),
+            (mode, AgentEvent::Packet(pkt))
+                if !matches!(pkt.kind, PacketKind::Ack | PacketKind::SynAck) =>
+            {
+                mode
+            }
+            (Packet, AgentEvent::Packet(pkt)) => {
+                self.on_ack(ctx, &pkt);
+                self.policy.pump(&mut self.conn, ctx);
+                match self.conn.total {
+                    Some(total) if self.conn.data_acked >= total => self.complete(ctx, total, 0),
+                    _ => self.hand_off(ctx),
                 }
             }
-            AgentEvent::Timer(token) => {
-                let (idx, gen) = Subflow::decode_timer_token(token);
-                let idx = usize::from(idx);
-                let update = match conn.subflows.get_mut(idx) {
-                    Some(sf) => sf.on_timer(ctx, gen),
-                    None => SubflowUpdate::default(),
-                };
-                self.policy.after_subflow_event(conn, ctx, idx, update);
-                if conn.mode == Mode::Packet {
-                    self.policy.pump(conn, ctx);
-                }
+            (mode @ (Fluid | Done), AgentEvent::Packet(pkt)) => {
+                self.on_ack(ctx, &pkt);
+                mode
             }
-            AgentEvent::FluidComplete { bytes } => {
-                if conn.mode != Mode::Done {
-                    for sf in conn.subflows.iter_mut() {
-                        sf.abort(ctx);
-                    }
-                    let total = conn.total.unwrap_or(conn.next_data_seq + bytes);
-                    self.complete(ctx, total, bytes);
-                }
+            (Packet, Timer(token)) => {
+                self.on_timer(ctx, token);
+                self.policy.pump(&mut self.conn, ctx);
+                Packet
             }
-            AgentEvent::Finalize => {
+            (mode @ (Fluid | Done), Timer(token)) => {
+                self.on_timer(ctx, token);
+                mode
+            }
+            (Packet | Fluid, FluidComplete { bytes }) => {
+                for sf in self.conn.subflows.iter_mut() {
+                    sf.abort(ctx);
+                }
+                let total = self.conn.total.unwrap_or(self.conn.next_data_seq + bytes);
+                self.complete(ctx, total, bytes)
+            }
+            (Done, FluidComplete { .. }) => Done,
+            (Packet, Finalize) => {
                 // The price of replication and retransmission must be visible
                 // even (especially) for flows the run's time cap caught
                 // unfinished. How far such a flow got is the receiver's to
                 // report: `data_acked` is the largest data ACK it ever sent.
-                if conn.mode == Mode::Packet && conn.total.is_some() {
-                    let acked = conn.data_acked;
+                if self.conn.total.is_some() {
+                    let acked = self.conn.data_acked;
                     self.signal_redundant_bytes(ctx, self.total_bytes_sent(), acked);
                 }
+                Packet
             }
-        }
+            (mode @ (Fluid | Done), Finalize) => mode,
+        };
     }
 }
 
 impl<P: Policy> Agent for Connection<P> {
     fn handle(&mut self, ctx: &mut AgentCtx<'_>, event: AgentEvent) {
-        self.on_event(ctx, event);
+        self.step(ctx, event);
         // A complete flow maps no new data and every hook that could open a
         // subflow has already run; once the subflows are quiet too, no event
         // can make this connection send, arm a timer or signal again.
@@ -423,7 +495,7 @@ mod tests {
     use crate::testing::Loopback;
     use crate::{TcpSender, TransportConfig};
     use netsim::Addr;
-    use AgentEvent::{FluidComplete, Timer};
+    use AgentEvent::{Finalize, FluidComplete, Timer};
 
     type Tcp = Loopback<TcpSender>;
 
@@ -467,43 +539,68 @@ mod tests {
         }
     }
 
-    /// The edges the lifecycle enums do not forbid, one row each, on a 5 MB
-    /// TCP flow under a 100 KB elephant threshold: the states the edge
-    /// leaves behind (`[established, recovering, quiescent]` is subflow 0).
-    /// A sender that retired on the way stays silent.
+    /// Two lossless rounds; the run ends with the next window in flight.
+    fn finalize_in_flight(l: &mut Tcp) {
+        l.round(|_| false);
+        l.round(|_| false);
+        l.deliver(Finalize);
+    }
+
+    /// The run ends while the fluid engine still carries the remainder.
+    fn finalize_fluid(l: &mut Tcp) {
+        hand_off(l);
+        l.deliver(Finalize);
+    }
+
+    fn complete_by_packets(l: &mut Tcp) {
+        while !l.is_completed() {
+            l.round(|_| false);
+        }
+    }
+
+    /// One row per arm of `Connection::step`, named by its edge in the
+    /// diagram beside `Mode`, on a TCP flow of `total` bytes under a 100 KB
+    /// elephant threshold: the states the edge leaves behind
+    /// (`[established, recovering, quiescent]` is subflow 0), and whether the
+    /// flow reported what it sent beyond `data_acked` as redundant bytes
+    /// (every other row reports none). A sender that retired on the way
+    /// stays silent.
     #[test]
-    fn implicit_lifecycle_edges_do_what_they_always_did() {
-        type Edge = fn(&mut Tcp);
-        let rows: [(&str, Edge, Mode, [bool; 3]); 4] = [
+    fn each_arm_of_step_does_what_it_always_did() {
+        use Mode::{Done, Fluid, Packet};
+        type Row = (
+            &'static str,
+            Option<u64>,
+            fn(&mut Tcp),
+            Mode,
+            [bool; 3],
+            bool,
+        );
+        const FLOW: Option<u64> = Some(5_000_000);
+        #[rustfmt::skip]
+        let rows: [Row; 8] = [
             // The hole is repaired by packets while the remainder is fluid.
-            (
-                "handoff while recovering",
-                hand_off,
-                Mode::Fluid,
-                [true, true, false],
-            ),
-            (
-                "abort during the handshake",
-                abort_syn,
-                Mode::Packet,
-                [false, false, true],
-            ),
-            (
-                "a second FluidComplete",
-                complete_twice,
-                Mode::Done,
-                [true, false, true],
-            ),
-            (
-                "an activation after retirement",
-                after_retiring,
-                Mode::Done,
-                [true, false, true],
-            ),
+            ("Packet -> Fluid: handoff while recovering",
+                FLOW, hand_off, Fluid, [true, true, false], false),
+            ("Packet -> Done: the last byte's data ACK",
+                Some(70_000), complete_by_packets, Done, [true, false, true], false),
+            ("Packet, timer: abort during the handshake",
+                FLOW, abort_syn, Packet, [false, false, true], false),
+            ("Fluid -> Done at FluidComplete, then Done ignores a second one",
+                FLOW, complete_twice, Done, [true, false, true], false),
+            ("Done, ACK or timer: an activation after retirement",
+                FLOW, after_retiring, Done, [true, false, true], false),
+            ("Packet, Finalize: a bounded flow reports sent - data_acked",
+                FLOW, finalize_in_flight, Packet, [true, false, false], true),
+            ("Packet, Finalize: an unbounded flow reports nothing",
+                None, finalize_in_flight, Packet, [true, false, false], false),
+            // What the fluid engine carried goes unreported (ROADMAP item 13).
+            ("Fluid, Finalize: reports nothing",
+                FLOW, finalize_fluid, Fluid, [true, true, false], false),
         ];
-        for (edge, scenario, mode, subflow) in rows {
+        for (edge, total, scenario, mode, subflow, reports) in rows {
             let (flow, cfg) = (FlowId(1), TransportConfig::default());
-            let tx = TcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, Some(5_000_000));
+            let tx = TcpSender::new(cfg, flow, Addr(0), Addr(1), 50_000, 80, total);
             let mut l = Loopback::new(flow, tx);
             l.fluid_threshold = Some(100_000);
             l.start();
@@ -512,6 +609,18 @@ mod tests {
             let found = [sf.is_established(), sf.is_recovering(), sf.is_quiescent()];
             assert_eq!((l.tx.conn.mode, found), (mode, subflow), "{edge}");
             assert_eq!(l.produced_after_retiring, 0, "{edge}");
+            let redundant: Vec<u64> = l
+                .signals
+                .iter()
+                .filter_map(|s| match s {
+                    Signal::RedundantBytes { bytes, .. } => Some(*bytes),
+                    _ => None,
+                })
+                .collect();
+            let excess = l.tx.total_bytes_sent() - l.tx.conn.data_acked;
+            assert!(!reports || excess > 0, "{edge}");
+            let want: Vec<u64> = reports.then_some(excess).into_iter().collect();
+            assert_eq!(redundant, want, "{edge}");
         }
     }
 }

@@ -19,7 +19,7 @@
 //! MPTCP phase (high throughput) — "a battle that both can win".
 
 use crate::config::TransportConfig;
-use crate::conn::{round_robin, ConnState, Connection, Policy};
+use crate::conn::{ConnState, Connection, Policy};
 use crate::mptcp::compute_lia;
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate, DUPACK_THRESHOLD};
 use netsim::{Addr, AgentCtx, FlowId, Signal, SimTime};
@@ -169,7 +169,6 @@ impl MmptcpConfig {
 #[derive(Debug)]
 pub struct ScatterThenMultipath {
     cfg: MmptcpConfig,
-    rr_cursor: usize,
     /// When the connection left the packet-scatter phase for the MPTCP
     /// phase, if it has: the connection's whole phase state.
     switched_at: Option<SimTime>,
@@ -235,29 +234,20 @@ impl Policy for ScatterThenMultipath {
     }
 
     fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        loop {
+        while self.switched_at.is_none() {
             let len = conn.next_segment_len();
-            if len == 0 {
-                break;
+            if len == 0 || conn.subflows[0].window_space() < len {
+                return;
             }
-            if self.switched_at.is_none() {
-                if conn.subflows[0].window_space() < len {
-                    break;
-                }
-                conn.send_next(ctx, 0, len);
-                // The data-volume trigger is checked as data is handed to
-                // the network, matching the paper's description.
-                if self.should_switch(conn, false) {
-                    self.switch_to_mptcp(conn, ctx);
-                }
-            } else {
-                // No new data is mapped onto the scatter flow after the switch.
-                let Some(idx) = round_robin(&conn.subflows[1..], &mut self.rr_cursor, len) else {
-                    break;
-                };
-                conn.send_next(ctx, idx + 1, len);
+            conn.send_next(ctx, 0, len);
+            // The data-volume trigger is checked as data is handed to the
+            // network, matching the paper's description.
+            if self.should_switch(conn, false) {
+                self.switch_to_mptcp(conn, ctx);
             }
         }
+        // No new data is mapped onto the scatter flow after the switch.
+        conn.pump_from(ctx, 1);
     }
 
     /// The MPTCP subflows, and **only in the MPTCP phase**: the paper's
@@ -307,7 +297,6 @@ impl MmptcpSender {
         };
         let policy = ScatterThenMultipath {
             cfg,
-            rr_cursor: 0,
             switched_at: None,
         };
         let count = cfg.num_subflows.saturating_add(1);

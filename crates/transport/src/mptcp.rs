@@ -14,7 +14,7 @@
 //! flow completion times as the number of subflows grows (Figure 1(a)/(b)).
 
 use crate::config::TransportConfig;
-use crate::conn::{round_robin, ConnState, Connection, Policy};
+use crate::conn::{ConnState, Connection, Policy};
 use crate::subflow::{LiaParams, Subflow, SubflowUpdate};
 use netsim::{Addr, AgentCtx, FlowId};
 use serde::{Deserialize, Serialize};
@@ -79,12 +79,11 @@ pub(crate) fn compute_lia(subflows: &[Subflow]) -> LiaParams {
     }
 }
 
-/// MPTCP as a connection policy: which subflows open when, LIA coupling, and
-/// the round-robin data-to-subflow scheduler. `Policy::start`'s default is
-/// the MP_CAPABLE handshake on the initial subflow.
+/// MPTCP as a connection policy: which subflows open when, and LIA
+/// coupling. `Policy::start`'s default is the MP_CAPABLE handshake on the
+/// initial subflow, and `Policy::pump`'s is the round-robin scheduler.
 #[derive(Debug)]
 pub struct Multipath {
-    rr_cursor: usize,
     /// True once the additional (MP_JOIN) subflows have been started.
     joined: bool,
 }
@@ -108,19 +107,6 @@ impl Policy for Multipath {
             for sf in &mut conn.subflows[1..] {
                 sf.start(ctx);
             }
-        }
-    }
-
-    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        loop {
-            let len = conn.next_segment_len();
-            if len == 0 {
-                break;
-            }
-            let Some(idx) = round_robin(&conn.subflows, &mut self.rr_cursor, len) else {
-                break;
-            };
-            conn.send_next(ctx, idx, len);
         }
     }
 
@@ -164,10 +150,7 @@ impl MptcpSender {
                 flow,
             )
         };
-        let policy = Multipath {
-            rr_cursor: 0,
-            joined: false,
-        };
+        let policy = Multipath { joined: false };
         Connection::with_subflows(flow, total, cfg.num_subflows, subflow, policy)
     }
 }

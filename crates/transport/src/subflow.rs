@@ -771,7 +771,6 @@ impl Subflow {
 mod tests {
     use super::*;
     use crate::conn::{ConnState, Connection, Policy};
-    use crate::tcp::pump_single_path;
     use crate::testing::{repairs, Loopback, Step, Step::*};
     use std::collections::HashSet;
     use State::Open;
@@ -850,10 +849,6 @@ mod tests {
         ) {
             self.congestion_events += usize::from(update.congestion_event);
             self.spurious += update.spurious_retransmits as usize;
-        }
-
-        fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-            pump_single_path(conn, ctx);
         }
     }
 

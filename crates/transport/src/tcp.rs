@@ -11,17 +11,6 @@ use crate::conn::{ConnState, Connection, Policy};
 use crate::subflow::Subflow;
 use netsim::{Addr, AgentCtx, FlowId, SimDuration, SimTime};
 
-/// Pump the whole stream into the connection's only subflow.
-pub(crate) fn pump_single_path(conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-    loop {
-        let len = conn.next_segment_len();
-        if len == 0 || conn.subflows[0].window_space() < len {
-            break;
-        }
-        conn.send_next(ctx, 0, len);
-    }
-}
-
 /// Plain single-path TCP: every hook at its default, and the one subflow is
 /// what a fluid handoff measures.
 #[derive(Debug)]
@@ -29,10 +18,6 @@ pub struct SinglePath;
 
 impl Policy for SinglePath {
     const NAME: &'static str = "tcp";
-
-    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        pump_single_path(conn, ctx);
-    }
 
     fn fluid_subflows<'a>(&self, subflows: &'a [Subflow]) -> &'a [Subflow] {
         subflows
@@ -129,10 +114,6 @@ impl Policy for Deadline {
         // D²TCP's exponent is d for the *penalty* α^d: imminent flows (d > 1)
         // see α^d < α, i.e. a smaller reduction.
         subflow.set_dctcp_penalty_exponent(d);
-    }
-
-    fn pump(&mut self, conn: &mut ConnState, ctx: &mut AgentCtx<'_>) {
-        pump_single_path(conn, ctx);
     }
 }
 
