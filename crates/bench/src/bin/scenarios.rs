@@ -92,7 +92,7 @@
 //! engine or controller flag, and like `bless` no names.
 
 use metrics::{report, FlowSelect, RunReport, ScenarioReport, Table, TraceConfig, TraceSettings};
-use mmptcp::netsim::Signal;
+use mmptcp::netsim::{FlowId, Signal};
 use mmptcp::scenario::{self, catalog, find, Fidelity, Scenario};
 use mmptcp::{Driver, Engine, ExperimentConfig, ExperimentResults};
 use std::path::{Path, PathBuf};
@@ -351,10 +351,9 @@ fn summary_row(label: &str, r: &ExperimentResults) -> Vec<String> {
     // The run's end beside its last completion: the gap is how far the
     // tick loop carried the run past its work.
     let last_done = r
-        .metrics
-        .sorted_records()
+        .flows
         .iter()
-        .filter_map(|(_, rec)| rec.completed)
+        .filter_map(|f| r.metrics.record(FlowId(f.id))?.completed)
         .max()
         .map_or("-".to_string(), |t| metrics::f2(t.as_millis_f64()));
     vec![

@@ -161,7 +161,8 @@ impl FlowMetrics {
     }
 
     /// All (flow, record) pairs, sorted by flow id for deterministic output.
-    pub fn sorted_records(&self) -> Vec<(FlowId, FlowRecord)> {
+    #[cfg(test)]
+    pub(crate) fn sorted_records(&self) -> Vec<(FlowId, FlowRecord)> {
         let mut v: Vec<(FlowId, FlowRecord)> = self.records.iter().map(|(k, v)| (*k, *v)).collect();
         v.sort_by_key(|(k, _)| *k);
         v

@@ -26,7 +26,8 @@ pub enum Protocol {
         /// Number of subflows.
         subflows: usize,
     },
-    /// Packet scatter only: MMPTCP that never leaves its first phase.
+    /// Packet scatter only: MMPTCP with no MPTCP-phase subflows
+    /// (`num_subflows == 0`), so it never leaves its first phase.
     PacketScatter,
     /// MMPTCP: packet-scatter phase followed by MPTCP with `subflows`
     /// subflows.

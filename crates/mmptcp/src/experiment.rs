@@ -7,7 +7,7 @@ use crate::config::{ExperimentConfig, Protocol, TopologySpec, WorkloadSpec};
 use crate::results::{ConservationAudit, ExperimentResults};
 use metrics::trace::{TraceConfig, TraceSink};
 use metrics::{loss_report, overall_utilisation, tier_utilisation, FlowMetrics};
-use netsim::{Addr, Agent, FlowId, FlowSet, PathPolicy, Signal, SimRng, SimTime, Simulator};
+use netsim::{Addr, Agent, FlowId, PathPolicy, Signal, SimRng, SimTime, Simulator};
 use std::collections::HashSet;
 use topology::{BuiltTopology, LinkTier};
 use transport::{
@@ -193,8 +193,9 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
 
     let mut short_ids = HashSet::new();
     let mut long_ids = HashSet::new();
-    // The bounded flows that have not completed yet.
-    let mut open_bounded = FlowSet::default();
+    // The bounded flows, and the short ones among them, that have not
+    // completed yet. Only a bounded flow signals `FlowCompleted`, and once.
+    let (mut bounded_left, mut short_left) = (0usize, 0usize);
     let mut sim = hooks.stage("mmptcp.install", || {
         // The simulator takes ownership of the network; `topo` keeps the
         // metadata (host table, path model, link tiers) and gets the network
@@ -214,9 +215,8 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
                 FlowClass::Short => short_ids.insert(flow),
                 FlowClass::Long => long_ids.insert(flow),
             };
-            if spec.size.is_some() {
-                open_bounded.insert(flow);
-            }
+            bounded_left += usize::from(spec.size.is_some());
+            short_left += usize::from(spec.size.is_some() && spec.class == FlowClass::Short);
             sim.schedule_flow_start(spec.start, topo.host(spec.src), flow);
         }
         sim
@@ -297,17 +297,20 @@ pub fn run_with<H: RunHooks>(mut config: ExperimentConfig, hooks: &mut H) -> Exp
         let all_done = hooks.stage("mmptcp.completion_check", || {
             for s in &signals {
                 if let Signal::FlowCompleted { flow, .. } = s {
-                    open_bounded.remove(flow);
+                    bounded_left -= 1;
+                    short_left -= usize::from(short_ids.contains(flow));
                 }
             }
-            open_bounded.is_empty()
+            bounded_left == 0
         });
         // The cap is a boundary too (`boundary <= cap`).
         if sim.now() >= boundary && (all_done || sim.now() >= cap || sim.pending_events() == 0) {
             break;
         }
     }
-    let all_short_completed = !open_bounded.iter().any(|f| short_ids.contains(f));
+    // Decided before `finalize`: a flow the fluid engine's last epoch
+    // completes there does not count.
+    let all_short_completed = short_left == 0;
 
     // Final measurements from long-running flows and receivers.
     hooks.stage("netsim.sim.finalize", || sim.finalize());
@@ -452,6 +455,34 @@ mod tests {
         r.goodput_horizon = None;
         assert!(r.long_goodput_bps() > 0.0);
         assert!(r.overall_utilisation > 0.0);
+    }
+
+    /// The run waits for every bounded flow, not only the short ones: with
+    /// the short flow done and a bounded long flow still sending, it ends at
+    /// the cap.
+    #[test]
+    fn a_bounded_long_flow_keeps_the_run_open() {
+        let mut config = one_flow_config(Protocol::Tcp);
+        let WorkloadSpec::Custom(flows) = &mut config.workload else {
+            unreachable!("one_flow_config is a custom workload")
+        };
+        // 100 MB at 1 Gbps takes 800 ms, far past the 50 ms cap.
+        let start = SimTime::from_millis(1);
+        flows.push(FlowSpec::new(
+            1,
+            Addr(0),
+            Addr(1),
+            Some(100_000_000),
+            start,
+            FlowClass::Long,
+        ));
+        let cap = netsim::SimDuration::from_millis(50);
+        config.max_sim_time = cap;
+        let r = run(config);
+        assert!(r.all_short_completed);
+        assert!(r.metrics.record(FlowId(0)).unwrap().completed.is_some());
+        assert_eq!(r.metrics.record(FlowId(1)).unwrap().completed, None);
+        assert_eq!(r.elapsed, cap, "the run ends at the cap");
     }
 
     /// Resident agents follow the flows alive, not the flows offered: each

@@ -1663,7 +1663,6 @@ fig1-seeds paper 0f06324bb1b4d2f2
         ("ArrivalProcess::Simultaneous", "benchmark/src"),
         ("TrafficMatrix::Stride", "benchmark/src"),
         ("PathPolicy::PerPacketScatter", "benchmark/src"),
-        ("SwitchStrategy::Never", "set by `packet_scatter_only`"),
         ("DupAckPolicy::TopologyAdaptive", "installed by the runner"),
         ("TraceConfig::On", "set by `scenarios trace`"),
         ("FlowSelect::All", "set by `scenarios trace`"),
@@ -1835,7 +1834,7 @@ fig1-seeds paper 0f06324bb1b4d2f2
                 } in [protocol]);
                 if let Protocol::Mmptcp { switch, dupack, .. } = protocol {
                     note_variants!(variants, seen, SwitchStrategy {
-                        DataVolume(bytes), CongestionEvent, Never
+                        DataVolume(bytes), CongestionEvent
                     } in [switch]);
                     note_variants!(variants, seen, DupAckPolicy {
                         Standard, TopologyAware { paths }, Adaptive, TopologyAdaptive { paths }

@@ -152,9 +152,10 @@ impl ConnState {
         self.next_data_seq += len;
     }
 
-    /// Round-robin over the established subflows from `first` on: map each
-    /// next segment onto the first of them at or after the cursor with
-    /// window space for it, until the stream is mapped or no window has room.
+    /// Round-robin over the subflows from `first` on: map each next segment
+    /// onto the first of them at or after the cursor with window space for it
+    /// (a subflow has none before its handshake), until the stream is mapped
+    /// or no window has room.
     pub(crate) fn pump_from(&mut self, ctx: &mut AgentCtx<'_>, first: usize) {
         let n = self.subflows.len() - first;
         loop {
@@ -163,10 +164,10 @@ impl ConnState {
                 return;
             }
             let cursor = usize::from(self.next_subflow);
-            let Some(idx) = (0..n).map(|off| (cursor + off) % n).find(|&i| {
-                let sf = &self.subflows[first + i];
-                sf.is_established() && sf.window_space() >= len
-            }) else {
+            let Some(idx) = (0..n)
+                .map(|off| (cursor + off) % n)
+                .find(|&i| self.subflows[first + i].window_space() >= len)
+            else {
                 return;
             };
             self.next_subflow = ((idx + 1) % n) as u8;

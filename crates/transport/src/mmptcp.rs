@@ -14,6 +14,11 @@
 //!    control. No new data is mapped onto the PS flow; it retires once its
 //!    outstanding window drains.
 //!
+//! A connection with `num_subflows == 0` has no MPTCP phase to switch to and
+//! scatters for its whole life: that is the packet-scatter-only ablation,
+//! [`MmptcpConfig::packet_scatter_only`], which the experiment runner's
+//! `Protocol::PacketScatter` selects.
+//!
 //! Short flows are expected to finish entirely inside the PS phase (low
 //! latency, burst tolerant); long flows spend almost all their life in the
 //! MPTCP phase (high throughput) — "a battle that both can win".
@@ -25,7 +30,10 @@ use crate::subflow::{LiaParams, Subflow, SubflowUpdate, DUPACK_THRESHOLD};
 use netsim::{Addr, AgentCtx, FlowId, Signal, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// When MMPTCP leaves the packet-scatter phase.
+/// When MMPTCP leaves the packet-scatter phase. A connection with
+/// `num_subflows == 0` never leaves it, whatever the strategy: that is the
+/// scatter-only ablation, [`MmptcpConfig::packet_scatter_only`], which
+/// `Protocol::PacketScatter` selects.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SwitchStrategy {
     /// Switch after this many connection-level bytes have been handed to the
@@ -34,10 +42,6 @@ pub enum SwitchStrategy {
     /// Switch at the first congestion event — fast retransmission or RTO —
     /// observed on the packet-scatter flow (paper §2, "Congestion Event").
     CongestionEvent,
-    /// Never switch: the connection stays in packet-scatter mode for its whole
-    /// life. This is the PS-only ablation (and the "packet scatter" baseline
-    /// explored in the MPTCP data-centre paper the authors build on).
-    Never,
 }
 
 impl Default for SwitchStrategy {
@@ -123,7 +127,8 @@ impl DupAckPolicy {
 pub struct MmptcpConfig {
     /// Per-subflow TCP parameters (shared by the PS flow and MPTCP subflows).
     pub transport: TransportConfig,
-    /// Number of MPTCP subflows opened when the connection switches phase.
+    /// Number of MPTCP subflows opened when the connection switches phase;
+    /// with 0 it never switches.
     pub num_subflows: usize,
     /// Phase-switching strategy.
     pub switch: SwitchStrategy,
@@ -153,10 +158,10 @@ impl Default for MmptcpConfig {
 }
 
 impl MmptcpConfig {
-    /// A PS-only configuration (never switches): the packet-scatter ablation.
+    /// A PS-only configuration: with no MPTCP-phase subflows to open, the
+    /// connection never switches. This is the packet-scatter ablation.
     pub fn packet_scatter_only() -> Self {
         MmptcpConfig {
-            switch: SwitchStrategy::Never,
             num_subflows: 0,
             ..MmptcpConfig::default()
         }
@@ -180,7 +185,6 @@ impl ScatterThenMultipath {
             return false;
         }
         match self.cfg.switch {
-            SwitchStrategy::Never => false,
             SwitchStrategy::DataVolume(bytes) => conn.next_data_seq >= bytes,
             SwitchStrategy::CongestionEvent => congestion_event,
         }
@@ -463,8 +467,7 @@ mod tests {
         // retransmit, then check that the threshold was bumped by one step.
         let cfg = MmptcpConfig {
             dupack: DupAckPolicy::topology_adaptive(1),
-            switch: SwitchStrategy::Never,
-            ..MmptcpConfig::default()
+            ..MmptcpConfig::packet_scatter_only()
         };
         let mut l = new_loop(cfg, 140_000);
         // Reorder, don't lose: from round 3 on, the first data packet of a

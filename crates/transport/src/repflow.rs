@@ -135,7 +135,7 @@ impl Policy for Replicated {
         for (i, sf) in conn.subflows.iter_mut().enumerate() {
             loop {
                 let len = mss.min(self.limit[i].saturating_sub(self.cursor[i]));
-                if len == 0 || !sf.is_established() || sf.window_space() < len {
+                if len == 0 || sf.window_space() < len {
                     break;
                 }
                 sf.send_segment(ctx, self.cursor[i], len as u32);

@@ -143,13 +143,13 @@ fn cases() -> Vec<Case> {
         num_subflows: 4,
         ..MmptcpConfig::default()
     };
-    for (label, switch) in [
-        ("data-volume", SwitchStrategy::DataVolume(100_000)),
-        ("congestion-event", SwitchStrategy::CongestionEvent),
-        ("never", SwitchStrategy::Never),
+    for (label, cfg) in [
+        ("data-volume", mmptcp4(SwitchStrategy::DataVolume(100_000))),
+        ("congestion-event", mmptcp4(SwitchStrategy::CongestionEvent)),
+        ("never", MmptcpConfig::packet_scatter_only()),
     ] {
         let name = format!("mmptcp/{label}");
-        cases.push(case(&name, mmptcp(mmptcp4(switch), 400_000)));
+        cases.push(case(&name, mmptcp(cfg, 400_000)));
     }
     let (rep, syn) = (RepFlowConfig::default(), RepFlowConfig::repsyn());
     cases.push(case("repflow", repflow(rep, 70_000)));
